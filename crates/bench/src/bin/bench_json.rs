@@ -123,11 +123,6 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"scale\": {scale},");
-    let _ = writeln!(
-        json,
-        "  \"columnar\": {},",
-        orthopt::exec::columnar_enabled()
-    );
     let _ = writeln!(json, "  \"queries\": [");
     for (qi, (name, sql_of)) in queries.iter().enumerate() {
         let sql = sql_of();

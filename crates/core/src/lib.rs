@@ -50,7 +50,7 @@ pub use orthopt_storage as storage;
 pub use orthopt_tpch as tpch;
 
 use orthopt_common::{CancellationToken, Error, QueryContext, Result, Row};
-use orthopt_exec::{Bindings, Chunk, PhysExpr, Pipeline, Reference};
+use orthopt_exec::{Bindings, Chunk, PhysExpr, Pipeline, PipelineOptions, Reference};
 use orthopt_ir::{ColumnMeta, RelExpr};
 use orthopt_optimizer::search::{optimize_with_presentation, OptimizerConfig, SearchStats};
 use orthopt_rewrite::pipeline::{classify, normalize, NormalForm, RewriteConfig};
@@ -224,16 +224,6 @@ impl QueryResult {
     }
 }
 
-/// Worker-pool size from the `ORTHOPT_PARALLELISM` environment
-/// variable, defaulting to 1 (serial) when unset or unparseable.
-pub(crate) fn env_parallelism() -> usize {
-    std::env::var("ORTHOPT_PARALLELISM")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, orthopt_exec::parallel::MAX_WORKERS)
-}
-
 /// Parses a byte count with an optional `k`/`m`/`g` suffix (binary
 /// multiples, case-insensitive), e.g. `64m` = 64 MiB.
 pub(crate) fn parse_bytes(s: &str) -> Option<u64> {
@@ -252,33 +242,6 @@ pub(crate) fn parse_bytes(s: &str) -> Option<u64> {
     digits.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// Per-query memory budget from `ORTHOPT_MEM_LIMIT` (bytes, optional
-/// `k`/`m`/`g` suffix); `None` when unset or unparseable.
-pub(crate) fn env_mem_limit() -> Option<u64> {
-    std::env::var("ORTHOPT_MEM_LIMIT")
-        .ok()
-        .and_then(|s| parse_bytes(&s))
-}
-
-/// Per-query timeout from `ORTHOPT_TIMEOUT_MS` (milliseconds); `None`
-/// when unset or unparseable.
-pub(crate) fn env_timeout() -> Option<Duration> {
-    std::env::var("ORTHOPT_TIMEOUT_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
-
-/// Correlated-execution strategy from the `ORTHOPT_APPLY_STRATEGY`
-/// environment variable (`auto` / `loop` / `batched` / `index`),
-/// defaulting to [`ApplyStrategy::Auto`] when unset or unparseable.
-pub(crate) fn env_apply_strategy() -> ApplyStrategy {
-    std::env::var("ORTHOPT_APPLY_STRATEGY")
-        .ok()
-        .and_then(|s| ApplyStrategy::parse(&s))
-        .unwrap_or_default()
-}
-
 /// The façade: a catalog plus the full compile/execute pipeline.
 ///
 /// The catalog is held behind an [`Arc`] so in-flight queries can hand
@@ -287,21 +250,14 @@ pub(crate) fn env_apply_strategy() -> ApplyStrategy {
 #[derive(Debug)]
 pub struct Database {
     catalog: Arc<Catalog>,
-    parallelism: usize,
-    mem_limit: Option<u64>,
-    timeout: Option<Duration>,
-    apply_strategy: ApplyStrategy,
+    /// The same settings a [`Session`] carries, seeded from the
+    /// `ORTHOPT_*` environment ([`EngineConfig::default`]).
+    settings: SessionSettings,
 }
 
 impl Default for Database {
     fn default() -> Self {
-        Database {
-            catalog: Arc::new(Catalog::default()),
-            parallelism: env_parallelism(),
-            mem_limit: env_mem_limit(),
-            timeout: env_timeout(),
-            apply_strategy: env_apply_strategy(),
-        }
+        Database::from_shared(Arc::new(Catalog::default()))
     }
 }
 
@@ -313,10 +269,7 @@ impl Database {
 
     /// Wraps an existing catalog (e.g. a generated TPC-H database).
     pub fn from_catalog(catalog: Catalog) -> Self {
-        Database {
-            catalog: Arc::new(catalog),
-            ..Database::default()
-        }
+        Database::from_shared(Arc::new(catalog))
     }
 
     /// Wraps a catalog already shared behind an `Arc` (sessions of one
@@ -324,7 +277,7 @@ impl Database {
     pub fn from_shared(catalog: Arc<Catalog>) -> Self {
         Database {
             catalog,
-            ..Database::default()
+            settings: EngineConfig::default().session_settings(),
         }
     }
 
@@ -335,12 +288,12 @@ impl Database {
     /// fans out to). The initial value comes from the
     /// `ORTHOPT_PARALLELISM` environment variable, default 1.
     pub fn set_parallelism(&mut self, n: usize) {
-        self.parallelism = n.clamp(1, orthopt_exec::parallel::MAX_WORKERS);
+        self.settings.parallelism = n.clamp(1, orthopt_exec::parallel::MAX_WORKERS);
     }
 
     /// The configured worker-pool size.
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.settings.parallelism
     }
 
     /// Sets (or clears) the per-query memory budget in bytes. Every
@@ -353,12 +306,12 @@ impl Database {
     /// The initial value comes from the `ORTHOPT_MEM_LIMIT` environment
     /// variable (bytes, optional `k`/`m`/`g` suffix), default unlimited.
     pub fn set_memory_limit(&mut self, bytes: Option<u64>) {
-        self.mem_limit = bytes;
+        self.settings.mem_limit = bytes;
     }
 
     /// The configured per-query memory budget, if any.
     pub fn memory_limit(&self) -> Option<u64> {
-        self.mem_limit
+        self.settings.mem_limit
     }
 
     /// Sets (or clears) the per-query timeout. Expiry surfaces as
@@ -366,12 +319,12 @@ impl Database {
     /// next operator batch boundary. The initial value comes from the
     /// `ORTHOPT_TIMEOUT_MS` environment variable, default none.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.timeout = timeout;
+        self.settings.timeout = timeout;
     }
 
     /// The configured per-query timeout, if any.
     pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
+        self.settings.timeout
     }
 
     /// Forces (or, with [`ApplyStrategy::Auto`], re-enables the
@@ -383,12 +336,12 @@ impl Database {
     /// the `ORTHOPT_APPLY_STRATEGY` environment variable, default
     /// `auto`.
     pub fn set_apply_strategy(&mut self, strategy: ApplyStrategy) {
-        self.apply_strategy = strategy;
+        self.settings.apply_strategy = strategy;
     }
 
     /// The configured correlated-execution strategy.
     pub fn apply_strategy(&self) -> ApplyStrategy {
-        self.apply_strategy
+        self.settings.apply_strategy
     }
 
     /// The governance context queries run under: the configured memory
@@ -397,10 +350,10 @@ impl Database {
     /// [`QueryContext::with_cancellation`].
     pub fn query_context(&self) -> QueryContext {
         let mut gov = QueryContext::new();
-        if let Some(limit) = self.mem_limit {
+        if let Some(limit) = self.settings.mem_limit {
             gov = gov.with_memory_limit(limit);
         }
-        if let Some(timeout) = self.timeout {
+        if let Some(timeout) = self.settings.timeout {
             gov = gov.with_timeout(timeout);
         }
         gov
@@ -446,8 +399,8 @@ impl Database {
             &self.catalog,
             sql,
             level,
-            self.parallelism,
-            self.apply_strategy,
+            self.settings.parallelism,
+            self.settings.apply_strategy,
         )
     }
 
@@ -463,12 +416,7 @@ impl Database {
     /// [`Error::Exec`](orthopt_common::Error::Exec) naming the operator
     /// the panic unwound out of, and the database stays usable.
     pub fn run_with_context(&self, plan: &Plan, gov: QueryContext) -> Result<QueryResult> {
-        let mut pipeline = Pipeline::compile(&plan.physical)?;
-        pipeline.set_parallelism(self.parallelism);
-        pipeline.set_governor(gov);
-        pipeline.set_shared_catalog(self.shared_catalog());
-        let chunk = run_caught(&mut pipeline, &self.catalog)?;
-        present(chunk, &plan.output)
+        run_plan(&self.catalog, plan, &self.settings, gov).map(|(result, _)| result)
     }
 
     /// Compiles and executes at [`OptimizerLevel::Full`] with the given
@@ -565,12 +513,9 @@ impl Database {
             Ok(summary) => summary,
             Err(e) => format!("plancheck: FAILED — {e}"),
         };
-        let mut pipeline = Pipeline::compile(&plan.physical)?;
-        pipeline.set_parallelism(self.parallelism);
-        pipeline.set_governor(self.query_context());
-        pipeline.set_shared_catalog(self.shared_catalog());
         let started = std::time::Instant::now();
-        let chunk = run_caught(&mut pipeline, &self.catalog)?;
+        let (result, pipeline) =
+            run_plan(&self.catalog, &plan, &self.settings, self.query_context())?;
         let elapsed = started.elapsed();
         let governor = match (
             pipeline.governor().mem_peak(),
@@ -588,7 +533,7 @@ impl Database {
         );
         Ok(format!(
             "== physical (analyzed: {} rows, {:.3}ms total, batch size {}) ==\n{}== {check} =={governor}",
-            chunk.len(),
+            result.rows.len(),
             elapsed.as_secs_f64() * 1e3,
             pipeline.batch_size(),
             rendered,
@@ -646,13 +591,40 @@ pub(crate) fn compile_plan(
     })
 }
 
+/// The one place a compiled plan becomes a result: compile the physical
+/// tree into a [`Pipeline`], configure it from `settings` (worker-pool
+/// size, spill toggle) plus the caller's governance context, run it with
+/// panic isolation, and project onto the presentation columns. The
+/// finished pipeline comes back too, for `EXPLAIN ANALYZE`'s stats.
+/// [`Database`] and [`Session`] both execute through here, so a setting
+/// means the same thing on either façade.
+pub(crate) fn run_plan(
+    catalog: &Arc<Catalog>,
+    plan: &Plan,
+    settings: &SessionSettings,
+    gov: QueryContext,
+) -> Result<(QueryResult, Pipeline)> {
+    let mut pipeline = Pipeline::with_options(
+        &plan.physical,
+        PipelineOptions {
+            spill: settings.spill,
+            ..PipelineOptions::default()
+        },
+    )?;
+    pipeline.set_parallelism(settings.parallelism);
+    pipeline.set_governor(gov);
+    pipeline.set_shared_catalog(Arc::clone(catalog));
+    let chunk = run_caught(&mut pipeline, catalog)?;
+    Ok((present(chunk, &plan.output)?, pipeline))
+}
+
 /// Runs a compiled pipeline with panic isolation: a panic unwinding out
 /// of an operator (serial path — parallel workers catch their own) is
 /// converted to [`Error::Exec`] blaming the operator the executor was
 /// inside, so a buggy or fault-injected operator cannot tear down the
 /// caller. The pipeline's own error path already closes operators and
 /// records stats before returning.
-pub(crate) fn run_caught(pipeline: &mut Pipeline, catalog: &Catalog) -> Result<Chunk> {
+fn run_caught(pipeline: &mut Pipeline, catalog: &Catalog) -> Result<Chunk> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pipeline.execute(catalog, &Bindings::new())
     }))
@@ -669,7 +641,7 @@ pub(crate) fn run_caught(pipeline: &mut Pipeline, catalog: &Catalog) -> Result<C
     })
 }
 
-pub(crate) fn present(chunk: Chunk, output: &[ColumnMeta]) -> Result<QueryResult> {
+fn present(chunk: Chunk, output: &[ColumnMeta]) -> Result<QueryResult> {
     let ids: Vec<_> = output.iter().map(|c| c.id).collect();
     let projected = chunk.project(&ids)?;
     Ok(QueryResult {

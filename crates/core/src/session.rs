@@ -11,14 +11,14 @@
 //!   aggregate demand beyond the global limit queues, a full queue
 //!   sheds), and the plan cache.
 //! * [`Session`] — per connection: owns its settings (parallelism,
-//!   columnar toggle, memory/timeout defaults, optimizer level) and a
+//!   spill toggle, memory/timeout defaults, optimizer level) and a
 //!   session-level [`CancellationToken`]. Closing or dropping a session
 //!   cancels whatever query it has in flight; each query runs under a
 //!   *child* token so per-query timeouts stay private to the query.
 //!
 //! Plan cache: keyed by whitespace-normalized SQL text plus the
-//! settings that shape the plan (optimizer level, parallelism, columnar
-//! toggle). Entries are invalidated by the engine's table-stats version
+//! settings that shape the plan (optimizer level, parallelism, apply
+//! strategy). Entries are invalidated by the engine's table-stats version
 //! ([`Engine::bump_stats_version`]), and every cache hit is re-verified
 //! by plancheck before reuse — a stale or corrupted plan is recompiled,
 //! never executed.
@@ -32,19 +32,18 @@ use std::time::Duration;
 use orthopt_common::{
     AdmissionController, AdmissionGuard, AdmissionStats, CancellationToken, QueryContext, Result,
 };
-use orthopt_exec::{Pipeline, PipelineOptions, DEFAULT_BATCH_SIZE};
 use orthopt_ir::ApplyStrategy;
 use orthopt_storage::Catalog;
 
-use crate::{compile_plan, present, run_caught, Error, OptimizerLevel, Plan, QueryResult};
+use crate::{compile_plan, run_plan, Error, OptimizerLevel, Plan, QueryResult};
 
 /// Default per-query admission budget when neither the session nor the
 /// engine configures a per-query memory limit: 16 MiB.
 const DEFAULT_QUERY_MEM: u64 = 16 << 20;
 
 /// Engine-wide configuration. All fields are public so embedders and
-/// tests can construct configs directly; [`EngineConfig::default`]
-/// reads the `ORTHOPT_*` environment.
+/// tests can construct configs directly; [`EngineConfig::default`] is
+/// the one place the `ORTHOPT_*` query-default variables are read.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Global memory limit shared by *all* concurrent queries. When
@@ -69,9 +68,6 @@ pub struct EngineConfig {
     pub mem_limit: Option<u64>,
     /// Default per-query timeout (`ORTHOPT_TIMEOUT_MS`).
     pub timeout: Option<Duration>,
-    /// Default columnar toggle; `None` defers to the process-global
-    /// flag.
-    pub columnar: Option<bool>,
     /// Default spill toggle; `None` defers to the process-global flag
     /// (`ORTHOPT_SPILL`).
     pub spill: Option<bool>,
@@ -82,20 +78,42 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    /// Unset or unparseable variables fall back to: serial, unlimited,
+    /// no timeout, `auto`.
     fn default() -> EngineConfig {
+        let var = |name: &str| std::env::var(name).ok();
         EngineConfig {
-            global_mem_limit: std::env::var("ORTHOPT_GLOBAL_MEM_LIMIT")
-                .ok()
-                .and_then(|s| crate::parse_bytes(&s)),
+            global_mem_limit: var("ORTHOPT_GLOBAL_MEM_LIMIT").and_then(|s| crate::parse_bytes(&s)),
             admission_queue: 32,
             default_query_mem: DEFAULT_QUERY_MEM,
             plan_cache_cap: 64,
-            parallelism: crate::env_parallelism(),
-            mem_limit: crate::env_mem_limit(),
-            timeout: crate::env_timeout(),
-            columnar: None,
+            parallelism: var("ORTHOPT_PARALLELISM")
+                .and_then(|s| s.trim().parse::<usize>().ok())
+                .unwrap_or(1)
+                .clamp(1, orthopt_exec::parallel::MAX_WORKERS),
+            mem_limit: var("ORTHOPT_MEM_LIMIT").and_then(|s| crate::parse_bytes(&s)),
+            timeout: var("ORTHOPT_TIMEOUT_MS")
+                .and_then(|s| s.trim().parse::<u64>().ok())
+                .map(Duration::from_millis),
             spill: None,
-            apply_strategy: crate::env_apply_strategy(),
+            apply_strategy: var("ORTHOPT_APPLY_STRATEGY")
+                .and_then(|s| ApplyStrategy::parse(&s))
+                .unwrap_or_default(),
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The settings a fresh [`Session`] (or a [`Database`](crate::Database))
+    /// starts from.
+    pub(crate) fn session_settings(&self) -> SessionSettings {
+        SessionSettings {
+            parallelism: self.parallelism,
+            spill: self.spill,
+            mem_limit: self.mem_limit,
+            timeout: self.timeout,
+            level: OptimizerLevel::Full,
+            apply_strategy: self.apply_strategy,
         }
     }
 }
@@ -108,12 +126,10 @@ pub struct SessionSettings {
     /// Worker-pool size exchanges fan out to (also steers the optimizer
     /// toward or away from `Exchange` placement).
     pub parallelism: usize,
-    /// Columnar toggle; `None` defers to the engine default, then the
-    /// process-global flag.
-    pub columnar: Option<bool>,
-    /// Spill-to-disk toggle; `None` defers to the engine default, then
-    /// the process-global flag. Off means memory-pressured operators
-    /// fail with `ResourceExhausted` instead of degrading to disk.
+    /// Spill-to-disk toggle, seeded from the engine default; `None`
+    /// defers to the process-global flag (`ORTHOPT_SPILL`). Off means
+    /// memory-pressured operators fail with `ResourceExhausted` instead
+    /// of degrading to disk.
     pub spill: Option<bool>,
     /// Per-query memory budget.
     pub mem_limit: Option<u64>,
@@ -137,7 +153,6 @@ struct CacheKey {
     sql: String,
     level: OptimizerLevel,
     parallelism: usize,
-    columnar: bool,
     apply_strategy: ApplyStrategy,
 }
 
@@ -276,15 +291,7 @@ impl Engine {
     pub fn session(self: &Arc<Self>) -> Session {
         Session {
             engine: Arc::clone(self),
-            settings: SessionSettings {
-                parallelism: self.config.parallelism,
-                columnar: self.config.columnar,
-                spill: self.config.spill,
-                mem_limit: self.config.mem_limit,
-                timeout: self.config.timeout,
-                level: OptimizerLevel::Full,
-                apply_strategy: self.config.apply_strategy,
-            },
+            settings: self.config.session_settings(),
             cancel: CancellationToken::new(None),
         }
     }
@@ -349,10 +356,6 @@ impl Engine {
             sql: normalize_sql(sql),
             level: settings.level,
             parallelism: settings.parallelism,
-            columnar: settings
-                .columnar
-                .or(self.config.columnar)
-                .unwrap_or_else(orthopt_exec::columnar_enabled),
             apply_strategy: settings.apply_strategy,
         };
         let version = self.stats_version();
@@ -455,8 +458,8 @@ impl Session {
     }
 
     /// Applies a `SET <name> <value>` assignment. Names:
-    /// `parallelism`, `columnar` (`on`/`off`/`default`), `spill`
-    /// (`on`/`off`/`default`), `mem_limit` (bytes, `k`/`m`/`g` suffix,
+    /// `parallelism`, `spill` (`on`/`off`/`default`, the last restoring
+    /// the engine default), `mem_limit` (bytes, `k`/`m`/`g` suffix,
     /// `none`), `timeout_ms` (`none` to clear), `level`
     /// (`correlated`/`decorrelated`/`groupby`/`full`),
     /// `apply_strategy` (`auto`/`loop`/`batched`/`index`).
@@ -469,19 +472,11 @@ impl Session {
                     .map_err(|_| Error::Plan(format!("invalid parallelism: {v}")))?;
                 self.settings.parallelism = n.clamp(1, orthopt_exec::parallel::MAX_WORKERS);
             }
-            "columnar" => {
-                self.settings.columnar = match v.to_ascii_lowercase().as_str() {
-                    "on" | "true" | "1" => Some(true),
-                    "off" | "false" | "0" => Some(false),
-                    "default" => None,
-                    other => return Err(Error::Plan(format!("invalid columnar: {other}"))),
-                };
-            }
             "spill" => {
                 self.settings.spill = match v.to_ascii_lowercase().as_str() {
                     "on" | "true" | "1" => Some(true),
                     "off" | "false" | "0" => Some(false),
-                    "default" => None,
+                    "default" => self.engine.config.spill,
                     other => return Err(Error::Plan(format!("invalid spill: {other}"))),
                 };
             }
@@ -538,19 +533,7 @@ impl Session {
         if let Some(limit) = self.settings.mem_limit {
             gov = gov.with_memory_limit(limit);
         }
-        let mut pipeline = Pipeline::with_options(
-            &plan.physical,
-            PipelineOptions {
-                batch_size: DEFAULT_BATCH_SIZE,
-                columnar: self.settings.columnar.or(self.engine.config.columnar),
-                spill: self.settings.spill.or(self.engine.config.spill),
-            },
-        )?;
-        pipeline.set_parallelism(self.settings.parallelism);
-        pipeline.set_governor(gov);
-        pipeline.set_shared_catalog(self.engine.shared_catalog());
-        let chunk = run_caught(&mut pipeline, &self.engine.catalog)?;
-        present(chunk, &plan.output)
+        run_plan(&self.engine.catalog, &plan, &self.settings, gov).map(|(result, _)| result)
     }
 }
 
@@ -616,6 +599,7 @@ mod tests {
     fn settings_fingerprint_splits_cache_entries() {
         let engine = Engine::with_defaults(catalog());
         let mut s = engine.session();
+        s.set("parallelism", "1").unwrap(); // whatever ORTHOPT_PARALLELISM says
         s.execute("select k from t").unwrap();
         s.set("parallelism", "4").unwrap();
         s.execute("select k from t").unwrap();
@@ -641,8 +625,10 @@ mod tests {
         assert!(s.set("no_such_knob", "1").is_err());
         s.set("level", "correlated").unwrap();
         assert_eq!(s.settings().level, OptimizerLevel::Correlated);
-        s.set("columnar", "off").unwrap();
-        assert_eq!(s.settings().columnar, Some(false));
+        assert_eq!(
+            s.set("columnar", "on"),
+            Err(Error::Plan("unknown setting: columnar".into()))
+        );
         s.set("mem_limit", "4m").unwrap();
         assert_eq!(s.settings().mem_limit, Some(4 << 20));
         s.set("mem_limit", "none").unwrap();

@@ -3,16 +3,19 @@
 //! strategy — `ApplyLoop`, `BatchedApply`, and `IndexLookupJoin` (which
 //! falls back to the loop when the inner is not seek-shaped) — must be
 //! bag-identical to the naive `Reference` interpreter, at correlated
-//! and fully-decorrelated optimizer levels, in both batch
-//! representations, serial and 4-worker, across awkward batch sizes.
+//! and fully-decorrelated optimizer levels, serial and 4-worker,
+//! across awkward batch sizes.
 //!
 //! This is the oracle-differential proof that correlated
 //! re-introduction is a real race between semantically interchangeable
 //! strategies, not three operators with three sets of edge cases.
 
+mod common;
+
+use common::{assert_fanned_out, pooled};
 use orthopt::{ApplyStrategy, Database, OptimizerLevel};
 use orthopt_common::row::bag_eq;
-use orthopt_exec::{Bindings, Pipeline, Reference};
+use orthopt_exec::{Bindings, PipelineOptions, Reference};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 
 const STRATEGIES: [ApplyStrategy; 3] = [
@@ -29,8 +32,6 @@ const LEVELS: [OptimizerLevel; 2] = [OptimizerLevel::Correlated, OptimizerLevel:
 /// Batch sizes that stress boundary handling: single-row batches, a
 /// tiny odd size, and one row either side of the default.
 const BATCH_SIZES: [usize; 5] = [1, 7, 1023, 1024, 1025];
-
-const COLUMNAR: [bool; 2] = [true, false];
 
 const WORKERS: [usize; 2] = [1, 4];
 
@@ -54,7 +55,7 @@ fn fixture() -> Database {
 }
 
 /// Sweeps one query through strategies × levels × workers × batch sizes
-/// × representations against the oracle on the unnormalized tree.
+/// against the oracle on the unnormalized tree.
 fn check_strategies(db: &mut Database, sql: &str) {
     let bound = orthopt_sql::compile(sql, db.catalog()).expect("template compiles");
     let oracle = Reference::new(db.catalog()).run(&bound.rel);
@@ -66,39 +67,34 @@ fn check_strategies(db: &mut Database, sql: &str) {
                 let plan = db.plan(sql, level).expect("planning succeeds");
                 let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
                 for bs in BATCH_SIZES {
-                    for col in COLUMNAR {
-                        orthopt_exec::set_columnar(col);
-                        let mut pipeline = Pipeline::with_batch_size(&plan.physical, bs)
-                            .expect("plan compiles to pipeline");
-                        pipeline.set_parallelism(workers);
-                        let got = pipeline
-                            .execute(db.catalog(), &Bindings::new())
-                            .and_then(|chunk| chunk.project(&out_ids));
-                        orthopt_exec::set_columnar(true);
-                        match (&oracle, got) {
-                            (Ok(expected), Ok(got)) => {
-                                let expected = expected
-                                    .project(&out_ids)
-                                    .expect("oracle keeps output cols");
-                                assert!(
-                                    bag_eq(&expected.rows, &got.rows),
-                                    "{sql}\nstrategy={strategy:?} level={level:?} \
-                                     workers={workers} bs={bs} columnar={col}\n\
-                                     oracle={:?}\ngot={:?}",
-                                    expected.rows,
-                                    got.rows,
-                                );
+                    let opts = PipelineOptions {
+                        batch_size: bs,
+                        ..Default::default()
+                    };
+                    let mut pipeline = pooled(db, &plan.physical, opts, workers);
+                    let got = pipeline
+                        .execute(db.catalog(), &Bindings::new())
+                        .and_then(|chunk| chunk.project(&out_ids));
+                    let ctx = format!(
+                        "{sql}\nstrategy={strategy:?} level={level:?} workers={workers} bs={bs}"
+                    );
+                    match (&oracle, got) {
+                        (Ok(expected), Ok(got)) => {
+                            let expected = expected
+                                .project(&out_ids)
+                                .expect("oracle keeps output cols");
+                            assert!(
+                                bag_eq(&expected.rows, &got.rows),
+                                "{ctx}\noracle={:?}\ngot={:?}",
+                                expected.rows,
+                                got.rows,
+                            );
+                            if workers > 1 {
+                                assert_fanned_out(&plan.physical, &pipeline.stats(), &ctx);
                             }
-                            (Err(e1), Err(e2)) => assert_eq!(
-                                e1, &e2,
-                                "different errors for {sql} under {strategy:?}/{level:?}"
-                            ),
-                            (o, s) => panic!(
-                                "one side errored: oracle={o:?} got={s:?} for {sql} \
-                                 under {strategy:?}/{level:?} workers={workers} bs={bs} \
-                                 columnar={col}"
-                            ),
                         }
+                        (Err(e1), Err(e2)) => assert_eq!(e1, &e2, "different errors: {ctx}"),
+                        (o, s) => panic!("one side errored: oracle={o:?} got={s:?}\n{ctx}"),
                     }
                 }
             }

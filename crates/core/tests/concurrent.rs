@@ -163,8 +163,7 @@ fn forced_exchange_concurrency_is_byte_identical() {
         let expected = run_once(db.catalog(), Arc::clone(&shared)).expect("solo run");
         let barrier = Arc::new(Barrier::new(CLIENTS));
         // sync-ok: scoped threads borrow the test's catalog and closure;
-        // the 'static shim spawn cannot express that, and this test
-        // exercises the legacy scoped fallback on purpose.
+        // the 'static shim spawn cannot express that.
         std::thread::scope(|scope| {
             for _ in 0..CLIENTS {
                 let barrier = Arc::clone(&barrier);

@@ -12,6 +12,9 @@
 //! inside serialize on a mutex.
 #![cfg(feature = "fault-injection")]
 
+mod common;
+
+use common::{assert_fanned_out, pooled};
 use orthopt::common::row::bag_eq;
 use orthopt::common::Error;
 use orthopt::exec::faults::{self, FaultAction};
@@ -92,6 +95,7 @@ fn run_once(db: &Database, sql: &str, level: OptimizerLevel, workers: usize) -> 
         Err(e) => return format!("compile-err:{e}"),
     };
     pipeline.set_parallelism(workers);
+    pipeline.set_shared_catalog(db.shared_catalog());
     match pipeline
         .execute(db.catalog(), &Bindings::new())
         .and_then(|chunk| chunk.project(&out_ids))
@@ -124,8 +128,7 @@ fn matrix_error_identity_and_clean_recovery() {
                     let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
 
                     faults::install(site, action.clone(), 0);
-                    let mut pipeline = Pipeline::compile(&forced).expect("compiles");
-                    pipeline.set_parallelism(workers);
+                    let mut pipeline = pooled(&db, &forced, Default::default(), workers);
                     let got = pipeline
                         .execute(db.catalog(), &Bindings::new())
                         .and_then(|chunk| chunk.project(&out_ids));
@@ -162,8 +165,7 @@ fn matrix_error_identity_and_clean_recovery() {
 
                     // Clean close / engine reusability: the disarmed engine
                     // answers identically to the oracle right away.
-                    let mut clean = Pipeline::compile(&forced).expect("compiles");
-                    clean.set_parallelism(workers);
+                    let mut clean = pooled(&db, &forced, Default::default(), workers);
                     let clean_got = clean
                         .execute(db.catalog(), &Bindings::new())
                         .and_then(|chunk| chunk.project(&out_ids));
@@ -171,6 +173,9 @@ fn matrix_error_identity_and_clean_recovery() {
                         (Ok(expected), Ok(chunk)) => {
                             let expected = expected.project(&out_ids).expect("oracle keeps cols");
                             assert!(bag_eq(&expected.rows, &chunk.rows), "clean rerun: {ctx}");
+                            if workers > 1 {
+                                assert_fanned_out(&forced, &clean.stats(), &ctx);
+                            }
                         }
                         (Err(_), Err(_)) => {}
                         (o, g) => panic!("clean rerun diverged: {ctx}\n{o:?} vs {g:?}"),
@@ -181,10 +186,9 @@ fn matrix_error_identity_and_clean_recovery() {
     }
 }
 
-/// The columnar hash-join build charges the governor through the same
-/// failpoint as the row build: arming `hashjoin.build` with an
-/// allocation refusal while sources emit columnar batches yields the
-/// structured `ResourceExhausted`, and the disarmed engine answers the
+/// The columnar hash-join build charges the governor through the
+/// `hashjoin.build` failpoint: arming it with an allocation refusal
+/// yields the structured `ResourceExhausted`, and the disarmed engine answers the
 /// same query cleanly — proving the vectorized path neither skips the
 /// site nor leaks on unwind.
 #[test]
@@ -192,7 +196,6 @@ fn columnar_hashjoin_build_refusal_is_structured() {
     let _g = registry_lock();
     let db = corpus_db();
     let sql = "select rk, sv from r, s where sr = rk";
-    orthopt::exec::set_columnar(true);
     let plan = db.plan(sql, OptimizerLevel::Full).expect("plans");
     let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
 

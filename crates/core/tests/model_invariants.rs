@@ -62,7 +62,6 @@ fn engine_config() -> EngineConfig {
         parallelism: 1,
         mem_limit: None,
         timeout: None,
-        columnar: Some(true),
         spill: None,
         apply_strategy: ApplyStrategy::Auto,
     }
@@ -71,7 +70,6 @@ fn engine_config() -> EngineConfig {
 fn settings() -> SessionSettings {
     SessionSettings {
         parallelism: 1,
-        columnar: Some(true),
         mem_limit: None,
         timeout: None,
         spill: None,

@@ -37,6 +37,7 @@ fn check_query(db: &mut Database, name: &str, sql: &str) {
 
     let mut parallel = Pipeline::compile(&plan.physical).unwrap();
     parallel.set_parallelism(4);
+    parallel.set_shared_catalog(db.shared_catalog());
     let parallel_chunk = parallel.execute(db.catalog(), &Bindings::new()).unwrap();
     let parallel_stats = parallel.stats();
 

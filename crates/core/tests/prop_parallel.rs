@@ -6,10 +6,13 @@
 //! an error exactly when the serial side does. A separate determinism
 //! check requires repeated parallel runs to be byte-identical.
 
+mod common;
+
+use common::assert_fanned_out;
 use orthopt::{Database, OptimizerLevel};
 use orthopt_common::row::{bag_eq, cmp_rows};
-use orthopt_common::{Row, Value};
-use orthopt_exec::{place_exchanges, Bindings, Pipeline, Reference};
+use orthopt_common::{Error, Row, Value};
+use orthopt_exec::{place_exchanges, Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 use proptest::prelude::*;
 
@@ -29,14 +32,18 @@ const BATCH_SIZES: [usize; 5] = [1, 7, 1023, 1024, 1025];
 /// Worker-pool sizes: serial fallback, two, four.
 const PARALLELISM: [usize; 3] = [1, 2, 4];
 
-/// Both batch representations: columnar sources (the default) and the
-/// row-at-a-time engine. Sources capture the toggle at compile time, so
-/// each pipeline must be compiled after `set_columnar`.
-const COLUMNAR: [bool; 2] = [true, false];
+/// A pool-wired pipeline at batch size `bs`.
+fn pooled(db: &Database, plan: &PhysExpr, bs: usize, workers: usize) -> Pipeline {
+    let opts = PipelineOptions {
+        batch_size: bs,
+        ..Default::default()
+    };
+    common::pooled(db, plan, opts, workers)
+}
 
 /// Plans `sql` at every level, forces exchanges onto every eligible
-/// subtree, and checks every `(batch size, parallelism, representation)`
-/// combination against the `Reference` oracle on the unnormalized tree.
+/// subtree, and checks every `(batch size, parallelism)` combination
+/// against the `Reference` oracle on the unnormalized tree.
 fn check_parallel(db: &Database, sql: &str) -> std::result::Result<(), TestCaseError> {
     let bound = orthopt_sql::compile(sql, db.catalog()).expect("template compiles");
     let oracle = Reference::new(db.catalog()).run(&bound.rel);
@@ -46,39 +53,35 @@ fn check_parallel(db: &Database, sql: &str) -> std::result::Result<(), TestCaseE
         let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
         for bs in BATCH_SIZES {
             for workers in PARALLELISM {
-                for col in COLUMNAR {
-                    orthopt_exec::set_columnar(col);
-                    let mut pipeline = Pipeline::with_batch_size(&forced, bs)
-                        .expect("forced plan compiles to pipeline");
-                    pipeline.set_parallelism(workers);
-                    let got = pipeline
-                        .execute(db.catalog(), &Bindings::new())
-                        .and_then(|chunk| chunk.project(&out_ids));
-                    orthopt_exec::set_columnar(true);
-                    match (&oracle, got) {
-                        (Ok(expected), Ok(got)) => {
-                            let expected = expected
-                                .project(&out_ids)
-                                .expect("oracle keeps output cols");
-                            prop_assert!(
-                                bag_eq(&expected.rows, &got.rows),
-                                "{sql}\nlevel={level:?} bs={bs} workers={workers} \
-                                 columnar={col}\noracle={:?}\nparallel={:?}",
-                                expected.rows,
-                                got.rows,
-                            );
+                let mut pipeline = pooled(db, &forced, bs, workers);
+                let got = pipeline
+                    .execute(db.catalog(), &Bindings::new())
+                    .and_then(|chunk| chunk.project(&out_ids));
+                match (&oracle, got) {
+                    (Ok(expected), Ok(got)) => {
+                        let expected = expected
+                            .project(&out_ids)
+                            .expect("oracle keeps output cols");
+                        let ctx = format!("{sql}\nlevel={level:?} bs={bs} workers={workers}");
+                        prop_assert!(
+                            bag_eq(&expected.rows, &got.rows),
+                            "{ctx}\noracle={:?}\nparallel={:?}",
+                            expected.rows,
+                            got.rows,
+                        );
+                        if workers > 1 {
+                            assert_fanned_out(&forced, &pipeline.stats(), &ctx);
                         }
-                        // Runtime errors must not appear or vanish under
-                        // parallel execution (exact messages may differ by
-                        // which worker trips first).
-                        (Err(_), Err(_)) => {}
-                        (o, g) => {
-                            return Err(TestCaseError::fail(format!(
-                                "one side errored: oracle={o:?} parallel={g:?} \
-                                 for {sql} at {level:?} bs={bs} workers={workers} \
-                                 columnar={col}"
-                            )))
-                        }
+                    }
+                    // Runtime errors must not appear or vanish under
+                    // parallel execution (exact messages may differ by
+                    // which worker trips first).
+                    (Err(_), Err(_)) => {}
+                    (o, g) => {
+                        return Err(TestCaseError::fail(format!(
+                            "one side errored: oracle={o:?} parallel={g:?} \
+                             for {sql} at {level:?} bs={bs} workers={workers}"
+                        )))
                     }
                 }
             }
@@ -142,19 +145,21 @@ fn parallel_batch_boundaries_are_invisible() {
             let expected = oracle.project(&out_ids).unwrap();
             for bs in [1023, 1024, 1025] {
                 for workers in PARALLELISM {
-                    let mut pipeline = Pipeline::with_batch_size(&forced, bs).unwrap();
-                    pipeline.set_parallelism(workers);
+                    let mut pipeline = pooled(&db, &forced, bs, workers);
                     let got = pipeline
                         .execute(db.catalog(), &Bindings::new())
                         .and_then(|chunk| chunk.project(&out_ids))
                         .unwrap();
+                    let ctx = format!("n={n} level={level:?} bs={bs} workers={workers}");
                     assert!(
                         bag_eq(&expected.rows, &got.rows),
-                        "n={n} level={level:?} bs={bs} workers={workers}: \
-                         {:?} vs {:?}",
+                        "{ctx}: {:?} vs {:?}",
                         expected.rows,
                         got.rows
                     );
+                    if workers > 1 {
+                        assert_fanned_out(&forced, &pipeline.stats(), &ctx);
+                    }
                 }
             }
         }
@@ -166,9 +171,7 @@ fn run_forced(db: &Database, sql: &str, workers: usize) -> Vec<Row> {
     let plan = db.plan(sql, OptimizerLevel::Full).unwrap();
     let forced = place_exchanges(&plan.physical);
     let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
-    let mut pipeline = Pipeline::compile(&forced).unwrap();
-    pipeline.set_parallelism(workers);
-    pipeline
+    pooled(db, &forced, orthopt_exec::DEFAULT_BATCH_SIZE, workers)
         .execute(db.catalog(), &Bindings::new())
         .and_then(|chunk| chunk.project(&out_ids))
         .unwrap()
@@ -222,8 +225,7 @@ fn forced_placement_reports_workers() {
         )
         .unwrap();
     let forced = place_exchanges(&plan.physical);
-    let mut pipeline = Pipeline::compile(&forced).unwrap();
-    pipeline.set_parallelism(4);
+    let mut pipeline = pooled(&db, &forced, orthopt_exec::DEFAULT_BATCH_SIZE, 4);
     pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
     let rendered = orthopt_exec::explain_phys::explain_phys_analyze(
         &forced,
@@ -232,6 +234,16 @@ fn forced_placement_reports_workers() {
     );
     assert!(rendered.contains("Exchange"), "{rendered}");
     assert!(rendered.contains("workers="), "{rendered}");
+    // Asked to fan out without the catalog's `Arc`, the exchange refuses
+    // with a structured error instead of quietly running serial.
+    let mut unshared = Pipeline::compile(&forced).unwrap();
+    unshared.set_parallelism(4);
+    match unshared.execute(db.catalog(), &Bindings::new()) {
+        Err(Error::Internal(msg)) => {
+            assert!(msg.contains("Pipeline::set_shared_catalog"), "{msg}");
+        }
+        other => panic!("expected the missing-catalog error, got {other:?}"),
+    }
     // Serial execution of the same plan reports no worker counters.
     let mut serial = Pipeline::compile(&forced).unwrap();
     serial.execute(db.catalog(), &Bindings::new()).unwrap();

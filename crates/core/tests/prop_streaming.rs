@@ -7,7 +7,7 @@
 use orthopt::{Database, OptimizerLevel};
 use orthopt_common::row::bag_eq;
 use orthopt_common::Value;
-use orthopt_exec::{Bindings, Pipeline, Reference};
+use orthopt_exec::{phys_node_labels, Bindings, Pipeline, Reference};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 use proptest::prelude::*;
 
@@ -23,14 +23,9 @@ fn nullable_int() -> impl Strategy<Value = Option<i64>> {
 /// tiny odd size, and one row either side of the default.
 const BATCH_SIZES: [usize; 5] = [1, 7, 1023, 1024, 1025];
 
-/// Both batch representations: columnar sources (the default) and the
-/// row-at-a-time engine. Sources capture the toggle at compile time, so
-/// each pipeline must be compiled after `set_columnar`.
-const COLUMNAR: [bool; 2] = [true, false];
-
-/// Runs `sql` through every optimizer level, batch size, and batch
-/// representation and checks each streaming execution against the
-/// `Reference` oracle on the unnormalized tree.
+/// Runs `sql` through every optimizer level and batch size and checks
+/// each streaming execution against the `Reference` oracle on the
+/// unnormalized tree.
 fn check_streaming(db: &Database, sql: &str) -> std::result::Result<(), TestCaseError> {
     let bound = orthopt_sql::compile(sql, db.catalog()).expect("template compiles");
     let oracle = Reference::new(db.catalog()).run(&bound.rel);
@@ -38,42 +33,37 @@ fn check_streaming(db: &Database, sql: &str) -> std::result::Result<(), TestCase
         let plan = db.plan(sql, level).expect("planning succeeds");
         let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
         for bs in BATCH_SIZES {
-            for col in COLUMNAR {
-                orthopt_exec::set_columnar(col);
-                let mut pipeline = Pipeline::with_batch_size(&plan.physical, bs)
-                    .expect("plan compiles to pipeline");
-                let streamed = pipeline
-                    .execute(db.catalog(), &Bindings::new())
-                    .and_then(|chunk| chunk.project(&out_ids));
-                orthopt_exec::set_columnar(true);
-                match (&oracle, streamed) {
-                    (Ok(expected), Ok(got)) => {
-                        let expected = expected
-                            .project(&out_ids)
-                            .expect("oracle keeps output cols");
-                        prop_assert!(
-                            bag_eq(&expected.rows, &got.rows),
-                            "{sql}\nlevel={level:?} batch_size={bs} columnar={col}\n\
-                             oracle={:?}\nstreamed={:?}",
-                            expected.rows,
-                            got.rows,
-                        );
-                    }
-                    (Err(e1), Err(e2)) => prop_assert_eq!(
-                        e1,
-                        &e2,
-                        "different errors for {} at {:?} bs={} columnar={}",
-                        sql,
-                        level,
-                        bs,
-                        col
-                    ),
-                    (o, s) => {
-                        return Err(TestCaseError::fail(format!(
-                            "one side errored: oracle={o:?} streamed={s:?} \
-                             for {sql} at {level:?} bs={bs} columnar={col}"
-                        )))
-                    }
+            let mut pipeline =
+                Pipeline::with_batch_size(&plan.physical, bs).expect("plan compiles to pipeline");
+            let streamed = pipeline
+                .execute(db.catalog(), &Bindings::new())
+                .and_then(|chunk| chunk.project(&out_ids));
+            match (&oracle, streamed) {
+                (Ok(expected), Ok(got)) => {
+                    let expected = expected
+                        .project(&out_ids)
+                        .expect("oracle keeps output cols");
+                    prop_assert!(
+                        bag_eq(&expected.rows, &got.rows),
+                        "{sql}\nlevel={level:?} batch_size={bs}\n\
+                         oracle={:?}\nstreamed={:?}",
+                        expected.rows,
+                        got.rows,
+                    );
+                }
+                (Err(e1), Err(e2)) => prop_assert_eq!(
+                    e1,
+                    &e2,
+                    "different errors for {} at {:?} bs={}",
+                    sql,
+                    level,
+                    bs
+                ),
+                (o, s) => {
+                    return Err(TestCaseError::fail(format!(
+                        "one side errored: oracle={o:?} streamed={s:?} \
+                         for {sql} at {level:?} bs={bs}"
+                    )))
                 }
             }
         }
@@ -133,21 +123,17 @@ fn batch_boundaries_are_invisible() {
             let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
             let expected = oracle.project(&out_ids).unwrap();
             for bs in [1, 1023, 1024, 1025] {
-                for col in COLUMNAR {
-                    orthopt_exec::set_columnar(col);
-                    let mut pipeline = Pipeline::with_batch_size(&plan.physical, bs).unwrap();
-                    let got = pipeline
-                        .execute(db.catalog(), &Bindings::new())
-                        .and_then(|chunk| chunk.project(&out_ids))
-                        .unwrap();
-                    orthopt_exec::set_columnar(true);
-                    assert!(
-                        bag_eq(&expected.rows, &got.rows),
-                        "n={n} level={level:?} bs={bs} columnar={col}: {:?} vs {:?}",
-                        expected.rows,
-                        got.rows
-                    );
-                }
+                let mut pipeline = Pipeline::with_batch_size(&plan.physical, bs).unwrap();
+                let got = pipeline
+                    .execute(db.catalog(), &Bindings::new())
+                    .and_then(|chunk| chunk.project(&out_ids))
+                    .unwrap();
+                assert!(
+                    bag_eq(&expected.rows, &got.rows),
+                    "n={n} level={level:?} bs={bs}: {:?} vs {:?}",
+                    expected.rows,
+                    got.rows
+                );
             }
         }
     }
@@ -165,5 +151,56 @@ fn empty_input_streams_cleanly() {
         let chunk = pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
         assert_eq!(chunk.rows, Vec::<Vec<Value>>::new());
         assert_eq!(chunk.cols, plan.physical.out_cols());
+    }
+}
+
+/// Sources always emit columns, so the row paths inside Filter, Compute
+/// and the HashJoin probe run only as the fallback for a kernel that
+/// errored. Each fallback must be reachable — a division by zero on a
+/// late lane trips the kernel — must re-raise exactly the `Reference`
+/// interpreter's error, and must show up as `bridged > 0` on the
+/// operator that fell back.
+#[test]
+fn kernel_errors_fall_back_to_rows_and_match_reference() {
+    // r.rv is 2 throughout and s.sv alternates 1 / 3, so neither
+    // 10 / sv nor 10 / (sv - rv) divides by zero — except on the last
+    // s row, where `zero_at_end` sets sv to the offending value.
+    let r_rows: Vec<(i64, Option<i64>)> = (0..4).map(|i| (i, Some(2))).collect();
+    let zero_at_end = |bad: i64| -> Vec<(i64, i64, Option<i64>)> {
+        (0..20)
+            .map(|i| (i, i % 4, Some(if i == 19 { bad } else { 1 + 2 * (i % 2) })))
+            .collect()
+    };
+    let cases = [
+        (
+            "Filter",
+            "select sk from s where 10 / sv > 1",
+            zero_at_end(0),
+        ),
+        ("Compute", "select sk, 10 / sv from s", zero_at_end(0)),
+        (
+            "HashInner",
+            "select rk, sk from r, s where sr = rk and 10 / (sv - rv) > 0",
+            zero_at_end(2),
+        ),
+    ];
+    for (op, sql, s_rows) in cases {
+        let db = Database::from_catalog(build_catalog(&r_rows, &s_rows));
+        let bound = orthopt_sql::compile(sql, db.catalog()).unwrap();
+        let oracle = Reference::new(db.catalog()).run(&bound.rel);
+        assert!(oracle.is_err(), "{sql}: fixture no longer divides by zero");
+        let plan = db.plan(sql, OptimizerLevel::Full).unwrap();
+        let mut pipeline = Pipeline::compile(&plan.physical).unwrap();
+        let got = pipeline.execute(db.catalog(), &Bindings::new());
+        assert_eq!(oracle.err(), got.err(), "{sql}");
+        let fell_back = phys_node_labels(&plan.physical)
+            .iter()
+            .zip(pipeline.stats())
+            .any(|((_, label), s)| label.starts_with(op) && s.bridged > 0);
+        assert!(
+            fell_back,
+            "{sql}: no {op} reports a bridge\n{}",
+            orthopt_exec::explain_phys_analyze(&plan.physical, &pipeline.stats(), &[])
+        );
     }
 }

@@ -1,17 +1,39 @@
 //! Spill conformance: the degraded (disk-backed) execution paths must
 //! be invisible in the answers. Every testgen template runs unlimited
 //! and under a starvation budget (half the biggest buffering operator's
-//! observed appetite), serial and 4-worker, row and columnar — and
+//! observed appetite), serial and 4-worker on the scheduler pool — and
 //! every run that completes must be bag-identical to the `Reference`
 //! oracle. Unlimited runs must never touch disk; the tight sweep must
 //! actually spill (non-vacuity floor), and any refusal that does
 //! surface must be the structured, hinted kind.
 
+mod common;
+
+use common::assert_fanned_out;
 use orthopt::common::row::bag_eq;
 use orthopt::common::{Error, QueryContext};
-use orthopt::exec::{place_exchanges, spill, Bindings, Pipeline, PipelineOptions, Reference};
+use orthopt::exec::{
+    place_exchanges, spill, Bindings, PhysExpr, Pipeline, PipelineOptions, Reference,
+};
 use orthopt::{Database, OptimizerLevel};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
+use orthopt_synccheck::sync::{Mutex, MutexGuard};
+
+/// Both tests spill and both assert the process-wide
+/// `spill::live_dirs() == 0` after each run, so they must not overlap.
+fn spill_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+}
+
+/// A pool-wired pipeline with spilling pinned on.
+fn pooled(db: &Database, root: &PhysExpr, workers: usize) -> Pipeline {
+    let opts = PipelineOptions {
+        spill: Some(true),
+        ..Default::default()
+    };
+    common::pooled(db, root, opts, workers)
+}
 
 /// Larger than the fault-matrix corpus: enough rows that buffering
 /// operators hold real state, so halving their appetite forces disk.
@@ -28,7 +50,8 @@ fn corpus_db() -> Database {
 }
 
 #[test]
-fn tight_budgets_stay_oracle_identical_across_workers_and_reprs() {
+fn tight_budgets_stay_oracle_identical_across_workers() {
+    let _g = spill_lock();
     let db = corpus_db();
     let mut spilled_runs = 0usize;
     let mut tight_runs = 0usize;
@@ -53,66 +76,60 @@ fn tight_budgets_stay_oracle_identical_across_workers_and_reprs() {
             } else {
                 &forced
             };
-            for columnar in [false, true] {
-                let opts = PipelineOptions {
-                    columnar: Some(columnar),
-                    spill: Some(true),
-                    ..Default::default()
-                };
-                let ctx = format!("{sql}\nworkers={workers} columnar={columnar}");
+            let ctx = format!("{sql}\nworkers={workers}");
 
-                // Unlimited: oracle-identical and zero disk traffic.
-                let mut free = Pipeline::with_options(root, opts).expect("compiles");
-                free.set_parallelism(workers);
-                let chunk = free
-                    .execute(db.catalog(), &Bindings::new())
-                    .and_then(|c| c.project(&out_ids))
-                    .unwrap_or_else(|e| panic!("{ctx}\nunlimited run failed: {e:?}"));
-                assert!(
-                    bag_eq(&expected.rows, &chunk.rows),
-                    "{ctx}\nunlimited diverged"
-                );
-                assert!(
-                    free.stats().iter().all(|s| s.spilled_bytes == 0),
-                    "{ctx}\nunlimited run touched disk"
-                );
-
-                // Tight: half the hungriest operator's recorded peak
-                // cannot fit that operator, so it must degrade (spill /
-                // shed) or refuse structurally — never answer wrong.
-                let op_peak = free.stats().iter().map(|s| s.mem_peak).max().unwrap_or(0);
-                if op_peak < 256 {
-                    continue; // nothing buffers; a budget changes nothing
-                }
-                tight_runs += 1;
-                let mut tight = Pipeline::with_options(root, opts).expect("compiles");
-                tight.set_parallelism(workers);
-                tight.set_governor(QueryContext::new().with_memory_limit(op_peak / 2));
-                match tight
-                    .execute(db.catalog(), &Bindings::new())
-                    .and_then(|c| c.project(&out_ids))
-                {
-                    Ok(chunk) => {
-                        assert!(bag_eq(&expected.rows, &chunk.rows), "{ctx}\ntight diverged");
-                        if tight.stats().iter().any(|s| s.spill_partitions > 0) {
-                            spilled_runs += 1;
-                            assert!(
-                                tight.stats().iter().any(|s| s.spilled_bytes > 0),
-                                "{ctx}\npartitions reported without bytes"
-                            );
-                        }
-                    }
-                    // Hard-fail buffering sites (exchange gather, limit,
-                    // max1 …) may legitimately trip; structurally, hinted.
-                    Err(e) => match e.root_cause() {
-                        Error::ResourceExhausted { hint, .. } => {
-                            assert!(hint.is_some(), "{ctx}\nrefusal carried no hint");
-                        }
-                        other => panic!("{ctx}\nnon-structured failure: {other:?}"),
-                    },
-                }
-                assert_eq!(spill::live_dirs(), 0, "{ctx}\nspill dir leaked");
+            // Unlimited: oracle-identical and zero disk traffic.
+            let mut free = pooled(&db, root, workers);
+            let chunk = free
+                .execute(db.catalog(), &Bindings::new())
+                .and_then(|c| c.project(&out_ids))
+                .unwrap_or_else(|e| panic!("{ctx}\nunlimited run failed: {e:?}"));
+            assert!(
+                bag_eq(&expected.rows, &chunk.rows),
+                "{ctx}\nunlimited diverged"
+            );
+            assert!(
+                free.stats().iter().all(|s| s.spilled_bytes == 0),
+                "{ctx}\nunlimited run touched disk"
+            );
+            if workers > 1 {
+                assert_fanned_out(root, &free.stats(), &ctx);
             }
+
+            // Tight: half the hungriest operator's recorded peak
+            // cannot fit that operator, so it must degrade (spill /
+            // shed) or refuse structurally — never answer wrong.
+            let op_peak = free.stats().iter().map(|s| s.mem_peak).max().unwrap_or(0);
+            if op_peak < 256 {
+                continue; // nothing buffers; a budget changes nothing
+            }
+            tight_runs += 1;
+            let mut tight = pooled(&db, root, workers);
+            tight.set_governor(QueryContext::new().with_memory_limit(op_peak / 2));
+            match tight
+                .execute(db.catalog(), &Bindings::new())
+                .and_then(|c| c.project(&out_ids))
+            {
+                Ok(chunk) => {
+                    assert!(bag_eq(&expected.rows, &chunk.rows), "{ctx}\ntight diverged");
+                    if tight.stats().iter().any(|s| s.spill_partitions > 0) {
+                        spilled_runs += 1;
+                        assert!(
+                            tight.stats().iter().any(|s| s.spilled_bytes > 0),
+                            "{ctx}\npartitions reported without bytes"
+                        );
+                    }
+                }
+                // Hard-fail buffering sites (exchange gather, limit,
+                // max1 …) may legitimately trip; structurally, hinted.
+                Err(e) => match e.root_cause() {
+                    Error::ResourceExhausted { hint, .. } => {
+                        assert!(hint.is_some(), "{ctx}\nrefusal carried no hint");
+                    }
+                    other => panic!("{ctx}\nnon-structured failure: {other:?}"),
+                },
+            }
+            assert_eq!(spill::live_dirs(), 0, "{ctx}\nspill dir leaked");
         }
     }
     assert!(
@@ -122,12 +139,13 @@ fn tight_budgets_stay_oracle_identical_across_workers_and_reprs() {
 }
 
 /// The three degradable operators, each individually starved on a plan
-/// it dominates, at both worker counts and both batch representations:
-/// grace hash join, external sort, spilled aggregation. Every run must
-/// complete (these sites degrade, they don't refuse), match the oracle,
-/// and report its disk traffic through `explain_analyze`-visible stats.
+/// it dominates, at both worker counts: grace hash join, external sort,
+/// spilled aggregation. Every run must complete (these sites degrade,
+/// they don't refuse), match the oracle, and report its disk traffic
+/// through `explain_analyze`-visible stats.
 #[test]
 fn each_degradable_operator_spills_and_stays_exact() {
+    let _g = spill_lock();
     let db = corpus_db();
     let cases = [
         // Grace hash join: the build side dwarfs the budget.
@@ -155,59 +173,53 @@ fn each_degradable_operator_spills_and_stays_exact() {
             } else {
                 &forced
             };
-            for columnar in [false, true] {
-                let opts = PipelineOptions {
-                    columnar: Some(columnar),
-                    spill: Some(true),
-                    ..Default::default()
-                };
-                let ctx = format!("{sql}\nworkers={workers} columnar={columnar}");
-                let mut free = Pipeline::with_options(root, opts).expect("compiles");
-                free.set_parallelism(workers);
-                let baseline = free
-                    .execute(db.catalog(), &Bindings::new())
-                    .and_then(|c| c.project(&out_ids))
-                    .expect("unlimited run");
-                assert!(bag_eq(&expected.rows, &baseline.rows), "{ctx}");
-
-                // Starve the dominant operator but leave room for the
-                // (hard-fail) gather buffer: everything between the
-                // biggest operator appetite and the whole-query peak.
-                let op_peak = free.stats().iter().map(|s| s.mem_peak).max().unwrap_or(0);
-                assert!(op_peak > 512, "{ctx}\nplan has no buffering operator");
-                let mut tight = Pipeline::with_options(root, opts).expect("compiles");
-                tight.set_parallelism(workers);
-                tight.set_governor(QueryContext::new().with_memory_limit(op_peak / 2));
-                let got = tight
-                    .execute(db.catalog(), &Bindings::new())
-                    .and_then(|c| c.project(&out_ids));
-                let got = match got {
-                    Ok(chunk) => chunk,
-                    // 4-worker plans route rows through the exchange
-                    // gather, whose charge alone can exceed half an
-                    // operator peak; that refusal is the documented
-                    // hard-fail contract, checked elsewhere.
-                    Err(e) if workers > 1 => {
-                        match e.root_cause() {
-                            Error::ResourceExhausted { hint, .. } => {
-                                assert!(hint.is_some(), "{ctx}\nno hint");
-                            }
-                            other => panic!("{ctx}\nnon-structured: {other:?}"),
-                        }
-                        continue;
-                    }
-                    Err(e) => panic!("{ctx}\nserial tight run must degrade, got {e:?}"),
-                };
-                assert!(bag_eq(&expected.rows, &got.rows), "{ctx}\ntight diverged");
-                let stats = tight.stats();
-                assert!(
-                    stats
-                        .iter()
-                        .any(|s| s.spill_partitions > 0 && s.spilled_bytes > 0),
-                    "{ctx}\ntight run never spilled: {stats:?}"
-                );
-                assert_eq!(spill::live_dirs(), 0, "{ctx}\nspill dir leaked");
+            let ctx = format!("{sql}\nworkers={workers}");
+            let mut free = pooled(&db, root, workers);
+            let baseline = free
+                .execute(db.catalog(), &Bindings::new())
+                .and_then(|c| c.project(&out_ids))
+                .expect("unlimited run");
+            assert!(bag_eq(&expected.rows, &baseline.rows), "{ctx}");
+            if workers > 1 {
+                assert_fanned_out(root, &free.stats(), &ctx);
             }
+
+            // Starve the dominant operator but leave room for the
+            // (hard-fail) gather buffer: everything between the
+            // biggest operator appetite and the whole-query peak.
+            let op_peak = free.stats().iter().map(|s| s.mem_peak).max().unwrap_or(0);
+            assert!(op_peak > 512, "{ctx}\nplan has no buffering operator");
+            let mut tight = pooled(&db, root, workers);
+            tight.set_governor(QueryContext::new().with_memory_limit(op_peak / 2));
+            let got = tight
+                .execute(db.catalog(), &Bindings::new())
+                .and_then(|c| c.project(&out_ids));
+            let got = match got {
+                Ok(chunk) => chunk,
+                // 4-worker plans route rows through the exchange
+                // gather, whose charge alone can exceed half an
+                // operator peak; that refusal is the documented
+                // hard-fail contract, checked elsewhere.
+                Err(e) if workers > 1 => {
+                    match e.root_cause() {
+                        Error::ResourceExhausted { hint, .. } => {
+                            assert!(hint.is_some(), "{ctx}\nno hint");
+                        }
+                        other => panic!("{ctx}\nnon-structured: {other:?}"),
+                    }
+                    continue;
+                }
+                Err(e) => panic!("{ctx}\nserial tight run must degrade, got {e:?}"),
+            };
+            assert!(bag_eq(&expected.rows, &got.rows), "{ctx}\ntight diverged");
+            let stats = tight.stats();
+            assert!(
+                stats
+                    .iter()
+                    .any(|s| s.spill_partitions > 0 && s.spilled_bytes > 0),
+                "{ctx}\ntight run never spilled: {stats:?}"
+            );
+            assert_eq!(spill::live_dirs(), 0, "{ctx}\nspill dir leaked");
         }
     }
 }

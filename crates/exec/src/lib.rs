@@ -42,37 +42,3 @@ pub use pipeline::{
 pub use reference::Reference;
 pub use scheduler::Scheduler;
 pub use stats::OpStats;
-
-use orthopt_synccheck::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-static COLUMNAR: OnceLock<AtomicBool> = OnceLock::new();
-
-fn columnar_flag() -> &'static AtomicBool {
-    COLUMNAR.get_or_init(|| {
-        let on = match std::env::var("ORTHOPT_COLUMNAR") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether pipelines run the columnar path (the default). Seeded from
-/// `ORTHOPT_COLUMNAR` (`0`/`false`/`off` disable) on first use. The
-/// toggle gates only the *sources* — scans emit columnar or row batches
-/// — and every downstream operator dispatches on the batch
-/// representation it receives, so turning it off reproduces the
-/// row-at-a-time engine exactly.
-pub fn columnar_enabled() -> bool {
-    // relaxed-ok: an isolated process-global toggle; readers act on the
-    // flag alone and no other memory is published through it.
-    columnar_flag().load(Ordering::Relaxed)
-}
-
-/// Overrides the columnar toggle at runtime (conformance suites sweep
-/// both settings in one process).
-pub fn set_columnar(on: bool) {
-    // relaxed-ok: see columnar_enabled().
-    columnar_flag().store(on, Ordering::Relaxed);
-}

@@ -31,13 +31,12 @@
 //! `parallelism <= 1` all fall back to serial execution of the
 //! unmodified subtree, with per-node stats copied one-to-one.
 //!
-//! Dispatch: when the execution context carries a shared-ownership
-//! catalog handle ([`ExecCtx::shared_catalog`]), task groups go to the
-//! process-wide [`Scheduler`] — one long-lived pool multiplexing every
-//! concurrent query under fair round-robin. Without it (direct
-//! `Pipeline` embedders whose catalog is only borrowed), the legacy
-//! per-query `thread::scope` pool is used. Both paths produce the same
-//! task outputs in the same order; only thread placement differs.
+//! Dispatch: task groups go to the process-wide [`Scheduler`] — one
+//! long-lived pool multiplexing every concurrent query under fair
+//! round-robin. Its `'static` tasks capture the catalog by `Arc`, so
+//! fanning out requires [`ExecCtx::shared_catalog`]
+//! ([`Pipeline::set_shared_catalog`]); an exchange asked to fan out
+//! without it fails with an internal error rather than running serial.
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -57,7 +56,7 @@ use crate::bindings::Bindings;
 use crate::eval::{eval, eval_predicate, EvalCtx};
 use crate::physical::PhysExpr;
 use crate::pipeline::{
-    drain_pending, free_inputs, Batch, ExecCtx, Operator, Pipeline, PipelineOptions,
+    drain_pending, free_inputs, Batch, ExecCtx, Operator, Pipeline, PipelineOptions, MEM_HINT,
 };
 use crate::scheduler::Scheduler;
 use crate::stats::OpStats;
@@ -501,53 +500,37 @@ fn panic_to_error(payload: &(dyn std::any::Any + Send)) -> Error {
     Error::Exec(format!("worker panicked{at}: {}", panic_message(payload)))
 }
 
-/// Runs one closure per plan and gathers `(pool_worker_id, result)`
-/// pairs in *task submission order* — the order `plans` was given in —
-/// regardless of which thread ran what when. The worker id is the
-/// executing thread's stable index, for stats attribution (on the
-/// scoped fallback each task gets its own thread, so it is the task
-/// index).
+/// Runs one closure per plan on the process-wide [`Scheduler`] and
+/// gathers `(pool_worker_id, result)` pairs in *task submission order*
+/// — the order `plans` was given in — regardless of which thread ran
+/// what when. The worker id is the executing thread's stable index, for
+/// stats attribution.
 ///
-/// With a shared-ownership catalog handle the group is dispatched to
-/// the process-wide [`Scheduler`] (tasks capture the `Arc`); otherwise
-/// a per-query `thread::scope` pool is spawned against the borrowed
-/// catalog. Each task body runs under `catch_unwind`, so a panicking
-/// operator is reported as an [`Error::Exec`] naming the operator the
-/// task was inside instead of tearing down the process; the remaining
-/// tasks finish normally. The first (by task order) error wins.
-fn scatter<T, F>(
-    shared: Option<Arc<Catalog>>,
-    catalog: &Catalog,
-    plans: Vec<PhysExpr>,
-    f: F,
-) -> Result<Vec<(usize, T)>>
+/// Tasks are `'static`, so they capture the context's shared catalog
+/// handle — fanning out without one is a caller bug, reported as an
+/// internal error rather than a silent serial run — and interleave
+/// fairly with other queries' tasks. Each task body runs under
+/// `catch_unwind`, so a panicking operator is reported as an
+/// [`Error::Exec`] naming the operator the task was inside instead of
+/// tearing down the process; the remaining tasks finish normally. The
+/// first (by task order) error wins.
+fn scatter<T, F>(ctx: &ExecCtx<'_>, plans: Vec<PhysExpr>, f: F) -> Result<Vec<(usize, T)>>
 where
     T: Send + 'static,
     F: Fn(PhysExpr, &Catalog) -> Result<T> + Send + Sync + 'static,
 {
-    match shared {
-        Some(cat) => scatter_pooled(cat, plans, f),
-        None => scatter_scoped(catalog, plans, f),
-    }
-}
-
-/// Shared-scheduler path: `'static` tasks capturing the catalog `Arc`
-/// run on the process-wide pool, interleaved fairly with other queries.
-fn scatter_pooled<T, F>(
-    catalog: Arc<Catalog>,
-    plans: Vec<PhysExpr>,
-    f: F,
-) -> Result<Vec<(usize, T)>>
-where
-    T: Send + 'static,
-    F: Fn(PhysExpr, &Catalog) -> Result<T> + Send + Sync + 'static,
-{
+    let catalog = ctx.shared_catalog.as_ref().ok_or_else(|| {
+        Error::internal(
+            "Exchange at parallelism > 1 needs a shared catalog: \
+             call Pipeline::set_shared_catalog before executing",
+        )
+    })?;
     let f = Arc::new(f);
     let tasks: Vec<_> = plans
         .into_iter()
         .map(|p| {
             let f = Arc::clone(&f);
-            let catalog = Arc::clone(&catalog);
+            let catalog = Arc::clone(catalog);
             move |worker: usize| -> Result<(usize, T)> {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(p, &catalog)))
                     .unwrap_or_else(|payload| Err(panic_to_error(payload.as_ref())))
@@ -566,49 +549,6 @@ where
             Err(panic) => {
                 return Err(Error::Exec(format!(
                     "worker task died: {}",
-                    panic_message(panic.as_ref())
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Legacy fallback for borrowed catalogs: one scoped thread per task.
-fn scatter_scoped<T, F>(catalog: &Catalog, plans: Vec<PhysExpr>, f: F) -> Result<Vec<(usize, T)>>
-where
-    T: Send,
-    F: Fn(PhysExpr, &Catalog) -> Result<T> + Sync,
-{
-    // sync-ok: scoped threads borrow the caller's catalog, so they cannot
-    // go through the 'static shim spawn; model harnesses use the pooled
-    // Scheduler path (Arc<Catalog>), never this fallback.
-    let joined: Vec<std::thread::Result<Result<T>>> = std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = plans
-            .into_iter()
-            .map(|p| {
-                s.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(p, catalog)))
-                        .unwrap_or_else(|payload| Err(panic_to_error(payload.as_ref())))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join) // sync-ok: scoped fallback, see above
-            .collect()
-    });
-    let mut out = Vec::with_capacity(joined.len());
-    for (idx, r) in joined.into_iter().enumerate() {
-        match r {
-            Ok(v) => out.push((idx, v?)),
-            // The worker body is fully wrapped in catch_unwind, so a join
-            // failure means the panic escaped during payload teardown —
-            // still convert rather than abort the process.
-            Err(panic) => {
-                return Err(Error::Exec(format!(
-                    "worker thread died: {}",
                     panic_message(panic.as_ref())
                 )))
             }
@@ -662,12 +602,9 @@ pub struct ExchangeOp {
     base: usize,
     stats: Rc<RefCell<Vec<OpStats>>>,
     batch_size: usize,
-    /// Columnar toggle the enclosing pipeline was compiled with; worker
+    /// Spill toggle the enclosing pipeline was compiled with; worker
     /// pipelines inherit it so a per-session setting holds across the
     /// exchange boundary.
-    columnar: bool,
-    /// Spill toggle the enclosing pipeline was compiled with, inherited
-    /// by worker pipelines for the same reason.
     spill: bool,
     out_cols: Rc<[ColId]>,
     invariant: bool,
@@ -684,7 +621,6 @@ impl ExchangeOp {
         base: usize,
         stats: Rc<RefCell<Vec<OpStats>>>,
         batch_size: usize,
-        columnar: bool,
         spill: bool,
     ) -> ExchangeOp {
         let out_cols: Rc<[ColId]> = plan.out_cols().as_slice().into();
@@ -694,7 +630,6 @@ impl ExchangeOp {
             base,
             stats,
             batch_size,
-            columnar,
             spill,
             out_cols,
             invariant,
@@ -709,7 +644,6 @@ impl ExchangeOp {
     fn pipe_options(&self) -> PipelineOptions {
         PipelineOptions {
             batch_size: self.batch_size,
-            columnar: Some(self.columnar),
             spill: Some(self.spill),
         }
     }
@@ -720,7 +654,7 @@ impl ExchangeOp {
     fn charge_gathered(&mut self, rows: &[Row]) -> Result<()> {
         crate::faults::hit("exchange.gather")
             .and_then(|()| self.mem.grow(rows_bytes(rows)))
-            .map_err(|e| e.with_hint("raise ORTHOPT_MEM_LIMIT / SET mem_limit"))
+            .map_err(|e| e.with_hint(MEM_HINT))
     }
 
     /// Serial fallback: compile and run the unmodified subtree, copying
@@ -864,17 +798,12 @@ impl ExchangeOp {
             .collect::<Result<_>>()?;
         let opts = self.pipe_options();
         let gov = ctx.gov.clone();
-        let results = scatter(
-            ctx.shared_catalog.clone(),
-            ctx.catalog,
-            plans,
-            move |plan, catalog: &Catalog| {
-                let mut pipe = Pipeline::with_options(&plan, opts)?;
-                pipe.set_governor(gov.clone());
-                let chunk = pipe.execute(catalog, &Bindings::new())?;
-                Ok((chunk.rows, pipe.stats()))
-            },
-        )?;
+        let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
+            let mut pipe = Pipeline::with_options(&plan, opts)?;
+            pipe.set_governor(gov.clone());
+            let chunk = pipe.execute(catalog, &Bindings::new())?;
+            Ok((chunk.rows, pipe.stats()))
+        })?;
         let tagged: Vec<(usize, Vec<OpStats>)> =
             results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
         self.absorb_workers(0, align, &tagged);
@@ -954,56 +883,51 @@ impl ExchangeOp {
         let residual = residual.clone();
         let residual_trivial = residual.is_true();
         let gov = ctx.gov.clone();
-        let results = scatter(
-            ctx.shared_catalog.clone(),
-            ctx.catalog,
-            plans,
-            move |plan, catalog: &Catalog| {
-                let mut pipe = Pipeline::with_options(&plan, opts)?;
-                pipe.set_governor(gov.clone());
-                let binds = Bindings::new();
-                let mut out: Vec<Row> = Vec::new();
-                pipe.execute_each(catalog, &binds, |b| {
-                    for lr in b.into_rows() {
-                        let matches = partition_key(&lr, &left_pos).and_then(|k| {
-                            let p = (key_hash(&k) as usize) % workers;
-                            parts[p].get(&k)
-                        });
-                        let mut matched = false;
-                        if let Some(rows) = matches {
-                            for rr in rows {
-                                let mut row = lr.clone();
-                                row.extend(rr.iter().cloned());
-                                let pass = residual_trivial
-                                    || eval_predicate(
-                                        &residual,
-                                        &EvalCtx::plain(&combined, &row, &binds),
-                                    )?;
-                                if pass {
-                                    matched = true;
-                                    match kind {
-                                        JoinKind::Inner | JoinKind::LeftOuter => out.push(row),
-                                        JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                                    }
+        let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
+            let mut pipe = Pipeline::with_options(&plan, opts)?;
+            pipe.set_governor(gov.clone());
+            let binds = Bindings::new();
+            let mut out: Vec<Row> = Vec::new();
+            pipe.execute_each(catalog, &binds, |b| {
+                for lr in b.into_rows() {
+                    let matches = partition_key(&lr, &left_pos).and_then(|k| {
+                        let p = (key_hash(&k) as usize) % workers;
+                        parts[p].get(&k)
+                    });
+                    let mut matched = false;
+                    if let Some(rows) = matches {
+                        for rr in rows {
+                            let mut row = lr.clone();
+                            row.extend(rr.iter().cloned());
+                            let pass = residual_trivial
+                                || eval_predicate(
+                                    &residual,
+                                    &EvalCtx::plain(&combined, &row, &binds),
+                                )?;
+                            if pass {
+                                matched = true;
+                                match kind {
+                                    JoinKind::Inner | JoinKind::LeftOuter => out.push(row),
+                                    JoinKind::LeftSemi | JoinKind::LeftAnti => break,
                                 }
                             }
                         }
-                        match kind {
-                            JoinKind::LeftOuter if !matched => {
-                                let mut row = lr;
-                                row.extend(std::iter::repeat_n(Value::Null, right_width));
-                                out.push(row);
-                            }
-                            JoinKind::LeftSemi if matched => out.push(lr),
-                            JoinKind::LeftAnti if !matched => out.push(lr),
-                            _ => {}
-                        }
                     }
-                    Ok(())
-                })?;
-                Ok((out, pipe.stats()))
-            },
-        )?;
+                    match kind {
+                        JoinKind::LeftOuter if !matched => {
+                            let mut row = lr;
+                            row.extend(std::iter::repeat_n(Value::Null, right_width));
+                            out.push(row);
+                        }
+                        JoinKind::LeftSemi if matched => out.push(lr),
+                        JoinKind::LeftAnti if !matched => out.push(lr),
+                        _ => {}
+                    }
+                }
+                Ok(())
+            })?;
+            Ok((out, pipe.stats()))
+        })?;
         let tagged: Vec<(usize, Vec<OpStats>)> =
             results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
         // Probe chain occupies the slots right after the join node.
@@ -1065,41 +989,34 @@ impl ExchangeOp {
         let owned_groups = group_pos.clone();
         let owned_in_cols = in_cols.clone();
         let gov = ctx.gov.clone();
-        let results = scatter(
-            ctx.shared_catalog.clone(),
-            ctx.catalog,
-            plans,
-            move |plan, catalog: &Catalog| {
-                let mut pipe = Pipeline::with_options(&plan, opts)?;
-                pipe.set_governor(gov.clone());
-                let binds = Bindings::new();
-                let mut state = GroupedAggState::new(&owned_aggs);
-                // Each task's local state charges the shared pool; the
-                // merged total is what a serial aggregate would hold.
-                state.set_reservation(gov.reservation("PartialAgg"));
-                pipe.execute_each(catalog, &binds, |b| {
-                    for r in &b.into_rows() {
-                        let key: Vec<Value> = owned_groups.iter().map(|&i| r[i].clone()).collect();
-                        let args = owned_aggs
-                            .iter()
-                            .map(|a| {
-                                a.arg
-                                    .as_ref()
-                                    .map(|e| eval(e, &EvalCtx::plain(&owned_in_cols, r, &binds)))
-                                    .transpose()
-                            })
-                            .collect::<Result<Vec<_>>>()?;
-                        // Worker-local group state is a hard-fail site:
-                        // it cannot spill, so a refusal names the knob.
-                        state
-                            .feed(key, args)
-                            .map_err(|e| e.with_hint("raise ORTHOPT_MEM_LIMIT / SET mem_limit"))?;
-                    }
-                    Ok(())
-                })?;
-                Ok((state, pipe.stats()))
-            },
-        )?;
+        let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
+            let mut pipe = Pipeline::with_options(&plan, opts)?;
+            pipe.set_governor(gov.clone());
+            let binds = Bindings::new();
+            let mut state = GroupedAggState::new(&owned_aggs);
+            // Each task's local state charges the shared pool; the
+            // merged total is what a serial aggregate would hold.
+            state.set_reservation(gov.reservation("PartialAgg"));
+            pipe.execute_each(catalog, &binds, |b| {
+                for r in &b.into_rows() {
+                    let key: Vec<Value> = owned_groups.iter().map(|&i| r[i].clone()).collect();
+                    let args = owned_aggs
+                        .iter()
+                        .map(|a| {
+                            a.arg
+                                .as_ref()
+                                .map(|e| eval(e, &EvalCtx::plain(&owned_in_cols, r, &binds)))
+                                .transpose()
+                        })
+                        .collect::<Result<Vec<_>>>()?;
+                    // Worker-local group state is a hard-fail site:
+                    // it cannot spill, so a refusal names the knob.
+                    state.feed(key, args).map_err(|e| e.with_hint(MEM_HINT))?;
+                }
+                Ok(())
+            })?;
+            Ok((state, pipe.stats()))
+        })?;
         let tagged: Vec<(usize, Vec<OpStats>)> =
             results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
         // The input subtree sits right after the aggregate node.
@@ -1113,9 +1030,7 @@ impl ExchangeOp {
         for (_, (state, _)) in results {
             match &mut merged {
                 None => merged = Some(state),
-                Some(m) => m
-                    .merge(state)
-                    .map_err(|e| e.with_hint("raise ORTHOPT_MEM_LIMIT / SET mem_limit"))?,
+                Some(m) => m.merge(state).map_err(|e| e.with_hint(MEM_HINT))?,
             }
         }
         let merged = merged.unwrap_or_else(|| GroupedAggState::new(aggs));
@@ -1168,7 +1083,7 @@ mod tests {
     use orthopt_ir::ScalarExpr;
     use orthopt_storage::{ColumnDef, TableDef};
 
-    fn catalog(rows: i64) -> Catalog {
+    fn catalog(rows: i64) -> Arc<Catalog> {
         let mut c = Catalog::new();
         let t = c
             .create_table(TableDef::new(
@@ -1183,7 +1098,7 @@ mod tests {
         c.table_mut(t)
             .insert_all((0..rows).map(|i| vec![Value::Int(i), Value::Int(i % 5)]))
             .unwrap();
-        c
+        Arc::new(c)
     }
 
     fn scan() -> PhysExpr {
@@ -1194,9 +1109,10 @@ mod tests {
         }
     }
 
-    fn run_at(plan: &PhysExpr, catalog: &Catalog, n: usize) -> Vec<Row> {
+    fn run_at(plan: &PhysExpr, catalog: &Arc<Catalog>, n: usize) -> Vec<Row> {
         let mut p = Pipeline::compile(plan).unwrap();
         p.set_parallelism(n);
+        p.set_shared_catalog(Arc::clone(catalog));
         p.execute(catalog, &Bindings::new()).unwrap().rows
     }
 
@@ -1369,6 +1285,7 @@ mod tests {
         let mut p = Pipeline::compile(&plan).unwrap();
         assert_eq!(p.node_count(), 3); // exchange + filter + scan
         p.set_parallelism(4);
+        p.set_shared_catalog(Arc::clone(&c));
         p.execute(&c, &Bindings::new()).unwrap();
         let stats = p.stats();
         assert_eq!(stats[2].rows, 100, "scan rows summed across workers");

@@ -50,7 +50,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// Hint attached to `ResourceExhausted` refusals at sites that cannot
 /// degrade any further (spilling is already active, or the operator has
 /// no disk fallback at all).
-const MEM_HINT: &str = "raise ORTHOPT_MEM_LIMIT / SET mem_limit";
+pub(crate) const MEM_HINT: &str = "raise ORTHOPT_MEM_LIMIT / SET mem_limit";
 
 /// Hint attached to refusals at sites that *could* have spilled but had
 /// spilling disabled.
@@ -311,8 +311,8 @@ pub struct ExecCtx<'a> {
     /// Shared-ownership handle on the same catalog, when the caller has
     /// one (the `Database`/session path). Exchange operators need it to
     /// hand `'static` tasks to the process-wide
-    /// [`Scheduler`](crate::scheduler::Scheduler); without it they fall
-    /// back to per-query scoped threads.
+    /// [`Scheduler`](crate::scheduler::Scheduler); without it an
+    /// exchange at `parallelism > 1` is an internal error.
     pub shared_catalog: Option<Arc<Catalog>>,
     /// This execution's spill scope. Created fresh per execution and
     /// dropped when it ends, so partition files never outlive the query
@@ -387,9 +387,6 @@ type BoxOp = Box<dyn Operator>;
 pub struct PipelineOptions {
     /// Rows per batch (min 1).
     pub batch_size: usize,
-    /// Columnar-scan toggle for this pipeline; `None` defers to the
-    /// process-global [`columnar_enabled`](crate::columnar_enabled).
-    pub columnar: Option<bool>,
     /// Spill-to-disk toggle for this pipeline; `None` defers to the
     /// process-global [`spill_enabled`](crate::spill::spill_enabled).
     /// When off, refused reservations fail with a hinted
@@ -401,7 +398,6 @@ impl Default for PipelineOptions {
     fn default() -> PipelineOptions {
         PipelineOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            columnar: None,
             spill: None,
         }
     }
@@ -438,14 +434,12 @@ impl Pipeline {
 
     /// Compiles a physical plan with explicit [`PipelineOptions`].
     pub fn with_options(plan: &PhysExpr, opts: PipelineOptions) -> Result<Pipeline> {
-        let columnar = opts.columnar.unwrap_or_else(crate::columnar_enabled);
         let spill = opts.spill.unwrap_or_else(crate::spill::spill_enabled);
         let mut c = Compiler {
             batch_size: opts.batch_size.max(1),
             stats: Rc::new(RefCell::new(Vec::new())),
             next_id: 0,
             cached: Vec::new(),
-            columnar,
             spill,
         };
         let root = c.compile(plan, false)?;
@@ -462,10 +456,10 @@ impl Pipeline {
     }
 
     /// Installs a shared-ownership handle on the catalog this pipeline
-    /// will execute against. When present, exchange operators dispatch
-    /// worker tasks to the process-wide [`Scheduler`](crate::Scheduler)
-    /// (capturing the `Arc`) instead of spawning per-query scoped
-    /// threads. Executions must pass the same catalog.
+    /// will execute against. Required before executing a plan with
+    /// `Exchange` nodes at parallelism > 1: worker tasks on the
+    /// process-wide [`Scheduler`](crate::Scheduler) capture the `Arc`.
+    /// Executions must pass the same catalog.
     pub fn set_shared_catalog(&mut self, catalog: Arc<Catalog>) {
         self.shared_catalog = Some(catalog);
     }
@@ -778,12 +772,9 @@ struct Compiler {
     stats: Rc<RefCell<Vec<OpStats>>>,
     next_id: usize,
     cached: Vec<usize>,
-    /// Resolved columnar toggle for this compilation (per-pipeline, so
+    /// Resolved spill toggle for this compilation (per-pipeline, so
     /// concurrent sessions with different settings don't race on the
     /// process-global flag).
-    columnar: bool,
-    /// Resolved spill toggle for this compilation (same per-pipeline
-    /// reasoning as `columnar`).
     spill: bool,
 }
 
@@ -833,7 +824,6 @@ impl Compiler {
                 cols: rc_cols(cols),
                 cursor: 0,
                 batch_size: bs,
-                columnar: self.columnar,
                 stats: sh.clone(),
             }),
             PhysExpr::IndexSeek {
@@ -851,7 +841,6 @@ impl Compiler {
                 hits: Vec::new(),
                 cursor: 0,
                 batch_size: bs,
-                columnar: self.columnar,
                 stats: sh.clone(),
             }),
             PhysExpr::Filter { input, predicate } => {
@@ -997,7 +986,6 @@ impl Compiler {
                     pending: Vec::new(),
                     left_done: false,
                     batch_size: bs,
-                    columnar: self.columnar,
                     stats: sh.clone(),
                 })
             }
@@ -1026,7 +1014,6 @@ impl Compiler {
                     pending: Vec::new(),
                     left_done: false,
                     batch_size: bs,
-                    columnar: self.columnar,
                     stats: sh.clone(),
                 })
             }
@@ -1071,7 +1058,6 @@ impl Compiler {
                     pending: Vec::new(),
                     left_done: false,
                     batch_size: bs,
-                    columnar: self.columnar,
                     stats: sh.clone(),
                 })
             }
@@ -1112,7 +1098,6 @@ impl Compiler {
                     seg_cursor: 0,
                     pending: Vec::new(),
                     batch_size: bs,
-                    columnar: self.columnar,
                     mem: MemoryReservation::detached("SegmentExec"),
                     stats: sh.clone(),
                 })
@@ -1148,7 +1133,6 @@ impl Compiler {
                     result: Vec::new(),
                     done: false,
                     batch_size: bs,
-                    columnar: self.columnar,
                     allow_spill: self.spill,
                     spilled: None,
                     mem_peak: 0,
@@ -1269,7 +1253,6 @@ impl Compiler {
                     base,
                     self.stats.clone(),
                     bs,
-                    self.columnar,
                     self.spill,
                 ))
             }
@@ -1286,7 +1269,6 @@ impl Compiler {
                 range_idx: 0,
                 cursor: 0,
                 batch_size: bs,
-                columnar: self.columnar,
                 stats: sh.clone(),
             }),
         };
@@ -1475,11 +1457,6 @@ struct ScanOp {
     cols: Rc<[ColId]>,
     cursor: usize,
     batch_size: usize,
-    /// Captured at compile time: emit zero-copy columnar slices of the
-    /// table's columnar mirror instead of cloning rows. The toggle
-    /// gates only the sources — everything downstream dispatches on
-    /// the representation it receives.
-    columnar: bool,
     stats: StatsHandle,
 }
 
@@ -1496,24 +1473,17 @@ impl Operator for ScanOp {
             return Ok(None);
         }
         let end = (self.cursor + self.batch_size).min(total);
-        if self.columnar {
-            let tcols = t.columns();
-            let take = end - self.cursor;
-            let out = self
-                .positions
-                .iter()
-                .map(|&i| tcols[i].slice(self.cursor, take))
-                .collect();
-            self.cursor = end;
-            self.stats.note_kernel();
-            return Ok(Some(Batch::from_columns(self.cols.clone(), out, take)));
-        }
-        let rows = t.rows()[self.cursor..end]
+        // Zero-copy slices of the table's columnar mirror.
+        let tcols = t.columns();
+        let take = end - self.cursor;
+        let out = self
+            .positions
             .iter()
-            .map(|r| self.positions.iter().map(|&i| r[i].clone()).collect())
+            .map(|&i| tcols[i].slice(self.cursor, take))
             .collect();
         self.cursor = end;
-        Ok(Some(Batch::new(self.cols.clone(), rows)))
+        self.stats.note_kernel();
+        Ok(Some(Batch::from_columns(self.cols.clone(), out, take)))
     }
 }
 
@@ -1527,7 +1497,6 @@ struct MorselScanOp {
     range_idx: usize,
     cursor: usize,
     batch_size: usize,
-    columnar: bool,
     stats: StatsHandle,
 }
 
@@ -1551,24 +1520,16 @@ impl Operator for MorselScanOp {
                 continue;
             }
             let stop = (self.cursor + self.batch_size).min(end);
-            if self.columnar {
-                let tcols = t.columns();
-                let take = stop - self.cursor;
-                let out = self
-                    .positions
-                    .iter()
-                    .map(|&i| tcols[i].slice(self.cursor, take))
-                    .collect();
-                self.cursor = stop;
-                self.stats.note_kernel();
-                return Ok(Some(Batch::from_columns(self.cols.clone(), out, take)));
-            }
-            let rows = t.rows()[self.cursor..stop]
+            let tcols = t.columns();
+            let take = stop - self.cursor;
+            let out = self
+                .positions
                 .iter()
-                .map(|r| self.positions.iter().map(|&i| r[i].clone()).collect())
+                .map(|&i| tcols[i].slice(self.cursor, take))
                 .collect();
             self.cursor = stop;
-            return Ok(Some(Batch::new(self.cols.clone(), rows)));
+            self.stats.note_kernel();
+            return Ok(Some(Batch::from_columns(self.cols.clone(), out, take)));
         }
         Ok(None)
     }
@@ -1583,7 +1544,6 @@ struct SeekOp {
     hits: Vec<usize>,
     cursor: usize,
     batch_size: usize,
-    columnar: bool,
     stats: StatsHandle,
 }
 
@@ -1619,29 +1579,17 @@ impl Operator for SeekOp {
         }
         let t = ctx.catalog.table(self.table);
         let end = (self.cursor + self.batch_size).min(self.hits.len());
-        if self.columnar {
-            let tcols = t.columns();
-            let idx = &self.hits[self.cursor..end];
-            let out = self
-                .positions
-                .iter()
-                .map(|&i| tcols[i].gather(idx))
-                .collect();
-            let take = idx.len();
-            self.cursor = end;
-            self.stats.note_kernel();
-            return Ok(Some(Batch::from_columns(self.cols.clone(), out, take)));
-        }
-        let all = t.rows();
-        let rows = self.hits[self.cursor..end]
+        let tcols = t.columns();
+        let idx = &self.hits[self.cursor..end];
+        let out = self
+            .positions
             .iter()
-            .map(|&rid| {
-                let r = &all[rid];
-                self.positions.iter().map(|&i| r[i].clone()).collect()
-            })
+            .map(|&i| tcols[i].gather(idx))
             .collect();
+        let take = idx.len();
         self.cursor = end;
-        Ok(Some(Batch::new(self.cols.clone(), rows)))
+        self.stats.note_kernel();
+        Ok(Some(Batch::from_columns(self.cols.clone(), out, take)))
     }
 }
 
@@ -2734,10 +2682,6 @@ struct ApplyLoopOp {
     pending: Vec<Row>,
     left_done: bool,
     batch_size: usize,
-    /// Transpose assembled output batches to columns so downstream
-    /// vectorized operators stay on the kernel path (the apply loop
-    /// itself is row-at-a-time by nature: it rebinds per outer row).
-    columnar: bool,
     stats: StatsHandle,
 }
 
@@ -2803,11 +2747,13 @@ impl Operator for ApplyLoopOp {
                 }
             }
         }
-        let out = drain_pending(&mut self.pending, self.batch_size, &self.out_cols);
-        Ok(match out {
-            Some(b) if self.columnar => Some(b.to_columnar()),
-            other => other,
-        })
+        // The loop itself is row-at-a-time (it rebinds per outer row);
+        // transposing the assembled batch keeps downstream vectorized
+        // operators on the kernel path.
+        Ok(
+            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
+                .map(Batch::to_columnar),
+        )
     }
 }
 
@@ -2915,7 +2861,6 @@ struct BatchedApplyOp {
     pending: Vec<Row>,
     left_done: bool,
     batch_size: usize,
-    columnar: bool,
     stats: StatsHandle,
 }
 
@@ -3008,11 +2953,10 @@ impl Operator for BatchedApplyOp {
                 );
             }
         }
-        let out = drain_pending(&mut self.pending, self.batch_size, &self.out_cols);
-        Ok(match out {
-            Some(b) if self.columnar => Some(b.to_columnar()),
-            other => other,
-        })
+        Ok(
+            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
+                .map(Batch::to_columnar),
+        )
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3049,7 +2993,6 @@ struct IndexLookupJoinOp {
     pending: Vec<Row>,
     left_done: bool,
     batch_size: usize,
-    columnar: bool,
     stats: StatsHandle,
 }
 
@@ -3171,11 +3114,10 @@ impl Operator for IndexLookupJoinOp {
                 );
             }
         }
-        let out = drain_pending(&mut self.pending, self.batch_size, &self.out_cols);
-        Ok(match out {
-            Some(b) if self.columnar => Some(b.to_columnar()),
-            other => other,
-        })
+        Ok(
+            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
+                .map(Batch::to_columnar),
+        )
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3205,9 +3147,6 @@ struct SegmentExecOp {
     seg_cursor: usize,
     pending: Vec<Row>,
     batch_size: usize,
-    /// Transpose assembled output batches to columns so downstream
-    /// vectorized operators stay on the kernel path.
-    columnar: bool,
     mem: MemoryReservation,
     stats: StatsHandle,
 }
@@ -3282,11 +3221,10 @@ impl Operator for SegmentExecOp {
             self.inner_binds.borrow_mut().pop_segment();
             run?;
         }
-        let out = drain_pending(&mut self.pending, self.batch_size, &self.out_cols);
-        Ok(match out {
-            Some(b) if self.columnar => Some(b.to_columnar()),
-            other => other,
-        })
+        Ok(
+            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
+                .map(Batch::to_columnar),
+        )
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3322,9 +3260,6 @@ struct HashAggregateOp {
     result: Vec<Row>,
     done: bool,
     batch_size: usize,
-    /// Transpose result batches to columns so downstream vectorized
-    /// operators stay on the kernel path.
-    columnar: bool,
     /// Peak bytes of the grouped state, captured before `finish`
     /// consumes it (the reservation lives inside the state).
     mem_peak: u64,
@@ -3586,11 +3521,10 @@ impl Operator for HashAggregateOp {
             };
             self.done = true;
         }
-        let out = drain_pending(&mut self.result, self.batch_size, &self.out_cols);
-        Ok(match out {
-            Some(b) if self.columnar => Some(b.to_columnar()),
-            other => other,
-        })
+        Ok(
+            drain_pending(&mut self.result, self.batch_size, &self.out_cols)
+                .map(Batch::to_columnar),
+        )
     }
 
     fn mem_peak(&self) -> u64 {

@@ -18,10 +18,10 @@
 //!   to the serial engine no matter how the pool interleaves queries.
 //!
 //! Tasks must be `'static`: they capture an `Arc<Catalog>` (and other
-//! owned state) rather than borrowing the caller's stack. Callers that
-//! only hold a borrowed catalog (direct [`Pipeline`](crate::Pipeline)
-//! embedders, unit tests) keep the legacy scoped fallback in
-//! [`parallel`](crate::parallel).
+//! owned state) rather than borrowing the caller's stack, which is why
+//! direct [`Pipeline`](crate::Pipeline) embedders install one with
+//! [`Pipeline::set_shared_catalog`](crate::Pipeline::set_shared_catalog)
+//! before running exchanges in parallel.
 //!
 //! Deadlock freedom: a pool worker never blocks on the scheduler. Worker
 //! plans are produced by exchange plan surgery, whose shape grammar
@@ -89,11 +89,10 @@ impl Scheduler {
         Scheduler { inner }
     }
 
-    /// The process-wide pool every governed/session query dispatches
-    /// to. Sized once, on first use: `ORTHOPT_POOL_WORKERS` if set,
-    /// otherwise the larger of `ORTHOPT_PARALLELISM` and the machine's
-    /// available parallelism — so a configured per-query fan-out always
-    /// has enough lanes even on small containers.
+    /// The process-wide pool every query's exchanges dispatch to. Sized
+    /// once, on first use: `ORTHOPT_POOL_WORKERS` if set, otherwise the
+    /// machine's available parallelism. A per-query fan-out wider than
+    /// the pool still runs — its tasks queue on the lanes there are.
     pub fn global() -> &'static Scheduler {
         static GLOBAL: OnceLock<Scheduler> = OnceLock::new();
         GLOBAL.get_or_init(|| Scheduler::new(global_pool_size()))
@@ -206,18 +205,13 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
 
 /// Pool size policy for [`Scheduler::global`].
 fn global_pool_size() -> usize {
-    if let Some(n) = std::env::var("ORTHOPT_POOL_WORKERS")
+    std::env::var("ORTHOPT_POOL_WORKERS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        return n.clamp(1, MAX_POOL);
-    }
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let env = std::env::var("ORTHOPT_PARALLELISM")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1);
-    hw.max(env).clamp(1, MAX_POOL)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+        .clamp(1, MAX_POOL)
 }
 
 #[cfg(test)]

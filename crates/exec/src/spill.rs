@@ -779,6 +779,13 @@ mod tests {
         ]
     }
 
+    /// Serializes the tests that open a spill scope: one of them asserts
+    /// the process-wide `live_dirs()` count around its own scope.
+    fn scope_lock() -> orthopt_synccheck::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+    }
+
     fn assert_rows_eq(a: &[Row], b: &[Row]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -797,6 +804,7 @@ mod tests {
 
     #[test]
     fn blocks_round_trip_bit_exactly() {
+        let _g = scope_lock();
         let mgr = SpillManager::new();
         let rows = mixed_rows();
         let mut f = mgr.create("t").expect("create");
@@ -816,6 +824,7 @@ mod tests {
 
     #[test]
     fn reader_can_rescan_from_start() {
+        let _g = scope_lock();
         let mgr = SpillManager::new();
         let rows = mixed_rows();
         let mut f = mgr.create("t").expect("create");
@@ -837,6 +846,7 @@ mod tests {
 
     #[test]
     fn empty_and_zero_width_blocks() {
+        let _g = scope_lock();
         let mgr = SpillManager::new();
         let mut f = mgr.create("t").expect("create");
         assert_eq!(f.append(&[], 4).expect("empty append is a no-op"), 0);
@@ -850,6 +860,7 @@ mod tests {
 
     #[test]
     fn drop_removes_files_and_scope_dir() {
+        let _g = scope_lock();
         let before = live_dirs();
         let mgr = SpillManager::new();
         let mut f = mgr.create("t").expect("create");
@@ -874,6 +885,7 @@ mod tests {
 
     #[test]
     fn partition_set_routes_and_flushes() {
+        let _g = scope_lock();
         let mgr = SpillManager::new();
         let mut parts = SpillPartitions::create(&mgr, "p", 1).expect("create");
         let rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i)]).collect();

@@ -15,6 +15,7 @@ use orthopt_exec::{Bindings, Chunk, PhysExpr, Pipeline};
 use orthopt_ir::{JoinKind, ScalarExpr};
 use orthopt_storage::Catalog;
 use orthopt_synccheck::sync::{Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Serializes tests that arm the process-global registry.
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -45,9 +46,10 @@ fn join_plan() -> PhysExpr {
     }
 }
 
-fn run(plan: &PhysExpr, catalog: &Catalog, parallelism: usize) -> Result<Chunk> {
+fn run(plan: &PhysExpr, catalog: &Arc<Catalog>, parallelism: usize) -> Result<Chunk> {
     let mut pipe = Pipeline::compile(plan)?;
     pipe.set_parallelism(parallelism);
+    pipe.set_shared_catalog(Arc::clone(catalog));
     pipe.set_governor(QueryContext::new());
     pipe.execute(catalog, &Bindings::new())
 }
@@ -63,7 +65,7 @@ fn feature_is_compiled_in() {
 #[test]
 fn refused_allocation_surfaces_as_resource_exhausted() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     faults::install("hashjoin.build", FaultAction::RefuseAlloc, 0);
     // Spill pinned off per-pipeline: with it on (the default) a refused
     // build charge degrades to a grace hash join and the query succeeds
@@ -89,7 +91,7 @@ fn refused_allocation_surfaces_as_resource_exhausted() {
 #[test]
 fn error_fault_at_operator_boundary_names_the_site() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     faults::install("Sort", FaultAction::Error, 0);
     let plan = PhysExpr::Sort {
         input: Box::new(scan_orders()),
@@ -103,7 +105,7 @@ fn error_fault_at_operator_boundary_names_the_site() {
 #[test]
 fn after_counter_delays_the_failure() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     // The orders build side feeds one batch; skipping one hit means the
     // site never fires on this table.
     faults::install("hashjoin.build", FaultAction::Error, 1);
@@ -116,7 +118,7 @@ fn after_counter_delays_the_failure() {
 #[test]
 fn engine_survives_and_recovers_after_injected_failure() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     faults::install("hashjoin.build", FaultAction::Error, 0);
     assert!(run(&join_plan(), &catalog, 1).is_err());
     faults::clear();
@@ -127,7 +129,7 @@ fn engine_survives_and_recovers_after_injected_failure() {
 #[test]
 fn worker_panic_is_isolated_and_attributed() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     let plan = PhysExpr::Exchange {
         input: Box::new(scan_orders()),
     };
@@ -154,7 +156,7 @@ fn worker_panic_is_isolated_and_attributed() {
 #[test]
 fn seeded_schedules_fail_identically() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     let sites = ["hashjoin.build", "HashJoin", "TableScan"];
     let mut outcomes = Vec::new();
     for _ in 0..2 {
@@ -172,7 +174,7 @@ fn seeded_schedules_fail_identically() {
 #[test]
 fn cache_shed_on_injected_refusal_degrades_not_fails() {
     let _g = registry_lock();
-    let catalog = customers_orders();
+    let catalog = Arc::new(customers_orders());
     let inner = PhysExpr::Filter {
         input: Box::new(scan_orders()),
         predicate: ScalarExpr::cmp(

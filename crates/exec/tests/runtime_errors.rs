@@ -206,6 +206,7 @@ mod governor {
     use orthopt_exec::{Chunk, Pipeline};
     use orthopt_ir::JoinKind;
     use orthopt_storage::Catalog;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn scan_customer() -> PhysExpr {
@@ -487,8 +488,10 @@ mod governor {
         let plan = PhysExpr::Exchange {
             input: Box::new(scan_orders()),
         };
+        let catalog = Arc::new(catalog);
         let mut pipe = Pipeline::compile(&plan).unwrap();
         pipe.set_parallelism(2);
+        pipe.set_shared_catalog(Arc::clone(&catalog));
         pipe.set_governor(QueryContext::new().with_memory_limit(1));
         match pipe.execute(&catalog, &Bindings::new()) {
             Err(e) => match e.root_cause() {
@@ -607,12 +610,13 @@ mod governor {
 
     #[test]
     fn parallel_exchange_respects_budget_and_cancellation() {
-        let catalog = customers_orders();
+        let catalog = Arc::new(customers_orders());
         let plan = PhysExpr::Exchange {
             input: Box::new(scan_orders()),
         };
         let mut pipe = Pipeline::compile(&plan).unwrap();
         pipe.set_parallelism(4);
+        pipe.set_shared_catalog(Arc::clone(&catalog));
         pipe.set_governor(QueryContext::new().with_memory_limit(16));
         match pipe.execute(&catalog, &Bindings::new()) {
             Err(Error::ResourceExhausted { .. }) => {}
