@@ -14,10 +14,11 @@
 //! rows, so the memory governor's thresholds do not shift between the
 //! row and columnar paths (see the parity test below).
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::row::Row;
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Value, ValueRef};
 
 /// Validity bitmap: bit set ⇒ value present, bit clear ⇒ NULL.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,6 +264,99 @@ impl Column {
         }
     }
 
+    /// Borrows the value at position `i` without cloning string
+    /// payloads — what the reply renderer writes lanes from.
+    #[inline]
+    pub fn value_ref(&self, i: usize) -> ValueRef<'_> {
+        debug_assert!(i < self.len);
+        let j = self.offset + i;
+        if !self.data.validity.get(j) {
+            return ValueRef::Null;
+        }
+        match &self.data.data {
+            ColData::Int(v) => ValueRef::Int(v[j]),
+            ColData::Float(v) => ValueRef::Float(v[j]),
+            ColData::Bool(v) => ValueRef::Bool(v[j]),
+            ColData::Str(v) => ValueRef::Str(&v[j]),
+            ColData::Date(v) => ValueRef::Date(v[j]),
+            ColData::Val(v) => v[j].as_value_ref(),
+        }
+    }
+
+    /// Orders lane `i` of this column against lane `j` of `other`
+    /// exactly as [`Value::total_cmp`] orders the two values (NULL
+    /// first, floats by `f64::total_cmp`), comparing typed storage in
+    /// place; only `Val` lanes and mixed representations materialize
+    /// values.
+    #[inline]
+    pub fn cmp_lanes(&self, i: usize, other: &Column, j: usize) -> Ordering {
+        let (a, b) = (self.offset + i, other.offset + j);
+        let va = self.data.validity.all_valid() || self.data.validity.get(a);
+        let vb = other.data.validity.all_valid() || other.data.validity.get(b);
+        if !(va && vb) {
+            return va.cmp(&vb);
+        }
+        match (&self.data.data, &other.data.data) {
+            (ColData::Int(x), ColData::Int(y)) => x[a].cmp(&y[b]),
+            (ColData::Float(x), ColData::Float(y)) => x[a].total_cmp(&y[b]),
+            (ColData::Bool(x), ColData::Bool(y)) => x[a].cmp(&y[b]),
+            (ColData::Str(x), ColData::Str(y)) => x[a].as_ref().cmp(y[b].as_ref()),
+            (ColData::Date(x), ColData::Date(y)) => x[a].cmp(&y[b]),
+            _ => self.value(i).total_cmp(&other.value(j)),
+        }
+    }
+
+    /// A 64-bit image of every lane that is monotone in the
+    /// [`cmp_lanes`](Column::cmp_lanes) order: a smaller image means a
+    /// smaller lane, equal images decide nothing (NULL is 0; a valid
+    /// lane is the top 63 bits of its type's order-preserving encoding,
+    /// for strings of its first 8 bytes). A sort compares these inline
+    /// words first and touches the column only on ties. `None` for
+    /// `Val` storage, whose lanes share no encoding.
+    pub fn sort_prefixes(&self) -> Option<Vec<u64>> {
+        const SIGN: u64 = 1 << 63;
+        // NULL takes 0; a valid lane gives up its lowest bit to sit
+        // above it.
+        fn lanes(col: &Column, images: impl Iterator<Item = u64>) -> Vec<u64> {
+            images
+                .enumerate()
+                .map(
+                    |(i, image)| {
+                        if col.is_valid(i) {
+                            (image >> 1) + 1
+                        } else {
+                            0
+                        }
+                    },
+                )
+                .collect()
+        }
+        let window = self.offset..self.offset + self.len;
+        Some(match &self.data.data {
+            ColData::Int(v) => lanes(self, v[window].iter().map(|&x| x as u64 ^ SIGN)),
+            // The bits of a float read as `total_cmp` orders them.
+            ColData::Float(v) => lanes(
+                self,
+                v[window].iter().map(|x| match x.to_bits() {
+                    b if b & SIGN != 0 => !b,
+                    b => b | SIGN,
+                }),
+            ),
+            ColData::Bool(v) => lanes(self, v[window].iter().map(|&b| u64::from(b) << 1)),
+            ColData::Str(v) => lanes(
+                self,
+                v[window].iter().map(|s| {
+                    let mut head = [0u8; 8];
+                    let n = s.len().min(8);
+                    head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                    u64::from_be_bytes(head)
+                }),
+            ),
+            ColData::Date(v) => lanes(self, v[window].iter().map(|&d| i64::from(d) as u64 ^ SIGN)),
+            ColData::Val(_) => return None,
+        })
+    }
+
     /// Compares the value at position `i` against `v` under grouping
     /// equality (the derived `PartialEq` on [`Value`]) without
     /// materializing a `Value` for the lane.
@@ -477,6 +571,170 @@ mod tests {
         assert!(!c.lane_eq(1, &Value::Int(0)));
         let s = Column::from_values(vec![Value::str("x")]);
         assert!(s.lane_eq(0, &Value::str("x")));
+    }
+
+    /// One formatter: a lane rendered off a typed column is the text
+    /// the equivalent `Value` renders to, for every `DataType`, the
+    /// `Val` fallback, and the awkward payloads.
+    #[test]
+    fn lanes_render_exactly_like_values() {
+        let columns: Vec<Vec<Value>> = vec![
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            vec![Value::Int(i64::MIN), Value::Null, Value::Int(i64::MAX)],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(-0.0),
+                Value::Null,
+                Value::Float(1e300),
+                Value::Float(f64::NEG_INFINITY),
+                Value::Float(0.1 + 0.2),
+            ],
+            vec![
+                Value::str("it's"),
+                Value::str("tab\there"),
+                Value::str("line\nbreak"),
+                Value::Null,
+                Value::str(""),
+            ],
+            vec![Value::Date(-719_162), Value::Null, Value::Date(19_000)],
+            // Mixed → `Val` storage.
+            vec![Value::Int(1), Value::Float(2.5), Value::Null],
+            vec![Value::Null, Value::Null],
+        ];
+        for vals in columns {
+            let col = Column::from_values(vals.clone());
+            for (i, v) in vals.iter().enumerate() {
+                let mut lane = String::new();
+                col.value_ref(i).write_to(&mut lane).unwrap();
+                assert_eq!(lane, v.to_string(), "lane {i} of {vals:?}");
+            }
+        }
+    }
+
+    /// `cmp_lanes` is `Value::total_cmp` on every pair of lanes, within
+    /// one column and across columns of different representations.
+    #[test]
+    fn cmp_lanes_matches_value_total_cmp() {
+        let columns: Vec<Column> = [
+            vec![Value::Int(3), Value::Null, Value::Int(-7), Value::Int(3)],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Null,
+                Value::Float(-7.0),
+            ],
+            vec![
+                Value::Int(2),
+                Value::Float(2.5),
+                Value::Null,
+                Value::Int(-7),
+            ],
+            vec![
+                Value::str("b"),
+                Value::Null,
+                Value::str("a"),
+                Value::str(""),
+            ],
+            vec![Value::Date(5), Value::Date(-5), Value::Null],
+            vec![Value::Bool(true), Value::Bool(false), Value::Null],
+            vec![Value::Null, Value::Null],
+        ]
+        .into_iter()
+        .map(Column::from_values)
+        .collect();
+        for a in &columns {
+            for b in &columns {
+                for i in 0..a.len() {
+                    for j in 0..b.len() {
+                        assert_eq!(
+                            a.cmp_lanes(i, b, j),
+                            a.value(i).total_cmp(&b.value(j)),
+                            "{:?} vs {:?}",
+                            a.value(i),
+                            b.value(j)
+                        );
+                    }
+                }
+            }
+        }
+        // Windows compare by their own lane numbering.
+        let c = Column::from_values((0..6).map(Value::Int).collect());
+        assert_eq!(
+            c.slice(4, 2).cmp_lanes(0, &c.slice(1, 3), 2),
+            Ordering::Greater
+        );
+    }
+
+    /// A smaller sort prefix means a smaller lane, for every typed
+    /// representation; equal prefixes are allowed to decide nothing.
+    #[test]
+    fn sort_prefixes_are_monotone_in_lane_order() {
+        let typed: Vec<Vec<Value>> = vec![
+            vec![
+                Value::Int(i64::MIN),
+                Value::Null,
+                Value::Int(-1),
+                Value::Int(0),
+                Value::Int(1),
+                Value::Int(i64::MAX),
+            ],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(-f64::NAN),
+                Value::Float(f64::NEG_INFINITY),
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Null,
+                Value::Float(f64::MIN_POSITIVE),
+                Value::Float(1.5),
+                Value::Float(f64::INFINITY),
+            ],
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            vec![
+                Value::str(""),
+                Value::Null,
+                Value::str("a"),
+                Value::str("a\0"),
+                Value::str("abcdefgh"),
+                Value::str("abcdefghi"),
+                Value::str("abcdefgz"),
+                Value::str("é"),
+            ],
+            vec![
+                Value::Date(i32::MIN),
+                Value::Date(-1),
+                Value::Null,
+                Value::Date(7),
+            ],
+        ];
+        for vals in typed {
+            let col = Column::from_values(vals.clone());
+            let window = col.slice(1, col.len() - 1);
+            for c in [&col, &window] {
+                let p = c.sort_prefixes().expect("typed storage has prefixes");
+                for i in 0..c.len() {
+                    for j in 0..c.len() {
+                        if p[i] < p[j] {
+                            assert_eq!(
+                                c.cmp_lanes(i, c, j),
+                                Ordering::Less,
+                                "{vals:?}: {i} vs {j}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                col.sort_prefixes()
+                    .unwrap()
+                    .windows(2)
+                    .any(|w| w[0] != w[1]),
+                "{vals:?}: a constant prefix would be vacuous"
+            );
+        }
+        let mixed = Column::from_values(vec![Value::Int(1), Value::Float(0.5)]);
+        assert!(mixed.sort_prefixes().is_none());
     }
 
     /// Satellite: `cols_bytes` must charge the same logical totals as

@@ -28,4 +28,4 @@ pub use governor::{
 pub use ids::{ColId, ColIdGen, TableId};
 pub use prng::Prng;
 pub use row::Row;
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};

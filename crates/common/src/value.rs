@@ -269,18 +269,27 @@ impl Eq for Value {}
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
+        self.as_value_ref().hash(state);
+    }
+}
+
+impl Hash for ValueRef<'_> {
+    /// Agrees with [`Value`]'s grouping equality; a column lane hashes
+    /// through here without materializing (or reference-counting) a
+    /// `Value`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            ValueRef::Null => 0u8.hash(state),
+            ValueRef::Bool(b) => {
                 1u8.hash(state);
                 b.hash(state);
             }
             // Ints and floats must hash alike when numerically equal
             // (see PartialEq); hash every numeric through the canonical
             // float encoding unless the int is not exactly representable.
-            Value::Int(i) => {
-                let f = *i as f64;
-                if f as i64 == *i {
+            ValueRef::Int(i) => {
+                let f = i as f64;
+                if f as i64 == i {
                     2u8.hash(state);
                     Value::canonical_f64(f).hash(state);
                 } else {
@@ -288,15 +297,15 @@ impl Hash for Value {
                     i.hash(state);
                 }
             }
-            Value::Float(f) => {
+            ValueRef::Float(f) => {
                 2u8.hash(state);
-                Value::canonical_f64(*f).hash(state);
+                Value::canonical_f64(f).hash(state);
             }
-            Value::Str(s) => {
+            ValueRef::Str(s) => {
                 4u8.hash(state);
                 s.hash(state);
             }
-            Value::Date(d) => {
+            ValueRef::Date(d) => {
                 5u8.hash(state);
                 d.hash(state);
             }
@@ -304,16 +313,59 @@ impl Hash for Value {
     }
 }
 
+/// A borrowed view of one SQL scalar: what a [`Value`] and a lane of a
+/// typed [`Column`](crate::column::Column) have in common. Its
+/// [`write_to`](ValueRef::write_to) is the engine's one text rendering,
+/// so rows and columns cannot print differently.
+#[derive(Clone, Copy, Debug)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// String payload.
+    Str(&'a str),
+    /// Days since the epoch.
+    Date(i32),
+}
+
+impl ValueRef<'_> {
+    /// Renders the scalar the way `Value`'s `Display` always has:
+    /// `NULL`, bare numbers and booleans, `'quoted'` strings (payload
+    /// verbatim, no escaping), `date(<days>)`.
+    pub fn write_to(self, w: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            ValueRef::Null => w.write_str("NULL"),
+            ValueRef::Bool(b) => write!(w, "{b}"),
+            ValueRef::Int(i) => write!(w, "{i}"),
+            ValueRef::Float(x) => write!(w, "{x}"),
+            ValueRef::Str(s) => write!(w, "'{s}'"),
+            ValueRef::Date(d) => write!(w, "date({d})"),
+        }
+    }
+}
+
+impl Value {
+    /// Borrows this value as a [`ValueRef`].
+    pub fn as_value_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(x) => ValueRef::Float(*x),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Date(d) => ValueRef::Date(*d),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("NULL"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "'{s}'"),
-            Value::Date(d) => write!(f, "date({d})"),
-        }
+        self.as_value_ref().write_to(f)
     }
 }
 

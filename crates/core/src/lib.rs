@@ -49,8 +49,9 @@ pub use orthopt_sql as sql;
 pub use orthopt_storage as storage;
 pub use orthopt_tpch as tpch;
 
+use orthopt_common::column::{columns_to_rows, Column};
 use orthopt_common::{CancellationToken, Error, QueryContext, Result, Row};
-use orthopt_exec::{Bindings, Chunk, PhysExpr, Pipeline, PipelineOptions, Reference};
+use orthopt_exec::{Batch, Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
 use orthopt_ir::{ColumnMeta, RelExpr};
 use orthopt_optimizer::search::{optimize_with_presentation, OptimizerConfig, SearchStats};
 use orthopt_rewrite::pipeline::{classify, normalize, NormalForm, RewriteConfig};
@@ -416,7 +417,18 @@ impl Database {
     /// [`Error::Exec`](orthopt_common::Error::Exec) naming the operator
     /// the panic unwound out of, and the database stays usable.
     pub fn run_with_context(&self, plan: &Plan, gov: QueryContext) -> Result<QueryResult> {
-        run_plan(&self.catalog, plan, &self.settings, gov).map(|(result, _)| result)
+        let mut rows = Vec::new();
+        run_plan(
+            &self.catalog,
+            plan,
+            &self.settings,
+            gov,
+            &mut rows_sink(&mut rows),
+        )?;
+        Ok(QueryResult {
+            columns: column_names(&plan.output),
+            rows,
+        })
     }
 
     /// Compiles and executes at [`OptimizerLevel::Full`] with the given
@@ -472,7 +484,11 @@ impl Database {
         if let Some(n) = bound.limit {
             chunk.rows.truncate(n);
         }
-        present(chunk, &bound.output)
+        let ids: Vec<_> = bound.output.iter().map(|c| c.id).collect();
+        Ok(QueryResult {
+            columns: column_names(&bound.output),
+            rows: chunk.project(&ids)?.rows,
+        })
     }
 
     /// Statically verifies a compiled plan: the normalized logical tree
@@ -514,8 +530,17 @@ impl Database {
             Err(e) => format!("plancheck: FAILED — {e}"),
         };
         let started = std::time::Instant::now();
-        let (result, pipeline) =
-            run_plan(&self.catalog, &plan, &self.settings, self.query_context())?;
+        let mut rows = 0;
+        let pipeline = run_plan(
+            &self.catalog,
+            &plan,
+            &self.settings,
+            self.query_context(),
+            &mut |_, len| {
+                rows += len;
+                Ok(())
+            },
+        )?;
         let elapsed = started.elapsed();
         let governor = match (
             pipeline.governor().mem_peak(),
@@ -532,8 +557,7 @@ impl Database {
             pipeline.cached_nodes(),
         );
         Ok(format!(
-            "== physical (analyzed: {} rows, {:.3}ms total, batch size {}) ==\n{}== {check} =={governor}",
-            result.rows.len(),
+            "== physical (analyzed: {rows} rows, {:.3}ms total, batch size {}) ==\n{}== {check} =={governor}",
             elapsed.as_secs_f64() * 1e3,
             pipeline.batch_size(),
             rendered,
@@ -591,19 +615,38 @@ pub(crate) fn compile_plan(
     })
 }
 
+/// Where a query's result goes: called once per root batch with the
+/// presentation columns (`plan.output` order) and the batch's row count.
+/// [`QueryResult`] builders transpose into rows here; the server's `Q`
+/// handler renders lanes straight into the reply text.
+pub(crate) type BatchSink<'a> = dyn FnMut(&[Column], usize) -> Result<()> + 'a;
+
+/// A sink that appends each batch's rows to `rows`.
+pub(crate) fn rows_sink(rows: &mut Vec<Row>) -> impl FnMut(&[Column], usize) -> Result<()> + '_ {
+    |columns, len| {
+        rows.extend(columns_to_rows(columns, len));
+        Ok(())
+    }
+}
+
+pub(crate) fn column_names(output: &[ColumnMeta]) -> Vec<String> {
+    output.iter().map(|c| c.name.clone()).collect()
+}
+
 /// The one place a compiled plan becomes a result: compile the physical
 /// tree into a [`Pipeline`], configure it from `settings` (worker-pool
 /// size, spill toggle) plus the caller's governance context, run it with
-/// panic isolation, and project onto the presentation columns. The
-/// finished pipeline comes back too, for `EXPLAIN ANALYZE`'s stats.
-/// [`Database`] and [`Session`] both execute through here, so a setting
-/// means the same thing on either façade.
+/// panic isolation, and hand each root batch, projected onto the
+/// presentation columns, to `sink`. The finished pipeline comes back for
+/// `EXPLAIN ANALYZE`'s stats. [`Database`] and [`Session`] both execute
+/// through here, so a setting means the same thing on either façade.
 pub(crate) fn run_plan(
     catalog: &Arc<Catalog>,
     plan: &Plan,
     settings: &SessionSettings,
     gov: QueryContext,
-) -> Result<(QueryResult, Pipeline)> {
+    sink: &mut BatchSink<'_>,
+) -> Result<Pipeline> {
     let mut pipeline = Pipeline::with_options(
         &plan.physical,
         PipelineOptions {
@@ -614,8 +657,24 @@ pub(crate) fn run_plan(
     pipeline.set_parallelism(settings.parallelism);
     pipeline.set_governor(gov);
     pipeline.set_shared_catalog(Arc::clone(catalog));
-    let chunk = run_caught(&mut pipeline, catalog)?;
-    Ok((present(chunk, &plan.output)?, pipeline))
+    let positions: Vec<usize> = plan
+        .output
+        .iter()
+        .map(|c| {
+            let id = c.id;
+            pipeline
+                .out_cols()
+                .iter()
+                .position(|o| *o == id)
+                .ok_or_else(|| Error::internal(format!("column {id} missing from plan output")))
+        })
+        .collect::<Result<_>>()?;
+    run_caught(&mut pipeline, catalog, |batch| {
+        let (columns, len) = batch.into_columns();
+        let projected: Vec<Column> = positions.iter().map(|&p| columns[p].clone()).collect();
+        sink(&projected, len)
+    })?;
+    Ok(pipeline)
 }
 
 /// Runs a compiled pipeline with panic isolation: a panic unwinding out
@@ -624,9 +683,13 @@ pub(crate) fn run_plan(
 /// inside, so a buggy or fault-injected operator cannot tear down the
 /// caller. The pipeline's own error path already closes operators and
 /// records stats before returning.
-fn run_caught(pipeline: &mut Pipeline, catalog: &Catalog) -> Result<Chunk> {
+fn run_caught(
+    pipeline: &mut Pipeline,
+    catalog: &Catalog,
+    each: impl FnMut(Batch) -> Result<()>,
+) -> Result<()> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pipeline.execute(catalog, &Bindings::new())
+        pipeline.execute_each(catalog, &Bindings::new(), each)
     }))
     .unwrap_or_else(|payload| {
         let at = orthopt_exec::current_op().map_or_else(String::new, |(id, name)| {
@@ -638,15 +701,6 @@ fn run_caught(pipeline: &mut Pipeline, catalog: &Catalog) -> Result<Chunk> {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
         Err(Error::Exec(format!("panic{at}: {msg}")))
-    })
-}
-
-fn present(chunk: Chunk, output: &[ColumnMeta]) -> Result<QueryResult> {
-    let ids: Vec<_> = output.iter().map(|c| c.id).collect();
-    let projected = chunk.project(&ids)?;
-    Ok(QueryResult {
-        columns: output.iter().map(|c| c.name.clone()).collect(),
-        rows: projected.rows,
     })
 }
 

@@ -16,9 +16,12 @@
 //! | `CLOSE`            | `OK bye`, then the server closes the stream  |
 //!
 //! Errors never kill the connection: an `E` reply leaves the session
-//! usable for the next command. Dropping the TCP stream mid-query
-//! cancels the query through the session's cancellation token (the
-//! per-connection thread closes its [`Session`] on its way out).
+//! usable for the next command. That includes a result too large for
+//! one frame: the `Q` handler renders batches into the reply as they
+//! arrive and stops at the frame cap with an `E` reply. Dropping the
+//! TCP stream mid-query cancels the query through the session's
+//! cancellation token (the per-connection thread closes its
+//! [`Session`] on its way out).
 
 use orthopt_synccheck::sync::atomic::{AtomicBool, Ordering};
 use orthopt_synccheck::sync::thread::{self, JoinHandle};
@@ -26,24 +29,36 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
+use orthopt_common::column::Column;
 use orthopt_common::Result;
 
+use crate::column_names;
 use crate::session::{Engine, Session};
-use crate::{Error, QueryResult};
+use crate::Error;
 
 /// Upper bound on one frame's payload (16 MiB) — a corrupt length
 /// prefix must not trigger an unbounded allocation.
 const MAX_FRAME: u32 = 16 << 20;
 
+/// The `E` reply to a `Q` whose result does not fit one frame.
+const FRAME_CAP_REPLY: &str =
+    "E result exceeds the 16 MiB frame cap (add LIMIT or narrow the select list)";
+
 /// Writes one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    let bytes = payload.as_bytes();
-    let len = u32::try_from(bytes.len())
+    write_frame_parts(w, &[payload])
+}
+
+/// Writes one frame whose payload is the concatenation of `parts`.
+fn write_frame_parts(w: &mut impl Write, parts: &[&str]) -> std::io::Result<()> {
+    let len = u32::try_from(parts.iter().map(|p| p.len()).sum::<usize>())
         .ok()
         .filter(|l| *l <= MAX_FRAME)
         .ok_or_else(|| std::io::Error::other("frame payload too large"))?;
     w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    for p in parts {
+        w.write_all(p.as_bytes())?;
+    }
     w.flush()
 }
 
@@ -69,27 +84,56 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
         .map_err(|_| std::io::Error::other("frame payload is not UTF-8"))
 }
 
-/// Renders a query result as the `T` reply: row count, header line,
-/// then one tab-separated line per row.
-fn render_result(r: &QueryResult) -> String {
-    let mut out = format!("T {}\n{}", r.rows.len(), r.columns.join("\t"));
-    for row in &r.rows {
-        out.push('\n');
-        let mut first = true;
-        for v in row {
-            if !first {
-                out.push('\t');
+/// Appends one result batch to a `T` reply's row lines: a newline, then
+/// the row's lanes tab-separated, written off the typed columns.
+fn render_batch(body: &mut String, columns: &[Column], len: usize) {
+    for i in 0..len {
+        body.push('\n');
+        for (j, c) in columns.iter().enumerate() {
+            if j > 0 {
+                body.push('\t');
             }
-            first = false;
-            out.push_str(&v.to_string());
+            c.value_ref(i)
+                .write_to(body)
+                .expect("writing to a String cannot fail");
         }
     }
-    out
 }
 
 enum Reply {
     Text(String),
+    /// A `T` reply: `T <n>\n<cols>`, then the rendered row lines.
+    Table {
+        head: String,
+        body: String,
+    },
     Close,
+}
+
+/// Runs `sql` and renders its result as the `T` reply — row count,
+/// header line, then one tab-separated line per row — batch by batch,
+/// without materializing the rows. A result over the frame cap aborts
+/// the query and becomes an `E` reply.
+fn query(session: &mut Session, sql: &str) -> Result<Reply> {
+    let cap = MAX_FRAME as usize;
+    let (mut body, mut rows, mut capped) = (String::new(), 0, false);
+    let run = session.execute_each(sql, &mut |columns, len| {
+        render_batch(&mut body, columns, len);
+        rows += len;
+        if body.len() > cap {
+            capped = true;
+            return Err(Error::Exec("reply over the frame cap".to_string()));
+        }
+        Ok(())
+    });
+    if capped {
+        return Ok(Reply::Text(FRAME_CAP_REPLY.to_string()));
+    }
+    let head = format!("T {rows}\n{}", column_names(&run?.output).join("\t"));
+    if head.len() + body.len() > cap {
+        return Ok(Reply::Text(FRAME_CAP_REPLY.to_string()));
+    }
+    Ok(Reply::Table { head, body })
 }
 
 fn dispatch(session: &mut Session, line: &str) -> Result<Reply> {
@@ -108,8 +152,7 @@ fn dispatch(session: &mut Session, line: &str) -> Result<Reply> {
         return Ok(Reply::Text("OK".to_string()));
     }
     if let Some(sql) = line.strip_prefix("Q ") {
-        let result = session.execute(sql)?;
-        return Ok(Reply::Text(render_result(&result)));
+        return query(session, sql);
     }
     Err(Error::Plan(format!("unknown command: {line}")))
 }
@@ -126,15 +169,16 @@ fn serve_connection(engine: &Arc<Engine>, stream: TcpStream) {
     };
     let mut writer = stream;
     while let Ok(Some(frame)) = read_frame(&mut reader) {
-        let reply = match dispatch(&mut session, &frame) {
+        let sent = match dispatch(&mut session, &frame) {
             Ok(Reply::Close) => {
                 let _ = write_frame(&mut writer, "OK bye");
                 break;
             }
-            Ok(Reply::Text(t)) => t,
-            Err(e) => format!("E {e}"),
+            Ok(Reply::Text(t)) => write_frame(&mut writer, &t),
+            Ok(Reply::Table { head, body }) => write_frame_parts(&mut writer, &[&head, &body]),
+            Err(e) => write_frame(&mut writer, &format!("E {e}")),
         };
-        if write_frame(&mut writer, &reply).is_err() {
+        if sent.is_err() {
             break;
         }
     }

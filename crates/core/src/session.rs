@@ -35,7 +35,10 @@ use orthopt_common::{
 use orthopt_ir::ApplyStrategy;
 use orthopt_storage::Catalog;
 
-use crate::{compile_plan, run_plan, Error, OptimizerLevel, Plan, QueryResult};
+use crate::{
+    column_names, compile_plan, rows_sink, run_plan, BatchSink, Error, OptimizerLevel, Plan,
+    QueryResult,
+};
 
 /// Default per-query admission budget when neither the session nor the
 /// engine configures a per-query memory limit: 16 MiB.
@@ -516,6 +519,18 @@ impl Session {
     /// the session's optimizer level, under admission control and the
     /// session's governance settings.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        let mut rows = Vec::new();
+        let plan = self.execute_each(sql, &mut rows_sink(&mut rows))?;
+        Ok(QueryResult {
+            columns: column_names(&plan.output),
+            rows,
+        })
+    }
+
+    /// [`execute`](Self::execute) without the materialization: each
+    /// result batch goes to `sink` as presentation columns, and the plan
+    /// comes back for its output names.
+    pub(crate) fn execute_each(&self, sql: &str, sink: &mut BatchSink<'_>) -> Result<Arc<Plan>> {
         // Each query gets a child token: it shares the session's cancel
         // flag (close/drop aborts it) but carries a private deadline.
         let token = self.cancel.child_with_deadline(self.settings.timeout);
@@ -533,7 +548,8 @@ impl Session {
         if let Some(limit) = self.settings.mem_limit {
             gov = gov.with_memory_limit(limit);
         }
-        run_plan(&self.engine.catalog, &plan, &self.settings, gov).map(|(result, _)| result)
+        run_plan(&self.engine.catalog, &plan, &self.settings, gov, sink)?;
+        Ok(plan)
     }
 }
 

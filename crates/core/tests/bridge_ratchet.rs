@@ -1,0 +1,106 @@
+//! Bridge ratchet: how many columnar batches each plan still transposes
+//! back to rows (`OpStats::bridged`, summed over the plan), pinned per
+//! query so the count can only go down. An operator ported off the row
+//! bridge lowers a ceiling here in the same change; a ceiling never
+//! goes up.
+
+use orthopt::common::QueryContext;
+use orthopt::exec::{spill, Bindings, Pipeline, PipelineOptions};
+use orthopt::{Database, OptimizerLevel};
+use orthopt_tpch::queries;
+
+const SORT_SQL: &str =
+    "select l_orderkey, l_extendedprice from lineitem order by l_extendedprice, l_orderkey";
+const AGG_LOWCARD_SQL: &str =
+    "select l_returnflag, count(*), sum(l_quantity) from lineitem group by l_returnflag";
+
+struct Case {
+    name: &'static str,
+    sql: String,
+    parallelism: usize,
+    mem_limit: Option<u64>,
+    /// Ceiling on the plan's summed `bridged`.
+    max_bridged: u64,
+}
+
+/// The benchmark's six `bulk_wire` classes plus the paper's subquery
+/// queries, at SF 0.002. `sort_spill`'s budget is scaled with the data
+/// (16 MiB at SF 0.1) so the sort still spills.
+fn cases() -> Vec<Case> {
+    let case = |name, sql: &str, max_bridged| Case {
+        name,
+        sql: sql.to_string(),
+        parallelism: 1,
+        mem_limit: None,
+        max_bridged,
+    };
+    vec![
+        case("sort_all", SORT_SQL, 0),
+        Case {
+            mem_limit: Some(320 << 10),
+            ..case("sort_spill", SORT_SQL, 0)
+        },
+        case("agg_lowcard", AGG_LOWCARD_SQL, 0),
+        case(
+            "agg_highcard",
+            "select l_partkey, count(*), sum(l_quantity) from lineitem group by l_partkey",
+            0,
+        ),
+        case(
+            "scan_filter_wide",
+            "select l_orderkey, l_partkey, l_quantity, l_extendedprice \
+             from lineitem where l_quantity < 6",
+            0,
+        ),
+        Case {
+            parallelism: 2,
+            ..case("agg_par2", AGG_LOWCARD_SQL, 0)
+        },
+        case("q2", &queries::q2_default(), 2),
+        case("q4", &queries::q4_default(), 3),
+        case("q17", &queries::q17_default(), 4),
+    ]
+}
+
+#[test]
+fn bridged_batches_only_go_down() {
+    let mut db = Database::tpch(0.002).unwrap();
+    db.analyze();
+    for case in cases() {
+        db.set_parallelism(case.parallelism);
+        let plan = db.plan(&case.sql, OptimizerLevel::Full).unwrap();
+        let mut pipeline = Pipeline::with_options(
+            &plan.physical,
+            PipelineOptions {
+                spill: Some(true),
+                ..PipelineOptions::default()
+            },
+        )
+        .unwrap();
+        pipeline.set_parallelism(case.parallelism);
+        pipeline.set_shared_catalog(db.shared_catalog());
+        if let Some(limit) = case.mem_limit {
+            pipeline.set_governor(QueryContext::new().with_memory_limit(limit));
+        }
+        pipeline
+            .execute(db.catalog(), &Bindings::new())
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let stats = pipeline.stats();
+        if case.mem_limit.is_some() {
+            assert!(
+                stats.iter().any(|s| s.spilled_bytes > 0),
+                "{}: the budget no longer makes the sort spill",
+                case.name
+            );
+        }
+        let bridged: u64 = stats.iter().map(|s| s.bridged).sum();
+        assert!(
+            bridged <= case.max_bridged,
+            "{}: {bridged} bridged batches, ceiling {}\n{}",
+            case.name,
+            case.max_bridged,
+            orthopt::exec::explain_phys_analyze(&plan.physical, &stats, pipeline.cached_nodes())
+        );
+        assert_eq!(spill::live_dirs(), 0, "{}", case.name);
+    }
+}

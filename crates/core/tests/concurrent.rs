@@ -391,3 +391,58 @@ fn server_round_trip_smoke() {
     c.close().expect("close");
     handle.shutdown();
 }
+
+/// A result too large for one frame is an `E` reply, not a dead
+/// connection: the streamed render stops at the 16 MiB cap, and the
+/// same connection then answers a `PING` and further queries —
+/// including one just under the cap.
+#[test]
+fn oversized_reply_is_an_error_and_the_connection_survives() {
+    let mut catalog = Catalog::new();
+    let t = catalog
+        .create_table(TableDef::new(
+            "big",
+            vec![
+                ColumnDef::new("k", orthopt_common::DataType::Int),
+                ColumnDef::new("s", orthopt_common::DataType::Str),
+            ],
+            vec![vec![0]],
+        ))
+        .unwrap();
+    let mib = "x".repeat(1 << 20);
+    catalog
+        .table_mut(t)
+        .insert_all((0..18).map(|k| vec![Value::Int(k), Value::str(&mib)]))
+        .unwrap();
+    catalog.analyze_all();
+    let engine = Engine::with_defaults(catalog);
+    let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    match c.query("select s from big") {
+        Err(Error::Exec(msg)) => assert_eq!(
+            msg,
+            "server: result exceeds the 16 MiB frame cap (add LIMIT or narrow the select list)"
+        ),
+        other => panic!(
+            "expected the frame-cap error, got {:?}",
+            other.map(|r| r.len())
+        ),
+    }
+    c.ping()
+        .expect("the connection outlives the oversized reply");
+    assert_eq!(
+        c.query("select k from big where k < 2")
+            .expect("small query"),
+        "T 2\nk\n0\n1"
+    );
+    let reply = c
+        .query("select s from big where k < 15")
+        .expect("15 MiB fits the frame");
+    assert!(reply.starts_with("T 15\ns\n'xxx"));
+    assert_eq!(reply.len(), "T 15\ns".len() + 15 * ((1 << 20) + 3));
+    c.close().expect("close");
+    handle.shutdown();
+}

@@ -96,3 +96,68 @@ fn q17_stats_agree_serial_vs_parallel() {
     let mut db = tpch_db();
     check_query(&mut db, "Q17", &queries::q17_brand_only("brand#23"));
 }
+
+/// The `agg_par2` shape: a grouped aggregate over lineitem with COUNT,
+/// SUM, AVG, MIN and one DISTINCT, at low and high group cardinality.
+/// Parallel runs equal the serial one, and the workers take the same
+/// lane-fed path the serial aggregate takes: every node under the
+/// exchange — the aggregate's own slot included — reports kernels and
+/// no bridge.
+#[test]
+fn partial_aggregation_parity_and_kernel_path() {
+    let mut db = tpch_db();
+    for group in ["l_returnflag", "l_partkey"] {
+        let sql = format!(
+            "select {group}, count(*), sum(l_quantity), avg(l_extendedprice), \
+             min(l_shipdate), count(distinct l_linestatus) from lineitem group by {group}"
+        );
+        db.set_parallelism(1);
+        let mut serial = db.execute(&sql).unwrap().rows;
+        serial.sort_by(cmp_rows);
+        for workers in [1, 2, 4] {
+            db.set_parallelism(workers);
+            let result = db.execute(&sql).unwrap();
+            // Partial sums of cent-valued prices reassociate; everything
+            // else is exact.
+            assert!(
+                orthopt_common::row::bag_eq_approx(&serial, &result.rows, 1e-9),
+                "{group} at parallelism {workers} diverged from serial"
+            );
+        }
+
+        db.set_parallelism(2);
+        let plan = db.plan(&sql, OptimizerLevel::Full).unwrap();
+        let labels = orthopt_exec::phys_node_labels(&plan.physical);
+        let exchange = labels
+            .iter()
+            .position(|(_, label)| label.starts_with("Exchange"))
+            .unwrap_or_else(|| panic!("{group}: no exchange placed\n{labels:?}"));
+        assert!(
+            labels[exchange + 1].1.starts_with("HashAggregate"),
+            "{group}: expected partial aggregation under the exchange\n{labels:?}"
+        );
+        let mut pipeline = Pipeline::compile(&plan.physical).unwrap();
+        pipeline.set_parallelism(2);
+        pipeline.set_shared_catalog(db.shared_catalog());
+        pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
+        let stats = pipeline.stats();
+        // The exchanged subtree is the rest of the plan: the aggregate
+        // and its scan chain.
+        for (i, s) in stats.iter().enumerate().skip(exchange + 1) {
+            assert!(
+                s.kernels > 0 && s.bridged == 0,
+                "{group}: node {i} ({}) kernels={} bridged={}",
+                labels[i].1,
+                s.kernels,
+                s.bridged
+            );
+            // `workers` counts distinct pool threads, so 2 is the
+            // ceiling, not a promise: one thread may run both tasks.
+            assert!((1..=2).contains(&s.workers), "{group}: node {i}");
+        }
+        let analyzed = db.explain_analyze(&sql, OptimizerLevel::Full).unwrap();
+        assert!(analyzed.contains("workers="), "{group}:\n{analyzed}");
+        assert!(analyzed.contains("kernels="), "{group}:\n{analyzed}");
+        assert!(!analyzed.contains("bridged="), "{group}:\n{analyzed}");
+    }
+}

@@ -27,6 +27,7 @@ pub mod physical;
 pub mod pipeline;
 pub mod reference;
 pub mod scheduler;
+mod sort;
 pub mod spill;
 pub mod stats;
 pub mod vector;

@@ -40,23 +40,24 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthopt_common::row::rows_bytes;
+use orthopt_common::column::{cols_bytes, rows_to_columns, Column};
 use orthopt_common::{ColId, Error, MemoryReservation, Result, Row, Value};
 use orthopt_ir::{AggDef, GroupKind, JoinKind};
 use orthopt_storage::Catalog;
 
 use crate::aggregate::GroupedAggState;
 use crate::bindings::Bindings;
-use crate::eval::{eval, eval_predicate, EvalCtx};
+use crate::eval::{eval_predicate, EvalCtx, PosMap};
 use crate::physical::PhysExpr;
 use crate::pipeline::{
-    drain_pending, free_inputs, Batch, ExecCtx, Operator, Pipeline, PipelineOptions, MEM_HINT,
+    free_inputs, AggInput, Batch, ColumnBatches, ExecCtx, Operator, Pipeline, PipelineOptions,
+    MEM_HINT,
 };
 use crate::scheduler::Scheduler;
 use crate::stats::OpStats;
@@ -557,21 +558,20 @@ where
     Ok(out)
 }
 
-/// Verifies every gathered row matches the expected output layout
-/// before it enters a shared buffer. Worker plans are synthesized by
-/// plan surgery ([`substitute`]), so a substitution bug would otherwise
-/// corrupt the merged stream silently; like
-/// [`Batch::check_width`](crate::pipeline::Batch::check_width) this
-/// runs in release builds too and reports through `common::error`
-/// rather than panicking.
-fn check_gathered(rows: &[Row], width: usize, site: &str) -> Result<()> {
-    match rows.iter().find(|r| r.len() != width) {
-        None => Ok(()),
-        Some(r) => Err(Error::internal(format!(
-            "exchange {site}: gathered row has {} columns, layout expects {width}",
-            r.len()
-        ))),
-    }
+/// Runs a worker or fallback pipeline to completion, collecting its
+/// output as column batches: a worker's morsel slices travel back to
+/// the gather without copying a value.
+fn run_to_columns(
+    pipe: &mut Pipeline,
+    catalog: &Catalog,
+    binds: &Bindings,
+) -> Result<ColumnBatches> {
+    let mut out = Vec::new();
+    pipe.execute_each(catalog, binds, |b| {
+        out.push(b.into_columns());
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 #[allow(dead_code)]
@@ -579,8 +579,10 @@ fn thread_safety_asserts() {
     fn send<T: Send>() {}
     fn sync<T: Sync>() {}
     // Worker plans move into threads; catalogs are shared by reference;
-    // rows and partial aggregation states travel back.
+    // column batches, probe rows and partial aggregation states travel
+    // back.
     send::<PhysExpr>();
+    send::<ColumnBatches>();
     send::<Row>();
     send::<GroupedAggState>();
     sync::<Catalog>();
@@ -608,10 +610,11 @@ pub struct ExchangeOp {
     spill: bool,
     out_cols: Rc<[ColId]>,
     invariant: bool,
-    pending: Vec<Row>,
+    /// Gathered output, handed to the parent batch by batch.
+    pending: VecDeque<(Vec<Column>, usize)>,
     done: bool,
-    /// Charges the gathered-row buffer (`pending`) against the query's
-    /// memory budget; workers stream into it before the parent drains.
+    /// Charges the gather buffer (`pending`) against the query's memory
+    /// budget; workers stream into it before the parent drains.
     mem: MemoryReservation,
 }
 
@@ -633,7 +636,7 @@ impl ExchangeOp {
             spill,
             out_cols,
             invariant,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             done: false,
             mem: MemoryReservation::detached("Exchange"),
         }
@@ -648,13 +651,43 @@ impl ExchangeOp {
         }
     }
 
-    /// Charges freshly gathered rows to the exchange's reservation
-    /// before they enter the shared `pending` buffer. Also a fault site
-    /// (`exchange.gather`), so injection can exercise the gather path.
-    fn charge_gathered(&mut self, rows: &[Row]) -> Result<()> {
+    /// Moves freshly gathered batches into the shared `pending` buffer,
+    /// charging them to the exchange's reservation first. Worker plans
+    /// are synthesized by plan surgery ([`substitute`]), so a
+    /// substitution bug would otherwise corrupt the merged stream
+    /// silently: like [`Batch::check_width`] the layout check runs in
+    /// release builds too and reports through `common::error` rather
+    /// than panicking. Also a fault site (`exchange.gather`), so
+    /// injection can exercise the gather path.
+    fn gather(&mut self, batches: ColumnBatches, site: &str) -> Result<()> {
+        let width = self.out_cols.len();
+        if let Some((columns, _)) = batches.iter().find(|(c, _)| c.len() != width) {
+            return Err(Error::internal(format!(
+                "exchange {site}: gathered batch has {} columns, layout expects {width}",
+                columns.len()
+            )));
+        }
+        let bytes = batches.iter().map(|(c, n)| cols_bytes(c, *n)).sum();
         crate::faults::hit("exchange.gather")
-            .and_then(|()| self.mem.grow(rows_bytes(rows)))
-            .map_err(|e| e.with_hint(MEM_HINT))
+            .and_then(|()| self.mem.grow(bytes))
+            .map_err(|e| e.with_hint(MEM_HINT))?;
+        self.pending
+            .extend(batches.into_iter().filter(|(_, len)| *len > 0));
+        Ok(())
+    }
+
+    /// [`gather`](Self::gather) for the producers that still assemble
+    /// rows (the repartitioned probe, a merged aggregate's result):
+    /// one transposition at the boundary.
+    fn gather_rows(&mut self, rows: &[Row], site: &str) -> Result<()> {
+        let width = self.out_cols.len();
+        if let Some(r) = rows.iter().find(|r| r.len() != width) {
+            return Err(Error::internal(format!(
+                "exchange {site}: gathered row has {} columns, layout expects {width}",
+                r.len()
+            )));
+        }
+        self.gather(vec![(rows_to_columns(rows, width), rows.len())], site)
     }
 
     /// Serial fallback: compile and run the unmodified subtree, copying
@@ -663,7 +696,7 @@ impl ExchangeOp {
         let mut pipe = Pipeline::with_options(&self.plan, self.pipe_options())?;
         pipe.set_governor(ctx.gov.clone());
         let binds = ctx.binds.borrow().clone();
-        let chunk = pipe.execute(ctx.catalog, &binds)?;
+        let batches = run_to_columns(&mut pipe, ctx.catalog, &binds)?;
         let sub = pipe.stats();
         let mut stats = self.stats.borrow_mut();
         for (i, s) in sub.iter().enumerate() {
@@ -675,10 +708,7 @@ impl ExchangeOp {
             slot.mem_peak = slot.mem_peak.max(s.mem_peak);
         }
         drop(stats);
-        check_gathered(&chunk.rows, self.out_cols.len(), "serial fallback")?;
-        self.charge_gathered(&chunk.rows)?;
-        self.pending.extend(chunk.rows);
-        Ok(())
+        self.gather(batches, "serial fallback")
     }
 
     /// Runs a join build side once, serially, recording its stats into
@@ -699,10 +729,10 @@ impl ExchangeOp {
             slot.elapsed += s.elapsed;
             slot.mem_peak = slot.mem_peak.max(s.mem_peak);
         }
-        let cols = build.out_cols();
-        check_gathered(&chunk.rows, cols.len(), "build broadcast")?;
+        // The build plan runs unmodified (no surgery), and `execute`
+        // checked every batch against its layout.
         Ok(BuildRows {
-            cols,
+            cols: build.out_cols(),
             rows: chunk.rows,
         })
     }
@@ -801,16 +831,14 @@ impl ExchangeOp {
         let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
             let mut pipe = Pipeline::with_options(&plan, opts)?;
             pipe.set_governor(gov.clone());
-            let chunk = pipe.execute(catalog, &Bindings::new())?;
-            Ok((chunk.rows, pipe.stats()))
+            let batches = run_to_columns(&mut pipe, catalog, &Bindings::new())?;
+            Ok((batches, pipe.stats()))
         })?;
         let tagged: Vec<(usize, Vec<OpStats>)> =
             results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
         self.absorb_workers(0, align, &tagged);
-        for (_, (rows, _)) in results {
-            check_gathered(&rows, self.out_cols.len(), "pipelined gather")?;
-            self.charge_gathered(&rows)?;
-            self.pending.extend(rows);
+        for (_, (batches, _)) in results {
+            self.gather(batches, "pipelined gather")?;
         }
         Ok(())
     }
@@ -937,9 +965,7 @@ impl ExchangeOp {
         let mut total = 0usize;
         for (_, (rows, _)) in results {
             total += rows.len();
-            check_gathered(&rows, self.out_cols.len(), "repartition gather")?;
-            self.charge_gathered(&rows)?;
-            self.pending.extend(rows);
+            self.gather_rows(&rows, "repartition gather")?;
         }
         self.synthesize_root(total, t.elapsed(), spread, max);
         Ok(())
@@ -986,48 +1012,58 @@ impl ExchangeOp {
             .collect::<Result<_>>()?;
         let opts = self.pipe_options();
         let owned_aggs: Vec<AggDef> = aggs.to_vec();
-        let owned_groups = group_pos.clone();
-        let owned_in_cols = in_cols.clone();
         let gov = ctx.gov.clone();
         let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
             let mut pipe = Pipeline::with_options(&plan, opts)?;
             pipe.set_governor(gov.clone());
             let binds = Bindings::new();
+            let pos = PosMap::new(&in_cols);
+            let input = AggInput {
+                group_pos: &group_pos,
+                aggs: &owned_aggs,
+                cols: &in_cols,
+                pos: &pos,
+            };
             let mut state = GroupedAggState::new(&owned_aggs);
             // Each task's local state charges the shared pool; the
             // merged total is what a serial aggregate would hold.
             state.set_reservation(gov.reservation("PartialAgg"));
+            // The aggregate node's own kernel / bridge counts, as the
+            // serial operator would have noted them.
+            let mut fed = OpStats::default();
             pipe.execute_each(catalog, &binds, |b| {
-                for r in &b.into_rows() {
-                    let key: Vec<Value> = owned_groups.iter().map(|&i| r[i].clone()).collect();
-                    let args = owned_aggs
-                        .iter()
-                        .map(|a| {
-                            a.arg
-                                .as_ref()
-                                .map(|e| eval(e, &EvalCtx::plain(&owned_in_cols, r, &binds)))
-                                .transpose()
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    // Worker-local group state is a hard-fail site:
-                    // it cannot spill, so a refusal names the knob.
-                    state.feed(key, args).map_err(|e| e.with_hint(MEM_HINT))?;
+                let columnar = b.is_columnar();
+                let unfed = input.feed(Some(&mut state), b, &binds, false)?;
+                if let Some(err) = unfed.refusal {
+                    // Worker-local group state is a hard-fail site: it
+                    // cannot spill, so a refusal names the knob.
+                    return Err(err.with_hint(MEM_HINT));
+                }
+                if unfed.vectorized {
+                    fed.kernels += 1;
+                } else if columnar {
+                    fed.bridged += 1;
                 }
                 Ok(())
             })?;
-            Ok((state, pipe.stats()))
+            Ok((state, pipe.stats(), fed))
         })?;
-        let tagged: Vec<(usize, Vec<OpStats>)> =
-            results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
+        let tagged: Vec<(usize, Vec<OpStats>)> = results
+            .iter()
+            .map(|(w, (_, s, _))| (*w, s.clone()))
+            .collect();
         // The input subtree sits right after the aggregate node.
         self.absorb_workers(1, align, &tagged);
         let (spread, max) = ExchangeOp::worker_spread(
             results
                 .iter()
-                .map(|(w, (state, _))| (*w, state.group_count() as u64)),
+                .map(|(w, (state, _, _))| (*w, state.group_count() as u64)),
         );
         let mut merged: Option<GroupedAggState> = None;
-        for (_, (state, _)) in results {
+        let (mut kernels, mut bridged) = (0, 0);
+        for (_, (state, _, fed)) in results {
+            kernels += fed.kernels;
+            bridged += fed.bridged;
             match &mut merged {
                 None => merged = Some(state),
                 Some(m) => m.merge(state).map_err(|e| e.with_hint(MEM_HINT))?,
@@ -1043,11 +1079,10 @@ impl ExchangeOp {
             let mut stats = self.stats.borrow_mut();
             let slot = &mut stats[self.base];
             slot.mem_peak = slot.mem_peak.max(state_peak);
+            slot.kernels += kernels;
+            slot.bridged += bridged;
         }
-        check_gathered(&rows, self.out_cols.len(), "partial-agg merge")?;
-        self.charge_gathered(&rows)?;
-        self.pending.extend(rows);
-        Ok(())
+        self.gather_rows(&rows, "partial-agg merge")
     }
 }
 
@@ -1064,11 +1099,22 @@ impl Operator for ExchangeOp {
             self.compute(ctx)?;
             self.done = true;
         }
-        Ok(drain_pending(
-            &mut self.pending,
-            self.batch_size,
-            &self.out_cols,
-        ))
+        // Worker batches pass through as they are; only a gathered
+        // batch over the batch size (a merged aggregate's result) is cut.
+        let Some((columns, len)) = self.pending.front_mut() else {
+            return Ok(None);
+        };
+        let take = (*len).min(self.batch_size);
+        let head = columns.iter().map(|c| c.slice(0, take)).collect();
+        if take == *len {
+            self.pending.pop_front();
+        } else {
+            for c in columns.iter_mut() {
+                *c = c.slice(take, *len - take);
+            }
+            *len -= take;
+        }
+        Ok(Some(Batch::from_columns(self.out_cols.clone(), head, take)))
     }
 
     fn mem_peak(&self) -> u64 {

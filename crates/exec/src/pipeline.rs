@@ -36,8 +36,9 @@ use crate::bindings::Bindings;
 use crate::chunk::Chunk;
 use crate::eval::{eval, eval_predicate, EvalCtx, PosMap};
 use crate::physical::PhysExpr;
+use crate::sort::SortOp;
 use crate::spill::{
-    partition_of, SpillFile, SpillManager, SpillPartitions, SpillReader, FANOUT, MAX_SPILL_DEPTH,
+    partition_of, SpillFile, SpillManager, SpillPartitions, FANOUT, MAX_SPILL_DEPTH,
 };
 use crate::stats::OpStats;
 use crate::vector::{
@@ -54,7 +55,7 @@ pub(crate) const MEM_HINT: &str = "raise ORTHOPT_MEM_LIMIT / SET mem_limit";
 
 /// Hint attached to refusals at sites that *could* have spilled but had
 /// spilling disabled.
-const MEM_OR_SPILL_HINT: &str =
+pub(crate) const MEM_OR_SPILL_HINT: &str =
     "raise ORTHOPT_MEM_LIMIT / SET mem_limit, or enable spilling (SET spill = on)";
 
 /// Physical representation of the data carried by a [`Batch`].
@@ -231,6 +232,12 @@ impl Batch {
     }
 }
 
+/// Column batches held outside a [`Batch`] — buffered by Sort, carried
+/// across threads by the exchange — as `(columns, lane count)`.
+/// [`Column`] is `Arc`-backed, so these are `Send` and share storage
+/// with whatever they were sliced from.
+pub(crate) type ColumnBatches = Vec<(Vec<Column>, usize)>;
+
 /// A cheap clonable handle onto one operator's [`OpStats`] slot.
 /// Operators use it to count vectorized kernel invocations
 /// (`kernels`) and columnar→row bridge conversions (`bridged`) without
@@ -247,7 +254,7 @@ impl StatsHandle {
     }
 
     /// Counts one vectorized kernel invocation.
-    fn note_kernel(&self) {
+    pub(crate) fn note_kernel(&self) {
         self.stats.borrow_mut()[self.id].kernels += 1;
     }
 
@@ -269,7 +276,7 @@ impl StatsHandle {
 
     /// Records spill activity: partition files written and the bytes
     /// that went to disk.
-    fn note_spill(&self, partitions: u64, bytes: u64) {
+    pub(crate) fn note_spill(&self, partitions: u64, bytes: u64) {
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[self.id];
         s.spill_partitions += partitions;
@@ -377,7 +384,7 @@ pub trait Operator {
     }
 }
 
-type BoxOp = Box<dyn Operator>;
+pub(crate) type BoxOp = Box<dyn Operator>;
 
 /// Compile-time knobs for a [`Pipeline`]. Session-scoped settings that
 /// must be baked into the compiled operators (rather than read from
@@ -577,21 +584,18 @@ fn pos_of(layout: &[ColId], id: ColId) -> Result<usize> {
         .ok_or_else(|| Error::internal(format!("column {id} missing from operator layout")))
 }
 
-/// Splits off up to `batch_size` rows from the front of `pending`.
+/// Takes up to `batch_size` rows off the front of `pending`, in time
+/// proportional to the rows taken (not to the rows left behind).
 pub(crate) fn drain_pending(
-    pending: &mut Vec<Row>,
+    pending: &mut VecDeque<Row>,
     batch_size: usize,
     cols: &Rc<[ColId]>,
 ) -> Option<Batch> {
     if pending.is_empty() {
         return None;
     }
-    if pending.len() <= batch_size {
-        return Some(Batch::new(cols.clone(), std::mem::take(pending)));
-    }
-    let rest = pending.split_off(batch_size);
-    let head = std::mem::replace(pending, rest);
-    Some(Batch::new(cols.clone(), head))
+    let take = batch_size.min(pending.len());
+    Some(Batch::new(cols.clone(), pending.drain(..take).collect()))
 }
 
 // ---------------------------------------------------------------------
@@ -922,7 +926,7 @@ impl Compiler {
                     row_table_ready: false,
                     built: false,
                     out_queue: VecDeque::new(),
-                    pending: Vec::new(),
+                    pending: VecDeque::new(),
                     left_done: false,
                     batch_size: bs,
                     mem: MemoryReservation::detached("HashJoin"),
@@ -957,7 +961,7 @@ impl Compiler {
                     right_stable,
                     right_rows: Vec::new(),
                     right_built: false,
-                    pending: Vec::new(),
+                    pending: VecDeque::new(),
                     left_done: false,
                     batch_size: bs,
                     mem: MemoryReservation::detached("NLJoin"),
@@ -983,7 +987,7 @@ impl Compiler {
                     right_width: right.out_cols().len(),
                     out_cols: rc_cols(&p.out_cols()),
                     inner_binds: Rc::new(RefCell::new(Bindings::new())),
-                    pending: Vec::new(),
+                    pending: VecDeque::new(),
                     left_done: false,
                     batch_size: bs,
                     stats: sh.clone(),
@@ -1011,7 +1015,7 @@ impl Compiler {
                     cache: HashMap::new(),
                     degraded: false,
                     mem: MemoryReservation::detached("BatchedApply"),
-                    pending: Vec::new(),
+                    pending: VecDeque::new(),
                     left_done: false,
                     batch_size: bs,
                     stats: sh.clone(),
@@ -1055,7 +1059,7 @@ impl Compiler {
                     cache: HashMap::new(),
                     degraded: false,
                     mem: MemoryReservation::detached("IndexLookupJoin"),
-                    pending: Vec::new(),
+                    pending: VecDeque::new(),
                     left_done: false,
                     batch_size: bs,
                     stats: sh.clone(),
@@ -1096,7 +1100,7 @@ impl Compiler {
                     segments: Vec::new(),
                     partitioned: false,
                     seg_cursor: 0,
-                    pending: Vec::new(),
+                    pending: VecDeque::new(),
                     batch_size: bs,
                     mem: MemoryReservation::detached("SegmentExec"),
                     stats: sh.clone(),
@@ -1130,7 +1134,7 @@ impl Compiler {
                     in_cols: rc_cols(&in_layout),
                     out_cols: rc_cols(&p.out_cols()),
                     state: None,
-                    result: Vec::new(),
+                    result: VecDeque::new(),
                     done: false,
                     batch_size: bs,
                     allow_spill: self.spill,
@@ -1213,25 +1217,20 @@ impl Compiler {
                     .iter()
                     .map(|(c, desc)| Ok((pos_of(&in_layout, *c)?, *desc)))
                     .collect::<Result<Vec<_>>>()?;
-                Box::new(SortOp {
-                    input: self.compile(input, in_param)?,
+                Box::new(SortOp::new(
+                    self.compile(input, in_param)?,
                     by_pos,
-                    cols: rc_cols(&in_layout),
-                    buffered: Vec::new(),
-                    sorted: false,
-                    batch_size: bs,
-                    mem: MemoryReservation::detached("Sort"),
-                    allow_spill: self.spill,
-                    runs: Vec::new(),
-                    merge: None,
-                    stats: sh.clone(),
-                })
+                    rc_cols(&in_layout),
+                    bs,
+                    self.spill,
+                    sh.clone(),
+                ))
             }
             PhysExpr::Limit { input, n } => Box::new(LimitOp {
                 cols: rc_cols(&input.out_cols()),
                 input: self.compile(input, in_param)?,
                 n: *n,
-                buffered: Vec::new(),
+                buffered: VecDeque::new(),
                 done: false,
                 batch_size: bs,
                 mem: MemoryReservation::detached("Limit"),
@@ -1917,7 +1916,7 @@ fn probe_rows_against(
     right_width: usize,
     rows: Vec<Row>,
     binds: &Bindings,
-    pending: &mut Vec<Row>,
+    pending: &mut VecDeque<Row>,
 ) -> Result<()> {
     for lr in rows {
         let matches = join_key(&lr, left_pos).and_then(|k| table.get(&k));
@@ -1934,7 +1933,7 @@ fn probe_rows_against(
                 if pass {
                     matched = true;
                     match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => pending.push(row),
+                        JoinKind::Inner | JoinKind::LeftOuter => pending.push_back(row),
                         JoinKind::LeftSemi | JoinKind::LeftAnti => break,
                     }
                 }
@@ -1944,10 +1943,10 @@ fn probe_rows_against(
             JoinKind::LeftOuter if !matched => {
                 let mut row = lr;
                 row.extend(std::iter::repeat_n(Value::Null, right_width));
-                pending.push(row);
+                pending.push_back(row);
             }
-            JoinKind::LeftSemi if matched => pending.push(lr),
-            JoinKind::LeftAnti if !matched => pending.push(lr),
+            JoinKind::LeftSemi if matched => pending.push_back(lr),
+            JoinKind::LeftAnti if !matched => pending.push_back(lr),
             _ => {}
         }
     }
@@ -1989,7 +1988,7 @@ struct HashJoinOp {
     built: bool,
     /// Finished output batches, ahead of `pending` in output order.
     out_queue: VecDeque<Batch>,
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     left_done: bool,
     batch_size: usize,
     mem: MemoryReservation,
@@ -2054,7 +2053,7 @@ impl HashJoinOp {
         if !self.pending.is_empty() {
             self.out_queue.push_back(Batch::new(
                 self.out_cols.clone(),
-                std::mem::take(&mut self.pending),
+                std::mem::take(&mut self.pending).into(),
             ));
         }
     }
@@ -2252,9 +2251,9 @@ impl HashJoinOp {
                     JoinKind::Inner | JoinKind::LeftSemi => {}
                     JoinKind::LeftOuter => {
                         lr.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                        self.pending.push(lr);
+                        self.pending.push_back(lr);
                     }
-                    JoinKind::LeftAnti => self.pending.push(lr),
+                    JoinKind::LeftAnti => self.pending.push_back(lr),
                 },
             }
         }
@@ -2577,7 +2576,7 @@ struct NLJoinOp {
     right_stable: bool,
     right_rows: Vec<Row>,
     right_built: bool,
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     left_done: bool,
     batch_size: usize,
     mem: MemoryReservation,
@@ -2597,7 +2596,7 @@ impl NLJoinOp {
                 )? {
                     matched = true;
                     match self.kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => self.pending.push(row),
+                        JoinKind::Inner | JoinKind::LeftOuter => self.pending.push_back(row),
                         JoinKind::LeftSemi | JoinKind::LeftAnti => break,
                     }
                 }
@@ -2606,10 +2605,10 @@ impl NLJoinOp {
                 JoinKind::LeftOuter if !matched => {
                     let mut row = lr;
                     row.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                    self.pending.push(row);
+                    self.pending.push_back(row);
                 }
-                JoinKind::LeftSemi if matched => self.pending.push(lr),
-                JoinKind::LeftAnti if !matched => self.pending.push(lr),
+                JoinKind::LeftSemi if matched => self.pending.push_back(lr),
+                JoinKind::LeftAnti if !matched => self.pending.push_back(lr),
                 _ => {}
             }
         }
@@ -2679,7 +2678,7 @@ struct ApplyLoopOp {
     /// Private bindings the inner plan runs under; parameter slots are
     /// overwritten per outer row, then the inner subtree is re-opened.
     inner_binds: Rc<RefCell<Bindings>>,
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     left_done: bool,
     batch_size: usize,
     stats: StatsHandle,
@@ -2725,23 +2724,23 @@ impl Operator for ApplyLoopOp {
                         if inner_rows.is_empty() && self.kind == ApplyKind::LeftOuter {
                             let mut row = lr;
                             row.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                            self.pending.push(row);
+                            self.pending.push_back(row);
                         } else {
                             for ir in inner_rows {
                                 let mut row = lr.clone();
                                 row.extend(ir);
-                                self.pending.push(row);
+                                self.pending.push_back(row);
                             }
                         }
                     }
                     ApplyKind::Semi => {
                         if !inner_rows.is_empty() {
-                            self.pending.push(lr);
+                            self.pending.push_back(lr);
                         }
                     }
                     ApplyKind::Anti => {
                         if inner_rows.is_empty() {
-                            self.pending.push(lr);
+                            self.pending.push_back(lr);
                         }
                     }
                 }
@@ -2801,30 +2800,30 @@ fn emit_apply_row(
     lr: Row,
     inner_rows: &[Row],
     right_width: usize,
-    pending: &mut Vec<Row>,
+    pending: &mut VecDeque<Row>,
 ) {
     match kind {
         ApplyKind::Cross | ApplyKind::LeftOuter => {
             if inner_rows.is_empty() && kind == ApplyKind::LeftOuter {
                 let mut row = lr;
                 row.extend(std::iter::repeat_n(Value::Null, right_width));
-                pending.push(row);
+                pending.push_back(row);
             } else {
                 for ir in inner_rows {
                     let mut row = lr.clone();
                     row.extend(ir.iter().cloned());
-                    pending.push(row);
+                    pending.push_back(row);
                 }
             }
         }
         ApplyKind::Semi => {
             if !inner_rows.is_empty() {
-                pending.push(lr);
+                pending.push_back(lr);
             }
         }
         ApplyKind::Anti => {
             if inner_rows.is_empty() {
-                pending.push(lr);
+                pending.push_back(lr);
             }
         }
     }
@@ -2858,7 +2857,7 @@ struct BatchedApplyOp {
     /// shed and bindings execute uncached (still deduped per batch).
     degraded: bool,
     mem: MemoryReservation,
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     left_done: bool,
     batch_size: usize,
     stats: StatsHandle,
@@ -2990,7 +2989,7 @@ struct IndexLookupJoinOp {
     cache: HashMap<Row, Rc<Vec<Row>>>,
     degraded: bool,
     mem: MemoryReservation,
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     left_done: bool,
     batch_size: usize,
     stats: StatsHandle,
@@ -3145,7 +3144,7 @@ struct SegmentExecOp {
     segments: Vec<(Vec<Value>, Vec<Row>)>,
     partitioned: bool,
     seg_cursor: usize,
-    pending: Vec<Row>,
+    pending: VecDeque<Row>,
     batch_size: usize,
     mem: MemoryReservation,
     stats: StatsHandle,
@@ -3213,7 +3212,7 @@ impl Operator for SegmentExecOp {
                                 OutSrc::Inner(p) => ir[*p].clone(),
                             })
                             .collect();
-                        self.pending.push(row);
+                        self.pending.push_back(row);
                     }
                 }
                 Ok(())
@@ -3248,6 +3247,118 @@ struct SpilledAgg {
     has_arg: Vec<bool>,
 }
 
+/// How an aggregate reads its input batches: where the group key sits
+/// and which argument expression each aggregate evaluates. The serial
+/// [`HashAggregateOp`] and the exchange's partial-aggregation workers
+/// feed their [`GroupedAggState`]s through this one routine.
+pub(crate) struct AggInput<'a> {
+    pub(crate) group_pos: &'a [usize],
+    pub(crate) aggs: &'a [AggDef],
+    pub(crate) cols: &'a [ColId],
+    pub(crate) pos: &'a PosMap,
+}
+
+/// What [`AggInput::feed`] did not apply to the state.
+pub(crate) struct Unfed {
+    /// Evaluated `(key, args)` of the rows not applied, in input order.
+    pub(crate) rows: Vec<(Row, Vec<Option<Value>>)>,
+    /// The governor's refusal, when one stopped the feed in this batch.
+    pub(crate) refusal: Option<Error>,
+    /// The batch went through the whole-column kernels.
+    pub(crate) vectorized: bool,
+}
+
+impl AggInput<'_> {
+    /// Feeds one batch into `state` (`None`: a frozen state, every row
+    /// comes back unfed). A columnar batch evaluates each aggregate
+    /// argument as a whole column, then streams the lanes in through
+    /// [`GroupedAggState::feed_lanes_or_reject`]; an argument kernel
+    /// error, or a row batch, takes the row path on the whole batch.
+    /// Charges are lane- and row-atomic, so a refusal leaves the state
+    /// consistent: the feed stops there and, if `keep_tail`, the rest of
+    /// the batch is evaluated and handed back for spilling.
+    pub(crate) fn feed(
+        &self,
+        mut state: Option<&mut GroupedAggState>,
+        b: Batch,
+        binds: &Bindings,
+        keep_tail: bool,
+    ) -> Result<Unfed> {
+        if let Some((columns, len)) = b.columns() {
+            let cx = VecEval {
+                cols: self.cols,
+                pos: self.pos,
+                columns,
+                len,
+                binds,
+            };
+            let args: Result<Vec<Option<Column>>> = self
+                .aggs
+                .iter()
+                .map(|a| a.arg.as_ref().map(|e| eval_column(e, &cx)).transpose())
+                .collect();
+            if let Ok(arg_cols) = args {
+                let key_cols: Vec<&Column> = self.group_pos.iter().map(|&i| &columns[i]).collect();
+                let (applied, refusal) = match state {
+                    Some(st) => st.feed_lanes_or_reject(&key_cols, &arg_cols, len)?,
+                    None => (0, None),
+                };
+                let tail = if refusal.is_some() && !keep_tail {
+                    len
+                } else {
+                    applied
+                };
+                let rows = (tail..len)
+                    .map(|i| {
+                        let key: Row = key_cols.iter().map(|c| c.value(i)).collect();
+                        let row_args = arg_cols
+                            .iter()
+                            .map(|c| c.as_ref().map(|c| c.value(i)))
+                            .collect();
+                        (key, row_args)
+                    })
+                    .collect();
+                return Ok(Unfed {
+                    rows,
+                    refusal,
+                    vectorized: true,
+                });
+            }
+        }
+        let mut unfed = Unfed {
+            rows: Vec::new(),
+            refusal: None,
+            vectorized: false,
+        };
+        for r in &b.into_rows() {
+            let key: Row = self.group_pos.iter().map(|&i| r[i].clone()).collect();
+            let args = self
+                .aggs
+                .iter()
+                .map(|a| {
+                    a.arg
+                        .as_ref()
+                        .map(|e| eval(e, &EvalCtx::mapped(self.cols, self.pos, r, binds)))
+                        .transpose()
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let resident = state.as_deref_mut().filter(|_| unfed.refusal.is_none());
+            let Some(st) = resident else {
+                unfed.rows.push((key, args));
+                continue;
+            };
+            if let FeedOutcome::Refused { key, args, err } = st.feed_or_reject(key, args)? {
+                unfed.refusal = Some(err);
+                if !keep_tail {
+                    break;
+                }
+                unfed.rows.push((key, args));
+            }
+        }
+        Ok(unfed)
+    }
+}
+
 struct HashAggregateOp {
     kind: GroupKind,
     input: BoxOp,
@@ -3257,7 +3368,7 @@ struct HashAggregateOp {
     in_pos: PosMap,
     out_cols: Rc<[ColId]>,
     state: Option<GroupedAggState>,
-    result: Vec<Row>,
+    result: VecDeque<Row>,
     done: bool,
     batch_size: usize,
     /// Peak bytes of the grouped state, captured before `finish`
@@ -3313,95 +3424,36 @@ impl HashAggregateOp {
                     self.enter_spill(ctx)?;
                 }
             }
-            let binds = ctx.binds.borrow();
-            // Vectorized feed: evaluate every aggregate argument as a
-            // whole column first (an argument kernel error falls back
-            // to the row path on the whole batch), then stream the
-            // lanes into the grouped state. Lane charges are atomic:
-            // a refused lane leaves the state consistent and the tail
-            // of the batch goes to disk.
-            let mut vector_ok = false;
-            if let Some((columns, len)) = b.columns() {
-                let cx = VecEval {
-                    cols: &self.in_cols,
-                    pos: &self.in_pos,
-                    columns,
-                    len,
-                    binds: &binds,
-                };
-                let args: Result<Vec<Option<Column>>> = self
-                    .aggs
-                    .iter()
-                    .map(|a| a.arg.as_ref().map(|e| eval_column(e, &cx)).transpose())
-                    .collect();
-                if let Ok(arg_cols) = args {
-                    let key_cols: Vec<&Column> =
-                        self.group_pos.iter().map(|&i| &columns[i]).collect();
-                    let mut start = 0;
-                    if self.spilled.is_none() {
-                        let (applied, refusal) =
-                            state.feed_lanes_or_reject(&key_cols, &arg_cols, len)?;
-                        match refusal {
-                            None => start = len,
-                            Some(err) => {
-                                if !self.allow_spill {
-                                    return Err(err.with_hint(MEM_OR_SPILL_HINT));
-                                }
-                                self.enter_spill(ctx)?;
-                                start = applied;
-                            }
-                        }
-                    }
-                    if start < len {
-                        for i in start..len {
-                            let key: Row = self
-                                .group_pos
-                                .iter()
-                                .map(|&p| columns[p].value(i))
-                                .collect();
-                            let row_args: Vec<Option<Value>> = arg_cols
-                                .iter()
-                                .map(|c| c.as_ref().map(|c| c.value(i)))
-                                .collect();
-                            self.spill_row(key, row_args)?;
-                        }
-                        ctx.gov.check_cancelled("HashAggregate")?;
-                    }
-                    self.stats.note_kernel();
-                    vector_ok = true;
+            let columnar = b.is_columnar();
+            let unfed = AggInput {
+                group_pos: &self.group_pos,
+                aggs: &self.aggs,
+                cols: &self.in_cols,
+                pos: &self.in_pos,
+            }
+            .feed(
+                // Once spilling, the resident state is frozen.
+                self.spilled.is_none().then_some(&mut *state),
+                b,
+                &ctx.binds.borrow(),
+                self.allow_spill,
+            )?;
+            if unfed.vectorized {
+                self.stats.note_kernel();
+            } else if columnar {
+                self.stats.note_bridge();
+            }
+            if let Some(err) = unfed.refusal {
+                if !self.allow_spill {
+                    return Err(err.with_hint(MEM_OR_SPILL_HINT));
                 }
+                self.enter_spill(ctx)?;
             }
-            if vector_ok {
-                continue;
-            }
-            for r in &self.stats.bridge_rows(b) {
-                let key: Vec<Value> = self.group_pos.iter().map(|&i| r[i].clone()).collect();
-                let args = self
-                    .aggs
-                    .iter()
-                    .map(|a| {
-                        a.arg
-                            .as_ref()
-                            .map(|e| {
-                                eval(e, &EvalCtx::mapped(&self.in_cols, &self.in_pos, r, &binds))
-                            })
-                            .transpose()
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                if self.spilled.is_some() {
+            if !unfed.rows.is_empty() {
+                for (key, args) in unfed.rows {
                     self.spill_row(key, args)?;
-                    continue;
                 }
-                match state.feed_or_reject(key, args)? {
-                    FeedOutcome::Fed => {}
-                    FeedOutcome::Refused { key, args, err } => {
-                        if !self.allow_spill {
-                            return Err(err.with_hint(MEM_OR_SPILL_HINT));
-                        }
-                        self.enter_spill(ctx)?;
-                        self.spill_row(key, args)?;
-                    }
-                }
+                ctx.gov.check_cancelled("HashAggregate")?;
             }
         }
         Ok(())
@@ -3518,7 +3570,8 @@ impl Operator for HashAggregateOp {
             self.result = match self.spilled.take() {
                 None => state.finish(self.kind),
                 Some(sp) => self.finish_spilled(ctx, state, sp)?,
-            };
+            }
+            .into();
             self.done = true;
         }
         Ok(
@@ -3532,224 +3585,11 @@ impl Operator for HashAggregateOp {
     }
 }
 
-/// Compares two rows under a sort specification (`(position, desc)`
-/// pairs). NULLs order via [`Value::total_cmp`].
-fn cmp_rows(a: &Row, b: &Row, by: &[(usize, bool)]) -> std::cmp::Ordering {
-    for &(i, desc) in by {
-        let mut o = a[i].total_cmp(&b[i]);
-        if desc {
-            o = o.reverse();
-        }
-        if o != std::cmp::Ordering::Equal {
-            return o;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// One run in an external k-way merge: a spilled sorted run being
-/// streamed block by block, or the final in-memory run (`reader` is
-/// `None` and `buf` holds all of it).
-struct RunCursor {
-    reader: Option<SpillReader>,
-    buf: VecDeque<Row>,
-}
-
-impl RunCursor {
-    /// Ensures `buf` has the run's next row (empty only at end-of-run).
-    fn refill(&mut self) -> Result<()> {
-        while self.buf.is_empty() {
-            let Some(r) = self.reader.as_mut() else {
-                return Ok(());
-            };
-            match r.next_block()? {
-                Some(rows) => self.buf = rows.into(),
-                None => self.reader = None,
-            }
-        }
-        Ok(())
-    }
-}
-
-/// K-way merge state over sorted runs. Cursors are ordered by run
-/// creation time; ties between heads resolve to the earliest run, which
-/// reproduces exactly the stable sort of the concatenated input.
-struct MergeState {
-    cursors: Vec<RunCursor>,
-}
-
-struct SortOp {
-    input: BoxOp,
-    by_pos: Vec<(usize, bool)>,
-    cols: Rc<[ColId]>,
-    buffered: Vec<Row>,
-    sorted: bool,
-    batch_size: usize,
-    mem: MemoryReservation,
-    /// Degrade to an external merge sort on a refused reservation.
-    allow_spill: bool,
-    /// Spilled sorted runs, in creation order. The files must outlive
-    /// `merge` (its readers reopen them by path); cleared when the
-    /// merge completes.
-    runs: Vec<SpillFile>,
-    merge: Option<MergeState>,
-    stats: StatsHandle,
-}
-
-impl SortOp {
-    /// Stable-sorts the buffered rows and writes them out as one run,
-    /// then releases the reservation (keeping its peak).
-    fn spill_run(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        let by = std::mem::take(&mut self.by_pos);
-        self.buffered.sort_by(|a, b| cmp_rows(a, b, &by));
-        self.by_pos = by;
-        let mut f = ctx.spill.create("sort-run")?;
-        for chunk in self.buffered.chunks(DEFAULT_BATCH_SIZE) {
-            f.append(chunk, self.cols.len())?;
-            ctx.gov.check_cancelled("Sort")?;
-        }
-        self.buffered.clear();
-        self.runs.push(f);
-        self.mem.reset();
-        Ok(())
-    }
-
-    /// Pops up to one batch of rows off the k-way merge.
-    fn merge_next(&mut self) -> Result<Vec<Row>> {
-        let m = self.merge.as_mut().expect("merge state active");
-        let mut out = Vec::new();
-        loop {
-            for c in &mut m.cursors {
-                c.refill()?;
-            }
-            let mut best: Option<usize> = None;
-            for (i, c) in m.cursors.iter().enumerate() {
-                let Some(h) = c.buf.front() else { continue };
-                best = match best {
-                    None => Some(i),
-                    Some(j) => {
-                        // Strict `<` keeps the earlier run on ties.
-                        let bh = m.cursors[j].buf.front().expect("best head present");
-                        if cmp_rows(h, bh, &self.by_pos) == std::cmp::Ordering::Less {
-                            Some(i)
-                        } else {
-                            Some(j)
-                        }
-                    }
-                };
-            }
-            let Some(i) = best else { break };
-            out.push(m.cursors[i].buf.pop_front().expect("head present"));
-            if out.len() >= self.batch_size {
-                break;
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl Operator for SortOp {
-    fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.buffered.clear();
-        self.sorted = false;
-        // Dropping stale runs removes their files (a previous errored
-        // execution of this cached pipeline may have left some).
-        self.runs.clear();
-        self.merge = None;
-        self.mem = ctx.gov.reservation("Sort");
-        self.input.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        if !self.sorted {
-            while let Some(b) = self.input.next_batch(ctx)? {
-                b.check_width(self.cols.len())?;
-                match crate::faults::hit("sort.buffer").and_then(|()| self.mem.grow(b.mem_bytes()))
-                {
-                    Ok(()) => {}
-                    Err(e) => {
-                        let refused = matches!(e, Error::ResourceExhausted { .. });
-                        if !(refused && self.allow_spill) {
-                            return Err(e.with_hint(MEM_OR_SPILL_HINT));
-                        }
-                        // Write everything buffered so far as a sorted
-                        // run, then retry the charge for this batch.
-                        self.spill_run(ctx)?;
-                        if let Err(e2) = self.mem.grow(b.mem_bytes()) {
-                            if !matches!(e2, Error::ResourceExhausted { .. }) {
-                                return Err(e2);
-                            }
-                            // The batch alone exceeds the budget: it
-                            // becomes its own run without ever being
-                            // resident past this point.
-                            let mut rows = self.stats.bridge_rows(b);
-                            rows.sort_by(|a, b| cmp_rows(a, b, &self.by_pos));
-                            let mut f = ctx.spill.create("sort-run")?;
-                            for chunk in rows.chunks(DEFAULT_BATCH_SIZE) {
-                                f.append(chunk, self.cols.len())?;
-                            }
-                            self.runs.push(f);
-                            ctx.gov.check_cancelled("Sort")?;
-                            continue;
-                        }
-                    }
-                }
-                let rows = self.stats.bridge_rows(b);
-                self.buffered.extend(rows);
-            }
-            let by = &self.by_pos;
-            self.buffered.sort_by(|a, b| cmp_rows(a, b, by));
-            self.sorted = true;
-            if !self.runs.is_empty() {
-                let written: u64 = self.runs.iter().map(SpillFile::bytes).sum();
-                let count = self.runs.iter().filter(|f| !f.is_empty()).count() as u64;
-                self.stats.note_spill(count, written);
-                let mut cursors = Vec::with_capacity(self.runs.len() + 1);
-                for f in &mut self.runs {
-                    cursors.push(RunCursor {
-                        reader: Some(f.reader()?),
-                        buf: VecDeque::new(),
-                    });
-                }
-                // The still-resident tail is the youngest run.
-                cursors.push(RunCursor {
-                    reader: None,
-                    buf: std::mem::take(&mut self.buffered).into(),
-                });
-                self.merge = Some(MergeState { cursors });
-            }
-        }
-        if self.merge.is_some() {
-            ctx.gov.check_cancelled("Sort")?;
-            let out = self.merge_next()?;
-            if out.is_empty() {
-                // Merge exhausted: drop the run files now rather than
-                // at close, so a long-lived cached pipeline does not
-                // pin disk space.
-                self.merge = None;
-                self.runs.clear();
-                self.mem.reset();
-                return Ok(None);
-            }
-            return Ok(Some(Batch::new(self.cols.clone(), out)));
-        }
-        Ok(drain_pending(
-            &mut self.buffered,
-            self.batch_size,
-            &self.cols,
-        ))
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
-    }
-}
-
 struct LimitOp {
     input: BoxOp,
     n: usize,
     cols: Rc<[ColId]>,
-    buffered: Vec<Row>,
+    buffered: VecDeque<Row>,
     done: bool,
     batch_size: usize,
     mem: MemoryReservation,
@@ -3985,6 +3825,27 @@ mod tests {
         }
     }
 
+    /// `drain_pending` cuts the same batches the `split_off` version
+    /// did: full `batch_size` windows in order, then the remainder.
+    #[test]
+    fn drain_pending_batch_boundaries() {
+        let cols: Rc<[ColId]> = vec![ColId(1)].into();
+        for batch_size in [1, 4, 1024] {
+            for n in [0, 1, batch_size, batch_size + 1, 3 * batch_size + 7] {
+                let rows: Vec<Row> = (0..n as i64).map(|i| vec![Value::Int(i)]).collect();
+                let mut pending: VecDeque<Row> = rows.iter().cloned().collect();
+                let mut batches = Vec::new();
+                while let Some(b) = drain_pending(&mut pending, batch_size, &cols) {
+                    batches.push(b.into_rows());
+                }
+                let expected: Vec<Vec<Row>> =
+                    rows.chunks(batch_size).map(<[Row]>::to_vec).collect();
+                assert_eq!(batches, expected, "{n} rows at batch size {batch_size}");
+                assert!(pending.is_empty());
+            }
+        }
+    }
+
     #[test]
     fn scan_respects_batch_size() {
         let catalog = catalog();
@@ -4125,22 +3986,17 @@ mod tests {
             }
         }
         let layout = rc_cols(&[ColId(1), ColId(2)]);
-        let mut sort = SortOp {
-            input: Box::new(LyingOp {
+        let mut sort = SortOp::new(
+            Box::new(LyingOp {
                 cols: layout.clone(),
                 fired: false,
             }),
-            by_pos: vec![(0, false)],
-            cols: layout,
-            buffered: Vec::new(),
-            sorted: false,
-            batch_size: 16,
-            mem: MemoryReservation::detached("Sort"),
-            allow_spill: false,
-            runs: Vec::new(),
-            merge: None,
-            stats: StatsHandle::new(Rc::new(RefCell::new(vec![OpStats::default()])), 0),
-        };
+            vec![(0, false)],
+            layout,
+            16,
+            false,
+            StatsHandle::new(Rc::new(RefCell::new(vec![OpStats::default()])), 0),
+        );
         let catalog = catalog();
         let ctx = ExecCtx::new(&catalog, Bindings::new());
         sort.open(&ctx).unwrap();

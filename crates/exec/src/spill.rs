@@ -284,23 +284,30 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Appends one block of `width`-column rows (crossing the
-    /// `spill.write` failpoint). Returns the encoded block size in
-    /// bytes. Empty blocks are skipped.
+    /// Appends one block of `width`-column rows. Returns the encoded
+    /// block size in bytes. Empty blocks are skipped.
     pub fn append(&mut self, rows: &[Row], width: usize) -> Result<u64> {
-        if rows.is_empty() {
+        self.append_columns(&rows_to_columns(rows, width), rows.len())
+    }
+
+    /// Appends one block of `len` lanes straight from columns (crossing
+    /// the `spill.write` failpoint) — the same bytes [`append`]
+    /// (SpillFile::append) writes for the equivalent rows. Returns the
+    /// encoded block size in bytes. Empty blocks are skipped.
+    pub fn append_columns(&mut self, columns: &[Column], len: usize) -> Result<u64> {
+        if len == 0 {
             return Ok(0);
         }
         crate::faults::hit("spill.write")?;
         let mut buf = Vec::new();
-        encode_block(rows, width, &mut buf);
+        encode_block(columns, len, &mut buf);
         let w = self
             .writer
             .as_mut()
             .ok_or_else(|| Error::internal("spill append after reader opened"))?;
         w.write_all(&buf)
             .map_err(|e| io_err("write", &self.path, &e))?;
-        self.rows += rows.len() as u64;
+        self.rows += len as u64;
         self.bytes += buf.len() as u64;
         self.counters
             .spilled
@@ -361,10 +368,17 @@ pub struct SpillReader {
 }
 
 impl SpillReader {
-    /// The next block of rows, or `None` at end of file (crossing the
-    /// `spill.read` failpoint). Truncated files surface as
-    /// [`Error::Exec`], never a panic.
+    /// The next block as rows, or `None` at end of file.
     pub fn next_block(&mut self) -> Result<Option<Vec<Row>>> {
+        Ok(self
+            .next_block_columns()?
+            .map(|(columns, len)| columns_to_rows(&columns, len)))
+    }
+
+    /// The next block as `(columns, lane count)`, or `None` at end of
+    /// file (crossing the `spill.read` failpoint). Truncated files
+    /// surface as [`Error::Exec`], never a panic.
+    pub fn next_block_columns(&mut self) -> Result<Option<(Vec<Column>, usize)>> {
         crate::faults::hit("spill.read")?;
         let mut head = [0u8; 4];
         match read_exact_or_eof(&mut self.inner, &mut head) {
@@ -378,14 +392,14 @@ impl SpillReader {
             path: &self.path,
             bytes: head.len() as u64,
         };
-        let rows = dec.block_body(nrows)?;
+        let columns = dec.block_body(nrows)?;
         self.counters
             .restored
             // relaxed-ok: byte-total telemetry counters.
             .fetch_add(dec.bytes, Ordering::Relaxed);
         // relaxed-ok: see above.
         TOTAL_RESTORED.fetch_add(dec.bytes, Ordering::Relaxed);
-        Ok(Some(rows))
+        Ok(Some((columns, nrows)))
     }
 }
 
@@ -465,11 +479,12 @@ impl SpillPartitions {
 //       Val   u8 value tag (0=Null 1=Bool 2=Int 3=Float 4=Str 5=Date)
 //             + that value's payload
 //
-// Encoding goes through `rows_to_columns`, so the typed representation
-// (and the Val fallback for mixed columns) is decided by exactly the
-// same code that builds columnar batches; decoding rebuilds `Column`s
-// and transposes back with `columns_to_rows`, so values round-trip
-// bit-exactly (floats via to_bits/from_bits).
+// A block's bytes depend only on its values, not on the representation
+// they arrived in: a `Val` window is re-typed by `Column::from_values`
+// (the code that types a row block) and a typed window with no valid
+// lane is tagged `Val`, as an all-NULL row block always was. Decoding
+// rebuilds `Column`s; values round-trip bit-exactly (floats via
+// to_bits/from_bits).
 // ---------------------------------------------------------------------
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
@@ -507,15 +522,29 @@ fn encode_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn encode_block(rows: &[Row], width: usize, buf: &mut Vec<u8>) {
-    let n = rows.len();
+fn encode_block(columns: &[Column], n: usize, buf: &mut Vec<u8>) {
     put_u32(buf, n as u32);
-    put_u16(buf, width as u16);
-    let cols = rows_to_columns(rows, width);
-    for col in &cols {
+    put_u16(buf, columns.len() as u16);
+    for col in columns {
+        let retyped;
+        let col = if matches!(col.parts().0, ColData::Val(_)) {
+            retyped = Column::from_values((0..n).map(|i| col.value(i)).collect());
+            &retyped
+        } else {
+            col
+        };
         let (data, validity, off) = col.parts();
-        debug_assert_eq!(off, 0, "fresh columns start at offset 0");
+        let valid = |i: usize| validity.get(off + i);
+        let mut flags = vec![0u8; n.div_ceil(8)];
+        let mut any_valid = false;
+        for i in 0..n {
+            if valid(i) {
+                flags[i / 8] |= 1 << (i % 8);
+                any_valid = true;
+            }
+        }
         let tag: u8 = match data {
+            _ if !any_valid => 5,
             ColData::Int(_) => 0,
             ColData::Float(_) => 1,
             ColData::Bool(_) => 2,
@@ -524,38 +553,31 @@ fn encode_block(rows: &[Row], width: usize, buf: &mut Vec<u8>) {
             ColData::Val(_) => 5,
         };
         buf.push(tag);
-        let mut flags = vec![0u8; n.div_ceil(8)];
-        for i in 0..n {
-            if validity.get(i) {
-                flags[i / 8] |= 1 << (i % 8);
-            }
-        }
         buf.extend_from_slice(&flags);
-        let valid = |i: usize| validity.get(i);
         match data {
             ColData::Int(v) => {
-                for (i, x) in v.iter().enumerate().take(n) {
+                for (i, x) in v[off..off + n].iter().enumerate() {
                     if valid(i) {
                         buf.extend_from_slice(&x.to_le_bytes());
                     }
                 }
             }
             ColData::Float(v) => {
-                for (i, x) in v.iter().enumerate().take(n) {
+                for (i, x) in v[off..off + n].iter().enumerate() {
                     if valid(i) {
                         buf.extend_from_slice(&x.to_bits().to_le_bytes());
                     }
                 }
             }
             ColData::Bool(v) => {
-                for (i, x) in v.iter().enumerate().take(n) {
+                for (i, x) in v[off..off + n].iter().enumerate() {
                     if valid(i) {
                         buf.push(u8::from(*x));
                     }
                 }
             }
             ColData::Str(v) => {
-                for (i, s) in v.iter().enumerate().take(n) {
+                for (i, s) in v[off..off + n].iter().enumerate() {
                     if valid(i) {
                         put_u32(buf, s.len() as u32);
                         buf.extend_from_slice(s.as_bytes());
@@ -563,14 +585,14 @@ fn encode_block(rows: &[Row], width: usize, buf: &mut Vec<u8>) {
                 }
             }
             ColData::Date(v) => {
-                for (i, d) in v.iter().enumerate().take(n) {
+                for (i, d) in v[off..off + n].iter().enumerate() {
                     if valid(i) {
                         buf.extend_from_slice(&d.to_le_bytes());
                     }
                 }
             }
             ColData::Val(v) => {
-                for (i, x) in v.iter().enumerate().take(n) {
+                for (i, x) in v[off..off + n].iter().enumerate() {
                     if valid(i) {
                         encode_value(buf, x);
                     }
@@ -677,7 +699,7 @@ impl<R: Read> Decoder<'_, R> {
         })
     }
 
-    fn block_body(&mut self, nrows: usize) -> Result<Vec<Row>> {
+    fn block_body(&mut self, nrows: usize) -> Result<Vec<Column>> {
         let width = self.u16()? as usize;
         let mut cols = Vec::with_capacity(width);
         for _ in 0..width {
@@ -742,7 +764,7 @@ impl<R: Read> Decoder<'_, R> {
                 validity: Bitmap::from_flags(valid),
             }));
         }
-        Ok(columns_to_rows(&cols, nrows))
+        Ok(cols)
     }
 }
 
@@ -820,6 +842,34 @@ mod tests {
         assert_rows_eq(&b2, &rows[2..]);
         assert_eq!(mgr.spilled_bytes(), f.bytes());
         assert_eq!(mgr.restored_bytes(), f.bytes());
+    }
+
+    /// The block bytes are a function of the values alone: windows of
+    /// typed columns, an all-NULL typed window and a `Val` column encode
+    /// to what the equivalent rows encode to.
+    #[test]
+    fn column_blocks_encode_like_row_blocks() {
+        let mut rows = mixed_rows();
+        rows.push(vec![
+            Value::Null,
+            Value::Float(1.0),
+            Value::str("z"),
+            Value::Null,
+            Value::Date(3),
+            Value::Float(0.5),
+        ]);
+        let cols = rows_to_columns(&rows, 6);
+        for (start, len) in [(0, 4), (1, 2), (1, 1), (3, 1)] {
+            let window: Vec<Column> = cols.iter().map(|c| c.slice(start, len)).collect();
+            let (mut from_cols, mut from_rows) = (Vec::new(), Vec::new());
+            encode_block(&window, len, &mut from_cols);
+            encode_block(
+                &rows_to_columns(&rows[start..start + len], 6),
+                len,
+                &mut from_rows,
+            );
+            assert_eq!(from_cols, from_rows, "window {start}+{len}");
+        }
     }
 
     #[test]

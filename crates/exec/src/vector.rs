@@ -542,7 +542,7 @@ pub fn hash_lanes(key_cols: &[&Column], len: usize) -> Vec<u64> {
         .map(|i| {
             let mut h = DefaultHasher::new();
             for c in key_cols {
-                c.value(i).hash(&mut h);
+                c.value_ref(i).hash(&mut h);
             }
             h.finish()
         })
