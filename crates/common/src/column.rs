@@ -405,6 +405,32 @@ impl Column {
         Column::from_data(ColumnData { data, validity })
     }
 
+    /// [`gather`](Column::gather) with holes: a `None` index yields a
+    /// NULL lane, and the typed representation is preserved either way
+    /// — what an outer join pads its unmatched lanes with.
+    pub fn gather_opt(&self, idx: &[Option<usize>]) -> Column {
+        let validity = Bitmap::from_flags(idx.iter().map(|i| i.is_some_and(|i| self.is_valid(i))));
+        let o = self.offset;
+        macro_rules! typed_gather {
+            ($variant:ident, $v:expr, $hole:expr) => {
+                ColData::$variant(
+                    idx.iter()
+                        .map(|i| i.map_or_else(|| $hole, |i| $v[o + i].clone()))
+                        .collect(),
+                )
+            };
+        }
+        let data = match &self.data.data {
+            ColData::Int(v) => typed_gather!(Int, v, 0),
+            ColData::Float(v) => typed_gather!(Float, v, 0.0),
+            ColData::Bool(v) => typed_gather!(Bool, v, false),
+            ColData::Str(v) => typed_gather!(Str, v, Arc::from("")),
+            ColData::Date(v) => typed_gather!(Date, v, 0),
+            ColData::Val(v) => typed_gather!(Val, v, Value::Null),
+        };
+        Column::from_data(ColumnData { data, validity })
+    }
+
     /// Concatenates columns into one dense column. Parts with the same
     /// typed representation are appended typed; mixed representations
     /// fall back to verbatim values.
@@ -546,6 +572,51 @@ mod tests {
         let g = s.gather(&[3, 0]);
         assert_eq!(g.value(0), Value::Int(6));
         assert_eq!(g.value(1), Value::Int(3));
+    }
+
+    /// `gather_opt` is `from_values` over the picked lanes with NULL in
+    /// the holes — on every representation, with the typed payload kept.
+    #[test]
+    fn gather_opt_matches_from_values() {
+        let sources: Vec<Vec<Value>> = vec![
+            vec![Value::Int(1), Value::Null, Value::Int(3)],
+            vec![Value::Float(1.5), Value::Float(-0.0), Value::Null],
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            vec![Value::str("a"), Value::Null, Value::str("")],
+            vec![Value::Date(7), Value::Date(-1), Value::Null],
+            vec![Value::Int(1), Value::Float(2.5), Value::Null],
+        ];
+        let picks: [&[Option<usize>]; 4] = [
+            &[Some(2), None, Some(0), Some(0), None, Some(1)],
+            &[None, None],
+            &[],
+            &[Some(1)],
+        ];
+        for vals in sources {
+            let full = Column::from_values(vals.clone());
+            // A window, so the offset arithmetic is exercised too.
+            let padded = Column::from_values([vec![Value::Null], vals.clone()].concat());
+            let window = padded.slice(1, vals.len());
+            for col in [&full, &window] {
+                for idx in picks {
+                    let got = col.gather_opt(idx);
+                    let want = Column::from_values(
+                        idx.iter()
+                            .map(|j| j.map_or(Value::Null, |j| col.value(j)))
+                            .collect(),
+                    );
+                    assert_eq!(got.len(), idx.len());
+                    for k in 0..idx.len() {
+                        assert_eq!(got.value(k), want.value(k), "{vals:?} {idx:?} lane {k}");
+                    }
+                    assert_eq!(
+                        std::mem::discriminant(got.parts().0),
+                        std::mem::discriminant(col.parts().0),
+                        "{vals:?} {idx:?}: typed payload kept"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

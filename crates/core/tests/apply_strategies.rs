@@ -15,7 +15,9 @@ mod common;
 use common::{assert_fanned_out, pooled};
 use orthopt::{ApplyStrategy, Database, OptimizerLevel};
 use orthopt_common::row::bag_eq;
-use orthopt_exec::{Bindings, PipelineOptions, Reference};
+use orthopt_common::{ColId, Row, Value};
+use orthopt_exec::{Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
+use orthopt_ir::{ApplyKind, CmpOp, ScalarExpr};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 
 const STRATEGIES: [ApplyStrategy; 3] = [
@@ -138,6 +140,132 @@ fn null_correlation_keys_consistent_across_strategies() {
         "select rk from r where 1 < (select count(*) from s where sr = rv and sv >= 0)",
     ] {
         check_strategies(&mut db, sql);
+    }
+}
+
+/// One apply driver, three inner sources: every strategy × `ApplyKind`
+/// — `Cross` included, which no SQL text reaches at the correlated
+/// level — as a hand-built plan over the fixture, correlated on the
+/// nullable, duplicate-heavy `rv`. Each must produce the rows a nested
+/// loop over the tables does, without transposing a batch
+/// (`bridged == 0`), and the two deduping strategies must have run
+/// their lane kernels.
+#[test]
+fn every_strategy_and_kind_runs_on_lanes() {
+    let db = fixture();
+    let table_rows = |name: &str| -> Vec<Row> {
+        let t = db.catalog().resolve(name).unwrap();
+        db.catalog().table(t).rows().to_vec()
+    };
+    let (r_rows, s_rows) = (table_rows("r"), table_rows("s"));
+    let (rk, rv, sk, sr, sv) = (ColId(1), ColId(2), ColId(3), ColId(4), ColId(5));
+    let outer = PhysExpr::TableScan {
+        table: db.catalog().resolve("r").unwrap(),
+        positions: vec![0, 1],
+        cols: vec![rk, rv],
+    };
+    let s_table = db.catalog().resolve("s").unwrap();
+    let residual = ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(sv), ScalarExpr::lit(1i64));
+    // Inner result per binding: (sk, sv) of the s rows with sr = rv and
+    // sv > 1.
+    let inner_plan = PhysExpr::ProjectCols {
+        input: Box::new(PhysExpr::Filter {
+            input: Box::new(PhysExpr::TableScan {
+                table: s_table,
+                positions: vec![0, 1, 2],
+                cols: vec![sk, sr, sv],
+            }),
+            predicate: ScalarExpr::and([
+                ScalarExpr::eq(ScalarExpr::col(sr), ScalarExpr::col(rv)),
+                residual.clone(),
+            ]),
+        }),
+        cols: vec![sk, sv],
+    };
+    let plan_for = |strategy: ApplyStrategy, kind: ApplyKind| -> PhysExpr {
+        let (left, right) = (Box::new(outer.clone()), Box::new(inner_plan.clone()));
+        let params = vec![rv];
+        match strategy {
+            ApplyStrategy::Loop => PhysExpr::ApplyLoop {
+                kind,
+                left,
+                right,
+                params,
+            },
+            ApplyStrategy::Batched => PhysExpr::BatchedApply {
+                kind,
+                left,
+                right,
+                params,
+            },
+            _ => PhysExpr::IndexLookupJoin {
+                kind,
+                left,
+                table: s_table,
+                positions: vec![0, 1, 2],
+                fetch_cols: vec![sk, sr, sv],
+                index_cols: vec![1],
+                probes: vec![ScalarExpr::col(rv)],
+                residual: residual.clone(),
+                cols: vec![sk, sv],
+                params,
+            },
+        }
+    };
+    let expected = |kind: ApplyKind| -> Vec<Row> {
+        let mut out = Vec::new();
+        for r in &r_rows {
+            let matches: Vec<&Row> = s_rows
+                .iter()
+                .filter(|s| {
+                    !r[1].is_null() && s[1] == r[1] && matches!(s[2], Value::Int(v) if v > 1)
+                })
+                .collect();
+            let joined = |s: &Row| [r.clone(), vec![s[0].clone(), s[2].clone()]].concat();
+            match kind {
+                ApplyKind::Cross => out.extend(matches.iter().map(|s| joined(s))),
+                ApplyKind::LeftOuter if matches.is_empty() => {
+                    out.push([r.clone(), vec![Value::Null, Value::Null]].concat());
+                }
+                ApplyKind::LeftOuter => out.extend(matches.iter().map(|s| joined(s))),
+                ApplyKind::Semi if !matches.is_empty() => out.push(r.clone()),
+                ApplyKind::Anti if matches.is_empty() => out.push(r.clone()),
+                _ => {}
+            }
+        }
+        out
+    };
+    for kind in [
+        ApplyKind::Cross,
+        ApplyKind::LeftOuter,
+        ApplyKind::Semi,
+        ApplyKind::Anti,
+    ] {
+        let want = expected(kind);
+        assert!(!want.is_empty(), "{kind:?}: vacuous fixture");
+        for strategy in STRATEGIES {
+            for bs in [1, 7, 1024] {
+                let plan = plan_for(strategy, kind);
+                let mut pipeline = Pipeline::with_batch_size(&plan, bs).unwrap();
+                let got = pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
+                let ctx = format!("{strategy:?} {kind:?} bs={bs}");
+                assert!(
+                    bag_eq(&want, &got.rows),
+                    "{ctx}\nwant={want:?}\ngot={:?}",
+                    got.rows
+                );
+                // Pre-order slot 0 is the apply node itself.
+                let apply = pipeline.stats()[0];
+                assert_eq!(apply.bridged, 0, "{ctx}: {apply:?}");
+                if strategy != ApplyStrategy::Loop {
+                    assert!(apply.kernels > 0, "{ctx}: {apply:?}");
+                    assert!(
+                        apply.distinct_bindings < r_rows.len() as u64,
+                        "{ctx}: duplicate bindings were not deduped: {apply:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 
 use orthopt::{Database, OptimizerLevel};
 use orthopt_common::row::bag_eq;
-use orthopt_common::Value;
-use orthopt_exec::{phys_node_labels, Bindings, Pipeline, Reference};
+use orthopt_common::{QueryContext, Value};
+use orthopt_exec::{phys_node_labels, Bindings, Pipeline, PipelineOptions, Reference};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 use proptest::prelude::*;
 
@@ -154,12 +154,12 @@ fn empty_input_streams_cleanly() {
     }
 }
 
-/// Sources always emit columns, so the row paths inside Filter, Compute
-/// and the HashJoin probe run only as the fallback for a kernel that
-/// errored. Each fallback must be reachable — a division by zero on a
-/// late lane trips the kernel — must re-raise exactly the `Reference`
-/// interpreter's error, and must show up as `bridged > 0` on the
-/// operator that fell back.
+/// Every batch is columns, so the row-at-a-time evaluation inside
+/// Filter, Compute and the HashJoin probe runs only as the fallback for
+/// a kernel that errored. Each fallback must be reachable — a division
+/// by zero on a late lane trips the kernel — must re-raise exactly the
+/// `Reference` interpreter's error, and must show up as `bridged > 0`
+/// on the operator that fell back.
 #[test]
 fn kernel_errors_fall_back_to_rows_and_match_reference() {
     // r.rv is 2 throughout and s.sv alternates 1 / 3, so neither
@@ -183,6 +183,26 @@ fn kernel_errors_fall_back_to_rows_and_match_reference() {
             "select rk, sk from r, s where sr = rk and 10 / (sv - rv) > 0",
             zero_at_end(2),
         ),
+        (
+            "HashLeftOuter",
+            "select rk, sk from r left outer join s on sr = rk and 10 / (sv - rv) > 0",
+            zero_at_end(2),
+        ),
+        // The s rows of r's last key all have sv = 3, so `< 0` rejects
+        // every candidate before the offending one: a semi or anti join
+        // that stops at a lane's first match still has to reach it.
+        (
+            "HashLeftSemi",
+            "select rk from r where exists \
+             (select 1 from s where sr = rk and 10 / (sv - rv) < 0)",
+            zero_at_end(2),
+        ),
+        (
+            "HashLeftAnti",
+            "select rk from r where not exists \
+             (select 1 from s where sr = rk and 10 / (sv - rv) < 0)",
+            zero_at_end(2),
+        ),
     ];
     for (op, sql, s_rows) in cases {
         let db = Database::from_catalog(build_catalog(&r_rows, &s_rows));
@@ -203,4 +223,134 @@ fn kernel_errors_fall_back_to_rows_and_match_reference() {
             orthopt_exec::explain_phys_analyze(&plan.physical, &pipeline.stats(), &[])
         );
     }
+}
+
+/// A semi or anti join stops evaluating a probe lane's residual at its
+/// first match. The kernel evaluates every candidate and so trips over
+/// a later one that divides by zero; the lane-at-a-time fallback must
+/// then *not* raise it — the `Reference` join loop never gets that far
+/// either. (Hand-built plans: the SQL form's oracle evaluates the whole
+/// EXISTS subquery and would raise.)
+#[test]
+fn semi_join_fallback_stops_at_the_first_match() {
+    use orthopt_common::{ColId, DataType, TableId};
+    use orthopt_exec::PhysExpr;
+    use orthopt_ir::{builder, ArithOp, CmpOp, JoinKind, RelExpr, ScalarExpr};
+
+    let r_rows: Vec<(i64, Option<i64>)> = vec![(0, Some(2))];
+    // Both s rows match r's key; the first passes the residual, the
+    // second divides by zero.
+    let s_rows = vec![(0, 0, Some(3)), (1, 0, Some(2))];
+    let db = Database::from_catalog(build_catalog(&r_rows, &s_rows));
+    let (rk, rv, sr, sv) = (ColId(1), ColId(2), ColId(3), ColId(4));
+    // 10 / (sv - rv) > 0
+    let residual = ScalarExpr::cmp(
+        CmpOp::Gt,
+        ScalarExpr::Arith {
+            op: ArithOp::Div,
+            left: Box::new(ScalarExpr::lit(10i64)),
+            right: Box::new(ScalarExpr::Arith {
+                op: ArithOp::Sub,
+                left: Box::new(ScalarExpr::col(sv)),
+                right: Box::new(ScalarExpr::col(rv)),
+            }),
+        },
+        ScalarExpr::lit(0i64),
+    );
+    let int = DataType::Int;
+    let get_r = builder::get(
+        TableId(0),
+        "r",
+        &[(rk, "rk", int, false), (rv, "rv", int, true)],
+        &[&[0]],
+        1.0,
+    );
+    let mut get_s = builder::get(
+        TableId(1),
+        "s",
+        &[(sr, "sr", int, false), (sv, "sv", int, true)],
+        &[],
+        2.0,
+    );
+    if let RelExpr::Get(g) = &mut get_s {
+        g.positions = vec![1, 2];
+    }
+    for kind in [JoinKind::LeftSemi, JoinKind::LeftAnti] {
+        let logical = RelExpr::Join {
+            kind,
+            left: Box::new(get_r.clone()),
+            right: Box::new(get_s.clone()),
+            predicate: ScalarExpr::and([
+                ScalarExpr::eq(ScalarExpr::col(sr), ScalarExpr::col(rk)),
+                residual.clone(),
+            ]),
+        };
+        let oracle = Reference::new(db.catalog()).run(&logical).unwrap();
+        let phys = PhysExpr::HashJoin {
+            kind,
+            left: Box::new(PhysExpr::TableScan {
+                table: TableId(0),
+                positions: vec![0, 1],
+                cols: vec![rk, rv],
+            }),
+            right: Box::new(PhysExpr::TableScan {
+                table: TableId(1),
+                positions: vec![1, 2],
+                cols: vec![sr, sv],
+            }),
+            left_keys: vec![rk],
+            right_keys: vec![sr],
+            residual: residual.clone(),
+        };
+        let mut pipeline = Pipeline::compile(&phys).unwrap();
+        let got = pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
+        assert_eq!(oracle.rows, got.rows, "{kind:?}");
+        assert_eq!(
+            pipeline.stats()[0].bridged,
+            1,
+            "{kind:?}: the kernel did trip"
+        );
+    }
+}
+
+/// The same precedence once the join has spilled: each grace partition
+/// pair is loaded and probed by the resident join's own build and probe
+/// routine, so a residual that errors there falls back, and fails, the
+/// same way.
+#[test]
+fn grace_spilled_join_residual_error_matches_reference() {
+    let n = 600;
+    let r_rows: Vec<(i64, Option<i64>)> = (0..n).map(|i| (i, Some(2))).collect();
+    let s_rows: Vec<(i64, i64, Option<i64>)> = (0..n)
+        .map(|i| (i, i, Some(if i == n - 1 { 2 } else { 1 + 2 * (i % 2) })))
+        .collect();
+    let db = Database::from_catalog(build_catalog(&r_rows, &s_rows));
+    let sql = "select rk, sk from r, s where sr = rk and 10 / (sv - rv) > 0";
+    let bound = orthopt_sql::compile(sql, db.catalog()).unwrap();
+    let oracle = Reference::new(db.catalog()).run(&bound.rel);
+    assert!(oracle.is_err(), "fixture no longer divides by zero");
+    let plan = db.plan(sql, OptimizerLevel::Full).unwrap();
+    let mut pipeline = Pipeline::with_options(
+        &plan.physical,
+        PipelineOptions {
+            spill: Some(true),
+            ..PipelineOptions::default()
+        },
+    )
+    .unwrap();
+    pipeline.set_governor(QueryContext::new().with_memory_limit(16 << 10));
+    let got = pipeline.execute(db.catalog(), &Bindings::new());
+    assert_eq!(oracle.err(), got.err());
+    let labels = phys_node_labels(&plan.physical);
+    let join = labels
+        .iter()
+        .position(|(_, l)| l.starts_with("HashInner"))
+        .expect("planned as a hash join");
+    let stats = pipeline.stats()[join];
+    assert!(
+        stats.spill_partitions > 0,
+        "the build no longer spills: {stats:?}"
+    );
+    assert!(stats.bridged > 0, "no partition pair fell back: {stats:?}");
+    assert_eq!(orthopt_exec::spill::live_dirs(), 0);
 }

@@ -38,7 +38,7 @@ pub use explain_phys::{explain_phys, explain_phys_analyze, phys_node_labels};
 pub use parallel::{exchange_eligible, place_exchanges, wrap_exchange};
 pub use physical::{PhysExpr, PhysPlan};
 pub use pipeline::{
-    current_op, Batch, ExecCtx, Operator, Pipeline, PipelineOptions, Repr, DEFAULT_BATCH_SIZE,
+    current_op, Batch, ExecCtx, Operator, Pipeline, PipelineOptions, DEFAULT_BATCH_SIZE,
 };
 pub use reference::Reference;
 pub use scheduler::Scheduler;

@@ -12,9 +12,10 @@
 //!   ranges; a join's build side is computed once and broadcast to the
 //!   workers as a `ConstScan`.
 //! * **Repartitioned probe** — when the subtree root is exactly a hash
-//!   join, the build side is computed once and hash-partitioned into
-//!   one table per worker; workers probe their morsel-split chain
-//!   against the shared read-only partition tables.
+//!   join, the build side is computed and indexed once
+//!   ([`JoinBuild`]); workers run their morsel-split chain and probe
+//!   each batch against the one shared read-only build with the serial
+//!   join's own probe routine ([`JoinProbe`]).
 //! * **Partial aggregation** — when the root is a `HashAggregate`, each
 //!   worker feeds its morsels into a thread-local
 //!   [`GroupedAggState`]; the partial states are merged at close. This
@@ -23,9 +24,9 @@
 //!   and the merge is the global GroupBy.
 //!
 //! Determinism: morsels are assigned round-robin by a static schedule,
-//! task outputs are gathered in task (submission) order, the partition
-//! hash is a fixed-key [`DefaultHasher`], and aggregate states merge in
-//! task order — repeated parallel runs are byte-identical. Subtrees
+//! task outputs are gathered in task (submission) order, and aggregate
+//! states merge in task order — repeated parallel runs are
+//! byte-identical. Subtrees
 //! whose shape the runtime does not recognize, non-invariant subtrees
 //! (ones referencing outer parameters or segments), and
 //! `parallelism <= 1` all fall back to serial execution of the
@@ -39,25 +40,23 @@
 //! without it fails with an internal error rather than running serial.
 
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthopt_common::column::{cols_bytes, rows_to_columns, Column};
-use orthopt_common::{ColId, Error, MemoryReservation, Result, Row, Value};
-use orthopt_ir::{AggDef, GroupKind, JoinKind};
+use orthopt_common::column::{cols_bytes, columns_to_rows, rows_to_columns, Column};
+use orthopt_common::{ColId, Error, MemoryReservation, Result, Row};
+use orthopt_ir::{AggDef, GroupKind};
 use orthopt_storage::Catalog;
 
 use crate::aggregate::GroupedAggState;
 use crate::bindings::Bindings;
-use crate::eval::{eval_predicate, EvalCtx, PosMap};
+use crate::eval::PosMap;
 use crate::physical::PhysExpr;
 use crate::pipeline::{
-    free_inputs, AggInput, Batch, ColumnBatches, ExecCtx, Operator, Pipeline, PipelineOptions,
-    MEM_HINT,
+    free_inputs, pos_of, AggInput, Batch, ColumnBatches, ExecCtx, JoinBuild, JoinProbe, Operator,
+    Pipeline, PipelineOptions, MEM_HINT,
 };
 use crate::scheduler::Scheduler;
 use crate::stats::OpStats;
@@ -455,27 +454,6 @@ fn worker_ranges(len: usize, workers: usize) -> Vec<Vec<(usize, usize)>> {
     out
 }
 
-/// Key extraction mirroring the serial hash join: `None` when any key
-/// value is NULL (SQL equality never matches NULL).
-fn partition_key(row: &[Value], positions: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(positions.len());
-    for &i in positions {
-        if row[i].is_null() {
-            return None;
-        }
-        key.push(row[i].clone());
-    }
-    Some(key)
-}
-
-/// Fixed-key hash so partition assignment is deterministic across runs
-/// (unlike `RandomState`).
-fn key_hash(key: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
 // ---------------------------------------------------------------------
 // Worker pool.
 // ---------------------------------------------------------------------
@@ -578,15 +556,15 @@ fn run_to_columns(
 fn thread_safety_asserts() {
     fn send<T: Send>() {}
     fn sync<T: Sync>() {}
-    // Worker plans move into threads; catalogs are shared by reference;
-    // column batches, probe rows and partial aggregation states travel
-    // back.
+    // Worker plans move into threads; catalogs, the repartitioned
+    // join's build and its probe routine are shared by reference;
+    // column batches and partial aggregation states travel back.
     send::<PhysExpr>();
     send::<ColumnBatches>();
-    send::<Row>();
     send::<GroupedAggState>();
     sync::<Catalog>();
-    sync::<HashMap<Vec<Value>, Vec<Row>>>();
+    sync::<JoinBuild>();
+    sync::<JoinProbe>();
 }
 
 // ---------------------------------------------------------------------
@@ -676,20 +654,6 @@ impl ExchangeOp {
         Ok(())
     }
 
-    /// [`gather`](Self::gather) for the producers that still assemble
-    /// rows (the repartitioned probe, a merged aggregate's result):
-    /// one transposition at the boundary.
-    fn gather_rows(&mut self, rows: &[Row], site: &str) -> Result<()> {
-        let width = self.out_cols.len();
-        if let Some(r) = rows.iter().find(|r| r.len() != width) {
-            return Err(Error::internal(format!(
-                "exchange {site}: gathered row has {} columns, layout expects {width}",
-                r.len()
-            )));
-        }
-        self.gather(vec![(rows_to_columns(rows, width), rows.len())], site)
-    }
-
     /// Serial fallback: compile and run the unmodified subtree, copying
     /// its per-node stats one-to-one into the reserved slots.
     fn run_serial(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
@@ -714,10 +678,12 @@ impl ExchangeOp {
     /// Runs a join build side once, serially, recording its stats into
     /// the trailing reserved slots (the build subtree is last in the
     /// subtree's pre-order).
-    fn run_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<BuildRows> {
+    fn run_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<ColumnBatches> {
         let mut pipe = Pipeline::with_options(build, self.pipe_options())?;
         pipe.set_governor(ctx.gov.clone());
-        let chunk = pipe.execute(ctx.catalog, &Bindings::new())?;
+        // The build plan runs unmodified (no surgery), and the pipeline
+        // checks every root batch against its layout.
+        let batches = run_to_columns(&mut pipe, ctx.catalog, &Bindings::new())?;
         let sub = pipe.stats();
         let start = self.base + self.plan.node_count() - build.node_count();
         let mut stats = self.stats.borrow_mut();
@@ -729,11 +695,20 @@ impl ExchangeOp {
             slot.elapsed += s.elapsed;
             slot.mem_peak = slot.mem_peak.max(s.mem_peak);
         }
-        // The build plan runs unmodified (no surgery), and `execute`
-        // checked every batch against its layout.
+        Ok(batches)
+    }
+
+    /// The build side as the `ConstScan` literal pipelined and
+    /// partial-aggregation workers get in its place (`PhysExpr` carries
+    /// rows; each worker's compile transposes them back once).
+    fn broadcast_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<BuildRows> {
+        let batches = self.run_build(ctx, build)?;
         Ok(BuildRows {
             cols: build.out_cols(),
-            rows: chunk.rows,
+            rows: batches
+                .iter()
+                .flat_map(|(columns, n)| columns_to_rows(columns, *n))
+                .collect(),
         })
     }
 
@@ -816,7 +791,7 @@ impl ExchangeOp {
     /// gathered worker-major.
     fn run_pipelined(&mut self, ctx: &ExecCtx<'_>, workers: usize) -> Result<()> {
         let build = match build_side(&self.plan) {
-            Some(b) => Some(self.run_build(ctx, b)?),
+            Some(b) => Some(self.broadcast_build(ctx, b)?),
             None => None,
         };
         let align = self.plan.node_count()
@@ -844,11 +819,11 @@ impl ExchangeOp {
     }
 
     /// Repartition mode (subtree root is exactly a hash join): the
-    /// build rows are hash-partitioned into one table per worker; each
-    /// worker probes its morsel-split chain against the shared
-    /// read-only partition tables, replicating the serial join's probe
-    /// semantics (NULL keys never match, residual after key match, all
-    /// four join kinds).
+    /// build side is computed and indexed once; each worker runs its
+    /// morsel-split probe chain and joins every batch against that one
+    /// shared build with [`JoinProbe::probe`] — the routine the serial
+    /// join calls, so NULL keys, the residual and all four join kinds
+    /// mean what they mean there.
     fn run_repartition(&mut self, ctx: &ExecCtx<'_>, workers: usize) -> Result<()> {
         let PhysExpr::HashJoin {
             kind,
@@ -862,42 +837,21 @@ impl ExchangeOp {
             return self.run_serial(ctx);
         };
         let t = Instant::now();
-        let build = self.run_build(ctx, right)?;
         let lout = left.out_cols();
-        let left_pos: Vec<usize> = left_keys
-            .iter()
-            .map(|c| {
-                lout.iter()
-                    .position(|l| l == c)
-                    .ok_or_else(|| Error::internal("repartition probe key missing from layout"))
-            })
-            .collect::<Result<_>>()?;
-        let right_pos: Vec<usize> = right_keys
-            .iter()
-            .map(|c| {
-                build
-                    .cols
-                    .iter()
-                    .position(|l| l == c)
-                    .ok_or_else(|| Error::internal("repartition build key missing from layout"))
-            })
-            .collect::<Result<_>>()?;
-        let mut combined = lout.clone();
-        combined.extend(build.cols.iter().copied());
-        let right_width = build.cols.len();
-
-        // Partitioned build tables, filled in serial build order so the
-        // per-key row order matches the serial join's. Shared read-only
-        // across tasks via `Arc` (the pooled path moves tasks onto
-        // long-lived threads, so borrows cannot cross).
-        let mut parts: Vec<HashMap<Vec<Value>, Vec<Row>>> = vec![HashMap::new(); workers];
-        for rr in build.rows {
-            if let Some(key) = partition_key(&rr, &right_pos) {
-                let p = (key_hash(&key) as usize) % workers;
-                parts[p].entry(key).or_default().push(rr);
-            }
-        }
-        let parts = Arc::new(parts);
+        let rout = right.out_cols();
+        let key_pos = |keys: &[ColId], layout: &[ColId]| -> Result<Vec<usize>> {
+            keys.iter().map(|c| pos_of(layout, *c)).collect()
+        };
+        let left_pos = key_pos(left_keys, &lout)?;
+        let right_pos = key_pos(right_keys, &rout)?;
+        let build = Arc::new(JoinBuild::new(
+            &self.run_build(ctx, right)?,
+            rout.len(),
+            &right_pos,
+        ));
+        let mut combined = lout;
+        combined.extend(rout);
+        let probe = JoinProbe::new(*kind, left_pos, right_pos, residual.clone(), combined);
 
         let chain_plan = (**left).clone();
         let chain_count = chain_plan.node_count();
@@ -907,67 +861,40 @@ impl ExchangeOp {
             .map(|r| substitute(&chain_plan, r, None))
             .collect::<Result<_>>()?;
         let opts = self.pipe_options();
-        let kind = *kind;
-        let residual = residual.clone();
-        let residual_trivial = residual.is_true();
         let gov = ctx.gov.clone();
         let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
             let mut pipe = Pipeline::with_options(&plan, opts)?;
             pipe.set_governor(gov.clone());
             let binds = Bindings::new();
-            let mut out: Vec<Row> = Vec::new();
+            let mut out: ColumnBatches = Vec::new();
+            // The join node's own kernel / bridge counts, as the serial
+            // operator would have noted them.
+            let mut joined = OpStats::default();
             pipe.execute_each(catalog, &binds, |b| {
-                for lr in b.into_rows() {
-                    let matches = partition_key(&lr, &left_pos).and_then(|k| {
-                        let p = (key_hash(&k) as usize) % workers;
-                        parts[p].get(&k)
-                    });
-                    let mut matched = false;
-                    if let Some(rows) = matches {
-                        for rr in rows {
-                            let mut row = lr.clone();
-                            row.extend(rr.iter().cloned());
-                            let pass = residual_trivial
-                                || eval_predicate(
-                                    &residual,
-                                    &EvalCtx::plain(&combined, &row, &binds),
-                                )?;
-                            if pass {
-                                matched = true;
-                                match kind {
-                                    JoinKind::Inner | JoinKind::LeftOuter => out.push(row),
-                                    JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                                }
-                            }
-                        }
-                    }
-                    match kind {
-                        JoinKind::LeftOuter if !matched => {
-                            let mut row = lr;
-                            row.extend(std::iter::repeat_n(Value::Null, right_width));
-                            out.push(row);
-                        }
-                        JoinKind::LeftSemi if matched => out.push(lr),
-                        JoinKind::LeftAnti if !matched => out.push(lr),
-                        _ => {}
-                    }
-                }
+                let (columns, n) = probe.probe(&build, &b.columns, b.len, &binds, &mut joined)?;
+                joined.rows += n as u64;
+                out.push((columns, n));
                 Ok(())
             })?;
-            Ok((out, pipe.stats()))
+            Ok((out, pipe.stats(), joined))
         })?;
-        let tagged: Vec<(usize, Vec<OpStats>)> =
-            results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
+        let tagged: Vec<(usize, Vec<OpStats>)> = results
+            .iter()
+            .map(|(w, (_, s, _))| (*w, s.clone()))
+            .collect();
         // Probe chain occupies the slots right after the join node.
         self.absorb_workers(1, chain_count, &tagged);
         let (spread, max) =
-            ExchangeOp::worker_spread(results.iter().map(|(w, (rows, _))| (*w, rows.len() as u64)));
-        let mut total = 0usize;
-        for (_, (rows, _)) in results {
-            total += rows.len();
-            self.gather_rows(&rows, "repartition gather")?;
+            ExchangeOp::worker_spread(results.iter().map(|(w, (_, _, joined))| (*w, joined.rows)));
+        let mut total = OpStats::default();
+        for (_, (batches, _, joined)) in results {
+            total.add_task(&joined);
+            self.gather(batches, "repartition gather")?;
         }
-        self.synthesize_root(total, t.elapsed(), spread, max);
+        self.synthesize_root(total.rows as usize, t.elapsed(), spread, max);
+        let mut stats = self.stats.borrow_mut();
+        stats[self.base].kernels += total.kernels;
+        stats[self.base].bridged += total.bridged;
         Ok(())
     }
 
@@ -989,7 +916,7 @@ impl ExchangeOp {
                 // run_build indexes trailing slots relative to the whole
                 // subtree (aggregate + input), which is where the build
                 // nodes sit in pre-order.
-                Some(self.run_build(ctx, b)?)
+                Some(self.broadcast_build(ctx, b)?)
             }
             None => None,
         };
@@ -1032,8 +959,7 @@ impl ExchangeOp {
             // serial operator would have noted them.
             let mut fed = OpStats::default();
             pipe.execute_each(catalog, &binds, |b| {
-                let columnar = b.is_columnar();
-                let unfed = input.feed(Some(&mut state), b, &binds, false)?;
+                let unfed = input.feed(Some(&mut state), &b, &binds, false)?;
                 if let Some(err) = unfed.refusal {
                     // Worker-local group state is a hard-fail site: it
                     // cannot spill, so a refusal names the knob.
@@ -1041,7 +967,7 @@ impl ExchangeOp {
                 }
                 if unfed.vectorized {
                     fed.kernels += 1;
-                } else if columnar {
+                } else {
                     fed.bridged += 1;
                 }
                 Ok(())
@@ -1082,7 +1008,13 @@ impl ExchangeOp {
             slot.kernels += kernels;
             slot.bridged += bridged;
         }
-        self.gather_rows(&rows, "partial-agg merge")
+        // The finished groups are the aggregate's only rows: one
+        // transposition at the boundary.
+        let width = self.out_cols.len();
+        self.gather(
+            vec![(rows_to_columns(&rows, width), rows.len())],
+            "partial-agg merge",
+        )
     }
 }
 
@@ -1125,8 +1057,8 @@ impl Operator for ExchangeOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthopt_common::{DataType, TableId};
-    use orthopt_ir::ScalarExpr;
+    use orthopt_common::{DataType, TableId, Value};
+    use orthopt_ir::{CmpOp, JoinKind, ScalarExpr};
     use orthopt_storage::{ColumnDef, TableDef};
 
     fn catalog(rows: i64) -> Arc<Catalog> {
@@ -1241,30 +1173,55 @@ mod tests {
         }
     }
 
+    /// Every join kind, with a residual, through the repartitioned
+    /// probe: the workers share one build and call the serial join's
+    /// probe routine, so the bag is the serial one and the join's slot
+    /// reports their kernel calls.
     #[test]
     fn repartition_join_matches_serial() {
         let c = catalog(123);
-        let join = PhysExpr::HashJoin {
-            kind: JoinKind::Inner,
-            left: Box::new(scan()),
-            right: Box::new(PhysExpr::TableScan {
-                table: TableId(0),
-                positions: vec![0, 1],
-                cols: vec![ColId(3), ColId(4)],
-            }),
-            left_keys: vec![ColId(2)],
-            right_keys: vec![ColId(4)],
-            residual: ScalarExpr::lit(true),
-        };
-        let plan = PhysExpr::Exchange {
-            input: Box::new(join),
-        };
-        let mut serial = run_at(&plan, &c, 1);
-        let mut par = run_at(&plan, &c, 4);
-        assert_eq!(serial.len(), par.len());
-        serial.sort_by(orthopt_common::row::cmp_rows);
-        par.sort_by(orthopt_common::row::cmp_rows);
-        assert_eq!(serial, par);
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::LeftSemi,
+            JoinKind::LeftAnti,
+        ] {
+            let join = PhysExpr::HashJoin {
+                kind,
+                left: Box::new(scan()),
+                right: Box::new(PhysExpr::TableScan {
+                    table: TableId(0),
+                    positions: vec![0, 1],
+                    cols: vec![ColId(3), ColId(4)],
+                }),
+                left_keys: vec![ColId(2)],
+                right_keys: vec![ColId(4)],
+                // Keeps some pairs of every key, and leaves the probe
+                // rows with a > 100 unmatched.
+                residual: ScalarExpr::cmp(
+                    CmpOp::Lt,
+                    ScalarExpr::col(ColId(1)),
+                    ScalarExpr::col(ColId(3)),
+                ),
+            };
+            let plan = PhysExpr::Exchange {
+                input: Box::new(join),
+            };
+            let mut serial = run_at(&plan, &c, 1);
+            let mut p = Pipeline::compile(&plan).unwrap();
+            p.set_parallelism(4);
+            p.set_shared_catalog(Arc::clone(&c));
+            let mut par = p.execute(&c, &Bindings::new()).unwrap().rows;
+            assert!(!serial.is_empty(), "{kind:?}: vacuous");
+            serial.sort_by(orthopt_common::row::cmp_rows);
+            par.sort_by(orthopt_common::row::cmp_rows);
+            assert_eq!(serial, par, "{kind:?}");
+            // Slot 0 is the exchange, slot 1 the join it replaced.
+            let join_stats = p.stats()[1];
+            assert!(join_stats.kernels > 0, "{kind:?}: {join_stats:?}");
+            assert_eq!(join_stats.bridged, 0, "{kind:?}: {join_stats:?}");
+            assert_eq!(join_stats.rows, par.len() as u64, "{kind:?}");
+        }
     }
 
     #[test]

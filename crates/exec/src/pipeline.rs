@@ -2,10 +2,12 @@
 //!
 //! [`Pipeline::compile`] turns a [`PhysExpr`] tree into a tree of
 //! [`Operator`]s driven Volcano-style: `open` resets state,
-//! `next_batch` pulls up to [`DEFAULT_BATCH_SIZE`] rows at a time, and
-//! `close` reports [`OpStats`]. Column layouts are compiled once into
-//! `Rc<[ColId]>` plus positional indices, so batches flow between
-//! operators without re-resolving columns or deep-cloning layouts.
+//! `next_batch` pulls up to [`DEFAULT_BATCH_SIZE`] lanes at a time, and
+//! `close` reports [`OpStats`]. A [`Batch`] is columns and a lane
+//! count — the one representation every operator consumes and produces.
+//! Column layouts are compiled once into `Rc<[ColId]>` plus positional
+//! indices, so batches flow between operators without re-resolving
+//! columns or deep-cloning layouts.
 //!
 //! Pipeline breakers (hash-join build, aggregation, sort) keep state
 //! across batches. Parameterized scopes (`ApplyLoop` inner plans,
@@ -58,52 +60,25 @@ pub(crate) const MEM_HINT: &str = "raise ORTHOPT_MEM_LIMIT / SET mem_limit";
 pub(crate) const MEM_OR_SPILL_HINT: &str =
     "raise ORTHOPT_MEM_LIMIT / SET mem_limit, or enable spilling (SET spill = on)";
 
-/// Physical representation of the data carried by a [`Batch`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Repr {
-    /// Row-major: one `Vec<Value>` per row.
-    Rows(Vec<Row>),
-    /// Column-major: one [`Column`] per layout position, all of length
-    /// `len`.
-    Columns {
-        /// Per-column data, positionally matching the layout.
-        columns: Vec<Column>,
-        /// Row count, kept explicitly so zero-column batches still
-        /// carry a length.
-        len: usize,
-    },
-}
-
-/// A bounded slice of rows flowing through the pipeline; the layout is
-/// shared by reference with the producing operator. The payload is
-/// either row-major or column-major ([`Repr`]); operators dispatch on
-/// the representation they receive and may convert with
-/// [`Batch::into_rows`] / [`Batch::to_columnar`].
+/// A bounded run of lanes flowing through the pipeline, column-major:
+/// one [`Column`] per layout position, all `len` lanes long. The layout
+/// is shared by reference with the producing operator. This is the one
+/// representation every operator speaks; the few that loop over rows
+/// privately transpose what they pull ([`StatsHandle::bridge_rows`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
-    /// Column ids, positionally matching each row / column.
+    /// Column ids, positionally matching each column.
     pub cols: Rc<[ColId]>,
-    /// The payload, row-major or column-major.
-    pub repr: Repr,
+    /// Per-column data, positionally matching the layout.
+    pub columns: Vec<Column>,
+    /// Lane count, kept explicitly: it is the only place a zero-column
+    /// batch's cardinality lives.
+    pub len: usize,
 }
 
 impl Batch {
-    /// Builds a row-major batch, checking row arity against the layout
-    /// in debug builds.
-    pub fn new(cols: Rc<[ColId]>, rows: Vec<Row>) -> Batch {
-        debug_assert!(
-            rows.iter().all(|r| r.len() == cols.len()),
-            "batch arity mismatch: layout has {} columns",
-            cols.len()
-        );
-        Batch {
-            cols,
-            repr: Repr::Rows(rows),
-        }
-    }
-
-    /// Builds a column-major batch, checking column count and lengths
-    /// in debug builds.
+    /// Builds a batch, checking column count and lengths in debug
+    /// builds.
     pub fn from_columns(cols: Rc<[ColId]>, columns: Vec<Column>, len: usize) -> Batch {
         debug_assert_eq!(
             columns.len(),
@@ -115,20 +90,18 @@ impl Batch {
             columns.iter().all(|c| c.len() == len),
             "batch column length mismatch: expected {len} lanes"
         );
-        Batch {
-            cols,
-            repr: Repr::Columns { columns, len },
-        }
+        Batch { cols, columns, len }
     }
 
-    /// Checks that the layout and every row / column have exactly
-    /// `width` columns. Stateful operators call this before
-    /// concatenating a batch into their buffers: `Batch`'s fields are
-    /// public, so a malformed literal can bypass the constructors'
-    /// arity checks and would otherwise corrupt buffered state
-    /// silently. Unlike those `debug_assert`s, this runs in release
-    /// builds too and reports through [`Error::Internal`] rather than
-    /// panicking — a malformed batch aborts the query, not the process.
+    /// Checks that the layout and the payload have exactly `width`
+    /// columns, each `len` lanes long. Stateful operators call this
+    /// before concatenating a batch into their buffers: `Batch`'s
+    /// fields are public, so a malformed literal can bypass the
+    /// constructor's arity checks and would otherwise corrupt buffered
+    /// state silently. Unlike those `debug_assert`s, this runs in
+    /// release builds too and reports through [`Error::Internal`] rather
+    /// than panicking — a malformed batch aborts the query, not the
+    /// process.
     pub fn check_width(&self, width: usize) -> Result<()> {
         if self.cols.len() != width {
             return Err(Error::internal(format!(
@@ -136,111 +109,85 @@ impl Batch {
                 self.cols.len()
             )));
         }
-        match &self.repr {
-            Repr::Rows(rows) => {
-                if let Some(r) = rows.iter().find(|r| r.len() != width) {
-                    return Err(Error::internal(format!(
-                        "batch row arity mismatch: expected {width} columns, row has {}",
-                        r.len()
-                    )));
-                }
-            }
-            Repr::Columns { columns, len } => {
-                if columns.len() != width {
-                    return Err(Error::internal(format!(
-                        "batch column arity mismatch: expected {width} columns, got {}",
-                        columns.len()
-                    )));
-                }
-                if let Some(c) = columns.iter().find(|c| c.len() != *len) {
-                    return Err(Error::internal(format!(
-                        "batch column length mismatch: expected {len} lanes, column has {}",
-                        c.len()
-                    )));
-                }
-            }
+        if self.columns.len() != width {
+            return Err(Error::internal(format!(
+                "batch column arity mismatch: expected {width} columns, got {}",
+                self.columns.len()
+            )));
+        }
+        if let Some(c) = self.columns.iter().find(|c| c.len() != self.len) {
+            return Err(Error::internal(format!(
+                "batch column length mismatch: expected {} lanes, column has {}",
+                self.len,
+                c.len()
+            )));
         }
         Ok(())
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Rows(rows) => rows.len(),
-            Repr::Columns { len, .. } => *len,
-        }
+        self.len
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// True when the payload is column-major.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.repr, Repr::Columns { .. })
+    /// The payload: `(columns, lane count)`.
+    pub fn columns(&self) -> (&[Column], usize) {
+        (&self.columns, self.len)
     }
 
-    /// The column-major payload, or `None` for a row-major batch.
-    pub fn columns(&self) -> Option<(&[Column], usize)> {
-        match &self.repr {
-            Repr::Columns { columns, len } => Some((columns, *len)),
-            Repr::Rows(_) => None,
-        }
-    }
-
-    /// Consumes the batch into row-major form, transposing a columnar
-    /// payload. Operators that count bridges go through
-    /// [`StatsHandle::bridge_rows`] instead.
+    /// Transposes the batch into rows — for row-oriented consumers at
+    /// the edge (a result `Chunk`). Operators that count bridges go
+    /// through [`StatsHandle::bridge_rows`] instead.
     pub fn into_rows(self) -> Vec<Row> {
-        match self.repr {
-            Repr::Rows(rows) => rows,
-            Repr::Columns { columns, len } => columns_to_rows(&columns, len),
-        }
+        columns_to_rows(&self.columns, self.len)
     }
 
-    /// Consumes the batch into column-major form, transposing a
-    /// row-major payload.
+    /// Consumes the batch into `(columns, lane count)`.
     pub fn into_columns(self) -> (Vec<Column>, usize) {
-        let width = self.cols.len();
-        match self.repr {
-            Repr::Columns { columns, len } => (columns, len),
-            Repr::Rows(rows) => {
-                let len = rows.len();
-                (rows_to_columns(&rows, width), len)
-            }
-        }
+        (self.columns, self.len)
     }
 
-    /// Returns the batch in column-major form (no-op when it already
-    /// is).
-    pub fn to_columnar(self) -> Batch {
-        let cols = self.cols.clone();
-        let (columns, len) = self.into_columns();
-        Batch::from_columns(cols, columns, len)
-    }
-
-    /// Bytes charged against memory reservations for this batch.
-    /// Columnar batches charge exactly what the equivalent rows would
-    /// ([`cols_bytes`] mirrors [`rows_bytes`]), so budget trips do not
-    /// depend on the representation that happened to flow.
+    /// Bytes charged against memory reservations for this batch:
+    /// exactly what the equivalent rows would cost ([`cols_bytes`]
+    /// mirrors `rows_bytes`), so budgets mean what they meant when rows
+    /// flowed.
     pub fn mem_bytes(&self) -> u64 {
-        match &self.repr {
-            Repr::Rows(rows) => rows_bytes(rows),
-            Repr::Columns { columns, len } => cols_bytes(columns, *len),
-        }
+        cols_bytes(&self.columns, self.len)
     }
 }
 
-/// Column batches held outside a [`Batch`] — buffered by Sort, carried
-/// across threads by the exchange — as `(columns, lane count)`.
-/// [`Column`] is `Arc`-backed, so these are `Send` and share storage
-/// with whatever they were sliced from.
+/// Column batches held outside a [`Batch`] — buffered by Sort and the
+/// join build, carried across threads by the exchange — as
+/// `(columns, lane count)`. [`Column`] is `Arc`-backed, so these are
+/// `Send` and share storage with whatever they were sliced from.
 pub(crate) type ColumnBatches = Vec<(Vec<Column>, usize)>;
+
+/// Concatenates column batches of `width` columns into one dense batch.
+pub(crate) fn concat_batches(
+    batches: &[(Vec<Column>, usize)],
+    width: usize,
+) -> (Vec<Column>, usize) {
+    let len = batches.iter().map(|(_, n)| n).sum();
+    if let [(columns, _)] = batches {
+        return (columns.clone(), len);
+    }
+    let columns = (0..width)
+        .map(|j| {
+            let parts: Vec<Column> = batches.iter().map(|(c, _)| c[j].clone()).collect();
+            Column::concat(&parts)
+        })
+        .collect();
+    (columns, len)
+}
 
 /// A cheap clonable handle onto one operator's [`OpStats`] slot.
 /// Operators use it to count vectorized kernel invocations
-/// (`kernels`) and columnar→row bridge conversions (`bridged`) without
+/// (`kernels`) and batches transposed to rows (`bridged`) without
 /// holding a borrow on the shared registry.
 #[derive(Clone)]
 pub(crate) struct StatsHandle {
@@ -258,9 +205,16 @@ impl StatsHandle {
         self.stats.borrow_mut()[self.id].kernels += 1;
     }
 
-    /// Counts one columnar→row bridge conversion.
+    /// Counts one batch transposed to rows.
     fn note_bridge(&self) {
         self.stats.borrow_mut()[self.id].bridged += 1;
+    }
+
+    /// Adds the kernel and bridge counts a [`JoinProbe::probe`] noted.
+    fn note_probe(&self, noted: &OpStats) {
+        let mut stats = self.stats.borrow_mut();
+        stats[self.id].kernels += noted.kernels;
+        stats[self.id].bridged += noted.bridged;
     }
 
     /// Counts one distinct correlation binding actually executed (a
@@ -291,14 +245,12 @@ impl StatsHandle {
         s.mem_peak = s.mem_peak.max(peak);
     }
 
-    /// Converts a batch to rows, counting a bridge when it was
-    /// columnar. This is the accounting boundary row-only operators
-    /// pull batches through.
-    fn bridge_rows(&self, b: Batch) -> Vec<Row> {
-        if b.is_columnar() {
-            self.note_bridge();
-        }
-        b.into_rows()
+    /// Transposes a batch to rows, counting one bridge: the accounting
+    /// boundary of the operators that still loop over rows privately
+    /// and of the kernel-error fallbacks.
+    fn bridge_rows(&self, b: &Batch) -> Vec<Row> {
+        self.note_bridge();
+        columns_to_rows(&b.columns, b.len)
     }
 }
 
@@ -577,15 +529,18 @@ fn rc_cols(cols: &[ColId]) -> Rc<[ColId]> {
     cols.into()
 }
 
-fn pos_of(layout: &[ColId], id: ColId) -> Result<usize> {
+pub(crate) fn pos_of(layout: &[ColId], id: ColId) -> Result<usize> {
     layout
         .iter()
         .position(|c| *c == id)
         .ok_or_else(|| Error::internal(format!("column {id} missing from operator layout")))
 }
 
-/// Takes up to `batch_size` rows off the front of `pending`, in time
-/// proportional to the rows taken (not to the rows left behind).
+/// Takes up to `batch_size` rows off the front of `pending` — in time
+/// proportional to the rows taken, not to the rows left behind — and
+/// transposes them into a batch. The exit of the operators whose
+/// algorithm builds rows (NLJoin's loop, an aggregate's finished
+/// groups).
 pub(crate) fn drain_pending(
     pending: &mut VecDeque<Row>,
     batch_size: usize,
@@ -595,7 +550,9 @@ pub(crate) fn drain_pending(
         return None;
     }
     let take = batch_size.min(pending.len());
-    Some(Batch::new(cols.clone(), pending.drain(..take).collect()))
+    let rows: Vec<Row> = pending.drain(..take).collect();
+    let columns = rows_to_columns(&rows, cols.len());
+    Some(Batch::from_columns(cols.clone(), columns, take))
 }
 
 // ---------------------------------------------------------------------
@@ -804,7 +761,7 @@ impl Compiler {
             let inner = self.compile_bare(p, false)?;
             return Ok(Box::new(CacheOp::new(
                 inner,
-                self.batch_size,
+                p.out_cols().len(),
                 StatsHandle::new(self.stats.clone(), id),
             )));
         }
@@ -905,30 +862,18 @@ impl Compiler {
                 // can keep its hash table across rewinds.
                 let build_stable = in_param && free_inputs(right).is_invariant();
                 Box::new(HashJoinOp {
-                    kind: *kind,
+                    probe: JoinProbe::new(*kind, left_pos, right_pos, residual.clone(), combined),
                     left: self.compile(left, in_param)?,
                     right: self.compile(right, in_param && !build_stable)?,
-                    left_pos,
-                    right_pos,
-                    residual: residual.clone(),
-                    residual_trivial: residual.is_true(),
-                    combined_pos: PosMap::new(&combined),
-                    combined: rc_cols(&combined),
                     out_cols: rc_cols(&p.out_cols()),
+                    left_width: lout.len(),
                     right_width: rout.len(),
                     build_stable,
-                    table: HashMap::new(),
-                    build_mode: None,
                     build_parts: Vec::new(),
-                    build_cols: Vec::new(),
-                    build_index: HashMap::new(),
-                    build_len: 0,
-                    row_table_ready: false,
+                    build: None,
                     built: false,
                     out_queue: VecDeque::new(),
-                    pending: VecDeque::new(),
                     left_done: false,
-                    batch_size: bs,
                     mem: MemoryReservation::detached("HashJoin"),
                     // A stable build is kept across rewinds; grace
                     // partitions are consumed when joined, so spilling
@@ -973,53 +918,27 @@ impl Compiler {
                 left,
                 right,
                 params,
-            } => {
-                let lout = left.out_cols();
-                let param_pos: Vec<(ColId, usize)> = params
-                    .iter()
-                    .filter_map(|c| lout.iter().position(|l| l == c).map(|i| (*c, i)))
-                    .collect();
-                Box::new(ApplyLoopOp {
-                    kind: *kind,
-                    left: self.compile(left, in_param)?,
-                    inner: self.compile(right, true)?,
-                    param_pos,
-                    right_width: right.out_cols().len(),
-                    out_cols: rc_cols(&p.out_cols()),
-                    inner_binds: Rc::new(RefCell::new(Bindings::new())),
-                    pending: VecDeque::new(),
-                    left_done: false,
-                    batch_size: bs,
-                    stats: sh.clone(),
-                })
             }
-            PhysExpr::BatchedApply {
+            | PhysExpr::BatchedApply {
                 kind,
                 left,
                 right,
                 params,
             } => {
-                let lout = left.out_cols();
-                let param_pos: Vec<(ColId, usize)> = params
-                    .iter()
-                    .filter_map(|c| lout.iter().position(|l| l == c).map(|i| (*c, i)))
-                    .collect();
-                Box::new(BatchedApplyOp {
-                    kind: *kind,
-                    left: self.compile(left, in_param)?,
-                    inner: self.compile(right, true)?,
-                    param_pos,
-                    right_width: right.out_cols().len(),
-                    out_cols: rc_cols(&p.out_cols()),
-                    inner_binds: Rc::new(RefCell::new(Bindings::new())),
-                    cache: HashMap::new(),
-                    degraded: false,
-                    mem: MemoryReservation::detached("BatchedApply"),
-                    pending: VecDeque::new(),
-                    left_done: false,
-                    batch_size: bs,
-                    stats: sh.clone(),
-                })
+                // The plain loop neither dedups nor caches bindings.
+                let cache_site =
+                    matches!(p, PhysExpr::BatchedApply { .. }).then_some("batched.bindings");
+                Box::new(ApplyOp::new(
+                    *kind,
+                    self.compile(left, in_param)?,
+                    InnerSource::Plan(self.compile(right, true)?),
+                    param_positions(params, &left.out_cols()),
+                    right.out_cols().len(),
+                    rc_cols(&p.out_cols()),
+                    op_name(p),
+                    cache_site,
+                    sh.clone(),
+                ))
             }
             PhysExpr::IndexLookupJoin {
                 kind,
@@ -1033,37 +952,30 @@ impl Compiler {
                 cols,
                 params,
             } => {
-                let lout = left.out_cols();
-                let param_pos: Vec<(ColId, usize)> = params
-                    .iter()
-                    .filter_map(|c| lout.iter().position(|l| l == c).map(|i| (*c, i)))
-                    .collect();
                 let proj = cols
                     .iter()
                     .map(|c| pos_of(fetch_cols, *c))
                     .collect::<Result<Vec<_>>>()?;
-                Box::new(IndexLookupJoinOp {
-                    kind: *kind,
-                    left: self.compile(left, in_param)?,
-                    table: *table,
-                    positions: positions.clone(),
-                    fetch_cols: fetch_cols.clone(),
-                    index_cols: index_cols.clone(),
-                    probes: probes.clone(),
-                    residual: residual.clone(),
-                    proj,
-                    param_pos,
-                    right_width: cols.len(),
-                    out_cols: rc_cols(&p.out_cols()),
-                    inner_binds: Rc::new(RefCell::new(Bindings::new())),
-                    cache: HashMap::new(),
-                    degraded: false,
-                    mem: MemoryReservation::detached("IndexLookupJoin"),
-                    pending: VecDeque::new(),
-                    left_done: false,
-                    batch_size: bs,
-                    stats: sh.clone(),
-                })
+                Box::new(ApplyOp::new(
+                    *kind,
+                    self.compile(left, in_param)?,
+                    InnerSource::Index(IndexFetch {
+                        table: *table,
+                        positions: positions.clone(),
+                        fetch_pos: PosMap::new(fetch_cols),
+                        fetch_cols: fetch_cols.clone(),
+                        index_cols: index_cols.clone(),
+                        probes: probes.clone(),
+                        residual: residual.clone(),
+                        proj,
+                    }),
+                    param_positions(params, &left.out_cols()),
+                    cols.len(),
+                    rc_cols(&p.out_cols()),
+                    op_name(p),
+                    Some("indexjoin.fetch"),
+                    sh.clone(),
+                ))
             }
             PhysExpr::SegmentExec {
                 input,
@@ -1100,7 +1012,6 @@ impl Compiler {
                     segments: Vec::new(),
                     partitioned: false,
                     seg_cursor: 0,
-                    pending: VecDeque::new(),
                     batch_size: bs,
                     mem: MemoryReservation::detached("SegmentExec"),
                     stats: sh.clone(),
@@ -1109,8 +1020,8 @@ impl Compiler {
             PhysExpr::SegmentScan { cols } => Box::new(SegmentScanOp {
                 cols: cols.clone(),
                 out_cols: rc_cols(&p.out_cols()),
-                segment: None,
-                positions: Vec::new(),
+                columns: Vec::new(),
+                len: 0,
                 cursor: 0,
                 batch_size: bs,
             }),
@@ -1194,10 +1105,10 @@ impl Compiler {
             PhysExpr::AssertMax1 { input } => Box::new(AssertMax1Op {
                 cols: rc_cols(&input.out_cols()),
                 input: self.compile(input, in_param)?,
-                buffered: Vec::new(),
+                first: None,
+                lanes: 0,
                 done: false,
                 mem: MemoryReservation::detached("Max1Row"),
-                stats: sh.clone(),
             }),
             PhysExpr::RowNumber { input, .. } => Box::new(RowNumberOp {
                 input: self.compile(input, in_param)?,
@@ -1207,7 +1118,9 @@ impl Compiler {
             }),
             PhysExpr::ConstScan { cols, rows } => Box::new(ConstScanOp {
                 cols: rc_cols(cols),
-                rows: Rc::new(rows.clone()),
+                // Transposed once, here; every batch is a window of it.
+                columns: rows_to_columns(rows, cols.len()),
+                len: rows.len(),
                 cursor: 0,
                 batch_size: bs,
             }),
@@ -1230,11 +1143,10 @@ impl Compiler {
                 cols: rc_cols(&input.out_cols()),
                 input: self.compile(input, in_param)?,
                 n: *n,
+                kept: 0,
                 buffered: VecDeque::new(),
                 done: false,
-                batch_size: bs,
                 mem: MemoryReservation::detached("Limit"),
-                stats: sh.clone(),
             }),
             PhysExpr::Exchange { input } => {
                 // The subtree is not compiled here: the exchange runtime
@@ -1340,38 +1252,38 @@ impl Operator for Metered {
 }
 
 /// One-time materialization of a parameter-invariant subtree: drains
-/// its input on first demand and replays the result on every rewind.
+/// its input on first demand, keeps the column batches it was handed,
+/// and replays handle clones of them on every rewind.
 ///
 /// When the memory budget refuses the materialization, the cache *sheds*
-/// instead of failing: buffered rows are released and the operator
+/// instead of failing: buffered batches are released and the operator
 /// degrades to a passthrough that re-executes its input on every rewind
 /// — the pre-cache behavior, slower but correct.
 struct CacheOp {
     input: BoxOp,
+    /// Output width of the compiled subtree; every batch is checked
+    /// against it before it is kept.
+    width: usize,
     filled: bool,
     /// Budget refusal during fill happened: operate as a passthrough.
     degraded: bool,
-    cols: Option<Rc<[ColId]>>,
-    rows: Vec<Row>,
+    batches: Vec<Batch>,
     cursor: usize,
-    batch_size: usize,
     mem: MemoryReservation,
     /// The cache is not itself a metered node — it records its peak
-    /// (and any bridge conversions) into the cached subtree root's
-    /// stats slot.
+    /// into the cached subtree root's stats slot.
     stats: StatsHandle,
 }
 
 impl CacheOp {
-    fn new(input: BoxOp, batch_size: usize, stats: StatsHandle) -> CacheOp {
+    fn new(input: BoxOp, width: usize, stats: StatsHandle) -> CacheOp {
         CacheOp {
             input,
+            width,
             filled: false,
             degraded: false,
-            cols: None,
-            rows: Vec::new(),
+            batches: Vec::new(),
             cursor: 0,
-            batch_size,
             mem: MemoryReservation::detached("Cache"),
             stats,
         }
@@ -1390,7 +1302,7 @@ impl Operator for CacheOp {
         }
         if self.degraded {
             // Passthrough mode: every rewind re-executes the input.
-            self.rows.clear();
+            self.batches.clear();
             return self.input.open(ctx);
         }
         self.mem = ctx.gov.reservation("Cache");
@@ -1400,19 +1312,18 @@ impl Operator for CacheOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.filled && !self.degraded {
             while let Some(b) = self.input.next_batch(ctx)? {
-                b.check_width(b.cols.len())?;
-                self.cols.get_or_insert_with(|| b.cols.clone());
+                b.check_width(self.width)?;
                 let charged =
                     crate::faults::hit("cache.fill").and_then(|()| self.mem.grow(b.mem_bytes()));
                 match charged {
-                    Ok(()) => self.rows.extend(self.stats.bridge_rows(b)),
+                    Ok(()) => self.batches.push(b),
                     Err(Error::ResourceExhausted { .. }) => {
                         // Shed: stream out what is buffered (plus the
                         // batch in hand), then abandon caching.
                         self.record_peak();
                         self.mem.reset();
                         self.degraded = true;
-                        self.rows.extend(self.stats.bridge_rows(b));
+                        self.batches.push(b);
                         break;
                     }
                     Err(e) => return Err(e),
@@ -1424,22 +1335,14 @@ impl Operator for CacheOp {
                 self.input.close();
             }
         }
-        if self.cursor < self.rows.len() {
-            let cols = self
-                .cols
-                .clone()
-                .ok_or_else(|| Error::internal("cache buffered rows without a layout"))?;
-            let end = (self.cursor + self.batch_size).min(self.rows.len());
-            let rows = self.rows[self.cursor..end].to_vec();
-            self.cursor = end;
-            return Ok(Some(Batch::new(cols, rows)));
+        if let Some(b) = self.batches.get(self.cursor) {
+            self.cursor += 1;
+            return Ok(Some(b.clone()));
         }
         if self.degraded {
             // Head drained; release it and stream the live input.
-            if !self.rows.is_empty() {
-                self.rows = Vec::new();
-                self.cursor = 0;
-            }
+            self.batches = Vec::new();
+            self.cursor = 0;
             return self.input.next_batch(ctx);
         }
         Ok(None)
@@ -1467,7 +1370,7 @@ impl Operator for ScanOp {
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         let t = ctx.catalog.table(self.table);
-        let total = t.rows().len();
+        let total = t.row_count();
         if self.cursor >= total {
             return Ok(None);
         }
@@ -1508,7 +1411,7 @@ impl Operator for MorselScanOp {
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         let t = ctx.catalog.table(self.table);
-        let total = t.rows().len();
+        let total = t.row_count();
         while let Some(&(_, end)) = self.ranges.get(self.range_idx) {
             let end = end.min(total);
             if self.cursor >= end {
@@ -1592,9 +1495,28 @@ impl Operator for SeekOp {
     }
 }
 
+/// Hands out up to `batch_size` lanes of resident columns from
+/// `cursor` as zero-copy windows, advancing the cursor.
+fn next_window(
+    columns: &[Column],
+    len: usize,
+    cursor: &mut usize,
+    batch_size: usize,
+    cols: &Rc<[ColId]>,
+) -> Option<Batch> {
+    if *cursor >= len {
+        return None;
+    }
+    let take = batch_size.min(len - *cursor);
+    let out = columns.iter().map(|c| c.slice(*cursor, take)).collect();
+    *cursor += take;
+    Some(Batch::from_columns(cols.clone(), out, take))
+}
+
 struct ConstScanOp {
     cols: Rc<[ColId]>,
-    rows: Rc<Vec<Row>>,
+    columns: Vec<Column>,
+    len: usize,
     cursor: usize,
     batch_size: usize,
 }
@@ -1606,21 +1528,22 @@ impl Operator for ConstScanOp {
     }
 
     fn next_batch(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        if self.cursor >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.cursor + self.batch_size).min(self.rows.len());
-        let rows = self.rows[self.cursor..end].to_vec();
-        self.cursor = end;
-        Ok(Some(Batch::new(self.cols.clone(), rows)))
+        Ok(next_window(
+            &self.columns,
+            self.len,
+            &mut self.cursor,
+            self.batch_size,
+            &self.cols,
+        ))
     }
 }
 
 struct SegmentScanOp {
     cols: Vec<(ColId, ColId)>,
     out_cols: Rc<[ColId]>,
-    segment: Option<Rc<Chunk>>,
-    positions: Vec<usize>,
+    /// The bound segment's scanned columns, transposed once per open.
+    columns: Vec<Column>,
+    len: usize,
     cursor: usize,
     batch_size: usize,
 }
@@ -1631,36 +1554,34 @@ impl Operator for SegmentScanOp {
         let binds = ctx.binds.borrow();
         let segment = binds
             .current_segment()
-            .ok_or_else(|| Error::internal("SegmentScan outside SegmentExec"))?
-            .clone();
-        self.positions = self
+            .ok_or_else(|| Error::internal("SegmentScan outside SegmentExec"))?;
+        self.columns = self
             .cols
             .iter()
-            .map(|(_, src)| segment.require_pos(*src))
+            .map(|(_, src)| {
+                let i = segment.require_pos(*src)?;
+                Ok(Column::from_values(
+                    segment.rows.iter().map(|r| r[i].clone()).collect(),
+                ))
+            })
             .collect::<Result<_>>()?;
-        self.segment = Some(segment);
+        self.len = segment.rows.len();
         Ok(())
     }
 
     fn next_batch(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        let Some(segment) = &self.segment else {
-            return Ok(None);
-        };
-        if self.cursor >= segment.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.cursor + self.batch_size).min(segment.rows.len());
-        let rows = segment.rows[self.cursor..end]
-            .iter()
-            .map(|r| self.positions.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        self.cursor = end;
-        Ok(Some(Batch::new(self.out_cols.clone(), rows)))
+        Ok(next_window(
+            &self.columns,
+            self.len,
+            &mut self.cursor,
+            self.batch_size,
+            &self.out_cols,
+        ))
     }
 }
 
 // ---------------------------------------------------------------------
-// Row-at-a-time streaming operators.
+// Streaming operators.
 // ---------------------------------------------------------------------
 
 struct FilterOp {
@@ -1682,52 +1603,42 @@ impl Operator for FilterOp {
                 return Ok(None);
             };
             let binds = ctx.binds.borrow();
-            // Vectorized path: evaluate the predicate over whole
-            // columns and gather the selected lanes. Any kernel error
-            // falls back to the row path on the whole batch, which
-            // reproduces row-ordered error behavior.
-            let mut vec_out = None;
-            if let Some((columns, len)) = batch.columns() {
-                let cx = VecEval {
-                    cols: &self.cols,
-                    pos: &self.pos,
-                    columns,
-                    len,
-                    binds: &binds,
-                };
-                if let Ok(sel) = eval_column(&self.predicate, &cx).and_then(|p| selected_true(&p)) {
+            let (columns, len) = batch.columns();
+            // Evaluate the predicate over whole columns; any kernel
+            // error re-evaluates the batch a row at a time, which
+            // reproduces row-ordered error behavior. Either way the
+            // result is a selection of the input lanes.
+            let cx = VecEval {
+                cols: &self.cols,
+                pos: &self.pos,
+                columns,
+                len,
+                binds: &binds,
+            };
+            let sel = match eval_column(&self.predicate, &cx).and_then(|p| selected_true(&p)) {
+                Ok(sel) => {
                     self.stats.note_kernel();
-                    vec_out = Some(if sel.is_empty() {
-                        None
-                    } else if sel.len() == len {
-                        Some(Batch::from_columns(
-                            self.cols.clone(),
-                            columns.to_vec(),
-                            len,
-                        ))
-                    } else {
-                        let out = columns.iter().map(|c| c.gather(&sel)).collect();
-                        Some(Batch::from_columns(self.cols.clone(), out, sel.len()))
-                    });
+                    sel
                 }
-            }
-            match vec_out {
-                Some(Some(out)) => return Ok(Some(out)),
-                Some(None) => {}
-                None => {
-                    let mut kept = Vec::new();
-                    for r in self.stats.bridge_rows(batch) {
+                Err(_) => {
+                    let mut sel = Vec::new();
+                    for (i, r) in self.stats.bridge_rows(&batch).iter().enumerate() {
                         if eval_predicate(
                             &self.predicate,
-                            &EvalCtx::mapped(&self.cols, &self.pos, &r, &binds),
+                            &EvalCtx::mapped(&self.cols, &self.pos, r, &binds),
                         )? {
-                            kept.push(r);
+                            sel.push(i);
                         }
                     }
-                    if !kept.is_empty() {
-                        return Ok(Some(Batch::new(self.cols.clone(), kept)));
-                    }
+                    sel
                 }
+            };
+            if sel.len() == len {
+                return Ok(Some(batch));
+            }
+            if !sel.is_empty() {
+                let out = columns.iter().map(|c| c.gather(&sel)).collect();
+                return Ok(Some(Batch::from_columns(self.cols.clone(), out, sel.len())));
             }
         }
     }
@@ -1752,42 +1663,42 @@ impl Operator for ComputeOp {
             return Ok(None);
         };
         let binds = ctx.binds.borrow();
-        // Vectorized path: each definition is one whole-column kernel
-        // over the *input* layout (definitions never see each other),
-        // appended to the carried-through input columns.
-        let mut vec_out = None;
-        if let Some((columns, len)) = batch.columns() {
-            let cx = VecEval {
-                cols: &self.in_cols,
-                pos: &self.pos,
-                columns,
-                len,
-                binds: &binds,
-            };
-            let computed: Result<Vec<Column>> =
-                self.defs.iter().map(|(_, e)| eval_column(e, &cx)).collect();
-            if let Ok(mut newc) = computed {
-                let mut out = columns.to_vec();
-                out.append(&mut newc);
+        // Each definition is one whole-column kernel over the *input*
+        // layout (definitions never see each other), appended to the
+        // carried-through input columns.
+        let (columns, len) = batch.columns();
+        let cx = VecEval {
+            cols: &self.in_cols,
+            pos: &self.pos,
+            columns,
+            len,
+            binds: &binds,
+        };
+        let computed: Result<Vec<Column>> =
+            self.defs.iter().map(|(_, e)| eval_column(e, &cx)).collect();
+        let mut newc = match computed {
+            Ok(newc) => {
                 self.stats.note_kernel();
-                vec_out = Some(Batch::from_columns(self.out_cols.clone(), out, len));
+                newc
             }
-        }
-        if let Some(out) = vec_out {
-            return Ok(Some(out));
-        }
-        let in_rows = self.stats.bridge_rows(batch);
-        let mut rows = Vec::with_capacity(in_rows.len());
-        for mut r in in_rows {
-            // Evaluation sees only the input layout, so appending in
-            // place is safe: lookups never index past `in_cols`.
-            for (_, e) in &self.defs {
-                let v = eval(e, &EvalCtx::mapped(&self.in_cols, &self.pos, &r, &binds))?;
-                r.push(v);
+            // Kernel error: recompute row-major, so the error (if it is
+            // one a row evaluator hits at all) is the row-ordered one.
+            Err(_) => {
+                let mut vals: Vec<Vec<Value>> = vec![Vec::with_capacity(len); self.defs.len()];
+                for r in &self.stats.bridge_rows(&batch) {
+                    for ((_, e), out) in self.defs.iter().zip(&mut vals) {
+                        out.push(eval(
+                            e,
+                            &EvalCtx::mapped(&self.in_cols, &self.pos, r, &binds),
+                        )?);
+                    }
+                }
+                vals.into_iter().map(Column::from_values).collect()
             }
-            rows.push(r);
-        }
-        Ok(Some(Batch::new(self.out_cols.clone(), rows)))
+        };
+        let (mut out, len) = batch.into_columns();
+        out.append(&mut newc);
+        Ok(Some(Batch::from_columns(self.out_cols.clone(), out, len)))
     }
 }
 
@@ -1807,19 +1718,12 @@ impl Operator for ProjectOp {
         let Some(batch) = self.input.next_batch(ctx)? else {
             return Ok(None);
         };
-        // Columnar projection is pure column selection: O(1) per
-        // column (a shared-buffer handle clone), no per-row work.
-        if let Some((columns, len)) = batch.columns() {
-            let out = self.positions.iter().map(|&i| columns[i].clone()).collect();
-            self.stats.note_kernel();
-            return Ok(Some(Batch::from_columns(self.cols.clone(), out, len)));
-        }
-        let rows = batch
-            .into_rows()
-            .into_iter()
-            .map(|r| self.positions.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        Ok(Some(Batch::new(self.cols.clone(), rows)))
+        // Projection is pure column selection: O(1) per column (a
+        // shared-buffer handle clone), no per-row work.
+        let (columns, len) = batch.columns();
+        let out = self.positions.iter().map(|&i| columns[i].clone()).collect();
+        self.stats.note_kernel();
+        Ok(Some(Batch::from_columns(self.cols.clone(), out, len)))
     }
 }
 
@@ -1840,27 +1744,19 @@ impl Operator for RowNumberOp {
         let Some(batch) = self.input.next_batch(ctx)? else {
             return Ok(None);
         };
-        if batch.is_columnar() {
-            let (mut columns, len) = batch.into_columns();
-            let start = self.counter;
-            self.counter += len as i64;
-            columns.push(Column::from_data(ColumnData {
-                data: ColData::Int((start..self.counter).collect()),
-                validity: Bitmap::new_valid(len),
-            }));
-            self.stats.note_kernel();
-            return Ok(Some(Batch::from_columns(
-                self.out_cols.clone(),
-                columns,
-                len,
-            )));
-        }
-        let mut rows = batch.into_rows();
-        for r in &mut rows {
-            r.push(Value::Int(self.counter));
-            self.counter += 1;
-        }
-        Ok(Some(Batch::new(self.out_cols.clone(), rows)))
+        let (mut columns, len) = batch.into_columns();
+        let start = self.counter;
+        self.counter += len as i64;
+        columns.push(Column::from_data(ColumnData {
+            data: ColData::Int((start..self.counter).collect()),
+            validity: Bitmap::new_valid(len),
+        }));
+        self.stats.note_kernel();
+        Ok(Some(Batch::from_columns(
+            self.out_cols.clone(),
+            columns,
+            len,
+        )))
     }
 }
 
@@ -1868,17 +1764,278 @@ impl Operator for RowNumberOp {
 // Joins.
 // ---------------------------------------------------------------------
 
-/// Extracts a join key; `None` when any key value is NULL (SQL equality
-/// never matches NULL).
-fn join_key(row: &[Value], positions: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(positions.len());
-    for &i in positions {
-        if row[i].is_null() {
-            return None;
+/// The build side of a hash join: the build rows as dense columns plus
+/// an index from key hash to build lanes, in build order. Lanes with a
+/// NULL key are absent from the index (SQL equality never matches
+/// NULL). Read-only once built, so the exchange shares one across its
+/// probe workers.
+pub(crate) struct JoinBuild {
+    cols: Vec<Column>,
+    index: HashMap<u64, Vec<u32>>,
+    len: usize,
+}
+
+impl JoinBuild {
+    /// Concatenates the build batches and hashes their key lanes.
+    pub(crate) fn new(
+        parts: &[(Vec<Column>, usize)],
+        width: usize,
+        key_pos: &[usize],
+    ) -> JoinBuild {
+        let (cols, len) = concat_batches(parts, width);
+        let key_cols: Vec<&Column> = key_pos.iter().map(|&i| &cols[i]).collect();
+        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (j, h) in hash_lanes(&key_cols, len).into_iter().enumerate() {
+            if keys_valid(&key_cols, j) {
+                index.entry(h).or_default().push(j as u32);
+            }
         }
-        key.push(row[i].clone());
+        JoinBuild { cols, index, len }
     }
-    Some(key)
+}
+
+/// What a hash join does with one probe batch: the four join kinds'
+/// semantics, written once. The resident probe, each grace partition
+/// pair and the exchange's repartition workers all call
+/// [`probe`](JoinProbe::probe) against whichever [`JoinBuild`] they
+/// hold.
+pub(crate) struct JoinProbe {
+    kind: JoinKind,
+    left_pos: Vec<usize>,
+    right_pos: Vec<usize>,
+    residual: ScalarExpr,
+    residual_trivial: bool,
+    /// Probe layout followed by build layout: what the residual sees.
+    combined: Vec<ColId>,
+    combined_pos: PosMap,
+}
+
+impl JoinProbe {
+    pub(crate) fn new(
+        kind: JoinKind,
+        left_pos: Vec<usize>,
+        right_pos: Vec<usize>,
+        residual: ScalarExpr,
+        combined: Vec<ColId>,
+    ) -> JoinProbe {
+        JoinProbe {
+            kind,
+            left_pos,
+            right_pos,
+            residual_trivial: residual.is_true(),
+            residual,
+            combined_pos: PosMap::new(&combined),
+            combined,
+        }
+    }
+
+    /// Joins one probe batch against `build`: the output columns and
+    /// their lane count. Candidate `(probe lane, build lane)` pairs are
+    /// visited in probe order and, within a probe lane, in build order
+    /// — the output order of a row-at-a-time join. A residual the
+    /// kernels cannot evaluate, or that errors on some lane, is
+    /// re-evaluated over the same pairs a lane at a time, so the error
+    /// that surfaces is the first one in that order. `noted` receives
+    /// what the join operator counts for the batch: a kernel, or a
+    /// bridge when the residual fell back to lanes.
+    pub(crate) fn probe(
+        &self,
+        build: &JoinBuild,
+        columns: &[Column],
+        len: usize,
+        binds: &Bindings,
+        noted: &mut OpStats,
+    ) -> Result<(Vec<Column>, usize)> {
+        let key_cols: Vec<&Column> = self.left_pos.iter().map(|&i| &columns[i]).collect();
+        let mut pairs: Vec<(usize, u32)> = Vec::new();
+        for (i, h) in hash_lanes(&key_cols, len).iter().enumerate() {
+            if !keys_valid(&key_cols, i) {
+                continue;
+            }
+            let Some(cands) = build.index.get(h) else {
+                continue;
+            };
+            let kvals: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
+            for &j in cands {
+                if self
+                    .right_pos
+                    .iter()
+                    .zip(&kvals)
+                    .all(|(&bi, v)| build.cols[bi].lane_eq(j as usize, v))
+                {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        if self.residual_trivial || pairs.is_empty() {
+            noted.kernels += 1;
+        } else {
+            pairs = match self.residual_kernel(build, columns, &pairs, binds) {
+                Ok(kept) => {
+                    noted.kernels += 1;
+                    kept
+                }
+                Err(_) => {
+                    noted.bridged += 1;
+                    self.residual_by_lane(build, columns, &pairs, binds)?
+                }
+            };
+        }
+        Ok(self.assemble(build, columns, len, &pairs))
+    }
+
+    /// The pairs the residual keeps, evaluated as one kernel over the
+    /// gathered pair columns.
+    fn residual_kernel(
+        &self,
+        build: &JoinBuild,
+        columns: &[Column],
+        pairs: &[(usize, u32)],
+        binds: &Bindings,
+    ) -> Result<Vec<(usize, u32)>> {
+        let pis: Vec<usize> = pairs.iter().map(|p| p.0).collect();
+        let bis: Vec<usize> = pairs.iter().map(|p| p.1 as usize).collect();
+        let mut comb: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
+        comb.extend(build.cols.iter().map(|c| c.gather(&bis)));
+        let cx = VecEval {
+            cols: &self.combined,
+            pos: &self.combined_pos,
+            columns: &comb,
+            len: pairs.len(),
+            binds,
+        };
+        let sel = selected_true(&eval_column(&self.residual, &cx)?)?;
+        Ok(sel.into_iter().map(|k| pairs[k]).collect())
+    }
+
+    /// The same, a pair at a time in output order. A semi or anti join
+    /// stops evaluating a probe lane at its first match, as a
+    /// row-at-a-time join does, so it cannot raise an error that one
+    /// would not.
+    fn residual_by_lane(
+        &self,
+        build: &JoinBuild,
+        columns: &[Column],
+        pairs: &[(usize, u32)],
+        binds: &Bindings,
+    ) -> Result<Vec<(usize, u32)>> {
+        let first_match_only = matches!(self.kind, JoinKind::LeftSemi | JoinKind::LeftAnti);
+        let mut kept: Vec<(usize, u32)> = Vec::new();
+        for &(i, j) in pairs {
+            if first_match_only && kept.last().is_some_and(|k| k.0 == i) {
+                continue;
+            }
+            let mut row = lane_row(columns, i);
+            row.extend(build.cols.iter().map(|c| c.value(j as usize)));
+            if eval_predicate(
+                &self.residual,
+                &EvalCtx::mapped(&self.combined, &self.combined_pos, &row, binds),
+            )? {
+                kept.push((i, j));
+            }
+        }
+        Ok(kept)
+    }
+
+    /// Output of the join kind over the surviving pairs.
+    fn assemble(
+        &self,
+        build: &JoinBuild,
+        columns: &[Column],
+        len: usize,
+        kept: &[(usize, u32)],
+    ) -> (Vec<Column>, usize) {
+        match self.kind {
+            JoinKind::Inner => {
+                let pis: Vec<usize> = kept.iter().map(|p| p.0).collect();
+                let bis: Vec<usize> = kept.iter().map(|p| p.1 as usize).collect();
+                let mut out: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
+                out.extend(build.cols.iter().map(|c| c.gather(&bis)));
+                (out, kept.len())
+            }
+            JoinKind::LeftOuter => {
+                // Walk probe lanes in order, interleaving each lane's
+                // matches with a NULL-padded row for unmatched lanes.
+                let mut pis: Vec<usize> = Vec::new();
+                let mut bis: Vec<Option<usize>> = Vec::new();
+                let mut k = 0;
+                for i in 0..len {
+                    let start = k;
+                    while k < kept.len() && kept[k].0 == i {
+                        pis.push(i);
+                        bis.push(Some(kept[k].1 as usize));
+                        k += 1;
+                    }
+                    if k == start {
+                        pis.push(i);
+                        bis.push(None);
+                    }
+                }
+                let mut out: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
+                out.extend(build.cols.iter().map(|c| c.gather_opt(&bis)));
+                (out, pis.len())
+            }
+            JoinKind::LeftSemi | JoinKind::LeftAnti => {
+                let mut matched = vec![false; len];
+                for &(i, _) in kept {
+                    matched[i] = true;
+                }
+                let want = self.kind == JoinKind::LeftSemi;
+                let sel: Vec<usize> = (0..len).filter(|&i| matched[i] == want).collect();
+                (columns.iter().map(|c| c.gather(&sel)).collect(), sel.len())
+            }
+        }
+    }
+}
+
+/// Routes the keyed lanes of one batch to their spill partitions at
+/// `level`, returning the lanes whose key is NULL (which match nothing
+/// and are never spilled).
+fn partition_lanes(
+    parts: &mut SpillPartitions,
+    columns: &[Column],
+    len: usize,
+    key_pos: &[usize],
+    level: usize,
+) -> Result<Vec<usize>> {
+    let key_cols: Vec<&Column> = key_pos.iter().map(|&i| &columns[i]).collect();
+    let mut unkeyed = Vec::new();
+    for (i, h) in hash_lanes(&key_cols, len).into_iter().enumerate() {
+        if keys_valid(&key_cols, i) {
+            parts.push_lane(partition_of(h, level), columns, i)?;
+        } else {
+            unkeyed.push(i);
+        }
+    }
+    Ok(unkeyed)
+}
+
+/// Repartitions one spilled file a level deeper.
+fn repartition_file(
+    ctx: &ExecCtx<'_>,
+    file: &mut SpillFile,
+    label: &str,
+    width: usize,
+    key_pos: &[usize],
+    level: usize,
+) -> Result<Vec<SpillFile>> {
+    let mut parts = SpillPartitions::create(&ctx.spill, label, width)?;
+    let mut r = file.reader()?;
+    while let Some((columns, n)) = r.next_block_columns()? {
+        partition_lanes(&mut parts, &columns, n, key_pos, level)?;
+        ctx.gov.check_cancelled("HashJoin")?;
+    }
+    parts.finish()
+}
+
+/// Records a sealed partition set's files in `stats`.
+fn note_spilled_files<'f>(stats: &StatsHandle, files: impl IntoIterator<Item = &'f SpillFile>) {
+    let (mut count, mut written) = (0, 0);
+    for f in files {
+        count += u64::from(!f.is_empty());
+        written += f.bytes();
+    }
+    stats.note_spill(count, written);
 }
 
 /// Disk-resident state of a grace hash join: both sides partitioned by
@@ -1900,97 +2057,24 @@ struct GraceJoin {
     pairs: Vec<(SpillFile, SpillFile, usize)>,
 }
 
-/// Probes `rows` against a row-mode hash `table`, appending result rows
-/// to `pending` with exactly the in-memory join's per-kind semantics.
-/// Shared by [`HashJoinOp`]'s resident probe path and the grace join's
-/// per-partition-pair probe.
-#[allow(clippy::too_many_arguments)]
-fn probe_rows_against(
-    table: &HashMap<Vec<Value>, Vec<Row>>,
-    kind: JoinKind,
-    left_pos: &[usize],
-    residual: &ScalarExpr,
-    residual_trivial: bool,
-    combined: &[ColId],
-    combined_pos: &PosMap,
-    right_width: usize,
-    rows: Vec<Row>,
-    binds: &Bindings,
-    pending: &mut VecDeque<Row>,
-) -> Result<()> {
-    for lr in rows {
-        let matches = join_key(&lr, left_pos).and_then(|k| table.get(&k));
-        let mut matched = false;
-        if let Some(rows) = matches {
-            for rr in rows {
-                let mut row = lr.clone();
-                row.extend(rr.iter().cloned());
-                let pass = residual_trivial
-                    || eval_predicate(
-                        residual,
-                        &EvalCtx::mapped(combined, combined_pos, &row, binds),
-                    )?;
-                if pass {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => pending.push_back(row),
-                        JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinKind::LeftOuter if !matched => {
-                let mut row = lr;
-                row.extend(std::iter::repeat_n(Value::Null, right_width));
-                pending.push_back(row);
-            }
-            JoinKind::LeftSemi if matched => pending.push_back(lr),
-            JoinKind::LeftAnti if !matched => pending.push_back(lr),
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 struct HashJoinOp {
-    kind: JoinKind,
+    probe: JoinProbe,
     left: BoxOp,
     right: BoxOp,
-    left_pos: Vec<usize>,
-    right_pos: Vec<usize>,
-    residual: ScalarExpr,
-    residual_trivial: bool,
-    combined: Rc<[ColId]>,
-    combined_pos: PosMap,
     out_cols: Rc<[ColId]>,
+    left_width: usize,
     right_width: usize,
-    /// Keep the hash table across rewinds (invariant build side inside
-    /// a parameterized scope).
+    /// Keep the build across rewinds (invariant build side inside a
+    /// parameterized scope).
     build_stable: bool,
-    /// Row-mode hash table (also materialized lazily from the columnar
-    /// build when a row-repr probe batch needs it).
-    table: HashMap<Vec<Value>, Vec<Row>>,
-    /// `Some(true)` = columnar build, `Some(false)` = row build,
-    /// `None` until the first build batch decides (an empty build side
-    /// finishes columnar so columnar probes have columns to gather).
-    build_mode: Option<bool>,
-    /// Raw columnar build batches, concatenated when the build ends.
-    build_parts: Vec<Vec<Column>>,
-    /// Concatenated build-side columns (columnar mode).
-    build_cols: Vec<Column>,
-    /// Key hash → build lane indices, in build order. Lanes with NULL
-    /// keys are absent (SQL equality never matches NULL).
-    build_index: HashMap<u64, Vec<u32>>,
-    build_len: usize,
-    /// The row-mode `table` has been materialized from `build_cols`.
-    row_table_ready: bool,
+    /// Build batches as they arrived, until the build side ends.
+    build_parts: ColumnBatches,
+    /// The resident build, once the build side ended without spilling.
+    build: Option<JoinBuild>,
     built: bool,
-    /// Finished output batches, ahead of `pending` in output order.
+    /// Finished output batches (a grace pair's whole output).
     out_queue: VecDeque<Batch>,
-    pending: VecDeque<Row>,
     left_done: bool,
-    batch_size: usize,
     mem: MemoryReservation,
     /// Degrade to a grace join on a refused build reservation (compiled
     /// from the pipeline's spill toggle; never set for stable builds).
@@ -2001,178 +2085,19 @@ struct HashJoinOp {
 }
 
 impl HashJoinOp {
-    /// Concatenates the buffered columnar build batches and hashes the
-    /// key columns into the lane index.
-    fn finish_columnar_build(&mut self) {
-        self.build_cols = (0..self.right_width)
-            .map(|c| {
-                let parts: Vec<Column> = self.build_parts.iter().map(|p| p[c].clone()).collect();
-                Column::concat(&parts)
-            })
-            .collect();
-        self.build_parts.clear();
-        let key_cols: Vec<&Column> = self
-            .right_pos
-            .iter()
-            .map(|&i| &self.build_cols[i])
-            .collect();
-        let hashes = hash_lanes(&key_cols, self.build_len);
-        self.build_index.clear();
-        for (j, &h) in hashes.iter().enumerate() {
-            if !keys_valid(&key_cols, j) {
-                continue;
-            }
-            self.build_index.entry(h).or_default().push(j as u32);
+    /// Records what one probe noted and queues its output.
+    fn queue_output(
+        &mut self,
+        joined: Result<(Vec<Column>, usize)>,
+        noted: &OpStats,
+    ) -> Result<()> {
+        self.stats.note_probe(noted);
+        let (out, n) = joined?;
+        if n > 0 {
+            self.out_queue
+                .push_back(Batch::from_columns(self.out_cols.clone(), out, n));
         }
-        if self.build_len > 0 {
-            self.stats.note_kernel();
-        }
-    }
-
-    /// Lazily materializes the row-mode hash table from the columnar
-    /// build, for row-repr probe batches and kernel-error fallback.
-    /// Deliberately uncharged: the build bytes were already charged
-    /// once, and charging the transpose could trip budgets the row
-    /// engine would not.
-    fn ensure_row_table(&mut self) {
-        if self.row_table_ready || self.build_mode != Some(true) {
-            return;
-        }
-        for j in 0..self.build_len {
-            let rr = lane_row(&self.build_cols, j);
-            if let Some(key) = join_key(&rr, &self.right_pos) {
-                self.table.entry(key).or_default().push(rr);
-            }
-        }
-        self.row_table_ready = true;
-    }
-
-    /// Moves buffered row output into the queue so columnar output
-    /// pushed afterwards cannot overtake it.
-    fn flush_pending(&mut self) {
-        if !self.pending.is_empty() {
-            self.out_queue.push_back(Batch::new(
-                self.out_cols.clone(),
-                std::mem::take(&mut self.pending).into(),
-            ));
-        }
-    }
-
-    /// Vectorized probe of one columnar batch against the columnar
-    /// build. Errors (kernel gaps, residual eval) make the caller fall
-    /// back to the row path on the same batch.
-    fn probe_columns(&mut self, b: &Batch, binds: &Bindings) -> Result<Batch> {
-        let (columns, len) = b
-            .columns()
-            .ok_or_else(|| Error::internal("columnar probe of a row batch"))?;
-        let key_cols: Vec<&Column> = self.left_pos.iter().map(|&i| &columns[i]).collect();
-        let hashes = hash_lanes(&key_cols, len);
-        // Candidate (probe lane, build lane) pairs, residual-filtered.
-        // Lanes are visited in probe order and candidates in build
-        // order, matching the row path's output order exactly.
-        let mut pairs: Vec<(usize, u32)> = Vec::new();
-        for (i, h) in hashes.iter().enumerate() {
-            if !keys_valid(&key_cols, i) {
-                continue;
-            }
-            let Some(cands) = self.build_index.get(h) else {
-                continue;
-            };
-            let kvals: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
-            for &j in cands {
-                if self
-                    .right_pos
-                    .iter()
-                    .zip(&kvals)
-                    .all(|(&bi, v)| self.build_cols[bi].lane_eq(j as usize, v))
-                {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        let kept = if self.residual_trivial || pairs.is_empty() {
-            pairs
-        } else {
-            let pis: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-            let bis: Vec<usize> = pairs.iter().map(|p| p.1 as usize).collect();
-            let mut comb: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
-            comb.extend(self.build_cols.iter().map(|c| c.gather(&bis)));
-            let cx = VecEval {
-                cols: &self.combined,
-                pos: &self.combined_pos,
-                columns: &comb,
-                len: pairs.len(),
-                binds,
-            };
-            let sel = selected_true(&eval_column(&self.residual, &cx)?)?;
-            sel.into_iter().map(|k| pairs[k]).collect()
-        };
-        match self.kind {
-            JoinKind::Inner => {
-                let pis: Vec<usize> = kept.iter().map(|p| p.0).collect();
-                let bis: Vec<usize> = kept.iter().map(|p| p.1 as usize).collect();
-                let mut out: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
-                out.extend(self.build_cols.iter().map(|c| c.gather(&bis)));
-                Ok(Batch::from_columns(self.out_cols.clone(), out, kept.len()))
-            }
-            JoinKind::LeftOuter => {
-                // Walk probe lanes in order, interleaving each lane's
-                // matches with a NULL-padded row for unmatched lanes.
-                let mut ob: Vec<(usize, Option<usize>)> = Vec::new();
-                let mut k = 0;
-                for i in 0..len {
-                    let start = k;
-                    while k < kept.len() && kept[k].0 == i {
-                        ob.push((i, Some(kept[k].1 as usize)));
-                        k += 1;
-                    }
-                    if k == start {
-                        ob.push((i, None));
-                    }
-                }
-                let pis: Vec<usize> = ob.iter().map(|p| p.0).collect();
-                let mut out: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
-                out.extend(self.build_cols.iter().map(|c| {
-                    Column::from_values(
-                        ob.iter()
-                            .map(|&(_, j)| j.map_or(Value::Null, |j| c.value(j)))
-                            .collect(),
-                    )
-                }));
-                Ok(Batch::from_columns(self.out_cols.clone(), out, ob.len()))
-            }
-            JoinKind::LeftSemi | JoinKind::LeftAnti => {
-                let mut matched = vec![false; len];
-                for &(i, _) in &kept {
-                    matched[i] = true;
-                }
-                let want = self.kind == JoinKind::LeftSemi;
-                let sel: Vec<usize> = (0..len).filter(|&i| matched[i] == want).collect();
-                let out: Vec<Column> = columns.iter().map(|c| c.gather(&sel)).collect();
-                Ok(Batch::from_columns(self.out_cols.clone(), out, sel.len()))
-            }
-        }
-    }
-
-    fn probe_rows(&mut self, rows: Vec<Row>, binds: &Bindings) -> Result<()> {
-        probe_rows_against(
-            &self.table,
-            self.kind,
-            &self.left_pos,
-            &self.residual,
-            self.residual_trivial,
-            &self.combined,
-            &self.combined_pos,
-            self.right_width,
-            rows,
-            binds,
-            &mut self.pending,
-        )
-    }
-
-    /// Probe-side width (the build side contributes `right_width`).
-    fn left_width(&self) -> usize {
-        self.combined.len() - self.right_width
+        Ok(())
     }
 
     /// Activates the grace join: the refused reservation's contents —
@@ -2180,41 +2105,12 @@ impl HashJoinOp {
     /// — are hash-partitioned to disk and the reservation is released.
     fn grace_start(&mut self, ctx: &ExecCtx<'_>, overflow: Batch) -> Result<()> {
         let mut parts = SpillPartitions::create(&ctx.spill, "hj-build", self.right_width)?;
-        // Flush the buffered columnar build: concatenating first makes
-        // the row count explicit even for zero-width layouts.
-        if self.build_mode == Some(true) {
-            self.finish_columnar_build();
-            for j in 0..self.build_len {
-                let rr = lane_row(&self.build_cols, j);
-                if let Some(key) = join_key(&rr, &self.right_pos) {
-                    parts.push(partition_of(hash_values(&key), 0), rr)?;
-                }
-                if j % 1024 == 1023 {
-                    ctx.gov.check_cancelled("HashJoin")?;
-                }
-            }
-            self.build_cols.clear();
-            self.build_index.clear();
-            self.build_len = 0;
-        }
-        // Flush the buffered row table (keys already non-NULL).
-        for (key, rows) in std::mem::take(&mut self.table) {
-            let p = partition_of(hash_values(&key), 0);
-            for rr in rows {
-                parts.push(p, rr)?;
-            }
+        let mut buffered = std::mem::take(&mut self.build_parts);
+        buffered.push(overflow.into_columns());
+        for (columns, n) in &buffered {
+            partition_lanes(&mut parts, columns, *n, &self.probe.right_pos, 0)?;
             ctx.gov.check_cancelled("HashJoin")?;
         }
-        // The batch whose charge was refused.
-        for rr in self.stats.bridge_rows(overflow) {
-            if let Some(key) = join_key(&rr, &self.right_pos) {
-                parts.push(partition_of(hash_values(&key), 0), rr)?;
-            }
-        }
-        self.row_table_ready = false;
-        // Grace probing is row-mode; keep columnar probes off the
-        // vectorized path.
-        self.build_mode = Some(false);
         // reset() releases the pool bytes but keeps the local peak for
         // stats.
         self.mem.reset();
@@ -2225,37 +2121,86 @@ impl HashJoinOp {
             sealed: false,
             pairs: Vec::new(),
         });
-        ctx.gov.check_cancelled("HashJoin")
+        Ok(())
+    }
+
+    /// Drains the build side: buffered resident, or — from the first
+    /// refused charge on — partitioned to disk.
+    fn run_build(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+        while let Some(b) = self.right.next_batch(ctx)? {
+            b.check_width(self.right_width)?;
+            if let Some(g) = self.grace.as_mut() {
+                // Already degraded: the failpoint still fires (Panic /
+                // Error / SlowMs), but a refused allocation is moot on
+                // the disk path.
+                match crate::faults::hit("hashjoin.build") {
+                    Err(Error::ResourceExhausted { .. }) => {}
+                    r => r?,
+                }
+                let parts = g.build.as_mut().expect("build partitions active");
+                partition_lanes(parts, &b.columns, b.len, &self.probe.right_pos, 0)?;
+                ctx.gov.check_cancelled("HashJoin")?;
+                continue;
+            }
+            match crate::faults::hit("hashjoin.build").and_then(|()| self.mem.grow(b.mem_bytes())) {
+                Ok(()) => self.build_parts.push(b.into_columns()),
+                Err(e) => {
+                    let refused = matches!(e, Error::ResourceExhausted { .. });
+                    if !(refused && self.allow_spill) {
+                        return Err(e.with_hint(MEM_OR_SPILL_HINT));
+                    }
+                    self.grace_start(ctx, b)?;
+                }
+            }
+        }
+        if let Some(g) = self.grace.as_mut() {
+            let parts = g.build.take().expect("build partitions active");
+            g.build_files = parts.finish()?;
+            note_spilled_files(&self.stats, &g.build_files);
+        } else {
+            let build = JoinBuild::new(
+                &std::mem::take(&mut self.build_parts),
+                self.right_width,
+                &self.probe.right_pos,
+            );
+            if build.len > 0 {
+                self.stats.note_kernel();
+            }
+            self.build = Some(build);
+        }
+        self.built = true;
+        Ok(())
     }
 
     /// Routes one probe-side batch to the level-0 probe partitions.
-    /// NULL-keyed probe rows never match, so their per-kind result is
+    /// NULL-keyed probe lanes never match, so their per-kind result is
     /// emitted immediately instead of being spilled.
-    fn grace_probe_batch(&mut self, ctx: &ExecCtx<'_>, batch: Batch) -> Result<()> {
-        let rows = self.stats.bridge_rows(batch);
-        let width = self.left_width();
+    fn grace_probe_batch(&mut self, ctx: &ExecCtx<'_>, batch: &Batch) -> Result<()> {
         let g = self
             .grace
             .as_mut()
             .expect("grace_probe_batch requires active grace state");
         if g.probe.is_none() {
-            g.probe = Some(SpillPartitions::create(&ctx.spill, "hj-probe", width)?);
+            g.probe = Some(SpillPartitions::create(
+                &ctx.spill,
+                "hj-probe",
+                self.left_width,
+            )?);
         }
         let parts = g.probe.as_mut().expect("probe partitions just ensured");
-        for mut lr in rows {
-            match join_key(&lr, &self.left_pos) {
-                Some(key) => {
-                    parts.push(partition_of(hash_values(&key), 0), lr)?;
-                }
-                None => match self.kind {
-                    JoinKind::Inner | JoinKind::LeftSemi => {}
-                    JoinKind::LeftOuter => {
-                        lr.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                        self.pending.push_back(lr);
-                    }
-                    JoinKind::LeftAnti => self.pending.push_back(lr),
-                },
-            }
+        let unkeyed = partition_lanes(parts, &batch.columns, batch.len, &self.probe.left_pos, 0)?;
+        let emit = matches!(self.probe.kind, JoinKind::LeftOuter | JoinKind::LeftAnti);
+        if emit && !unkeyed.is_empty() {
+            let mut out: Vec<Column> = batch.columns.iter().map(|c| c.gather(&unkeyed)).collect();
+            out.resize(
+                self.out_cols.len(),
+                Column::from_values(vec![Value::Null; unkeyed.len()]),
+            );
+            self.out_queue.push_back(Batch::from_columns(
+                self.out_cols.clone(),
+                out,
+                unkeyed.len(),
+            ));
         }
         ctx.gov.check_cancelled("HashJoin")
     }
@@ -2263,7 +2208,6 @@ impl HashJoinOp {
     /// Seals the probe partitions and forms the level-0 partition pairs
     /// (pushed in reverse so partition 0 is processed first).
     fn grace_seal_probe(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        let width = self.left_width();
         let g = self
             .grace
             .as_mut()
@@ -2271,12 +2215,10 @@ impl HashJoinOp {
         let probe = match g.probe.take() {
             Some(p) => p,
             // No keyed probe rows at all: partitions of nothing.
-            None => SpillPartitions::create(&ctx.spill, "hj-probe", width)?,
+            None => SpillPartitions::create(&ctx.spill, "hj-probe", self.left_width)?,
         };
         let pfiles = probe.finish()?;
-        let written: u64 = pfiles.iter().map(SpillFile::bytes).sum();
-        let count = pfiles.iter().filter(|f| !f.is_empty()).count() as u64;
-        self.stats.note_spill(count, written);
+        note_spilled_files(&self.stats, &pfiles);
         let bfiles = std::mem::take(&mut g.build_files);
         for pair in bfiles.into_iter().zip(pfiles).rev() {
             g.pairs.push((pair.0, pair.1, 0));
@@ -2293,18 +2235,18 @@ impl HashJoinOp {
         };
         // An empty build partition cannot produce Inner/Semi output;
         // skip reading the probe partition entirely.
-        if bf.is_empty() && matches!(self.kind, JoinKind::Inner | JoinKind::LeftSemi) {
+        if bf.is_empty() && matches!(self.probe.kind, JoinKind::Inner | JoinKind::LeftSemi) {
             return Ok(true);
         }
-        // Try to load this build partition into a resident table, under
-        // the same reservation the in-memory build uses.
-        let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
+        // Try to load this build partition resident, under the same
+        // reservation the in-memory build uses.
+        let mut blocks: ColumnBatches = Vec::new();
         let mut charged = 0u64;
         let mut refusal: Option<Error> = None;
         {
             let mut r = bf.reader()?;
-            while let Some(block) = r.next_block()? {
-                let bytes = rows_bytes(&block);
+            while let Some((columns, n)) = r.next_block_columns()? {
+                let bytes = cols_bytes(&columns, n);
                 match self.mem.grow(bytes) {
                     Ok(()) => charged += bytes,
                     Err(e) => {
@@ -2312,18 +2254,14 @@ impl HashJoinOp {
                         break;
                     }
                 }
-                for rr in block {
-                    let key = join_key(&rr, &self.right_pos)
-                        .ok_or_else(|| Error::internal("NULL key in grace build partition"))?;
-                    table.entry(key).or_default().push(rr);
-                }
+                blocks.push((columns, n));
                 ctx.gov.check_cancelled("HashJoin")?;
             }
         }
         if let Some(err) = refusal {
             // Partition still too big: subdivide both files one level
             // deeper, up to the recursion cap.
-            drop(table);
+            drop(blocks);
             self.mem.shrink(charged);
             let next = level + 1;
             if next >= MAX_SPILL_DEPTH {
@@ -2331,61 +2269,29 @@ impl HashJoinOp {
                 // too big for the budget (e.g. one very hot key).
                 return Err(err.with_hint(MEM_HINT));
             }
-            let mut bparts = SpillPartitions::create(&ctx.spill, "hj-build", self.right_width)?;
-            let mut r = bf.reader()?;
-            while let Some(block) = r.next_block()? {
-                for rr in block {
-                    let key = join_key(&rr, &self.right_pos)
-                        .ok_or_else(|| Error::internal("NULL key in grace build partition"))?;
-                    bparts.push(partition_of(hash_values(&key), next), rr)?;
-                }
-                ctx.gov.check_cancelled("HashJoin")?;
-            }
-            drop(r);
+            let (rw, lw) = (self.right_width, self.left_width);
+            let bfiles =
+                repartition_file(ctx, &mut bf, "hj-build", rw, &self.probe.right_pos, next)?;
             drop(bf);
-            let mut pparts = SpillPartitions::create(&ctx.spill, "hj-probe", self.left_width())?;
-            let mut r = pf.reader()?;
-            while let Some(block) = r.next_block()? {
-                for lr in block {
-                    let key = join_key(&lr, &self.left_pos)
-                        .ok_or_else(|| Error::internal("NULL key in grace probe partition"))?;
-                    pparts.push(partition_of(hash_values(&key), next), lr)?;
-                }
-                ctx.gov.check_cancelled("HashJoin")?;
-            }
-            drop(r);
+            let pfiles =
+                repartition_file(ctx, &mut pf, "hj-probe", lw, &self.probe.left_pos, next)?;
             drop(pf);
-            let bfiles = bparts.finish()?;
-            let pfiles = pparts.finish()?;
-            let written: u64 = bfiles.iter().chain(&pfiles).map(SpillFile::bytes).sum();
-            let count = bfiles
-                .iter()
-                .chain(&pfiles)
-                .filter(|f| !f.is_empty())
-                .count() as u64;
-            self.stats.note_spill(count, written);
+            note_spilled_files(&self.stats, bfiles.iter().chain(&pfiles));
             let g = self.grace.as_mut().expect("grace state active");
             for pair in bfiles.into_iter().zip(pfiles).rev() {
                 g.pairs.push((pair.0, pair.1, next));
             }
             return Ok(true);
         }
-        // Table resident: stream the probe partition through it.
+        // Partition resident: the same build and probe the in-memory
+        // join runs, one probe block at a time.
+        let build = JoinBuild::new(&blocks, self.right_width, &self.probe.right_pos);
+        drop(blocks);
         let mut r = pf.reader()?;
-        while let Some(block) = r.next_block()? {
-            probe_rows_against(
-                &table,
-                self.kind,
-                &self.left_pos,
-                &self.residual,
-                self.residual_trivial,
-                &self.combined,
-                &self.combined_pos,
-                self.right_width,
-                block,
-                binds,
-                &mut self.pending,
-            )?;
+        while let Some((columns, n)) = r.next_block_columns()? {
+            let mut noted = OpStats::default();
+            let joined = self.probe.probe(&build, &columns, n, binds, &mut noted);
+            self.queue_output(joined, &noted)?;
             ctx.gov.check_cancelled("HashJoin")?;
         }
         drop(r);
@@ -2396,25 +2302,19 @@ impl HashJoinOp {
 
 impl Operator for HashJoinOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pending.clear();
         self.out_queue.clear();
         self.left_done = false;
         self.left.open(ctx)?;
         if !(self.build_stable && self.built) {
-            self.table.clear();
-            self.build_mode = None;
             self.build_parts.clear();
-            self.build_cols.clear();
-            self.build_index.clear();
-            self.build_len = 0;
-            self.row_table_ready = false;
+            self.build = None;
             self.built = false;
             // Dropping stale grace state removes any leftover partition
             // files from a previous (errored) execution of this cached
             // pipeline.
             self.grace = None;
             // Fresh reservation: replacing the old one releases the
-            // dropped table's bytes back to the pool.
+            // dropped build's bytes back to the pool.
             self.mem = ctx.gov.reservation("HashJoin");
             self.right.open(ctx)?;
         }
@@ -2423,137 +2323,42 @@ impl Operator for HashJoinOp {
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.built {
-            // The first build batch decides the mode; later batches in
-            // the other representation are converted. The per-batch
-            // fault/charge order is identical in both modes so budget
-            // trips and failpoints do not depend on the representation.
-            while let Some(b) = self.right.next_batch(ctx)? {
-                b.check_width(self.right_width)?;
-                if let Some(g) = self.grace.as_mut() {
-                    // Already degraded: the failpoint still fires
-                    // (Panic / Error / SlowMs), but a refused
-                    // allocation is moot on the disk path.
-                    match crate::faults::hit("hashjoin.build") {
-                        Err(Error::ResourceExhausted { .. }) => {}
-                        r => r?,
-                    }
-                    let rows = self.stats.bridge_rows(b);
-                    let parts = g.build.as_mut().expect("build partitions active");
-                    for rr in rows {
-                        if let Some(key) = join_key(&rr, &self.right_pos) {
-                            parts.push(partition_of(hash_values(&key), 0), rr)?;
-                        }
-                    }
-                    ctx.gov.check_cancelled("HashJoin")?;
-                    continue;
-                }
-                match crate::faults::hit("hashjoin.build")
-                    .and_then(|()| self.mem.grow(b.mem_bytes()))
-                {
-                    Ok(()) => {}
-                    Err(e) => {
-                        let refused = matches!(e, Error::ResourceExhausted { .. });
-                        if refused && self.allow_spill {
-                            self.grace_start(ctx, b)?;
-                            continue;
-                        }
-                        return Err(e.with_hint(MEM_OR_SPILL_HINT));
-                    }
-                }
-                let columnar = *self.build_mode.get_or_insert(b.is_columnar());
-                if columnar {
-                    let (columns, n) = b.into_columns();
-                    self.build_len += n;
-                    self.build_parts.push(columns);
-                } else {
-                    for rr in self.stats.bridge_rows(b) {
-                        if let Some(key) = join_key(&rr, &self.right_pos) {
-                            self.table.entry(key).or_default().push(rr);
-                        }
-                    }
-                }
-            }
-            if let Some(g) = self.grace.as_mut() {
-                let parts = g.build.take().expect("build partitions active");
-                let files = parts.finish()?;
-                let written: u64 = files.iter().map(SpillFile::bytes).sum();
-                let count = files.iter().filter(|f| !f.is_empty()).count() as u64;
-                self.stats.note_spill(count, written);
-                g.build_files = files;
-            } else if self.build_mode != Some(false) {
-                // Columnar build — or an empty build side, finished
-                // columnar so columnar probes have columns to gather.
-                self.build_mode = Some(true);
-                self.finish_columnar_build();
-            }
-            self.built = true;
+            self.run_build(ctx)?;
         }
         loop {
             if let Some(b) = self.out_queue.pop_front() {
                 return Ok(Some(b));
             }
-            if self.grace.is_some() {
-                // Grace probe phase: partition the probe side to disk,
-                // then join partition pairs one step per iteration.
-                if self.pending.len() >= self.batch_size {
-                    if let Some(b) =
-                        drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
-                    {
-                        return Ok(Some(b));
+            if !self.left_done {
+                match self.left.next_batch(ctx)? {
+                    None => self.left_done = true,
+                    Some(batch) if self.grace.is_some() => self.grace_probe_batch(ctx, &batch)?,
+                    Some(batch) => {
+                        let build = self.build.as_ref().expect("resident build");
+                        let mut noted = OpStats::default();
+                        let joined = self.probe.probe(
+                            build,
+                            &batch.columns,
+                            batch.len,
+                            &ctx.binds.borrow(),
+                            &mut noted,
+                        );
+                        self.queue_output(joined, &noted)?;
                     }
                 }
-                if !self.left_done {
-                    match self.left.next_batch(ctx)? {
-                        None => self.left_done = true,
-                        Some(batch) => self.grace_probe_batch(ctx, batch)?,
-                    }
-                    continue;
-                }
-                if !self.grace.as_ref().is_some_and(|g| g.sealed) {
-                    self.grace_seal_probe(ctx)?;
-                    continue;
-                }
-                let binds = ctx.binds.borrow().clone();
-                if self.grace_step(ctx, &binds)? {
-                    continue;
-                }
-                if let Some(b) = drain_pending(&mut self.pending, self.batch_size, &self.out_cols) {
-                    return Ok(Some(b));
-                }
+                continue;
+            }
+            // Grace probe phase: seal the probe partitions, then join
+            // partition pairs one step per iteration.
+            if self.grace.is_none() {
                 return Ok(None);
             }
-            if self.pending.len() >= self.batch_size || self.left_done {
-                if let Some(b) = drain_pending(&mut self.pending, self.batch_size, &self.out_cols) {
-                    return Ok(Some(b));
-                }
-                if self.left_done {
-                    return Ok(None);
-                }
+            if !self.grace.as_ref().is_some_and(|g| g.sealed) {
+                self.grace_seal_probe(ctx)?;
+                continue;
             }
-            match self.left.next_batch(ctx)? {
-                None => self.left_done = true,
-                Some(batch) => {
-                    let binds = ctx.binds.borrow().clone();
-                    let mut handled = false;
-                    if batch.is_columnar() && self.build_mode == Some(true) {
-                        // On kernel gap or residual error, fall back to
-                        // the row path on the whole batch, which
-                        // reproduces row-ordered behavior.
-                        if let Ok(out) = self.probe_columns(&batch, &binds) {
-                            self.stats.note_kernel();
-                            if !out.is_empty() {
-                                self.flush_pending();
-                                self.out_queue.push_back(out);
-                            }
-                            handled = true;
-                        }
-                    }
-                    if !handled {
-                        self.ensure_row_table();
-                        let rows = self.stats.bridge_rows(batch);
-                        self.probe_rows(rows, &binds)?;
-                    }
-                }
+            if !self.grace_step(ctx, &ctx.binds.borrow())? {
+                return Ok(None);
             }
         }
     }
@@ -2637,7 +2442,7 @@ impl Operator for NLJoinOp {
                 crate::faults::hit("nljoin.build")
                     .and_then(|()| self.mem.grow(b.mem_bytes()))
                     .map_err(|e| e.with_hint(MEM_HINT))?;
-                let rows = self.stats.bridge_rows(b);
+                let rows = self.stats.bridge_rows(&b);
                 self.right_rows.extend(rows);
             }
             self.right_built = true;
@@ -2646,9 +2451,8 @@ impl Operator for NLJoinOp {
             match self.left.next_batch(ctx)? {
                 None => self.left_done = true,
                 Some(batch) => {
-                    let binds = ctx.binds.borrow().clone();
-                    let rows = self.stats.bridge_rows(batch);
-                    self.probe_rows(rows, &binds)?;
+                    let rows = self.stats.bridge_rows(&batch);
+                    self.probe_rows(rows, &ctx.binds.borrow())?;
                 }
             }
         }
@@ -2668,357 +2472,83 @@ impl Operator for NLJoinOp {
 // Parameterized (rebind-and-rewind) operators.
 // ---------------------------------------------------------------------
 
-struct ApplyLoopOp {
-    kind: ApplyKind,
-    left: BoxOp,
-    inner: BoxOp,
-    param_pos: Vec<(ColId, usize)>,
-    right_width: usize,
-    out_cols: Rc<[ColId]>,
-    /// Private bindings the inner plan runs under; parameter slots are
-    /// overwritten per outer row, then the inner subtree is re-opened.
-    inner_binds: Rc<RefCell<Bindings>>,
-    pending: VecDeque<Row>,
-    left_done: bool,
-    batch_size: usize,
-    stats: StatsHandle,
+/// Where each correlation parameter sits in the outer layout.
+fn param_positions(params: &[ColId], outer: &[ColId]) -> Vec<(ColId, usize)> {
+    params
+        .iter()
+        .filter_map(|c| outer.iter().position(|l| l == c).map(|i| (*c, i)))
+        .collect()
 }
 
-impl Operator for ApplyLoopOp {
-    fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.inner_binds = Rc::new(RefCell::new(ctx.binds.borrow().clone()));
-        self.pending.clear();
-        self.left_done = false;
-        self.left.open(ctx)
-    }
+/// One binding's inner result: its columns and lane count.
+type InnerResult = Rc<(Vec<Column>, usize)>;
 
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        while self.pending.len() < self.batch_size && !self.left_done {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                self.left_done = true;
-                break;
-            };
-            let ictx = ExecCtx {
-                catalog: ctx.catalog,
-                binds: self.inner_binds.clone(),
-                parallelism: ctx.parallelism,
-                gov: ctx.gov.clone(),
-                shared_catalog: ctx.shared_catalog.clone(),
-                spill: Rc::clone(&ctx.spill),
-            };
-            for lr in self.stats.bridge_rows(batch) {
-                {
-                    let mut binds = self.inner_binds.borrow_mut();
-                    for (p, i) in &self.param_pos {
-                        binds.set(*p, lr[*i].clone());
-                    }
-                }
-                self.inner.open(&ictx)?;
-                let mut inner_rows = Vec::new();
-                while let Some(b) = self.inner.next_batch(&ictx)? {
-                    b.check_width(self.right_width)?;
-                    inner_rows.extend(self.stats.bridge_rows(b));
-                }
-                match self.kind {
-                    ApplyKind::Cross | ApplyKind::LeftOuter => {
-                        if inner_rows.is_empty() && self.kind == ApplyKind::LeftOuter {
-                            let mut row = lr;
-                            row.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                            self.pending.push_back(row);
-                        } else {
-                            for ir in inner_rows {
-                                let mut row = lr.clone();
-                                row.extend(ir);
-                                self.pending.push_back(row);
-                            }
-                        }
-                    }
-                    ApplyKind::Semi => {
-                        if !inner_rows.is_empty() {
-                            self.pending.push_back(lr);
-                        }
-                    }
-                    ApplyKind::Anti => {
-                        if inner_rows.is_empty() {
-                            self.pending.push_back(lr);
-                        }
-                    }
-                }
-            }
-        }
-        // The loop itself is row-at-a-time (it rebinds per outer row);
-        // transposing the assembled batch keeps downstream vectorized
-        // operators on the kernel path.
-        Ok(
-            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
-                .map(Batch::to_columnar),
-        )
-    }
+/// How one binding's inner result is obtained — the only thing the
+/// three correlated strategies differ in besides whether they dedup.
+enum InnerSource {
+    /// Rebind and rewind the compiled inner plan (`ApplyLoop`,
+    /// `BatchedApply`).
+    Plan(BoxOp),
+    /// The seek-shaped inner plan fused into the operator: a hash-index
+    /// lookup, a gather of the hits and a residual (`IndexLookupJoin`).
+    Index(IndexFetch),
 }
 
-/// Dedups one outer batch on the correlation parameters: returns the
-/// distinct binding tuples in first-seen order, the tuple index per
-/// outer row, and the rows themselves. Columnar batches dedup on the
-/// parameter lanes directly (a vectorized kernel) before bridging to
-/// rows for assembly.
-fn dedup_apply_batch(
-    param_pos: &[(ColId, usize)],
-    batch: Batch,
-    stats: &StatsHandle,
-) -> (Vec<Row>, Vec<usize>, Vec<Row>) {
-    if let Repr::Columns { columns, len } = &batch.repr {
-        let key_cols: Vec<&Column> = param_pos.iter().map(|(_, i)| &columns[*i]).collect();
-        let (distinct, group_of) = dedup_lanes(&key_cols, *len);
-        stats.note_kernel();
-        let rows = stats.bridge_rows(batch);
-        return (distinct, group_of, rows);
-    }
-    let rows = batch.into_rows();
-    let mut index: HashMap<Row, usize> = HashMap::new();
-    let mut distinct: Vec<Row> = Vec::new();
-    let mut group_of = Vec::with_capacity(rows.len());
-    for r in &rows {
-        let key: Row = param_pos.iter().map(|(_, i)| r[*i].clone()).collect();
-        match index.get(&key) {
-            Some(&g) => group_of.push(g),
-            None => {
-                let g = distinct.len();
-                index.insert(key.clone(), g);
-                distinct.push(key);
-                group_of.push(g);
-            }
-        }
-    }
-    (distinct, group_of, rows)
-}
-
-/// Applies the `ApplyKind` combination semantics for one outer row
-/// against its inner result — shared by the batched apply operators so
-/// they match [`ApplyLoopOp`] exactly.
-fn emit_apply_row(
-    kind: ApplyKind,
-    lr: Row,
-    inner_rows: &[Row],
-    right_width: usize,
-    pending: &mut VecDeque<Row>,
-) {
-    match kind {
-        ApplyKind::Cross | ApplyKind::LeftOuter => {
-            if inner_rows.is_empty() && kind == ApplyKind::LeftOuter {
-                let mut row = lr;
-                row.extend(std::iter::repeat_n(Value::Null, right_width));
-                pending.push_back(row);
-            } else {
-                for ir in inner_rows {
-                    let mut row = lr.clone();
-                    row.extend(ir.iter().cloned());
-                    pending.push_back(row);
-                }
-            }
-        }
-        ApplyKind::Semi => {
-            if !inner_rows.is_empty() {
-                pending.push_back(lr);
-            }
-        }
-        ApplyKind::Anti => {
-            if inner_rows.is_empty() {
-                pending.push_back(lr);
-            }
-        }
-    }
-}
-
-/// Batched correlated execution: dedups each outer batch on the
-/// correlation parameters and runs the inner plan once per *distinct*
-/// binding, caching inner results across batches in a governor-charged
-/// binding cache. This generalizes the invariant-subtree cache
-/// ([`CacheOp`], the zero-parameter case) to parameterized inners.
-///
-/// NULL binding semantics: cache keys use `Value`'s own `Eq`, under
-/// which `Null == Null` but `Null != v` for every non-NULL `v` — so a
-/// NULL correlation parameter can never hit a cached non-NULL result,
-/// and two NULL bindings sharing one entry is sound because the inner
-/// plan is deterministic per binding tuple (an `IndexSeek` under a NULL
-/// probe yields empty on every execution, per SQL equality).
-struct BatchedApplyOp {
-    kind: ApplyKind,
-    left: BoxOp,
-    inner: BoxOp,
-    param_pos: Vec<(ColId, usize)>,
-    right_width: usize,
-    out_cols: Rc<[ColId]>,
-    inner_binds: Rc<RefCell<Bindings>>,
-    /// Inner results per distinct binding tuple, kept across batches
-    /// within one execution; cleared on every `open` (rewinds under an
-    /// outer apply re-parameterize the whole subtree).
-    cache: HashMap<Row, Rc<Vec<Row>>>,
-    /// Set when the governor refused binding-cache growth: the cache is
-    /// shed and bindings execute uncached (still deduped per batch).
-    degraded: bool,
-    mem: MemoryReservation,
-    pending: VecDeque<Row>,
-    left_done: bool,
-    batch_size: usize,
-    stats: StatsHandle,
-}
-
-impl BatchedApplyOp {
-    /// Runs the inner plan under one binding tuple and drains it.
-    fn run_inner(&mut self, ictx: &ExecCtx<'_>, key: &[Value]) -> Result<Vec<Row>> {
-        {
-            let mut binds = self.inner_binds.borrow_mut();
-            for ((p, _), v) in self.param_pos.iter().zip(key.iter()) {
-                binds.set(*p, v.clone());
-            }
-        }
-        self.inner.open(ictx)?;
-        let mut inner_rows = Vec::new();
-        while let Some(b) = self.inner.next_batch(ictx)? {
-            b.check_width(self.right_width)?;
-            inner_rows.extend(self.stats.bridge_rows(b));
-        }
-        self.stats.note_distinct_binding();
-        Ok(inner_rows)
-    }
-
-    /// Caches one binding's result, charging the governor; on refusal
-    /// the cache is shed (reset + degrade) and execution continues
-    /// uncached — results are identical either way.
-    fn try_cache(&mut self, key: Row, rs: &Rc<Vec<Row>>) -> Result<()> {
-        let bytes = rows_bytes(std::slice::from_ref(&key)) + rows_bytes(rs);
-        match crate::faults::hit("batched.bindings").and_then(|()| self.mem.grow(bytes)) {
-            Ok(()) => {
-                self.cache.insert(key, rs.clone());
-                Ok(())
-            }
-            Err(Error::ResourceExhausted { .. }) => {
-                self.stats.note_mem_peak(self.mem.peak());
-                self.mem.reset();
-                self.cache.clear();
-                self.degraded = true;
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl Operator for BatchedApplyOp {
-    fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.inner_binds = Rc::new(RefCell::new(ctx.binds.borrow().clone()));
-        self.cache.clear();
-        self.degraded = false;
-        self.mem = ctx.gov.reservation("BatchedApply");
-        self.pending.clear();
-        self.left_done = false;
-        self.left.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        while self.pending.len() < self.batch_size && !self.left_done {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                self.left_done = true;
-                break;
-            };
-            let (distinct, group_of, rows) = dedup_apply_batch(&self.param_pos, batch, &self.stats);
-            let ictx = ExecCtx {
-                catalog: ctx.catalog,
-                binds: self.inner_binds.clone(),
-                parallelism: ctx.parallelism,
-                gov: ctx.gov.clone(),
-                shared_catalog: ctx.shared_catalog.clone(),
-                spill: Rc::clone(&ctx.spill),
-            };
-            let mut results: Vec<Rc<Vec<Row>>> = Vec::with_capacity(distinct.len());
-            for key in distinct {
-                if let Some(rs) = self.cache.get(&key) {
-                    results.push(rs.clone());
-                    continue;
-                }
-                let rs = Rc::new(self.run_inner(&ictx, &key)?);
-                if !self.degraded {
-                    self.try_cache(key, &rs)?;
-                }
-                results.push(rs);
-            }
-            for (lr, g) in rows.into_iter().zip(group_of) {
-                emit_apply_row(
-                    self.kind,
-                    lr,
-                    &results[g],
-                    self.right_width,
-                    &mut self.pending,
-                );
-            }
-        }
-        Ok(
-            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
-                .map(Batch::to_columnar),
-        )
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
-    }
-}
-
-/// Correlated index-lookup join (§4): per distinct outer binding,
-/// probes the table's hash index directly, applies the residual over
-/// the fetched layout, and projects the inner columns — the whole
-/// seek-shaped inner plan fused into this operator. Shares the binding
-/// cache + dedup machinery (and its NULL semantics) with
-/// [`BatchedApplyOp`]; a NULL probe value yields the empty inner result
-/// (SQL equality never matches NULL), exactly like `IndexSeek` under
-/// `ApplyLoop`.
-struct IndexLookupJoinOp {
-    kind: ApplyKind,
-    left: BoxOp,
+/// The fused inner side of an `IndexLookupJoin` (§4).
+struct IndexFetch {
     table: TableId,
     positions: Vec<usize>,
     fetch_cols: Vec<ColId>,
+    fetch_pos: PosMap,
     index_cols: Vec<usize>,
     probes: Vec<ScalarExpr>,
     residual: ScalarExpr,
     /// Positions of the output projection within `fetch_cols`.
     proj: Vec<usize>,
-    param_pos: Vec<(ColId, usize)>,
-    right_width: usize,
-    out_cols: Rc<[ColId]>,
-    inner_binds: Rc<RefCell<Bindings>>,
-    cache: HashMap<Row, Rc<Vec<Row>>>,
-    degraded: bool,
-    mem: MemoryReservation,
-    pending: VecDeque<Row>,
-    left_done: bool,
-    batch_size: usize,
-    stats: StatsHandle,
 }
 
-impl IndexLookupJoinOp {
-    /// Probes the index under one binding tuple: evaluates the probe
-    /// expressions against the rebound parameters, looks up matching
-    /// row ids, fetches + filters + projects.
-    fn probe(&mut self, ctx: &ExecCtx<'_>, key: &[Value]) -> Result<Vec<Row>> {
-        {
-            let mut binds = self.inner_binds.borrow_mut();
-            for ((p, _), v) in self.param_pos.iter().zip(key.iter()) {
-                binds.set(*p, v.clone());
-            }
+impl IndexFetch {
+    /// The index this fetch was planned against must still exist.
+    fn check_index(&self, catalog: &Catalog) -> Result<()> {
+        let t = catalog.table(self.table);
+        if t.select_index(&self.index_cols).as_deref() != Some(&self.index_cols[..]) {
+            return Err(Error::internal(format!(
+                "missing index on {:?} of {}",
+                self.index_cols, t.def.name
+            )));
         }
-        self.stats.note_distinct_binding();
-        let binds = self.inner_binds.borrow();
-        let empty_ctx = EvalCtx::plain(&[], &[], &binds);
+        Ok(())
+    }
+
+    /// Probes the index under the current bindings: evaluates the probe
+    /// expressions, looks up matching row ids, gathers the fetched
+    /// columns off the storage mirror, filters them through the
+    /// residual and projects. A NULL probe value yields the empty
+    /// result (SQL equality never matches NULL), exactly like
+    /// `IndexSeek` under `ApplyLoop`.
+    fn fetch(
+        &self,
+        catalog: &Catalog,
+        binds: &Bindings,
+        stats: &StatsHandle,
+    ) -> Result<(Vec<Column>, usize)> {
+        let t = catalog.table(self.table);
+        let tcols = t.columns();
+        let project = |idx: &[usize]| -> Vec<Column> {
+            self.proj
+                .iter()
+                .map(|&p| tcols[self.positions[p]].gather(idx))
+                .collect()
+        };
+        let empty_ctx = EvalCtx::plain(&[], &[], binds);
         let mut probe_key = Vec::with_capacity(self.probes.len());
         for probe in &self.probes {
             let v = eval(probe, &empty_ctx)?;
             if v.is_null() {
-                // SQL equality never matches NULL: empty result.
-                return Ok(Vec::new());
+                return Ok((project(&[]), 0));
             }
             probe_key.push(v);
         }
-        let t = ctx.catalog.table(self.table);
         let hits = t
             .index_lookup(&self.index_cols, &probe_key)
             .ok_or_else(|| {
@@ -3027,27 +2557,163 @@ impl IndexLookupJoinOp {
                     self.index_cols, t.def.name
                 ))
             })?;
-        self.stats.note_index_probe();
-        let all = t.rows();
-        let mut out = Vec::new();
-        for &rid in hits {
-            let r = &all[rid];
-            let fetched: Row = self.positions.iter().map(|&i| r[i].clone()).collect();
-            if eval_predicate(
-                &self.residual,
-                &EvalCtx::plain(&self.fetch_cols, &fetched, &binds),
-            )? {
-                out.push(self.proj.iter().map(|&i| fetched[i].clone()).collect());
-            }
+        stats.note_index_probe();
+        if self.residual.is_true() || hits.is_empty() {
+            return Ok((project(hits), hits.len()));
         }
-        Ok(out)
+        let fetched: Vec<Column> = self
+            .positions
+            .iter()
+            .map(|&i| tcols[i].gather(hits))
+            .collect();
+        let cx = VecEval {
+            cols: &self.fetch_cols,
+            pos: &self.fetch_pos,
+            columns: &fetched,
+            len: hits.len(),
+            binds,
+        };
+        let sel = match eval_column(&self.residual, &cx).and_then(|p| selected_true(&p)) {
+            Ok(sel) => {
+                stats.note_kernel();
+                sel
+            }
+            // Kernel error: the residual a fetched row at a time, in
+            // posting order, so the first failing row's error surfaces.
+            Err(_) => {
+                stats.note_bridge();
+                let mut sel = Vec::new();
+                for k in 0..hits.len() {
+                    let row = lane_row(&fetched, k);
+                    if eval_predicate(
+                        &self.residual,
+                        &EvalCtx::mapped(&self.fetch_cols, &self.fetch_pos, &row, binds),
+                    )? {
+                        sel.push(k);
+                    }
+                }
+                sel
+            }
+        };
+        let kept: Vec<usize> = sel.into_iter().map(|k| hits[k]).collect();
+        Ok((project(&kept), kept.len()))
+    }
+}
+
+/// Correlated execution (§1.3, §4): for every binding of the
+/// correlation parameters the outer batch carries, obtain the inner
+/// result and combine it with the outer lanes under the `ApplyKind`.
+/// One driver serves the three strategies:
+///
+/// * `ApplyLoop` runs the inner plan once per outer lane;
+/// * `BatchedApply` dedups each outer batch on the parameter lanes
+///   (`dedup_lanes`), runs the inner plan once per *distinct* binding,
+///   and keeps results across batches in a governor-charged binding
+///   cache — the invariant-subtree cache ([`CacheOp`], the
+///   zero-parameter case) generalized to parameterized inners;
+/// * `IndexLookupJoin` does the same with the inner plan fused into an
+///   index fetch.
+///
+/// The outer batch is never transposed: bindings are read off the
+/// parameter lanes, and the output is a `gather` of the outer columns
+/// beside a gather of the inner result columns (Semi/Anti select outer
+/// lanes and touch no inner value).
+///
+/// NULL binding semantics: cache keys use `Value`'s own `Eq`, under
+/// which `Null == Null` but `Null != v` for every non-NULL `v` — so a
+/// NULL correlation parameter can never hit a cached non-NULL result,
+/// and two NULL bindings sharing one entry is sound because the inner
+/// side is deterministic per binding tuple (an index lookup under a
+/// NULL probe yields empty on every execution, per SQL equality).
+struct ApplyOp {
+    kind: ApplyKind,
+    left: BoxOp,
+    inner: InnerSource,
+    param_pos: Vec<(ColId, usize)>,
+    right_width: usize,
+    out_cols: Rc<[ColId]>,
+    /// Operator name: labels the reservation.
+    name: &'static str,
+    /// Failpoint site of the binding cache; `None` for the plain loop,
+    /// which neither dedups nor caches.
+    cache_site: Option<&'static str>,
+    /// Private bindings the inner side runs under; parameter slots are
+    /// overwritten per binding, then the inner side is re-run.
+    inner_binds: Rc<RefCell<Bindings>>,
+    /// Inner results per distinct binding tuple, kept across batches
+    /// within one execution; cleared on every `open` (rewinds under an
+    /// outer apply re-parameterize the whole subtree).
+    cache: HashMap<Row, InnerResult>,
+    /// Set when the governor refused binding-cache growth: the cache is
+    /// shed and bindings execute uncached (still deduped per batch).
+    degraded: bool,
+    mem: MemoryReservation,
+    stats: StatsHandle,
+}
+
+impl ApplyOp {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        kind: ApplyKind,
+        left: BoxOp,
+        inner: InnerSource,
+        param_pos: Vec<(ColId, usize)>,
+        right_width: usize,
+        out_cols: Rc<[ColId]>,
+        name: &'static str,
+        cache_site: Option<&'static str>,
+        stats: StatsHandle,
+    ) -> ApplyOp {
+        ApplyOp {
+            kind,
+            left,
+            inner,
+            param_pos,
+            right_width,
+            out_cols,
+            name,
+            cache_site,
+            inner_binds: Rc::new(RefCell::new(Bindings::new())),
+            cache: HashMap::new(),
+            degraded: false,
+            mem: MemoryReservation::detached(name),
+            stats,
+        }
     }
 
-    /// Caches one binding's fetched result, charging the governor; on
-    /// refusal the cache is shed and probing continues uncached.
-    fn try_cache(&mut self, key: Row, rs: &Rc<Vec<Row>>) -> Result<()> {
-        let bytes = rows_bytes(std::slice::from_ref(&key)) + rows_bytes(rs);
-        match crate::faults::hit("indexjoin.fetch").and_then(|()| self.mem.grow(bytes)) {
+    /// Runs the inner side under one binding tuple.
+    fn run_inner(&mut self, ictx: &ExecCtx<'_>, key: &[Value]) -> Result<(Vec<Column>, usize)> {
+        {
+            let mut binds = self.inner_binds.borrow_mut();
+            for ((p, _), v) in self.param_pos.iter().zip(key) {
+                binds.set(*p, v.clone());
+            }
+        }
+        if self.cache_site.is_some() {
+            self.stats.note_distinct_binding();
+        }
+        match &mut self.inner {
+            InnerSource::Plan(inner) => {
+                inner.open(ictx)?;
+                let mut parts: ColumnBatches = Vec::new();
+                while let Some(b) = inner.next_batch(ictx)? {
+                    b.check_width(self.right_width)?;
+                    parts.push(b.into_columns());
+                }
+                Ok(concat_batches(&parts, self.right_width))
+            }
+            InnerSource::Index(fetch) => {
+                fetch.fetch(ictx.catalog, &self.inner_binds.borrow(), &self.stats)
+            }
+        }
+    }
+
+    /// Caches one binding's result, charging the governor; on refusal
+    /// the cache is shed (reset + degrade) and execution continues
+    /// uncached — results are identical either way.
+    fn try_cache(&mut self, site: &str, key: Row, rs: &InnerResult) -> Result<()> {
+        let bytes = rows_bytes(std::slice::from_ref(&key)) + cols_bytes(&rs.0, rs.1);
+        match crate::faults::hit(site).and_then(|()| self.mem.grow(bytes)) {
             Ok(()) => {
                 self.cache.insert(key, rs.clone());
                 Ok(())
@@ -3062,61 +2728,109 @@ impl IndexLookupJoinOp {
             Err(e) => Err(e),
         }
     }
+
+    /// The `ApplyKind` combination of one outer batch with its lanes'
+    /// inner results (`results[group_of[i]]` belongs to lane `i`).
+    fn combine(
+        &self,
+        outer: &[Column],
+        len: usize,
+        results: &[InnerResult],
+        group_of: &[usize],
+    ) -> (Vec<Column>, usize) {
+        if matches!(self.kind, ApplyKind::Semi | ApplyKind::Anti) {
+            let want_empty = self.kind == ApplyKind::Anti;
+            let sel: Vec<usize> = (0..len)
+                .filter(|&i| (results[group_of[i]].1 == 0) == want_empty)
+                .collect();
+            return (outer.iter().map(|c| c.gather(&sel)).collect(), sel.len());
+        }
+        // Cross / LeftOuter: every (outer lane, inner lane) pair, the
+        // inner lanes addressed within the concatenation of the
+        // distinct results; an outer join pads an empty result with a
+        // hole.
+        let mut offsets = Vec::with_capacity(results.len());
+        let mut total = 0;
+        for r in results {
+            offsets.push(total);
+            total += r.1;
+        }
+        let mut outer_idx: Vec<usize> = Vec::new();
+        let mut inner_idx: Vec<Option<usize>> = Vec::new();
+        for (i, &g) in group_of.iter().enumerate() {
+            let n = results[g].1;
+            if n == 0 && self.kind == ApplyKind::LeftOuter {
+                outer_idx.push(i);
+                inner_idx.push(None);
+            }
+            for j in 0..n {
+                outer_idx.push(i);
+                inner_idx.push(Some(offsets[g] + j));
+            }
+        }
+        let mut out: Vec<Column> = outer.iter().map(|c| c.gather(&outer_idx)).collect();
+        out.extend((0..self.right_width).map(|c| {
+            let parts: Vec<Column> = results.iter().map(|r| r.0[c].clone()).collect();
+            Column::concat(&parts).gather_opt(&inner_idx)
+        }));
+        (out, outer_idx.len())
+    }
 }
 
-impl Operator for IndexLookupJoinOp {
+impl Operator for ApplyOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         // Validate index selection up front, so a mis-planned probe
         // fails at open rather than on the first non-NULL binding.
-        let t = ctx.catalog.table(self.table);
-        if t.select_index(&self.index_cols).as_deref() != Some(&self.index_cols[..]) {
-            return Err(Error::internal(format!(
-                "missing index on {:?} of {}",
-                self.index_cols, t.def.name
-            )));
+        if let InnerSource::Index(fetch) = &self.inner {
+            fetch.check_index(ctx.catalog)?;
         }
         self.inner_binds = Rc::new(RefCell::new(ctx.binds.borrow().clone()));
         self.cache.clear();
         self.degraded = false;
-        self.mem = ctx.gov.reservation("IndexLookupJoin");
-        self.pending.clear();
-        self.left_done = false;
+        self.mem = ctx.gov.reservation(self.name);
         self.left.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        while self.pending.len() < self.batch_size && !self.left_done {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                self.left_done = true;
-                break;
+        while let Some(batch) = self.left.next_batch(ctx)? {
+            let (columns, len) = batch.columns();
+            let key_cols: Vec<&Column> = self.param_pos.iter().map(|(_, i)| &columns[*i]).collect();
+            // The bindings this batch carries, and which one each lane
+            // has: deduped on the parameter lanes, or — the plain loop
+            // — one per lane.
+            let (distinct, group_of) = if self.cache_site.is_some() {
+                self.stats.note_kernel();
+                dedup_lanes(&key_cols, len)
+            } else {
+                let keys = (0..len).map(|i| key_cols.iter().map(|c| c.value(i)).collect());
+                (keys.collect(), (0..len).collect())
             };
-            let (distinct, group_of, rows) = dedup_apply_batch(&self.param_pos, batch, &self.stats);
-            let mut results: Vec<Rc<Vec<Row>>> = Vec::with_capacity(distinct.len());
+            let ictx = ExecCtx {
+                catalog: ctx.catalog,
+                binds: self.inner_binds.clone(),
+                parallelism: ctx.parallelism,
+                gov: ctx.gov.clone(),
+                shared_catalog: ctx.shared_catalog.clone(),
+                spill: Rc::clone(&ctx.spill),
+            };
+            let mut results: Vec<InnerResult> = Vec::with_capacity(distinct.len());
             for key in distinct {
                 if let Some(rs) = self.cache.get(&key) {
                     results.push(rs.clone());
                     continue;
                 }
-                let rs = Rc::new(self.probe(ctx, &key)?);
-                if !self.degraded {
-                    self.try_cache(key, &rs)?;
+                let rs = Rc::new(self.run_inner(&ictx, &key)?);
+                if let Some(site) = self.cache_site.filter(|_| !self.degraded) {
+                    self.try_cache(site, key, &rs)?;
                 }
                 results.push(rs);
             }
-            for (lr, g) in rows.into_iter().zip(group_of) {
-                emit_apply_row(
-                    self.kind,
-                    lr,
-                    &results[g],
-                    self.right_width,
-                    &mut self.pending,
-                );
+            let (out, n) = self.combine(columns, len, &results, &group_of);
+            if n > 0 {
+                return Ok(Some(Batch::from_columns(self.out_cols.clone(), out, n)));
             }
         }
-        Ok(
-            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
-                .map(Batch::to_columnar),
-        )
+        Ok(None)
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3144,7 +2858,6 @@ struct SegmentExecOp {
     segments: Vec<(Vec<Value>, Vec<Row>)>,
     partitioned: bool,
     seg_cursor: usize,
-    pending: VecDeque<Row>,
     batch_size: usize,
     mem: MemoryReservation,
     stats: StatsHandle,
@@ -3156,7 +2869,6 @@ impl Operator for SegmentExecOp {
         self.segments.clear();
         self.partitioned = false;
         self.seg_cursor = 0;
-        self.pending.clear();
         self.mem = ctx.gov.reservation("SegmentExec");
         self.input.open(ctx)
     }
@@ -3164,14 +2876,16 @@ impl Operator for SegmentExecOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.partitioned {
             // The partitioner is a pipeline breaker: it must see every
-            // input row before any segment runs.
+            // input row before any segment runs. It groups rows — the
+            // segment is bound as a row `Chunk` — so it transposes what
+            // it pulls.
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
             while let Some(b) = self.input.next_batch(ctx)? {
                 b.check_width(self.input_cols.len())?;
                 crate::faults::hit("segment.partition")
                     .and_then(|()| self.mem.grow(b.mem_bytes()))
                     .map_err(|e| e.with_hint(MEM_HINT))?;
-                for r in self.stats.bridge_rows(b) {
+                for r in self.stats.bridge_rows(&b) {
                     let key: Vec<Value> = self.seg_pos.iter().map(|&i| r[i].clone()).collect();
                     match index.get(&key) {
                         Some(&i) => self.segments[i].1.push(r),
@@ -3184,7 +2898,12 @@ impl Operator for SegmentExecOp {
             }
             self.partitioned = true;
         }
-        while self.pending.len() < self.batch_size && self.seg_cursor < self.segments.len() {
+        // Run segments until a batch's worth of output has gathered:
+        // each inner result batch passes through as columns, beside the
+        // segment key broadcast over its lanes.
+        let mut out: ColumnBatches = Vec::new();
+        let mut lanes = 0;
+        while lanes < self.batch_size && self.seg_cursor < self.segments.len() {
             let (key, rows) = {
                 let (k, r) = &mut self.segments[self.seg_cursor];
                 (k.clone(), std::mem::take(r))
@@ -3203,27 +2922,32 @@ impl Operator for SegmentExecOp {
             let run = (|| -> Result<()> {
                 self.inner.open(&ictx)?;
                 while let Some(b) = self.inner.next_batch(&ictx)? {
-                    for ir in self.stats.bridge_rows(b) {
-                        let row: Row = self
-                            .out_src
-                            .iter()
-                            .map(|src| match src {
-                                OutSrc::Seg(i) => key[*i].clone(),
-                                OutSrc::Inner(p) => ir[*p].clone(),
-                            })
-                            .collect();
-                        self.pending.push_back(row);
-                    }
+                    let (columns, n) = b.columns();
+                    let mapped = self
+                        .out_src
+                        .iter()
+                        .map(|src| match src {
+                            OutSrc::Seg(i) => Column::from_values(vec![key[*i].clone(); n]),
+                            OutSrc::Inner(p) => columns[*p].clone(),
+                        })
+                        .collect();
+                    out.push((mapped, n));
+                    lanes += n;
                 }
                 Ok(())
             })();
             self.inner_binds.borrow_mut().pop_segment();
             run?;
         }
-        Ok(
-            drain_pending(&mut self.pending, self.batch_size, &self.out_cols)
-                .map(Batch::to_columnar),
-        )
+        if lanes == 0 {
+            return Ok(None);
+        }
+        let (columns, len) = concat_batches(&out, self.out_cols.len());
+        Ok(Some(Batch::from_columns(
+            self.out_cols.clone(),
+            columns,
+            len,
+        )))
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3264,73 +2988,73 @@ pub(crate) struct Unfed {
     pub(crate) rows: Vec<(Row, Vec<Option<Value>>)>,
     /// The governor's refusal, when one stopped the feed in this batch.
     pub(crate) refusal: Option<Error>,
-    /// The batch went through the whole-column kernels.
+    /// The batch went through the whole-column kernels (`false`: an
+    /// argument kernel errored and the batch was transposed to rows).
     pub(crate) vectorized: bool,
 }
 
 impl AggInput<'_> {
     /// Feeds one batch into `state` (`None`: a frozen state, every row
-    /// comes back unfed). A columnar batch evaluates each aggregate
-    /// argument as a whole column, then streams the lanes in through
+    /// comes back unfed). Each aggregate argument is evaluated as a
+    /// whole column, then the lanes stream in through
     /// [`GroupedAggState::feed_lanes_or_reject`]; an argument kernel
-    /// error, or a row batch, takes the row path on the whole batch.
-    /// Charges are lane- and row-atomic, so a refusal leaves the state
-    /// consistent: the feed stops there and, if `keep_tail`, the rest of
-    /// the batch is evaluated and handed back for spilling.
+    /// error takes the row path on the whole batch. Charges are lane-
+    /// and row-atomic, so a refusal leaves the state consistent: the
+    /// feed stops there and, if `keep_tail`, the rest of the batch is
+    /// evaluated and handed back for spilling.
     pub(crate) fn feed(
         &self,
         mut state: Option<&mut GroupedAggState>,
-        b: Batch,
+        b: &Batch,
         binds: &Bindings,
         keep_tail: bool,
     ) -> Result<Unfed> {
-        if let Some((columns, len)) = b.columns() {
-            let cx = VecEval {
-                cols: self.cols,
-                pos: self.pos,
-                columns,
-                len,
-                binds,
+        let (columns, len) = b.columns();
+        let cx = VecEval {
+            cols: self.cols,
+            pos: self.pos,
+            columns,
+            len,
+            binds,
+        };
+        let args: Result<Vec<Option<Column>>> = self
+            .aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| eval_column(e, &cx)).transpose())
+            .collect();
+        if let Ok(arg_cols) = args {
+            let key_cols: Vec<&Column> = self.group_pos.iter().map(|&i| &columns[i]).collect();
+            let (applied, refusal) = match state {
+                Some(st) => st.feed_lanes_or_reject(&key_cols, &arg_cols, len)?,
+                None => (0, None),
             };
-            let args: Result<Vec<Option<Column>>> = self
-                .aggs
-                .iter()
-                .map(|a| a.arg.as_ref().map(|e| eval_column(e, &cx)).transpose())
+            let tail = if refusal.is_some() && !keep_tail {
+                len
+            } else {
+                applied
+            };
+            let rows = (tail..len)
+                .map(|i| {
+                    let key: Row = key_cols.iter().map(|c| c.value(i)).collect();
+                    let row_args = arg_cols
+                        .iter()
+                        .map(|c| c.as_ref().map(|c| c.value(i)))
+                        .collect();
+                    (key, row_args)
+                })
                 .collect();
-            if let Ok(arg_cols) = args {
-                let key_cols: Vec<&Column> = self.group_pos.iter().map(|&i| &columns[i]).collect();
-                let (applied, refusal) = match state {
-                    Some(st) => st.feed_lanes_or_reject(&key_cols, &arg_cols, len)?,
-                    None => (0, None),
-                };
-                let tail = if refusal.is_some() && !keep_tail {
-                    len
-                } else {
-                    applied
-                };
-                let rows = (tail..len)
-                    .map(|i| {
-                        let key: Row = key_cols.iter().map(|c| c.value(i)).collect();
-                        let row_args = arg_cols
-                            .iter()
-                            .map(|c| c.as_ref().map(|c| c.value(i)))
-                            .collect();
-                        (key, row_args)
-                    })
-                    .collect();
-                return Ok(Unfed {
-                    rows,
-                    refusal,
-                    vectorized: true,
-                });
-            }
+            return Ok(Unfed {
+                rows,
+                refusal,
+                vectorized: true,
+            });
         }
         let mut unfed = Unfed {
             rows: Vec::new(),
             refusal: None,
             vectorized: false,
         };
-        for r in &b.into_rows() {
+        for r in &columns_to_rows(columns, len) {
             let key: Row = self.group_pos.iter().map(|&i| r[i].clone()).collect();
             let args = self
                 .aggs
@@ -3424,7 +3148,6 @@ impl HashAggregateOp {
                     self.enter_spill(ctx)?;
                 }
             }
-            let columnar = b.is_columnar();
             let unfed = AggInput {
                 group_pos: &self.group_pos,
                 aggs: &self.aggs,
@@ -3434,13 +3157,13 @@ impl HashAggregateOp {
             .feed(
                 // Once spilling, the resident state is frozen.
                 self.spilled.is_none().then_some(&mut *state),
-                b,
+                &b,
                 &ctx.binds.borrow(),
                 self.allow_spill,
             )?;
             if unfed.vectorized {
                 self.stats.note_kernel();
-            } else if columnar {
+            } else {
                 self.stats.note_bridge();
             }
             if let Some(err) = unfed.refusal {
@@ -3574,10 +3297,11 @@ impl Operator for HashAggregateOp {
             .into();
             self.done = true;
         }
-        Ok(
-            drain_pending(&mut self.result, self.batch_size, &self.out_cols)
-                .map(Batch::to_columnar),
-        )
+        Ok(drain_pending(
+            &mut self.result,
+            self.batch_size,
+            &self.out_cols,
+        ))
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3589,16 +3313,17 @@ struct LimitOp {
     input: BoxOp,
     n: usize,
     cols: Rc<[ColId]>,
-    buffered: VecDeque<Row>,
+    /// Lanes buffered so far (at most `n`).
+    kept: usize,
+    buffered: VecDeque<Batch>,
     done: bool,
-    batch_size: usize,
     mem: MemoryReservation,
-    stats: StatsHandle,
 }
 
 impl Operator for LimitOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.buffered.clear();
+        self.kept = 0;
         self.done = false;
         self.mem = ctx.gov.reservation("Limit");
         self.input.open(ctx)
@@ -3610,27 +3335,23 @@ impl Operator for LimitOp {
             // surface, matching materialized semantics.
             while let Some(b) = self.input.next_batch(ctx)? {
                 b.check_width(self.cols.len())?;
-                let room = self.n.saturating_sub(self.buffered.len());
-                if room == 0 {
-                    // Past the cutoff: keep draining for errors but
-                    // skip the (bridge) conversion entirely.
+                let take = (self.n - self.kept).min(b.len);
+                if take == 0 {
+                    // Past the cutoff (or an empty batch): keep
+                    // draining for errors, buffer nothing.
                     continue;
                 }
-                let kept: Vec<Row> = self.stats.bridge_rows(b).into_iter().take(room).collect();
-                if !kept.is_empty() {
-                    crate::faults::hit("limit.buffer")
-                        .and_then(|()| self.mem.grow(rows_bytes(&kept)))
-                        .map_err(|e| e.with_hint(MEM_HINT))?;
-                    self.buffered.extend(kept);
-                }
+                let head: Vec<Column> = b.columns.iter().map(|c| c.slice(0, take)).collect();
+                crate::faults::hit("limit.buffer")
+                    .and_then(|()| self.mem.grow(cols_bytes(&head, take)))
+                    .map_err(|e| e.with_hint(MEM_HINT))?;
+                self.kept += take;
+                self.buffered
+                    .push_back(Batch::from_columns(self.cols.clone(), head, take));
             }
             self.done = true;
         }
-        Ok(drain_pending(
-            &mut self.buffered,
-            self.batch_size,
-            &self.cols,
-        ))
+        Ok(self.buffered.pop_front())
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3641,15 +3362,19 @@ impl Operator for LimitOp {
 struct AssertMax1Op {
     input: BoxOp,
     cols: Rc<[ColId]>,
-    buffered: Vec<Row>,
+    /// The first non-empty batch: the whole answer when the input has
+    /// one row.
+    first: Option<Batch>,
+    /// Lanes seen across the whole input.
+    lanes: usize,
     done: bool,
     mem: MemoryReservation,
-    stats: StatsHandle,
 }
 
 impl Operator for AssertMax1Op {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.buffered.clear();
+        self.first = None;
+        self.lanes = 0;
         self.done = false;
         self.mem = ctx.gov.reservation("Max1Row");
         self.input.open(ctx)
@@ -3659,27 +3384,25 @@ impl Operator for AssertMax1Op {
         if self.done {
             return Ok(None);
         }
-        // Materialize first: input errors take precedence over the
-        // cardinality violation, as in the reference semantics.
+        // Drain first: input errors take precedence over the
+        // cardinality violation, as in the reference semantics. Only
+        // the first batch can be the answer, so only it is kept (and
+        // charged); the rest are counted.
         while let Some(b) = self.input.next_batch(ctx)? {
             b.check_width(self.cols.len())?;
-            crate::faults::hit("max1.buffer")
-                .and_then(|()| self.mem.grow(b.mem_bytes()))
-                .map_err(|e| e.with_hint(MEM_HINT))?;
-            let rows = self.stats.bridge_rows(b);
-            self.buffered.extend(rows);
+            self.lanes += b.len;
+            if self.first.is_none() && b.len > 0 {
+                crate::faults::hit("max1.buffer")
+                    .and_then(|()| self.mem.grow(b.mem_bytes()))
+                    .map_err(|e| e.with_hint(MEM_HINT))?;
+                self.first = Some(b);
+            }
         }
         self.done = true;
-        if self.buffered.len() > 1 {
+        if self.lanes > 1 {
             return Err(Error::SubqueryReturnedMoreThanOneRow);
         }
-        if self.buffered.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(Batch::new(
-            self.cols.clone(),
-            std::mem::take(&mut self.buffered),
-        )))
+        Ok(self.first.take())
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3698,20 +3421,13 @@ struct ConcatOp {
 }
 
 impl ConcatOp {
-    /// Remaps one side's layout onto the output layout; columnar
-    /// batches stay columnar (column selection is O(1) per column).
-    fn remap(&self, b: Batch, pos: &[usize]) -> Batch {
-        if let Some((columns, len)) = b.columns() {
-            let out = pos.iter().map(|&i| columns[i].clone()).collect();
-            self.stats.note_kernel();
-            return Batch::from_columns(self.cols.clone(), out, len);
-        }
-        let rows = b
-            .into_rows()
-            .into_iter()
-            .map(|r| pos.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        Batch::new(self.cols.clone(), rows)
+    /// Remaps one side's layout onto the output layout (column
+    /// selection is O(1) per column).
+    fn remap(&self, b: &Batch, pos: &[usize]) -> Batch {
+        let (columns, len) = b.columns();
+        let out = pos.iter().map(|&i| columns[i].clone()).collect();
+        self.stats.note_kernel();
+        Batch::from_columns(self.cols.clone(), out, len)
     }
 }
 
@@ -3725,16 +3441,14 @@ impl Operator for ConcatOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.on_right {
             if let Some(b) = self.left.next_batch(ctx)? {
-                let out = self.remap(b, &self.lpos);
-                return Ok(Some(out));
+                return Ok(Some(self.remap(&b, &self.lpos)));
             }
             self.on_right = true;
         }
-        let Some(b) = self.right.next_batch(ctx)? else {
-            return Ok(None);
-        };
-        let out = self.remap(b, &self.rpos);
-        Ok(Some(out))
+        Ok(self
+            .right
+            .next_batch(ctx)?
+            .map(|b| self.remap(&b, &self.rpos)))
     }
 }
 
@@ -3764,7 +3478,7 @@ impl Operator for ExceptOp {
                 crate::faults::hit("except.build")
                     .and_then(|()| self.mem.grow(b.mem_bytes()))
                     .map_err(|e| e.with_hint(MEM_HINT))?;
-                for r in &self.stats.bridge_rows(b) {
+                for r in &self.stats.bridge_rows(&b) {
                     let key: Row = self.rpos.iter().map(|&i| r[i].clone()).collect();
                     *self.counts.entry(key).or_insert(0) += 1;
                 }
@@ -3775,15 +3489,18 @@ impl Operator for ExceptOp {
             let Some(b) = self.left.next_batch(ctx)? else {
                 return Ok(None);
             };
-            let mut rows = Vec::new();
-            for row in self.stats.bridge_rows(b) {
-                match self.counts.get_mut(&row) {
+            // Whole rows key the multiset, so the batch is transposed;
+            // what survives is a selection of its lanes.
+            let mut sel = Vec::new();
+            for (i, row) in self.stats.bridge_rows(&b).iter().enumerate() {
+                match self.counts.get_mut(row) {
                     Some(n) if *n > 0 => *n -= 1,
-                    _ => rows.push(row),
+                    _ => sel.push(i),
                 }
             }
-            if !rows.is_empty() {
-                return Ok(Some(Batch::new(self.cols.clone(), rows)));
+            if !sel.is_empty() {
+                let out = b.columns.iter().map(|c| c.gather(&sel)).collect();
+                return Ok(Some(Batch::from_columns(self.cols.clone(), out, sel.len())));
             }
         }
     }
@@ -3959,7 +3676,7 @@ mod tests {
     }
 
     /// `Batch`'s fields are public, so a literal can bypass the arity
-    /// `debug_assert` in [`Batch::new`]. Stateful operators must catch
+    /// `debug_assert` in [`Batch::from_columns`]. Stateful operators must catch
     /// the mismatch on their own batch-concatenation path — in release
     /// builds too, as a query error rather than a panic.
     #[test]
@@ -3978,10 +3695,11 @@ mod tests {
                     return Ok(None);
                 }
                 self.fired = true;
-                // Literal construction: two-column layout, one-column row.
+                // Literal construction: two-column layout, one column.
                 Ok(Some(Batch {
                     cols: self.cols.clone(),
-                    repr: Repr::Rows(vec![vec![Value::Int(1)]]),
+                    columns: vec![Column::from_values(vec![Value::Int(1)])],
+                    len: 1,
                 }))
             }
         }

@@ -17,8 +17,8 @@ use orthopt_common::column::Column;
 use orthopt_common::{ColId, Error, MemoryReservation, Result};
 
 use crate::pipeline::{
-    Batch, BoxOp, ColumnBatches, ExecCtx, Operator, StatsHandle, DEFAULT_BATCH_SIZE,
-    MEM_OR_SPILL_HINT,
+    concat_batches, Batch, BoxOp, ColumnBatches, ExecCtx, Operator, StatsHandle,
+    DEFAULT_BATCH_SIZE, MEM_OR_SPILL_HINT,
 };
 use crate::spill::{SpillFile, SpillReader};
 
@@ -49,13 +49,7 @@ impl SortedRun {
     /// lane travels with the leading key's [`Column::sort_prefixes`]
     /// word, so most comparisons are settled without touching a column.
     fn sort(batches: ColumnBatches, width: usize, by: &[(usize, bool)]) -> SortedRun {
-        let len = batches.iter().map(|(_, n)| n).sum();
-        let columns: Vec<Column> = (0..width)
-            .map(|j| {
-                let parts: Vec<Column> = batches.iter().map(|(c, _)| c[j].clone()).collect();
-                Column::concat(&parts)
-            })
-            .collect();
+        let (columns, len) = concat_batches(&batches, width);
         let prefixes = by
             .first()
             .and_then(|&(pos, desc)| {
@@ -215,9 +209,7 @@ impl SortOp {
     fn drain_input(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         while let Some(b) = self.input.next_batch(ctx)? {
             b.check_width(self.cols.len())?;
-            if b.is_columnar() {
-                self.stats.note_kernel();
-            }
+            self.stats.note_kernel();
             match crate::faults::hit("sort.buffer").and_then(|()| self.mem.grow(b.mem_bytes())) {
                 Ok(()) => {}
                 Err(e) => {

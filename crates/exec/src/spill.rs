@@ -411,9 +411,11 @@ impl SpillReader {
 #[derive(Debug)]
 pub struct SpillPartitions {
     files: Vec<SpillFile>,
-    bufs: Vec<Vec<Row>>,
+    /// Pending values per partition, column-major: a lane pushed off a
+    /// column batch never becomes a row on its way to the block.
+    bufs: Vec<Vec<Vec<Value>>>,
+    buf_rows: Vec<usize>,
     buf_bytes: Vec<u64>,
-    width: usize,
 }
 
 impl SpillPartitions {
@@ -426,9 +428,9 @@ impl SpillPartitions {
         }
         Ok(SpillPartitions {
             files,
-            bufs: vec![Vec::new(); FANOUT],
+            bufs: vec![vec![Vec::new(); width]; FANOUT],
+            buf_rows: vec![0; FANOUT],
             buf_bytes: vec![0; FANOUT],
-            width,
         })
     }
 
@@ -436,8 +438,31 @@ impl SpillPartitions {
     /// block when it crosses the buffering threshold. Returns the bytes
     /// written to disk by this call (usually 0).
     pub fn push(&mut self, part: usize, row: Row) -> Result<u64> {
-        self.buf_bytes[part] += orthopt_common::row::rows_bytes(std::slice::from_ref(&row));
-        self.bufs[part].push(row);
+        let bytes = orthopt_common::row::row_bytes(&row);
+        for (buf, v) in self.bufs[part].iter_mut().zip(row) {
+            buf.push(v);
+        }
+        self.pushed(part, bytes)
+    }
+
+    /// [`push`](SpillPartitions::push) for lane `lane` of a column
+    /// batch: the same block bytes and the same flush points as pushing
+    /// the equivalent row.
+    pub fn push_lane(&mut self, part: usize, columns: &[Column], lane: usize) -> Result<u64> {
+        let mut bytes = std::mem::size_of::<Row>() + columns.len() * std::mem::size_of::<Value>();
+        for (buf, c) in self.bufs[part].iter_mut().zip(columns) {
+            let v = c.value(lane);
+            if let Value::Str(s) = &v {
+                bytes += s.len();
+            }
+            buf.push(v);
+        }
+        self.pushed(part, bytes as u64)
+    }
+
+    fn pushed(&mut self, part: usize, bytes: u64) -> Result<u64> {
+        self.buf_rows[part] += 1;
+        self.buf_bytes[part] += bytes;
         if self.buf_bytes[part] >= SPILL_BLOCK_BYTES {
             self.flush_part(part)
         } else {
@@ -446,12 +471,13 @@ impl SpillPartitions {
     }
 
     fn flush_part(&mut self, part: usize) -> Result<u64> {
-        if self.bufs[part].is_empty() {
-            return Ok(0);
-        }
-        let rows = std::mem::take(&mut self.bufs[part]);
+        let rows = std::mem::take(&mut self.buf_rows[part]);
         self.buf_bytes[part] = 0;
-        self.files[part].append(&rows, self.width)
+        let columns: Vec<Column> = self.bufs[part]
+            .iter_mut()
+            .map(|buf| Column::from_values(std::mem::take(buf)))
+            .collect();
+        self.files[part].append_columns(&columns, rows)
     }
 
     /// Flushes every partition's pending block and returns the files,
@@ -970,6 +996,53 @@ mod tests {
             on_disk,
             "every written byte was read back"
         );
+    }
+
+    /// A lane pushed off a column batch lands in the same partition
+    /// blocks, byte for byte, as the equivalent row — flush points
+    /// included (the strings cross the block threshold mid-stream).
+    #[test]
+    fn pushed_lanes_write_what_pushed_rows_write() {
+        let _g = scope_lock();
+        let mgr = SpillManager::new();
+        let rows: Vec<Row> = (0..3000)
+            .map(|i| {
+                let s = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::str("x".repeat((i % 90) as usize))
+                };
+                vec![Value::Int(i), s]
+            })
+            .collect();
+        let columns = rows_to_columns(&rows, 2);
+        let mut by_row = SpillPartitions::create(&mgr, "r", 2).expect("create");
+        let mut by_lane = SpillPartitions::create(&mgr, "l", 2).expect("create");
+        for (i, row) in rows.iter().enumerate() {
+            let wrote = by_row.push(i % 3, row.clone()).expect("push");
+            assert_eq!(by_lane.push_lane(i % 3, &columns, i).expect("push"), wrote);
+        }
+        let (mut a, mut b) = (
+            by_row.finish().expect("finish"),
+            by_lane.finish().expect("finish"),
+        );
+        let mut blocks = 0;
+        for (fa, fb) in a.iter_mut().zip(&mut b) {
+            assert_eq!(fa.bytes(), fb.bytes());
+            let (mut ra, mut rb) = (fa.reader().expect("reader"), fb.reader().expect("reader"));
+            loop {
+                let (ba, bb) = (
+                    ra.next_block().expect("read"),
+                    rb.next_block().expect("read"),
+                );
+                assert_eq!(ba, bb);
+                if ba.is_none() {
+                    break;
+                }
+                blocks += 1;
+            }
+        }
+        assert!(blocks > 3, "a partition flushed mid-stream");
     }
 
     #[test]
