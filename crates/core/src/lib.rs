@@ -136,7 +136,6 @@ impl OptimizerLevel {
                 local_aggregate: false,
                 segment_apply: false,
                 correlated_execution: false,
-                max_exprs: 2_000,
                 parallelism: 1,
                 apply_strategy: ApplyStrategy::Auto,
             },
@@ -146,7 +145,6 @@ impl OptimizerLevel {
                 local_aggregate: false,
                 segment_apply: false,
                 correlated_execution: false,
-                max_exprs: 20_000,
                 parallelism: 1,
                 apply_strategy: ApplyStrategy::Auto,
             },
@@ -156,7 +154,6 @@ impl OptimizerLevel {
                 local_aggregate: false,
                 segment_apply: false,
                 correlated_execution: true,
-                max_exprs: 20_000,
                 parallelism: 1,
                 apply_strategy: ApplyStrategy::Auto,
             },
@@ -570,13 +567,18 @@ impl Database {
         let plan = self.plan(sql, level)?;
         Ok(format!(
             "== logical (normalized, {} residual applies) ==\n{}\n\
-             == search: {} groups, {} expressions, best cost {:.1} ==\n\
+             == search: {} groups, {} expressions, best cost {:.1}{} ==\n\
              == physical ==\n{}",
             plan.normal_form.applies,
             orthopt_ir::explain::explain(&plan.logical),
             plan.search.groups,
             plan.search.exprs,
             plan.search.best_cost,
+            if plan.search.valve_hit {
+                ", cut short by the expression valve"
+            } else {
+                ", fixpoint reached"
+            },
             orthopt_exec::explain_phys::explain_phys(&plan.physical),
         ))
     }

@@ -109,7 +109,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// One aggregate computation inside a GroupBy: `out := func(arg)`.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct AggDef {
     /// Output column (id, name, type, nullability).
     pub out: ColumnMeta,

@@ -106,16 +106,138 @@ impl ColumnEnv {
     }
 }
 
+/// Column equivalence classes: disjoint sets of two or more columns,
+/// sorted by smallest member so equal partitions compare and hash equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct EqClasses(Vec<BTreeSet<ColId>>);
+
+impl EqClasses {
+    /// Records `a = b`.
+    pub fn add(&mut self, a: ColId, b: ColId) {
+        if a == b {
+            return;
+        }
+        let ia = self.0.iter().position(|s| s.contains(&a));
+        let ib = self.0.iter().position(|s| s.contains(&b));
+        match (ia, ib) {
+            (Some(i), Some(j)) if i != j => {
+                let merged = self.0.remove(i.max(j));
+                self.0[i.min(j)].extend(merged);
+            }
+            (Some(i), None) => {
+                self.0[i].insert(b);
+            }
+            (None, Some(j)) => {
+                self.0[j].insert(a);
+            }
+            (None, None) => self.0.push([a, b].into_iter().collect()),
+            // Already known equal: nothing moved.
+            _ => return,
+        }
+        self.0.sort_by_key(|s| s.first().copied());
+    }
+
+    /// Records every column-equality conjunct of `predicate` whose two
+    /// columns both satisfy `known` (an equality with an outer parameter
+    /// is a filter, not an equivalence between produced columns).
+    pub fn add_predicate(&mut self, predicate: &ScalarExpr, known: impl Fn(ColId) -> bool) {
+        for c in predicate.conjuncts() {
+            if let Some((a, b)) = col_eq(&c) {
+                if known(a) && known(b) {
+                    self.add(a, b);
+                }
+            }
+        }
+    }
+
+    /// Unions another partition into this one.
+    pub fn absorb(&mut self, other: &EqClasses) {
+        for class in &other.0 {
+            let first = *class.first().expect("classes are non-empty");
+            for c in class {
+                self.add(first, *c);
+            }
+        }
+    }
+
+    /// The partition restricted to `cols`.
+    pub fn restrict(&self, cols: &BTreeSet<ColId>) -> EqClasses {
+        let mut out: Vec<BTreeSet<ColId>> = self
+            .0
+            .iter()
+            .map(|s| s.intersection(cols).copied().collect::<BTreeSet<ColId>>())
+            .filter(|s| s.len() > 1)
+            .collect();
+        out.sort_by_key(|s| s.first().copied());
+        EqClasses(out)
+    }
+
+    /// `start` plus every column equal to one of its members.
+    pub fn closure(&self, start: &BTreeSet<ColId>) -> BTreeSet<ColId> {
+        let mut out = start.clone();
+        for class in &self.0 {
+            if !class.is_disjoint(start) {
+                out.extend(class.iter().copied());
+            }
+        }
+        out
+    }
+
+    /// The classes, smallest member first.
+    pub fn classes(&self) -> &[BTreeSet<ColId>] {
+        &self.0
+    }
+
+    /// Smallest column known equal to `c` (`c` itself when alone).
+    pub fn rep(&self, c: ColId) -> ColId {
+        self.0
+            .iter()
+            .find(|s| s.contains(&c))
+            .map_or(c, |s| *s.first().expect("classes are non-empty"))
+    }
+}
+
+/// `a = b` over two distinct columns — an equivalence edge. (`x = x` is
+/// a NULL-rejection filter, not an edge.)
+pub fn col_eq(c: &ScalarExpr) -> Option<(ColId, ColId)> {
+    if let ScalarExpr::Cmp {
+        op: CmpOp::Eq,
+        left,
+        right,
+    } = c
+    {
+        if let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (left.as_ref(), right.as_ref()) {
+            if a != b {
+                return Some((*a, *b));
+            }
+        }
+    }
+    None
+}
+
 /// Candidate keys of the operator's output: each returned set of columns
 /// is unique across output rows. The empty set means "at most one row".
 pub fn keys(rel: &RelExpr) -> Vec<BTreeSet<ColId>> {
+    let kids = rel.children().into_iter().map(keys).collect();
     let out_ids: BTreeSet<ColId> = rel.output_col_ids().into_iter().collect();
+    op_keys(rel, kids, &out_ids)
+}
+
+/// [`keys`] of one operator given its inputs' keys (in `children()`
+/// order) and its own output columns — the form a memo derives a group's
+/// keys from, where the inputs are groups rather than subtrees.
+pub fn op_keys(
+    op: &RelExpr,
+    mut kids: Vec<Vec<BTreeSet<ColId>>>,
+    out_ids: &BTreeSet<ColId>,
+) -> Vec<BTreeSet<ColId>> {
     let restrict = |ks: Vec<BTreeSet<ColId>>| -> Vec<BTreeSet<ColId>> {
         ks.into_iter()
             .filter(|k| k.iter().all(|c| out_ids.contains(c)))
             .collect()
     };
-    match rel {
+    let mut kid = |i: usize| std::mem::take(&mut kids[i]);
+    match op {
         RelExpr::Get(g) => g.keys.iter().map(|k| k.iter().copied().collect()).collect(),
         RelExpr::ConstRel { rows, .. } => {
             if rows.len() <= 1 {
@@ -124,28 +246,21 @@ pub fn keys(rel: &RelExpr) -> Vec<BTreeSet<ColId>> {
                 vec![]
             }
         }
-        RelExpr::Select { input, .. } => keys(input),
-        RelExpr::Map { input, .. } => keys(input),
-        RelExpr::Project { input, .. } => restrict(keys(input)),
-        RelExpr::Join {
-            kind, left, right, ..
-        } => match kind {
-            JoinKind::LeftSemi | JoinKind::LeftAnti => keys(left),
-            JoinKind::Inner | JoinKind::LeftOuter => compose_keys(keys(left), keys(right)),
+        RelExpr::Select { .. } | RelExpr::Map { .. } | RelExpr::Except { .. } => kid(0),
+        RelExpr::Project { .. } => restrict(kid(0)),
+        RelExpr::Join { kind, .. } => match kind {
+            JoinKind::LeftSemi | JoinKind::LeftAnti => kid(0),
+            JoinKind::Inner | JoinKind::LeftOuter => compose_keys(kid(0), kid(1)),
         },
-        RelExpr::Apply { kind, left, right } => match kind {
-            ApplyKind::Semi | ApplyKind::Anti => keys(left),
-            ApplyKind::Cross | ApplyKind::LeftOuter => compose_keys(keys(left), keys(right)),
+        RelExpr::Apply { kind, .. } => match kind {
+            ApplyKind::Semi | ApplyKind::Anti => kid(0),
+            ApplyKind::Cross | ApplyKind::LeftOuter => compose_keys(kid(0), kid(1)),
         },
-        RelExpr::SegmentApply {
-            input: _,
-            segment_cols,
-            inner,
-        } => {
+        RelExpr::SegmentApply { segment_cols, .. } => {
             // segment columns + a key of the inner expression identify a row.
             let seg: BTreeSet<ColId> = segment_cols.iter().copied().collect();
             restrict(
-                keys(inner)
+                kid(1)
                     .into_iter()
                     .map(|mut k| {
                         k.extend(seg.iter().copied());
@@ -154,7 +269,7 @@ pub fn keys(rel: &RelExpr) -> Vec<BTreeSet<ColId>> {
                     .collect(),
             )
         }
-        RelExpr::SegmentRef { .. } => vec![],
+        RelExpr::SegmentRef { .. } | RelExpr::UnionAll { .. } => vec![],
         RelExpr::GroupBy {
             kind, group_cols, ..
         } => match kind {
@@ -163,11 +278,9 @@ pub fn keys(rel: &RelExpr) -> Vec<BTreeSet<ColId>> {
                 vec![group_cols.iter().copied().collect()]
             }
         },
-        RelExpr::UnionAll { .. } => vec![],
-        RelExpr::Except { left, .. } => keys(left),
         RelExpr::Max1Row { .. } => vec![BTreeSet::new()],
-        RelExpr::Enumerate { input, col } => {
-            let mut ks = keys(input);
+        RelExpr::Enumerate { col, .. } => {
+            let mut ks = kid(0);
             ks.push([col.id].into_iter().collect());
             ks
         }
@@ -683,5 +796,30 @@ mod case_abs_tests {
             else_: None,
         };
         assert!(always_null_when(&case, &cols9()));
+    }
+
+    #[test]
+    fn eq_classes_close_transitively_and_restrict() {
+        let eq =
+            |a: u32, b: u32| ScalarExpr::eq(ScalarExpr::col(ColId(a)), ScalarExpr::col(ColId(b)));
+        let mut classes = EqClasses::default();
+        classes.add_predicate(&ScalarExpr::and([eq(1, 2), eq(3, 2), eq(7, 7)]), |_| true);
+        classes.add(ColId(5), ColId(4));
+        let set = |ids: &[u32]| ids.iter().map(|&i| ColId(i)).collect::<BTreeSet<ColId>>();
+        assert_eq!(classes.classes(), [set(&[1, 2, 3]), set(&[4, 5])]);
+        assert_eq!(classes.closure(&set(&[1])), set(&[1, 2, 3]));
+        assert_eq!(classes.rep(ColId(3)), ColId(1));
+        assert_eq!(classes.rep(ColId(9)), ColId(9));
+        // Restricting drops a class left with one member; an equality
+        // with an unknown (outer) column is not an equivalence.
+        assert_eq!(classes.restrict(&set(&[2, 3, 4])).classes(), [set(&[2, 3])]);
+        let mut inner = EqClasses::default();
+        inner.add_predicate(&eq(1, 9), |c| c != ColId(9));
+        assert!(inner.classes().is_empty());
+        // Two spellings of one partition are equal.
+        let mut other = EqClasses::default();
+        other.absorb(&classes);
+        other.add(ColId(3), ColId(1));
+        assert_eq!(other, classes);
     }
 }

@@ -13,7 +13,7 @@ use crate::agg::AggDef;
 use crate::scalar::ScalarExpr;
 
 /// Metadata of one output column of an operator.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct ColumnMeta {
     /// Globally unique id.
     pub id: ColId,
@@ -84,6 +84,17 @@ pub struct GetMeta {
     pub col_stats: Vec<ColStat>,
     /// Base-column position sets that have a hash index.
     pub indexes: Vec<Vec<usize>>,
+}
+
+/// A scan hashes as its table and bound column ids: the float-valued
+/// statistics stay out, and equal scans still hash alike.
+impl std::hash::Hash for GetMeta {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.table.hash(state);
+        for c in &self.cols {
+            c.id.hash(state);
+        }
+    }
 }
 
 /// Join variants. Cross product is `Inner` with a TRUE predicate.
@@ -221,7 +232,7 @@ impl fmt::Display for GroupKind {
 }
 
 /// One computed column of a `Map`: `col := expr`.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct MapDef {
     /// Output column metadata.
     pub col: ColumnMeta,
@@ -231,7 +242,7 @@ pub struct MapDef {
 }
 
 /// A relational operator tree.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum RelExpr {
     /// Base-table scan.
     Get(GetMeta),
@@ -358,67 +369,71 @@ pub enum RelExpr {
 impl RelExpr {
     /// Output columns, in order.
     pub fn output_cols(&self) -> Vec<ColumnMeta> {
+        let kids = self.children().into_iter().map(RelExpr::output_cols);
+        self.op_output_cols(kids.collect())
+    }
+
+    /// [`RelExpr::output_cols`] of this operator alone, given its inputs'
+    /// output columns in `children()` order (a memo's inputs are groups,
+    /// not subtrees).
+    pub fn op_output_cols(&self, mut kids: Vec<Vec<ColumnMeta>>) -> Vec<ColumnMeta> {
+        let nullable = |cols: Vec<ColumnMeta>| {
+            cols.into_iter().map(|mut c| {
+                c.nullable = true;
+                c
+            })
+        };
+        let mut kid = |i: usize| std::mem::take(&mut kids[i]);
+        let pick = |from: &[ColumnMeta], ids: &[ColId]| -> Vec<ColumnMeta> {
+            ids.iter()
+                .filter_map(|c| from.iter().find(|m| m.id == *c).cloned())
+                .collect()
+        };
         match self {
             RelExpr::Get(g) => g.cols.clone(),
-            RelExpr::ConstRel { cols, .. } => cols.clone(),
-            RelExpr::Select { input, .. } => input.output_cols(),
-            RelExpr::Map { input, defs } => {
-                let mut cols = input.output_cols();
+            RelExpr::ConstRel { cols, .. } | RelExpr::UnionAll { cols, .. } => cols.clone(),
+            RelExpr::Select { .. } | RelExpr::Except { .. } | RelExpr::Max1Row { .. } => kid(0),
+            RelExpr::Map { defs, .. } => {
+                let mut cols = kid(0);
                 cols.extend(defs.iter().map(|d| d.col.clone()));
                 cols
             }
-            RelExpr::Project { input, cols } => {
-                let inner = input.output_cols();
-                cols.iter()
-                    .filter_map(|c| inner.iter().find(|m| m.id == *c).cloned())
-                    .collect()
+            RelExpr::Project { cols, .. } => pick(&kid(0), cols),
+            RelExpr::Join {
+                kind: JoinKind::LeftSemi | JoinKind::LeftAnti,
+                ..
+            }
+            | RelExpr::Apply {
+                kind: ApplyKind::Semi | ApplyKind::Anti,
+                ..
+            } => kid(0),
+            RelExpr::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+            | RelExpr::Apply {
+                kind: ApplyKind::Cross,
+                ..
+            } => {
+                let mut cols = kid(0);
+                cols.extend(kid(1));
+                cols
             }
             RelExpr::Join {
-                kind, left, right, ..
-            } => match kind {
-                JoinKind::LeftSemi | JoinKind::LeftAnti => left.output_cols(),
-                JoinKind::Inner => {
-                    let mut cols = left.output_cols();
-                    cols.extend(right.output_cols());
-                    cols
-                }
-                JoinKind::LeftOuter => {
-                    let mut cols = left.output_cols();
-                    cols.extend(right.output_cols().into_iter().map(|mut c| {
-                        c.nullable = true;
-                        c
-                    }));
-                    cols
-                }
-            },
-            RelExpr::Apply { kind, left, right } => match kind {
-                ApplyKind::Semi | ApplyKind::Anti => left.output_cols(),
-                ApplyKind::Cross => {
-                    let mut cols = left.output_cols();
-                    cols.extend(right.output_cols());
-                    cols
-                }
-                ApplyKind::LeftOuter => {
-                    let mut cols = left.output_cols();
-                    cols.extend(right.output_cols().into_iter().map(|mut c| {
-                        c.nullable = true;
-                        c
-                    }));
-                    cols
-                }
-            },
-            RelExpr::SegmentApply {
-                input,
-                segment_cols,
-                inner,
+                kind: JoinKind::LeftOuter,
+                ..
+            }
+            | RelExpr::Apply {
+                kind: ApplyKind::LeftOuter,
+                ..
             } => {
-                let input_cols = input.output_cols();
-                let inner_cols = inner.output_cols();
-                let mut out: Vec<ColumnMeta> = segment_cols
-                    .iter()
-                    .filter_map(|c| input_cols.iter().find(|m| m.id == *c).cloned())
-                    .collect();
-                for c in inner_cols {
+                let mut cols = kid(0);
+                cols.extend(nullable(kid(1)));
+                cols
+            }
+            RelExpr::SegmentApply { segment_cols, .. } => {
+                let mut out = pick(&kid(0), segment_cols);
+                for c in kid(1) {
                     if !out.iter().any(|m| m.id == c.id) {
                         out.push(c);
                     }
@@ -427,26 +442,47 @@ impl RelExpr {
             }
             RelExpr::SegmentRef { cols } => cols.iter().map(|(m, _)| m.clone()).collect(),
             RelExpr::GroupBy {
-                input,
-                group_cols,
-                aggs,
-                ..
+                group_cols, aggs, ..
             } => {
-                let input_cols = input.output_cols();
-                let mut out: Vec<ColumnMeta> = group_cols
-                    .iter()
-                    .filter_map(|c| input_cols.iter().find(|m| m.id == *c).cloned())
-                    .collect();
+                let mut out = pick(&kid(0), group_cols);
                 out.extend(aggs.iter().map(|a| a.out.clone()));
                 out
             }
-            RelExpr::UnionAll { cols, .. } => cols.clone(),
-            RelExpr::Except { left, .. } => left.output_cols(),
-            RelExpr::Max1Row { input } => input.output_cols(),
-            RelExpr::Enumerate { input, col } => {
-                let mut cols = input.output_cols();
+            RelExpr::Enumerate { col, .. } => {
+                let mut cols = kid(0);
                 cols.push(col.clone());
                 cols
+            }
+        }
+    }
+
+    /// How many columns this operator produces over inputs producing
+    /// the given column sets — `op_output_cols(..).len()` without building
+    /// the columns.
+    pub fn op_width(&self, kids: &[&BTreeSet<ColId>]) -> usize {
+        let kid = |i: usize| kids[i].len();
+        match self {
+            RelExpr::Get(g) => g.cols.len(),
+            RelExpr::ConstRel { cols, .. } | RelExpr::UnionAll { cols, .. } => cols.len(),
+            RelExpr::SegmentRef { cols } => cols.len(),
+            RelExpr::Project { cols, .. } => cols.len(),
+            RelExpr::Select { .. } | RelExpr::Max1Row { .. } | RelExpr::Except { .. } => kid(0),
+            RelExpr::Map { defs, .. } => kid(0) + defs.len(),
+            RelExpr::Enumerate { .. } => kid(0) + 1,
+            RelExpr::Join { kind, .. } => match kind {
+                JoinKind::LeftSemi | JoinKind::LeftAnti => kid(0),
+                JoinKind::Inner | JoinKind::LeftOuter => kid(0) + kid(1),
+            },
+            RelExpr::Apply { kind, .. } => match kind {
+                ApplyKind::Semi | ApplyKind::Anti => kid(0),
+                ApplyKind::Cross | ApplyKind::LeftOuter => kid(0) + kid(1),
+            },
+            RelExpr::GroupBy {
+                group_cols, aggs, ..
+            } => group_cols.len() + aggs.len(),
+            RelExpr::SegmentApply { segment_cols, .. } => {
+                let extras = kids[1].iter().filter(|c| !segment_cols.contains(c));
+                segment_cols.len() + extras.count()
             }
         }
     }

@@ -109,7 +109,7 @@ pub enum Quant {
 }
 
 /// A scalar expression tree.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum ScalarExpr {
     /// Reference to a column by global id. May refer to a column produced
     /// by an *enclosing* expression — that is exactly a correlation.

@@ -80,6 +80,7 @@ impl StatsEnv {
 }
 
 /// The estimator.
+#[derive(Debug, Default)]
 pub struct Estimator {
     /// Harvested statistics.
     pub stats: StatsEnv,
@@ -99,23 +100,42 @@ impl Estimator {
     }
 
     fn card_inner(&self, rel: &RelExpr, seg: Option<f64>) -> f64 {
-        match rel {
+        if let RelExpr::SegmentApply {
+            input,
+            segment_cols,
+            inner,
+        } = rel
+        {
+            // The inner expression runs once per segment, over that
+            // segment's share of the input.
+            let in_card = self.card_inner(input, seg);
+            let per_segment = in_card / self.group_count(segment_cols, in_card).max(1.0);
+            let inner = self.card_inner(inner, Some(per_segment));
+            return self.op_card(rel, &[in_card, inner], seg);
+        }
+        let kids: Vec<f64> = rel
+            .children()
+            .into_iter()
+            .map(|c| self.card_inner(c, seg))
+            .collect();
+        self.op_card(rel, &kids, seg)
+    }
+
+    /// One operator's output cardinality from its inputs' (in
+    /// `children()` order) — what the memo derives a group's estimate
+    /// from. `seg` is the rows per segment a `SegmentRef` stands for, and
+    /// a `SegmentApply`'s second input is its inner expression's rows *per
+    /// segment* — which takes the inner subtree ([`Estimator::card`]).
+    pub fn op_card(&self, op: &RelExpr, kids: &[f64], seg: Option<f64>) -> f64 {
+        match op {
             RelExpr::Get(g) => g.row_count,
             RelExpr::ConstRel { rows, .. } => rows.len() as f64,
-            RelExpr::Select { input, predicate } => {
-                self.card_inner(input, seg) * self.selectivity(predicate)
-            }
-            RelExpr::Map { input, .. }
-            | RelExpr::Enumerate { input, .. }
-            | RelExpr::Project { input, .. } => self.card_inner(input, seg),
+            RelExpr::Select { predicate, .. } => kids[0] * self.selectivity(predicate),
+            RelExpr::Map { .. } | RelExpr::Enumerate { .. } | RelExpr::Project { .. } => kids[0],
             RelExpr::Join {
-                kind,
-                left,
-                right,
-                predicate,
+                kind, predicate, ..
             } => {
-                let l = self.card_inner(left, seg);
-                let r = self.card_inner(right, seg);
+                let (l, r) = (kids[0], kids[1]);
                 let sel = self.selectivity(predicate);
                 match kind {
                     JoinKind::Inner => (l * r * sel).max(0.0),
@@ -127,9 +147,8 @@ impl Estimator {
                     }
                 }
             }
-            RelExpr::Apply { kind, left, right } => {
-                let l = self.card_inner(left, seg);
-                let r = self.card_inner(right, seg);
+            RelExpr::Apply { kind, .. } => {
+                let (l, r) = (kids[0], kids[1]);
                 match kind {
                     ApplyKind::Cross => l * r,
                     ApplyKind::LeftOuter => l * r.max(1.0),
@@ -137,33 +156,18 @@ impl Estimator {
                     ApplyKind::Anti => l * 0.5,
                 }
             }
-            RelExpr::SegmentApply {
-                input,
-                segment_cols,
-                inner,
-            } => {
-                let in_card = self.card_inner(input, seg);
-                let segments = self.group_count(segment_cols, in_card);
-                let per_segment = in_card / segments.max(1.0);
-                segments * self.card_inner(inner, Some(per_segment))
+            RelExpr::SegmentApply { segment_cols, .. } => {
+                self.group_count(segment_cols, kids[0]) * kids[1]
             }
             RelExpr::SegmentRef { .. } => seg.unwrap_or(100.0),
             RelExpr::GroupBy {
-                kind,
-                input,
-                group_cols,
-                ..
-            } => {
-                let in_card = self.card_inner(input, seg);
-                match kind {
-                    GroupKind::Scalar => 1.0,
-                    GroupKind::Vector | GroupKind::Local => self.group_count(group_cols, in_card),
-                }
-            }
-            RelExpr::UnionAll { left, right, .. } => {
-                self.card_inner(left, seg) + self.card_inner(right, seg)
-            }
-            RelExpr::Except { left, .. } => self.card_inner(left, seg) * 0.5,
+                kind, group_cols, ..
+            } => match kind {
+                GroupKind::Scalar => 1.0,
+                GroupKind::Vector | GroupKind::Local => self.group_count(group_cols, kids[0]),
+            },
+            RelExpr::UnionAll { .. } => kids[0] + kids[1],
+            RelExpr::Except { .. } => kids[0] * 0.5,
             RelExpr::Max1Row { .. } => 1.0,
         }
     }

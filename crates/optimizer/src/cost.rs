@@ -36,8 +36,6 @@ pub mod coef {
     pub const SEGMENT_INVOKE: f64 = 2.0;
     /// Concatenation per row.
     pub const CONCAT_ROW: f64 = 0.1;
-    /// Sort cost factor (× n log n).
-    pub const SORT_FACTOR: f64 = 0.3;
     /// Row-number / assert per row.
     pub const TRIVIAL_ROW: f64 = 0.05;
     /// Fixed cost of spinning up one exchange worker (thread spawn,
@@ -64,12 +62,6 @@ pub fn exchange_cost(serial: f64, rows_out: f64, workers: usize) -> f64 {
     serial * ((1.0 - EXCHANGE_PARALLEL_FRACTION) + EXCHANGE_PARALLEL_FRACTION / w)
         + coef::EXCHANGE_SETUP * w
         + rows_out.max(0.0) * coef::EXCHANGE_ROW
-}
-
-/// Cost of sorting `n` rows.
-pub fn sort_cost(n: f64) -> f64 {
-    let n = n.max(1.0);
-    coef::SORT_FACTOR * n * n.log2().max(1.0)
 }
 
 /// Cost of batched correlated execution (`BatchedApply`): the outer,

@@ -26,4 +26,4 @@ pub mod rules;
 pub mod search;
 pub mod verify;
 
-pub use search::{optimize, OptimizerConfig};
+pub use search::OptimizerConfig;

@@ -96,13 +96,7 @@ fn split_first(mut rel: RelExpr, gen: &mut ColIdGen, hit: &mut bool) -> RelExpr 
         }
     }
     for child in rel.children_mut() {
-        let taken = std::mem::replace(
-            child,
-            RelExpr::ConstRel {
-                cols: vec![],
-                rows: vec![],
-            },
-        );
+        let taken = std::mem::replace(child, *crate::memo::stub());
         *child = split_first(taken, gen, hit);
         if *hit {
             break;

@@ -1,4 +1,9 @@
 //! Best-plan extraction: implementation rules plus recursive costing.
+//!
+//! Costing comes first and builds nothing deep: every alternative is a
+//! physical operator over *stub* inputs plus the groups those inputs
+//! stand for, and each group keeps only its winner. The plan is then
+//! assembled in one walk over the winners.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -6,24 +11,36 @@ use orthopt_common::{ColId, Error, Result};
 use orthopt_exec::PhysExpr;
 use orthopt_ir::{ApplyKind, ApplyStrategy, GroupKind, RelExpr, ScalarExpr};
 
-use crate::cardinality::Estimator;
-use crate::cost::{batched_apply_cost, coef, exchange_cost, index_lookup_cost, sort_cost};
-use crate::memo::{GroupId, Memo};
+use crate::cost::{batched_apply_cost, coef, exchange_cost, index_lookup_cost};
+use crate::memo::{GroupId, MExpr, Memo};
 
-/// A costed physical plan.
-#[derive(Debug, Clone)]
-pub struct Costed {
-    /// Physical operator tree.
-    pub plan: PhysExpr,
-    /// Estimated total cost.
-    pub cost: f64,
+/// One implementation of a memo expression: `plan`'s inputs are stubs
+/// for the best plans of `inputs` (in `children_mut()` order).
+struct Alt {
+    plan: PhysExpr,
+    inputs: Vec<GroupId>,
+    cost: f64,
+}
+
+impl Alt {
+    fn new(plan: PhysExpr, inputs: Vec<GroupId>, cost: f64) -> Alt {
+        Alt { plan, inputs, cost }
+    }
+}
+
+/// Stands in for an input plan until [`Planner::build`] fills it in.
+fn stub() -> Box<PhysExpr> {
+    Box::new(PhysExpr::ConstScan {
+        cols: vec![],
+        rows: vec![],
+    })
 }
 
 /// Extracts the cheapest physical plan for a group.
 pub struct Planner<'a> {
     memo: &'a Memo,
-    est: &'a Estimator,
-    cache: HashMap<usize, Costed>,
+    /// Winning implementation per (surviving) group.
+    winners: HashMap<usize, Alt>,
     in_progress: HashSet<usize>,
     /// Worker-pool size exchanges may fan out to (1 = plan serially).
     workers: usize,
@@ -35,217 +52,189 @@ pub struct Planner<'a> {
 impl<'a> Planner<'a> {
     /// Creates a planner over an explored memo. `workers > 1` lets the
     /// planner wrap eligible subtrees in `Exchange` nodes when the cost
-    /// model says parallelism pays.
-    pub fn new(memo: &'a Memo, est: &'a Estimator, workers: usize) -> Self {
+    /// model says parallelism pays; `apply_strategy` restricts (or
+    /// forces) what the Apply implementation rule emits.
+    pub fn new(memo: &'a Memo, workers: usize, apply_strategy: ApplyStrategy) -> Self {
         Planner {
             memo,
-            est,
-            cache: HashMap::new(),
+            winners: HashMap::new(),
             in_progress: HashSet::new(),
             workers: workers.max(1),
-            apply_strategy: ApplyStrategy::Auto,
+            apply_strategy,
         }
     }
 
-    /// Restricts (or forces) the correlated-execution strategy the
-    /// Apply implementation rule emits.
-    pub fn with_apply_strategy(mut self, strategy: ApplyStrategy) -> Self {
-        self.apply_strategy = strategy;
-        self
+    /// Cheapest plan for a group, with its estimated cost.
+    pub fn best(&mut self, gid: GroupId) -> Result<(PhysExpr, f64)> {
+        let cost = self.cost(gid)?;
+        Ok((self.build(gid), cost))
     }
 
-    /// Cheapest plan for a group.
-    pub fn best(&mut self, gid: GroupId) -> Result<Costed> {
-        if let Some(c) = self.cache.get(&gid.0) {
-            return Ok(c.clone());
+    /// Cost of the cheapest plan for a group, recording its winner.
+    fn cost(&mut self, gid: GroupId) -> Result<f64> {
+        let gid = self.memo.find(gid);
+        if let Some(w) = self.winners.get(&gid.0) {
+            return Ok(w.cost);
         }
         if !self.in_progress.insert(gid.0) {
-            // A cyclic alternative (should not happen): prune this path.
+            // A cyclic alternative (a merge can close one): prune this path.
+            // The groups costed below keep winners found without it — by
+            // then possibly not their cheapest from elsewhere (DESIGN §14).
             return Err(Error::Plan("cyclic plan alternative".into()));
         }
-        let exprs = self.memo.group(gid).exprs.clone();
-        let mut best: Option<Costed> = None;
-        for expr in &exprs {
-            // A failed alternative is simply not implementable on this
-            // path; other alternatives may still produce a plan.
-            if let Ok(alts) = self.implementations(&expr.shell, &expr.children) {
-                for alt in alts {
-                    if best.as_ref().is_none_or(|b| alt.cost < b.cost) {
-                        best = Some(alt);
-                    }
-                }
-            }
-        }
+        // A failed alternative is simply not implementable on this path;
+        // other alternatives may still produce a plan. First of equals wins.
+        let exprs = self.memo.exprs(gid);
+        let alts = exprs.filter_map(|e| self.implementations(e).ok());
+        let best = alts.flatten().min_by(|a, b| a.cost.total_cmp(&b.cost));
         self.in_progress.remove(&gid.0);
-        let mut best = best.ok_or_else(|| Error::Plan("no implementable alternative".into()))?;
+        let best = best.ok_or_else(|| Error::Plan("no implementable alternative".into()))?;
+        let mut cost = best.cost;
+        self.winners.insert(gid.0, best);
         // Consider a parallel boundary over the chosen plan: cheapest
         // serial plan, exchanged, if the Amdahl split beats the setup
         // cost. Children already wrapped make parents ineligible, so
         // this greedy bottom-up placement never nests exchanges.
         if self.workers > 1 {
-            if let Some(wrapped) = orthopt_exec::wrap_exchange(&best.plan) {
-                let cost = exchange_cost(best.cost, self.card(gid), self.workers);
-                if cost < best.cost {
-                    best = Costed {
-                        plan: wrapped,
-                        cost,
-                    };
+            if let Some(wrapped) = orthopt_exec::wrap_exchange(&self.build(gid)) {
+                let exchanged = exchange_cost(cost, self.card(gid), self.workers);
+                if exchanged < cost {
+                    cost = exchanged;
+                    let whole = Alt::new(wrapped, vec![], cost);
+                    self.winners.insert(gid.0, whole);
                 }
             }
         }
-        self.cache.insert(gid.0, best.clone());
-        Ok(best)
+        Ok(cost)
+    }
+
+    /// Assembles the winning plan of a costed group.
+    fn build(&self, gid: GroupId) -> PhysExpr {
+        let winner = &self.winners[&self.memo.find(gid).0];
+        let mut plan = winner.plan.clone();
+        for (slot, &input) in plan.children_mut().into_iter().zip(&winner.inputs) {
+            *slot = self.build(input);
+        }
+        plan
     }
 
     fn card(&self, gid: GroupId) -> f64 {
-        self.est.card(&self.memo.group(gid).repr)
+        self.memo.props(gid).card
     }
 
-    fn implementations(&mut self, shell: &RelExpr, children: &[GroupId]) -> Result<Vec<Costed>> {
+    fn implementations(&mut self, expr: &MExpr) -> Result<Vec<Alt>> {
+        let est = &self.memo.est;
+        let children = &expr.children;
         let mut out = Vec::new();
-        match shell {
+        let over = |plan, cost| Alt::new(plan, children.clone(), cost);
+        let leaf = |plan, cost| Alt::new(plan, vec![], cost);
+        // One input: its cost and cardinality.
+        let unary = |planner: &mut Self| -> Result<(f64, f64)> {
+            Ok((planner.cost(children[0])?, planner.card(children[0])))
+        };
+        match &expr.shell {
             RelExpr::Get(g) => {
-                out.push(Costed {
-                    plan: PhysExpr::TableScan {
-                        table: g.table,
-                        positions: g.positions.clone(),
-                        cols: g.cols.iter().map(|c| c.id).collect(),
-                    },
-                    cost: g.row_count * coef::SCAN_ROW,
-                });
+                let scan = PhysExpr::TableScan {
+                    table: g.table,
+                    positions: g.positions.clone(),
+                    cols: g.cols.iter().map(|c| c.id).collect(),
+                };
+                out.push(leaf(scan, g.row_count * coef::SCAN_ROW));
             }
             RelExpr::ConstRel { cols, rows } => {
-                out.push(Costed {
-                    plan: PhysExpr::ConstScan {
-                        cols: cols.iter().map(|c| c.id).collect(),
-                        rows: rows.clone(),
-                    },
-                    cost: rows.len() as f64 * coef::TRIVIAL_ROW,
-                });
+                let scan = PhysExpr::ConstScan {
+                    cols: cols.iter().map(|c| c.id).collect(),
+                    rows: rows.clone(),
+                };
+                out.push(leaf(scan, rows.len() as f64 * coef::TRIVIAL_ROW));
             }
             RelExpr::Select { predicate, .. } => {
-                let g_in = children[0];
-                let child = self.best(g_in)?;
-                let in_card = self.card(g_in);
-                let out_card = in_card * self.est.selectivity(predicate);
-                out.push(Costed {
-                    plan: PhysExpr::Filter {
-                        input: Box::new(child.plan.clone()),
-                        predicate: predicate.clone(),
-                    },
-                    cost: child.cost + in_card * coef::FILTER_ROW,
-                });
+                let (child, in_card) = unary(self)?;
+                let filter = PhysExpr::Filter {
+                    input: stub(),
+                    predicate: predicate.clone(),
+                };
+                out.push(over(filter, child + in_card * coef::FILTER_ROW));
                 // Index seek when the child is an indexed scan and the
                 // predicate pins a full index with invocation constants.
-                out.extend(self.index_seek_alternatives(predicate, g_in, out_card));
+                out.extend(self.index_seek_alternatives(predicate, children[0]));
             }
             RelExpr::Map { defs, .. } => {
-                let child = self.best(children[0])?;
-                let in_card = self.card(children[0]);
-                out.push(Costed {
-                    plan: PhysExpr::Compute {
-                        input: Box::new(child.plan),
-                        defs: defs.iter().map(|d| (d.col.id, d.expr.clone())).collect(),
-                    },
-                    cost: child.cost + in_card * coef::COMPUTE_ROW * defs.len() as f64,
-                });
+                let (child, in_card) = unary(self)?;
+                let compute = PhysExpr::Compute {
+                    input: stub(),
+                    defs: defs.iter().map(|d| (d.col.id, d.expr.clone())).collect(),
+                };
+                let cost = child + in_card * coef::COMPUTE_ROW * defs.len() as f64;
+                out.push(over(compute, cost));
             }
             RelExpr::Project { cols, .. } => {
-                let child = self.best(children[0])?;
-                let in_card = self.card(children[0]);
-                out.push(Costed {
-                    plan: PhysExpr::ProjectCols {
-                        input: Box::new(child.plan),
-                        cols: cols.clone(),
-                    },
-                    cost: child.cost + in_card * coef::TRIVIAL_ROW,
-                });
+                let (child, in_card) = unary(self)?;
+                let project = PhysExpr::ProjectCols {
+                    input: stub(),
+                    cols: cols.clone(),
+                };
+                out.push(over(project, child + in_card * coef::TRIVIAL_ROW));
             }
             RelExpr::Join {
                 kind, predicate, ..
             } => {
-                let (g_l, g_r) = (children[0], children[1]);
-                let left = self.best(g_l)?;
-                let right = self.best(g_r)?;
-                let (card_l, card_r) = (self.card(g_l), self.card(g_r));
-                let out_card = card_l * card_r * self.est.selectivity(predicate);
-                // Hash join on equi-conjuncts.
-                let left_ids = self.outs(g_l);
-                let right_ids = self.outs(g_r);
-                let mut lk = Vec::new();
-                let mut rk = Vec::new();
-                let mut residual = Vec::new();
-                for c in predicate.conjuncts() {
-                    let mut matched = false;
-                    if let ScalarExpr::Cmp {
-                        op: orthopt_ir::CmpOp::Eq,
-                        left: a,
-                        right: b,
-                    } = &c
-                    {
-                        if let (ScalarExpr::Column(x), ScalarExpr::Column(y)) =
-                            (a.as_ref(), b.as_ref())
-                        {
-                            if left_ids.contains(x) && right_ids.contains(y) {
-                                lk.push(*x);
-                                rk.push(*y);
-                                matched = true;
-                            } else if left_ids.contains(y) && right_ids.contains(x) {
-                                lk.push(*y);
-                                rk.push(*x);
-                                matched = true;
+                let inputs_cost = self.cost(children[0])? + self.cost(children[1])?;
+                let selectivity = est.selectivity(predicate);
+                // Either input of an inner join can be the build side.
+                for (g_l, g_r) in expr.sides() {
+                    let (card_l, card_r) = (self.card(g_l), self.card(g_r));
+                    let out_card = card_l * card_r * selectivity;
+                    // Hash join on equi-conjuncts.
+                    let (left_ids, right_ids) = (self.outs(g_l), self.outs(g_r));
+                    let mut lk = Vec::new();
+                    let mut rk = Vec::new();
+                    let mut residual = Vec::new();
+                    for c in predicate.conjuncts() {
+                        match orthopt_ir::props::col_eq(&c) {
+                            Some((x, y)) if left_ids.contains(&x) && right_ids.contains(&y) => {
+                                lk.push(x);
+                                rk.push(y);
                             }
+                            Some((x, y)) if left_ids.contains(&y) && right_ids.contains(&x) => {
+                                lk.push(y);
+                                rk.push(x);
+                            }
+                            _ => residual.push(c),
                         }
                     }
-                    if !matched {
-                        residual.push(c);
-                    }
-                }
-                if !lk.is_empty() {
-                    out.push(Costed {
-                        plan: PhysExpr::HashJoin {
+                    let (join, work) = if lk.is_empty() {
+                        let join = PhysExpr::NLJoin {
                             kind: *kind,
-                            left: Box::new(left.plan.clone()),
-                            right: Box::new(right.plan.clone()),
+                            left: stub(),
+                            right: stub(),
+                            predicate: predicate.clone(),
+                        };
+                        (join, card_l * card_r * coef::NL_PAIR)
+                    } else {
+                        let join = PhysExpr::HashJoin {
+                            kind: *kind,
+                            left: stub(),
+                            right: stub(),
                             left_keys: lk,
                             right_keys: rk,
                             residual: ScalarExpr::and(residual),
-                        },
-                        cost: left.cost
-                            + right.cost
-                            + card_r * coef::HASH_BUILD_ROW
-                            + card_l * coef::HASH_PROBE_ROW
-                            + out_card * coef::JOIN_OUT_ROW,
-                    });
-                } else {
-                    out.push(Costed {
-                        plan: PhysExpr::NLJoin {
-                            kind: *kind,
-                            left: Box::new(left.plan.clone()),
-                            right: Box::new(right.plan.clone()),
-                            predicate: predicate.clone(),
-                        },
-                        cost: left.cost
-                            + right.cost
-                            + card_l * card_r * coef::NL_PAIR
-                            + out_card * coef::JOIN_OUT_ROW,
-                    });
+                        };
+                        let work = card_r * coef::HASH_BUILD_ROW + card_l * coef::HASH_PROBE_ROW;
+                        (join, work)
+                    };
+                    let cost = inputs_cost + work + out_card * coef::JOIN_OUT_ROW;
+                    out.push(Alt::new(join, vec![g_l, g_r], cost));
                 }
             }
             RelExpr::Apply { kind, .. } => {
                 let (g_l, g_r) = (children[0], children[1]);
-                let left = self.best(g_l)?;
-                let right = self.best(g_r)?;
+                let (left, right) = (self.cost(g_l)?, self.cost(g_r)?);
                 let card_l = self.card(g_l);
                 let params: Vec<ColId> = {
                     let left_outs = self.outs(g_l);
-                    self.memo
-                        .group(g_r)
-                        .repr
-                        .free_cols()
-                        .into_iter()
-                        .filter(|c| left_outs.contains(c))
-                        .collect()
+                    let free = self.memo.repr(g_r).free_cols();
+                    free.into_iter().filter(|c| left_outs.contains(c)).collect()
                 };
                 // Estimated distinct binding tuples across the outer:
                 // product of per-parameter NDVs, clamped to the outer
@@ -256,30 +245,27 @@ impl<'a> Planner<'a> {
                 } else {
                     params
                         .iter()
-                        .map(|c| self.est.stats.ndv(*c))
+                        .map(|c| est.stats.ndv(*c))
                         .product::<f64>()
                         .clamp(1.0, card_l.max(1.0))
                 };
-                let loop_alt = Costed {
-                    plan: PhysExpr::ApplyLoop {
-                        kind: *kind,
-                        left: Box::new(left.plan.clone()),
-                        right: Box::new(right.plan.clone()),
-                        params: params.clone(),
-                    },
-                    cost: left.cost + card_l * (coef::APPLY_INVOKE + right.cost),
+                let apply_loop = PhysExpr::ApplyLoop {
+                    kind: *kind,
+                    left: stub(),
+                    right: stub(),
+                    params: params.clone(),
                 };
-                let batched_alt = Costed {
-                    plan: PhysExpr::BatchedApply {
-                        kind: *kind,
-                        left: Box::new(left.plan.clone()),
-                        right: Box::new(right.plan.clone()),
-                        params: params.clone(),
-                    },
-                    cost: batched_apply_cost(left.cost, card_l, distinct, right.cost),
+                let loop_alt = over(apply_loop, left + card_l * (coef::APPLY_INVOKE + right));
+                let batched = PhysExpr::BatchedApply {
+                    kind: *kind,
+                    left: stub(),
+                    right: stub(),
+                    params: params.clone(),
                 };
-                let index_alt = self
-                    .index_lookup_alternative(*kind, &left, &right, g_r, &params, card_l, distinct);
+                let batched_cost = batched_apply_cost(left, card_l, distinct, right);
+                let batched_alt = over(batched, batched_cost);
+                let index_alt =
+                    self.index_lookup_alternative(*kind, left, (g_l, g_r), &params, distinct);
                 match self.apply_strategy {
                     ApplyStrategy::Auto => {
                         out.push(loop_alt);
@@ -296,37 +282,32 @@ impl<'a> Planner<'a> {
             }
             RelExpr::SegmentApply { segment_cols, .. } => {
                 let (g_in, g_inner) = (children[0], children[1]);
-                let input = self.best(g_in)?;
-                let inner = self.best(g_inner)?;
+                let (input, inner) = (self.cost(g_in)?, self.cost(g_inner)?);
                 let card_in = self.card(g_in);
-                let segments = self.est.group_count(segment_cols, card_in);
+                let segments = est.group_count(segment_cols, card_in);
                 // Output layout: segmenting columns then inner extras.
-                let inner_outs = self.outs_vec(g_inner);
                 let mut out_cols = segment_cols.clone();
-                for c in inner_outs {
-                    if !out_cols.contains(&c) {
-                        out_cols.push(c);
+                for c in &self.memo.props(g_inner).cols {
+                    if !out_cols.contains(&c.id) {
+                        out_cols.push(c.id);
                     }
                 }
-                out.push(Costed {
-                    plan: PhysExpr::SegmentExec {
-                        input: Box::new(input.plan),
-                        segment_cols: segment_cols.clone(),
-                        inner: Box::new(inner.plan),
-                        out_cols,
-                    },
-                    cost: input.cost
-                        + card_in * coef::SEGMENT_ROW
-                        + segments * (coef::SEGMENT_INVOKE + inner.cost),
-                });
+                let exec = PhysExpr::SegmentExec {
+                    input: stub(),
+                    segment_cols: segment_cols.clone(),
+                    inner: stub(),
+                    out_cols,
+                };
+                let per_segment = coef::SEGMENT_INVOKE + inner;
+                let cost = input + card_in * coef::SEGMENT_ROW + segments * per_segment;
+                out.push(over(exec, cost));
             }
             RelExpr::SegmentRef { cols } => {
-                out.push(Costed {
-                    plan: PhysExpr::SegmentScan {
-                        cols: cols.iter().map(|(m, src)| (m.id, *src)).collect(),
-                    },
-                    cost: 10.0 * coef::TRIVIAL_ROW,
-                });
+                let cols = cols.iter().map(|(m, src)| (m.id, *src)).collect();
+                out.push(leaf(
+                    PhysExpr::SegmentScan { cols },
+                    10.0 * coef::TRIVIAL_ROW,
+                ));
             }
             RelExpr::GroupBy {
                 kind,
@@ -334,22 +315,19 @@ impl<'a> Planner<'a> {
                 aggs,
                 ..
             } => {
-                let g_in = children[0];
-                let child = self.best(g_in)?;
-                let card_in = self.card(g_in);
+                let (child, card_in) = unary(self)?;
                 let groups = match kind {
                     GroupKind::Scalar => 1.0,
-                    _ => self.est.group_count(group_cols, card_in),
+                    _ => est.group_count(group_cols, card_in),
                 };
-                out.push(Costed {
-                    plan: PhysExpr::HashAggregate {
-                        kind: *kind,
-                        input: Box::new(child.plan),
-                        group_cols: group_cols.clone(),
-                        aggs: aggs.clone(),
-                    },
-                    cost: child.cost + card_in * coef::AGG_ROW + groups * coef::GROUP_OUT,
-                });
+                let aggregate = PhysExpr::HashAggregate {
+                    kind: *kind,
+                    input: stub(),
+                    group_cols: group_cols.clone(),
+                    aggs: aggs.clone(),
+                };
+                let cost = child + card_in * coef::AGG_ROW + groups * coef::GROUP_OUT;
+                out.push(over(aggregate, cost));
             }
             RelExpr::UnionAll {
                 cols,
@@ -357,122 +335,86 @@ impl<'a> Planner<'a> {
                 right_map,
                 ..
             } => {
-                let left = self.best(children[0])?;
-                let right = self.best(children[1])?;
+                let inputs_cost = self.cost(children[0])? + self.cost(children[1])?;
                 let total = self.card(children[0]) + self.card(children[1]);
-                out.push(Costed {
-                    plan: PhysExpr::Concat {
-                        left: Box::new(left.plan),
-                        right: Box::new(right.plan),
-                        cols: cols.iter().map(|c| c.id).collect(),
-                        left_map: left_map.clone(),
-                        right_map: right_map.clone(),
-                    },
-                    cost: left.cost + right.cost + total * coef::CONCAT_ROW,
-                });
+                let concat = PhysExpr::Concat {
+                    left: stub(),
+                    right: stub(),
+                    cols: cols.iter().map(|c| c.id).collect(),
+                    left_map: left_map.clone(),
+                    right_map: right_map.clone(),
+                };
+                out.push(over(concat, inputs_cost + total * coef::CONCAT_ROW));
             }
             RelExpr::Except { right_map, .. } => {
-                let left = self.best(children[0])?;
-                let right = self.best(children[1])?;
+                let inputs_cost = self.cost(children[0])? + self.cost(children[1])?;
                 let (card_l, card_r) = (self.card(children[0]), self.card(children[1]));
-                out.push(Costed {
-                    plan: PhysExpr::ExceptExec {
-                        left: Box::new(left.plan),
-                        right: Box::new(right.plan),
-                        right_map: right_map.clone(),
-                    },
-                    cost: left.cost
-                        + right.cost
-                        + card_r * coef::HASH_BUILD_ROW
-                        + card_l * coef::HASH_PROBE_ROW,
-                });
+                let except = PhysExpr::ExceptExec {
+                    left: stub(),
+                    right: stub(),
+                    right_map: right_map.clone(),
+                };
+                let work = card_r * coef::HASH_BUILD_ROW + card_l * coef::HASH_PROBE_ROW;
+                out.push(over(except, inputs_cost + work));
             }
             RelExpr::Max1Row { .. } => {
-                let child = self.best(children[0])?;
-                out.push(Costed {
-                    plan: PhysExpr::AssertMax1 {
-                        input: Box::new(child.plan),
-                    },
-                    cost: child.cost,
-                });
+                let (child, _) = unary(self)?;
+                out.push(over(PhysExpr::AssertMax1 { input: stub() }, child));
             }
             RelExpr::Enumerate { col, .. } => {
-                let child = self.best(children[0])?;
-                let card = self.card(children[0]);
-                out.push(Costed {
-                    plan: PhysExpr::RowNumber {
-                        input: Box::new(child.plan),
-                        col: col.id,
-                    },
-                    cost: child.cost + card * coef::TRIVIAL_ROW,
-                });
+                let (child, card) = unary(self)?;
+                let number = PhysExpr::RowNumber {
+                    input: stub(),
+                    col: col.id,
+                };
+                out.push(over(number, child + card * coef::TRIVIAL_ROW));
             }
         }
         Ok(out)
     }
 
-    fn outs(&self, gid: GroupId) -> BTreeSet<ColId> {
-        self.memo
-            .group(gid)
-            .repr
-            .output_col_ids()
-            .into_iter()
-            .collect()
-    }
-
-    fn outs_vec(&self, gid: GroupId) -> Vec<ColId> {
-        self.memo.group(gid).repr.output_col_ids()
+    fn outs(&self, gid: GroupId) -> &'a BTreeSet<ColId> {
+        &self.memo.props(gid).out
     }
 
     /// IndexSeek alternatives for `σ_p(Get)`: an index is usable when
     /// each indexed column has an equality conjunct against an
     /// *invocation constant* (literal or outer parameter).
-    fn index_seek_alternatives(
-        &mut self,
-        predicate: &ScalarExpr,
-        g_in: GroupId,
-        _out_card: f64,
-    ) -> Vec<Costed> {
+    fn index_seek_alternatives(&self, predicate: &ScalarExpr, g_in: GroupId) -> Vec<Alt> {
+        let est = &self.memo.est;
         let mut out = Vec::new();
-        for expr in &self.memo.group(g_in).exprs {
+        for expr in self.memo.exprs(g_in) {
             let RelExpr::Get(g) = &expr.shell else {
                 continue;
             };
-            let own_ids: BTreeSet<ColId> = g.cols.iter().map(|c| c.id).collect();
+            // The index slot a column of this scan fills, if any.
+            let base_of = |id: &ColId| Some(g.positions[g.cols.iter().position(|m| m.id == *id)?]);
+            let is_own = |c: &ColId| g.cols.iter().any(|m| m.id == *c);
             for index in &g.indexes {
                 // Find probes: base position → probe expression.
                 let mut probes: Vec<Option<ScalarExpr>> = vec![None; index.len()];
                 let mut residual: Vec<ScalarExpr> = Vec::new();
                 for c in predicate.conjuncts() {
-                    let mut used = false;
-                    if let ScalarExpr::Cmp {
-                        op: orthopt_ir::CmpOp::Eq,
-                        left,
-                        right,
-                    } = &c
-                    {
-                        for (col_side, probe_side) in [(left, right), (right, left)] {
-                            if let ScalarExpr::Column(id) = col_side.as_ref() {
-                                if let Some(pos) = g.cols.iter().position(|m| m.id == *id) {
-                                    let base = g.positions[pos];
-                                    if let Some(slot) = index.iter().position(|&b| b == base) {
-                                        let probe_ok = probe_side
-                                            .cols()
-                                            .iter()
-                                            .all(|pc| !own_ids.contains(pc))
-                                            && !probe_side.has_subquery();
-                                        if probe_ok && probes[slot].is_none() {
-                                            probes[slot] = Some((**probe_side).clone());
-                                            used = true;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if !used {
-                        residual.push(c);
+                    let sides = match &c {
+                        ScalarExpr::Cmp {
+                            op: orthopt_ir::CmpOp::Eq,
+                            left,
+                            right,
+                        } => vec![(left, right), (right, left)],
+                        _ => vec![],
+                    };
+                    let probe = sides.into_iter().find_map(|(col, probe)| {
+                        let ScalarExpr::Column(id) = col.as_ref() else {
+                            return None;
+                        };
+                        let base = base_of(id)?;
+                        let slot = index.iter().position(|&b| b == base)?;
+                        let constant = !probe.cols().iter().any(is_own) && !probe.has_subquery();
+                        (constant && probes[slot].is_none()).then_some((slot, probe))
+                    });
+                    match probe {
+                        Some((slot, probe)) => probes[slot] = Some((**probe).clone()),
+                        None => residual.push(c),
                     }
                 }
                 if probes.iter().any(Option::is_none) {
@@ -485,7 +427,7 @@ impl<'a> Planner<'a> {
                         g.positions
                             .iter()
                             .position(|&p| p == base)
-                            .map_or(100.0, |i| self.est.stats.ndv(g.cols[i].id))
+                            .map_or(100.0, |i| est.stats.ndv(g.cols[i].id))
                     })
                     .product();
                 let matched = (g.row_count / ndv.max(1.0)).max(1.0);
@@ -506,7 +448,7 @@ impl<'a> Planner<'a> {
                         predicate: ScalarExpr::and(residual),
                     }
                 };
-                out.push(Costed { plan, cost });
+                out.push(Alt::new(plan, vec![], cost));
             }
         }
         out
@@ -521,24 +463,22 @@ impl<'a> Planner<'a> {
     /// (probes permuted in lockstep) so the executor can validate the
     /// probe-to-index pairing against the storage layer's canonical
     /// index selection.
-    #[allow(clippy::too_many_arguments)]
     fn index_lookup_alternative(
-        &mut self,
+        &self,
         kind: ApplyKind,
-        left: &Costed,
-        right: &Costed,
-        g_r: GroupId,
+        left_cost: f64,
+        (g_l, g_r): (GroupId, GroupId),
         params: &[ColId],
-        card_l: f64,
         distinct: f64,
-    ) -> Option<Costed> {
+    ) -> Option<Alt> {
         // Peel projection/filter wrappers down to the seek itself. The
         // outermost projection fixes the operator's output; filters
         // accumulate into the residual. For Semi/Anti the inner's
         // output is discarded entirely, so error-free 1:1 Compute nodes
         // (e.g. the `select 1` literal of EXISTS) peel away too.
         let is_semi = matches!(kind, ApplyKind::Semi | ApplyKind::Anti);
-        let mut node = &right.plan;
+        let right = self.build(g_r);
+        let mut node = &right;
         let mut proj_cols: Option<Vec<ColId>> = None;
         let mut residual_parts: Vec<ScalarExpr> = Vec::new();
         loop {
@@ -635,11 +575,17 @@ impl<'a> Planner<'a> {
         // cardinality (a slight underestimate when a residual trims
         // it further, which only makes the race conservative).
         let matched = self.card(g_r).max(1.0);
-        let cost = index_lookup_cost(left.cost, card_l, distinct, matched, !residual.is_true());
-        Some(Costed {
+        let cost = index_lookup_cost(
+            left_cost,
+            self.card(g_l),
+            distinct,
+            matched,
+            !residual.is_true(),
+        );
+        Some(Alt {
             plan: PhysExpr::IndexLookupJoin {
                 kind,
-                left: Box::new(left.plan.clone()),
+                left: stub(),
                 table: *table,
                 positions: positions.clone(),
                 fetch_cols: fetch_cols.clone(),
@@ -649,36 +595,8 @@ impl<'a> Planner<'a> {
                 cols: out_cols,
                 params: op_params,
             },
+            inputs: vec![g_l],
             cost,
         })
     }
-}
-
-/// Sort and limit appended at the root (ORDER BY / LIMIT presentation).
-pub fn with_presentation(
-    plan: Costed,
-    by: Vec<(ColId, bool)>,
-    limit: Option<usize>,
-    rows: f64,
-) -> Costed {
-    let mut out = plan;
-    if !by.is_empty() {
-        out = Costed {
-            cost: out.cost + sort_cost(rows),
-            plan: PhysExpr::Sort {
-                input: Box::new(out.plan),
-                by,
-            },
-        };
-    }
-    if let Some(n) = limit {
-        out = Costed {
-            cost: out.cost,
-            plan: PhysExpr::Limit {
-                input: Box::new(out.plan),
-                n,
-            },
-        };
-    }
-    out
 }

@@ -3,265 +3,92 @@
 //! Every rule is a small, orthogonal primitive (the paper's central
 //! design position): rules match one memo expression (plus, when the
 //! pattern is two levels deep, the expressions of a child group) and
-//! emit alternative expressions into the *same* group.
+//! emit alternative expressions into the *same* group. Rules read a
+//! group's columns, keys and equivalence classes from its
+//! [`crate::memo::Props`]; the memo canonicalizes what they emit, so a
+//! rule need not care how a predicate happens to be spelled.
 
 use std::collections::BTreeSet;
 
-use orthopt_common::{ColId, ColIdGen, DataType};
-use orthopt_ir::props;
+use orthopt_common::{ColId, DataType};
+use orthopt_ir::props::{self, col_eq};
 use orthopt_ir::{
-    iso, AggDef, AggFunc, ApplyKind, ColumnMeta, GroupKind, JoinKind, MapDef, RelExpr, ScalarExpr,
+    builder, iso, AggDef, AggFunc, ApplyKind, ColumnMeta, GroupKind, JoinKind, MapDef, RelExpr,
+    ScalarExpr,
 };
 
-use crate::cardinality::Estimator;
-use crate::memo::{placeholder, GroupId, MExpr, Memo, RTree};
+use crate::memo::{stub, GroupId, MExpr, Memo, RTree, RuleState};
 use crate::search::OptimizerConfig;
 
-/// Applies every enabled rule to one memo expression. Each output is
-/// tagged with the producing rule's name so the search loop can blame
-/// it if the alternative fails plan verification.
+/// Applies every enabled rule to one expression of group `gid`. Each
+/// output is tagged with the producing rule's name so the search loop
+/// can blame it if the alternative fails plan verification.
+///
+/// `first` is false on a later round, run because an input group has
+/// gained alternatives: only the rules that match on those need re-run.
 pub fn apply_all(
     memo: &Memo,
     gid: GroupId,
-    eidx: usize,
-    est: &Estimator,
-    gen: &mut ColIdGen,
+    expr: &MExpr,
+    first: bool,
+    state: &mut RuleState,
     config: &OptimizerConfig,
 ) -> Vec<(&'static str, RTree)> {
-    let expr = memo.group(gid).exprs[eidx].clone();
     let mut out: Vec<(&'static str, RTree)> = Vec::new();
-    let push = |name: &'static str, trees: Vec<RTree>, out: &mut Vec<(&'static str, RTree)>| {
+    let mut push = |name: &'static str, trees: Vec<RTree>| {
         out.extend(trees.into_iter().map(|t| (name, t)));
     };
     if config.join_reorder {
-        push("join_commute", join_commute(&expr), &mut out);
-        push("join_associate", join_associate(memo, &expr), &mut out);
-        push(
-            "select_below_join",
-            select_below_join(memo, &expr),
-            &mut out,
-        );
+        push("join_enumerate", memo.join_orders(gid, expr, state));
+        push("select_below_join", select_below_join(memo, expr));
     }
     if config.groupby_reorder {
-        push(
-            "groupby_below_join",
-            groupby_below_join(memo, &expr),
-            &mut out,
-        );
-        push(
-            "groupby_above_join",
-            groupby_above_join(memo, &expr),
-            &mut out,
-        );
-        push(
-            "semijoin_below_groupby",
-            semijoin_below_groupby(memo, &expr),
-            &mut out,
-        );
-        push(
-            "semijoin_to_join_distinct",
-            semijoin_to_join_distinct(memo, &expr),
-            &mut out,
-        );
+        push("groupby_below_join", groupby_below_join(memo, expr));
+        push("groupby_above_join", groupby_above_join(memo, expr));
+        push("semijoin_below_groupby", semijoin_below_groupby(memo, expr));
+        if first {
+            push(
+                "semijoin_to_join_distinct",
+                semijoin_to_join_distinct(memo, expr),
+            );
+        }
         push(
             "groupby_below_outerjoin",
-            groupby_below_outerjoin(memo, &expr, gen),
-            &mut out,
+            groupby_below_outerjoin(memo, expr, state),
         );
     }
     if config.local_aggregate {
-        push(
-            "split_local_groupby",
-            split_local_groupby(memo, &expr, gen),
-            &mut out,
-        );
+        if first {
+            push("split_local_groupby", split_local_groupby(expr, state));
+        }
         push(
             "local_groupby_below_join",
-            local_groupby_below_join(memo, &expr),
-            &mut out,
+            local_groupby_below_join(memo, expr),
         );
     }
     if config.segment_apply {
-        push(
-            "segment_apply_intro",
-            segment_apply_intro(memo, &expr),
-            &mut out,
-        );
+        if first {
+            push("segment_apply_intro", segment_apply_intro(memo, expr));
+        }
         push(
             "join_below_segment_apply",
-            join_below_segment_apply(memo, &expr),
-            &mut out,
+            join_below_segment_apply(memo, expr),
         );
     }
-    if config.correlated_execution {
-        push("apply_intro", apply_intro(memo, &expr), &mut out);
-    }
-    let _ = est;
-    out
-}
-
-fn outs(memo: &Memo, gid: GroupId) -> BTreeSet<ColId> {
-    memo.group(gid).repr.output_col_ids().into_iter().collect()
-}
-
-/// Decomposes a real tree into a rule-output tree of nested operators.
-fn rtree_from(rel: RelExpr) -> RTree {
-    let mut shell = rel;
-    let children: Vec<RelExpr> = shell
-        .children_mut()
-        .into_iter()
-        .map(|slot| std::mem::replace(slot, placeholder()))
-        .collect();
-    RTree::op(shell, children.into_iter().map(rtree_from).collect())
-}
-
-// ---------------------------------------------------------------------
-// Join reordering
-// ---------------------------------------------------------------------
-
-fn join_commute(expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: JoinKind::Inner,
-        ..
-    } = &expr.shell
-    else {
-        return vec![];
-    };
-    vec![RTree::op(
-        expr.shell.clone(),
-        vec![RTree::Ref(expr.children[1]), RTree::Ref(expr.children[0])],
-    )]
-}
-
-fn join_associate(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: JoinKind::Inner,
-        predicate: p_top,
-        ..
-    } = &expr.shell
-    else {
-        return vec![];
-    };
-    let g_left = expr.children[0];
-    let g_c = expr.children[1];
-    let mut out = Vec::new();
-    for inner in &memo.group(g_left).exprs {
-        let RelExpr::Join {
-            kind: JoinKind::Inner,
-            predicate: p_inner,
-            ..
-        } = &inner.shell
-        else {
-            continue;
-        };
-        let g_a = inner.children[0];
-        let g_b = inner.children[1];
-        // (A ⋈ B) ⋈ C  →  A ⋈ (B ⋈ C), redistributing conjuncts.
-        // Column-equality conjuncts are rebuilt as spanning trees of
-        // their equivalence classes so that *transitively implied*
-        // equalities connecting B and C materialize in the lower join
-        // (l1.partkey = part.partkey ∧ part.partkey = l2.partkey gives
-        // the lower join l1.partkey = l2.partkey — without this, Q17's
-        // segmentable self-join shape is unreachable).
-        let bc: BTreeSet<ColId> = outs(memo, g_b).union(&outs(memo, g_c)).copied().collect();
-        let all: Vec<ScalarExpr> = p_top
-            .conjuncts()
-            .into_iter()
-            .chain(p_inner.conjuncts())
-            .collect();
-        let (eqs, others): (Vec<_>, Vec<_>) = all.into_iter().partition(|c| {
-            matches!(
-                c,
-                ScalarExpr::Cmp {
-                    op: orthopt_ir::CmpOp::Eq,
-                    left,
-                    right,
-                    // A self-equality (x = x) is a NULL-rejection filter,
-                    // not an equivalence edge: a single-member class would
-                    // emit no spanning-tree edge and the conjunct would be
-                    // lost. Route it through the plain-conjunct path.
-                } if matches!((left.as_ref(), right.as_ref()),
-                    (ScalarExpr::Column(a), ScalarExpr::Column(b)) if a != b)
-            )
-        });
-        // Union-find over the equality graph.
-        let mut classes: Vec<BTreeSet<ColId>> = Vec::new();
-        for c in &eqs {
-            let ScalarExpr::Cmp { left, right, .. } = c else {
-                unreachable!()
-            };
-            let (ScalarExpr::Column(x), ScalarExpr::Column(y)) = (left.as_ref(), right.as_ref())
-            else {
-                unreachable!()
-            };
-            let ix = classes.iter().position(|s| s.contains(x));
-            let iy = classes.iter().position(|s| s.contains(y));
-            match (ix, iy) {
-                (Some(i), Some(j)) if i != j => {
-                    let merged = classes.swap_remove(i.max(j));
-                    classes[i.min(j)].extend(merged);
-                }
-                (Some(i), None) => {
-                    classes[i].insert(*y);
-                }
-                (None, Some(j)) => {
-                    classes[j].insert(*x);
-                }
-                (None, None) => {
-                    classes.push([*x, *y].into_iter().collect());
-                }
-                _ => {}
-            }
-        }
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
-        for class in &classes {
-            // Chain the B∪C members first (edges land in the lower
-            // join), then hook the remaining members on (upper).
-            let (in_bc, outside): (Vec<ColId>, Vec<ColId>) =
-                class.iter().partition(|c| bc.contains(c));
-            for w in in_bc.windows(2) {
-                lower.push(ScalarExpr::eq(ScalarExpr::col(w[0]), ScalarExpr::col(w[1])));
-            }
-            let anchor = in_bc.first().or(outside.first()).copied();
-            if let Some(anchor) = anchor {
-                for m in &outside {
-                    if *m != anchor {
-                        upper.push(ScalarExpr::eq(ScalarExpr::col(anchor), ScalarExpr::col(*m)));
-                    }
-                }
-            }
-        }
-        for c in others {
-            if c.cols().iter().all(|x| bc.contains(x)) {
-                lower.push(c);
-            } else {
-                upper.push(c);
-            }
-        }
-        out.push(RTree::op(
-            RelExpr::Join {
-                kind: JoinKind::Inner,
-                left: Box::new(placeholder()),
-                right: Box::new(placeholder()),
-                predicate: ScalarExpr::and(upper),
-            },
-            vec![
-                RTree::Ref(g_a),
-                RTree::op(
-                    RelExpr::Join {
-                        kind: JoinKind::Inner,
-                        left: Box::new(placeholder()),
-                        right: Box::new(placeholder()),
-                        predicate: ScalarExpr::and(lower),
-                    },
-                    vec![RTree::Ref(g_b), RTree::Ref(g_c)],
-                ),
-            ],
-        ));
+    if config.correlated_execution && first {
+        push("apply_intro", apply_intro(memo, expr));
     }
     out
 }
+
+fn outs(memo: &Memo, gid: GroupId) -> &BTreeSet<ColId> {
+    &memo.props(gid).out
+}
+
+// ---------------------------------------------------------------------
+// Join reordering: `Memo::join_orders` enumerates a relation's orders
+// directly (commutativity is built into how an inner join is stored).
+// ---------------------------------------------------------------------
 
 /// Moves filter conjuncts below a join during exploration — needed to
 /// follow a pushed GroupBy (a HAVING predicate can chase the aggregate
@@ -271,32 +98,20 @@ fn select_below_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
     let RelExpr::Select { predicate, .. } = &expr.shell else {
         return vec![];
     };
-    let g_in = expr.children[0];
     let mut out = Vec::new();
-    for join in &memo.group(g_in).exprs {
-        let RelExpr::Join {
-            kind,
-            predicate: jp,
-            ..
-        } = &join.shell
-        else {
+    for join in memo.exprs(expr.children[0]) {
+        let Some((kind, jp)) = join.as_join() else {
             continue;
         };
         let (g_l, g_r) = (join.children[0], join.children[1]);
-        let cols_l = outs(memo, g_l);
-        let cols_r = outs(memo, g_r);
+        let within = |c: &ScalarExpr, g: GroupId| c.cols().is_subset(outs(memo, g));
         let mut on_left = Vec::new();
         let mut on_right = Vec::new();
         let mut rest = Vec::new();
         for c in predicate.conjuncts() {
-            if c.has_subquery() {
-                rest.push(c);
-                continue;
-            }
-            let cols = c.cols();
-            if cols.iter().all(|x| cols_l.contains(x)) {
+            if !c.has_subquery() && within(&c, g_l) {
                 on_left.push(c);
-            } else if matches!(kind, JoinKind::Inner) && cols.iter().all(|x| cols_r.contains(x)) {
+            } else if !c.has_subquery() && kind == JoinKind::Inner && within(&c, g_r) {
                 on_right.push(c);
             } else {
                 rest.push(c);
@@ -305,39 +120,10 @@ fn select_below_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
         if on_left.is_empty() && on_right.is_empty() {
             continue;
         }
-        let wrap = |conjs: Vec<ScalarExpr>, gid: GroupId| -> RTree {
-            if conjs.is_empty() {
-                RTree::Ref(gid)
-            } else {
-                RTree::op(
-                    RelExpr::Select {
-                        input: Box::new(placeholder()),
-                        predicate: ScalarExpr::and(conjs),
-                    },
-                    vec![RTree::Ref(gid)],
-                )
-            }
-        };
-        let new_join = RTree::op(
-            RelExpr::Join {
-                kind: *kind,
-                left: Box::new(placeholder()),
-                right: Box::new(placeholder()),
-                predicate: jp.clone(),
-            },
-            vec![wrap(on_left, g_l), wrap(on_right, g_r)],
-        );
-        if rest.is_empty() {
-            out.push(new_join);
-        } else {
-            out.push(RTree::op(
-                RelExpr::Select {
-                    input: Box::new(placeholder()),
-                    predicate: ScalarExpr::and(rest),
-                },
-                vec![new_join],
-            ));
-        }
+        let left = RTree::select(ScalarExpr::and(on_left), g_l);
+        let right = RTree::select(ScalarExpr::and(on_right), g_r);
+        let new_join = RTree::join(kind, jp.clone(), left, right);
+        out.push(RTree::select(ScalarExpr::and(rest), new_join));
     }
     out
 }
@@ -346,189 +132,99 @@ fn select_below_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
 // GroupBy reordering (§3.1) and the outerjoin extension (§3.2)
 // ---------------------------------------------------------------------
 
-/// Closure of a column set under the equality conjuncts of a predicate:
-/// a column equal (transitively) to a grouping column is functionally
-/// determined by the grouping columns — the paper states condition (1)
-/// in terms of functional determination, and this is the cheap sound
-/// approximation of it.
-fn eq_closure(start: &BTreeSet<ColId>, predicate: &ScalarExpr) -> BTreeSet<ColId> {
-    let mut set = start.clone();
-    let eqs: Vec<(ColId, ColId)> = predicate
-        .conjuncts()
-        .into_iter()
-        .filter_map(|c| match c {
-            ScalarExpr::Cmp {
-                op: orthopt_ir::CmpOp::Eq,
-                left,
-                right,
-            } => match (*left, *right) {
-                (ScalarExpr::Column(a), ScalarExpr::Column(b)) => Some((a, b)),
-                _ => None,
-            },
-            _ => None,
-        })
-        .collect();
-    loop {
-        let before = set.len();
-        for (a, b) in &eqs {
-            if set.contains(a) {
-                set.insert(*b);
-            }
-            if set.contains(b) {
-                set.insert(*a);
-            }
-        }
-        if set.len() == before {
-            return set;
-        }
-    }
-}
-
-/// §3.1's three conditions for pushing `G_{A,F}` below `S ⋈p R`.
+/// §3.1's three conditions for pushing `G_{A,F}` below `S ⋈p R`, the
+/// join being an alternative of group `g_join`.
 fn push_conditions_hold(
     memo: &Memo,
-    group_cols: &[ColId],
-    aggs: &[AggDef],
+    (group_cols, aggs): (&[ColId], &[AggDef]),
     predicate: &ScalarExpr,
-    g_s: GroupId,
-    g_r: GroupId,
+    g_join: GroupId,
+    (g_s, g_r): (GroupId, GroupId),
 ) -> bool {
     let cols_r = outs(memo, g_r);
     let a: BTreeSet<ColId> = group_cols.iter().copied().collect();
     // (1) join-predicate columns from R are functionally determined by
-    // the grouping columns (via the predicate's own equalities).
-    let determined = eq_closure(&a, predicate);
-    let cond1 = predicate
-        .cols()
-        .iter()
-        .all(|c| !cols_r.contains(c) || determined.contains(c));
+    // the grouping columns: a column equal (transitively) to a grouping
+    // column is — the paper states the condition in terms of functional
+    // determination, and equality is the cheap sound approximation.
+    let mut eq = memo.props(g_join).eq.clone();
+    eq.add_predicate(predicate, |_| true);
+    let determined = eq.closure(&a);
+    let from_r = predicate.cols().into_iter().filter(|c| cols_r.contains(c));
+    let cond1 = from_r.into_iter().all(|c| determined.contains(&c));
     // (2) a key of S is among the grouping columns.
-    let cond2 = props::has_key_within(&memo.group(g_s).repr, &a);
+    let cond2 = memo.props(g_s).keys.iter().any(|k| k.is_subset(&a));
     // (3) aggregate arguments use only R's columns.
-    let cond3 = aggs.iter().all(|agg| {
-        agg.arg
-            .as_ref()
-            .is_none_or(|arg| arg.cols().iter().all(|c| cols_r.contains(c)))
-    });
+    let on_r = |arg: &ScalarExpr| arg.cols().is_subset(cols_r);
+    let cond3 = aggs.iter().all(|agg| agg.arg.as_ref().is_none_or(on_r));
     cond1 && cond2 && cond3
 }
 
+/// Grouping columns of a GroupBy pushed onto input `g_x` of a join: its
+/// own grouping columns from that input plus the input's join columns.
 fn pushed_group_cols(
     memo: &Memo,
     group_cols: &[ColId],
     predicate: &ScalarExpr,
-    g_r: GroupId,
+    g_x: GroupId,
 ) -> Vec<ColId> {
-    let cols_r = outs(memo, g_r);
-    let mut a: Vec<ColId> = group_cols
-        .iter()
-        .copied()
-        .filter(|c| cols_r.contains(c))
-        .collect();
-    for c in predicate.cols() {
-        if cols_r.contains(&c) && !a.contains(&c) {
-            a.push(c);
-        }
-    }
-    a
+    let cols_x = outs(memo, g_x);
+    let needed = group_cols.iter().copied().chain(predicate.cols());
+    needed.filter(|c| cols_x.contains(c)).collect()
 }
 
 /// `G_{A,F}(S ⋈p R)  →  S ⋈p G_{A∪cols(p)−cols(S),F}(R)`.
 fn groupby_below_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::GroupBy {
-        kind: GroupKind::Vector,
-        group_cols,
-        aggs,
-        ..
-    } = &expr.shell
-    else {
+    let Some((group_cols, aggs)) = expr.as_groupby(GroupKind::Vector) else {
         return vec![];
     };
     let g_in = expr.children[0];
     let mut out = Vec::new();
-    for join in &memo.group(g_in).exprs {
-        let RelExpr::Join {
-            kind: JoinKind::Inner,
-            predicate,
-            ..
-        } = &join.shell
-        else {
+    for join in memo.exprs(g_in) {
+        let Some((JoinKind::Inner, predicate)) = join.as_join() else {
             continue;
         };
-        let (g_s, g_r) = (join.children[0], join.children[1]);
-        if !push_conditions_hold(memo, group_cols, aggs, predicate, g_s, g_r) {
-            continue;
+        for (g_s, g_r) in join.sides() {
+            if !push_conditions_hold(memo, (group_cols, aggs), predicate, g_in, (g_s, g_r)) {
+                continue;
+            }
+            let pushed_cols = pushed_group_cols(memo, group_cols, predicate, g_r);
+            let pushed = RTree::groupby(GroupKind::Vector, pushed_cols, aggs, g_r);
+            out.push(RTree::join(JoinKind::Inner, predicate.clone(), g_s, pushed));
         }
-        let pushed = RelExpr::GroupBy {
-            kind: GroupKind::Vector,
-            input: Box::new(placeholder()),
-            group_cols: pushed_group_cols(memo, group_cols, predicate, g_r),
-            aggs: aggs.clone(),
-        };
-        out.push(RTree::op(
-            RelExpr::Join {
-                kind: JoinKind::Inner,
-                left: Box::new(placeholder()),
-                right: Box::new(placeholder()),
-                predicate: predicate.clone(),
-            },
-            vec![RTree::Ref(g_s), RTree::op(pushed, vec![RTree::Ref(g_r)])],
-        ));
     }
     out
+}
+
+/// Whether a predicate reads an aggregate's output.
+fn reads_aggregate(predicate: &ScalarExpr, aggs: &[AggDef]) -> bool {
+    let cols = predicate.cols();
+    aggs.iter().any(|a| cols.contains(&a.out.id))
 }
 
 /// `S ⋈p G_{A,F}(R)  →  G_{A∪cols(S),F}(S ⋈p R)` — "pulling a GroupBy
 /// above a join is a lot easier": S needs a key and p must not use the
 /// aggregate outputs.
 fn groupby_above_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: JoinKind::Inner,
-        predicate,
-        ..
-    } = &expr.shell
-    else {
+    let Some((JoinKind::Inner, predicate)) = expr.as_join() else {
         return vec![];
     };
-    let (g_s, g_gb) = (expr.children[0], expr.children[1]);
-    if props::keys(&memo.group(g_s).repr).is_empty() {
-        return vec![];
-    }
     let mut out = Vec::new();
-    for gb in &memo.group(g_gb).exprs {
-        let RelExpr::GroupBy {
-            kind: GroupKind::Vector,
-            group_cols,
-            aggs,
-            ..
-        } = &gb.shell
-        else {
-            continue;
-        };
-        let agg_outs: BTreeSet<ColId> = aggs.iter().map(|a| a.out.id).collect();
-        if predicate.cols().iter().any(|c| agg_outs.contains(c)) {
+    for (g_s, g_gb) in expr.sides() {
+        if memo.props(g_s).keys.is_empty() {
             continue;
         }
-        let g_r = gb.children[0];
-        let mut pulled_groups: Vec<ColId> = outs(memo, g_s).into_iter().collect();
-        pulled_groups.extend(group_cols.iter().copied());
-        out.push(RTree::op(
-            RelExpr::GroupBy {
-                kind: GroupKind::Vector,
-                input: Box::new(placeholder()),
-                group_cols: pulled_groups,
-                aggs: aggs.clone(),
-            },
-            vec![RTree::op(
-                RelExpr::Join {
-                    kind: JoinKind::Inner,
-                    left: Box::new(placeholder()),
-                    right: Box::new(placeholder()),
-                    predicate: predicate.clone(),
-                },
-                vec![RTree::Ref(g_s), RTree::Ref(g_r)],
-            )],
-        ));
+        for gb in memo.exprs(g_gb) {
+            let Some((group_cols, aggs)) = gb.as_groupby(GroupKind::Vector) else {
+                continue;
+            };
+            if reads_aggregate(predicate, aggs) {
+                continue;
+            }
+            let pulled = outs(memo, g_s).iter().chain(group_cols).copied().collect();
+            let join = RTree::join(JoinKind::Inner, predicate.clone(), g_s, gb.children[0]);
+            out.push(RTree::groupby(GroupKind::Vector, pulled, aggs, join));
+        }
     }
     out
 }
@@ -537,53 +233,23 @@ fn groupby_above_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
 /// outputs and its non-S columns are grouping columns (§3.1, semijoins
 /// and antisemijoins "as filters").
 fn semijoin_below_groupby(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: kind @ (JoinKind::LeftSemi | JoinKind::LeftAnti),
-        predicate,
-        ..
-    } = &expr.shell
-    else {
+    let Some((kind @ (JoinKind::LeftSemi | JoinKind::LeftAnti), predicate)) = expr.as_join() else {
         return vec![];
     };
     let (g_gb, g_s) = (expr.children[0], expr.children[1]);
     let cols_s = outs(memo, g_s);
     let mut out = Vec::new();
-    for gb in &memo.group(g_gb).exprs {
-        let RelExpr::GroupBy {
-            kind: GroupKind::Vector,
-            group_cols,
-            aggs,
-            ..
-        } = &gb.shell
-        else {
+    for gb in memo.exprs(g_gb) {
+        let Some((group_cols, aggs)) = gb.as_groupby(GroupKind::Vector) else {
             continue;
         };
-        let agg_outs: BTreeSet<ColId> = aggs.iter().map(|a| a.out.id).collect();
-        let ok = predicate
-            .cols()
-            .iter()
-            .all(|c| !agg_outs.contains(c) && (cols_s.contains(c) || group_cols.contains(c)));
-        if !ok {
+        let grouped = |c: &ColId| cols_s.contains(c) || group_cols.contains(c);
+        if reads_aggregate(predicate, aggs) || !predicate.cols().iter().all(grouped) {
             continue;
         }
-        let g_r = gb.children[0];
-        out.push(RTree::op(
-            RelExpr::GroupBy {
-                kind: GroupKind::Vector,
-                input: Box::new(placeholder()),
-                group_cols: group_cols.clone(),
-                aggs: aggs.clone(),
-            },
-            vec![RTree::op(
-                RelExpr::Join {
-                    kind: *kind,
-                    left: Box::new(placeholder()),
-                    right: Box::new(placeholder()),
-                    predicate: predicate.clone(),
-                },
-                vec![RTree::Ref(g_r), RTree::Ref(g_s)],
-            )],
-        ));
+        let join = RTree::join(kind, predicate.clone(), gb.children[0], g_s);
+        let cols = group_cols.to_vec();
+        out.push(RTree::groupby(GroupKind::Vector, cols, aggs, join));
     }
     out
 }
@@ -594,177 +260,90 @@ fn semijoin_below_groupby(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
 /// the magic-sets-style semijoin strategies of Pirahesh et al. Valid
 /// when the left side has a key (one output row per left row).
 fn semijoin_to_join_distinct(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: JoinKind::LeftSemi,
-        predicate,
-        ..
-    } = &expr.shell
-    else {
+    let Some((JoinKind::LeftSemi, predicate)) = expr.as_join() else {
         return vec![];
     };
     let (g_l, g_r) = (expr.children[0], expr.children[1]);
-    let left_repr = &memo.group(g_l).repr;
-    if props::keys(left_repr).is_empty() {
+    let left = memo.props(g_l);
+    if left.keys.is_empty() {
         return vec![];
     }
-    let group_cols = left_repr.output_col_ids();
-    vec![RTree::op(
-        RelExpr::GroupBy {
-            kind: GroupKind::Vector,
-            input: Box::new(placeholder()),
-            group_cols,
-            aggs: vec![],
-        },
-        vec![RTree::op(
-            RelExpr::Join {
-                kind: JoinKind::Inner,
-                left: Box::new(placeholder()),
-                right: Box::new(placeholder()),
-                predicate: predicate.clone(),
-            },
-            vec![RTree::Ref(g_l), RTree::Ref(g_r)],
-        )],
-    )]
+    let join = RTree::join(JoinKind::Inner, predicate.clone(), g_l, g_r);
+    let distinct_on = left.cols.iter().map(|c| c.id).collect();
+    vec![RTree::groupby(GroupKind::Vector, distinct_on, &[], join)]
 }
 
 /// §3.2: `G_{A,F}(S LOJ_p R) → π_c(S LOJ_p (G_{A−cols(S),F}R))`, with a
 /// computing project restoring the aggregate-over-one-NULL-row results
 /// for unmatched rows (COUNT(*) ↦ 1, COUNT(col) ↦ 0; strict aggregates
 /// need nothing — the padding NULL is already correct).
-fn groupby_below_outerjoin(memo: &Memo, expr: &MExpr, gen: &mut ColIdGen) -> Vec<RTree> {
-    let RelExpr::GroupBy {
-        kind: GroupKind::Vector,
-        group_cols,
-        aggs,
-        ..
-    } = &expr.shell
-    else {
+fn groupby_below_outerjoin(memo: &Memo, expr: &MExpr, state: &mut RuleState) -> Vec<RTree> {
+    let Some((group_cols, aggs)) = expr.as_groupby(GroupKind::Vector) else {
         return vec![];
     };
     let g_in = expr.children[0];
     let mut out = Vec::new();
-    for join in &memo.group(g_in).exprs {
-        let RelExpr::Join {
-            kind: JoinKind::LeftOuter,
-            predicate,
-            ..
-        } = &join.shell
-        else {
+    for join in memo.exprs(g_in) {
+        let Some((JoinKind::LeftOuter, predicate)) = join.as_join() else {
             continue;
         };
         let (g_s, g_r) = (join.children[0], join.children[1]);
-        if !push_conditions_hold(memo, group_cols, aggs, predicate, g_s, g_r) {
+        if !push_conditions_hold(memo, (group_cols, aggs), predicate, g_in, (g_s, g_r)) {
             continue;
         }
         let cols_r = outs(memo, g_r);
         // Classify aggregates: strict ones pad correctly by themselves;
         // counts need the compensating project.
-        let strict_ok = aggs.iter().all(|a| match a.func {
-            AggFunc::CountStar | AggFunc::Count => true,
-            _ => a
-                .arg
-                .as_ref()
-                .is_some_and(|arg| props::always_null_when(arg, &cols_r)),
-        });
-        if !strict_ok {
-            continue;
-        }
-        let needs_project = aggs
+        let is_count = |a: &AggDef| matches!(a.func, AggFunc::CountStar | AggFunc::Count);
+        let pads_null = |arg: &ScalarExpr| props::always_null_when(arg, cols_r);
+        if !aggs
             .iter()
-            .any(|a| matches!(a.func, AggFunc::CountStar | AggFunc::Count));
-        let pushed_groups = pushed_group_cols(memo, group_cols, predicate, g_r);
-        if !needs_project {
-            out.push(RTree::op(
-                RelExpr::Join {
-                    kind: JoinKind::LeftOuter,
-                    left: Box::new(placeholder()),
-                    right: Box::new(placeholder()),
-                    predicate: predicate.clone(),
-                },
-                vec![
-                    RTree::Ref(g_s),
-                    RTree::op(
-                        RelExpr::GroupBy {
-                            kind: GroupKind::Vector,
-                            input: Box::new(placeholder()),
-                            group_cols: pushed_groups,
-                            aggs: aggs.clone(),
-                        },
-                        vec![RTree::Ref(g_r)],
-                    ),
-                ],
-            ));
+            .all(|a| is_count(a) || a.arg.as_ref().is_some_and(pads_null))
+        {
             continue;
         }
-        // Counts go below under fresh ids; the project above restores
+        // Counts go below under their own ids; the project above restores
         // the original ids with the unmatched-row constants.
         let mut pushed_aggs = Vec::with_capacity(aggs.len());
         let mut defs: Vec<MapDef> = Vec::new();
-        let mut indicator: Option<ColId> = None;
         for a in aggs {
-            match a.func {
-                AggFunc::CountStar | AggFunc::Count => {
-                    let fresh = ColumnMeta::new(
-                        gen.fresh(),
-                        format!("{}_pre", a.out.name),
-                        DataType::Int,
-                        false,
-                    );
-                    indicator = Some(fresh.id);
-                    pushed_aggs.push(AggDef {
-                        out: fresh.clone(),
-                        ..a.clone()
-                    });
-                    let constant = if a.func == AggFunc::CountStar {
-                        1i64
-                    } else {
-                        0i64
-                    };
-                    defs.push(MapDef {
-                        col: a.out.clone(),
-                        expr: ScalarExpr::Case {
-                            operand: None,
-                            whens: vec![(
-                                ScalarExpr::IsNull {
-                                    expr: Box::new(ScalarExpr::col(fresh.id)),
-                                    negated: false,
-                                },
-                                ScalarExpr::lit(constant),
-                            )],
-                            else_: Some(Box::new(ScalarExpr::col(fresh.id))),
-                        },
-                    });
-                }
-                _ => pushed_aggs.push(a.clone()),
+            if !is_count(a) {
+                pushed_aggs.push(a.clone());
+                continue;
             }
-        }
-        let _ = indicator;
-        out.push(RTree::op(
-            RelExpr::Map {
-                input: Box::new(placeholder()),
-                defs,
-            },
-            vec![RTree::op(
-                RelExpr::Join {
-                    kind: JoinKind::LeftOuter,
-                    left: Box::new(placeholder()),
-                    right: Box::new(placeholder()),
-                    predicate: predicate.clone(),
+            let pre = ColumnMeta::new(
+                state.column(a.out.id, "pre"),
+                format!("{}_pre", a.out.name),
+                DataType::Int,
+                false,
+            );
+            let unmatched = ScalarExpr::IsNull {
+                expr: Box::new(ScalarExpr::col(pre.id)),
+                negated: false,
+            };
+            let constant = ScalarExpr::lit(i64::from(a.func == AggFunc::CountStar));
+            defs.push(MapDef {
+                col: a.out.clone(),
+                expr: ScalarExpr::Case {
+                    operand: None,
+                    whens: vec![(unmatched, constant)],
+                    else_: Some(Box::new(ScalarExpr::col(pre.id))),
                 },
-                vec![
-                    RTree::Ref(g_s),
-                    RTree::op(
-                        RelExpr::GroupBy {
-                            kind: GroupKind::Vector,
-                            input: Box::new(placeholder()),
-                            group_cols: pushed_groups,
-                            aggs: pushed_aggs,
-                        },
-                        vec![RTree::Ref(g_r)],
-                    ),
-                ],
-            )],
-        ));
+            });
+            pushed_aggs.push(AggDef {
+                out: pre,
+                ..a.clone()
+            });
+        }
+        let pushed_cols = pushed_group_cols(memo, group_cols, predicate, g_r);
+        let pushed = RTree::groupby(GroupKind::Vector, pushed_cols, &pushed_aggs, g_r);
+        let join = RTree::join(JoinKind::LeftOuter, predicate.clone(), g_s, pushed);
+        out.push(if defs.is_empty() {
+            join
+        } else {
+            let input = stub();
+            RTree::op(RelExpr::Map { input, defs }, vec![join])
+        });
     }
     out
 }
@@ -774,31 +353,17 @@ fn groupby_below_outerjoin(memo: &Memo, expr: &MExpr, gen: &mut ColIdGen) -> Vec
 // ---------------------------------------------------------------------
 
 /// `G_{A,F} = G_{A,F_global} ∘ LG_{A,F_local}`.
-fn split_local_groupby(memo: &Memo, expr: &MExpr, gen: &mut ColIdGen) -> Vec<RTree> {
-    let RelExpr::GroupBy {
-        kind: GroupKind::Vector,
-        group_cols,
-        aggs,
-        ..
-    } = &expr.shell
-    else {
+fn split_local_groupby(expr: &MExpr, state: &mut RuleState) -> Vec<RTree> {
+    let Some((group_cols, aggs)) = expr.as_groupby(GroupKind::Vector) else {
         return vec![];
     };
     if aggs.is_empty() || aggs.iter().any(|a| a.distinct || a.func.split().is_none()) {
         return vec![];
     }
-    let g_in = expr.children[0];
-    // Don't split over an input that is already a LocalGroupBy (would
-    // recurse forever without gaining anything).
-    if memo.group(g_in).exprs.iter().any(|e| {
-        matches!(
-            e.shell,
-            RelExpr::GroupBy {
-                kind: GroupKind::Local,
-                ..
-            }
-        )
-    }) {
+    // A combiner of local partials is not split again: one LocalGroupBy
+    // level per aggregate, or the split would recurse forever.
+    let minted = |arg: &ScalarExpr| arg.cols().iter().any(|c| state.minted(*c));
+    if aggs.iter().any(|a| a.arg.as_ref().is_some_and(minted)) {
         return vec![];
     }
     let mut locals = Vec::with_capacity(aggs.len());
@@ -807,112 +372,49 @@ fn split_local_groupby(memo: &Memo, expr: &MExpr, gen: &mut ColIdGen) -> Vec<RTr
         let (lf, gf) = a.func.split().expect("checked splittable");
         let local_ty = lf.output_type(a.arg.as_ref().map(|_| a.out.ty));
         let local_out = ColumnMeta::new(
-            gen.fresh(),
+            state.column(a.out.id, "local"),
             format!("{}_local", a.out.name),
             local_ty,
             lf.output_nullable(),
         );
-        locals.push(AggDef {
-            out: local_out.clone(),
-            func: lf,
-            arg: a.arg.clone(),
-            distinct: false,
-        });
         globals.push(AggDef {
             out: a.out.clone(),
             func: gf,
             arg: Some(ScalarExpr::col(local_out.id)),
             distinct: false,
         });
+        locals.push(AggDef {
+            out: local_out,
+            func: lf,
+            arg: a.arg.clone(),
+            distinct: false,
+        });
     }
-    vec![RTree::op(
-        RelExpr::GroupBy {
-            kind: GroupKind::Vector,
-            input: Box::new(placeholder()),
-            group_cols: group_cols.clone(),
-            aggs: globals,
-        },
-        vec![RTree::op(
-            RelExpr::GroupBy {
-                kind: GroupKind::Local,
-                input: Box::new(placeholder()),
-                group_cols: group_cols.clone(),
-                aggs: locals,
-            },
-            vec![RTree::Ref(g_in)],
-        )],
-    )]
+    let (cols, g_in) = (group_cols.to_vec(), expr.children[0]);
+    let local = RTree::groupby(GroupKind::Local, cols.clone(), &locals, g_in);
+    vec![RTree::groupby(GroupKind::Vector, cols, &globals, local)]
 }
 
 /// LocalGroupBy pushes below an inner join, to whichever side holds all
 /// the aggregate inputs; grouping columns extend freely (§3.3).
 fn local_groupby_below_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::GroupBy {
-        kind: GroupKind::Local,
-        group_cols,
-        aggs,
-        ..
-    } = &expr.shell
-    else {
+    let Some((group_cols, aggs)) = expr.as_groupby(GroupKind::Local) else {
         return vec![];
     };
-    let g_in = expr.children[0];
     let mut out = Vec::new();
-    for join in &memo.group(g_in).exprs {
-        let RelExpr::Join {
-            kind: JoinKind::Inner,
-            predicate,
-            ..
-        } = &join.shell
-        else {
+    for join in memo.exprs(expr.children[0]) {
+        let Some((JoinKind::Inner, predicate)) = join.as_join() else {
             continue;
         };
-        for (side, other) in [(1usize, 0usize), (0, 1)] {
-            let g_x = join.children[side];
-            let g_o = join.children[other];
-            let cols_x = outs(memo, g_x);
-            let args_on_x = aggs.iter().all(|a| {
-                a.arg
-                    .as_ref()
-                    .is_some_and(|arg| arg.cols().iter().all(|c| cols_x.contains(c)))
-                // COUNT(*) counts join pairs: not pushable one-sided
-            });
-            if !args_on_x {
+        for (g_o, g_x) in join.sides() {
+            // COUNT(*) counts join pairs: not pushable one-sided.
+            let on_x = |arg: &ScalarExpr| arg.cols().is_subset(outs(memo, g_x));
+            if !aggs.iter().all(|a| a.arg.as_ref().is_some_and(on_x)) {
                 continue;
             }
-            let mut a_x: Vec<ColId> = group_cols
-                .iter()
-                .copied()
-                .filter(|c| cols_x.contains(c))
-                .collect();
-            for c in predicate.cols() {
-                if cols_x.contains(&c) && !a_x.contains(&c) {
-                    a_x.push(c);
-                }
-            }
-            let pushed = RTree::op(
-                RelExpr::GroupBy {
-                    kind: GroupKind::Local,
-                    input: Box::new(placeholder()),
-                    group_cols: a_x,
-                    aggs: aggs.clone(),
-                },
-                vec![RTree::Ref(g_x)],
-            );
-            let (l, r) = if side == 1 {
-                (RTree::Ref(g_o), pushed)
-            } else {
-                (pushed, RTree::Ref(g_o))
-            };
-            out.push(RTree::op(
-                RelExpr::Join {
-                    kind: JoinKind::Inner,
-                    left: Box::new(placeholder()),
-                    right: Box::new(placeholder()),
-                    predicate: predicate.clone(),
-                },
-                vec![l, r],
-            ));
+            let pushed_cols = pushed_group_cols(memo, group_cols, predicate, g_x);
+            let pushed = RTree::groupby(GroupKind::Local, pushed_cols, aggs, g_x);
+            out.push(RTree::join(JoinKind::Inner, predicate.clone(), g_o, pushed));
         }
     }
     out
@@ -927,60 +429,55 @@ fn local_groupby_below_join(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
 /// between corresponding columns — becomes per-segment correlated
 /// execution.
 fn segment_apply_intro(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: JoinKind::Inner,
-        predicate,
-        ..
-    } = &expr.shell
-    else {
+    let Some((JoinKind::Inner, predicate)) = expr.as_join() else {
         return vec![];
     };
-    let (g_left, g_right) = (expr.children[0], expr.children[1]);
-    let t1 = &memo.group(g_left).repr;
+    let sides = expr.sides();
+    sides
+        .filter_map(|(l, r)| segment_apply_over(memo, predicate, l, r))
+        .collect()
+}
 
-    // Strip Select/Map wrappers off the right side down to a vector
-    // GroupBy; keep the wrappers to rebuild inside the segment.
+/// [`segment_apply_intro`] for one orientation of the join.
+fn segment_apply_over(
+    memo: &Memo,
+    predicate: &ScalarExpr,
+    g_left: GroupId,
+    g_right: GroupId,
+) -> Option<RTree> {
+    // The right side must be Select/Map/Project wrappers over a vector
+    // GroupBy: test that on the defining expressions before building any
+    // tree.
+    let is_wrapper = |rel: &RelExpr| {
+        matches!(
+            rel,
+            RelExpr::Select { .. } | RelExpr::Map { .. } | RelExpr::Project { .. }
+        )
+    };
+    let mut defining = memo.first(g_right);
+    while is_wrapper(&defining.shell) {
+        defining = memo.first(defining.children[0]);
+    }
+    defining.as_groupby(GroupKind::Vector)?;
+    let t1 = memo.repr(g_left);
+
+    // Strip the wrappers, keeping them to rebuild inside the segment.
     let mut wrappers: Vec<RelExpr> = Vec::new();
-    let mut cur = memo.group(g_right).repr.clone();
-    loop {
-        match cur {
-            RelExpr::Select { input, predicate } => {
-                wrappers.push(RelExpr::Select {
-                    input: Box::new(placeholder()),
-                    predicate,
-                });
-                cur = *input;
-            }
-            RelExpr::Map { input, defs } => {
-                wrappers.push(RelExpr::Map {
-                    input: Box::new(placeholder()),
-                    defs,
-                });
-                cur = *input;
-            }
-            RelExpr::Project { input, cols } => {
-                wrappers.push(RelExpr::Project {
-                    input: Box::new(placeholder()),
-                    cols,
-                });
-                cur = *input;
-            }
-            other => {
-                cur = other;
-                break;
-            }
-        }
+    let mut cur = memo.repr(g_right);
+    while is_wrapper(&cur) {
+        let input = std::mem::replace(cur.children_mut()[0], *stub());
+        wrappers.push(cur);
+        cur = input;
     }
     let RelExpr::GroupBy {
-        kind: GroupKind::Vector,
-        input: gb_input,
+        input: t2,
         group_cols: a2,
         aggs: f2,
+        ..
     } = cur
     else {
-        return vec![];
+        unreachable!("shape checked above");
     };
-    let t2 = *gb_input;
 
     // The two instances must be the same expression up to column
     // renaming — the aggregated instance may scan fewer columns — with
@@ -988,143 +485,82 @@ fn segment_apply_intro(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
     let mut bij = iso::ColBijection::default();
     let mut pins: BTreeSet<ColId> = t1.free_cols();
     pins.extend(t2.free_cols());
-    if !iso::pin_identity(&mut bij, pins) {
-        return vec![];
-    }
-    if !iso::rel_instance_with(t1, &t2, &mut bij) {
-        return vec![];
+    if !iso::pin_identity(&mut bij, pins) || !iso::rel_instance_with(&t1, &t2, &mut bij) {
+        return None;
     }
 
     // Segmenting columns: equality conjuncts t1.c = t2.g with g a
     // grouping column and bij(c) = g.
-    let t1_outs: BTreeSet<ColId> = t1.output_col_ids().into_iter().collect();
+    let t1_outs = outs(memo, g_left);
     let mut segment_cols: Vec<ColId> = Vec::new();
-    for c in predicate.conjuncts() {
-        if let ScalarExpr::Cmp {
-            op: orthopt_ir::CmpOp::Eq,
-            left,
-            right,
-        } = &c
-        {
-            for (x, y) in [(left, right), (right, left)] {
-                if let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (x.as_ref(), y.as_ref()) {
-                    if t1_outs.contains(a)
-                        && a2.contains(b)
-                        && bij.map(*a) == Some(*b)
-                        && !segment_cols.contains(a)
-                    {
-                        segment_cols.push(*a);
-                    }
-                }
+    for (x, y) in predicate.conjuncts().iter().filter_map(col_eq) {
+        for (a, b) in [(x, y), (y, x)] {
+            let corresponds = a2.contains(&b) && bij.map(a) == Some(b);
+            if t1_outs.contains(&a) && corresponds && !segment_cols.contains(&a) {
+                segment_cols.push(a);
             }
         }
     }
     if segment_cols.is_empty() {
-        return vec![];
+        return None;
     }
 
     // Build the per-segment expression: both instances read the segment.
+    let t1_cols = &memo.props(g_left).cols;
     let seg1 = RelExpr::SegmentRef {
-        cols: t1
-            .output_cols()
-            .into_iter()
-            .map(|m| {
-                let src = m.id;
-                (m, src)
-            })
-            .collect(),
+        cols: t1_cols.iter().map(|m| (m.clone(), m.id)).collect(),
     };
-    let inverse: std::collections::HashMap<ColId, ColId> = t1
-        .output_col_ids()
-        .iter()
-        .filter_map(|&c| bij.map(c).map(|m| (m, c)))
-        .collect();
-    let t2_cols = t2.output_cols();
     // Every t2 output must correspond to a t1 output through the mapping.
-    let mut seg2_cols = Vec::with_capacity(t2_cols.len());
-    for m in t2_cols {
-        match inverse.get(&m.id) {
-            Some(&src) => seg2_cols.push((m, src)),
-            None => return vec![],
-        }
-    }
-    let seg2 = RelExpr::SegmentRef { cols: seg2_cols };
-    let mut agg_side = RelExpr::GroupBy {
-        kind: GroupKind::Vector,
-        input: Box::new(seg2),
-        group_cols: a2,
-        aggs: f2,
+    let source = |m: ColumnMeta| {
+        let src = t1_cols.iter().find(|c| bij.map(c.id) == Some(m.id))?;
+        Some((m, src.id))
     };
+    let seg2_cols = t2.output_cols().into_iter().map(source);
+    let seg2 = RelExpr::SegmentRef {
+        cols: seg2_cols.collect::<Option<_>>()?,
+    };
+    let mut agg_side = builder::groupby(seg2, a2, f2);
     for mut w in wrappers.into_iter().rev() {
         *w.children_mut()[0] = agg_side;
         agg_side = w;
     }
-    let inner = RelExpr::Join {
-        kind: JoinKind::Inner,
-        left: Box::new(seg1),
-        right: Box::new(agg_side),
-        predicate: predicate.clone(),
+    let inner = builder::join(JoinKind::Inner, seg1, agg_side, predicate.clone());
+    let shell = RelExpr::SegmentApply {
+        input: stub(),
+        segment_cols,
+        inner: stub(),
     };
-    vec![RTree::op(
-        RelExpr::SegmentApply {
-            input: Box::new(placeholder()),
-            segment_cols,
-            inner: Box::new(placeholder()),
-        },
-        vec![RTree::Ref(g_left), rtree_from(inner)],
-    )]
+    Some(RTree::op(shell, vec![RTree::Ref(g_left), inner.into()]))
 }
 
 /// §3.4.2: `(R SA_A E) ⋈p T = (R ⋈p T) SA_{A∪cols(T)} E` when p uses
 /// only segmenting columns and T's columns (all-or-none per segment).
 fn join_below_segment_apply(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind: JoinKind::Inner,
-        predicate,
-        ..
-    } = &expr.shell
-    else {
+    let Some((JoinKind::Inner, predicate)) = expr.as_join() else {
         return vec![];
     };
-    let (g_sa, g_t) = (expr.children[0], expr.children[1]);
-    let cols_t = outs(memo, g_t);
     let mut out = Vec::new();
-    for sa in &memo.group(g_sa).exprs {
-        let RelExpr::SegmentApply { segment_cols, .. } = &sa.shell else {
-            continue;
-        };
-        let ok = predicate
-            .cols()
-            .iter()
-            .all(|c| segment_cols.contains(c) || cols_t.contains(c));
-        if !ok {
-            continue;
+    for (g_sa, g_t) in expr.sides() {
+        let cols_t = outs(memo, g_t);
+        for sa in memo.exprs(g_sa) {
+            let RelExpr::SegmentApply { segment_cols, .. } = &sa.shell else {
+                continue;
+            };
+            let covered = |c: &ColId| segment_cols.contains(c) || cols_t.contains(c);
+            if !predicate.cols().iter().all(covered) {
+                continue;
+            }
+            // All of T's columns join the segmenting list (T's key would
+            // suffice; the full set keeps the output a superset and
+            // segments identical).
+            let shell = RelExpr::SegmentApply {
+                input: stub(),
+                segment_cols: segment_cols.iter().chain(cols_t).copied().collect(),
+                inner: stub(),
+            };
+            let join = RTree::join(JoinKind::Inner, predicate.clone(), sa.children[0], g_t);
+            out.push(RTree::op(shell, vec![join, RTree::Ref(sa.children[1])]));
         }
-        let (g_in, g_inner) = (sa.children[0], sa.children[1]);
-        // All of T's columns join the segmenting list (T's key would
-        // suffice; the full set keeps the output a superset and segments
-        // identical).
-        let mut new_segments = segment_cols.clone();
-        new_segments.extend(cols_t.iter().copied());
-        out.push(RTree::op(
-            RelExpr::SegmentApply {
-                input: Box::new(placeholder()),
-                segment_cols: new_segments,
-                inner: Box::new(placeholder()),
-            },
-            vec![
-                RTree::op(
-                    RelExpr::Join {
-                        kind: JoinKind::Inner,
-                        left: Box::new(placeholder()),
-                        right: Box::new(placeholder()),
-                        predicate: predicate.clone(),
-                    },
-                    vec![RTree::Ref(g_in), RTree::Ref(g_t)],
-                ),
-                RTree::Ref(g_inner),
-            ],
-        ));
     }
     out
 }
@@ -1138,112 +574,203 @@ fn join_below_segment_apply(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
 /// ("can be very effective if few outer rows are processed and
 /// appropriate indices exist", §2.5).
 fn apply_intro(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
-    let RelExpr::Join {
-        kind, predicate, ..
-    } = &expr.shell
-    else {
+    let Some((kind, predicate)) = expr.as_join().filter(|(_, p)| !p.is_true()) else {
         return vec![];
     };
-    let apply_kind = match kind {
+    let kind = match kind {
         JoinKind::Inner => ApplyKind::Cross,
         JoinKind::LeftOuter => ApplyKind::LeftOuter,
         JoinKind::LeftSemi => ApplyKind::Semi,
         JoinKind::LeftAnti => ApplyKind::Anti,
     };
-    if predicate.is_true() {
-        return vec![];
-    }
-    let (g_l, g_r) = (expr.children[0], expr.children[1]);
-    // The inner side must be (exactly) an indexed base-table scan.
-    let RelExpr::Get(g) = &memo.group(g_r).repr else {
-        return vec![];
-    };
-    if g.indexes.is_empty() {
-        return vec![];
-    }
-    // Some equality conjunct must reach an indexed column.
-    let cols_l = outs(memo, g_l);
-    let mut seekable = false;
-    for c in predicate.conjuncts() {
-        if let ScalarExpr::Cmp {
-            op: orthopt_ir::CmpOp::Eq,
-            left,
-            right,
-        } = &c
-        {
-            for (x, y) in [(left, right), (right, left)] {
-                if let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (x.as_ref(), y.as_ref()) {
-                    if cols_l.contains(a) {
-                        if let Some(pos) = g.cols.iter().position(|m| m.id == *b) {
-                            let base = g.positions[pos];
-                            if g.indexes.iter().any(|ix| ix.contains(&base)) {
-                                seekable = true;
-                            }
-                        }
-                    }
-                }
-            }
+    let mut out = Vec::new();
+    for (g_l, g_r) in expr.sides() {
+        // The inner side must be (exactly) an indexed base-table scan.
+        let RelExpr::Get(g) = &memo.first(g_r).shell else {
+            continue;
+        };
+        // Some equality conjunct must reach an indexed column.
+        let cols_l = outs(memo, g_l);
+        let indexed = |c: ColId| {
+            g.cols.iter().position(|m| m.id == c).is_some_and(|pos| {
+                let base = g.positions[pos];
+                g.indexes.iter().any(|ix| ix.contains(&base))
+            })
+        };
+        let seeks = |(x, y): (ColId, ColId)| {
+            (cols_l.contains(&x) && indexed(y)) || (cols_l.contains(&y) && indexed(x))
+        };
+        if !predicate.conjuncts().iter().filter_map(col_eq).any(seeks) {
+            continue;
         }
+        let (left, right) = (stub(), stub());
+        let shell = RelExpr::Apply { kind, left, right };
+        let inner = RTree::select(predicate.clone(), g_r);
+        out.push(RTree::op(shell, vec![RTree::Ref(g_l), inner]));
     }
-    if !seekable {
-        return vec![];
-    }
-    vec![RTree::op(
-        RelExpr::Apply {
-            kind: apply_kind,
-            left: Box::new(placeholder()),
-            right: Box::new(placeholder()),
-        },
-        vec![
-            RTree::Ref(g_l),
-            RTree::op(
-                RelExpr::Select {
-                    input: Box::new(placeholder()),
-                    predicate: predicate.clone(),
-                },
-                vec![RTree::Ref(g_r)],
-            ),
-        ],
-    )]
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthopt_ir::builder::{self, t};
-    use orthopt_ir::CmpOp;
+    use crate::cardinality::Estimator;
+    use orthopt_common::{ColIdGen, TableId};
+    use orthopt_ir::builder::t;
 
-    fn explore(rel: RelExpr, config: &OptimizerConfig) -> (Memo, GroupId) {
-        let est = Estimator::new(&rel);
+    fn explore_until(rel: RelExpr, config: &OptimizerConfig) -> (Memo, GroupId, bool) {
         let mut used = rel.produced_cols();
         used.extend(rel.referenced_cols());
-        let mut gen = ColIdGen::after(used);
-        let mut memo = Memo::new();
+        let mut state = RuleState::after(used);
+        let mut memo = Memo::new(Estimator::new(&rel));
         let root = memo.insert_tree(rel);
-        let mut fired = std::collections::HashSet::new();
-        loop {
-            let mut added = false;
-            let groups = memo.group_count();
-            for g in 0..groups {
-                let gid = GroupId(g);
-                for e in 0..memo.group(gid).exprs.len() {
-                    if !fired.insert((g, e)) {
-                        continue;
-                    }
-                    for (_, rt) in apply_all(&memo, gid, e, &est, &mut gen, config) {
-                        added |= memo.add_expr(gid, rt);
-                    }
-                }
-            }
-            if !added && memo.group_count() == groups {
-                break;
-            }
-        }
+        let valve_hit = crate::search::explore(&mut memo, &mut state, config).unwrap();
+        (memo, root, valve_hit)
+    }
+
+    fn explore(rel: RelExpr, config: &OptimizerConfig) -> (Memo, GroupId) {
+        let (memo, root, valve_hit) = explore_until(rel, config);
+        assert!(!valve_hit);
         (memo, root)
     }
 
+    /// Table `i`: `t(k int key, next int)`, columns `2i` and `2i + 1`.
+    fn table(i: u32) -> RelExpr {
+        let cols = [
+            (ColId(2 * i), "k", DataType::Int, false),
+            (ColId(2 * i + 1), "next", DataType::Int, false),
+        ];
+        builder::get(TableId(i), "t", &cols, &[&[0]], 1000.0)
+    }
+
+    /// `t0 ⋈ t1 ⋈ … ⋈ t(n-1)` on `t(i).k = t(i+1).k`, left-deep; with
+    /// `transitive` every key is one equivalence class (a clique), else
+    /// table `i` carries a second column joining it to `i+1` (a chain).
+    fn join_of(n: u32, transitive: bool) -> RelExpr {
+        join_over(0..n, transitive)
+    }
+
+    /// [`join_of`] over the tables numbered `tables`.
+    fn join_over(mut tables: std::ops::Range<u32>, transitive: bool) -> RelExpr {
+        let first = table(tables.next().expect("a table"));
+        tables.fold(first, |left, i| {
+            let from = if transitive { 2 * i - 2 } else { 2 * i - 1 };
+            let on = ScalarExpr::eq(ScalarExpr::col(ColId(from)), ScalarExpr::col(ColId(2 * i)));
+            builder::join(orthopt_ir::JoinKind::Inner, left, table(i), on)
+        })
+    }
+
+    /// A clique of `2 * half` tables spelled as the join of two left-deep
+    /// halves, on one key.
+    fn bushy_clique(half: u32) -> RelExpr {
+        let on = ScalarExpr::eq(ScalarExpr::col(ColId(0)), ScalarExpr::col(ColId(2 * half)));
+        builder::join(
+            orthopt_ir::JoinKind::Inner,
+            join_over(0..half, true),
+            join_over(half..2 * half, true),
+            on,
+        )
+    }
+
+    fn join_only() -> OptimizerConfig {
+        OptimizerConfig {
+            groupby_reorder: false,
+            local_aggregate: false,
+            segment_apply: false,
+            correlated_execution: false,
+            ..OptimizerConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_chain_join_explores_to_its_intervals() {
+        // The connected subsets of an n-table chain are its n(n+1)/2
+        // intervals; an interval of k tables splits k-1 ways.
+        for n in 2..=7u32 {
+            let (memo, _) = explore(join_of(n, false), &join_only());
+            let n = n as usize;
+            assert_eq!(memo.group_count(), n * (n + 1) / 2, "{n} tables");
+            let splits: usize = (2..=n).map(|k| (n - k + 1) * (k - 1)).sum();
+            assert_eq!(memo.expr_count(), n + splits, "{n} tables");
+        }
+    }
+
+    #[test]
+    fn a_clique_join_explores_every_subset() {
+        // One equivalence class over all keys connects every pair: all
+        // 2^n - 1 subsets are relations, however the query spelled it.
+        let (memo, root) = explore(join_of(4, true), &join_only());
+        assert_eq!(memo.group_count(), 15);
+        // {0,1,2,3} splits 7 ways.
+        assert_eq!(memo.group(root).exprs.len(), 7);
+    }
+
+    #[test]
+    fn the_valve_is_a_hard_stop() {
+        // A 12-table clique has ~3^12 / 2 join orders: exploration must
+        // stop at the valve, not merely notice it, and still leave a memo
+        // a plan can be extracted from.
+        let (memo, root, valve_hit) = explore_until(join_of(12, true), &join_only());
+        assert!(valve_hit);
+        // One rule output may intern a few nested joins past the limit.
+        assert!(memo.expr_count() < 20_000 + 12, "{}", memo.expr_count());
+        let mut planner = crate::physical_gen::Planner::new(&memo, 1, Default::default());
+        assert!(planner.best(root).is_ok());
+    }
+
+    #[test]
+    fn one_enumeration_cannot_outrun_the_valve() {
+        // A bushy seed keeps each half under the valve, so the first
+        // relation too large for it is met whole: 2^(n-1) bipartitions in
+        // one firing. That firing must notice before it builds them.
+        for half in [8, 11, 32] {
+            let (memo, root, valve_hit) = explore_until(bushy_clique(half), &join_only());
+            assert!(valve_hit, "2 x {half}");
+            assert!(memo.expr_count() <= 20_000, "{}", memo.expr_count());
+            // The relation over all the tables keeps the query's order only.
+            assert_eq!(memo.group(root).exprs.len(), 1, "2 x {half}");
+            let mut planner = crate::physical_gen::Planner::new(&memo, 1, Default::default());
+            assert!(planner.best(root).is_ok());
+        }
+        // A star around table 1: few of the 2^38 connected sets holding
+        // table 0 leave a connected rest, but all of them are groups to be.
+        let star = (1..40).fold(table(0), |left, i| {
+            let spoke = if i == 1 { 0 } else { 2 * i };
+            let on = ScalarExpr::Cmp {
+                op: orthopt_ir::CmpOp::Lt,
+                left: Box::new(ScalarExpr::col(ColId(spoke))),
+                right: Box::new(ScalarExpr::col(ColId(2))),
+            };
+            builder::join(orthopt_ir::JoinKind::Inner, left, table(i), on)
+        });
+        let (memo, _, valve_hit) = explore_until(star, &join_only());
+        assert!(valve_hit && memo.expr_count() <= 20_000);
+    }
+
+    #[test]
+    fn a_cross_product_is_not_invented() {
+        // a ⋈ b on a = c … with no predicate at all: the query's own
+        // cross products are the only ones.
+        let cross = builder::join(
+            orthopt_ir::JoinKind::Inner,
+            builder::join(
+                orthopt_ir::JoinKind::Inner,
+                t::get_ab(),
+                t::get_cd(),
+                ScalarExpr::true_(),
+            ),
+            t::get_nokey(),
+            ScalarExpr::eq(ScalarExpr::col(t::COL_A), ScalarExpr::col(ColId(4))),
+        );
+        let (memo, root) = explore(cross, &join_only());
+        // ab–nk is connected, cd is not: (ab × cd) ⋈ nk stays, and the
+        // one other order keeps the cross product on top.
+        assert_eq!(memo.group(root).exprs.len(), 2);
+        assert_eq!(memo.group_count(), 3 + 2 + 1);
+    }
+
     fn group_has(memo: &Memo, gid: GroupId, pred: &dyn Fn(&RelExpr) -> bool) -> bool {
-        memo.group(gid).exprs.iter().any(|e| pred(&e.shell))
+        memo.exprs(gid).any(|e| pred(&e.shell))
     }
 
     fn gb_over_join() -> RelExpr {
@@ -1384,20 +911,19 @@ mod tests {
         let (memo, root) = explore(gb_over_join(), &config);
         // The root group gains a global-over-local alternative whose
         // input group holds the LocalGroupBy.
-        let mut found_local = false;
-        for g in 0..memo.group_count() {
-            found_local |= group_has(&memo, GroupId(g), &|s| {
-                matches!(
-                    s,
-                    RelExpr::GroupBy {
-                        kind: GroupKind::Local,
-                        ..
-                    }
-                )
-            });
-        }
-        assert!(found_local);
-        let _ = root;
+        let is_local = |e: &MExpr| {
+            matches!(
+                e.shell,
+                RelExpr::GroupBy {
+                    kind: GroupKind::Local,
+                    ..
+                }
+            )
+        };
+        let global = memo
+            .exprs(root)
+            .find(|e| is_local(memo.first(e.children[0])));
+        assert!(global.is_some());
     }
 
     #[test]
@@ -1445,23 +971,6 @@ mod tests {
             s,
             RelExpr::Apply { .. }
         )));
-    }
-
-    #[test]
-    fn eq_closure_includes_transitive_members() {
-        let a: BTreeSet<ColId> = [ColId(1)].into_iter().collect();
-        let pred = ScalarExpr::and([
-            ScalarExpr::eq(ScalarExpr::col(ColId(1)), ScalarExpr::col(ColId(2))),
-            ScalarExpr::eq(ScalarExpr::col(ColId(2)), ScalarExpr::col(ColId(3))),
-            ScalarExpr::cmp(
-                CmpOp::Lt,
-                ScalarExpr::col(ColId(4)),
-                ScalarExpr::col(ColId(5)),
-            ),
-        ]);
-        let closure = eq_closure(&a, &pred);
-        assert!(closure.contains(&ColId(2)) && closure.contains(&ColId(3)));
-        assert!(!closure.contains(&ColId(4)));
     }
 
     #[test]

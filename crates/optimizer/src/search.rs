@@ -1,14 +1,12 @@
 //! The exploration loop: rules to fixpoint, then best-plan extraction.
 
-use std::collections::HashSet;
-
-use orthopt_common::{ColIdGen, Result};
+use orthopt_common::Result;
 use orthopt_exec::PhysExpr;
 use orthopt_ir::{ApplyStrategy, RelExpr};
 
 use crate::cardinality::Estimator;
-use crate::memo::{GroupId, Memo};
-use crate::physical_gen::{with_presentation, Planner};
+use crate::memo::{ExprId, Memo, RuleState, MAX_EXPRS};
+use crate::physical_gen::Planner;
 use crate::{rules, verify};
 
 /// Which rule families participate — the knobs behind the benchmark
@@ -25,8 +23,6 @@ pub struct OptimizerConfig {
     pub segment_apply: bool,
     /// Correlated-execution re-introduction (index-lookup joins).
     pub correlated_execution: bool,
-    /// Safety valve on total memo expressions.
-    pub max_exprs: usize,
     /// Worker-pool size for parallel execution; above 1 the planner
     /// places `Exchange` nodes where the cost model says they pay.
     pub parallelism: usize,
@@ -44,7 +40,6 @@ impl Default for OptimizerConfig {
             local_aggregate: true,
             segment_apply: true,
             correlated_execution: true,
-            max_exprs: 20_000,
             parallelism: 1,
             apply_strategy: ApplyStrategy::Auto,
         }
@@ -60,21 +55,9 @@ impl OptimizerConfig {
             local_aggregate: false,
             segment_apply: false,
             correlated_execution: false,
-            max_exprs: 0,
-            parallelism: 1,
-            apply_strategy: ApplyStrategy::Auto,
+            ..OptimizerConfig::default()
         }
     }
-}
-
-/// Optimizes a normalized logical tree into a physical plan; `order_by`
-/// appends a presentation sort.
-pub fn optimize(
-    rel: RelExpr,
-    order_by: Vec<(orthopt_common::ColId, bool)>,
-    config: &OptimizerConfig,
-) -> Result<PhysExpr> {
-    optimize_with_presentation(rel, order_by, None, config).map(|(plan, _)| plan)
 }
 
 /// Exploration statistics, for tests and EXPLAIN output.
@@ -86,9 +69,13 @@ pub struct SearchStats {
     pub exprs: usize,
     /// Estimated cost of the winning plan.
     pub best_cost: f64,
+    /// Whether exploration was cut short by the expression valve
+    /// instead of reaching its fixpoint.
+    pub valve_hit: bool,
 }
 
-/// Like [`optimize`] but also reports exploration statistics.
+/// Optimizes a normalized logical tree into a physical plan plus
+/// exploration statistics; `order_by` appends a presentation sort.
 pub fn optimize_with_stats(
     rel: RelExpr,
     order_by: Vec<(orthopt_common::ColId, bool)>,
@@ -110,52 +97,72 @@ pub fn optimize_with_presentation(
     limit: Option<usize>,
     config: &OptimizerConfig,
 ) -> Result<(PhysExpr, SearchStats)> {
-    let est = Estimator::new(&rel);
     let mut used = rel.produced_cols();
     used.extend(rel.referenced_cols());
-    let mut gen = ColIdGen::after(used);
-    let mut memo = Memo::new();
+    let mut state = RuleState::after(used);
+    let mut memo = Memo::new(Estimator::new(&rel));
     let root = memo.insert_tree(rel);
-    // Exploration to fixpoint (bounded by max_exprs).
-    let mut fired: HashSet<(usize, usize)> = HashSet::new();
-    loop {
-        let mut added = false;
-        let group_count = memo.group_count();
-        for g in 0..group_count {
-            let gid = GroupId(g);
-            let expr_count = memo.group(gid).exprs.len();
-            for e in 0..expr_count {
-                if !fired.insert((g, e)) {
-                    continue;
-                }
-                for (rule, rtree) in rules::apply_all(&memo, gid, e, &est, &mut gen, config) {
-                    verify::check_rule_output(&memo, rule, &rtree)?;
-                    if memo.add_expr(gid, rtree) {
-                        added = true;
-                    }
-                }
-                if memo.expr_count() > config.max_exprs.max(1) {
-                    added = false;
-                    break;
-                }
-            }
-        }
-        if (!added && memo.group_count() == group_count)
-            || memo.expr_count() > config.max_exprs.max(1)
-        {
-            break;
-        }
-    }
-    let root_card = est.card(&memo.group(root).repr);
-    let mut planner =
-        Planner::new(&memo, &est, config.parallelism).with_apply_strategy(config.apply_strategy);
-    let best = planner.best(root)?;
+    let valve_hit = explore(&mut memo, &mut state, config)?;
+    let mut planner = Planner::new(&memo, config.parallelism, config.apply_strategy);
+    let (mut plan, best_cost) = planner.best(root)?;
     let stats = SearchStats {
         groups: memo.group_count(),
         exprs: memo.expr_count(),
-        best_cost: best.cost,
+        best_cost,
+        valve_hit,
     };
-    let plan = with_presentation(best, order_by, limit, root_card).plan;
+    // Presentation: ORDER BY and LIMIT sit on top of whatever plan won.
+    if !order_by.is_empty() {
+        let input = Box::new(plan);
+        plan = PhysExpr::Sort {
+            input,
+            by: order_by,
+        };
+    }
+    if let Some(n) = limit {
+        let input = Box::new(plan);
+        plan = PhysExpr::Limit { input, n };
+    }
     verify::check_final_plan(&plan)?;
     Ok((plan, stats))
+}
+
+/// Bottom-up exploration to a global fixpoint: every expression fires
+/// every enabled rule once, and the two-level rules again whenever one
+/// of its input groups has gained alternatives since. Returns whether
+/// the expression valve cut exploration short.
+pub(crate) fn explore(
+    memo: &mut Memo,
+    state: &mut RuleState,
+    config: &OptimizerConfig,
+) -> Result<bool> {
+    loop {
+        let mut progress = false;
+        let mut next = 0;
+        while next < memo.expr_ids() {
+            let id = ExprId(next);
+            next += 1;
+            let Some(gid) = memo.owner(id) else {
+                continue;
+            };
+            let Some(first) = memo.begin_firing(id) else {
+                continue;
+            };
+            progress = true;
+            let outputs = rules::apply_all(memo, gid, memo.expr(id), first, state, config);
+            if state.overflowed {
+                return Ok(true);
+            }
+            for (rule, rtree) in outputs {
+                verify::check_rule_output(memo, rule, &rtree)?;
+                memo.add_expr(gid, rtree);
+                if memo.expr_count() > MAX_EXPRS {
+                    return Ok(true);
+                }
+            }
+        }
+        if !progress {
+            return Ok(false);
+        }
+    }
 }

@@ -7,44 +7,23 @@
 //! by name. All of this compiles away without the `plancheck` feature.
 
 use orthopt_exec::PhysExpr;
-use orthopt_ir::RelExpr;
 
 use crate::memo::{Memo, RTree};
 
-/// Materializes a rule-output tree into a full logical tree, resolving
-/// group references to their representatives.
-pub fn materialize_rtree(memo: &Memo, rtree: &RTree) -> RelExpr {
-    match rtree {
-        RTree::Ref(gid) => memo.group(*gid).repr.clone(),
-        RTree::Op(shell, children) => {
-            let mut rel = (**shell).clone();
-            for (slot, c) in rel.children_mut().into_iter().zip(children) {
-                *slot = materialize_rtree(memo, c);
-            }
-            rel
-        }
-    }
-}
-
 #[cfg(feature = "plancheck")]
 mod imp {
-    use super::{materialize_rtree, Memo, PhysExpr, RTree};
+    use super::{Memo, PhysExpr, RTree};
     use orthopt_common::Result;
     use orthopt_ir::explain;
     use orthopt_plancheck as plancheck;
 
-    /// Whether per-rule verification should run right now.
-    pub fn active() -> bool {
-        plancheck::enabled()
-    }
-
     /// Checks one rule output (fragment mode: memo groups may be inner
     /// fragments of `Apply`/`SegmentApply`, so free columns are legal).
     pub fn check_rule_output(memo: &Memo, rule: &'static str, rtree: &RTree) -> Result<()> {
-        if !active() {
+        if !plancheck::enabled() {
             return Ok(());
         }
-        let rel = materialize_rtree(memo, rtree);
+        let rel = memo.materialize(rtree);
         let violations = plancheck::check_logical(&rel);
         if violations.is_empty() {
             return Ok(());
@@ -62,7 +41,7 @@ mod imp {
     /// Checks the extracted physical plan (Exchange grammar, widths,
     /// operator wiring).
     pub fn check_final_plan(plan: &PhysExpr) -> Result<()> {
-        if !active() {
+        if !plancheck::enabled() {
             return Ok(());
         }
         let violations = plancheck::check_physical(plan);
@@ -85,11 +64,6 @@ mod imp {
     use super::{Memo, PhysExpr, RTree};
     use orthopt_common::Result;
 
-    /// Always false without the `plancheck` feature.
-    pub fn active() -> bool {
-        false
-    }
-
     /// No-op without the `plancheck` feature.
     pub fn check_rule_output(_memo: &Memo, _rule: &'static str, _rtree: &RTree) -> Result<()> {
         Ok(())
@@ -101,4 +75,4 @@ mod imp {
     }
 }
 
-pub use imp::{active, check_final_plan, check_rule_output};
+pub use imp::{check_final_plan, check_rule_output};

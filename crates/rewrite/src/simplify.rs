@@ -309,17 +309,34 @@ fn step(rel: RelExpr) -> Step {
 /// Predicate pushdown: moves filter conjuncts toward the tables they
 /// constrain — through inner joins, the preserved side of outerjoins,
 /// and GroupBy when the columns are functionally determined by the
-/// grouping columns (the filter/GroupBy reorder of §3.1).
+/// grouping columns (the filter/GroupBy reorder of §3.1). An inner
+/// join's own predicate is redistributed the same way (a decorrelated
+/// subquery block arrives with its whole WHERE clause on the top join):
+/// a conjunct over one input only sinks into that input.
 pub fn push_down_predicates(mut rel: RelExpr) -> RelExpr {
     for child in rel.children_mut() {
         let taken = take(child);
         *child = push_down_predicates(taken);
     }
-    let RelExpr::Select { input, predicate } = rel else {
-        return rel;
+    let (predicate, mut current, is_join) = match rel {
+        RelExpr::Select { input, predicate } => (predicate, *input, false),
+        RelExpr::Join {
+            kind: JoinKind::Inner,
+            left,
+            right,
+            predicate,
+        } => {
+            let cross = RelExpr::Join {
+                kind: JoinKind::Inner,
+                left,
+                right,
+                predicate: ScalarExpr::true_(),
+            };
+            (predicate, cross, true)
+        }
+        other => return other,
     };
     let mut remaining: Vec<ScalarExpr> = Vec::new();
-    let mut current = *input;
     for conjunct in predicate.conjuncts() {
         match try_push(conjunct.clone(), current) {
             Ok(updated) => current = updated,
@@ -330,13 +347,25 @@ pub fn push_down_predicates(mut rel: RelExpr) -> RelExpr {
         }
     }
     let leftover = ScalarExpr::and(remaining);
-    if leftover.is_true() {
-        current
-    } else {
-        RelExpr::Select {
+    match current {
+        // What an inner join could not place (a subquery marker) stays
+        // on the join.
+        RelExpr::Join {
+            kind,
+            left,
+            right,
+            predicate,
+        } if is_join => RelExpr::Join {
+            kind,
+            left,
+            right,
+            predicate: ScalarExpr::and([predicate, leftover]),
+        },
+        current if leftover.is_true() => current,
+        current => RelExpr::Select {
             input: Box::new(current),
             predicate: leftover,
-        }
+        },
     }
 }
 

@@ -74,4 +74,11 @@ fn search_costs_converge_across_formulations() {
     let max = costs.iter().copied().fold(f64::MIN, f64::max);
     let min = costs.iter().copied().fold(f64::MAX, f64::min);
     assert!((max - min) / max < 0.05, "best costs diverge: {costs:?}");
+    // The subquery and the outerjoin spellings normalize to isomorphic
+    // trees, so the search must price them identically, to the bit. The
+    // derived-table spelling keeps the pruning Project its FROM-clause
+    // boundary introduced (one trivial operator dearer): the memo has no
+    // rule that drops a Project whose consumer ignores the extra columns.
+    assert_eq!(costs[0], costs[1], "subquery vs outerjoin+having");
+    assert!(costs[2] >= costs[0], "derived-table: {costs:?}");
 }
