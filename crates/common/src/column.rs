@@ -1,11 +1,13 @@
 //! Typed column vectors with null bitmaps — the columnar half of the
 //! execution engine's batch representation.
 //!
-//! A [`Column`] is an immutable, shareable slice over typed value
-//! storage ([`ColData`]) plus an Arrow-style validity [`Bitmap`]
-//! (bit set = value present, bit clear = SQL NULL). Columns are cheap
-//! to slice (`Arc` clone + offset arithmetic), so table scans can hand
-//! out windows over resident column data without touching the values.
+//! A [`Column`] is a shareable slice over typed value storage
+//! ([`ColData`]) plus an Arrow-style validity [`Bitmap`] (bit set =
+//! value present, bit clear = SQL NULL). Columns are cheap to slice
+//! (`Arc` clone + offset arithmetic), so table scans hand out windows
+//! over the stored column data without touching the values. What a
+//! window shows never changes: the one mutation, [`Column::push`] (how
+//! a stored table grows), is copy-on-write.
 //!
 //! The representation is deliberately lossless with respect to the
 //! row engine: [`Column::value`] reconstructs exactly the [`Value`]
@@ -119,16 +121,47 @@ pub enum ColData {
     Val(Vec<Value>),
 }
 
-impl ColData {
-    fn len(&self) -> usize {
-        match self {
-            ColData::Int(v) => v.len(),
-            ColData::Float(v) => v.len(),
-            ColData::Bool(v) => v.len(),
-            ColData::Str(v) => v.len(),
-            ColData::Date(v) => v.len(),
-            ColData::Val(v) => v.len(),
+/// Runs `$body` on the payload vector `$v` of whichever variant `$data` is.
+macro_rules! on_payload {
+    ($data:expr, $v:ident => $body:expr) => {
+        match $data {
+            ColData::Int($v) => $body,
+            ColData::Float($v) => $body,
+            ColData::Bool($v) => $body,
+            ColData::Str($v) => $body,
+            ColData::Date($v) => $body,
+            ColData::Val($v) => $body,
         }
+    };
+}
+
+impl ColData {
+    /// Empty typed storage for a declared type.
+    fn new(ty: DataType) -> ColData {
+        match ty {
+            DataType::Int => ColData::Int(Vec::new()),
+            DataType::Float => ColData::Float(Vec::new()),
+            DataType::Bool => ColData::Bool(Vec::new()),
+            DataType::Str => ColData::Str(Vec::new()),
+            DataType::Date => ColData::Date(Vec::new()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        on_payload!(self, v => v.len())
+    }
+
+    /// Whether a non-NULL value of type `ty` is stored as itself here.
+    fn holds(&self, ty: DataType) -> bool {
+        matches!(
+            (self, ty),
+            (ColData::Val(_), _)
+                | (ColData::Int(_), DataType::Int)
+                | (ColData::Float(_), DataType::Float)
+                | (ColData::Bool(_), DataType::Bool)
+                | (ColData::Str(_), DataType::Str)
+                | (ColData::Date(_), DataType::Date)
+        )
     }
 }
 
@@ -162,6 +195,49 @@ impl Column {
             offset: 0,
             len,
         }
+    }
+
+    /// An empty column of a declared type — what a stored table
+    /// starts each of its columns as.
+    pub fn new(ty: DataType) -> Column {
+        Column::from_data(ColumnData {
+            data: ColData::new(ty),
+            validity: Bitmap::new_valid(0),
+        })
+    }
+
+    /// Room for `additional` more [`push`](Column::push)es.
+    pub fn reserve(&mut self, additional: usize) {
+        let d = Arc::make_mut(&mut self.data);
+        on_payload!(&mut d.data, v => v.reserve(additional));
+        d.validity.words.reserve(additional.div_ceil(64));
+    }
+
+    /// Appends `v` as the last lane. Copy-on-write: the storage grows
+    /// in place only while this column is its sole handle
+    /// (`Arc::make_mut`), so a window somebody still holds keeps the
+    /// length and the values it was taken with. A value of another
+    /// type than the typed storage — or a push onto a window — rebuilds
+    /// the column densely, as [`concat`](Column::concat) does for
+    /// mixed parts.
+    pub fn push(&mut self, v: Value) {
+        let whole = self.len == self.data.validity.len();
+        if !(whole && v.data_type().is_none_or(|t| self.data.data.holds(t))) {
+            *self = Column::concat(&[self.clone(), Column::from_values(vec![v])]);
+            return;
+        }
+        let d = Arc::make_mut(&mut self.data);
+        d.validity.push(!v.is_null());
+        match (&mut d.data, v) {
+            (ColData::Int(c), v) => c.push(if let Value::Int(i) = v { i } else { 0 }),
+            (ColData::Float(c), v) => c.push(if let Value::Float(f) = v { f } else { 0.0 }),
+            (ColData::Bool(c), v) => c.push(matches!(v, Value::Bool(true))),
+            (ColData::Str(c), Value::Str(s)) => c.push(s),
+            (ColData::Str(c), _) => c.push(Arc::from("")),
+            (ColData::Date(c), v) => c.push(if let Value::Date(d) = v { d } else { 0 }),
+            (ColData::Val(c), v) => c.push(v),
+        }
+        self.len += 1;
     }
 
     /// Builds a column from values, choosing a typed representation
@@ -617,6 +693,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `push` appends in place on a sole handle, copies under a shared
+    /// one, and rebuilds (never corrupts) on a window or a foreign type.
+    #[test]
+    fn push_appends_copy_on_write() {
+        let lanes = |c: &Column| (0..c.len()).map(|i| c.value(i)).collect::<Vec<_>>();
+        let mut c = Column::new(DataType::Str);
+        c.reserve(4);
+        c.push(Value::str("a"));
+        c.push(Value::Null);
+        let storage = std::ptr::from_ref(c.parts().0);
+        c.push(Value::str("b"));
+        assert_eq!(std::ptr::from_ref(c.parts().0), storage, "sole handle");
+        assert!(matches!(c.parts().0, ColData::Str(_)));
+        let held = c.clone();
+        c.push(Value::str("c"));
+        assert_eq!(
+            lanes(&held),
+            [Value::str("a"), Value::Null, Value::str("b")]
+        );
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.value(3), Value::str("c"));
+        // A window grows into a dense column of its own lanes.
+        let mut w = c.slice(1, 2);
+        w.push(Value::str("d"));
+        assert_eq!(lanes(&w), [Value::Null, Value::str("b"), Value::str("d")]);
+        assert_eq!(c.len(), 4);
+        // A value of another type falls back to verbatim storage.
+        w.push(Value::Int(7));
+        assert!(matches!(w.parts().0, ColData::Val(_)));
+        assert_eq!(w.value(3), Value::Int(7));
+        assert_eq!(w.value(0), Value::Null);
     }
 
     #[test]

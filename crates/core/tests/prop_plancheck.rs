@@ -195,10 +195,10 @@ fn mutation_exchange_out_of_grammar_is_blamed() {
 
 /// A one-row constant scan for hand-built physical mutation inputs.
 fn const_scan(ids: &[u32]) -> PhysExpr {
-    PhysExpr::ConstScan {
-        cols: ids.iter().map(|&i| ColId(i)).collect(),
-        rows: vec![vec![Value::Int(0); ids.len()]],
-    }
+    PhysExpr::const_rows(
+        ids.iter().map(|&i| ColId(i)).collect(),
+        &[vec![Value::Int(0); ids.len()]],
+    )
 }
 
 /// Variant 7: a `BatchedApply` whose rebind arity was truncated — the

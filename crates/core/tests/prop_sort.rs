@@ -116,13 +116,10 @@ fn sort_rows_by(rows: &mut [Row], by: &[(usize, bool)]) {
     });
 }
 
-/// `Sort` over the rows as a `ConstScan` (row batches, transposed on
-/// entry; the mixed column becomes a `Val` lane).
+/// `Sort` over the rows as a `ConstScan` (transposed once; the mixed
+/// column becomes a `Val` lane).
 fn const_source(rows: &[Row]) -> PhysExpr {
-    PhysExpr::ConstScan {
-        cols: (1..=KEYS as u32 + 1).map(ColId).collect(),
-        rows: rows.to_vec(),
-    }
+    PhysExpr::const_rows((1..=KEYS as u32 + 1).map(ColId).collect(), rows)
 }
 
 /// A generated row as the table stores it: the typed keys and the
@@ -135,7 +132,7 @@ fn table_row(r: &Row) -> Row {
 
 /// A one-table catalog holding the rows' typed columns (all nullable)
 /// plus the sequence number, and the scan over it (typed column lanes
-/// with validity, sliced zero-copy from the storage mirror).
+/// with validity, sliced zero-copy from the stored columns).
 fn table_source(rows: &[Row]) -> (Catalog, PhysExpr) {
     let mut catalog = Catalog::new();
     let t = catalog

@@ -30,10 +30,7 @@ fn db() -> Database {
 fn empty_rows(n: usize) -> (PhysExpr, RelExpr) {
     let rows: Vec<Row> = vec![vec![]; n];
     (
-        PhysExpr::ConstScan {
-            cols: vec![],
-            rows: rows.clone(),
-        },
+        PhysExpr::const_rows(vec![], &rows),
         RelExpr::ConstRel { cols: vec![], rows },
     )
 }

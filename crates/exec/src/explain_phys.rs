@@ -217,7 +217,7 @@ fn label(plan: &PhysExpr) -> String {
         PhysExpr::ExceptExec { .. } => "Except".to_string(),
         PhysExpr::AssertMax1 { .. } => "AssertMax1Row".to_string(),
         PhysExpr::RowNumber { col, .. } => format!("RowNumber [{col}]"),
-        PhysExpr::ConstScan { rows, .. } => format!("ConstScan ({} rows)", rows.len()),
+        PhysExpr::ConstScan { len, .. } => format!("ConstScan ({len} rows)"),
         PhysExpr::Sort { by, .. } => {
             let bs: Vec<String> = by
                 .iter()

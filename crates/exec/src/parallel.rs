@@ -45,8 +45,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthopt_common::column::{cols_bytes, columns_to_rows, rows_to_columns, Column};
-use orthopt_common::{ColId, Error, MemoryReservation, Result, Row};
+use orthopt_common::column::{cols_bytes, rows_to_columns, Column};
+use orthopt_common::{ColId, Error, MemoryReservation, Result};
 use orthopt_ir::{AggDef, GroupKind};
 use orthopt_storage::Catalog;
 
@@ -55,8 +55,8 @@ use crate::bindings::Bindings;
 use crate::eval::PosMap;
 use crate::physical::PhysExpr;
 use crate::pipeline::{
-    free_inputs, pos_of, AggInput, Batch, ColumnBatches, ExecCtx, JoinBuild, JoinProbe, Operator,
-    Pipeline, PipelineOptions, MEM_HINT,
+    concat_batches, free_inputs, pos_of, AggInput, Batch, ColumnBatches, ExecCtx, JoinBuild,
+    JoinProbe, Operator, Pipeline, PipelineOptions, MEM_HINT,
 };
 use crate::scheduler::Scheduler;
 use crate::stats::OpStats;
@@ -366,23 +366,16 @@ fn driving_len(p: &PhysExpr, catalog: &Catalog) -> usize {
     }
 }
 
-/// Broadcast replacement for a join build side: its output layout plus
-/// the serially-computed rows.
-struct BuildRows {
-    cols: Vec<ColId>,
-    rows: Vec<Row>,
-}
-
 /// Clones the subtree for one worker: the driving `TableScan` becomes a
 /// `MorselScan` over the worker's ranges, and the build side (if any)
-/// becomes a `ConstScan` over the broadcast build rows. Reaching a join
-/// without broadcast rows means the eligibility grammar and the build
-/// locator disagree — reported as an internal error rather than a
-/// panic so the engine survives the (never observed) inconsistency.
+/// becomes `build`, the `ConstScan` over the broadcast build columns.
+/// Reaching a join without one means the eligibility grammar and the
+/// build locator disagree — reported as an internal error rather than
+/// a panic so the engine survives the (never observed) inconsistency.
 fn substitute(
     p: &PhysExpr,
     ranges: &[(usize, usize)],
-    build: Option<&BuildRows>,
+    build: Option<&PhysExpr>,
 ) -> Result<PhysExpr> {
     Ok(match p {
         PhysExpr::TableScan {
@@ -421,10 +414,7 @@ fn substitute(
             PhysExpr::HashJoin {
                 kind: *kind,
                 left: Box::new(substitute(left, ranges, None)?),
-                right: Box::new(PhysExpr::ConstScan {
-                    cols: b.cols.clone(),
-                    rows: b.rows.clone(),
-                }),
+                right: Box::new(b.clone()),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 residual: residual.clone(),
@@ -698,18 +688,14 @@ impl ExchangeOp {
         Ok(batches)
     }
 
-    /// The build side as the `ConstScan` literal pipelined and
-    /// partial-aggregation workers get in its place (`PhysExpr` carries
-    /// rows; each worker's compile transposes them back once).
-    fn broadcast_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<BuildRows> {
-        let batches = self.run_build(ctx, build)?;
-        Ok(BuildRows {
-            cols: build.out_cols(),
-            rows: batches
-                .iter()
-                .flat_map(|(columns, n)| columns_to_rows(columns, *n))
-                .collect(),
-        })
+    /// The build side as the `ConstScan` pipelined and
+    /// partial-aggregation workers get in its place: its batches
+    /// concatenated once, shared by every worker plan through the
+    /// columns' `Arc`s.
+    fn broadcast_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<PhysExpr> {
+        let cols = build.out_cols();
+        let (columns, len) = concat_batches(&self.run_build(ctx, build)?, cols.len());
+        Ok(PhysExpr::ConstScan { cols, columns, len })
     }
 
     /// Folds each task's pipeline stats into the aligned slot prefix,
@@ -1057,7 +1043,7 @@ impl Operator for ExchangeOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthopt_common::{DataType, TableId, Value};
+    use orthopt_common::{DataType, Row, TableId, Value};
     use orthopt_ir::{CmpOp, JoinKind, ScalarExpr};
     use orthopt_storage::{ColumnDef, TableDef};
 

@@ -12,6 +12,7 @@
 //! (`ApplyLoop`, `SegmentExec`) rebind parameters and rewind their
 //! inner pipeline per outer row / per segment; see [`crate::pipeline`].
 
+use orthopt_common::column::{rows_to_columns, Column};
 use orthopt_common::{ColId, Result, Row, TableId};
 use orthopt_ir::{AggDef, ApplyKind, ColumnMeta, GroupKind, JoinKind, ScalarExpr};
 use orthopt_storage::Catalog;
@@ -213,12 +214,17 @@ pub enum PhysExpr {
         /// Output column id.
         col: ColId,
     },
-    /// Constant rows.
+    /// Constant rows, held as columns: a literal relation, or a join
+    /// build side an `Exchange` computed once and hands every worker
+    /// (cloning the plan clones `Arc`s, not values).
     ConstScan {
         /// Output columns.
         cols: Vec<ColId>,
-        /// Rows.
-        rows: Vec<Row>,
+        /// One column (possibly a window) per output column, `len`
+        /// lanes each.
+        columns: Vec<Column>,
+        /// Row count (a zero-column relation still has one).
+        len: usize,
     },
     /// Presentation sort (total order, NULL first; `true` = descending).
     Sort {
@@ -259,6 +265,16 @@ pub enum PhysExpr {
 }
 
 impl PhysExpr {
+    /// A [`ConstScan`](PhysExpr::ConstScan) over literal rows,
+    /// transposed here, once.
+    pub fn const_rows(cols: Vec<ColId>, rows: &[Row]) -> PhysExpr {
+        PhysExpr::ConstScan {
+            columns: rows_to_columns(rows, cols.len()),
+            len: rows.len(),
+            cols,
+        }
+    }
+
     /// Output column ids, in order.
     pub fn out_cols(&self) -> Vec<ColId> {
         match self {

@@ -1116,11 +1116,11 @@ impl Compiler {
                 counter: 0,
                 stats: sh.clone(),
             }),
-            PhysExpr::ConstScan { cols, rows } => Box::new(ConstScanOp {
+            PhysExpr::ConstScan { cols, columns, len } => Box::new(ConstScanOp {
                 cols: rc_cols(cols),
-                // Transposed once, here; every batch is a window of it.
-                columns: rows_to_columns(rows, cols.len()),
-                len: rows.len(),
+                // Handles on the plan's columns; every batch is a window.
+                columns: columns.clone(),
+                len: *len,
                 cursor: 0,
                 batch_size: bs,
             }),
@@ -1375,7 +1375,7 @@ impl Operator for ScanOp {
             return Ok(None);
         }
         let end = (self.cursor + self.batch_size).min(total);
-        // Zero-copy slices of the table's columnar mirror.
+        // Zero-copy slices of the table's stored columns.
         let tcols = t.columns();
         let take = end - self.cursor;
         let out = self
@@ -2522,7 +2522,7 @@ impl IndexFetch {
 
     /// Probes the index under the current bindings: evaluates the probe
     /// expressions, looks up matching row ids, gathers the fetched
-    /// columns off the storage mirror, filters them through the
+    /// columns off the stored columns, filters them through the
     /// residual and projects. A NULL probe value yields the empty
     /// result (SQL equality never matches NULL), exactly like
     /// `IndexSeek` under `ApplyLoop`.

@@ -66,10 +66,9 @@ impl<'a> Reference<'a> {
         match rel {
             RelExpr::Get(g) => {
                 let table = self.catalog.table(g.table);
-                let rows = table
-                    .rows()
-                    .iter()
-                    .map(|r| g.positions.iter().map(|&p| r[p].clone()).collect())
+                let columns = table.columns();
+                let rows = (0..table.row_count())
+                    .map(|i| g.positions.iter().map(|&p| columns[p].value(i)).collect())
                     .collect();
                 Ok(Chunk {
                     cols: out_cols,

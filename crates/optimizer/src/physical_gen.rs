@@ -30,10 +30,7 @@ impl Alt {
 
 /// Stands in for an input plan until [`Planner::build`] fills it in.
 fn stub() -> Box<PhysExpr> {
-    Box::new(PhysExpr::ConstScan {
-        cols: vec![],
-        rows: vec![],
-    })
+    Box::new(PhysExpr::const_rows(vec![], &[]))
 }
 
 /// Extracts the cheapest physical plan for a group.
@@ -142,10 +139,7 @@ impl<'a> Planner<'a> {
                 out.push(leaf(scan, g.row_count * coef::SCAN_ROW));
             }
             RelExpr::ConstRel { cols, rows } => {
-                let scan = PhysExpr::ConstScan {
-                    cols: cols.iter().map(|c| c.id).collect(),
-                    rows: rows.clone(),
-                };
+                let scan = PhysExpr::const_rows(cols.iter().map(|c| c.id).collect(), rows);
                 out.push(leaf(scan, rows.len() as f64 * coef::TRIVIAL_ROW));
             }
             RelExpr::Select { predicate, .. } => {

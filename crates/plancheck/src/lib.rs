@@ -302,18 +302,18 @@ mod tests {
     #[test]
     fn const_scan_columns_must_be_monotyped() {
         // NULLs fit any column; a mixed int/str column does not.
-        let ok = PhysExpr::ConstScan {
-            cols: vec![ColId(1), ColId(2)],
-            rows: vec![
+        let ok = PhysExpr::const_rows(
+            vec![ColId(1), ColId(2)],
+            &[
                 vec![Value::Int(1), Value::Null],
                 vec![Value::Null, Value::Str("x".into())],
             ],
-        };
+        );
         assert!(check_physical(&ok).is_empty());
-        let mixed = PhysExpr::ConstScan {
-            cols: vec![ColId(1)],
-            rows: vec![vec![Value::Int(1)], vec![Value::Str("x".into())]],
-        };
+        let mixed = PhysExpr::const_rows(
+            vec![ColId(1)],
+            &[vec![Value::Int(1)], vec![Value::Str("x".into())]],
+        );
         let vs = check_physical(&mixed);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].message.contains("mixes"), "{}", vs[0].message);

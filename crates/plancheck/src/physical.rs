@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use orthopt_common::ColId;
+use orthopt_common::{ColData, ColId};
 use orthopt_exec::PhysExpr;
 use orthopt_ir::{AggFunc, GroupKind, ScalarExpr};
 
@@ -442,22 +442,36 @@ impl PhysCx {
                 self.check(input, scope);
             }
             PhysExpr::RowNumber { input, .. } => self.check(input, scope),
-            PhysExpr::ConstScan { cols, rows } => {
-                if let Some(bad) = rows.iter().find(|r| r.len() != cols.len()) {
+            PhysExpr::ConstScan { cols, columns, len } => {
+                if columns.len() != cols.len() {
                     self.violation(
                         CheckKind::Physical,
                         p,
-                        format!("row width {} != declared width {}", bad.len(), cols.len()),
+                        format!(
+                            "row width {} != declared width {}",
+                            columns.len(),
+                            cols.len()
+                        ),
                     );
                 }
-                // Typed-schema half of the width check: the columnar
-                // executor stores each column in one typed vector, so
-                // every non-NULL value down a ConstScan column must
-                // share a single runtime type.
-                for (i, col) in cols.iter().enumerate() {
+                if let Some(bad) = columns.iter().find(|c| c.len() != *len) {
+                    self.violation(
+                        CheckKind::Physical,
+                        p,
+                        format!("a column of {} lanes under {len} declared rows", bad.len()),
+                    );
+                }
+                // Typed-schema half of the width check: every non-NULL
+                // value down a ConstScan column must share a single
+                // runtime type. Typed storage does by construction;
+                // only the verbatim `Val` fallback can mix.
+                for (col, column) in cols.iter().zip(columns) {
+                    let (ColData::Val(vals), _, offset) = column.parts() else {
+                        continue;
+                    };
                     let mut seen: Option<&'static str> = None;
-                    for r in rows.iter().filter(|r| r.len() == cols.len()) {
-                        let Some(tag) = value_type(&r[i]) else {
+                    for v in &vals[offset..offset + column.len()] {
+                        let Some(tag) = value_type(v) else {
                             continue;
                         };
                         match seen {

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use orthopt_common::{Row, Value};
+use orthopt_common::{Column, Value};
 
 /// Hash index over a set of column positions.
 #[derive(Debug)]
@@ -19,24 +19,25 @@ pub struct Index {
 }
 
 impl Index {
-    /// Builds the index from the current table contents.
-    pub fn build(cols: Vec<usize>, rows: &[Row]) -> Self {
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        'row: for (pos, row) in rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(cols.len());
-            for &c in &cols {
-                if row[c].is_null() {
-                    continue 'row;
-                }
-                key.push(row[c].clone());
-            }
-            map.entry(key).or_default().push(pos);
-        }
-        Index {
+    /// Builds the index over the first `len` lanes of a table's
+    /// columns: every lane goes through [`Index::insert_row`].
+    pub fn build(cols: Vec<usize>, columns: &[Column], len: usize) -> Self {
+        let mut index = Index {
             cols,
-            map,
+            map: HashMap::new(),
             empty: Vec::new(),
+        };
+        for pos in 0..len {
+            index.insert_row(pos, columns);
         }
+        index
+    }
+
+    /// Whether this index is over exactly the column set `cols`
+    /// (order-insensitive) — the one identity test lookups, replacement
+    /// and dropping share.
+    pub fn is_on(&self, cols: &[usize]) -> bool {
+        self.cols.len() == cols.len() && cols.iter().all(|c| self.cols.contains(c))
     }
 
     /// Row positions whose indexed columns equal `key` (key values given
@@ -72,15 +73,15 @@ impl Index {
         self.map.len()
     }
 
-    /// Incrementally indexes one appended row (NULL key parts are
-    /// skipped, as at build time).
-    pub fn insert_row(&mut self, pos: usize, row: &Row) {
+    /// Indexes lane `pos` of the table's columns (a lane with a NULL
+    /// key part is skipped). Postings are lane ids.
+    pub fn insert_row(&mut self, pos: usize, columns: &[Column]) {
         let mut key = Vec::with_capacity(self.cols.len());
         for &c in &self.cols {
-            if row[c].is_null() {
+            if !columns[c].is_valid(pos) {
                 return;
             }
-            key.push(row[c].clone());
+            key.push(columns[c].value(pos));
         }
         self.map.entry(key).or_default().push(pos);
     }
@@ -90,32 +91,36 @@ impl Index {
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<Row> {
-        vec![
-            vec![Value::Int(1), Value::str("a")],
-            vec![Value::Int(2), Value::str("b")],
-            vec![Value::Int(1), Value::str("c")],
-            vec![Value::Null, Value::str("d")],
-        ]
+    fn build(cols: Vec<usize>) -> Index {
+        let columns = [
+            Column::from_values(vec![
+                Value::Int(1),
+                Value::Int(2),
+                Value::Int(1),
+                Value::Null,
+            ]),
+            Column::from_values(["a", "b", "c", "d"].map(Value::str).to_vec()),
+        ];
+        Index::build(cols, &columns, 4)
     }
 
     #[test]
     fn lookup_groups_row_positions() {
-        let ix = Index::build(vec![0], &rows());
+        let ix = build(vec![0]);
         assert_eq!(ix.lookup(&[Value::Int(1)]), &[0, 2]);
         assert_eq!(ix.lookup(&[Value::Int(2)]), &[1]);
     }
 
     #[test]
     fn null_rows_are_unindexed_and_null_probe_matches_nothing() {
-        let ix = Index::build(vec![0], &rows());
+        let ix = build(vec![0]);
         assert_eq!(ix.distinct_keys(), 2);
         assert!(ix.lookup(&[Value::Null]).is_empty());
     }
 
     #[test]
     fn multi_column_lookup_with_permutation() {
-        let ix = Index::build(vec![0, 1], &rows());
+        let ix = build(vec![0, 1]);
         let direct = ix.lookup(&[Value::Int(1), Value::str("c")]);
         assert_eq!(direct, &[2]);
         let permuted = ix.lookup_ordered(&[1, 0], &[Value::str("c"), Value::Int(1)]);

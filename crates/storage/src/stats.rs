@@ -2,9 +2,7 @@
 
 use std::collections::HashSet;
 
-use orthopt_common::{Row, Value};
-
-use crate::table::TableDef;
+use orthopt_common::{Column, Value};
 
 /// Per-column statistics.
 #[derive(Debug, Clone)]
@@ -29,41 +27,40 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Exact statistics from a full scan — fine at in-memory scale, and
-    /// it keeps the cost model's inputs honest in experiments.
-    pub fn compute(def: &TableDef, rows: &[Row]) -> TableStats {
-        let ncols = def.columns.len();
-        let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); ncols];
-        let mut nulls = vec![0u64; ncols];
-        let mut mins: Vec<Option<Value>> = vec![None; ncols];
-        let mut maxs: Vec<Option<Value>> = vec![None; ncols];
-        for row in rows {
-            for (i, v) in row.iter().enumerate() {
-                if v.is_null() {
-                    nulls[i] += 1;
-                    continue;
+    /// Exact statistics from a full scan of the stored columns (`len`
+    /// is the row count, which a zero-column table has too) — fine at
+    /// in-memory scale, and it keeps the cost model's inputs honest in
+    /// experiments. Minimum and maximum are found by lane comparison
+    /// ([`Column::cmp_lanes`] is `Value::total_cmp`), first-seen on ties.
+    pub fn compute(columns: &[Column], len: usize) -> TableStats {
+        let columns = columns
+            .iter()
+            .map(|c| {
+                let mut distinct: HashSet<Value> = HashSet::new();
+                let (mut nulls, mut min, mut max) = (0, None, None);
+                for i in 0..c.len() {
+                    if !c.is_valid(i) {
+                        nulls += 1;
+                        continue;
+                    }
+                    distinct.insert(c.value(i));
+                    if min.is_none_or(|m| c.cmp_lanes(m, c, i).is_gt()) {
+                        min = Some(i);
+                    }
+                    if max.is_none_or(|m| c.cmp_lanes(m, c, i).is_lt()) {
+                        max = Some(i);
+                    }
                 }
-                distinct[i].insert(v.clone());
-                match &mins[i] {
-                    Some(m) if m.total_cmp(v).is_le() => {}
-                    _ => mins[i] = Some(v.clone()),
+                ColumnStats {
+                    ndv: distinct.len() as u64,
+                    null_count: nulls,
+                    min: min.map(|i| c.value(i)),
+                    max: max.map(|i| c.value(i)),
                 }
-                match &maxs[i] {
-                    Some(m) if m.total_cmp(v).is_ge() => {}
-                    _ => maxs[i] = Some(v.clone()),
-                }
-            }
-        }
-        let columns = (0..ncols)
-            .map(|i| ColumnStats {
-                ndv: distinct[i].len() as u64,
-                null_count: nulls[i],
-                min: mins[i].take(),
-                max: maxs[i].take(),
             })
             .collect();
         TableStats {
-            row_count: rows.len() as u64,
+            row_count: len as u64,
             columns,
         }
     }
@@ -72,25 +69,15 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::ColumnDef;
     use orthopt_common::DataType;
 
     #[test]
     fn compute_counts_ndv_nulls_min_max() {
-        let def = TableDef::new(
-            "t",
-            vec![
-                ColumnDef::new("a", DataType::Int),
-                ColumnDef::nullable("b", DataType::Int),
-            ],
-            vec![],
-        );
-        let rows = vec![
-            vec![Value::Int(3), Value::Null],
-            vec![Value::Int(1), Value::Int(10)],
-            vec![Value::Int(3), Value::Int(20)],
+        let columns = [
+            Column::from_values(vec![Value::Int(3), Value::Int(1), Value::Int(3)]),
+            Column::from_values(vec![Value::Null, Value::Int(10), Value::Int(20)]),
         ];
-        let s = TableStats::compute(&def, &rows);
+        let s = TableStats::compute(&columns, 3);
         assert_eq!(s.row_count, 3);
         assert_eq!(s.columns[0].ndv, 2);
         assert_eq!(s.columns[0].min, Some(Value::Int(1)));
@@ -101,8 +88,7 @@ mod tests {
 
     #[test]
     fn empty_table_stats() {
-        let def = TableDef::new("t", vec![ColumnDef::new("a", DataType::Int)], vec![]);
-        let s = TableStats::compute(&def, &[]);
+        let s = TableStats::compute(&[Column::new(DataType::Int)], 0);
         assert_eq!(s.row_count, 0);
         assert_eq!(s.columns[0].ndv, 0);
         assert!(s.columns[0].min.is_none());

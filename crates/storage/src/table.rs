@@ -1,8 +1,13 @@
-//! Table definitions and row storage.
+//! Table definitions and column storage.
+//!
+//! A table *is* its columns: `insert` appends each value to its
+//! [`Column`], scans and index fetches slice or gather
+//! [`Table::columns`], and indexes and statistics are computed from the
+//! same lanes.
 
 use std::sync::OnceLock;
 
-use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
+use orthopt_common::column::{columns_to_rows, Column};
 use orthopt_common::{DataType, Error, Result, Row, Value};
 
 use crate::index::Index;
@@ -69,17 +74,18 @@ impl TableDef {
     }
 }
 
-/// A heap of rows plus secondary hash indexes and gathered statistics.
+/// One [`Column`] per schema column — the table's only stored form —
+/// plus secondary hash indexes and gathered statistics.
 #[derive(Debug)]
 pub struct Table {
     /// Schema and key declarations.
     pub def: TableDef,
-    rows: Vec<Row>,
+    columns: Vec<Column>,
+    len: usize,
     indexes: Vec<Index>,
     stats: Option<TableStats>,
-    /// Columnar mirror of `rows`, built lazily on first columnar scan
-    /// and invalidated by mutation. Scans slice these columns zero-copy.
-    columnar: OnceLock<Vec<Column>>,
+    /// Backs [`Table::rows`]; nothing the engine runs fills it.
+    row_view: OnceLock<Vec<Row>>,
 }
 
 impl Table {
@@ -95,17 +101,28 @@ impl Table {
             }
         }
         Ok(Table {
+            columns: def.columns.iter().map(|c| Column::new(c.ty)).collect(),
             def,
-            rows: Vec::new(),
+            len: 0,
             indexes: Vec::new(),
             stats: None,
-            columnar: OnceLock::new(),
+            row_view: OnceLock::new(),
         })
     }
 
-    /// Appends a row after checking arity and types. Hash indexes are
-    /// maintained incrementally; statistics are invalidated (recompute
-    /// via [`Table::analyze`] after bulk loads).
+    /// Room for `additional` more rows in every column, for a loader
+    /// that knows how many it is about to insert.
+    pub fn reserve(&mut self, additional: usize) {
+        for c in &mut self.columns {
+            c.reserve(additional);
+        }
+    }
+
+    /// Appends a row after checking arity and types: each value goes
+    /// onto the end of its column ([`Column::push`], copy-on-write — a
+    /// window of [`Table::columns`] taken earlier keeps what it had).
+    /// Hash indexes are maintained incrementally; statistics are
+    /// invalidated (recompute via [`Table::analyze`] after bulk loads).
     pub fn insert(&mut self, row: Row) -> Result<()> {
         if row.len() != self.def.columns.len() {
             return Err(Error::Exec(format!(
@@ -132,13 +149,15 @@ impl Table {
                 _ => {}
             }
         }
-        let pos = self.rows.len();
-        for ix in &mut self.indexes {
-            ix.insert_row(pos, &row);
+        for (column, v) in self.columns.iter_mut().zip(row) {
+            column.push(v);
         }
-        self.rows.push(row);
+        for ix in &mut self.indexes {
+            ix.insert_row(self.len, &self.columns);
+        }
+        self.len += 1;
         self.stats = None;
-        self.columnar = OnceLock::new();
+        self.row_view.take();
         Ok(())
     }
 
@@ -150,71 +169,25 @@ impl Table {
         Ok(())
     }
 
-    /// All rows, in insertion order.
+    /// All rows, in insertion order — a view for checks and tests,
+    /// materialised from the columns on first call and again after an
+    /// insert. The engine never calls it (CI greps for that); it goes
+    /// when the benchmark's hand-written oracle reads
+    /// [`Table::columns`] instead (ROADMAP item 2a).
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        self.row_view
+            .get_or_init(|| columns_to_rows(&self.columns, self.len))
     }
 
     /// Number of stored rows.
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
-    /// Columnar mirror of the table, one [`Column`] per schema column,
-    /// in insertion order. Built on first call after a mutation (O(n)
-    /// typed transpose — insert validation already guarantees each
-    /// value matches the declared type or is NULL), then served from
-    /// cache; scans slice the cached columns zero-copy.
+    /// The stored columns, one per schema column, lanes in insertion
+    /// order. Scans slice them zero-copy.
     pub fn columns(&self) -> &[Column] {
-        self.columnar.get_or_init(|| {
-            self.def
-                .columns
-                .iter()
-                .enumerate()
-                .map(|(j, c)| {
-                    let validity = Bitmap::from_flags(self.rows.iter().map(|r| !r[j].is_null()));
-                    let data = match c.ty {
-                        DataType::Int => ColData::Int(
-                            self.rows
-                                .iter()
-                                .map(|r| if let Value::Int(i) = r[j] { i } else { 0 })
-                                .collect(),
-                        ),
-                        DataType::Float => ColData::Float(
-                            self.rows
-                                .iter()
-                                .map(|r| if let Value::Float(f) = r[j] { f } else { 0.0 })
-                                .collect(),
-                        ),
-                        DataType::Bool => ColData::Bool(
-                            self.rows
-                                .iter()
-                                .map(|r| matches!(r[j], Value::Bool(true)))
-                                .collect(),
-                        ),
-                        DataType::Str => ColData::Str(
-                            self.rows
-                                .iter()
-                                .map(|r| {
-                                    if let Value::Str(s) = &r[j] {
-                                        s.clone()
-                                    } else {
-                                        std::sync::Arc::from("")
-                                    }
-                                })
-                                .collect(),
-                        ),
-                        DataType::Date => ColData::Date(
-                            self.rows
-                                .iter()
-                                .map(|r| if let Value::Date(d) = r[j] { d } else { 0 })
-                                .collect(),
-                        ),
-                    };
-                    Column::from_data(ColumnData { data, validity })
-                })
-                .collect()
-        })
+        &self.columns
     }
 
     /// Builds (or rebuilds) a hash index over the given column positions.
@@ -222,26 +195,22 @@ impl Table {
         if cols.iter().any(|&i| i >= self.def.columns.len()) {
             return Err(Error::internal("index column out of range"));
         }
-        // Replace an existing index on the same columns.
-        self.indexes.retain(|ix| ix.cols != cols);
-        let index = Index::build(cols, &self.rows);
-        self.indexes.push(index);
+        // Replace an existing index on the same column set.
+        self.drop_index(&cols);
+        self.indexes
+            .push(Index::build(cols, &self.columns, self.len));
         Ok(())
     }
 
     /// Drops the index on exactly these column positions, if present
     /// (used by experiments that isolate set-oriented strategies).
     pub fn drop_index(&mut self, cols: &[usize]) {
-        self.indexes.retain(|ix| {
-            !(ix.cols.len() == cols.len() && cols.iter().all(|c| ix.cols.contains(c)))
-        });
+        self.indexes.retain(|ix| !ix.is_on(cols));
     }
 
     /// Finds an index whose columns are exactly `cols` (order-insensitive).
     pub fn index_on(&self, cols: &[usize]) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .find(|ix| ix.cols.len() == cols.len() && cols.iter().all(|c| ix.cols.contains(c)))
+        self.indexes.iter().find(|ix| ix.is_on(cols))
     }
 
     /// All indexes on this table.
@@ -269,7 +238,7 @@ impl Table {
 
     /// Computes statistics over the current contents.
     pub fn analyze(&mut self) {
-        self.stats = Some(TableStats::compute(&self.def, &self.rows));
+        self.stats = Some(TableStats::compute(&self.columns, self.len));
     }
 
     /// Gathered statistics, if [`Table::analyze`] has run since the last
@@ -371,6 +340,20 @@ mod tests {
         assert_eq!(t.select_index(&[1]), None);
     }
 
+    /// One index per column *set*, as `index_on` and `drop_index` see
+    /// it: a permuted redeclaration replaces.
+    #[test]
+    fn build_index_replaces_by_column_set() {
+        let mut t = Table::new(two_col_def()).unwrap();
+        t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
+        t.build_index(vec![0, 1]).unwrap();
+        t.build_index(vec![1, 0]).unwrap();
+        assert_eq!(t.indexes().len(), 1);
+        assert_eq!(t.indexes()[0].cols, [1, 0]);
+        t.drop_index(&[0, 1]);
+        assert!(t.indexes().is_empty());
+    }
+
     #[test]
     fn analyze_populates_stats() {
         let mut t = Table::new(two_col_def()).unwrap();
@@ -415,32 +398,121 @@ mod incremental_index_tests {
 }
 
 #[cfg(test)]
-mod columnar_mirror_tests {
+mod column_store_tests {
     use super::*;
 
-    #[test]
-    fn columns_mirror_rows_and_invalidate_on_insert() {
-        let def = TableDef::new(
-            "t",
-            vec![
-                ColumnDef::new("a", DataType::Int),
-                ColumnDef::nullable("b", DataType::Str),
-            ],
-            vec![vec![0]],
+    /// A key plus one nullable column of every `DataType`.
+    fn every_type() -> Table {
+        let mut columns = vec![ColumnDef::new("k", DataType::Int)];
+        columns.extend(
+            [
+                DataType::Int,
+                DataType::Float,
+                DataType::Bool,
+                DataType::Str,
+                DataType::Date,
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(i, ty)| ColumnDef::nullable(format!("c{i}"), ty)),
         );
-        let mut t = Table::new(def).unwrap();
-        t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
-        t.insert(vec![Value::Int(2), Value::Null]).unwrap();
-        {
-            let cols = t.columns();
-            assert_eq!(cols.len(), 2);
-            assert_eq!(cols[0].value(1), Value::Int(2));
-            assert_eq!(cols[1].value(0), Value::str("x"));
-            assert_eq!(cols[1].value(1), Value::Null);
+        Table::new(TableDef::new("t", columns, vec![vec![0]])).unwrap()
+    }
+
+    fn full(k: i64) -> Row {
+        vec![
+            Value::Int(k),
+            Value::Int(10 * k),
+            Value::Float(k as f64 + 0.5),
+            Value::Bool(k % 2 == 0),
+            Value::str(format!("s{k}")),
+            Value::Date(k as i32),
+        ]
+    }
+
+    fn nulls(k: i64) -> Row {
+        let mut row = vec![Value::Null; 6];
+        row[0] = Value::Int(k);
+        row
+    }
+
+    fn lanes(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    /// Copy-on-write: a window taken before an insert keeps its length
+    /// and values; a fresh `columns()` sees the new lane.
+    #[test]
+    fn outstanding_windows_survive_an_insert() {
+        let mut t = every_type();
+        t.insert_all([full(1), nulls(2)]).unwrap();
+        let held: Vec<Column> = t.columns().to_vec();
+        let tail: Vec<Column> = t.columns().iter().map(|c| c.slice(1, 1)).collect();
+        t.insert(full(3)).unwrap();
+        t.insert(nulls(4)).unwrap();
+        for j in 0..6 {
+            assert_eq!(lanes(&held[j]), [full(1)[j].clone(), nulls(2)[j].clone()]);
+            assert_eq!(lanes(&tail[j]), [nulls(2)[j].clone()]);
+            let want: Vec<Value> = [full(1), nulls(2), full(3), nulls(4)]
+                .iter()
+                .map(|r| r[j].clone())
+                .collect();
+            assert_eq!(lanes(&t.columns()[j]), want, "column {j}");
         }
-        t.insert(vec![Value::Int(3), Value::str("z")]).unwrap();
-        let cols = t.columns();
-        assert_eq!(cols[0].len(), 3);
-        assert_eq!(cols[1].value(2), Value::str("z"));
+        assert_eq!(t.row_count(), 4);
+    }
+
+    /// `columns()` is a field read: indexing and analysing between two
+    /// calls rebuilds nothing.
+    #[test]
+    fn columns_are_served_from_the_same_allocation() {
+        let mut t = every_type();
+        t.insert_all([full(1), nulls(2), full(3)]).unwrap();
+        let storage = |t: &Table| -> Vec<*const orthopt_common::ColData> {
+            t.columns()
+                .iter()
+                .map(|c| std::ptr::from_ref(c.parts().0))
+                .collect()
+        };
+        let (slice, payloads) = (t.columns().as_ptr(), storage(&t));
+        t.build_index(vec![1]).unwrap();
+        t.analyze();
+        assert_eq!(t.columns().as_ptr(), slice);
+        assert_eq!(storage(&t), payloads);
+    }
+
+    #[test]
+    fn rows_round_trip_and_follow_inserts() {
+        let mut t = every_type();
+        t.insert_all([full(1), nulls(2)]).unwrap();
+        assert_eq!(t.rows(), [full(1), nulls(2)]);
+        t.insert(full(3)).unwrap();
+        assert_eq!(t.rows(), [full(1), nulls(2), full(3)]);
+    }
+
+    /// `Index::build` over lanes and incremental `insert_row` are one
+    /// routine: same postings, NULL key parts unindexed either way.
+    #[test]
+    fn built_and_incremental_indexes_agree() {
+        let mut half = full(5);
+        half[4] = Value::Null;
+        let rows = [full(1), nulls(2), full(1), full(3), half, nulls(4)];
+        let mut built = every_type();
+        built.insert_all(rows.clone()).unwrap();
+        built.build_index(vec![1, 4]).unwrap();
+        let mut grown = every_type();
+        grown.build_index(vec![1, 4]).unwrap();
+        grown.insert_all(rows.clone()).unwrap();
+        let (a, b) = (
+            built.index_on(&[1, 4]).unwrap(),
+            grown.index_on(&[1, 4]).unwrap(),
+        );
+        assert_eq!(a.distinct_keys(), 2);
+        assert_eq!(b.distinct_keys(), 2);
+        for r in &rows {
+            let key = [r[1].clone(), r[4].clone()];
+            assert_eq!(a.lookup(&key), b.lookup(&key), "{key:?}");
+        }
+        assert_eq!(a.lookup(&[Value::Int(10), Value::str("s1")]), [0, 2]);
     }
 }

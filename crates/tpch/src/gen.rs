@@ -156,6 +156,7 @@ pub fn generate(config: TpchConfig) -> Result<Catalog> {
         ],
         vec![vec![0]],
     ))?;
+    catalog.table_mut(supplier).reserve(config.suppliers());
     for i in 0..config.suppliers() as i64 {
         catalog.table_mut(supplier).insert(vec![
             Value::Int(i),
@@ -185,6 +186,7 @@ pub fn generate(config: TpchConfig) -> Result<Catalog> {
     ))?;
     let n_parts = config.parts();
     let mut retail = Vec::with_capacity(n_parts);
+    catalog.table_mut(part).reserve(n_parts);
     for i in 0..n_parts as i64 {
         let price = 900.0 + (i % 1000) as f64 / 10.0 + rng.float_range(0.0, 100.0);
         retail.push(price);
@@ -212,6 +214,7 @@ pub fn generate(config: TpchConfig) -> Result<Catalog> {
         vec![vec![0, 1]],
     ))?;
     let n_supp = config.suppliers() as i64;
+    catalog.table_mut(partsupp).reserve(4 * n_parts);
     for p in 0..n_parts as i64 {
         for j in 0..4i64 {
             let supp = (p + j * (n_supp / 4).max(1)) % n_supp;
@@ -239,6 +242,7 @@ pub fn generate(config: TpchConfig) -> Result<Catalog> {
     ))?;
     let n_cust = config.customers();
     let segments = intern(&vocab::SEGMENTS);
+    catalog.table_mut(customer).reserve(n_cust);
     for i in 0..n_cust as i64 {
         catalog.table_mut(customer).insert(vec![
             Value::Int(i),
@@ -282,6 +286,10 @@ pub fn generate(config: TpchConfig) -> Result<Catalog> {
         vec![vec![0, 3]],
     ))?;
     let n_orders = config.orders();
+    catalog.table_mut(orders).reserve(n_orders);
+    // 1–7 lines an order: the bound, so no column reallocates mid-load
+    // (the untouched tail of a reservation is never resident).
+    catalog.table_mut(lineitem).reserve(7 * n_orders);
     let priorities = intern(&vocab::PRIORITIES);
     let flags = intern(&["r", "n", "o", "f"]);
     let (flag_r, flag_n, flag_o, flag_f) = (&flags[0], &flags[1], &flags[2], &flags[3]);
@@ -340,6 +348,22 @@ pub fn generate(config: TpchConfig) -> Result<Catalog> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthopt_common::{ColData, Column};
+
+    /// The typed lanes of a stored column.
+    fn ints(c: &Column) -> &[i64] {
+        match c.parts() {
+            (ColData::Int(v), _, 0) => v,
+            other => panic!("not a stored int column: {other:?}"),
+        }
+    }
+
+    fn floats(c: &Column) -> &[f64] {
+        match c.parts() {
+            (ColData::Float(v), _, 0) => v,
+            other => panic!("not a stored float column: {other:?}"),
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {
@@ -348,7 +372,7 @@ mod tests {
         for name in ["customer", "orders", "lineitem", "part", "partsupp"] {
             let ta = a.table_by_name(name).unwrap();
             let tb = b.table_by_name(name).unwrap();
-            assert_eq!(ta.rows(), tb.rows(), "{name}");
+            assert_eq!(ta.columns(), tb.columns(), "{name}");
         }
     }
 
@@ -365,8 +389,8 @@ mod tests {
         })
         .unwrap();
         assert_ne!(
-            a.table_by_name("orders").unwrap().rows(),
-            b.table_by_name("orders").unwrap().rows()
+            a.table_by_name("orders").unwrap().columns(),
+            b.table_by_name("orders").unwrap().columns()
         );
     }
 
@@ -387,36 +411,25 @@ mod tests {
     fn referential_integrity_holds() {
         let c = generate(TpchConfig::at_scale(0.002)).unwrap();
         let n_cust = c.table_by_name("customer").unwrap().row_count() as i64;
-        for row in c.table_by_name("orders").unwrap().rows() {
-            match &row[1] {
-                Value::Int(k) => assert!(*k >= 0 && *k < n_cust),
-                other => panic!("bad custkey {other:?}"),
-            }
-        }
+        let custkeys = ints(&c.table_by_name("orders").unwrap().columns()[1]);
+        assert_eq!(custkeys.len(), 3000);
+        assert!(custkeys.iter().all(|k| (0..n_cust).contains(k)));
         let n_parts = c.table_by_name("part").unwrap().row_count() as i64;
-        for row in c.table_by_name("lineitem").unwrap().rows() {
-            match &row[1] {
-                Value::Int(k) => assert!(*k >= 0 && *k < n_parts),
-                other => panic!("bad partkey {other:?}"),
-            }
-        }
+        let partkeys = ints(&c.table_by_name("lineitem").unwrap().columns()[1]);
+        assert!(partkeys.len() >= 3000);
+        assert!(partkeys.iter().all(|k| (0..n_parts).contains(k)));
     }
 
     #[test]
     fn totalprice_matches_lineitems() {
         let c = generate(TpchConfig::at_scale(0.002)).unwrap();
-        let lineitem = c.table_by_name("lineitem").unwrap();
+        let lineitem = c.table_by_name("lineitem").unwrap().columns();
         let mut sums: std::collections::HashMap<i64, f64> = std::collections::HashMap::new();
-        for row in lineitem.rows() {
-            let (Value::Int(ok), Value::Float(ep)) = (&row[0], &row[5]) else {
-                panic!()
-            };
+        for (ok, ep) in ints(&lineitem[0]).iter().zip(floats(&lineitem[5])) {
             *sums.entry(*ok).or_default() += ep;
         }
-        for row in c.table_by_name("orders").unwrap().rows() {
-            let (Value::Int(ok), Value::Float(total)) = (&row[0], &row[3]) else {
-                panic!()
-            };
+        let orders = c.table_by_name("orders").unwrap().columns();
+        for (ok, total) in ints(&orders[0]).iter().zip(floats(&orders[3])) {
             let expect = sums.get(ok).copied().unwrap_or(0.0);
             assert!((expect - total).abs() < 0.5, "order {ok}");
         }
@@ -436,16 +449,48 @@ mod tests {
         }
     }
 
+    /// The statistics at SF 0.01, pinned: every corpus `best_cost`
+    /// depends on them, so a change to how they are computed must
+    /// reproduce these numbers.
+    #[test]
+    fn stats_over_lanes_are_pinned() {
+        let c = generate(TpchConfig::at_scale(0.01)).unwrap();
+        let pin = |table: &str, j: usize, rows, ndv, min, max| {
+            let stats = c.table_by_name(table).unwrap().stats().unwrap();
+            let col = &stats.columns[j];
+            assert_eq!(stats.row_count, rows, "{table}");
+            assert_eq!(
+                (col.ndv, col.null_count, &col.min, &col.max),
+                (ndv, 0, &Some(min), &Some(max)),
+                "{table}.{j}"
+            );
+        };
+        let (float, date) = (Value::Float, Value::Date);
+        pin("supplier", 3, 100, 100, float(-868.48), float(9993.62));
+        pin(
+            "part",
+            2,
+            2000,
+            25,
+            Value::str("brand#11"),
+            Value::str("brand#55"),
+        );
+        pin("orders", 3, 15000, 14969, float(925.75), float(292806.12));
+        pin("orders", 4, 15000, 2401, date(8035), date(10440));
+        pin("lineitem", 1, 60185, 2000, Value::Int(0), Value::Int(1999));
+        pin("lineitem", 5, 60185, 45128, float(904.2), float(54603.03));
+        pin("lineitem", 7, 60185, 2, Value::str("n"), Value::str("r"));
+        pin("lineitem", 9, 60185, 2513, date(8037), date(10557));
+    }
+
     #[test]
     fn categorical_distributions_look_right() {
         let c = generate(TpchConfig::at_scale(0.002)).unwrap();
-        let part = c.table_by_name("part").unwrap();
-        let mut brands = std::collections::HashSet::new();
-        for row in part.rows() {
-            if let Value::Str(b) = &row[2] {
-                brands.insert(b.clone());
-            }
-        }
+        let (ColData::Str(brands), ..) = c.table_by_name("part").unwrap().columns()[2].parts()
+        else {
+            panic!("p_brand is stored as strings")
+        };
+        let brands: std::collections::HashSet<_> = brands.iter().collect();
         assert!(
             brands.len() > 15,
             "expected most of 25 brands, got {}",

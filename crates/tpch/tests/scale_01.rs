@@ -3,7 +3,7 @@
 //! this scale must generate correctly — proportioned row counts, intact
 //! foreign keys, and statistics ready for the cost model.
 
-use orthopt_common::Value;
+use orthopt_common::ColData;
 use orthopt_tpch::{generate, TpchConfig};
 
 #[test]
@@ -26,31 +26,27 @@ fn scale_01_generates_proportioned_and_consistent() {
     // Foreign keys stay in range at the bigger scale (the generators
     // derive keys modulo the parent cardinality — an off-by-one there
     // would only show up once the parents outgrow the small scales).
+    let ints = |t: &str, j: usize| match c.table_by_name(t).unwrap().columns()[j].parts() {
+        (ColData::Int(v), validity, 0) if validity.all_valid() => v,
+        other => panic!("{t}.{j} is not a stored NULL-free int column: {other:?}"),
+    };
     let n_cust = count("customer") as i64;
-    for row in c.table_by_name("orders").unwrap().rows() {
-        match &row[1] {
-            Value::Int(k) => assert!(*k >= 0 && *k < n_cust, "o_custkey {k}"),
-            other => panic!("o_custkey not an int: {other:?}"),
-        }
-    }
-    let n_part = count("part") as i64;
-    let n_supp = count("supplier") as i64;
-    for row in c
-        .table_by_name("lineitem")
-        .unwrap()
-        .rows()
-        .iter()
-        .step_by(97)
-    {
-        match &row[1] {
-            Value::Int(k) => assert!(*k >= 0 && *k < n_part, "l_partkey {k}"),
-            other => panic!("l_partkey not an int: {other:?}"),
-        }
-        match &row[2] {
-            Value::Int(k) => assert!(*k >= 0 && *k < n_supp, "l_suppkey {k}"),
-            other => panic!("l_suppkey not an int: {other:?}"),
-        }
-    }
+    let custkeys = ints("orders", 1);
+    assert_eq!(custkeys.len(), 150_000);
+    assert!(
+        custkeys.iter().all(|k| (0..n_cust).contains(k)),
+        "o_custkey"
+    );
+    let (n_part, n_supp) = (count("part") as i64, count("supplier") as i64);
+    assert_eq!(ints("lineitem", 1).len(), lineitems);
+    assert!(
+        ints("lineitem", 1).iter().all(|k| (0..n_part).contains(k)),
+        "l_partkey"
+    );
+    assert!(
+        ints("lineitem", 2).iter().all(|k| (0..n_supp).contains(k)),
+        "l_suppkey"
+    );
 
     // The cost model needs stats on every table.
     for (_, t) in c.iter() {
