@@ -178,6 +178,36 @@ pub struct Plan {
     pub search: SearchStats,
 }
 
+impl Plan {
+    /// Statically verifies the plan: the normalized logical tree is
+    /// checked in closed mode (schema/arity propagation, correlation
+    /// scoping, GroupBy soundness) and the physical tree for legality
+    /// (Exchange shape grammar, operator wiring). Returns a one-line
+    /// summary on success; violations come back as
+    /// [`Error::Plancheck`](orthopt_common::Error::Plancheck) with the
+    /// full report. The plan cache runs this on every plan it admits.
+    pub fn check(&self) -> Result<String> {
+        let mut violations = orthopt_plancheck::check_closed(&self.logical);
+        violations.extend(orthopt_plancheck::check_physical(&self.physical));
+        if violations.is_empty() {
+            let mut logical_nodes = 0usize;
+            self.logical.walk(&mut |_| logical_nodes += 1);
+            return Ok(format!(
+                "plancheck: ok ({logical_nodes} logical nodes, {} physical nodes verified)",
+                self.physical.node_count()
+            ));
+        }
+        Err(orthopt_plancheck::BlameReport {
+            rule: "Plan::check".to_owned(),
+            identity: None,
+            violations,
+            before: orthopt_ir::explain::explain(&self.logical),
+            after: orthopt_exec::explain_phys::explain_phys(&self.physical),
+        }
+        .into_error())
+    }
+}
+
 /// Query results with presentation metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -488,32 +518,9 @@ impl Database {
         })
     }
 
-    /// Statically verifies a compiled plan: the normalized logical tree
-    /// is checked in closed mode (schema/arity propagation, correlation
-    /// scoping, GroupBy soundness) and the physical tree for legality
-    /// (Exchange shape grammar, operator wiring). Returns a one-line
-    /// summary on success; violations come back as
-    /// [`Error::Plancheck`](orthopt_common::Error::Plancheck) with the
-    /// full report.
+    /// Statically verifies a compiled plan: [`Plan::check`].
     pub fn check_plan(&self, plan: &Plan) -> Result<String> {
-        let mut violations = orthopt_plancheck::check_closed(&plan.logical);
-        violations.extend(orthopt_plancheck::check_physical(&plan.physical));
-        if violations.is_empty() {
-            let mut logical_nodes = 0usize;
-            plan.logical.walk(&mut |_| logical_nodes += 1);
-            return Ok(format!(
-                "plancheck: ok ({logical_nodes} logical nodes, {} physical nodes verified)",
-                plan.physical.node_count()
-            ));
-        }
-        Err(orthopt_plancheck::BlameReport {
-            rule: "Database::check_plan".to_owned(),
-            identity: None,
-            violations,
-            before: orthopt_ir::explain::explain(&plan.logical),
-            after: orthopt_exec::explain_phys::explain_phys(&plan.physical),
-        }
-        .into_error())
+        plan.check()
     }
 
     /// EXPLAIN ANALYZE: compiles the query, runs it through the

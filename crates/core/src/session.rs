@@ -19,9 +19,11 @@
 //! Plan cache: keyed by whitespace-normalized SQL text plus the
 //! settings that shape the plan (optimizer level, parallelism, apply
 //! strategy). Entries are invalidated by the engine's table-stats version
-//! ([`Engine::bump_stats_version`]), and every cache hit is re-verified
-//! by plancheck before reuse — a stale or corrupted plan is recompiled,
-//! never executed.
+//! ([`Engine::bump_stats_version`]) and verified by plancheck once,
+//! before they are inserted: a plan that fails is an error, never
+//! cached. An entry is an immutable `Arc<Plan>`, so a hit is a map
+//! lookup; builds with plancheck enabled (debug, `ORTHOPT_PLANCHECK=1`)
+//! check the plan again on every hit, after the cache lock is dropped.
 
 use orthopt_synccheck::sync::atomic::{AtomicU64, Ordering};
 use orthopt_synccheck::sync::Mutex;
@@ -218,21 +220,12 @@ fn normalize_sql(sql: &str) -> String {
     sql.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// Statically re-verifies a plan (plancheck closed + physical modes);
-/// used on every cache hit so a stale entry can never execute.
-fn verify_plan(plan: &Plan) -> bool {
-    let mut violations = orthopt_plancheck::check_closed(&plan.logical);
-    violations.extend(orthopt_plancheck::check_physical(&plan.physical));
-    violations.is_empty()
-}
-
 /// Cache-effectiveness counters, via [`Engine::cache_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Plans served from cache (after plancheck re-verification).
+    /// Plans served from cache (verified when they were inserted).
     pub hits: u64,
-    /// Plans compiled fresh (cold, invalidated, or verification
-    /// failures).
+    /// Plans compiled fresh (cold or invalidated).
     pub misses: u64,
 }
 
@@ -351,9 +344,10 @@ impl Engine {
         }
     }
 
-    /// Looks up (or compiles and caches) a plan for `sql` under the
-    /// given settings. Cache hits are accepted only if compiled at the
-    /// current stats version *and* still plancheck-clean.
+    /// Looks up (or compiles, verifies and caches) a plan for `sql`
+    /// under the given settings. A hit must have been compiled at the
+    /// current stats version; it was plancheck-clean when inserted and
+    /// has been immutable since.
     fn cached_plan(&self, sql: &str, settings: &SessionSettings) -> Result<Arc<Plan>> {
         let key = CacheKey {
             sql: normalize_sql(sql),
@@ -362,19 +356,29 @@ impl Engine {
             apply_strategy: settings.apply_strategy,
         };
         let version = self.stats_version();
-        {
+        let hit = {
             let mut cache = self.cache.lock();
-            if let Some(entry) = cache.map.get(&key) {
-                if entry.stats_version == version && verify_plan(&entry.plan) {
-                    let plan = Arc::clone(&entry.plan);
-                    cache.touch(&key);
-                    // relaxed-ok: monitoring counter.
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(plan);
+            let hit = match cache.map.get(&key) {
+                Some(entry) if entry.stats_version == version => Some(Arc::clone(&entry.plan)),
+                // Stale version: recompile.
+                Some(_) => {
+                    cache.remove(&key);
+                    None
                 }
-                // Stale version or failed re-verification: recompile.
-                cache.remove(&key);
+                None => None,
+            };
+            if hit.is_some() {
+                cache.touch(&key);
             }
+            hit
+        };
+        if let Some(plan) = hit {
+            if orthopt_plancheck::enabled() {
+                plan.check()?;
+            }
+            // relaxed-ok: monitoring counter.
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(plan);
         }
         // relaxed-ok: monitoring counter.
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -385,6 +389,7 @@ impl Engine {
             settings.parallelism,
             settings.apply_strategy,
         )?);
+        plan.check()?;
         self.cache.lock().insert(
             key,
             CacheEntry {

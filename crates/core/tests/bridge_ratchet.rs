@@ -1,9 +1,8 @@
 //! Bridge ratchet: how many batches each plan transposes to rows
 //! (`OpStats::bridged`, summed over the plan), pinned per query so the
-//! count can only go down. The three operators that still loop over
-//! rows privately (NLJoin, Except, SegmentExec's partitioner) are all
-//! that is left; porting one lowers a ceiling here in the same change,
-//! and a ceiling never goes up.
+//! count can only go down. Two operators still loop over rows
+//! privately (Except, SegmentExec's partitioner) and no plan here runs
+//! either, so every ceiling is 0; a ceiling never goes up.
 
 use orthopt::common::QueryContext;
 use orthopt::exec::{spill, Bindings, Pipeline, PipelineOptions};
@@ -57,15 +56,13 @@ fn cases() -> Vec<Case> {
             parallelism: 2,
             ..case("agg_par2", AGG_LOWCARD_SQL, 0)
         },
-        // What is left is NLJoin's private row loop: the Q22-like
-        // query's one NestedLoopInner pulls a build batch and a probe
-        // batch. (Q2 had two until its plan stopped using cross products
-        // the join graph does not require.)
+        // The Q22-like query's one NestedLoopInner is the keyless hash
+        // join: its predicate is a kernel over the candidate pairs.
         case("q2", &queries::q2_default(), 0),
         case("q4", &queries::q4_default(), 0),
         case("q17", &queries::q17_default(), 0),
         case("q17brand", &queries::q17_brand_only("brand#23"), 0),
-        case("q22ish", &queries::q22ish(), 2),
+        case("q22ish", &queries::q22ish(), 0),
         case("paper_q1", &queries::paper_q1(1_000_000.0), 0),
     ]
 }

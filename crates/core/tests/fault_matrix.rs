@@ -31,9 +31,8 @@ fn registry_lock() -> MutexGuard<'static, ()> {
 /// Every failpoint site compiled into the executor: buffer-growth sites,
 /// the spill subsystem's I/O boundaries, plus a sample of operator batch
 /// boundaries.
-const SITES: [&str; 19] = [
+const SITES: [&str; 18] = [
     "hashjoin.build",
-    "nljoin.build",
     "hashagg.state",
     "sort.buffer",
     "limit.buffer",

@@ -1,0 +1,131 @@
+//! `PhysExpr::children` / `children_mut` are the only two functions that
+//! enumerate a plan node's inputs; everything else that walks a plan
+//! (node counting, EXPLAIN, plancheck, exchange placement) goes through
+//! them. Checked over every corpus plan at every optimizer level, with
+//! a handful of exchange placements pinned to the text the hand-written
+//! per-variant walkers used to produce.
+
+use orthopt::exec::{explain_phys, phys_node_labels, place_exchanges, wrap_exchange, PhysExpr};
+use orthopt::{ApplyStrategy, Database, OptimizerLevel};
+use orthopt_tpch::queries;
+
+/// Serial, cost-raced apply strategies, whatever the environment says:
+/// the pinned plans are the ones those settings choose.
+fn db() -> Database {
+    let mut db = Database::tpch(0.002).unwrap();
+    db.analyze();
+    db.set_parallelism(1);
+    db.set_apply_strategy(ApplyStrategy::Auto);
+    db
+}
+
+fn corpus() -> Vec<(&'static str, String)> {
+    let mut corpus = queries::power_run();
+    corpus.push(("q22ish", queries::q22ish()));
+    corpus.push(("q17brand", queries::q17_brand_only("brand#23")));
+    corpus
+}
+
+/// Both walkers list the same subtrees in the same order, at every node.
+fn walkers_agree(p: &PhysExpr) {
+    let mut copy = p.clone();
+    let shared = p.children();
+    let unique = copy.children_mut();
+    assert_eq!(shared.len(), unique.len(), "{p:?}");
+    for (a, b) in shared.iter().zip(&unique) {
+        assert_eq!(*a, &**b);
+    }
+    shared.into_iter().for_each(walkers_agree);
+}
+
+#[test]
+fn one_walker_serves_every_corpus_plan() {
+    let mut db = db();
+    for (name, sql) in corpus() {
+        for level in OptimizerLevel::ALL {
+            for parallelism in [1, 4] {
+                db.set_parallelism(parallelism);
+                let plan = db.plan(&sql, level).unwrap().physical;
+                for p in [plan.clone(), place_exchanges(&plan)] {
+                    walkers_agree(&p);
+                    assert_eq!(
+                        p.node_count(),
+                        phys_node_labels(&p).len(),
+                        "{name} {level:?} x{parallelism}"
+                    );
+                    assert_eq!(p.node_count(), explain_phys(&p).lines().count());
+                }
+            }
+        }
+    }
+}
+
+/// The keyless join prints as the nested-loops join it is and is not a
+/// shape the exchange splits: its inputs get their own exchanges and
+/// the join itself runs serially, at any parallelism.
+#[test]
+fn forced_exchanges_leave_the_keyless_join_serial() {
+    let db = db();
+    let plan = db.plan(&queries::q22ish(), OptimizerLevel::Full).unwrap();
+    assert_eq!(
+        explain_phys(&place_exchanges(&plan.physical)),
+        "\
+Sort [c2]
+  HashAggregate(Vector) [c2] [c18:=count(*), c19:=sum(c3)]
+    IndexLookupJoinAnti t6 on [1] probe (c0) (bind: c0) residual (c14 > 200000)
+      NestedLoopInner (c3 > c10)
+        Exchange
+          TableScan t5 [3 cols]
+        Project [c10]
+          Compute [c10:=CASE WHEN (c21 = 0) THEN NULL ELSE (c20 / c21) END]
+            Exchange
+              HashAggregate(Scalar) [] [c20:=sum(c8), c21:=count(c8)]
+                Filter (c8 > 0)
+                  TableScan t5 [2 cols]
+"
+    );
+    assert_eq!(wrap_exchange(&plan.physical), None);
+}
+
+/// A maximal eligible subtree gets one exchange, build side included;
+/// re-wrapping a plan the optimizer already exchanged strips the
+/// exchange on the driving path and keeps the build side's.
+#[test]
+fn exchange_placement_matches_the_pinned_plans() {
+    let mut db = db();
+    let sql = queries::paper_q1(1_000_000.0);
+    let serial = db.plan(&sql, OptimizerLevel::Full).unwrap().physical;
+    let placed = "\
+Exchange
+  Project [c0]
+    HashInner on c0=c6
+      TableScan t5 [1 cols]
+      Filter (1000000 < c11)
+        HashAggregate(Vector) [c6] [c11:=sum(c8)]
+          TableScan t6 [3 cols]
+";
+    assert_eq!(explain_phys(&place_exchanges(&serial)), placed);
+    assert_eq!(explain_phys(&wrap_exchange(&serial).unwrap()), placed);
+
+    db.set_parallelism(4);
+    let parallel = db.plan(&sql, OptimizerLevel::GroupByReorder).unwrap();
+    let exchanged = "\
+Exchange
+  Project [c0]
+    Filter (1000000 < c11)
+      HashInner on c0=c6
+        TableScan t5 [1 cols]
+        Exchange
+          HashAggregate(Vector) [c6] [c11:=sum(c8)]
+            TableScan t6 [3 cols]
+";
+    assert_eq!(explain_phys(&parallel.physical), exchanged);
+    // Already-placed exchanges are left alone...
+    assert_eq!(
+        explain_phys(&place_exchanges(&parallel.physical)),
+        exchanged
+    );
+    // ...and a re-wrap subsumes the root's while the build keeps its own.
+    let rewrapped = wrap_exchange(&parallel.physical).unwrap();
+    assert_eq!(explain_phys(&rewrapped), exchanged);
+}

@@ -45,7 +45,7 @@ pub fn explain_phys_analyze(plan: &PhysExpr, stats: &[OpStats], cached: &[usize]
 pub fn phys_node_labels(plan: &PhysExpr) -> Vec<(usize, String)> {
     fn walk(plan: &PhysExpr, depth: usize, out: &mut Vec<(usize, String)>) {
         out.push((depth, label(plan)));
-        for child in children(plan) {
+        for child in plan.children() {
             walk(child, depth + 1, out);
         }
     }
@@ -78,37 +78,9 @@ impl Walker<'_> {
             }
         }
         out.push('\n');
-        for child in children(plan) {
+        for child in plan.children() {
             self.fmt(child, depth + 1, out);
         }
-    }
-}
-
-/// Child subtrees in execution-id order (left/input before right/inner).
-fn children(plan: &PhysExpr) -> Vec<&PhysExpr> {
-    match plan {
-        PhysExpr::Filter { input, .. }
-        | PhysExpr::Compute { input, .. }
-        | PhysExpr::ProjectCols { input, .. }
-        | PhysExpr::HashAggregate { input, .. }
-        | PhysExpr::AssertMax1 { input }
-        | PhysExpr::RowNumber { input, .. }
-        | PhysExpr::Sort { input, .. }
-        | PhysExpr::Limit { input, .. }
-        | PhysExpr::Exchange { input } => vec![input],
-        PhysExpr::HashJoin { left, right, .. }
-        | PhysExpr::NLJoin { left, right, .. }
-        | PhysExpr::ApplyLoop { left, right, .. }
-        | PhysExpr::BatchedApply { left, right, .. }
-        | PhysExpr::Concat { left, right, .. }
-        | PhysExpr::ExceptExec { left, right, .. } => vec![left, right],
-        PhysExpr::IndexLookupJoin { left, .. } => vec![left],
-        PhysExpr::SegmentExec { input, inner, .. } => vec![input, inner],
-        PhysExpr::TableScan { .. }
-        | PhysExpr::IndexSeek { .. }
-        | PhysExpr::SegmentScan { .. }
-        | PhysExpr::ConstScan { .. }
-        | PhysExpr::MorselScan { .. } => vec![],
     }
 }
 
@@ -139,6 +111,13 @@ fn label(plan: &PhysExpr) -> String {
             let cs: Vec<String> = cols.iter().map(ToString::to_string).collect();
             format!("Project [{}]", cs.join(", "))
         }
+        // A join with no keys is the nested-loops join, and prints as one.
+        PhysExpr::HashJoin {
+            kind,
+            left_keys,
+            residual,
+            ..
+        } if left_keys.is_empty() => format!("NestedLoop{kind:?} {residual}"),
         PhysExpr::HashJoin {
             kind,
             left_keys,
@@ -158,9 +137,6 @@ fn label(plan: &PhysExpr) -> String {
             };
             format!("Hash{kind:?} on {}{res}", keys.join(" AND "))
         }
-        PhysExpr::NLJoin {
-            kind, predicate, ..
-        } => format!("NestedLoop{kind:?} {predicate}"),
         PhysExpr::ApplyLoop { kind, params, .. } => {
             let ps: Vec<String> = params.iter().map(ToString::to_string).collect();
             format!("ApplyLoop{kind:?} (bind: {})", ps.join(", "))

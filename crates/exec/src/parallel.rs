@@ -6,7 +6,7 @@
 //! implemented, chosen by the shape of the wrapped subtree:
 //!
 //! * **Pipelined scan** — a chain of row-at-a-time operators over a
-//!   `TableScan` (optionally through one hash join) is cloned per
+//!   `TableScan` (optionally through one keyed hash join) is cloned per
 //!   worker with the scan replaced by a
 //!   [`MorselScan`](PhysExpr::MorselScan) over statically-assigned row
 //!   ranges; a join's build side is computed once and broadcast to the
@@ -84,15 +84,18 @@ fn chain(p: &PhysExpr) -> bool {
     }
 }
 
-/// A chain, or wrappers over a single hash join whose probe side is a
-/// chain (the build side is arbitrary: it runs once, serially).
+/// A chain, or wrappers over a single keyed hash join whose probe side
+/// is a chain (the build side is arbitrary: it runs once, serially). A
+/// keyless join — the nested-loops join — is left to run serially.
 fn splittable(p: &PhysExpr) -> bool {
     match p {
         PhysExpr::TableScan { .. } => true,
         PhysExpr::Filter { input, .. }
         | PhysExpr::Compute { input, .. }
         | PhysExpr::ProjectCols { input, .. } => splittable(input),
-        PhysExpr::HashJoin { left, .. } => chain(left),
+        PhysExpr::HashJoin {
+            left, left_keys, ..
+        } => !left_keys.is_empty() && chain(left),
         _ => false,
     }
 }
@@ -111,48 +114,17 @@ pub fn exchange_eligible(p: &PhysExpr) -> bool {
 /// wrap can subsume exchanges a bottom-up planner already placed on
 /// children. Build sides keep theirs — they execute serially under the
 /// parent exchange, where a nested exchange degrades to a no-op.
-fn strip_driving_exchanges(p: &PhysExpr) -> PhysExpr {
+fn strip_driving_exchanges(p: &mut PhysExpr) {
+    while let PhysExpr::Exchange { input } = p {
+        *p = (**input).clone();
+    }
     match p {
-        PhysExpr::Exchange { input } => strip_driving_exchanges(input),
-        PhysExpr::Filter { input, predicate } => PhysExpr::Filter {
-            input: Box::new(strip_driving_exchanges(input)),
-            predicate: predicate.clone(),
-        },
-        PhysExpr::Compute { input, defs } => PhysExpr::Compute {
-            input: Box::new(strip_driving_exchanges(input)),
-            defs: defs.clone(),
-        },
-        PhysExpr::ProjectCols { input, cols } => PhysExpr::ProjectCols {
-            input: Box::new(strip_driving_exchanges(input)),
-            cols: cols.clone(),
-        },
-        PhysExpr::HashAggregate {
-            kind,
-            input,
-            group_cols,
-            aggs,
-        } => PhysExpr::HashAggregate {
-            kind: *kind,
-            input: Box::new(strip_driving_exchanges(input)),
-            group_cols: group_cols.clone(),
-            aggs: aggs.clone(),
-        },
-        PhysExpr::HashJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => PhysExpr::HashJoin {
-            kind: *kind,
-            left: Box::new(strip_driving_exchanges(left)),
-            right: right.clone(),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            residual: residual.clone(),
-        },
-        other => other.clone(),
+        PhysExpr::Filter { input, .. }
+        | PhysExpr::Compute { input, .. }
+        | PhysExpr::ProjectCols { input, .. }
+        | PhysExpr::HashAggregate { input, .. }
+        | PhysExpr::HashJoin { left: input, .. } => strip_driving_exchanges(input),
+        _ => {}
     }
 }
 
@@ -162,14 +134,11 @@ fn strip_driving_exchanges(p: &PhysExpr) -> PhysExpr {
 /// them). Used by the optimizer when the cost model decides
 /// parallelism pays.
 pub fn wrap_exchange(p: &PhysExpr) -> Option<PhysExpr> {
-    let inner = strip_driving_exchanges(p);
-    if exchange_eligible(&inner) {
-        Some(PhysExpr::Exchange {
-            input: Box::new(inner),
-        })
-    } else {
-        None
-    }
+    let mut inner = p.clone();
+    strip_driving_exchanges(&mut inner);
+    exchange_eligible(&inner).then(|| PhysExpr::Exchange {
+        input: Box::new(inner),
+    })
 }
 
 /// Structurally wraps every maximal eligible subtree in an `Exchange`,
@@ -177,163 +146,19 @@ pub fn wrap_exchange(p: &PhysExpr) -> Option<PhysExpr> {
 /// parallel runtime on tables far too small for the cost model to pick
 /// exchanges on its own.
 pub fn place_exchanges(p: &PhysExpr) -> PhysExpr {
-    if exchange_eligible(p) {
-        return PhysExpr::Exchange {
-            input: Box::new(p.clone()),
-        };
+    fn place(p: &mut PhysExpr) {
+        if exchange_eligible(p) {
+            *p = PhysExpr::Exchange {
+                input: Box::new(p.clone()),
+            };
+        } else if !matches!(p, PhysExpr::Exchange { .. }) {
+            // An exchange already in the plan stays as it is.
+            p.children_mut().into_iter().for_each(place);
+        }
     }
-    match p {
-        PhysExpr::Filter { input, predicate } => PhysExpr::Filter {
-            input: Box::new(place_exchanges(input)),
-            predicate: predicate.clone(),
-        },
-        PhysExpr::Compute { input, defs } => PhysExpr::Compute {
-            input: Box::new(place_exchanges(input)),
-            defs: defs.clone(),
-        },
-        PhysExpr::ProjectCols { input, cols } => PhysExpr::ProjectCols {
-            input: Box::new(place_exchanges(input)),
-            cols: cols.clone(),
-        },
-        PhysExpr::HashJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => PhysExpr::HashJoin {
-            kind: *kind,
-            left: Box::new(place_exchanges(left)),
-            right: Box::new(place_exchanges(right)),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            residual: residual.clone(),
-        },
-        PhysExpr::NLJoin {
-            kind,
-            left,
-            right,
-            predicate,
-        } => PhysExpr::NLJoin {
-            kind: *kind,
-            left: Box::new(place_exchanges(left)),
-            right: Box::new(place_exchanges(right)),
-            predicate: predicate.clone(),
-        },
-        PhysExpr::ApplyLoop {
-            kind,
-            left,
-            right,
-            params,
-        } => PhysExpr::ApplyLoop {
-            kind: *kind,
-            left: Box::new(place_exchanges(left)),
-            right: Box::new(place_exchanges(right)),
-            params: params.clone(),
-        },
-        PhysExpr::BatchedApply {
-            kind,
-            left,
-            right,
-            params,
-        } => PhysExpr::BatchedApply {
-            kind: *kind,
-            left: Box::new(place_exchanges(left)),
-            right: Box::new(place_exchanges(right)),
-            params: params.clone(),
-        },
-        PhysExpr::IndexLookupJoin {
-            kind,
-            left,
-            table,
-            positions,
-            fetch_cols,
-            index_cols,
-            probes,
-            residual,
-            cols,
-            params,
-        } => PhysExpr::IndexLookupJoin {
-            kind: *kind,
-            left: Box::new(place_exchanges(left)),
-            table: *table,
-            positions: positions.clone(),
-            fetch_cols: fetch_cols.clone(),
-            index_cols: index_cols.clone(),
-            probes: probes.clone(),
-            residual: residual.clone(),
-            cols: cols.clone(),
-            params: params.clone(),
-        },
-        PhysExpr::SegmentExec {
-            input,
-            segment_cols,
-            inner,
-            out_cols,
-        } => PhysExpr::SegmentExec {
-            input: Box::new(place_exchanges(input)),
-            segment_cols: segment_cols.clone(),
-            inner: Box::new(place_exchanges(inner)),
-            out_cols: out_cols.clone(),
-        },
-        PhysExpr::HashAggregate {
-            kind,
-            input,
-            group_cols,
-            aggs,
-        } => PhysExpr::HashAggregate {
-            kind: *kind,
-            input: Box::new(place_exchanges(input)),
-            group_cols: group_cols.clone(),
-            aggs: aggs.clone(),
-        },
-        PhysExpr::Concat {
-            left,
-            right,
-            cols,
-            left_map,
-            right_map,
-        } => PhysExpr::Concat {
-            left: Box::new(place_exchanges(left)),
-            right: Box::new(place_exchanges(right)),
-            cols: cols.clone(),
-            left_map: left_map.clone(),
-            right_map: right_map.clone(),
-        },
-        PhysExpr::ExceptExec {
-            left,
-            right,
-            right_map,
-        } => PhysExpr::ExceptExec {
-            left: Box::new(place_exchanges(left)),
-            right: Box::new(place_exchanges(right)),
-            right_map: right_map.clone(),
-        },
-        PhysExpr::AssertMax1 { input } => PhysExpr::AssertMax1 {
-            input: Box::new(place_exchanges(input)),
-        },
-        PhysExpr::RowNumber { input, col } => PhysExpr::RowNumber {
-            input: Box::new(place_exchanges(input)),
-            col: *col,
-        },
-        PhysExpr::Sort { input, by } => PhysExpr::Sort {
-            input: Box::new(place_exchanges(input)),
-            by: by.clone(),
-        },
-        PhysExpr::Limit { input, n } => PhysExpr::Limit {
-            input: Box::new(place_exchanges(input)),
-            n: *n,
-        },
-        PhysExpr::Exchange { input } => PhysExpr::Exchange {
-            input: input.clone(),
-        },
-        PhysExpr::TableScan { .. }
-        | PhysExpr::IndexSeek { .. }
-        | PhysExpr::SegmentScan { .. }
-        | PhysExpr::ConstScan { .. }
-        | PhysExpr::MorselScan { .. } => p.clone(),
-    }
+    let mut out = p.clone();
+    place(&mut out);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -366,62 +191,50 @@ fn driving_len(p: &PhysExpr, catalog: &Catalog) -> usize {
     }
 }
 
-/// Clones the subtree for one worker: the driving `TableScan` becomes a
-/// `MorselScan` over the worker's ranges, and the build side (if any)
-/// becomes `build`, the `ConstScan` over the broadcast build columns.
-/// Reaching a join without one means the eligibility grammar and the
-/// build locator disagree — reported as an internal error rather than
-/// a panic so the engine survives the (never observed) inconsistency.
+/// Turns a clone of the subtree into one worker's plan: the driving
+/// `TableScan` becomes a `MorselScan` over the worker's ranges, and the
+/// build side (if any) becomes `build`, the `ConstScan` over the
+/// broadcast build columns. Reaching a join without one means the
+/// eligibility grammar and the build locator disagree — reported as an
+/// internal error rather than a panic so the engine survives the (never
+/// observed) inconsistency.
 fn substitute(
     p: &PhysExpr,
     ranges: &[(usize, usize)],
     build: Option<&PhysExpr>,
 ) -> Result<PhysExpr> {
-    Ok(match p {
-        PhysExpr::TableScan {
-            table,
-            positions,
-            cols,
-        } => PhysExpr::MorselScan {
-            table: *table,
-            positions: positions.clone(),
-            cols: cols.clone(),
-            ranges: ranges.to_vec(),
-        },
-        PhysExpr::Filter { input, predicate } => PhysExpr::Filter {
-            input: Box::new(substitute(input, ranges, build)?),
-            predicate: predicate.clone(),
-        },
-        PhysExpr::Compute { input, defs } => PhysExpr::Compute {
-            input: Box::new(substitute(input, ranges, build)?),
-            defs: defs.clone(),
-        },
-        PhysExpr::ProjectCols { input, cols } => PhysExpr::ProjectCols {
-            input: Box::new(substitute(input, ranges, build)?),
-            cols: cols.clone(),
-        },
-        PhysExpr::HashJoin {
-            kind,
-            left,
-            right: _,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            let b = build.ok_or_else(|| {
-                Error::internal("exchange substitution reached a join without broadcast build rows")
-            })?;
-            PhysExpr::HashJoin {
-                kind: *kind,
-                left: Box::new(substitute(left, ranges, None)?),
-                right: Box::new(b.clone()),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                residual: residual.clone(),
+    fn swap(p: &mut PhysExpr, ranges: &[(usize, usize)], build: Option<&PhysExpr>) -> Result<()> {
+        match p {
+            PhysExpr::TableScan {
+                table,
+                positions,
+                cols,
+            } => {
+                *p = PhysExpr::MorselScan {
+                    table: *table,
+                    positions: std::mem::take(positions),
+                    cols: std::mem::take(cols),
+                    ranges: ranges.to_vec(),
+                };
             }
+            PhysExpr::HashJoin { left, right, .. } => {
+                **right = build.cloned().ok_or_else(|| {
+                    Error::internal(
+                        "exchange substitution reached a join without broadcast build rows",
+                    )
+                })?;
+                swap(left, ranges, None)?;
+            }
+            PhysExpr::Filter { input, .. }
+            | PhysExpr::Compute { input, .. }
+            | PhysExpr::ProjectCols { input, .. } => swap(input, ranges, build)?,
+            _ => {}
         }
-        other => other.clone(),
-    })
+        Ok(())
+    }
+    let mut out = p.clone();
+    swap(&mut out, ranges, build)?;
+    Ok(out)
 }
 
 /// Static morsel schedule: the table's row space is cut into morsels of
@@ -766,7 +579,7 @@ impl ExchangeOp {
                 let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
                 self.run_partial_agg(ctx, workers, kind, &input, &group_cols, &aggs)
             }
-            PhysExpr::HashJoin { left, .. } if chain(left) => self.run_repartition(ctx, workers),
+            p @ PhysExpr::HashJoin { .. } if splittable(p) => self.run_repartition(ctx, workers),
             p if splittable(p) => self.run_pipelined(ctx, workers),
             _ => self.run_serial(ctx),
         }
@@ -857,9 +670,9 @@ impl ExchangeOp {
             // operator would have noted them.
             let mut joined = OpStats::default();
             pipe.execute_each(catalog, &binds, |b| {
-                let (columns, n) = probe.probe(&build, &b.columns, b.len, &binds, &mut joined)?;
-                joined.rows += n as u64;
-                out.push((columns, n));
+                let windows = probe.probe(&build, &b.columns, b.len, &binds, &mut joined)?;
+                joined.rows += windows.iter().map(|(_, n)| *n as u64).sum::<u64>();
+                out.extend(windows);
                 Ok(())
             })?;
             Ok((out, pipe.stats(), joined))

@@ -69,7 +69,10 @@ pub enum PhysExpr {
         /// Retained columns in output order.
         cols: Vec<ColId>,
     },
-    /// Hash join: builds on the right input, probes with the left.
+    /// Hash join: builds on the right input, probes with the left. With
+    /// no keys it is the nested-loops join: every build row is a
+    /// candidate for every probe row and `residual` is the whole
+    /// predicate.
     HashJoin {
         /// Join variant.
         kind: JoinKind,
@@ -83,17 +86,6 @@ pub enum PhysExpr {
         right_keys: Vec<ColId>,
         /// Residual predicate evaluated on joined rows.
         residual: ScalarExpr,
-    },
-    /// Nested-loop join (arbitrary predicates).
-    NLJoin {
-        /// Join variant.
-        kind: JoinKind,
-        /// Outer input.
-        left: Box<PhysExpr>,
-        /// Inner input.
-        right: Box<PhysExpr>,
-        /// Join predicate.
-        predicate: ScalarExpr,
     },
     /// Correlated execution: re-runs `right` once per `left` row with
     /// `params` bound from that row.
@@ -291,9 +283,6 @@ impl PhysExpr {
             PhysExpr::ProjectCols { cols, .. } => cols.clone(),
             PhysExpr::HashJoin {
                 kind, left, right, ..
-            }
-            | PhysExpr::NLJoin {
-                kind, left, right, ..
             } => match kind {
                 JoinKind::LeftSemi | JoinKind::LeftAnti => left.out_cols(),
                 _ => {
@@ -349,7 +338,18 @@ impl PhysExpr {
 
     /// Number of operators in the plan.
     pub fn node_count(&self) -> usize {
-        1 + match self {
+        1 + self
+            .children()
+            .into_iter()
+            .map(PhysExpr::node_count)
+            .sum::<usize>()
+    }
+
+    /// Child subtrees in execution-id order (left/input before
+    /// right/inner): the order the compiler numbers operators and
+    /// `explain_phys` prints them.
+    pub fn children(&self) -> Vec<&PhysExpr> {
+        match self {
             PhysExpr::Filter { input, .. }
             | PhysExpr::Compute { input, .. }
             | PhysExpr::ProjectCols { input, .. }
@@ -358,21 +358,24 @@ impl PhysExpr {
             | PhysExpr::Sort { input, .. }
             | PhysExpr::Limit { input, .. }
             | PhysExpr::Exchange { input }
-            | PhysExpr::HashAggregate { input, .. } => input.node_count(),
+            | PhysExpr::HashAggregate { input, .. } => vec![input],
             PhysExpr::HashJoin { left, right, .. }
-            | PhysExpr::NLJoin { left, right, .. }
             | PhysExpr::ApplyLoop { left, right, .. }
             | PhysExpr::BatchedApply { left, right, .. }
             | PhysExpr::Concat { left, right, .. }
-            | PhysExpr::ExceptExec { left, right, .. } => left.node_count() + right.node_count(),
-            PhysExpr::IndexLookupJoin { left, .. } => left.node_count(),
-            PhysExpr::SegmentExec { input, inner, .. } => input.node_count() + inner.node_count(),
-            _ => 0,
+            | PhysExpr::ExceptExec { left, right, .. } => vec![left, right],
+            PhysExpr::IndexLookupJoin { left, .. } => vec![left],
+            PhysExpr::SegmentExec { input, inner, .. } => vec![input, inner],
+            PhysExpr::TableScan { .. }
+            | PhysExpr::IndexSeek { .. }
+            | PhysExpr::SegmentScan { .. }
+            | PhysExpr::ConstScan { .. }
+            | PhysExpr::MorselScan { .. } => vec![],
         }
     }
 
-    /// Mutable child subtrees in execution-id order (left/input before
-    /// right/inner); used by plan rewriters and mutation harnesses.
+    /// The same subtrees, mutably, in the same order; plan rewriters
+    /// clone a node and recurse into these.
     pub fn children_mut(&mut self) -> Vec<&mut PhysExpr> {
         match self {
             PhysExpr::Filter { input, .. }
@@ -385,7 +388,6 @@ impl PhysExpr {
             | PhysExpr::Exchange { input }
             | PhysExpr::HashAggregate { input, .. } => vec![input],
             PhysExpr::HashJoin { left, right, .. }
-            | PhysExpr::NLJoin { left, right, .. }
             | PhysExpr::ApplyLoop { left, right, .. }
             | PhysExpr::BatchedApply { left, right, .. }
             | PhysExpr::Concat { left, right, .. }

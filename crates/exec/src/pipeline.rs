@@ -16,11 +16,11 @@
 //! time a free-variable analysis finds inner subtrees that reference no
 //! outer parameter and no outer segment; those are wrapped in a
 //! [`CacheOp`] that materializes once and replays on every rewind, and
-//! stable hash-join builds / nested-loop inner sides are kept across
-//! re-opens.
+//! stable hash-join builds are kept across re-opens.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -539,8 +539,7 @@ pub(crate) fn pos_of(layout: &[ColId], id: ColId) -> Result<usize> {
 /// Takes up to `batch_size` rows off the front of `pending` — in time
 /// proportional to the rows taken, not to the rows left behind — and
 /// transposes them into a batch. The exit of the operators whose
-/// algorithm builds rows (NLJoin's loop, an aggregate's finished
-/// groups).
+/// algorithm builds rows (an aggregate's finished groups).
 pub(crate) fn drain_pending(
     pending: &mut VecDeque<Row>,
     batch_size: usize,
@@ -629,18 +628,6 @@ pub(crate) fn free_inputs(p: &PhysExpr) -> FreeSet {
                 .union(free_inputs(right))
                 .add_exprs([residual], &provided)
         }
-        PhysExpr::NLJoin {
-            left,
-            right,
-            predicate,
-            ..
-        } => {
-            let mut provided = left.out_cols();
-            provided.extend(right.out_cols());
-            free_inputs(left)
-                .union(free_inputs(right))
-                .add_exprs([predicate], &provided)
-        }
         PhysExpr::ApplyLoop {
             left,
             right,
@@ -710,7 +697,6 @@ pub(crate) fn op_name(p: &PhysExpr) -> &'static str {
         PhysExpr::Compute { .. } => "Compute",
         PhysExpr::ProjectCols { .. } => "Project",
         PhysExpr::HashJoin { .. } => "HashJoin",
-        PhysExpr::NLJoin { .. } => "NLJoin",
         PhysExpr::ApplyLoop { .. } => "ApplyLoop",
         PhysExpr::BatchedApply { .. } => "BatchedApply",
         PhysExpr::IndexLookupJoin { .. } => "IndexLookupJoin",
@@ -775,14 +761,27 @@ impl Compiler {
         let bs = self.batch_size;
         let sh = StatsHandle::new(self.stats.clone(), id);
         let op: BoxOp = match p {
+            // A table scan is a morsel scan of one range, the whole
+            // table (ranges are clamped to the row count).
             PhysExpr::TableScan {
                 table,
                 positions,
                 cols,
-            } => Box::new(ScanOp {
+            }
+            | PhysExpr::MorselScan {
+                table,
+                positions,
+                cols,
+                ..
+            } => Box::new(MorselScanOp {
                 table: *table,
                 positions: positions.clone(),
                 cols: rc_cols(cols),
+                ranges: match p {
+                    PhysExpr::MorselScan { ranges, .. } => ranges.clone(),
+                    _ => vec![(0, usize::MAX)],
+                },
+                range_idx: 0,
                 cursor: 0,
                 batch_size: bs,
                 stats: sh.clone(),
@@ -877,39 +876,10 @@ impl Compiler {
                     mem: MemoryReservation::detached("HashJoin"),
                     // A stable build is kept across rewinds; grace
                     // partitions are consumed when joined, so spilling
-                    // would break the rewind contract.
-                    allow_spill: self.spill && !build_stable,
+                    // would break the rewind contract. A keyless build
+                    // is one partition however often it is split.
+                    allow_spill: self.spill && !build_stable && !right_keys.is_empty(),
                     grace: None,
-                    stats: sh.clone(),
-                })
-            }
-            PhysExpr::NLJoin {
-                kind,
-                left,
-                right,
-                predicate,
-            } => {
-                let lout = left.out_cols();
-                let rout = right.out_cols();
-                let mut combined = lout.clone();
-                combined.extend(rout.iter().copied());
-                let right_stable = in_param && free_inputs(right).is_invariant();
-                Box::new(NLJoinOp {
-                    kind: *kind,
-                    left: self.compile(left, in_param)?,
-                    right: self.compile(right, in_param && !right_stable)?,
-                    predicate: predicate.clone(),
-                    combined_pos: PosMap::new(&combined),
-                    combined: rc_cols(&combined),
-                    out_cols: rc_cols(&p.out_cols()),
-                    right_width: rout.len(),
-                    right_stable,
-                    right_rows: Vec::new(),
-                    right_built: false,
-                    pending: VecDeque::new(),
-                    left_done: false,
-                    batch_size: bs,
-                    mem: MemoryReservation::detached("NLJoin"),
                     stats: sh.clone(),
                 })
             }
@@ -1167,21 +1137,6 @@ impl Compiler {
                     self.spill,
                 ))
             }
-            PhysExpr::MorselScan {
-                table,
-                positions,
-                cols,
-                ranges,
-            } => Box::new(MorselScanOp {
-                table: *table,
-                positions: positions.clone(),
-                cols: rc_cols(cols),
-                ranges: ranges.clone(),
-                range_idx: 0,
-                cursor: 0,
-                batch_size: bs,
-                stats: sh.clone(),
-            }),
         };
         Ok(Box::new(Metered {
             op,
@@ -1353,44 +1308,9 @@ impl Operator for CacheOp {
 // Leaf operators.
 // ---------------------------------------------------------------------
 
-struct ScanOp {
-    table: TableId,
-    positions: Vec<usize>,
-    cols: Rc<[ColId]>,
-    cursor: usize,
-    batch_size: usize,
-    stats: StatsHandle,
-}
-
-impl Operator for ScanOp {
-    fn open(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.cursor = 0;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        let t = ctx.catalog.table(self.table);
-        let total = t.row_count();
-        if self.cursor >= total {
-            return Ok(None);
-        }
-        let end = (self.cursor + self.batch_size).min(total);
-        // Zero-copy slices of the table's stored columns.
-        let tcols = t.columns();
-        let take = end - self.cursor;
-        let out = self
-            .positions
-            .iter()
-            .map(|&i| tcols[i].slice(self.cursor, take))
-            .collect();
-        self.cursor = end;
-        self.stats.note_kernel();
-        Ok(Some(Batch::from_columns(self.cols.clone(), out, take)))
-    }
-}
-
-/// Worker-local scan over a static set of row ranges (morsels); see
-/// [`crate::parallel`] for how ranges are assigned.
+/// Scan over a static set of row ranges, clamped to the table: the
+/// whole table for a `TableScan`, a worker's morsels for a `MorselScan`
+/// (see [`crate::parallel`] for how those are assigned).
 struct MorselScanOp {
     table: TableId,
     positions: Vec<usize>,
@@ -1794,6 +1714,10 @@ impl JoinBuild {
     }
 }
 
+/// Candidate pairs a probe evaluates at once, up to the lane boundary:
+/// what bounds the pair vector and the gathered residual columns.
+const PAIR_WINDOW: usize = 16 * DEFAULT_BATCH_SIZE;
+
 /// What a hash join does with one probe batch: the four join kinds'
 /// semantics, written once. The resident probe, each grace partition
 /// pair and the exchange's repartition workers all call
@@ -1829,15 +1753,14 @@ impl JoinProbe {
         }
     }
 
-    /// Joins one probe batch against `build`: the output columns and
-    /// their lane count. Candidate `(probe lane, build lane)` pairs are
-    /// visited in probe order and, within a probe lane, in build order
-    /// — the output order of a row-at-a-time join. A residual the
-    /// kernels cannot evaluate, or that errors on some lane, is
-    /// re-evaluated over the same pairs a lane at a time, so the error
-    /// that surfaces is the first one in that order. `noted` receives
-    /// what the join operator counts for the batch: a kernel, or a
-    /// bridge when the residual fell back to lanes.
+    /// Joins one probe batch against `build`: output columns and lane
+    /// counts, one entry per window. Candidate `(probe lane, build
+    /// lane)` pairs are visited in probe order and, within a probe
+    /// lane, in build order — the output order of a row-at-a-time join —
+    /// and handed to [`join_window`](JoinProbe::join_window) a run of
+    /// whole probe lanes at a time: a window closes at the first lane
+    /// boundary at or past [`PAIR_WINDOW`] pairs, so neither a keyless
+    /// join nor one hot key ever holds `len × build.len` pairs at once.
     pub(crate) fn probe(
         &self,
         build: &JoinBuild,
@@ -1845,43 +1768,69 @@ impl JoinProbe {
         len: usize,
         binds: &Bindings,
         noted: &mut OpStats,
-    ) -> Result<(Vec<Column>, usize)> {
+    ) -> Result<ColumnBatches> {
         let key_cols: Vec<&Column> = self.left_pos.iter().map(|&i| &columns[i]).collect();
+        let hashes = hash_lanes(&key_cols, len);
+        let mut out = Vec::new();
         let mut pairs: Vec<(usize, u32)> = Vec::new();
-        for (i, h) in hash_lanes(&key_cols, len).iter().enumerate() {
-            if !keys_valid(&key_cols, i) {
-                continue;
-            }
-            let Some(cands) = build.index.get(h) else {
-                continue;
+        let mut lo = 0;
+        for (i, h) in hashes.iter().enumerate() {
+            // A lane with a NULL key has no candidates.
+            let cands = if keys_valid(&key_cols, i) {
+                build.index.get(h)
+            } else {
+                None
             };
-            let kvals: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
-            for &j in cands {
-                if self
-                    .right_pos
-                    .iter()
-                    .zip(&kvals)
-                    .all(|(&bi, v)| build.cols[bi].lane_eq(j as usize, v))
-                {
-                    pairs.push((i, j));
+            if let Some(cands) = cands {
+                let kvals: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
+                for &j in cands {
+                    if (self.right_pos.iter().zip(&kvals))
+                        .all(|(&bi, v)| build.cols[bi].lane_eq(j as usize, v))
+                    {
+                        pairs.push((i, j));
+                    }
                 }
             }
+            if pairs.len() >= PAIR_WINDOW || i + 1 == len {
+                out.push(self.join_window(build, columns, lo..i + 1, &pairs, binds, noted)?);
+                pairs.clear();
+                lo = i + 1;
+            }
         }
+        Ok(out)
+    }
+
+    /// The join kind's output for probe lanes `lanes`, whose candidate
+    /// pairs are `pairs`. A residual the kernels cannot evaluate, or
+    /// that errors on some lane, is re-evaluated over the same pairs a
+    /// lane at a time, so the error that surfaces is the first one in
+    /// output order. `noted` receives what the join operator counts for
+    /// the window: a kernel, or a bridge when the residual fell back to
+    /// lanes.
+    fn join_window(
+        &self,
+        build: &JoinBuild,
+        columns: &[Column],
+        lanes: Range<usize>,
+        pairs: &[(usize, u32)],
+        binds: &Bindings,
+        noted: &mut OpStats,
+    ) -> Result<(Vec<Column>, usize)> {
         if self.residual_trivial || pairs.is_empty() {
             noted.kernels += 1;
-        } else {
-            pairs = match self.residual_kernel(build, columns, &pairs, binds) {
-                Ok(kept) => {
-                    noted.kernels += 1;
-                    kept
-                }
-                Err(_) => {
-                    noted.bridged += 1;
-                    self.residual_by_lane(build, columns, &pairs, binds)?
-                }
-            };
+            return Ok(self.assemble(build, columns, lanes, pairs));
         }
-        Ok(self.assemble(build, columns, len, &pairs))
+        let kept = match self.residual_kernel(build, columns, pairs, binds) {
+            Ok(kept) => {
+                noted.kernels += 1;
+                kept
+            }
+            Err(_) => {
+                noted.bridged += 1;
+                self.residual_by_lane(build, columns, pairs, binds)?
+            }
+        };
+        Ok(self.assemble(build, columns, lanes, &kept))
     }
 
     /// The pairs the residual keeps, evaluated as one kernel over the
@@ -1937,12 +1886,13 @@ impl JoinProbe {
         Ok(kept)
     }
 
-    /// Output of the join kind over the surviving pairs.
+    /// Output of the join kind for probe lanes `lanes` over their
+    /// surviving pairs.
     fn assemble(
         &self,
         build: &JoinBuild,
         columns: &[Column],
-        len: usize,
+        lanes: Range<usize>,
         kept: &[(usize, u32)],
     ) -> (Vec<Column>, usize) {
         match self.kind {
@@ -1959,7 +1909,7 @@ impl JoinProbe {
                 let mut pis: Vec<usize> = Vec::new();
                 let mut bis: Vec<Option<usize>> = Vec::new();
                 let mut k = 0;
-                for i in 0..len {
+                for i in lanes {
                     let start = k;
                     while k < kept.len() && kept[k].0 == i {
                         pis.push(i);
@@ -1976,12 +1926,15 @@ impl JoinProbe {
                 (out, pis.len())
             }
             JoinKind::LeftSemi | JoinKind::LeftAnti => {
-                let mut matched = vec![false; len];
+                let mut matched = vec![false; lanes.len()];
                 for &(i, _) in kept {
-                    matched[i] = true;
+                    matched[i - lanes.start] = true;
                 }
                 let want = self.kind == JoinKind::LeftSemi;
-                let sel: Vec<usize> = (0..len).filter(|&i| matched[i] == want).collect();
+                let sel: Vec<usize> = lanes
+                    .clone()
+                    .filter(|&i| matched[i - lanes.start] == want)
+                    .collect();
                 (columns.iter().map(|c| c.gather(&sel)).collect(), sel.len())
             }
         }
@@ -2086,16 +2039,13 @@ struct HashJoinOp {
 
 impl HashJoinOp {
     /// Records what one probe noted and queues its output.
-    fn queue_output(
-        &mut self,
-        joined: Result<(Vec<Column>, usize)>,
-        noted: &OpStats,
-    ) -> Result<()> {
+    fn queue_output(&mut self, joined: Result<ColumnBatches>, noted: &OpStats) -> Result<()> {
         self.stats.note_probe(noted);
-        let (out, n) = joined?;
-        if n > 0 {
-            self.out_queue
-                .push_back(Batch::from_columns(self.out_cols.clone(), out, n));
+        for (out, n) in joined? {
+            if n > 0 {
+                self.out_queue
+                    .push_back(Batch::from_columns(self.out_cols.clone(), out, n));
+            }
         }
         Ok(())
     }
@@ -2147,7 +2097,14 @@ impl HashJoinOp {
                 Err(e) => {
                     let refused = matches!(e, Error::ResourceExhausted { .. });
                     if !(refused && self.allow_spill) {
-                        return Err(e.with_hint(MEM_OR_SPILL_HINT));
+                        // A keyless build has no hash to partition on:
+                        // spilling was never an option.
+                        let keyless = self.probe.right_pos.is_empty();
+                        return Err(e.with_hint(if keyless {
+                            MEM_HINT
+                        } else {
+                            MEM_OR_SPILL_HINT
+                        }));
                     }
                     self.grace_start(ctx, b)?;
                 }
@@ -2361,106 +2318,6 @@ impl Operator for HashJoinOp {
                 return Ok(None);
             }
         }
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
-    }
-}
-
-struct NLJoinOp {
-    kind: JoinKind,
-    left: BoxOp,
-    right: BoxOp,
-    predicate: ScalarExpr,
-    combined: Rc<[ColId]>,
-    combined_pos: PosMap,
-    out_cols: Rc<[ColId]>,
-    right_width: usize,
-    /// Keep the materialized inner side across rewinds.
-    right_stable: bool,
-    right_rows: Vec<Row>,
-    right_built: bool,
-    pending: VecDeque<Row>,
-    left_done: bool,
-    batch_size: usize,
-    mem: MemoryReservation,
-    stats: StatsHandle,
-}
-
-impl NLJoinOp {
-    fn probe_rows(&mut self, rows: Vec<Row>, binds: &Bindings) -> Result<()> {
-        for lr in rows {
-            let mut matched = false;
-            for rr in &self.right_rows {
-                let mut row = lr.clone();
-                row.extend(rr.iter().cloned());
-                if eval_predicate(
-                    &self.predicate,
-                    &EvalCtx::mapped(&self.combined, &self.combined_pos, &row, binds),
-                )? {
-                    matched = true;
-                    match self.kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => self.pending.push_back(row),
-                        JoinKind::LeftSemi | JoinKind::LeftAnti => break,
-                    }
-                }
-            }
-            match self.kind {
-                JoinKind::LeftOuter if !matched => {
-                    let mut row = lr;
-                    row.extend(std::iter::repeat_n(Value::Null, self.right_width));
-                    self.pending.push_back(row);
-                }
-                JoinKind::LeftSemi if matched => self.pending.push_back(lr),
-                JoinKind::LeftAnti if !matched => self.pending.push_back(lr),
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Operator for NLJoinOp {
-    fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pending.clear();
-        self.left_done = false;
-        self.left.open(ctx)?;
-        if !(self.right_stable && self.right_built) {
-            self.right_rows.clear();
-            self.right_built = false;
-            self.mem = ctx.gov.reservation("NLJoin");
-            self.right.open(ctx)?;
-        }
-        Ok(())
-    }
-
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
-        if !self.right_built {
-            while let Some(b) = self.right.next_batch(ctx)? {
-                b.check_width(self.right_width)?;
-                crate::faults::hit("nljoin.build")
-                    .and_then(|()| self.mem.grow(b.mem_bytes()))
-                    .map_err(|e| e.with_hint(MEM_HINT))?;
-                let rows = self.stats.bridge_rows(&b);
-                self.right_rows.extend(rows);
-            }
-            self.right_built = true;
-        }
-        while self.pending.len() < self.batch_size && !self.left_done {
-            match self.left.next_batch(ctx)? {
-                None => self.left_done = true,
-                Some(batch) => {
-                    let rows = self.stats.bridge_rows(&batch);
-                    self.probe_rows(rows, &ctx.binds.borrow())?;
-                }
-            }
-        }
-        Ok(drain_pending(
-            &mut self.pending,
-            self.batch_size,
-            &self.out_cols,
-        ))
     }
 
     fn mem_peak(&self) -> u64 {

@@ -86,11 +86,14 @@ fn hash_join_variants_match_nested_loop_semantics() {
             right_keys: vec![O_CUSTKEY],
             residual: ScalarExpr::true_(),
         };
-        let nl = PhysExpr::NLJoin {
+        // The same join with no keys: nested loops over the predicate.
+        let nl = PhysExpr::HashJoin {
             kind,
             left: Box::new(scan_customer()),
             right: Box::new(scan_orders()),
-            predicate: ScalarExpr::eq(ScalarExpr::col(C_CUSTKEY), ScalarExpr::col(O_CUSTKEY)),
+            left_keys: vec![],
+            right_keys: vec![],
+            residual: ScalarExpr::eq(ScalarExpr::col(C_CUSTKEY), ScalarExpr::col(O_CUSTKEY)),
         };
         let h = ex.exec(&hash, &Bindings::new()).unwrap();
         let n = ex.exec(&nl, &Bindings::new()).unwrap();
@@ -223,8 +226,10 @@ fn segment_exec_matches_reference_segment_apply() {
     let p1 = ColId(91);
     let p2 = ColId(92);
     let avg = ColId(93);
-    let inner = PhysExpr::NLJoin {
+    let inner = PhysExpr::HashJoin {
         kind: JoinKind::Inner,
+        left_keys: vec![],
+        right_keys: vec![],
         left: Box::new(PhysExpr::SegmentScan {
             cols: vec![(p1, O_TOTALPRICE)],
         }),
@@ -236,7 +241,7 @@ fn segment_exec_matches_reference_segment_apply() {
             group_cols: vec![],
             aggs: vec![agg_def(avg, AggFunc::Avg, Some(ScalarExpr::col(p2)))],
         }),
-        predicate: ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(p1), ScalarExpr::col(avg)),
+        residual: ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(p1), ScalarExpr::col(avg)),
     };
     let seg = PhysExpr::SegmentExec {
         input: Box::new(scan_orders()),

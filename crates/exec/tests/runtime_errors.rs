@@ -411,13 +411,17 @@ mod governor {
         let catalog = customers_orders();
         let cases: Vec<(PhysExpr, &str)> = vec![
             (
-                PhysExpr::NLJoin {
+                // A keyless (nested-loops) join has no hash to
+                // partition on, so its build never spills.
+                PhysExpr::HashJoin {
                     kind: JoinKind::Inner,
                     left: Box::new(scan_customer()),
                     right: Box::new(scan_orders()),
-                    predicate: orthopt_ir::ScalarExpr::lit(true),
+                    left_keys: vec![],
+                    right_keys: vec![],
+                    residual: orthopt_ir::ScalarExpr::lit(true),
                 },
-                "NLJoin",
+                "HashJoin",
             ),
             (
                 PhysExpr::Limit {
@@ -476,6 +480,7 @@ mod governor {
                             panic!("{op}: refusal carried no hint")
                         };
                         assert!(h.contains("ORTHOPT_MEM_LIMIT"), "{op}: {h}");
+                        assert!(!h.contains("spill"), "{op} cannot spill: {h}");
                     }
                     other => panic!("{op}: expected ResourceExhausted, got {other:?}"),
                 },

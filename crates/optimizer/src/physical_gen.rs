@@ -197,25 +197,21 @@ impl<'a> Planner<'a> {
                             _ => residual.push(c),
                         }
                     }
-                    let (join, work) = if lk.is_empty() {
-                        let join = PhysExpr::NLJoin {
-                            kind: *kind,
-                            left: stub(),
-                            right: stub(),
-                            predicate: predicate.clone(),
-                        };
-                        (join, card_l * card_r * coef::NL_PAIR)
+                    // No equi-conjunct: the keyless hash join is the
+                    // nested-loops join, costed per candidate pair.
+                    let (residual, work) = if lk.is_empty() {
+                        (predicate.clone(), card_l * card_r * coef::NL_PAIR)
                     } else {
-                        let join = PhysExpr::HashJoin {
-                            kind: *kind,
-                            left: stub(),
-                            right: stub(),
-                            left_keys: lk,
-                            right_keys: rk,
-                            residual: ScalarExpr::and(residual),
-                        };
                         let work = card_r * coef::HASH_BUILD_ROW + card_l * coef::HASH_PROBE_ROW;
-                        (join, work)
+                        (ScalarExpr::and(residual), work)
+                    };
+                    let join = PhysExpr::HashJoin {
+                        kind: *kind,
+                        left: stub(),
+                        right: stub(),
+                        left_keys: lk,
+                        right_keys: rk,
+                        residual,
                     };
                     let cost = inputs_cost + work + out_card * coef::JOIN_OUT_ROW;
                     out.push(Alt::new(join, vec![g_l, g_r], cost));

@@ -82,30 +82,12 @@ fn run_and_check(catalog: &Catalog, sql: &str, config: &OptimizerConfig) -> Phys
 }
 
 fn count_ops(plan: &PhysExpr, pred: &dyn Fn(&PhysExpr) -> bool) -> usize {
-    let mut n = if pred(plan) { 1 } else { 0 };
-    match plan {
-        PhysExpr::Filter { input, .. }
-        | PhysExpr::Compute { input, .. }
-        | PhysExpr::ProjectCols { input, .. }
-        | PhysExpr::AssertMax1 { input }
-        | PhysExpr::RowNumber { input, .. }
-        | PhysExpr::Sort { input, .. }
-        | PhysExpr::HashAggregate { input, .. } => n += count_ops(input, pred),
-        PhysExpr::IndexLookupJoin { left, .. } => n += count_ops(left, pred),
-        PhysExpr::HashJoin { left, right, .. }
-        | PhysExpr::NLJoin { left, right, .. }
-        | PhysExpr::ApplyLoop { left, right, .. }
-        | PhysExpr::BatchedApply { left, right, .. }
-        | PhysExpr::Concat { left, right, .. }
-        | PhysExpr::ExceptExec { left, right, .. } => {
-            n += count_ops(left, pred) + count_ops(right, pred);
-        }
-        PhysExpr::SegmentExec { input, inner, .. } => {
-            n += count_ops(input, pred) + count_ops(inner, pred);
-        }
-        _ => {}
-    }
-    n
+    let below = plan.children().into_iter().map(|c| count_ops(c, pred));
+    usize::from(pred(plan)) + below.sum::<usize>()
+}
+
+fn has_aggregate(plan: &PhysExpr) -> bool {
+    count_ops(plan, &|x| matches!(x, PhysExpr::HashAggregate { .. })) > 0
 }
 
 const Q1: &str = "select c_custkey from customer where 400 < \
@@ -217,23 +199,9 @@ fn groupby_pushdown_happens_when_it_shrinks_the_join() {
     // The aggregate must execute below the join in the chosen plan:
     // find a HashJoin whose child contains the aggregate.
     fn agg_below_join(p: &PhysExpr) -> bool {
-        match p {
-            PhysExpr::HashJoin { left, right, .. } | PhysExpr::NLJoin { left, right, .. } => {
-                count_ops(left, &|x| matches!(x, PhysExpr::HashAggregate { .. })) > 0
-                    || count_ops(right, &|x| matches!(x, PhysExpr::HashAggregate { .. })) > 0
-                    || agg_below_join(left)
-                    || agg_below_join(right)
-            }
-            PhysExpr::Filter { input, .. }
-            | PhysExpr::Compute { input, .. }
-            | PhysExpr::ProjectCols { input, .. }
-            | PhysExpr::HashAggregate { input, .. }
-            | PhysExpr::Sort { input, .. } => agg_below_join(input),
-            PhysExpr::ApplyLoop { left, right, .. } => {
-                agg_below_join(left) || agg_below_join(right)
-            }
-            _ => false,
-        }
+        let here = matches!(p, PhysExpr::HashJoin { .. });
+        here && p.children().into_iter().any(has_aggregate)
+            || p.children().into_iter().any(agg_below_join)
     }
     assert!(agg_below_join(&plan), "plan: {plan:#?}");
 }
@@ -389,17 +357,11 @@ fn eq_closure_enables_kim_strategy_from_subquery_form() {
     };
     let plan = run_and_check(&catalog, sql, &config);
     // The winning set-oriented plan aggregates below the join.
+    // The first join under the root's single-input operators.
     fn agg_below_join(p: &PhysExpr) -> bool {
-        match p {
-            PhysExpr::HashJoin { left, right, .. } | PhysExpr::NLJoin { left, right, .. } => {
-                count_ops(left, &|x| matches!(x, PhysExpr::HashAggregate { .. })) > 0
-                    || count_ops(right, &|x| matches!(x, PhysExpr::HashAggregate { .. })) > 0
-            }
-            PhysExpr::Filter { input, .. }
-            | PhysExpr::Compute { input, .. }
-            | PhysExpr::ProjectCols { input, .. }
-            | PhysExpr::HashAggregate { input, .. }
-            | PhysExpr::Sort { input, .. } => agg_below_join(input),
+        match (p, p.children().as_slice()) {
+            (PhysExpr::HashJoin { .. }, sides) => sides.iter().copied().any(has_aggregate),
+            (_, [input]) => agg_below_join(input),
             _ => false,
         }
     }

@@ -37,7 +37,6 @@ fn describe(p: &PhysExpr) -> String {
         PhysExpr::Compute { .. } => "Compute".into(),
         PhysExpr::ProjectCols { .. } => "ProjectCols".into(),
         PhysExpr::HashJoin { kind, .. } => format!("HashJoin({kind})"),
-        PhysExpr::NLJoin { kind, .. } => format!("NLJoin({kind})"),
         PhysExpr::ApplyLoop { kind, .. } => format!("ApplyLoop({kind})"),
         PhysExpr::BatchedApply { kind, .. } => format!("BatchedApply({kind})"),
         PhysExpr::IndexLookupJoin { kind, .. } => format!("IndexLookupJoin({kind})"),
@@ -230,18 +229,6 @@ impl PhysCx {
                 let mut vis = lvis;
                 vis.extend(rvis);
                 self.refs(residual, &vis, scope, p, "residual predicate");
-                self.check(left, scope);
-                self.check(right, scope);
-            }
-            PhysExpr::NLJoin {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                let mut vis = id_set(left);
-                vis.extend(id_set(right));
-                self.refs(predicate, &vis, scope, p, "join predicate");
                 self.check(left, scope);
                 self.check(right, scope);
             }
@@ -555,7 +542,7 @@ impl PhysCx {
             }
         }
         ancestors.push(p);
-        for c in phys_children(p) {
+        for c in p.children() {
             self.check_locals(c, ancestors);
         }
         ancestors.pop();
@@ -598,31 +585,4 @@ fn find_combiner(local_out: ColId, ancestors: &[&PhysExpr]) -> Option<AggFunc> {
         }
     }
     None
-}
-
-fn phys_children(p: &PhysExpr) -> Vec<&PhysExpr> {
-    match p {
-        PhysExpr::TableScan { .. }
-        | PhysExpr::IndexSeek { .. }
-        | PhysExpr::SegmentScan { .. }
-        | PhysExpr::ConstScan { .. }
-        | PhysExpr::MorselScan { .. } => vec![],
-        PhysExpr::Filter { input, .. }
-        | PhysExpr::Compute { input, .. }
-        | PhysExpr::ProjectCols { input, .. }
-        | PhysExpr::HashAggregate { input, .. }
-        | PhysExpr::AssertMax1 { input }
-        | PhysExpr::RowNumber { input, .. }
-        | PhysExpr::Sort { input, .. }
-        | PhysExpr::Limit { input, .. }
-        | PhysExpr::Exchange { input } => vec![input],
-        PhysExpr::HashJoin { left, right, .. }
-        | PhysExpr::NLJoin { left, right, .. }
-        | PhysExpr::ApplyLoop { left, right, .. }
-        | PhysExpr::BatchedApply { left, right, .. }
-        | PhysExpr::Concat { left, right, .. }
-        | PhysExpr::ExceptExec { left, right, .. } => vec![left, right],
-        PhysExpr::IndexLookupJoin { left, .. } => vec![left],
-        PhysExpr::SegmentExec { input, inner, .. } => vec![input, inner],
-    }
 }
