@@ -349,6 +349,28 @@ fn explain_analyze_reports_strategy_counters() {
         text.contains("distinct_bindings="),
         "index analyze dedups bindings too:\n{text}"
     );
+
+    // A point lookup is one probe of the index, and an `IndexSeek`
+    // re-opened by a loop one per non-NULL binding (`rv` is NULL in
+    // three of the twelve `r` rows).
+    let text = db
+        .explain_analyze("select sk from s where sr = 3", OptimizerLevel::Full)
+        .unwrap();
+    assert!(
+        text.contains("IndexSeek") && text.contains("index_probes=1"),
+        "point analyze:\n{text}"
+    );
+    db.set_apply_strategy(ApplyStrategy::Loop);
+    let text = db
+        .explain_analyze(
+            "select rk from r where exists (select 1 from s where sr = rv)",
+            OptimizerLevel::Correlated,
+        )
+        .unwrap();
+    assert!(
+        text.contains("IndexSeek") && text.contains("index_probes=9"),
+        "loop analyze:\n{text}"
+    );
 }
 
 /// The environment knob seeds freshly-constructed databases.

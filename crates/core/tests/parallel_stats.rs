@@ -97,19 +97,30 @@ fn q17_stats_agree_serial_vs_parallel() {
     check_query(&mut db, "Q17", &queries::q17_brand_only("brand#23"));
 }
 
+/// Where the exchange sits relative to the plan's aggregates: labels of
+/// the node right above and right below the (one) exchange.
+fn around_exchange(labels: &[(usize, String)]) -> (&str, &str) {
+    let at = labels
+        .iter()
+        .position(|(_, label)| label.starts_with("Exchange"))
+        .unwrap_or_else(|| panic!("no exchange placed\n{labels:?}"));
+    (&labels[at - 1].1, &labels[at + 1].1)
+}
+
 /// The `agg_par2` shape: a grouped aggregate over lineitem with COUNT,
-/// SUM, AVG, MIN and one DISTINCT, at low and high group cardinality.
-/// Parallel runs equal the serial one, and the workers take the same
-/// lane-fed path the serial aggregate takes: every node under the
-/// exchange — the aggregate's own slot included — reports kernels and
-/// no bridge.
+/// SUM, AVG and MIN, at low and high group cardinality. Parallel
+/// aggregation is the optimizer's §3.3 split — a Local aggregate under
+/// the exchange, its combiner above — so parallel runs equal the serial
+/// one, and each worker's Local aggregate is the serial operator on the
+/// lane-fed path: every node under the exchange reports kernels and no
+/// bridge, from the workers' own counters.
 #[test]
 fn partial_aggregation_parity_and_kernel_path() {
     let mut db = tpch_db();
     for group in ["l_returnflag", "l_partkey"] {
         let sql = format!(
             "select {group}, count(*), sum(l_quantity), avg(l_extendedprice), \
-             min(l_shipdate), count(distinct l_linestatus) from lineitem group by {group}"
+             min(l_shipdate) from lineitem group by {group}"
         );
         db.set_parallelism(1);
         let mut serial = db.execute(&sql).unwrap().rows;
@@ -128,21 +139,19 @@ fn partial_aggregation_parity_and_kernel_path() {
         db.set_parallelism(2);
         let plan = db.plan(&sql, OptimizerLevel::Full).unwrap();
         let labels = orthopt_exec::phys_node_labels(&plan.physical);
-        let exchange = labels
-            .iter()
-            .position(|(_, label)| label.starts_with("Exchange"))
-            .unwrap_or_else(|| panic!("{group}: no exchange placed\n{labels:?}"));
+        let (above, below) = around_exchange(&labels);
         assert!(
-            labels[exchange + 1].1.starts_with("HashAggregate"),
-            "{group}: expected partial aggregation under the exchange\n{labels:?}"
+            above.starts_with("HashAggregate(Vector)") && below.starts_with("HashAggregate(Local)"),
+            "{group}: expected the local/global split around the exchange\n{labels:?}"
         );
+        let exchange = labels.iter().position(|(_, l)| l == "Exchange").unwrap();
         let mut pipeline = Pipeline::compile(&plan.physical).unwrap();
         pipeline.set_parallelism(2);
         pipeline.set_shared_catalog(db.shared_catalog());
         pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
         let stats = pipeline.stats();
-        // The exchanged subtree is the rest of the plan: the aggregate
-        // and its scan chain.
+        // The exchanged subtree is the rest of the plan: the Local
+        // aggregate and its scan chain.
         for (i, s) in stats.iter().enumerate().skip(exchange + 1) {
             assert!(
                 s.kernels > 0 && s.bridged == 0,
@@ -159,5 +168,81 @@ fn partial_aggregation_parity_and_kernel_path() {
         assert!(analyzed.contains("workers="), "{group}:\n{analyzed}");
         assert!(analyzed.contains("kernels="), "{group}:\n{analyzed}");
         assert!(!analyzed.contains("bridged="), "{group}:\n{analyzed}");
+    }
+}
+
+/// Which aggregates split around an exchange, through SQL: a Vector
+/// and a Scalar aggregate plan as global ∘ `Exchange` ∘ Local (the
+/// Scalar one under its `COUNT(∅) = 0` compensation), an aggregate with
+/// a DISTINCT keeps one serial `HashAggregate` over a pipelined
+/// exchange of its input, and all of them answer as the reference
+/// interpreter does — on TPC-H, on an input no row of which passes the
+/// filter, and on an empty table (where no exchange pays).
+#[test]
+fn aggregates_split_around_the_exchange() {
+    use orthopt::common::row::bag_eq_approx;
+    use orthopt::common::Value::{Int, Null};
+    let empty = orthopt_rewrite::testgen::build_catalog(&[], &[]);
+    for (mut db, table, [g, v, d], exchanged) in [
+        (
+            tpch_db(),
+            "lineitem",
+            ["l_returnflag", "l_quantity", "l_linestatus"],
+            true,
+        ),
+        (
+            Database::from_catalog(empty),
+            "s",
+            ["sr", "sv", "sk"],
+            false,
+        ),
+    ] {
+        let scalar =
+            format!("select count(*), count({v}), sum({v}), min({v}), max({v}) from {table}");
+        let cases = [
+            (
+                format!("select {g}, count(*), sum({v}), min({v}) from {table} group by {g}"),
+                "HashAggregate(Vector)",
+            ),
+            (scalar.clone(), "HashAggregate(Scalar)"),
+            (format!("{scalar} where {v} < 0"), "HashAggregate(Scalar)"),
+            (
+                format!("select {g}, count(distinct {d}), sum({v}) from {table} group by {g}"),
+                "",
+            ),
+        ];
+        for (sql, global) in &cases {
+            let expected = db.execute_reference(sql).unwrap().rows;
+            for workers in [2, 4] {
+                db.set_parallelism(workers);
+                let ctx = format!("{sql} at parallelism {workers}");
+                let got = db.execute_with(sql, OptimizerLevel::Full).unwrap().rows;
+                assert!(bag_eq_approx(&expected, &got, 1e-9), "{ctx}\n{got:?}");
+                if sql.ends_with("< 0") {
+                    assert_eq!(got, [[Int(0), Int(0), Null, Null, Null]], "{ctx}");
+                }
+                if !exchanged {
+                    continue;
+                }
+                let plan = db.plan(sql, OptimizerLevel::Full).unwrap();
+                let labels = orthopt_exec::phys_node_labels(&plan.physical);
+                let (above, below) = around_exchange(&labels);
+                if global.is_empty() {
+                    let aggregates = labels
+                        .iter()
+                        .filter(|(_, l)| l.starts_with("HashAggregate"));
+                    assert_eq!(aggregates.count(), 1, "{ctx}\n{labels:?}");
+                    assert!(
+                        above.starts_with("HashAggregate(Vector)"),
+                        "{ctx}\n{labels:?}"
+                    );
+                } else {
+                    assert!(
+                        above.starts_with(global) && below.starts_with("HashAggregate(Local)"),
+                        "{ctx}\n{labels:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -61,8 +61,9 @@ fn one_walker_serves_every_corpus_plan() {
 }
 
 /// The keyless join prints as the nested-loops join it is and is not a
-/// shape the exchange splits: its inputs get their own exchanges and
-/// the join itself runs serially, at any parallelism.
+/// shape the exchange splits, and neither is a global aggregate: their
+/// inputs get their own exchanges and they run serially, at any
+/// parallelism.
 #[test]
 fn forced_exchanges_leave_the_keyless_join_serial() {
     let db = db();
@@ -78,8 +79,8 @@ Sort [c2]
           TableScan t5 [3 cols]
         Project [c10]
           Compute [c10:=CASE WHEN (c21 = 0) THEN NULL ELSE (c20 / c21) END]
-            Exchange
-              HashAggregate(Scalar) [] [c20:=sum(c8), c21:=count(c8)]
+            HashAggregate(Scalar) [] [c20:=sum(c8), c21:=count(c8)]
+              Exchange
                 Filter (c8 > 0)
                   TableScan t5 [2 cols]
 "
@@ -88,7 +89,7 @@ Sort [c2]
 }
 
 /// A maximal eligible subtree gets one exchange, build side included;
-/// re-wrapping a plan the optimizer already exchanged strips the
+/// re-wrapping a subtree the optimizer already exchanged strips the
 /// exchange on the driving path and keeps the build side's.
 #[test]
 fn exchange_placement_matches_the_pinned_plans() {
@@ -108,24 +109,26 @@ Exchange
     assert_eq!(explain_phys(&wrap_exchange(&serial).unwrap()), placed);
 
     db.set_parallelism(4);
-    let parallel = db.plan(&sql, OptimizerLevel::GroupByReorder).unwrap();
+    let parallel = db.plan(&sql, OptimizerLevel::Full).unwrap().physical;
     let exchanged = "\
-Exchange
-  Project [c0]
-    Filter (1000000 < c11)
-      HashInner on c0=c6
-        TableScan t5 [1 cols]
-        Exchange
-          HashAggregate(Vector) [c6] [c11:=sum(c8)]
-            TableScan t6 [3 cols]
+Project [c0]
+  Filter (1000000 < c11)
+    HashAggregate(Vector) [c0] [c11:=sum(c13)]
+      Exchange
+        HashInner on c0=c6
+          TableScan t5 [1 cols]
+          Exchange
+            HashAggregate(Local) [c6] [c13:=sum(c8)]
+              TableScan t6 [3 cols]
 ";
-    assert_eq!(explain_phys(&parallel.physical), exchanged);
-    // Already-placed exchanges are left alone...
-    assert_eq!(
-        explain_phys(&place_exchanges(&parallel.physical)),
-        exchanged
-    );
-    // ...and a re-wrap subsumes the root's while the build keeps its own.
-    let rewrapped = wrap_exchange(&parallel.physical).unwrap();
-    assert_eq!(explain_phys(&rewrapped), exchanged);
+    assert_eq!(explain_phys(&parallel), exchanged);
+    // Already-placed exchanges are left alone, a global aggregate is
+    // not something to wrap...
+    assert_eq!(explain_phys(&place_exchanges(&parallel)), exchanged);
+    assert_eq!(wrap_exchange(&parallel), None);
+    // ...and a re-wrap of the exchanged join subsumes its exchange
+    // while the build side keeps its own.
+    let aggregate = parallel.children()[0].children()[0];
+    let join = aggregate.children()[0];
+    assert_eq!(wrap_exchange(join).as_ref(), Some(join));
 }

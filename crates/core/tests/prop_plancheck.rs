@@ -193,6 +193,36 @@ fn mutation_exchange_out_of_grammar_is_blamed() {
     assert_blames(&err, "mutation::exchange_out_of_grammar");
 }
 
+/// Variant 6b: an Exchange directly over a global aggregate, Vector or
+/// Scalar. Workers would each emit their own groups with no combiner
+/// above; only a Local aggregate may sit under an Exchange.
+#[test]
+fn mutation_exchange_over_global_aggregate_is_blamed() {
+    for kind in [GroupKind::Vector, GroupKind::Scalar] {
+        let plan = PhysExpr::HashAggregate {
+            kind,
+            input: Box::new(PhysExpr::TableScan {
+                table: TableId(0),
+                positions: vec![0],
+                cols: vec![ColId(1)],
+            }),
+            group_cols: vec![],
+            aggs: vec![AggDef::new(
+                ColumnMeta::new(ColId(2), "n", DataType::Int, false),
+                AggFunc::CountStar,
+                None,
+            )],
+        };
+        assert!(
+            plancheck::check_physical(&plan).is_empty(),
+            "input plan must be clean before mutation"
+        );
+        let err = opt_mutation::exchange_over_global_aggregate(plan)
+            .expect_err("Exchange over a global aggregate");
+        assert_blames(&err, "mutation::exchange_over_global_aggregate");
+    }
+}
+
 /// A one-row constant scan for hand-built physical mutation inputs.
 fn const_scan(ids: &[u32]) -> PhysExpr {
     PhysExpr::const_rows(

@@ -437,11 +437,6 @@ impl GroupedAggState {
         Ok((len, None))
     }
 
-    /// Number of distinct groups fed so far.
-    pub fn group_count(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Worst-case bytes [`feed`](GroupedAggState::feed) could charge for
     /// one `(key, args)` row: a brand-new group (key copy, table entry,
     /// accumulator slots) plus every DISTINCT filter admitting its

@@ -1,36 +1,34 @@
 //! Morsel-driven parallel execution.
 //!
 //! An [`Exchange`](PhysExpr::Exchange) node marks a subtree the runtime
-//! may execute across a small fixed pool of `std::thread` workers
-//! (sized by [`ExecCtx::parallelism`]). Three physical strategies are
-//! implemented, chosen by the shape of the wrapped subtree:
+//! may execute across the worker pool (sized by
+//! [`ExecCtx::parallelism`]). It does one thing: **scatter and gather**.
+//! The subtree is cloned once per worker with its driving `TableScan`
+//! replaced by a [`MorselScan`](PhysExpr::MorselScan) over the worker's
+//! statically assigned row ranges, every clone runs as an ordinary
+//! [`Pipeline`], and the workers' output batches are gathered as they
+//! are. Two things the subtree may contain are handled so that work is
+//! not repeated per worker, both with operators that exist anyway:
 //!
-//! * **Pipelined scan** — a chain of row-at-a-time operators over a
-//!   `TableScan` (optionally through one keyed hash join) is cloned per
-//!   worker with the scan replaced by a
-//!   [`MorselScan`](PhysExpr::MorselScan) over statically-assigned row
-//!   ranges; a join's build side is computed once and broadcast to the
-//!   workers as a `ConstScan`.
-//! * **Repartitioned probe** — when the subtree root is exactly a hash
-//!   join, the build side is computed and indexed once
-//!   ([`JoinBuild`]); workers run their morsel-split chain and probe
-//!   each batch against the one shared read-only build with the serial
-//!   join's own probe routine ([`JoinProbe`]).
-//! * **Partial aggregation** — when the root is a `HashAggregate`, each
-//!   worker feeds its morsels into a thread-local
-//!   [`GroupedAggState`]; the partial states are merged at close. This
-//!   is the paper's LocalGroupBy (§3.3) realized physically: the
-//!   thread-local states are LocalGroupBys over the morsel partitions
-//!   and the merge is the global GroupBy.
+//! * **One join build.** A keyed hash join on the driving path has its
+//!   build side computed and indexed once ([`JoinBuild`]); every
+//!   worker's `HashJoinOp` is compiled holding the same `Arc` and only
+//!   probes.
+//! * **Partial aggregation is the paper's LocalGroupBy.** A
+//!   `HashAggregate { kind: Local }` at the subtree's root runs whole
+//!   in every worker — a serial aggregate over that worker's morsels,
+//!   spilling like one — and the global `HashAggregate` the optimizer's
+//!   `split_local_groupby` put *above* the exchange combines the
+//!   partials (§3.3: `G = G_global ∘ LG_local`). The exchange never
+//!   merges aggregate state; an exchange directly over a Vector or
+//!   Scalar aggregate is out of grammar.
 //!
-//! Determinism: morsels are assigned round-robin by a static schedule,
-//! task outputs are gathered in task (submission) order, and aggregate
-//! states merge in task order — repeated parallel runs are
-//! byte-identical. Subtrees
-//! whose shape the runtime does not recognize, non-invariant subtrees
-//! (ones referencing outer parameters or segments), and
-//! `parallelism <= 1` all fall back to serial execution of the
-//! unmodified subtree, with per-node stats copied one-to-one.
+//! Determinism: morsels are assigned round-robin by a static schedule
+//! and task outputs are gathered in task (submission) order — repeated
+//! parallel runs are byte-identical. Ineligible subtrees (a shape
+//! outside the grammar, or one referencing outer parameters or
+//! segments) and `parallelism <= 1` run the unmodified subtree
+//! serially.
 //!
 //! Dispatch: task groups go to the process-wide [`Scheduler`] — one
 //! long-lived pool multiplexing every concurrent query under fair
@@ -43,20 +41,17 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 
-use orthopt_common::column::{cols_bytes, rows_to_columns, Column};
+use orthopt_common::column::{cols_bytes, Column};
 use orthopt_common::{ColId, Error, MemoryReservation, Result};
-use orthopt_ir::{AggDef, GroupKind};
+use orthopt_ir::GroupKind;
 use orthopt_storage::Catalog;
 
-use crate::aggregate::GroupedAggState;
 use crate::bindings::Bindings;
-use crate::eval::PosMap;
 use crate::physical::PhysExpr;
 use crate::pipeline::{
-    concat_batches, free_inputs, pos_of, AggInput, Batch, ColumnBatches, ExecCtx, JoinBuild,
-    JoinProbe, Operator, Pipeline, PipelineOptions, MEM_HINT,
+    free_inputs, pos_of, Batch, ColumnBatches, ExecCtx, JoinBuild, Operator, Pipeline,
+    PipelineOptions, MEM_HINT,
 };
 use crate::scheduler::Scheduler;
 use crate::stats::OpStats;
@@ -101,41 +96,65 @@ fn splittable(p: &PhysExpr) -> bool {
 }
 
 /// Whether the exchange runtime can parallelize this subtree: a
-/// splittable plan, or a `HashAggregate` over one, that does not depend
-/// on outer parameters or segments.
+/// splittable plan, or a `Local` `HashAggregate` over one (whose
+/// partials a global aggregate above the exchange combines), that does
+/// not depend on outer parameters or segments. A Vector or Scalar
+/// aggregate is not eligible: nothing above it would combine the
+/// workers' groups.
 pub fn exchange_eligible(p: &PhysExpr) -> bool {
-    let shape =
-        splittable(p) || matches!(p, PhysExpr::HashAggregate { input, .. } if splittable(input));
-    shape && free_inputs(p).is_invariant()
+    let rows = match p {
+        PhysExpr::HashAggregate {
+            kind: GroupKind::Local,
+            input,
+            ..
+        } => input,
+        _ => p,
+    };
+    splittable(rows) && free_inputs(p).is_invariant()
 }
 
-/// Removes `Exchange` nodes from the driving path (root, wrapper
-/// chains, the probe side of a join, an aggregate's input) so a larger
-/// wrap can subsume exchanges a bottom-up planner already placed on
-/// children. Build sides keep theirs — they execute serially under the
-/// parent exchange, where a nested exchange degrades to a no-op.
-fn strip_driving_exchanges(p: &mut PhysExpr) {
-    while let PhysExpr::Exchange { input } = p {
-        *p = (**input).clone();
-    }
-    match p {
-        PhysExpr::Filter { input, .. }
-        | PhysExpr::Compute { input, .. }
-        | PhysExpr::ProjectCols { input, .. }
-        | PhysExpr::HashAggregate { input, .. }
-        | PhysExpr::HashJoin { left: input, .. } => strip_driving_exchanges(input),
-        _ => {}
+/// Whether `p`'s first input continues the driving path: a per-row
+/// wrapper's or an aggregate's only input, a join's probe side.
+fn drives_first_input(p: &PhysExpr) -> bool {
+    matches!(
+        p,
+        PhysExpr::Filter { .. }
+            | PhysExpr::Compute { .. }
+            | PhysExpr::ProjectCols { .. }
+            | PhysExpr::HashAggregate { .. }
+            | PhysExpr::HashJoin { .. }
+    )
+}
+
+/// The driving path from `p` down to where it ends (in an eligible
+/// subtree, at the `TableScan` the morsel split applies to).
+fn driving_path(p: &PhysExpr) -> impl Iterator<Item = &PhysExpr> {
+    std::iter::successors(Some(p), |n| {
+        drives_first_input(n).then(|| n.children().swap_remove(0))
+    })
+}
+
+/// Applies `edit` to every node of the driving path, top down.
+fn edit_driving_path(p: &mut PhysExpr, edit: &mut impl FnMut(&mut PhysExpr)) {
+    edit(p);
+    if drives_first_input(p) {
+        edit_driving_path(p.children_mut().swap_remove(0), edit);
     }
 }
 
-/// Wraps a plan in an `Exchange` if it is eligible, first stripping
+/// Wraps a plan in an `Exchange` if it is eligible, first removing the
 /// exchanges a bottom-up planner already placed on the driving path
 /// (so the larger wrap subsumes them rather than being blocked by
-/// them). Used by the optimizer when the cost model decides
-/// parallelism pays.
+/// them). Build sides keep theirs — they execute serially under the
+/// parent exchange, where a nested exchange degrades to a no-op. Used
+/// by the optimizer when the cost model decides parallelism pays.
 pub fn wrap_exchange(p: &PhysExpr) -> Option<PhysExpr> {
     let mut inner = p.clone();
-    strip_driving_exchanges(&mut inner);
+    edit_driving_path(&mut inner, &mut |n| {
+        while let PhysExpr::Exchange { input } = n {
+            *n = (**input).clone();
+        }
+    });
     exchange_eligible(&inner).then(|| PhysExpr::Exchange {
         input: Box::new(inner),
     })
@@ -161,80 +180,26 @@ pub fn place_exchanges(p: &PhysExpr) -> PhysExpr {
     out
 }
 
-// ---------------------------------------------------------------------
-// Plan surgery: locating the driving scan / build side, substitution.
-// ---------------------------------------------------------------------
-
-/// The build subtree on the driving path, if the subtree contains a
-/// join (at most one, by the eligibility grammar).
-fn build_side(p: &PhysExpr) -> Option<&PhysExpr> {
-    match p {
-        PhysExpr::Filter { input, .. }
-        | PhysExpr::Compute { input, .. }
-        | PhysExpr::ProjectCols { input, .. }
-        | PhysExpr::HashAggregate { input, .. } => build_side(input),
-        PhysExpr::HashJoin { right, .. } => Some(right),
-        _ => None,
-    }
-}
-
-/// Row count of the driving scan's table.
-fn driving_len(p: &PhysExpr, catalog: &Catalog) -> usize {
-    match p {
-        PhysExpr::TableScan { table, .. } => catalog.table(*table).row_count(),
-        PhysExpr::Filter { input, .. }
-        | PhysExpr::Compute { input, .. }
-        | PhysExpr::ProjectCols { input, .. }
-        | PhysExpr::HashAggregate { input, .. } => driving_len(input, catalog),
-        PhysExpr::HashJoin { left, .. } => driving_len(left, catalog),
-        _ => 0,
-    }
-}
-
-/// Turns a clone of the subtree into one worker's plan: the driving
-/// `TableScan` becomes a `MorselScan` over the worker's ranges, and the
-/// build side (if any) becomes `build`, the `ConstScan` over the
-/// broadcast build columns. Reaching a join without one means the
-/// eligibility grammar and the build locator disagree — reported as an
-/// internal error rather than a panic so the engine survives the (never
-/// observed) inconsistency.
-fn substitute(
-    p: &PhysExpr,
-    ranges: &[(usize, usize)],
-    build: Option<&PhysExpr>,
-) -> Result<PhysExpr> {
-    fn swap(p: &mut PhysExpr, ranges: &[(usize, usize)], build: Option<&PhysExpr>) -> Result<()> {
-        match p {
-            PhysExpr::TableScan {
-                table,
-                positions,
-                cols,
-            } => {
-                *p = PhysExpr::MorselScan {
-                    table: *table,
-                    positions: std::mem::take(positions),
-                    cols: std::mem::take(cols),
-                    ranges: ranges.to_vec(),
-                };
-            }
-            PhysExpr::HashJoin { left, right, .. } => {
-                **right = build.cloned().ok_or_else(|| {
-                    Error::internal(
-                        "exchange substitution reached a join without broadcast build rows",
-                    )
-                })?;
-                swap(left, ranges, None)?;
-            }
-            PhysExpr::Filter { input, .. }
-            | PhysExpr::Compute { input, .. }
-            | PhysExpr::ProjectCols { input, .. } => swap(input, ranges, build)?,
-            _ => {}
-        }
-        Ok(())
-    }
+/// One worker's plan: a clone of the subtree whose driving `TableScan`
+/// is a `MorselScan` over the worker's ranges.
+fn worker_plan(p: &PhysExpr, ranges: &[(usize, usize)]) -> PhysExpr {
     let mut out = p.clone();
-    swap(&mut out, ranges, build)?;
-    Ok(out)
+    edit_driving_path(&mut out, &mut |n| {
+        if let PhysExpr::TableScan {
+            table,
+            positions,
+            cols,
+        } = n
+        {
+            *n = PhysExpr::MorselScan {
+                table: *table,
+                positions: std::mem::take(positions),
+                cols: std::mem::take(cols),
+                ranges: ranges.to_vec(),
+            };
+        }
+    });
+    out
 }
 
 /// Static morsel schedule: the table's row space is cut into morsels of
@@ -355,29 +320,30 @@ fn run_to_columns(
     Ok(out)
 }
 
+fn batches_bytes(batches: &ColumnBatches) -> u64 {
+    batches.iter().map(|(c, n)| cols_bytes(c, *n)).sum()
+}
+
 #[allow(dead_code)]
 fn thread_safety_asserts() {
     fn send<T: Send>() {}
     fn sync<T: Sync>() {}
-    // Worker plans move into threads; catalogs, the repartitioned
-    // join's build and its probe routine are shared by reference;
-    // column batches and partial aggregation states travel back.
+    // Worker plans move into threads; the catalog and the one join
+    // build are shared by reference; column batches travel back.
     send::<PhysExpr>();
     send::<ColumnBatches>();
-    send::<GroupedAggState>();
     sync::<Catalog>();
-    sync::<JoinBuild>();
-    sync::<JoinProbe>();
+    send::<Arc<JoinBuild>>();
 }
 
 // ---------------------------------------------------------------------
 // The exchange operator.
 // ---------------------------------------------------------------------
 
-/// Runtime of an `Exchange` node: decides serial fallback vs. one of
-/// the three parallel strategies at execution time, runs the workers,
-/// and merges per-worker [`OpStats`] into the enclosing pipeline's
-/// registry at the subtree's pre-order slots.
+/// Runtime of an `Exchange` node: runs the subtree serially or as one
+/// morsel-split clone per worker, and merges the sub-pipelines'
+/// [`OpStats`] into the enclosing pipeline's registry at the subtree's
+/// pre-order slots.
 pub struct ExchangeOp {
     plan: PhysExpr,
     /// First stats slot of the wrapped subtree (the slot right after the
@@ -390,12 +356,12 @@ pub struct ExchangeOp {
     /// exchange boundary.
     spill: bool,
     out_cols: Rc<[ColId]>,
-    invariant: bool,
+    eligible: bool,
     /// Gathered output, handed to the parent batch by batch.
     pending: VecDeque<(Vec<Column>, usize)>,
     done: bool,
-    /// Charges the gather buffer (`pending`) against the query's memory
-    /// budget; workers stream into it before the parent drains.
+    /// Charges the gather buffer (`pending`) and, while the workers
+    /// run, the shared join build against the query's memory budget.
     mem: MemoryReservation,
 }
 
@@ -408,7 +374,7 @@ impl ExchangeOp {
         spill: bool,
     ) -> ExchangeOp {
         let out_cols: Rc<[ColId]> = plan.out_cols().as_slice().into();
-        let invariant = free_inputs(&plan).is_invariant();
+        let eligible = exchange_eligible(&plan);
         ExchangeOp {
             plan,
             base,
@@ -416,7 +382,7 @@ impl ExchangeOp {
             batch_size,
             spill,
             out_cols,
-            invariant,
+            eligible,
             pending: VecDeque::new(),
             done: false,
             mem: MemoryReservation::detached("Exchange"),
@@ -434,12 +400,12 @@ impl ExchangeOp {
 
     /// Moves freshly gathered batches into the shared `pending` buffer,
     /// charging them to the exchange's reservation first. Worker plans
-    /// are synthesized by plan surgery ([`substitute`]), so a
-    /// substitution bug would otherwise corrupt the merged stream
-    /// silently: like [`Batch::check_width`] the layout check runs in
-    /// release builds too and reports through `common::error` rather
-    /// than panicking. Also a fault site (`exchange.gather`), so
-    /// injection can exercise the gather path.
+    /// are made by plan surgery ([`worker_plan`]), so a surgery bug
+    /// would otherwise corrupt the merged stream silently: like
+    /// [`Batch::check_width`] the layout check runs in release builds
+    /// too and reports through `common::error` rather than panicking.
+    /// Also a fault site (`exchange.gather`), so injection can exercise
+    /// the gather path.
     fn gather(&mut self, batches: ColumnBatches, site: &str) -> Result<()> {
         let width = self.out_cols.len();
         if let Some((columns, _)) = batches.iter().find(|(c, _)| c.len() != width) {
@@ -448,372 +414,133 @@ impl ExchangeOp {
                 columns.len()
             )));
         }
-        let bytes = batches.iter().map(|(c, n)| cols_bytes(c, *n)).sum();
         crate::faults::hit("exchange.gather")
-            .and_then(|()| self.mem.grow(bytes))
+            .and_then(|()| self.mem.grow(batches_bytes(&batches)))
             .map_err(|e| e.with_hint(MEM_HINT))?;
         self.pending
             .extend(batches.into_iter().filter(|(_, len)| *len > 0));
         Ok(())
     }
 
-    /// Serial fallback: compile and run the unmodified subtree, copying
-    /// its per-node stats one-to-one into the reserved slots.
-    fn run_serial(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        let mut pipe = Pipeline::with_options(&self.plan, self.pipe_options())?;
+    /// Adds a serially run sub-pipeline's per-node stats into the
+    /// reserved slots from `start` on.
+    fn add_stats(&self, start: usize, sub: &[OpStats]) {
+        let mut stats = self.stats.borrow_mut();
+        for (slot, s) in stats[start..].iter_mut().zip(sub) {
+            slot.add_task(s);
+        }
+    }
+
+    /// Compiles and runs `plan` — the whole subtree, or a join's build
+    /// side — serially on this thread, recording its stats from slot
+    /// `start` on.
+    fn run_sub(&self, ctx: &ExecCtx<'_>, plan: &PhysExpr, start: usize) -> Result<ColumnBatches> {
+        let mut pipe = Pipeline::with_options(plan, self.pipe_options())?;
         pipe.set_governor(ctx.gov.clone());
+        // What fans out is invariant; a subtree falling back to serial
+        // may read the enclosing bindings.
         let binds = ctx.binds.borrow().clone();
-        let batches = run_to_columns(&mut pipe, ctx.catalog, &binds)?;
-        let sub = pipe.stats();
-        let mut stats = self.stats.borrow_mut();
-        for (i, s) in sub.iter().enumerate() {
-            let slot = &mut stats[self.base + i];
-            slot.opens += s.opens;
-            slot.batches += s.batches;
-            slot.rows += s.rows;
-            slot.elapsed += s.elapsed;
-            slot.mem_peak = slot.mem_peak.max(s.mem_peak);
-        }
-        drop(stats);
-        self.gather(batches, "serial fallback")
+        let batches = run_to_columns(&mut pipe, ctx.catalog, &binds);
+        self.add_stats(start, &pipe.stats());
+        batches
     }
 
-    /// Runs a join build side once, serially, recording its stats into
-    /// the trailing reserved slots (the build subtree is last in the
-    /// subtree's pre-order).
-    fn run_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<ColumnBatches> {
-        let mut pipe = Pipeline::with_options(build, self.pipe_options())?;
-        pipe.set_governor(ctx.gov.clone());
-        // The build plan runs unmodified (no surgery), and the pipeline
-        // checks every root batch against its layout.
-        let batches = run_to_columns(&mut pipe, ctx.catalog, &Bindings::new())?;
-        let sub = pipe.stats();
-        let start = self.base + self.plan.node_count() - build.node_count();
-        let mut stats = self.stats.borrow_mut();
-        for (i, s) in sub.iter().enumerate() {
-            let slot = &mut stats[start + i];
-            slot.opens += s.opens;
-            slot.batches += s.batches;
-            slot.rows += s.rows;
-            slot.elapsed += s.elapsed;
-            slot.mem_peak = slot.mem_peak.max(s.mem_peak);
-        }
-        Ok(batches)
-    }
-
-    /// The build side as the `ConstScan` pipelined and
-    /// partial-aggregation workers get in its place: its batches
-    /// concatenated once, shared by every worker plan through the
-    /// columns' `Arc`s.
-    fn broadcast_build(&self, ctx: &ExecCtx<'_>, build: &PhysExpr) -> Result<PhysExpr> {
-        let cols = build.out_cols();
-        let (columns, len) = concat_batches(&self.run_build(ctx, build)?, cols.len());
-        Ok(PhysExpr::ConstScan { cols, columns, len })
-    }
-
-    /// Folds each task's pipeline stats into the aligned slot prefix,
-    /// first grouping tasks by the pool worker that ran them — so
-    /// `workers=` reports *distinct* scheduler workers, not task count,
-    /// and `max/worker=` reflects the rows one worker actually
-    /// produced across all its tasks. Worker plans share the subtree's
-    /// pre-order for their first `align` nodes because the build
-    /// subtree (whose replacement is the trailing `ConstScan`) sorts
-    /// last in pre-order.
-    fn absorb_workers(&self, offset: usize, align: usize, tagged: &[(usize, Vec<OpStats>)]) {
+    /// Folds each task's pipeline stats into the subtree's slots, first
+    /// grouping tasks by the pool worker that ran them — so `workers=`
+    /// reports *distinct* scheduler workers, not task count, and
+    /// `max/worker=` reflects the rows one worker actually produced
+    /// across all its tasks. A worker pipeline's nodes are the
+    /// subtree's in pre-order, less the join build side — which sorts
+    /// last and which no worker compiles.
+    fn absorb_workers(&self, tagged: &[(usize, Vec<OpStats>)]) {
         let mut by_worker: BTreeMap<usize, Vec<OpStats>> = BTreeMap::new();
         for (w, tstats) in tagged {
             let merged = by_worker
                 .entry(*w)
-                .or_insert_with(|| vec![OpStats::default(); align]);
-            for i in 0..align.min(tstats.len()) {
-                merged[i].add_task(&tstats[i]);
+                .or_insert_with(|| vec![OpStats::default(); tstats.len()]);
+            for (m, t) in merged.iter_mut().zip(tstats) {
+                m.add_task(t);
             }
         }
         let mut stats = self.stats.borrow_mut();
         for merged in by_worker.values() {
-            for i in 0..align {
-                stats[self.base + offset + i].absorb_worker(&merged[i]);
+            for (slot, w) in stats[self.base..].iter_mut().zip(merged) {
+                slot.absorb_worker(w);
             }
         }
-    }
-
-    /// Distinct pool workers and the max row count any one of them
-    /// produced, from `(worker, rows)` pairs.
-    fn worker_spread(per_task: impl Iterator<Item = (usize, u64)>) -> (usize, u64) {
-        let mut rows_by_worker: BTreeMap<usize, u64> = BTreeMap::new();
-        for (w, rows) in per_task {
-            *rows_by_worker.entry(w).or_insert(0) += rows;
-        }
-        let max = rows_by_worker.values().copied().max().unwrap_or(0);
-        (rows_by_worker.len(), max)
-    }
-
-    /// Synthesizes the stats of a node the workers replaced (the join in
-    /// repartition mode, the aggregate in partial-agg mode) so its slot
-    /// matches what a serial run would report.
-    fn synthesize_root(&self, rows: usize, elapsed: std::time::Duration, workers: usize, max: u64) {
-        let mut stats = self.stats.borrow_mut();
-        let slot = &mut stats[self.base];
-        slot.opens += 1;
-        slot.rows += rows as u64;
-        slot.batches += (rows as u64).div_ceil(self.batch_size as u64);
-        slot.elapsed += elapsed;
-        slot.workers += workers as u64;
-        slot.worker_rows_max = slot.worker_rows_max.max(max);
     }
 
     fn compute(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         ctx.gov.check_cancelled("Exchange")?;
         let workers = ctx.parallelism.min(MAX_WORKERS);
-        if workers <= 1 || !self.invariant {
-            return self.run_serial(ctx);
-        }
-        match &self.plan {
-            PhysExpr::HashAggregate {
-                kind,
-                input,
-                group_cols,
-                aggs,
-            } if splittable(input) => {
-                let (kind, input) = (*kind, (**input).clone());
-                let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
-                self.run_partial_agg(ctx, workers, kind, &input, &group_cols, &aggs)
-            }
-            p @ PhysExpr::HashJoin { .. } if splittable(p) => self.run_repartition(ctx, workers),
-            p if splittable(p) => self.run_pipelined(ctx, workers),
-            _ => self.run_serial(ctx),
+        if workers <= 1 || !self.eligible {
+            self.run_serial(ctx)
+        } else {
+            self.run_pipelined(ctx, workers)
         }
     }
 
-    /// Pipelined mode: each worker runs a full clone of the subtree over
-    /// its morsels (build side broadcast as a `ConstScan`); outputs are
-    /// gathered worker-major.
+    /// Serial fallback: the unmodified subtree as one sub-pipeline.
+    fn run_serial(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+        let batches = self.run_sub(ctx, &self.plan, self.base)?;
+        self.gather(batches, "serial fallback")
+    }
+
+    /// Each worker runs a clone of the subtree over its morsels; outputs
+    /// are gathered in task order. A join on the driving path is built
+    /// once, here: the build side runs serially (its nodes are the last
+    /// of the subtree in pre-order), is charged to the exchange while
+    /// the workers probe it, and every worker's join holds the same
+    /// [`JoinBuild`]. The charge cannot spill, so a refusal names the
+    /// knob.
     fn run_pipelined(&mut self, ctx: &ExecCtx<'_>, workers: usize) -> Result<()> {
-        let build = match build_side(&self.plan) {
-            Some(b) => Some(self.broadcast_build(ctx, b)?),
-            None => None,
-        };
-        let align = self.plan.node_count()
-            - build_side(&self.plan).map_or(0, super::physical::PhysExpr::node_count);
-        let ranges = worker_ranges(driving_len(&self.plan, ctx.catalog), workers);
-        let plans: Vec<PhysExpr> = ranges
+        let mut build = None;
+        let mut build_bytes = 0;
+        let mut len = 0;
+        for node in driving_path(&self.plan) {
+            match node {
+                PhysExpr::HashJoin {
+                    right, right_keys, ..
+                } => {
+                    let start = self.base + self.plan.node_count() - right.node_count();
+                    let parts = self.run_sub(ctx, right, start)?;
+                    build_bytes = batches_bytes(&parts);
+                    crate::faults::hit("hashjoin.build")
+                        .and_then(|()| self.mem.grow(build_bytes))
+                        .map_err(|e| e.with_hint(MEM_HINT))?;
+                    let layout = right.out_cols();
+                    let key_pos = right_keys
+                        .iter()
+                        .map(|c| pos_of(&layout, *c))
+                        .collect::<Result<Vec<_>>>()?;
+                    build = Some(Arc::new(JoinBuild::new(&parts, layout.len(), &key_pos)));
+                }
+                PhysExpr::TableScan { table, .. } => len = ctx.catalog.table(*table).row_count(),
+                _ => {}
+            }
+        }
+        let plans = worker_ranges(len, workers)
             .iter()
-            .map(|r| substitute(&self.plan, r, build.as_ref()))
-            .collect::<Result<_>>()?;
+            .map(|r| worker_plan(&self.plan, r))
+            .collect();
         let opts = self.pipe_options();
         let gov = ctx.gov.clone();
         let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
-            let mut pipe = Pipeline::with_options(&plan, opts)?;
+            let mut pipe = Pipeline::with_shared_build(&plan, opts, build.clone())?;
             pipe.set_governor(gov.clone());
             let batches = run_to_columns(&mut pipe, catalog, &Bindings::new())?;
             Ok((batches, pipe.stats()))
-        })?;
-        let tagged: Vec<(usize, Vec<OpStats>)> =
-            results.iter().map(|(w, (_, s))| (*w, s.clone())).collect();
-        self.absorb_workers(0, align, &tagged);
-        for (_, (batches, _)) in results {
+        });
+        self.mem.shrink(build_bytes);
+        let (tagged, outputs): (Vec<_>, Vec<_>) = results?
+            .into_iter()
+            .map(|(w, (batches, stats))| ((w, stats), batches))
+            .unzip();
+        self.absorb_workers(&tagged);
+        for batches in outputs {
             self.gather(batches, "pipelined gather")?;
         }
         Ok(())
-    }
-
-    /// Repartition mode (subtree root is exactly a hash join): the
-    /// build side is computed and indexed once; each worker runs its
-    /// morsel-split probe chain and joins every batch against that one
-    /// shared build with [`JoinProbe::probe`] — the routine the serial
-    /// join calls, so NULL keys, the residual and all four join kinds
-    /// mean what they mean there.
-    fn run_repartition(&mut self, ctx: &ExecCtx<'_>, workers: usize) -> Result<()> {
-        let PhysExpr::HashJoin {
-            kind,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } = &self.plan
-        else {
-            return self.run_serial(ctx);
-        };
-        let t = Instant::now();
-        let lout = left.out_cols();
-        let rout = right.out_cols();
-        let key_pos = |keys: &[ColId], layout: &[ColId]| -> Result<Vec<usize>> {
-            keys.iter().map(|c| pos_of(layout, *c)).collect()
-        };
-        let left_pos = key_pos(left_keys, &lout)?;
-        let right_pos = key_pos(right_keys, &rout)?;
-        let build = Arc::new(JoinBuild::new(
-            &self.run_build(ctx, right)?,
-            rout.len(),
-            &right_pos,
-        ));
-        let mut combined = lout;
-        combined.extend(rout);
-        let probe = JoinProbe::new(*kind, left_pos, right_pos, residual.clone(), combined);
-
-        let chain_plan = (**left).clone();
-        let chain_count = chain_plan.node_count();
-        let ranges = worker_ranges(driving_len(&chain_plan, ctx.catalog), workers);
-        let plans: Vec<PhysExpr> = ranges
-            .iter()
-            .map(|r| substitute(&chain_plan, r, None))
-            .collect::<Result<_>>()?;
-        let opts = self.pipe_options();
-        let gov = ctx.gov.clone();
-        let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
-            let mut pipe = Pipeline::with_options(&plan, opts)?;
-            pipe.set_governor(gov.clone());
-            let binds = Bindings::new();
-            let mut out: ColumnBatches = Vec::new();
-            // The join node's own kernel / bridge counts, as the serial
-            // operator would have noted them.
-            let mut joined = OpStats::default();
-            pipe.execute_each(catalog, &binds, |b| {
-                let windows = probe.probe(&build, &b.columns, b.len, &binds, &mut joined)?;
-                joined.rows += windows.iter().map(|(_, n)| *n as u64).sum::<u64>();
-                out.extend(windows);
-                Ok(())
-            })?;
-            Ok((out, pipe.stats(), joined))
-        })?;
-        let tagged: Vec<(usize, Vec<OpStats>)> = results
-            .iter()
-            .map(|(w, (_, s, _))| (*w, s.clone()))
-            .collect();
-        // Probe chain occupies the slots right after the join node.
-        self.absorb_workers(1, chain_count, &tagged);
-        let (spread, max) =
-            ExchangeOp::worker_spread(results.iter().map(|(w, (_, _, joined))| (*w, joined.rows)));
-        let mut total = OpStats::default();
-        for (_, (batches, _, joined)) in results {
-            total.add_task(&joined);
-            self.gather(batches, "repartition gather")?;
-        }
-        self.synthesize_root(total.rows as usize, t.elapsed(), spread, max);
-        let mut stats = self.stats.borrow_mut();
-        stats[self.base].kernels += total.kernels;
-        stats[self.base].bridged += total.bridged;
-        Ok(())
-    }
-
-    /// Partial-aggregation mode: workers feed their morsels into
-    /// thread-local [`GroupedAggState`]s; states merge in worker order
-    /// and finish once (preserving scalar-on-empty semantics).
-    fn run_partial_agg(
-        &mut self,
-        ctx: &ExecCtx<'_>,
-        workers: usize,
-        kind: GroupKind,
-        input: &PhysExpr,
-        group_cols: &[ColId],
-        aggs: &[AggDef],
-    ) -> Result<()> {
-        let t = Instant::now();
-        let build = match build_side(input) {
-            Some(b) => {
-                // run_build indexes trailing slots relative to the whole
-                // subtree (aggregate + input), which is where the build
-                // nodes sit in pre-order.
-                Some(self.broadcast_build(ctx, b)?)
-            }
-            None => None,
-        };
-        let in_cols = input.out_cols();
-        let group_pos: Vec<usize> = group_cols
-            .iter()
-            .map(|c| {
-                in_cols
-                    .iter()
-                    .position(|l| l == c)
-                    .ok_or_else(|| Error::internal("partial-agg group column missing from layout"))
-            })
-            .collect::<Result<_>>()?;
-        let align =
-            input.node_count() - build_side(input).map_or(0, super::physical::PhysExpr::node_count);
-        let ranges = worker_ranges(driving_len(input, ctx.catalog), workers);
-        let plans: Vec<PhysExpr> = ranges
-            .iter()
-            .map(|r| substitute(input, r, build.as_ref()))
-            .collect::<Result<_>>()?;
-        let opts = self.pipe_options();
-        let owned_aggs: Vec<AggDef> = aggs.to_vec();
-        let gov = ctx.gov.clone();
-        let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
-            let mut pipe = Pipeline::with_options(&plan, opts)?;
-            pipe.set_governor(gov.clone());
-            let binds = Bindings::new();
-            let pos = PosMap::new(&in_cols);
-            let input = AggInput {
-                group_pos: &group_pos,
-                aggs: &owned_aggs,
-                cols: &in_cols,
-                pos: &pos,
-            };
-            let mut state = GroupedAggState::new(&owned_aggs);
-            // Each task's local state charges the shared pool; the
-            // merged total is what a serial aggregate would hold.
-            state.set_reservation(gov.reservation("PartialAgg"));
-            // The aggregate node's own kernel / bridge counts, as the
-            // serial operator would have noted them.
-            let mut fed = OpStats::default();
-            pipe.execute_each(catalog, &binds, |b| {
-                let unfed = input.feed(Some(&mut state), &b, &binds, false)?;
-                if let Some(err) = unfed.refusal {
-                    // Worker-local group state is a hard-fail site: it
-                    // cannot spill, so a refusal names the knob.
-                    return Err(err.with_hint(MEM_HINT));
-                }
-                if unfed.vectorized {
-                    fed.kernels += 1;
-                } else {
-                    fed.bridged += 1;
-                }
-                Ok(())
-            })?;
-            Ok((state, pipe.stats(), fed))
-        })?;
-        let tagged: Vec<(usize, Vec<OpStats>)> = results
-            .iter()
-            .map(|(w, (_, s, _))| (*w, s.clone()))
-            .collect();
-        // The input subtree sits right after the aggregate node.
-        self.absorb_workers(1, align, &tagged);
-        let (spread, max) = ExchangeOp::worker_spread(
-            results
-                .iter()
-                .map(|(w, (state, _, _))| (*w, state.group_count() as u64)),
-        );
-        let mut merged: Option<GroupedAggState> = None;
-        let (mut kernels, mut bridged) = (0, 0);
-        for (_, (state, _, fed)) in results {
-            kernels += fed.kernels;
-            bridged += fed.bridged;
-            match &mut merged {
-                None => merged = Some(state),
-                Some(m) => m.merge(state).map_err(|e| e.with_hint(MEM_HINT))?,
-            }
-        }
-        let merged = merged.unwrap_or_else(|| GroupedAggState::new(aggs));
-        // The merged state's peak covers every group the workers found:
-        // merging re-charges vacant groups into the surviving state.
-        let state_peak = merged.mem_peak();
-        let rows = merged.finish(kind);
-        self.synthesize_root(rows.len(), t.elapsed(), spread, max);
-        {
-            let mut stats = self.stats.borrow_mut();
-            let slot = &mut stats[self.base];
-            slot.mem_peak = slot.mem_peak.max(state_peak);
-            slot.kernels += kernels;
-            slot.bridged += bridged;
-        }
-        // The finished groups are the aggregate's only rows: one
-        // transposition at the boundary.
-        let width = self.out_cols.len();
-        self.gather(
-            vec![(rows_to_columns(&rows, width), rows.len())],
-            "partial-agg merge",
-        )
     }
 }
 
@@ -830,22 +557,11 @@ impl Operator for ExchangeOp {
             self.compute(ctx)?;
             self.done = true;
         }
-        // Worker batches pass through as they are; only a gathered
-        // batch over the batch size (a merged aggregate's result) is cut.
-        let Some((columns, len)) = self.pending.front_mut() else {
-            return Ok(None);
-        };
-        let take = (*len).min(self.batch_size);
-        let head = columns.iter().map(|c| c.slice(0, take)).collect();
-        if take == *len {
-            self.pending.pop_front();
-        } else {
-            for c in columns.iter_mut() {
-                *c = c.slice(take, *len - take);
-            }
-            *len -= take;
-        }
-        Ok(Some(Batch::from_columns(self.out_cols.clone(), head, take)))
+        // Sub-pipeline batches pass through as they are.
+        Ok(self
+            .pending
+            .pop_front()
+            .map(|(columns, len)| Batch::from_columns(self.out_cols.clone(), columns, len)))
     }
 
     fn mem_peak(&self) -> u64 {
@@ -856,41 +572,72 @@ impl Operator for ExchangeOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthopt_common::{DataType, Row, TableId, Value};
-    use orthopt_ir::{CmpOp, JoinKind, ScalarExpr};
+    use orthopt_common::row::{bag_eq, cmp_rows};
+    use orthopt_common::{DataType, QueryContext, Row, TableId, Value};
+    use orthopt_ir::{AggDef, AggFunc, CmpOp, ColumnMeta, JoinKind, ScalarExpr};
     use orthopt_storage::{ColumnDef, TableDef};
 
-    fn catalog(rows: i64) -> Arc<Catalog> {
+    /// `t(a, b)` with `a = i` and `b = b_of(i)`.
+    fn catalog_with(rows: i64, b_of: impl Fn(i64) -> Value) -> Arc<Catalog> {
         let mut c = Catalog::new();
         let t = c
             .create_table(TableDef::new(
                 "t",
                 vec![
                     ColumnDef::new("a", DataType::Int),
-                    ColumnDef::new("b", DataType::Int),
+                    ColumnDef::nullable("b", DataType::Int),
                 ],
                 vec![vec![0]],
             ))
             .unwrap();
         c.table_mut(t)
-            .insert_all((0..rows).map(|i| vec![Value::Int(i), Value::Int(i % 5)]))
+            .insert_all((0..rows).map(|i| vec![Value::Int(i), b_of(i)]))
             .unwrap();
         Arc::new(c)
     }
 
-    fn scan() -> PhysExpr {
+    fn catalog(rows: i64) -> Arc<Catalog> {
+        catalog_with(rows, |i| Value::Int(i % 5))
+    }
+
+    /// A scan of `t` producing columns `a` and `b` as ids `first`, `first + 1`.
+    fn scan_as(first: u32) -> PhysExpr {
         PhysExpr::TableScan {
             table: TableId(0),
             positions: vec![0, 1],
-            cols: vec![ColId(1), ColId(2)],
+            cols: vec![ColId(first), ColId(first + 1)],
         }
     }
 
-    fn run_at(plan: &PhysExpr, catalog: &Arc<Catalog>, n: usize) -> Vec<Row> {
+    fn scan() -> PhysExpr {
+        scan_as(1)
+    }
+
+    fn pooled(plan: &PhysExpr, catalog: &Arc<Catalog>, n: usize) -> Pipeline {
         let mut p = Pipeline::compile(plan).unwrap();
         p.set_parallelism(n);
         p.set_shared_catalog(Arc::clone(catalog));
+        p
+    }
+
+    fn run_at(plan: &PhysExpr, catalog: &Arc<Catalog>, n: usize) -> Vec<Row> {
+        let mut p = pooled(plan, catalog, n);
         p.execute(catalog, &Bindings::new()).unwrap().rows
+    }
+
+    /// `kind` aggregate by `b` of one `func` (over column 10 unless `count(*)`).
+    fn aggregate(kind: GroupKind, input: PhysExpr, out: u32, func: AggFunc) -> PhysExpr {
+        let arg = (func != AggFunc::CountStar).then(|| ScalarExpr::col(ColId(10)));
+        PhysExpr::HashAggregate {
+            kind,
+            input: Box::new(input),
+            group_cols: vec![ColId(2)],
+            aggs: vec![AggDef::new(
+                ColumnMeta::new(ColId(out), "n", DataType::Int, false),
+                func,
+                arg,
+            )],
+        }
     }
 
     #[test]
@@ -939,12 +686,31 @@ mod tests {
         let build_nested = PhysExpr::HashJoin {
             kind: JoinKind::Inner,
             left: Box::new(scan()),
-            right: Box::new(join),
+            right: Box::new(join.clone()),
             left_keys: vec![ColId(2)],
             right_keys: vec![ColId(2)],
             residual: ScalarExpr::lit(true),
         };
         assert!(exchange_eligible(&build_nested));
+        // A Local aggregate's partials are combined above the exchange;
+        // nothing would combine a Vector or Scalar aggregate's groups.
+        for (kind, eligible) in [
+            (GroupKind::Local, true),
+            (GroupKind::Vector, false),
+            (GroupKind::Scalar, false),
+        ] {
+            for input in [filter.clone(), join.clone()] {
+                let agg = aggregate(kind, input, 10, AggFunc::CountStar);
+                assert_eq!(exchange_eligible(&agg), eligible, "{kind:?}");
+                assert_eq!(wrap_exchange(&agg).is_some(), eligible, "{kind:?}");
+            }
+        }
+        // ...and only at the subtree's root.
+        let local = aggregate(GroupKind::Local, scan(), 10, AggFunc::CountStar);
+        assert!(!exchange_eligible(&PhysExpr::ProjectCols {
+            input: Box::new(local),
+            cols: vec![ColId(2)],
+        }));
     }
 
     #[test]
@@ -964,21 +730,30 @@ mod tests {
                 run_at(&plan, &c, n),
                 "parallelism {n} not deterministic"
             );
-            let mut a = serial.clone();
-            let mut b = par;
-            a.sort_by(orthopt_common::row::cmp_rows);
-            b.sort_by(orthopt_common::row::cmp_rows);
-            assert_eq!(a, b, "parallelism {n} changed the result");
+            assert!(bag_eq(&serial, &par), "parallelism {n} changed the result");
         }
     }
 
-    /// Every join kind, with a residual, through the repartitioned
-    /// probe: the workers share one build and call the serial join's
-    /// probe routine, so the bag is the serial one and the join's slot
-    /// reports their kernel calls.
+    /// Every join kind, with NULL keys and a residual, under `Project`
+    /// and `Filter` wrappers inside the exchange: the build side runs
+    /// once and is charged once however many workers probe it, and the
+    /// workers' joins are the serial operator, so the bag is the serial
+    /// one and the join's slot reports their kernel calls.
     #[test]
-    fn repartition_join_matches_serial() {
-        let c = catalog(123);
+    fn wrapped_join_shares_one_build() {
+        // `b` is a key with NULLs; the build side is the whole table,
+        // the probe side its first 50 rows.
+        let rows = 1000;
+        let c = catalog_with(rows, |i| {
+            if i % 7 == 3 {
+                Value::Null
+            } else {
+                Value::Int(i)
+            }
+        });
+        let below = |col: u32, n: i64| {
+            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(ColId(col)), ScalarExpr::lit(n))
+        };
         for kind in [
             JoinKind::Inner,
             JoinKind::LeftOuter,
@@ -987,92 +762,77 @@ mod tests {
         ] {
             let join = PhysExpr::HashJoin {
                 kind,
-                left: Box::new(scan()),
-                right: Box::new(PhysExpr::TableScan {
-                    table: TableId(0),
-                    positions: vec![0, 1],
-                    cols: vec![ColId(3), ColId(4)],
+                left: Box::new(PhysExpr::Filter {
+                    input: Box::new(scan_as(1)),
+                    predicate: below(1, 50),
                 }),
+                right: Box::new(scan_as(3)),
                 left_keys: vec![ColId(2)],
                 right_keys: vec![ColId(4)],
-                // Keeps some pairs of every key, and leaves the probe
-                // rows with a > 100 unmatched.
-                residual: ScalarExpr::cmp(
-                    CmpOp::Lt,
-                    ScalarExpr::col(ColId(1)),
-                    ScalarExpr::col(ColId(3)),
-                ),
+                // Leaves the probe rows 40..50 unmatched.
+                residual: below(3, 40),
             };
             let plan = PhysExpr::Exchange {
-                input: Box::new(join),
+                input: Box::new(PhysExpr::ProjectCols {
+                    input: Box::new(PhysExpr::Filter {
+                        input: Box::new(join),
+                        predicate: below(1, 48),
+                    }),
+                    cols: vec![ColId(1)],
+                }),
             };
-            let mut serial = run_at(&plan, &c, 1);
-            let mut p = Pipeline::compile(&plan).unwrap();
-            p.set_parallelism(4);
-            p.set_shared_catalog(Arc::clone(&c));
-            let mut par = p.execute(&c, &Bindings::new()).unwrap().rows;
-            assert!(!serial.is_empty(), "{kind:?}: vacuous");
-            serial.sort_by(orthopt_common::row::cmp_rows);
-            par.sort_by(orthopt_common::row::cmp_rows);
-            assert_eq!(serial, par, "{kind:?}");
-            // Slot 0 is the exchange, slot 1 the join it replaced.
-            let join_stats = p.stats()[1];
-            assert!(join_stats.kernels > 0, "{kind:?}: {join_stats:?}");
-            assert_eq!(join_stats.bridged, 0, "{kind:?}: {join_stats:?}");
-            assert_eq!(join_stats.rows, par.len() as u64, "{kind:?}");
+            // Slots: exchange, project, filter, join, probe filter,
+            // probe scan, build scan.
+            let (join_slot, build_slot) = (3, 6);
+            let mut runs = Vec::new();
+            for workers in [1, 2, 4] {
+                let mut p = pooled(&plan, &c, workers);
+                p.set_governor(QueryContext::new().with_memory_limit(1 << 30));
+                let mut got = p.execute(&c, &Bindings::new()).unwrap().rows;
+                got.sort_by(cmp_rows);
+                let stats = p.stats();
+                let ctx = format!("{kind:?} x{workers}");
+                assert_eq!(stats[build_slot].opens, 1, "{ctx}: build side re-run");
+                assert_eq!(stats[build_slot].rows, rows as u64, "{ctx}");
+                assert!(
+                    stats[join_slot].kernels > 0,
+                    "{ctx}: {:?}",
+                    stats[join_slot]
+                );
+                assert_eq!(stats[join_slot].bridged, 0, "{ctx}");
+                runs.push((got, p.governor().mem_peak().unwrap()));
+            }
+            let (serial, serial_peak) = &runs[0];
+            assert!(!serial.is_empty() && *serial_peak > 0, "{kind:?}: vacuous");
+            for (got, peak) in &runs[1..] {
+                assert_eq!(serial, got, "{kind:?}");
+                assert!(
+                    *peak < 2 * serial_peak,
+                    "{kind:?}: peak {peak} B against {serial_peak} B serial — a build per worker?"
+                );
+            }
         }
     }
 
+    /// The paper's split by hand: a Local aggregate under the exchange,
+    /// its partials combined by the global aggregate above it.
     #[test]
-    fn partial_aggregation_matches_serial() {
-        use orthopt_ir::{AggFunc, ColumnMeta};
+    fn local_aggregate_under_exchange_matches_serial() {
         let c = catalog(1024);
-        let agg = PhysExpr::HashAggregate {
-            kind: GroupKind::Vector,
-            input: Box::new(scan()),
-            group_cols: vec![ColId(2)],
-            aggs: vec![
-                AggDef::new(
-                    ColumnMeta::new(ColId(10), "n", DataType::Int, false),
-                    AggFunc::CountStar,
-                    None,
-                ),
-                AggDef::new(
-                    ColumnMeta::new(ColId(11), "s", DataType::Int, true),
-                    AggFunc::Sum,
-                    Some(ScalarExpr::col(ColId(1))),
-                ),
-            ],
+        let local = aggregate(GroupKind::Local, scan(), 10, AggFunc::CountStar);
+        let exchange = PhysExpr::Exchange {
+            input: Box::new(local),
         };
-        let plan = PhysExpr::Exchange {
-            input: Box::new(agg),
-        };
-        let mut serial = run_at(&plan, &c, 1);
-        let mut par = run_at(&plan, &c, 4);
-        serial.sort_by(orthopt_common::row::cmp_rows);
-        par.sort_by(orthopt_common::row::cmp_rows);
-        assert_eq!(serial, par);
+        let plan = aggregate(GroupKind::Vector, exchange, 11, AggFunc::Sum);
+        let direct = aggregate(GroupKind::Vector, scan(), 11, AggFunc::CountStar);
+        let mut serial = run_at(&direct, &c, 1);
+        serial.sort_by(cmp_rows);
         assert_eq!(serial.len(), 5);
-    }
-
-    #[test]
-    fn scalar_aggregate_on_empty_table_stays_scalar() {
-        use orthopt_ir::{AggFunc, ColumnMeta};
-        let c = catalog(0);
-        let agg = PhysExpr::HashAggregate {
-            kind: GroupKind::Scalar,
-            input: Box::new(scan()),
-            group_cols: vec![],
-            aggs: vec![AggDef::new(
-                ColumnMeta::new(ColId(10), "n", DataType::Int, false),
-                AggFunc::CountStar,
-                None,
-            )],
-        };
-        let plan = PhysExpr::Exchange {
-            input: Box::new(agg),
-        };
-        assert_eq!(run_at(&plan, &c, 4), vec![vec![Value::Int(0)]]);
+        for n in [1, 2, 4] {
+            let mut par = run_at(&plan, &c, n);
+            par.sort_by(cmp_rows);
+            assert_eq!(serial, par, "parallelism {n}");
+        }
     }
 
     #[test]
@@ -1084,10 +844,8 @@ mod tests {
                 predicate: ScalarExpr::eq(ScalarExpr::col(ColId(2)), ScalarExpr::lit(1i64)),
             }),
         };
-        let mut p = Pipeline::compile(&plan).unwrap();
+        let mut p = pooled(&plan, &c, 4);
         assert_eq!(p.node_count(), 3); // exchange + filter + scan
-        p.set_parallelism(4);
-        p.set_shared_catalog(Arc::clone(&c));
         p.execute(&c, &Bindings::new()).unwrap();
         let stats = p.stats();
         assert_eq!(stats[2].rows, 100, "scan rows summed across workers");

@@ -206,9 +206,8 @@ pub enum PhysExpr {
         /// Output column id.
         col: ColId,
     },
-    /// Constant rows, held as columns: a literal relation, or a join
-    /// build side an `Exchange` computed once and hands every worker
-    /// (cloning the plan clones `Arc`s, not values).
+    /// Constant rows, held as columns: a literal relation (cloning the
+    /// plan clones `Arc`s, not values).
     ConstScan {
         /// Output columns.
         cols: Vec<ColId>,
@@ -232,12 +231,15 @@ pub enum PhysExpr {
         /// Maximum rows to emit.
         n: usize,
     },
-    /// Parallel-execution boundary: runs `input` across the worker pool
-    /// (morsel-split scans, partitioned hash-join builds, thread-local
-    /// partial aggregation — the paper's LocalGroupBy, §3.3, realized
-    /// physically) and gathers worker output deterministically. Falls
-    /// back to serial execution when the effective parallelism is 1 or
-    /// the subtree shape is not recognized by the exchange runtime.
+    /// Parallel-execution boundary: scatters `input` across the worker
+    /// pool — one clone per worker over its morsels of the driving
+    /// scan, a hash join's build side computed once and shared — and
+    /// gathers the workers' batches in task order. `input` is a chain
+    /// of per-row operators over a scan, optionally through one keyed
+    /// hash join, optionally under a `Local` `HashAggregate` whose
+    /// partials a global aggregate *above* the exchange combines (the
+    /// paper's LocalGroupBy, §3.3). Runs `input` serially when the
+    /// effective parallelism is 1 or `input` is outside that grammar.
     Exchange {
         /// Subtree to parallelize.
         input: Box<PhysExpr>,

@@ -31,7 +31,7 @@ use orthopt_common::column::{
 use orthopt_common::row::rows_bytes;
 use orthopt_common::{ColId, Error, MemoryReservation, QueryContext, Result, Row, TableId, Value};
 use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
-use orthopt_storage::Catalog;
+use orthopt_storage::{Catalog, Table};
 
 use crate::aggregate::{FeedOutcome, GroupedAggState};
 use crate::bindings::Bindings;
@@ -223,7 +223,7 @@ impl StatsHandle {
         self.stats.borrow_mut()[self.id].distinct_bindings += 1;
     }
 
-    /// Counts one hash-index probe issued by `IndexLookupJoin`.
+    /// Counts one hash-index probe ([`index_probe`]).
     fn note_index_probe(&self) {
         self.stats.borrow_mut()[self.id].index_probes += 1;
     }
@@ -393,6 +393,18 @@ impl Pipeline {
 
     /// Compiles a physical plan with explicit [`PipelineOptions`].
     pub fn with_options(plan: &PhysExpr, opts: PipelineOptions) -> Result<Pipeline> {
+        Pipeline::with_shared_build(plan, opts, None)
+    }
+
+    /// Compiles one exchange worker's plan: its hash join (at most one,
+    /// on the driving path) probes `build`, which the exchange built
+    /// once for all workers, and the join's build side is not compiled
+    /// — so the pipeline's stats cover the plan's pre-order up to there.
+    pub(crate) fn with_shared_build(
+        plan: &PhysExpr,
+        opts: PipelineOptions,
+        build: Option<Arc<JoinBuild>>,
+    ) -> Result<Pipeline> {
         let spill = opts.spill.unwrap_or_else(crate::spill::spill_enabled);
         let mut c = Compiler {
             batch_size: opts.batch_size.max(1),
@@ -400,6 +412,7 @@ impl Pipeline {
             next_id: 0,
             cached: Vec::new(),
             spill,
+            shared_build: build,
         };
         let root = c.compile(plan, false)?;
         Ok(Pipeline {
@@ -723,6 +736,9 @@ struct Compiler {
     /// concurrent sessions with different settings don't race on the
     /// process-global flag).
     spill: bool,
+    /// An exchange worker's join build, for the first `HashJoin`
+    /// compiled (see [`Pipeline::with_shared_build`]).
+    shared_build: Option<Arc<JoinBuild>>,
 }
 
 impl Compiler {
@@ -857,20 +873,24 @@ impl Compiler {
                     .collect::<Result<Vec<_>>>()?;
                 let mut combined = lout.clone();
                 combined.extend(rout.iter().copied());
+                let build = self.shared_build.take();
                 // Inside a parameterized scope an invariant build side
                 // can keep its hash table across rewinds.
                 let build_stable = in_param && free_inputs(right).is_invariant();
                 Box::new(HashJoinOp {
                     probe: JoinProbe::new(*kind, left_pos, right_pos, residual.clone(), combined),
                     left: self.compile(left, in_param)?,
-                    right: self.compile(right, in_param && !build_stable)?,
+                    right: match build {
+                        Some(_) => None,
+                        None => Some(self.compile(right, in_param && !build_stable)?),
+                    },
                     out_cols: rc_cols(&p.out_cols()),
                     left_width: lout.len(),
                     right_width: rout.len(),
                     build_stable,
                     build_parts: Vec::new(),
-                    build: None,
-                    built: false,
+                    built: build.is_some(),
+                    build,
                     out_queue: VecDeque::new(),
                     left_done: false,
                     mem: MemoryReservation::detached("HashJoin"),
@@ -1369,29 +1389,42 @@ struct SeekOp {
     stats: StatsHandle,
 }
 
+/// Probes the hash index on `index_cols` of `t` with the values of
+/// `probes` under `binds`, counting the probe: the matching row ids in
+/// posting order, or `None` when a probe value is NULL (SQL equality
+/// never matches NULL, so the result is empty and no probe is issued).
+fn index_probe<'t>(
+    t: &'t Table,
+    index_cols: &[usize],
+    probes: &[ScalarExpr],
+    binds: &Bindings,
+    stats: &StatsHandle,
+) -> Result<Option<&'t [usize]>> {
+    let empty_ctx = EvalCtx::plain(&[], &[], binds);
+    let mut key = Vec::with_capacity(probes.len());
+    for probe in probes {
+        let v = eval(probe, &empty_ctx)?;
+        if v.is_null() {
+            return Ok(None);
+        }
+        key.push(v);
+    }
+    let hits = t.index_lookup(index_cols, &key).ok_or_else(|| {
+        Error::internal(format!("missing index on {index_cols:?} of {}", t.def.name))
+    })?;
+    stats.note_index_probe();
+    Ok(Some(hits))
+}
+
 impl Operator for SeekOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.hits.clear();
         self.cursor = 0;
-        let binds = ctx.binds.borrow();
-        let empty_ctx = EvalCtx::plain(&[], &[], &binds);
-        let mut key = Vec::with_capacity(self.probes.len());
-        for probe in &self.probes {
-            let v = eval(probe, &empty_ctx)?;
-            if v.is_null() {
-                // SQL equality never matches NULL: empty result.
-                return Ok(());
-            }
-            key.push(v);
-        }
         let t = ctx.catalog.table(self.table);
-        let hits = t.index_lookup(&self.index_cols, &key).ok_or_else(|| {
-            Error::internal(format!(
-                "missing index on {:?} of {}",
-                self.index_cols, t.def.name
-            ))
-        })?;
-        self.hits.extend_from_slice(hits);
+        let binds = ctx.binds.borrow();
+        if let Some(hits) = index_probe(t, &self.index_cols, &self.probes, &binds, &self.stats)? {
+            self.hits.extend_from_slice(hits);
+        }
         Ok(())
     }
 
@@ -1687,8 +1720,8 @@ impl Operator for RowNumberOp {
 /// The build side of a hash join: the build rows as dense columns plus
 /// an index from key hash to build lanes, in build order. Lanes with a
 /// NULL key are absent from the index (SQL equality never matches
-/// NULL). Read-only once built, so the exchange shares one across its
-/// probe workers.
+/// NULL). Read-only once built, so the exchange builds one and every
+/// worker's join probes it.
 pub(crate) struct JoinBuild {
     cols: Vec<Column>,
     index: HashMap<u64, Vec<u32>>,
@@ -1719,11 +1752,10 @@ impl JoinBuild {
 const PAIR_WINDOW: usize = 16 * DEFAULT_BATCH_SIZE;
 
 /// What a hash join does with one probe batch: the four join kinds'
-/// semantics, written once. The resident probe, each grace partition
-/// pair and the exchange's repartition workers all call
-/// [`probe`](JoinProbe::probe) against whichever [`JoinBuild`] they
-/// hold.
-pub(crate) struct JoinProbe {
+/// semantics, written once. The resident probe and each grace
+/// partition pair call [`probe`](JoinProbe::probe) against whichever
+/// [`JoinBuild`] they hold.
+struct JoinProbe {
     kind: JoinKind,
     left_pos: Vec<usize>,
     right_pos: Vec<usize>,
@@ -1735,7 +1767,7 @@ pub(crate) struct JoinProbe {
 }
 
 impl JoinProbe {
-    pub(crate) fn new(
+    fn new(
         kind: JoinKind,
         left_pos: Vec<usize>,
         right_pos: Vec<usize>,
@@ -1761,7 +1793,7 @@ impl JoinProbe {
     /// whole probe lanes at a time: a window closes at the first lane
     /// boundary at or past [`PAIR_WINDOW`] pairs, so neither a keyless
     /// join nor one hot key ever holds `len × build.len` pairs at once.
-    pub(crate) fn probe(
+    fn probe(
         &self,
         build: &JoinBuild,
         columns: &[Column],
@@ -2013,7 +2045,10 @@ struct GraceJoin {
 struct HashJoinOp {
     probe: JoinProbe,
     left: BoxOp,
-    right: BoxOp,
+    /// The build side; `None` in an exchange worker, whose `build` is
+    /// the one the exchange made for all workers and is there from the
+    /// start (`built` never goes back to false).
+    right: Option<BoxOp>,
     out_cols: Rc<[ColId]>,
     left_width: usize,
     right_width: usize,
@@ -2023,7 +2058,7 @@ struct HashJoinOp {
     /// Build batches as they arrived, until the build side ends.
     build_parts: ColumnBatches,
     /// The resident build, once the build side ended without spilling.
-    build: Option<JoinBuild>,
+    build: Option<Arc<JoinBuild>>,
     built: bool,
     /// Finished output batches (a grace pair's whole output).
     out_queue: VecDeque<Batch>,
@@ -2077,7 +2112,14 @@ impl HashJoinOp {
     /// Drains the build side: buffered resident, or — from the first
     /// refused charge on — partitioned to disk.
     fn run_build(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        while let Some(b) = self.right.next_batch(ctx)? {
+        loop {
+            let right = self
+                .right
+                .as_mut()
+                .expect("an unbuilt join has a build side");
+            let Some(b) = right.next_batch(ctx)? else {
+                break;
+            };
             b.check_width(self.right_width)?;
             if let Some(g) = self.grace.as_mut() {
                 // Already degraded: the failpoint still fires (Panic /
@@ -2123,7 +2165,7 @@ impl HashJoinOp {
             if build.len > 0 {
                 self.stats.note_kernel();
             }
-            self.build = Some(build);
+            self.build = Some(Arc::new(build));
         }
         self.built = true;
         Ok(())
@@ -2262,6 +2304,9 @@ impl Operator for HashJoinOp {
         self.out_queue.clear();
         self.left_done = false;
         self.left.open(ctx)?;
+        let Some(right) = &mut self.right else {
+            return Ok(());
+        };
         if !(self.build_stable && self.built) {
             self.build_parts.clear();
             self.build = None;
@@ -2273,7 +2318,7 @@ impl Operator for HashJoinOp {
             // Fresh reservation: replacing the old one releases the
             // dropped build's bytes back to the pool.
             self.mem = ctx.gov.reservation("HashJoin");
-            self.right.open(ctx)?;
+            right.open(ctx)?;
         }
         Ok(())
     }
@@ -2397,24 +2442,7 @@ impl IndexFetch {
                 .map(|&p| tcols[self.positions[p]].gather(idx))
                 .collect()
         };
-        let empty_ctx = EvalCtx::plain(&[], &[], binds);
-        let mut probe_key = Vec::with_capacity(self.probes.len());
-        for probe in &self.probes {
-            let v = eval(probe, &empty_ctx)?;
-            if v.is_null() {
-                return Ok((project(&[]), 0));
-            }
-            probe_key.push(v);
-        }
-        let hits = t
-            .index_lookup(&self.index_cols, &probe_key)
-            .ok_or_else(|| {
-                Error::internal(format!(
-                    "missing index on {:?} of {}",
-                    self.index_cols, t.def.name
-                ))
-            })?;
-        stats.note_index_probe();
+        let hits = index_probe(t, &self.index_cols, &self.probes, binds, stats)?.unwrap_or(&[]);
         if self.residual.is_true() || hits.is_empty() {
             return Ok((project(hits), hits.len()));
         }
@@ -2828,48 +2856,60 @@ struct SpilledAgg {
     has_arg: Vec<bool>,
 }
 
-/// How an aggregate reads its input batches: where the group key sits
-/// and which argument expression each aggregate evaluates. The serial
-/// [`HashAggregateOp`] and the exchange's partial-aggregation workers
-/// feed their [`GroupedAggState`]s through this one routine.
-pub(crate) struct AggInput<'a> {
-    pub(crate) group_pos: &'a [usize],
-    pub(crate) aggs: &'a [AggDef],
-    pub(crate) cols: &'a [ColId],
-    pub(crate) pos: &'a PosMap,
-}
-
-/// What [`AggInput::feed`] did not apply to the state.
-pub(crate) struct Unfed {
+/// What [`HashAggregateOp::feed`] did not apply to the state.
+struct Unfed {
     /// Evaluated `(key, args)` of the rows not applied, in input order.
-    pub(crate) rows: Vec<(Row, Vec<Option<Value>>)>,
+    rows: Vec<(Row, Vec<Option<Value>>)>,
     /// The governor's refusal, when one stopped the feed in this batch.
-    pub(crate) refusal: Option<Error>,
+    refusal: Option<Error>,
     /// The batch went through the whole-column kernels (`false`: an
     /// argument kernel errored and the batch was transposed to rows).
-    pub(crate) vectorized: bool,
+    vectorized: bool,
 }
 
-impl AggInput<'_> {
+struct HashAggregateOp {
+    kind: GroupKind,
+    input: BoxOp,
+    group_pos: Vec<usize>,
+    aggs: Vec<AggDef>,
+    in_cols: Rc<[ColId]>,
+    in_pos: PosMap,
+    out_cols: Rc<[ColId]>,
+    state: Option<GroupedAggState>,
+    result: VecDeque<Row>,
+    done: bool,
+    batch_size: usize,
+    /// Peak bytes of the grouped state, captured before `finish`
+    /// consumes it (the reservation lives inside the state).
+    mem_peak: u64,
+    /// Degrade to partitioned spilling on a refused state charge.
+    allow_spill: bool,
+    /// Active spill state; once set, the resident group state is frozen
+    /// and every further input row goes to disk.
+    spilled: Option<SpilledAgg>,
+    stats: StatsHandle,
+}
+
+impl HashAggregateOp {
     /// Feeds one batch into `state` (`None`: a frozen state, every row
     /// comes back unfed). Each aggregate argument is evaluated as a
     /// whole column, then the lanes stream in through
     /// [`GroupedAggState::feed_lanes_or_reject`]; an argument kernel
     /// error takes the row path on the whole batch. Charges are lane-
     /// and row-atomic, so a refusal leaves the state consistent: the
-    /// feed stops there and, if `keep_tail`, the rest of the batch is
-    /// evaluated and handed back for spilling.
-    pub(crate) fn feed(
+    /// feed stops there and, if the aggregate may spill, the rest of
+    /// the batch is evaluated and handed back for spilling.
+    fn feed(
         &self,
         mut state: Option<&mut GroupedAggState>,
         b: &Batch,
         binds: &Bindings,
-        keep_tail: bool,
     ) -> Result<Unfed> {
+        let keep_tail = self.allow_spill;
         let (columns, len) = b.columns();
         let cx = VecEval {
-            cols: self.cols,
-            pos: self.pos,
+            cols: &self.in_cols,
+            pos: &self.in_pos,
             columns,
             len,
             binds,
@@ -2919,7 +2959,7 @@ impl AggInput<'_> {
                 .map(|a| {
                     a.arg
                         .as_ref()
-                        .map(|e| eval(e, &EvalCtx::mapped(self.cols, self.pos, r, binds)))
+                        .map(|e| eval(e, &EvalCtx::mapped(&self.in_cols, &self.in_pos, r, binds)))
                         .transpose()
                 })
                 .collect::<Result<Vec<_>>>()?;
@@ -2938,32 +2978,7 @@ impl AggInput<'_> {
         }
         Ok(unfed)
     }
-}
 
-struct HashAggregateOp {
-    kind: GroupKind,
-    input: BoxOp,
-    group_pos: Vec<usize>,
-    aggs: Vec<AggDef>,
-    in_cols: Rc<[ColId]>,
-    in_pos: PosMap,
-    out_cols: Rc<[ColId]>,
-    state: Option<GroupedAggState>,
-    result: VecDeque<Row>,
-    done: bool,
-    batch_size: usize,
-    /// Peak bytes of the grouped state, captured before `finish`
-    /// consumes it (the reservation lives inside the state).
-    mem_peak: u64,
-    /// Degrade to partitioned spilling on a refused state charge.
-    allow_spill: bool,
-    /// Active spill state; once set, the resident group state is frozen
-    /// and every further input row goes to disk.
-    spilled: Option<SpilledAgg>,
-    stats: StatsHandle,
-}
-
-impl HashAggregateOp {
     /// Enters spill mode (idempotent): the resident state freezes and
     /// further rows are partitioned to disk by group-key hash.
     fn enter_spill(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
@@ -3005,19 +3020,9 @@ impl HashAggregateOp {
                     self.enter_spill(ctx)?;
                 }
             }
-            let unfed = AggInput {
-                group_pos: &self.group_pos,
-                aggs: &self.aggs,
-                cols: &self.in_cols,
-                pos: &self.in_pos,
-            }
-            .feed(
-                // Once spilling, the resident state is frozen.
-                self.spilled.is_none().then_some(&mut *state),
-                &b,
-                &ctx.binds.borrow(),
-                self.allow_spill,
-            )?;
+            // Once spilling, the resident state is frozen.
+            let resident = self.spilled.is_none().then_some(&mut *state);
+            let unfed = self.feed(resident, &b, &ctx.binds.borrow())?;
             if unfed.vectorized {
                 self.stats.note_kernel();
             } else {

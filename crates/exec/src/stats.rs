@@ -41,8 +41,9 @@ pub struct OpStats {
     /// executed its inner plan for — the dedup ratio vs. the outer row
     /// count is the win `BatchedApply`/`IndexLookupJoin` deliver.
     pub distinct_bindings: u64,
-    /// Hash-index probes issued by `IndexLookupJoin` (one per distinct
-    /// non-NULL binding).
+    /// Hash-index probes issued: by `IndexSeek` one per open with a
+    /// non-NULL key, by `IndexLookupJoin` one per distinct non-NULL
+    /// binding.
     pub index_probes: u64,
     /// Spill partition files this operator wrote (grace-join partitions
     /// across all recursion levels, sort runs, aggregation partitions).

@@ -163,6 +163,30 @@ fn blame_physical(rule: &str, plan: PhysExpr) -> Result<PhysExpr> {
     .into_error())
 }
 
+/// Mutated Exchange placement: wraps the first global (Vector or
+/// Scalar) `HashAggregate` in an Exchange — every worker would emit its
+/// own groups and nothing above would combine them. Only a `Local`
+/// aggregate, whose combiner sits above the exchange, is in grammar.
+pub fn exchange_over_global_aggregate(mut plan: PhysExpr) -> Result<PhysExpr> {
+    mutate_first(&mut plan, &mut |node| {
+        let global = matches!(
+            node,
+            PhysExpr::HashAggregate {
+                kind: GroupKind::Vector | GroupKind::Scalar,
+                ..
+            }
+        );
+        if global {
+            let aggregate = std::mem::replace(node, PhysExpr::const_rows(vec![], &[]));
+            *node = PhysExpr::Exchange {
+                input: Box::new(aggregate),
+            };
+        }
+        global
+    });
+    blame_physical("mutation::exchange_over_global_aggregate", plan)
+}
+
 /// Mutated batched-apply wiring: drops the last correlation parameter
 /// from the first `BatchedApply`, so the rebind arity no longer covers
 /// the inner side's outer references — the inner subtree now reads a

@@ -59,7 +59,11 @@ pub fn apply_all(
     }
     if config.local_aggregate {
         if first {
-            push("split_local_groupby", split_local_groupby(expr, state));
+            let scalar = config.parallelism > 1;
+            push(
+                "split_local_groupby",
+                split_local_groupby(expr, state, scalar),
+            );
         }
         push(
             "local_groupby_below_join",
@@ -273,6 +277,25 @@ fn semijoin_to_join_distinct(memo: &Memo, expr: &MExpr) -> Vec<RTree> {
     vec![RTree::groupby(GroupKind::Vector, distinct_on, &[], join)]
 }
 
+/// `out := CASE WHEN from IS NULL THEN when_null ELSE from END`: restores
+/// a count computed as `from` somewhere that yields NULL — an outerjoin's
+/// padding, a `SUM` over no partials — where the count has a value.
+fn count_or(out: &ColumnMeta, from: ColId, when_null: i64) -> MapDef {
+    let from = ScalarExpr::col(from);
+    let is_null = ScalarExpr::IsNull {
+        expr: Box::new(from.clone()),
+        negated: false,
+    };
+    MapDef {
+        col: out.clone(),
+        expr: ScalarExpr::Case {
+            operand: None,
+            whens: vec![(is_null, ScalarExpr::lit(when_null))],
+            else_: Some(Box::new(from)),
+        },
+    }
+}
+
 /// §3.2: `G_{A,F}(S LOJ_p R) → π_c(S LOJ_p (G_{A−cols(S),F}R))`, with a
 /// computing project restoring the aggregate-over-one-NULL-row results
 /// for unmatched rows (COUNT(*) ↦ 1, COUNT(col) ↦ 0; strict aggregates
@@ -317,19 +340,8 @@ fn groupby_below_outerjoin(memo: &Memo, expr: &MExpr, state: &mut RuleState) -> 
                 DataType::Int,
                 false,
             );
-            let unmatched = ScalarExpr::IsNull {
-                expr: Box::new(ScalarExpr::col(pre.id)),
-                negated: false,
-            };
-            let constant = ScalarExpr::lit(i64::from(a.func == AggFunc::CountStar));
-            defs.push(MapDef {
-                col: a.out.clone(),
-                expr: ScalarExpr::Case {
-                    operand: None,
-                    whens: vec![(unmatched, constant)],
-                    else_: Some(Box::new(ScalarExpr::col(pre.id))),
-                },
-            });
+            let unmatched = i64::from(a.func == AggFunc::CountStar);
+            defs.push(count_or(&a.out, pre.id, unmatched));
             pushed_aggs.push(AggDef {
                 out: pre,
                 ..a.clone()
@@ -353,9 +365,27 @@ fn groupby_below_outerjoin(memo: &Memo, expr: &MExpr, state: &mut RuleState) -> 
 // ---------------------------------------------------------------------
 
 /// `G_{A,F} = G_{A,F_global} ∘ LG_{A,F_local}`.
-fn split_local_groupby(expr: &MExpr, state: &mut RuleState) -> Vec<RTree> {
-    let Some((group_cols, aggs)) = expr.as_groupby(GroupKind::Vector) else {
+///
+/// With `scalar` — set when the planner may place exchanges, the one
+/// place a LocalGroupBy with nothing to push it below pays — also
+/// `G¹_F = π ∘ G¹_{F_global} ∘ LG_{∅,F_local}`. Over an empty input the
+/// LocalGroupBy yields no partial and the combining `SUM(∅)` is NULL
+/// where `COUNT(∅)` is 0, so π maps each combined count through
+/// `CASE WHEN g IS NULL THEN 0 ELSE g END`.
+fn split_local_groupby(expr: &MExpr, state: &mut RuleState, scalar: bool) -> Vec<RTree> {
+    let RelExpr::GroupBy {
+        kind,
+        group_cols,
+        aggs,
+        ..
+    } = &expr.shell
+    else {
         return vec![];
+    };
+    let kind = match kind {
+        GroupKind::Vector => GroupKind::Vector,
+        GroupKind::Scalar if scalar => GroupKind::Scalar,
+        _ => return vec![],
     };
     if aggs.is_empty() || aggs.iter().any(|a| a.distinct || a.func.split().is_none()) {
         return vec![];
@@ -368,6 +398,7 @@ fn split_local_groupby(expr: &MExpr, state: &mut RuleState) -> Vec<RTree> {
     }
     let mut locals = Vec::with_capacity(aggs.len());
     let mut globals = Vec::with_capacity(aggs.len());
+    let mut counts: Vec<MapDef> = Vec::new();
     for a in aggs {
         let (lf, gf) = a.func.split().expect("checked splittable");
         let local_ty = lf.output_type(a.arg.as_ref().map(|_| a.out.ty));
@@ -377,8 +408,19 @@ fn split_local_groupby(expr: &MExpr, state: &mut RuleState) -> Vec<RTree> {
             local_ty,
             lf.output_nullable(),
         );
+        let mut global_out = a.out.clone();
+        // A count: the one `agg(∅)` that is not NULL.
+        if kind == GroupKind::Scalar && !a.func.output_nullable() {
+            global_out = ColumnMeta::new(
+                state.column(a.out.id, "global"),
+                format!("{}_global", a.out.name),
+                DataType::Int,
+                true,
+            );
+            counts.push(count_or(&a.out, global_out.id, 0));
+        }
         globals.push(AggDef {
-            out: a.out.clone(),
+            out: global_out,
             func: gf,
             arg: Some(ScalarExpr::col(local_out.id)),
             distinct: false,
@@ -390,9 +432,21 @@ fn split_local_groupby(expr: &MExpr, state: &mut RuleState) -> Vec<RTree> {
             distinct: false,
         });
     }
-    let (cols, g_in) = (group_cols.to_vec(), expr.children[0]);
+    let (cols, g_in) = (group_cols.clone(), expr.children[0]);
     let local = RTree::groupby(GroupKind::Local, cols.clone(), &locals, g_in);
-    vec![RTree::groupby(GroupKind::Vector, cols, &globals, local)]
+    let global = RTree::groupby(kind, cols, &globals, local);
+    vec![if counts.is_empty() {
+        global
+    } else {
+        let input = stub();
+        RTree::op(
+            RelExpr::Map {
+                input,
+                defs: counts,
+            },
+            vec![global],
+        )
+    }]
 }
 
 /// LocalGroupBy pushes below an inner join, to whichever side holds all
