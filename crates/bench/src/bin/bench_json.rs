@@ -131,25 +131,31 @@ fn main() {
         let _ = writeln!(json, "      \"sql\": \"{}\",", esc(&sql));
         let _ = writeln!(json, "      \"levels\": [");
         for (li, level) in OptimizerLevel::ALL.into_iter().enumerate() {
-            db.set_parallelism(1);
+            db.session_mut().settings_mut().parallelism = 1;
             let p = plan(&db, &sql, level);
             let elapsed = median_ms(&db, &p, 5);
             // Wall clock at 1/2/4 exchange workers, replanning each
             // time so the cost model can place exchanges for that pool.
             let mut worker_runs = Vec::new();
             for workers in [1usize, 2, 4] {
-                db.set_parallelism(workers);
+                db.session_mut().settings_mut().parallelism = workers;
                 let pw = plan(&db, &sql, level);
                 let exchanges = orthopt::exec::explain_phys(&pw.physical)
                     .matches("Exchange")
                     .count();
                 worker_runs.push((workers, median_ms(&db, &pw, 5), exchanges));
             }
-            db.set_parallelism(1);
+            db.session_mut().settings_mut().parallelism = 1;
             // Governor-on median on the same plan: a generous budget (so
-            // nothing trips) exposes the accounting overhead vs. the
-            // ungoverned `elapsed` above.
-            let gov = QueryContext::new().with_memory_limit(1 << 30);
+            // nothing trips, yet one the engine's admission control can
+            // grant) exposes the accounting overhead vs. the ungoverned
+            // `elapsed` above.
+            let generous = db
+                .engine()
+                .config()
+                .global_mem_limit
+                .map_or(1 << 30, |limit| limit.min(1 << 30));
+            let gov = QueryContext::new().with_memory_limit(generous);
             let governed_ms = median_ms_governed(&db, &p, 5, &gov);
             let overhead_pct = if elapsed > 0.0 {
                 (governed_ms - elapsed) / elapsed * 100.0
@@ -270,7 +276,7 @@ fn main() {
     for (si, (name, sql)) in strategy_queries.iter().enumerate() {
         let mut rows = Vec::new();
         for strategy in strategies {
-            db.set_apply_strategy(strategy);
+            db.session_mut().settings_mut().apply_strategy = strategy;
             let p = plan(&db, sql, OptimizerLevel::Correlated);
             let ops = apply_ops(&orthopt::exec::explain_phys(&p.physical));
             let ms = median_ms(&db, &p, 5);
@@ -280,7 +286,7 @@ fn main() {
             );
             rows.push((strategy, ms, ops));
         }
-        db.set_apply_strategy(orthopt::ApplyStrategy::Auto);
+        db.session_mut().settings_mut().apply_strategy = orthopt::ApplyStrategy::Auto;
         let auto_ms = rows[0].1;
         let loop_ms = rows[1].1;
         let speedup_pct = if loop_ms > 0.0 {
@@ -367,7 +373,7 @@ fn main() {
     // disk path actually ran and `governed_overhead_pct` prices it.
     let spill_scale: f64 = 0.1;
     let mut sdb = tpch(spill_scale);
-    sdb.set_parallelism(1); // exchange gather buffers are hard-fail sites
+    sdb.session_mut().settings_mut().parallelism = 1; // exchange gather buffers are hard-fail sites
     let spill_queries: [(&str, String); 3] = [
         // Grace hash join + aggregation over part ⋈ lineitem.
         ("Q17", queries::q17_brand_only("brand#23")),

@@ -5,6 +5,7 @@
 //! table binary names the paper artifact (figure/table) it regenerates,
 //! and `EXPERIMENTS.md` records paper-vs-measured shapes.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use orthopt::common::QueryContext;
@@ -16,8 +17,9 @@ pub fn tpch(scale: f64) -> Database {
     Database::tpch(scale).expect("tpch generation")
 }
 
-/// Compiles once; panics with the query text on failure.
-pub fn plan(db: &Database, sql: &str, level: OptimizerLevel) -> Plan {
+/// Compiles once (through the plan cache); panics with the query text
+/// on failure.
+pub fn plan(db: &Database, sql: &str, level: OptimizerLevel) -> Arc<Plan> {
     db.plan(sql, level)
         .unwrap_or_else(|e| panic!("planning {sql}: {e}"))
 }

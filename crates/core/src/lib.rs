@@ -49,15 +49,14 @@ pub use orthopt_sql as sql;
 pub use orthopt_storage as storage;
 pub use orthopt_tpch as tpch;
 
-use orthopt_common::column::{columns_to_rows, Column};
-use orthopt_common::{CancellationToken, Error, QueryContext, Result, Row};
+use orthopt_common::column::Column;
+use orthopt_common::{Error, QueryContext, Result, Row};
 use orthopt_exec::{Batch, Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
 use orthopt_ir::{ColumnMeta, RelExpr};
 use orthopt_optimizer::search::{optimize_with_presentation, OptimizerConfig, SearchStats};
 use orthopt_rewrite::pipeline::{classify, normalize, NormalForm, RewriteConfig};
 use orthopt_storage::Catalog;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub mod server;
 pub mod session;
@@ -189,22 +188,18 @@ impl Plan {
     pub fn check(&self) -> Result<String> {
         let mut violations = orthopt_plancheck::check_closed(&self.logical);
         violations.extend(orthopt_plancheck::check_physical(&self.physical));
-        if violations.is_empty() {
-            let mut logical_nodes = 0usize;
-            self.logical.walk(&mut |_| logical_nodes += 1);
-            return Ok(format!(
-                "plancheck: ok ({logical_nodes} logical nodes, {} physical nodes verified)",
-                self.physical.node_count()
-            ));
-        }
-        Err(orthopt_plancheck::BlameReport {
-            rule: "Plan::check".to_owned(),
-            identity: None,
-            violations,
-            before: orthopt_ir::explain::explain(&self.logical),
-            after: orthopt_exec::explain_phys::explain_phys(&self.physical),
-        }
-        .into_error())
+        orthopt_plancheck::blame("Plan::check", None, violations, || {
+            (
+                orthopt_ir::explain::explain(&self.logical),
+                orthopt_exec::explain_phys::explain_phys(&self.physical),
+            )
+        })?;
+        let mut logical_nodes = 0usize;
+        self.logical.walk(&mut |_| logical_nodes += 1);
+        Ok(format!(
+            "plancheck: ok ({logical_nodes} logical nodes, {} physical nodes verified)",
+            self.physical.node_count()
+        ))
     }
 }
 
@@ -270,22 +265,23 @@ pub(crate) fn parse_bytes(s: &str) -> Option<u64> {
     digits.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// The façade: a catalog plus the full compile/execute pipeline.
+/// The façade: one [`Session`] over an [`Engine`] it owns alone, built
+/// from [`EngineConfig::default`]. Plans come from the engine's plan
+/// cache (verified when inserted) and run through the session's one run
+/// entry, under its settings — change them with
+/// [`session_mut`](Self::session_mut)`().set(..)`, as `SET` does on the
+/// wire.
 ///
 /// The catalog is held behind an [`Arc`] so in-flight queries can hand
-/// `'static` tasks to the process-wide worker scheduler and so
-/// [`Engine`]/[`Session`] can share one catalog across connections.
+/// `'static` tasks to the process-wide worker scheduler.
 #[derive(Debug)]
 pub struct Database {
-    catalog: Arc<Catalog>,
-    /// The same settings a [`Session`] carries, seeded from the
-    /// `ORTHOPT_*` environment ([`EngineConfig::default`]).
-    settings: SessionSettings,
+    session: Session,
 }
 
 impl Default for Database {
     fn default() -> Self {
-        Database::from_shared(Arc::new(Catalog::default()))
+        Database::from_catalog(Catalog::default())
     }
 }
 
@@ -300,91 +296,13 @@ impl Database {
         Database::from_shared(Arc::new(catalog))
     }
 
-    /// Wraps a catalog already shared behind an `Arc` (sessions of one
-    /// [`Engine`] construct per-query façades this way).
+    /// Wraps a catalog already shared behind an `Arc` (e.g. an oracle
+    /// over an [`Engine`]'s catalog); [`catalog_mut`](Self::catalog_mut)
+    /// panics while it stays shared.
     pub fn from_shared(catalog: Arc<Catalog>) -> Self {
         Database {
-            catalog,
-            settings: EngineConfig::default().session_settings(),
+            session: Engine::from_shared(catalog, EngineConfig::default()).session(),
         }
-    }
-
-    /// Sets the worker-pool size for parallel execution (min 1, capped
-    /// at [`orthopt_exec::parallel::MAX_WORKERS`]). Affects both
-    /// planning (the optimizer places `Exchange` operators when
-    /// parallelism pays) and execution (how many workers each exchange
-    /// fans out to). The initial value comes from the
-    /// `ORTHOPT_PARALLELISM` environment variable, default 1.
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.settings.parallelism = n.clamp(1, orthopt_exec::parallel::MAX_WORKERS);
-    }
-
-    /// The configured worker-pool size.
-    pub fn parallelism(&self) -> usize {
-        self.settings.parallelism
-    }
-
-    /// Sets (or clears) the per-query memory budget in bytes. Every
-    /// buffering operator — hash-join builds, aggregation state, sort
-    /// and spool buffers, apply-loop caches, exchange gathers — charges
-    /// the shared budget; a query whose live buffered bytes would
-    /// exceed it fails with
-    /// [`Error::ResourceExhausted`](orthopt_common::Error::ResourceExhausted)
-    /// naming the operator that tripped, leaving the database usable.
-    /// The initial value comes from the `ORTHOPT_MEM_LIMIT` environment
-    /// variable (bytes, optional `k`/`m`/`g` suffix), default unlimited.
-    pub fn set_memory_limit(&mut self, bytes: Option<u64>) {
-        self.settings.mem_limit = bytes;
-    }
-
-    /// The configured per-query memory budget, if any.
-    pub fn memory_limit(&self) -> Option<u64> {
-        self.settings.mem_limit
-    }
-
-    /// Sets (or clears) the per-query timeout. Expiry surfaces as
-    /// [`Error::Cancelled`](orthopt_common::Error::Cancelled) at the
-    /// next operator batch boundary. The initial value comes from the
-    /// `ORTHOPT_TIMEOUT_MS` environment variable, default none.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.settings.timeout = timeout;
-    }
-
-    /// The configured per-query timeout, if any.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.settings.timeout
-    }
-
-    /// Forces (or, with [`ApplyStrategy::Auto`], re-enables the
-    /// cost-based race between) the correlated-execution strategies the
-    /// planner may emit for residual `Apply` operators: nested loops
-    /// (`ApplyLoop`), batched with binding dedup (`BatchedApply`), or
-    /// fused index lookups (`IndexLookupJoin`, falling back to the loop
-    /// when the inner is not seek-shaped). The initial value comes from
-    /// the `ORTHOPT_APPLY_STRATEGY` environment variable, default
-    /// `auto`.
-    pub fn set_apply_strategy(&mut self, strategy: ApplyStrategy) {
-        self.settings.apply_strategy = strategy;
-    }
-
-    /// The configured correlated-execution strategy.
-    pub fn apply_strategy(&self) -> ApplyStrategy {
-        self.settings.apply_strategy
-    }
-
-    /// The governance context queries run under: the configured memory
-    /// budget and timeout, if any. Use this as a base to attach an
-    /// explicit cancellation handle via
-    /// [`QueryContext::with_cancellation`].
-    pub fn query_context(&self) -> QueryContext {
-        let mut gov = QueryContext::new();
-        if let Some(limit) = self.settings.mem_limit {
-            gov = gov.with_memory_limit(limit);
-        }
-        if let Some(timeout) = self.settings.timeout {
-            gov = gov.with_timeout(timeout);
-        }
-        gov
     }
 
     /// A TPC-H database at the given scale factor.
@@ -394,26 +312,38 @@ impl Database {
         )?))
     }
 
+    /// The session queries run in, for its settings ([`Session::set`],
+    /// [`Session::settings_mut`]).
+    pub fn session_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
+
+    /// The engine: plan cache, admission control, catalog.
+    pub fn engine(&self) -> &Arc<Engine> {
+        self.session.engine()
+    }
+
     /// Read access to the catalog.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.engine().catalog()
     }
 
-    /// Shared-ownership handle on the catalog — what sessions and the
-    /// exchange runtime capture into scheduler tasks.
+    /// Shared-ownership handle on the catalog — what the exchange
+    /// runtime captures into scheduler tasks.
     pub fn shared_catalog(&self) -> Arc<Catalog> {
-        Arc::clone(&self.catalog)
+        self.engine().shared_catalog()
     }
 
-    /// Write access to the catalog (table creation, loading, indexing).
+    /// Write access to the catalog (table creation, loading, indexing);
+    /// every cached plan is invalidated.
     ///
     /// # Panics
-    /// Panics if the catalog is currently shared — a session or an
-    /// in-flight query holds a [`shared_catalog`](Self::shared_catalog)
-    /// handle. Mutate before sharing (the usual load-then-serve flow).
+    /// Panics if the catalog is currently shared — an in-flight query or
+    /// a [`shared_catalog`](Self::shared_catalog) handle holds it, or an
+    /// [`engine`](Self::engine) handle was cloned. Mutate before sharing
+    /// (the usual load-then-serve flow).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
-        Arc::get_mut(&mut self.catalog)
-            .expect("catalog mutated while shared with sessions or in-flight queries")
+        self.session.catalog_mut()
     }
 
     /// Recomputes statistics on every table; run after bulk loads.
@@ -421,53 +351,30 @@ impl Database {
         self.catalog_mut().analyze_all();
     }
 
-    /// Compiles SQL into a physical plan at the given level.
-    pub fn plan(&self, sql: &str, level: OptimizerLevel) -> Result<Plan> {
-        compile_plan(
-            &self.catalog,
-            sql,
+    /// The plan for `sql` at the given level under the session's other
+    /// settings, from the engine's plan cache ([`Engine::prepare`]).
+    pub fn plan(&self, sql: &str, level: OptimizerLevel) -> Result<Arc<Plan>> {
+        let settings = SessionSettings {
             level,
-            self.settings.parallelism,
-            self.settings.apply_strategy,
-        )
+            ..*self.session.settings()
+        };
+        self.engine().prepare(sql, &settings)
     }
 
-    /// Executes a compiled plan under the database's configured
-    /// governance (memory budget and timeout, if set).
+    /// Executes a compiled plan under the session's governance (memory
+    /// budget and timeout, if set).
     pub fn run(&self, plan: &Plan) -> Result<QueryResult> {
-        self.run_with_context(plan, self.query_context())
+        self.session.collect(plan, None)
     }
 
     /// Executes a compiled plan under an explicit [`QueryContext`] —
-    /// the caller controls budget, deadline, and cancellation handle.
+    /// the caller controls budget, deadline, and cancellation handle;
+    /// admission control declares that budget like any query's.
     /// Operator panics are isolated: they surface as
     /// [`Error::Exec`](orthopt_common::Error::Exec) naming the operator
     /// the panic unwound out of, and the database stays usable.
     pub fn run_with_context(&self, plan: &Plan, gov: QueryContext) -> Result<QueryResult> {
-        let mut rows = Vec::new();
-        run_plan(
-            &self.catalog,
-            plan,
-            &self.settings,
-            gov,
-            &mut rows_sink(&mut rows),
-        )?;
-        Ok(QueryResult {
-            columns: column_names(&plan.output),
-            rows,
-        })
-    }
-
-    /// Compiles and executes at [`OptimizerLevel::Full`] with the given
-    /// deadline layered on top of the configured governance; expiry
-    /// surfaces as
-    /// [`Error::Cancelled`](orthopt_common::Error::Cancelled).
-    pub fn run_with_deadline(&self, sql: &str, deadline: Duration) -> Result<QueryResult> {
-        let plan = self.plan(sql, OptimizerLevel::Full)?;
-        let gov = self
-            .query_context()
-            .with_cancel_token(CancellationToken::new(Some(deadline)));
-        self.run_with_context(&plan, gov)
+        self.session.collect(plan, Some(gov))
     }
 
     /// Compiles and executes at [`OptimizerLevel::Full`].
@@ -477,16 +384,15 @@ impl Database {
 
     /// Compiles and executes at a chosen level.
     pub fn execute_with(&self, sql: &str, level: OptimizerLevel) -> Result<QueryResult> {
-        let plan = self.plan(sql, level)?;
-        self.run(&plan)
+        self.run(&*self.plan(sql, level)?)
     }
 
     /// Executes through the naive reference interpreter (the §2.1
     /// mutually recursive form, no rewriting at all) — the semantics
     /// oracle.
     pub fn execute_reference(&self, sql: &str) -> Result<QueryResult> {
-        let bound = orthopt_sql::compile(sql, &self.catalog)?;
-        let mut chunk = Reference::new(&self.catalog).run(&bound.rel)?;
+        let bound = orthopt_sql::compile(sql, self.catalog())?;
+        let mut chunk = Reference::new(self.catalog()).run(&bound.rel)?;
         if !bound.order_by.is_empty() {
             let positions: Vec<(usize, bool)> = bound
                 .order_by
@@ -535,16 +441,10 @@ impl Database {
         };
         let started = std::time::Instant::now();
         let mut rows = 0;
-        let pipeline = run_plan(
-            &self.catalog,
-            &plan,
-            &self.settings,
-            self.query_context(),
-            &mut |_, len| {
-                rows += len;
-                Ok(())
-            },
-        )?;
+        let pipeline = self.session.run(&plan, None, &mut |_, len| {
+            rows += len;
+            Ok(())
+        })?;
         let elapsed = started.elapsed();
         let governor = match (
             pipeline.governor().mem_peak(),
@@ -593,15 +493,14 @@ impl Database {
 
 /// Compiles SQL against a catalog into a physical plan: parse/bind →
 /// normalize (correlation removal per the level) → classify residuals →
-/// cost-based search with the given parallelism. Shared by
-/// [`Database::plan`] and the session layer's plan cache.
+/// cost-based search under the settings' parallelism and apply
+/// strategy. The plan cache's miss path.
 pub(crate) fn compile_plan(
     catalog: &Catalog,
     sql: &str,
-    level: OptimizerLevel,
-    parallelism: usize,
-    apply_strategy: ApplyStrategy,
+    settings: &SessionSettings,
 ) -> Result<Plan> {
+    let level = settings.level;
     let bound = orthopt_sql::compile(sql, catalog)?;
     let normalized = normalize(bound.rel, level.rewrite_config())?;
     let normal_form = classify(&normalized);
@@ -611,8 +510,8 @@ pub(crate) fn compile_plan(
         ));
     }
     let mut config = level.optimizer_config();
-    config.parallelism = parallelism;
-    config.apply_strategy = apply_strategy;
+    config.parallelism = settings.parallelism;
+    config.apply_strategy = settings.apply_strategy;
     let (physical, search) =
         optimize_with_presentation(normalized.clone(), bound.order_by, bound.limit, &config)?;
     Ok(Plan {
@@ -630,25 +529,19 @@ pub(crate) fn compile_plan(
 /// handler renders lanes straight into the reply text.
 pub(crate) type BatchSink<'a> = dyn FnMut(&[Column], usize) -> Result<()> + 'a;
 
-/// A sink that appends each batch's rows to `rows`.
-pub(crate) fn rows_sink(rows: &mut Vec<Row>) -> impl FnMut(&[Column], usize) -> Result<()> + '_ {
-    |columns, len| {
-        rows.extend(columns_to_rows(columns, len));
-        Ok(())
-    }
-}
-
 pub(crate) fn column_names(output: &[ColumnMeta]) -> Vec<String> {
     output.iter().map(|c| c.name.clone()).collect()
 }
 
-/// The one place a compiled plan becomes a result: compile the physical
-/// tree into a [`Pipeline`], configure it from `settings` (worker-pool
-/// size, spill toggle) plus the caller's governance context, run it with
-/// panic isolation, and hand each root batch, projected onto the
-/// presentation columns, to `sink`. The finished pipeline comes back for
-/// `EXPLAIN ANALYZE`'s stats. [`Database`] and [`Session`] both execute
-/// through here, so a setting means the same thing on either façade.
+/// Where a compiled plan becomes a result, for [`Session`]'s run entry:
+/// compile the physical tree into a [`Pipeline`], configure it from
+/// `settings` (worker-pool size, spill toggle) plus the governance
+/// context, and hand each root batch, projected onto the presentation
+/// columns, to `sink`. A panic unwinding out of an operator (serial path
+/// — parallel workers catch their own) becomes [`Error::Exec`] blaming
+/// the operator the executor was inside, so a buggy or fault-injected
+/// operator cannot tear down the caller; the pipeline's own error path
+/// already closed operators and recorded stats.
 pub(crate) fn run_plan(
     catalog: &Arc<Catalog>,
     plan: &Plan,
@@ -678,25 +571,11 @@ pub(crate) fn run_plan(
                 .ok_or_else(|| Error::internal(format!("column {id} missing from plan output")))
         })
         .collect::<Result<_>>()?;
-    run_caught(&mut pipeline, catalog, |batch| {
+    let each = |batch: Batch| {
         let (columns, len) = batch.into_columns();
         let projected: Vec<Column> = positions.iter().map(|&p| columns[p].clone()).collect();
         sink(&projected, len)
-    })?;
-    Ok(pipeline)
-}
-
-/// Runs a compiled pipeline with panic isolation: a panic unwinding out
-/// of an operator (serial path — parallel workers catch their own) is
-/// converted to [`Error::Exec`] blaming the operator the executor was
-/// inside, so a buggy or fault-injected operator cannot tear down the
-/// caller. The pipeline's own error path already closes operators and
-/// records stats before returning.
-fn run_caught(
-    pipeline: &mut Pipeline,
-    catalog: &Catalog,
-    each: impl FnMut(Batch) -> Result<()>,
-) -> Result<()> {
+    };
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pipeline.execute_each(catalog, &Bindings::new(), each)
     }))
@@ -710,7 +589,8 @@ fn run_caught(
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
         Err(Error::Exec(format!("panic{at}: {msg}")))
-    })
+    })?;
+    Ok(pipeline)
 }
 
 #[cfg(test)]
@@ -824,5 +704,73 @@ mod tests {
         let db = Database::tpch(0.002).unwrap();
         let r = db.execute("select count(*) from customer").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(300)]]);
+    }
+
+    /// `Database::plan` is the engine's plan cache: the second call is a
+    /// hit on the very plan the first compiled.
+    #[test]
+    fn database_plans_through_the_engine_cache() {
+        let db = tiny_db();
+        let sql = "select k from t where v > 5";
+        let a = db.plan(sql, OptimizerLevel::Full).unwrap();
+        let b = db.plan(sql, OptimizerLevel::Full).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(
+            db.engine().cache_stats(),
+            session::CacheStats { hits: 1, misses: 1 }
+        );
+    }
+
+    /// A catalog write between two plans of one text invalidates the
+    /// cached plan: the second plan sees the new index.
+    #[test]
+    fn catalog_writes_invalidate_cached_plans() {
+        let mut db = Database::new();
+        let t = db
+            .catalog_mut()
+            .create_table(TableDef::new(
+                "t",
+                vec![
+                    ColumnDef::new("k", DataType::Int),
+                    ColumnDef::new("v", DataType::Int),
+                ],
+                vec![vec![0]],
+            ))
+            .unwrap();
+        db.catalog_mut()
+            .table_mut(t)
+            .insert_all((0..200).map(|i| vec![Value::Int(i), Value::Int(i % 50)]))
+            .unwrap();
+        db.analyze();
+        let sql = "select k from t where v = 7";
+        let text = |p: &Plan| orthopt_exec::explain_phys::explain_phys(&p.physical);
+        let scan = db.plan(sql, OptimizerLevel::Full).unwrap();
+        db.catalog_mut().table_mut(t).build_index(vec![1]).unwrap();
+        let seek = db.plan(sql, OptimizerLevel::Full).unwrap();
+        assert!(!text(&scan).contains("IndexSeek"), "{}", text(&scan));
+        assert!(text(&seek).contains("IndexSeek"), "{}", text(&seek));
+        assert_eq!(db.engine().cache_stats().misses, 2);
+        let got = db.run(&seek).unwrap();
+        let oracle = db.execute_reference(sql).unwrap();
+        assert!(orthopt_common::row::bag_eq(&oracle.rows, &got.rows));
+        assert_eq!(got.rows.len(), 4);
+    }
+
+    /// `SET parallelism` on the façade's session reaches `Database::plan`:
+    /// a fresh engine's session with the same `SET` compiles the same
+    /// text to the same physical plan, and it is a parallel one.
+    #[test]
+    fn session_set_reaches_database_plan() {
+        let mut db = Database::tpch(0.002).unwrap();
+        db.session_mut().set("parallelism", "4").unwrap();
+        let sql = "select l_returnflag, count(*), sum(l_quantity) from lineitem \
+                   group by l_returnflag";
+        let text = |p: &Plan| orthopt_exec::explain_phys::explain_phys(&p.physical);
+        let via_db = text(&db.plan(sql, OptimizerLevel::Full).unwrap());
+        let mut fresh = Engine::from_shared(db.shared_catalog(), EngineConfig::default()).session();
+        fresh.set("parallelism", "4").unwrap();
+        let via_session = text(&fresh.engine().prepare(sql, fresh.settings()).unwrap());
+        assert_eq!(via_db, via_session);
+        assert!(via_db.contains("Exchange"), "{via_db}");
     }
 }

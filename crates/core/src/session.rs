@@ -16,14 +16,21 @@
 //!   cancels whatever query it has in flight; each query runs under a
 //!   *child* token so per-query timeouts stay private to the query.
 //!
-//! Plan cache: keyed by whitespace-normalized SQL text plus the
-//! settings that shape the plan (optimizer level, parallelism, apply
-//! strategy). Entries are invalidated by the engine's table-stats version
-//! ([`Engine::bump_stats_version`]) and verified by plancheck once,
-//! before they are inserted: a plan that fails is an error, never
-//! cached. An entry is an immutable `Arc<Plan>`, so a hit is a map
-//! lookup; builds with plancheck enabled (debug, `ORTHOPT_PLANCHECK=1`)
-//! check the plan again on every hit, after the cache lock is dropped.
+//! Plan cache: keyed by the SQL text's token stream (so layout, case
+//! of keywords and comments do not split entries, while string literals
+//! stay exact) plus the settings that shape the plan (optimizer level,
+//! parallelism, apply strategy). Entries are invalidated by the engine's
+//! table-stats version ([`Engine::bump_stats_version`]) and verified by
+//! plancheck once, before they are inserted: a plan that fails is an
+//! error, never cached. An entry is an immutable `Arc<Plan>`, so a hit
+//! is a map lookup; builds with plancheck enabled (debug,
+//! `ORTHOPT_PLANCHECK=1`) check the plan again on every hit, after the
+//! cache lock is dropped.
+//!
+//! Settings resolve through one ladder: the `ORTHOPT_*` environment
+//! seeds [`EngineConfig::default`], whose [`SessionSettings`] seed every
+//! [`Session`]; `SET` changes one session's copy; a query's pipeline is
+//! compiled from that copy.
 
 use orthopt_synccheck::sync::atomic::{AtomicU64, Ordering};
 use orthopt_synccheck::sync::Mutex;
@@ -31,15 +38,17 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
+use orthopt_common::column::columns_to_rows;
 use orthopt_common::{
     AdmissionController, AdmissionGuard, AdmissionStats, CancellationToken, QueryContext, Result,
 };
+use orthopt_exec::Pipeline;
 use orthopt_ir::ApplyStrategy;
+use orthopt_sql::lexer::fingerprint;
 use orthopt_storage::Catalog;
 
 use crate::{
-    column_names, compile_plan, rows_sink, run_plan, BatchSink, Error, OptimizerLevel, Plan,
-    QueryResult,
+    column_names, compile_plan, run_plan, BatchSink, Error, OptimizerLevel, Plan, QueryResult,
 };
 
 /// Default per-query admission budget when neither the session nor the
@@ -67,24 +76,16 @@ pub struct EngineConfig {
     pub default_query_mem: u64,
     /// Plan-cache capacity in entries (default 64; 0 disables caching).
     pub plan_cache_cap: usize,
-    /// Default per-session worker-pool size (`ORTHOPT_PARALLELISM`).
-    pub parallelism: usize,
-    /// Default per-query memory budget (`ORTHOPT_MEM_LIMIT`).
-    pub mem_limit: Option<u64>,
-    /// Default per-query timeout (`ORTHOPT_TIMEOUT_MS`).
-    pub timeout: Option<Duration>,
-    /// Default spill toggle; `None` defers to the process-global flag
-    /// (`ORTHOPT_SPILL`).
-    pub spill: Option<bool>,
-    /// Default correlated-execution strategy
-    /// (`ORTHOPT_APPLY_STRATEGY`): `auto` cost-races `ApplyLoop`,
-    /// `BatchedApply` and `IndexLookupJoin`; the others force one.
-    pub apply_strategy: ApplyStrategy,
+    /// The settings every [`Session`] starts from (`SET spill default`
+    /// restores this `spill`), seeded from `ORTHOPT_PARALLELISM`,
+    /// `ORTHOPT_SPILL`, `ORTHOPT_MEM_LIMIT`, `ORTHOPT_TIMEOUT_MS` and
+    /// `ORTHOPT_APPLY_STRATEGY`.
+    pub session: SessionSettings,
 }
 
 impl Default for EngineConfig {
-    /// Unset or unparseable variables fall back to: serial, unlimited,
-    /// no timeout, `auto`.
+    /// Unset or unparseable variables fall back to: no admission,
+    /// serial, unlimited, no timeout, spilling on, `auto`.
     fn default() -> EngineConfig {
         let var = |name: &str| std::env::var(name).ok();
         EngineConfig {
@@ -92,50 +93,46 @@ impl Default for EngineConfig {
             admission_queue: 32,
             default_query_mem: DEFAULT_QUERY_MEM,
             plan_cache_cap: 64,
-            parallelism: var("ORTHOPT_PARALLELISM")
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .unwrap_or(1)
-                .clamp(1, orthopt_exec::parallel::MAX_WORKERS),
-            mem_limit: var("ORTHOPT_MEM_LIMIT").and_then(|s| crate::parse_bytes(&s)),
-            timeout: var("ORTHOPT_TIMEOUT_MS")
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .map(Duration::from_millis),
-            spill: None,
-            apply_strategy: var("ORTHOPT_APPLY_STRATEGY")
-                .and_then(|s| ApplyStrategy::parse(&s))
-                .unwrap_or_default(),
+            session: SessionSettings {
+                parallelism: var("ORTHOPT_PARALLELISM")
+                    .and_then(|s| s.trim().parse::<usize>().ok())
+                    .unwrap_or(1)
+                    .clamp(1, orthopt_exec::parallel::MAX_WORKERS),
+                spill: var("ORTHOPT_SPILL").and_then(|s| parse_switch(&s)) != Some(false),
+                mem_limit: var("ORTHOPT_MEM_LIMIT").and_then(|s| crate::parse_bytes(&s)),
+                timeout: var("ORTHOPT_TIMEOUT_MS")
+                    .and_then(|s| s.trim().parse::<u64>().ok())
+                    .map(Duration::from_millis),
+                level: OptimizerLevel::Full,
+                apply_strategy: var("ORTHOPT_APPLY_STRATEGY")
+                    .and_then(|s| ApplyStrategy::parse(&s))
+                    .unwrap_or_default(),
+            },
         }
     }
 }
 
-impl EngineConfig {
-    /// The settings a fresh [`Session`] (or a [`Database`](crate::Database))
-    /// starts from.
-    pub(crate) fn session_settings(&self) -> SessionSettings {
-        SessionSettings {
-            parallelism: self.parallelism,
-            spill: self.spill,
-            mem_limit: self.mem_limit,
-            timeout: self.timeout,
-            level: OptimizerLevel::Full,
-            apply_strategy: self.apply_strategy,
-        }
+/// Parses an on/off switch: `on`/`true`/`1` or `off`/`false`/`0`.
+fn parse_switch(s: &str) -> Option<bool> {
+    match s.trim().to_ascii_lowercase().as_str() {
+        "on" | "true" | "1" => Some(true),
+        "off" | "false" | "0" => Some(false),
+        _ => None,
     }
 }
 
-/// Per-session settings, seeded from the engine config at
+/// Per-session settings, seeded from [`EngineConfig::session`] at
 /// [`Engine::session`] and adjustable per session (the wire protocol's
 /// `SET` command lands here).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSettings {
     /// Worker-pool size exchanges fan out to (also steers the optimizer
     /// toward or away from `Exchange` placement).
     pub parallelism: usize,
-    /// Spill-to-disk toggle, seeded from the engine default; `None`
-    /// defers to the process-global flag (`ORTHOPT_SPILL`). Off means
+    /// Spill-to-disk toggle (`ORTHOPT_SPILL`, default on). Off means
     /// memory-pressured operators fail with `ResourceExhausted` instead
     /// of degrading to disk.
-    pub spill: Option<bool>,
+    pub spill: bool,
     /// Per-query memory budget.
     pub mem_limit: Option<u64>,
     /// Per-query timeout.
@@ -154,8 +151,9 @@ pub struct SessionSettings {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    /// Whitespace-normalized SQL text.
-    sql: String,
+    /// The SQL text's token stream ([`fingerprint`]) — exactly what the
+    /// parser reads, so equal keys compile to equal plans.
+    tokens: Vec<u8>,
     level: OptimizerLevel,
     parallelism: usize,
     apply_strategy: ApplyStrategy,
@@ -167,7 +165,7 @@ struct CacheEntry {
     stats_version: u64,
 }
 
-/// A small LRU keyed by normalized SQL + plan-shaping settings.
+/// A small LRU keyed by SQL tokens + plan-shaping settings.
 struct PlanCache {
     cap: usize,
     map: HashMap<CacheKey, CacheEntry>,
@@ -212,12 +210,6 @@ impl PlanCache {
             self.map.remove(&evict);
         }
     }
-}
-
-/// Collapses whitespace runs so formatting differences share one cache
-/// entry. Case is preserved — lowering could corrupt string literals.
-fn normalize_sql(sql: &str) -> String {
-    sql.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Cache-effectiveness counters, via [`Engine::cache_stats`].
@@ -287,7 +279,7 @@ impl Engine {
     pub fn session(self: &Arc<Self>) -> Session {
         Session {
             engine: Arc::clone(self),
-            settings: self.config.session_settings(),
+            settings: self.config.session,
             cancel: CancellationToken::new(None),
         }
     }
@@ -350,7 +342,7 @@ impl Engine {
     /// has been immutable since.
     fn cached_plan(&self, sql: &str, settings: &SessionSettings) -> Result<Arc<Plan>> {
         let key = CacheKey {
-            sql: normalize_sql(sql),
+            tokens: fingerprint(sql)?,
             level: settings.level,
             parallelism: settings.parallelism,
             apply_strategy: settings.apply_strategy,
@@ -382,13 +374,7 @@ impl Engine {
         }
         // relaxed-ok: monitoring counter.
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(compile_plan(
-            &self.catalog,
-            sql,
-            settings.level,
-            settings.parallelism,
-            settings.apply_strategy,
-        )?);
+        let plan = Arc::new(compile_plan(&self.catalog, sql, settings)?);
         plan.check()?;
         self.cache.lock().insert(
             key,
@@ -402,9 +388,10 @@ impl Engine {
 
     /// Looks up (or compiles and caches) the plan for `sql` under the
     /// given settings, without executing it. This is the same path
-    /// [`Session::execute`] takes — exposed so tools and the
-    /// model-checking harnesses can drive the cache protocol (stale-hit
-    /// invalidation, concurrent compile races) directly.
+    /// [`Session::execute`] and [`Database::plan`](crate::Database::plan)
+    /// take — exposed so tools and the model-checking harnesses can
+    /// drive the cache protocol (stale-hit invalidation, concurrent
+    /// compile races) directly.
     pub fn prepare(&self, sql: &str, settings: &SessionSettings) -> Result<Arc<Plan>> {
         self.cached_plan(sql, settings)
     }
@@ -481,11 +468,10 @@ impl Session {
                 self.settings.parallelism = n.clamp(1, orthopt_exec::parallel::MAX_WORKERS);
             }
             "spill" => {
-                self.settings.spill = match v.to_ascii_lowercase().as_str() {
-                    "on" | "true" | "1" => Some(true),
-                    "off" | "false" | "0" => Some(false),
-                    "default" => self.engine.config.spill,
-                    other => return Err(Error::Plan(format!("invalid spill: {other}"))),
+                self.settings.spill = match parse_switch(v) {
+                    Some(on) => on,
+                    None if v.eq_ignore_ascii_case("default") => self.engine.config.session.spill,
+                    None => return Err(Error::Plan(format!("invalid spill: {v}"))),
                 };
             }
             "mem_limit" => {
@@ -520,41 +506,83 @@ impl Session {
         Ok(())
     }
 
+    /// Write access to the catalog of an engine only this session
+    /// holds; every cached plan is invalidated.
+    ///
+    /// # Panics
+    /// Panics if the engine or its catalog is shared — another session,
+    /// an in-flight query or a `shared_catalog` handle holds it.
+    pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
+        let engine = Arc::get_mut(&mut self.engine)
+            .expect("engine mutated while shared with other sessions");
+        engine.bump_stats_version();
+        Arc::get_mut(&mut engine.catalog)
+            .expect("catalog mutated while shared with sessions or in-flight queries")
+    }
+
+    /// The cached plan for `sql` at the session's settings; a closed
+    /// session refuses before compiling anything.
+    fn plan(&self, sql: &str) -> Result<Arc<Plan>> {
+        self.cancel.check("session")?;
+        self.engine.cached_plan(sql, &self.settings)
+    }
+
     /// Compiles (or fetches from the plan cache) and executes `sql` at
     /// the session's optimizer level, under admission control and the
     /// session's governance settings.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let mut rows = Vec::new();
-        let plan = self.execute_each(sql, &mut rows_sink(&mut rows))?;
-        Ok(QueryResult {
-            columns: column_names(&plan.output),
-            rows,
-        })
+        self.collect(&*self.plan(sql)?, None)
     }
 
     /// [`execute`](Self::execute) without the materialization: each
     /// result batch goes to `sink` as presentation columns, and the plan
     /// comes back for its output names.
     pub(crate) fn execute_each(&self, sql: &str, sink: &mut BatchSink<'_>) -> Result<Arc<Plan>> {
-        // Each query gets a child token: it shares the session's cancel
-        // flag (close/drop aborts it) but carries a private deadline.
-        let token = self.cancel.child_with_deadline(self.settings.timeout);
-        token.check("session")?;
-        let plan = self.engine.cached_plan(sql, &self.settings)?;
-        // Upfront-grant admission: reserve the declared budget against
-        // the global limit for the whole execution. The guard releases
-        // (and wakes queued queries) on every exit path.
-        let budget = self
-            .settings
-            .mem_limit
-            .unwrap_or(self.engine.config.default_query_mem);
-        let _admitted = self.engine.admit(budget, &token)?;
-        let mut gov = QueryContext::new().with_cancel_token(token);
-        if let Some(limit) = self.settings.mem_limit {
-            gov = gov.with_memory_limit(limit);
-        }
-        run_plan(&self.engine.catalog, &plan, &self.settings, gov, sink)?;
+        let plan = self.plan(sql)?;
+        self.run(&plan, None, sink)?;
         Ok(plan)
+    }
+
+    /// [`run`](Self::run)s `plan` and materializes its result rows.
+    pub(crate) fn collect(&self, plan: &Plan, gov: Option<QueryContext>) -> Result<QueryResult> {
+        let mut rows = Vec::new();
+        self.run(plan, gov, &mut |columns, len| {
+            rows.extend(columns_to_rows(columns, len));
+            Ok(())
+        })?;
+        Ok(QueryResult {
+            columns: column_names(&plan.output),
+            rows,
+        })
+    }
+
+    /// The one place a query runs. Under `gov` when the caller brings
+    /// one (its own budget, deadline and cancellation handle), otherwise
+    /// under the session's: a child of the session token — close/drop
+    /// aborts the query, the `timeout` deadline stays private to it —
+    /// plus `mem_limit`. Admission reserves the declared budget against
+    /// the engine's global limit for the whole execution; the guard
+    /// releases (and wakes queued queries) on every exit path. The
+    /// finished pipeline comes back for `EXPLAIN ANALYZE`'s stats.
+    pub(crate) fn run(
+        &self,
+        plan: &Plan,
+        gov: Option<QueryContext>,
+        sink: &mut BatchSink<'_>,
+    ) -> Result<Pipeline> {
+        let gov = gov.unwrap_or_else(|| {
+            let token = self.cancel.child_with_deadline(self.settings.timeout);
+            let gov = QueryContext::new().with_cancel_token(token);
+            match self.settings.mem_limit {
+                Some(limit) => gov.with_memory_limit(limit),
+                None => gov,
+            }
+        });
+        let budget = gov
+            .mem_limit()
+            .unwrap_or(self.engine.config.default_query_mem);
+        let _admitted = self.engine.admit(budget, gov.cancel_token())?;
+        run_plan(&self.engine.catalog, plan, &self.settings, gov, sink)
     }
 }
 
@@ -596,12 +624,78 @@ mod tests {
         let engine = Engine::with_defaults(catalog());
         let s = engine.session();
         let a = s.execute("select count(*) from t where v = 3").unwrap();
-        let b = s.execute("select  count(*)  from t  where v = 3").unwrap();
+        let b = s
+            .execute("SELECT  count(*)  FROM t  -- v = 4\nwhere v = 3")
+            .unwrap();
         assert_eq!(a, b);
         assert_eq!(a.rows, vec![vec![Value::Int(14)]]);
         let stats = engine.cache_stats();
-        assert_eq!(stats.misses, 1, "normalized SQL shares one entry");
+        assert_eq!(stats.misses, 1, "one token stream, one entry");
         assert_eq!(stats.hits, 1);
+    }
+
+    /// Texts that differ only inside a string literal (plain or with a
+    /// `''` escape) or in where a `--` comment ends are different
+    /// queries: each gets its own plan and its own answer, through a
+    /// session and through a `Database` alike.
+    #[test]
+    fn cache_keeps_literals_and_comment_ends_apart() {
+        let mut c = Catalog::new();
+        let t = c
+            .create_table(TableDef::new(
+                "t",
+                vec![ColumnDef::new("s", DataType::Str)],
+                vec![],
+            ))
+            .unwrap();
+        for (text, n) in [("a b", 1), ("a  b", 2), ("it's x", 3), ("it's  x", 4)] {
+            c.table_mut(t)
+                .insert_all((0..n).map(|_| vec![Value::str(text)]))
+                .unwrap();
+        }
+        c.analyze_all();
+        let cases = [
+            ("select count(*) from t where s = 'a  b'", 2),
+            ("select count(*) from t where s = 'a b'", 1),
+            ("select count(*) from t where s = 'it''s  x'", 4),
+            ("select count(*) from t where s = 'it''s x'", 3),
+            ("select count(*) from t -- x\nwhere s = 'a b'", 1),
+            ("select count(*) from t -- x where s = 'a b'", 10),
+        ];
+        let db = crate::Database::from_catalog(c);
+        let session = db.engine().session();
+        for (sql, n) in cases {
+            let want = vec![vec![Value::Int(n)]];
+            assert_eq!(session.execute(sql).unwrap().rows, want, "session: {sql}");
+            assert_eq!(db.execute(sql).unwrap().rows, want, "database: {sql}");
+        }
+        // Five queries; the commented spelling of `s = 'a b'` is the same
+        // token stream as the plain one.
+        assert_eq!(db.engine().cache_stats().misses, 5);
+    }
+
+    #[test]
+    fn spill_default_restores_the_engine_value() {
+        for spill in [true, false] {
+            let defaults = EngineConfig::default();
+            let engine = Engine::new(
+                catalog(),
+                EngineConfig {
+                    session: SessionSettings {
+                        spill,
+                        ..defaults.session
+                    },
+                    ..defaults
+                },
+            );
+            let mut s = engine.session();
+            assert_eq!(s.settings().spill, spill);
+            s.set("spill", if spill { "off" } else { "on" }).unwrap();
+            assert_eq!(s.settings().spill, !spill);
+            s.set("spill", "default").unwrap();
+            assert_eq!(s.settings().spill, spill);
+            assert!(s.set("spill", "maybe").is_err());
+        }
     }
 
     #[test]

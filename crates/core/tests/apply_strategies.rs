@@ -62,10 +62,10 @@ fn check_strategies(db: &mut Database, sql: &str) {
     let bound = orthopt_sql::compile(sql, db.catalog()).expect("template compiles");
     let oracle = Reference::new(db.catalog()).run(&bound.rel);
     for strategy in STRATEGIES {
-        db.set_apply_strategy(strategy);
+        db.session_mut().settings_mut().apply_strategy = strategy;
         for level in LEVELS {
             for workers in WORKERS {
-                db.set_parallelism(workers);
+                db.session_mut().settings_mut().parallelism = workers;
                 let plan = db.plan(sql, level).expect("planning succeeds");
                 let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
                 for bs in BATCH_SIZES {
@@ -102,8 +102,8 @@ fn check_strategies(db: &mut Database, sql: &str) {
             }
         }
     }
-    db.set_apply_strategy(ApplyStrategy::Auto);
-    db.set_parallelism(1);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Auto;
+    db.session_mut().settings_mut().parallelism = 1;
 }
 
 /// The headline differential: the whole correlated template family,
@@ -277,7 +277,7 @@ fn forced_strategy_shapes_the_plan() {
     let seekable = "select rk from r where exists (select 1 from s where sr = rk and sv > 1)";
     let aggregated = "select rk, (select sum(sv) from s where sr = rk) from r";
 
-    db.set_apply_strategy(ApplyStrategy::Loop);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Loop;
     let text = orthopt_exec::explain_phys(
         &db.plan(seekable, OptimizerLevel::Correlated)
             .unwrap()
@@ -285,7 +285,7 @@ fn forced_strategy_shapes_the_plan() {
     );
     assert!(text.contains("ApplyLoop"), "forced loop plan:\n{text}");
 
-    db.set_apply_strategy(ApplyStrategy::Batched);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Batched;
     let text = orthopt_exec::explain_phys(
         &db.plan(seekable, OptimizerLevel::Correlated)
             .unwrap()
@@ -296,7 +296,7 @@ fn forced_strategy_shapes_the_plan() {
         "forced batched plan:\n{text}"
     );
 
-    db.set_apply_strategy(ApplyStrategy::Index);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Index;
     let text = orthopt_exec::explain_phys(
         &db.plan(seekable, OptimizerLevel::Correlated)
             .unwrap()
@@ -325,7 +325,7 @@ fn forced_strategy_shapes_the_plan() {
 fn explain_analyze_reports_strategy_counters() {
     let mut db = fixture();
 
-    db.set_apply_strategy(ApplyStrategy::Batched);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Batched;
     let text = db
         .explain_analyze(
             "select rk, (select sum(sv) from s where sr = rk) from r",
@@ -337,7 +337,7 @@ fn explain_analyze_reports_strategy_counters() {
         "batched analyze:\n{text}"
     );
 
-    db.set_apply_strategy(ApplyStrategy::Index);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Index;
     let text = db
         .explain_analyze(
             "select rk from r where exists (select 1 from s where sr = rk)",
@@ -360,7 +360,7 @@ fn explain_analyze_reports_strategy_counters() {
         text.contains("IndexSeek") && text.contains("index_probes=1"),
         "point analyze:\n{text}"
     );
-    db.set_apply_strategy(ApplyStrategy::Loop);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Loop;
     let text = db
         .explain_analyze(
             "select rk from r where exists (select 1 from s where sr = rv)",

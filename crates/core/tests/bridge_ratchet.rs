@@ -72,12 +72,12 @@ fn bridged_batches_only_go_down() {
     let mut db = Database::tpch(0.002).unwrap();
     db.analyze();
     for case in cases() {
-        db.set_parallelism(case.parallelism);
+        db.session_mut().settings_mut().parallelism = case.parallelism;
         let plan = db.plan(&case.sql, OptimizerLevel::Full).unwrap();
         let mut pipeline = Pipeline::with_options(
             &plan.physical,
             PipelineOptions {
-                spill: Some(true),
+                spill: true,
                 ..PipelineOptions::default()
             },
         )

@@ -200,7 +200,7 @@ fn columnar_hashjoin_build_refusal_is_structured() {
 
     // Spill pinned off: the refusal must surface structurally.
     let no_spill = orthopt::exec::PipelineOptions {
-        spill: Some(false),
+        spill: false,
         ..Default::default()
     };
     faults::install("hashjoin.build", FaultAction::RefuseAlloc, 0);
@@ -225,7 +225,7 @@ fn columnar_hashjoin_build_refusal_is_structured() {
     // Spill pinned on: the same refusal makes the columnar build go
     // grace — partitions to disk, joins pair-by-pair, answer unchanged.
     let with_spill = orthopt::exec::PipelineOptions {
-        spill: Some(true),
+        spill: true,
         ..Default::default()
     };
     faults::install("hashjoin.build", FaultAction::RefuseAlloc, 0);
@@ -277,7 +277,7 @@ fn binding_cache_faults_degrade_then_recover() {
         ),
     ];
     for (strategy, site, op, sql) in cases {
-        db.set_apply_strategy(strategy);
+        db.session_mut().settings_mut().apply_strategy = strategy;
         let ctx = format!("site={site} strategy={strategy:?}");
         let clean = db
             .execute_with(sql, OptimizerLevel::Correlated)
@@ -336,7 +336,7 @@ fn binding_cache_faults_degrade_then_recover() {
             "{ctx}: clean rerun diverged"
         );
     }
-    db.set_apply_strategy(ApplyStrategy::Auto);
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Auto;
 }
 
 /// Two runs with the same seed arm the same site with the same action
@@ -395,15 +395,14 @@ fn injected_panic_is_isolated_by_the_facade() {
 #[test]
 fn spill_io_faults_are_structured_and_leave_no_orphans() {
     let _g = registry_lock();
-    let was = orthopt::exec::spill::spill_enabled();
-    orthopt::exec::spill::set_spill(true);
     let mut db = corpus_db();
+    db.session_mut().set("spill", "on").unwrap();
     let sql = "select sk, sv from s order by sv, sk";
     let clean = db.execute(sql).unwrap();
 
     // Starve the sort so runs hit disk and the merge reads them back —
     // all three spill sites are on the executed path, not vacuously armed.
-    db.set_memory_limit(Some(16));
+    db.session_mut().settings_mut().mem_limit = Some(16);
     let spilled_before = orthopt::exec::spill::total_spilled_bytes();
     let got = db.execute(sql).unwrap();
     assert_eq!(got.rows, clean.rows, "external sort preserves order");
@@ -461,8 +460,7 @@ fn spill_io_faults_are_structured_and_leave_no_orphans() {
         assert_eq!(rerun.rows, clean.rows, "{site}: clean rerun diverged");
     }
 
-    db.set_memory_limit(None);
-    orthopt::exec::spill::set_spill(was);
+    db.session_mut().settings_mut().mem_limit = None;
 }
 
 /// Synthetic slowdowns compose with deadlines: a slowed scan under a
@@ -470,10 +468,11 @@ fn spill_io_faults_are_structured_and_leave_no_orphans() {
 #[test]
 fn slowdown_plus_deadline_cancels() {
     let _g = registry_lock();
-    let db = corpus_db();
+    let mut db = corpus_db();
+    db.session_mut().set("timeout_ms", "5").unwrap();
     let sql = "select sr, count(*) from s group by sr";
     faults::install("TableScan", FaultAction::SlowMs(30), 0);
-    let got = db.run_with_deadline(sql, std::time::Duration::from_millis(5));
+    let got = db.execute(sql);
     faults::clear();
     match got {
         Err(Error::Cancelled { .. }) => {}

@@ -10,8 +10,8 @@ use std::time::Duration;
 fn tpch() -> Database {
     let mut db = Database::tpch(0.002).unwrap();
     // Isolate from ambient ORTHOPT_MEM_LIMIT / ORTHOPT_TIMEOUT_MS.
-    db.set_memory_limit(None);
-    db.set_timeout(None);
+    db.session_mut().settings_mut().mem_limit = None;
+    db.session_mut().settings_mut().timeout = None;
     db
 }
 
@@ -30,7 +30,7 @@ fn budget_below_peak_trips_cleanly_and_database_recovers() {
     let unconstrained = db.execute(&sql).unwrap();
     assert!(!unconstrained.rows.is_empty());
 
-    db.set_memory_limit(Some(256));
+    db.session_mut().settings_mut().mem_limit = Some(256);
     match db.execute(&sql) {
         Err(e) => {
             assert!(e.is_governor(), "structured governor error, got {e:?}");
@@ -54,7 +54,7 @@ fn budget_below_peak_trips_cleanly_and_database_recovers() {
     }
 
     // Same Database object answers the next query once the budget lifts.
-    db.set_memory_limit(None);
+    db.session_mut().settings_mut().mem_limit = None;
     let again = db.execute(&sql).unwrap();
     assert_eq!(again.rows.len(), unconstrained.rows.len());
 }
@@ -65,7 +65,7 @@ fn q17_under_tiny_budget_fails_structured_not_panicking() {
     let sql = queries::q17_brand_only("brand#23");
     let clean = db.execute(&sql).unwrap();
 
-    db.set_memory_limit(Some(512));
+    db.session_mut().settings_mut().mem_limit = Some(512);
     for level in OptimizerLevel::ALL {
         match db.execute_with(&sql, level) {
             Err(e) => assert!(
@@ -75,7 +75,7 @@ fn q17_under_tiny_budget_fails_structured_not_panicking() {
             Ok(r) => assert_eq!(r.rows.len(), clean.rows.len(), "{level:?}"),
         }
     }
-    db.set_memory_limit(None);
+    db.session_mut().settings_mut().mem_limit = None;
     assert_eq!(db.execute(&sql).unwrap().rows.len(), clean.rows.len());
 }
 
@@ -84,7 +84,7 @@ fn generous_budget_is_invisible() {
     let mut db = tpch();
     let sql = buffering_sql();
     let free = db.execute(&sql).unwrap();
-    db.set_memory_limit(Some(64 << 20));
+    db.session_mut().settings_mut().mem_limit = Some(64 << 20);
     let governed = db.execute(&sql).unwrap();
     assert_eq!(free, governed);
 }
@@ -93,7 +93,8 @@ fn generous_budget_is_invisible() {
 fn zero_deadline_cancels_and_database_recovers() {
     let db = tpch();
     let sql = buffering_sql();
-    match db.run_with_deadline(&sql, Duration::ZERO) {
+    let plan = db.plan(&sql, OptimizerLevel::Full).unwrap();
+    match db.run_with_context(&plan, QueryContext::new().with_timeout(Duration::ZERO)) {
         Err(Error::Cancelled { operator, .. }) => {
             assert!(!operator.is_empty(), "cancellation blames an operator");
         }
@@ -105,12 +106,12 @@ fn zero_deadline_cancels_and_database_recovers() {
 #[test]
 fn configured_timeout_applies_to_every_query() {
     let mut db = tpch();
-    db.set_timeout(Some(Duration::ZERO));
+    db.session_mut().settings_mut().timeout = Some(Duration::ZERO);
     assert!(matches!(
         db.execute(&buffering_sql()),
         Err(Error::Cancelled { .. })
     ));
-    db.set_timeout(None);
+    db.session_mut().settings_mut().timeout = None;
     assert!(db.execute(&buffering_sql()).is_ok());
 }
 
@@ -133,7 +134,7 @@ fn explicit_cancel_handle_stops_the_query() {
 #[test]
 fn explain_analyze_reports_governor_peak_and_operator_memory() {
     let mut db = tpch();
-    db.set_memory_limit(Some(64 << 20));
+    db.session_mut().settings_mut().mem_limit = Some(64 << 20);
     let s = db
         .explain_analyze(&buffering_sql(), OptimizerLevel::Full)
         .unwrap();
@@ -141,7 +142,7 @@ fn explain_analyze_reports_governor_peak_and_operator_memory() {
     assert!(s.contains("B budget"), "{s}");
     assert!(s.contains("mem="), "operator peaks rendered: {s}");
     // Ungoverned runs omit the governor line but keep operator peaks.
-    db.set_memory_limit(None);
+    db.session_mut().settings_mut().mem_limit = None;
     let s = db
         .explain_analyze(&buffering_sql(), OptimizerLevel::Full)
         .unwrap();
@@ -152,17 +153,17 @@ fn explain_analyze_reports_governor_peak_and_operator_memory() {
 #[test]
 fn governed_parallel_execution_stays_correct() {
     let mut db = tpch();
-    db.set_parallelism(4);
+    db.session_mut().settings_mut().parallelism = 4;
     let sql = buffering_sql();
     let baseline = db.execute(&sql).unwrap();
-    db.set_memory_limit(Some(64 << 20));
+    db.session_mut().settings_mut().mem_limit = Some(64 << 20);
     let governed = db.execute(&sql).unwrap();
     assert_eq!(baseline.rows.len(), governed.rows.len());
-    db.set_memory_limit(Some(256));
+    db.session_mut().settings_mut().mem_limit = Some(256);
     match db.execute(&sql) {
         Err(e) => assert!(e.is_governor(), "{e:?}"),
         Ok(r) => assert_eq!(r.rows.len(), baseline.rows.len()),
     }
-    db.set_memory_limit(None);
+    db.session_mut().settings_mut().mem_limit = None;
     assert_eq!(db.execute(&sql).unwrap().rows.len(), baseline.rows.len());
 }

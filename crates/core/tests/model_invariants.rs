@@ -59,11 +59,7 @@ fn engine_config() -> EngineConfig {
         admission_queue: 4,
         default_query_mem: 16 << 20,
         plan_cache_cap: 8,
-        parallelism: 1,
-        mem_limit: None,
-        timeout: None,
-        spill: None,
-        apply_strategy: ApplyStrategy::Auto,
+        session: settings(),
     }
 }
 
@@ -72,7 +68,7 @@ fn settings() -> SessionSettings {
         parallelism: 1,
         mem_limit: None,
         timeout: None,
-        spill: None,
+        spill: true,
         level: OptimizerLevel::Full,
         apply_strategy: ApplyStrategy::Auto,
     }

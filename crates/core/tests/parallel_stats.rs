@@ -23,7 +23,7 @@ fn tpch_db() -> Database {
 fn check_query(db: &mut Database, name: &str, sql: &str) {
     // Plan once with parallelism in the config so the optimizer places
     // exchanges; run that same plan serially and at four workers.
-    db.set_parallelism(4);
+    db.session_mut().settings_mut().parallelism = 4;
     let plan = db.plan(sql, OptimizerLevel::Decorrelated).unwrap();
     let rendered = orthopt_exec::explain_phys(&plan.physical);
     assert!(
@@ -78,7 +78,7 @@ fn check_query(db: &mut Database, name: &str, sql: &str) {
         .explain_analyze(sql, OptimizerLevel::Decorrelated)
         .unwrap();
     assert!(analyzed.contains("workers="), "{name}:\n{analyzed}");
-    db.set_parallelism(1);
+    db.session_mut().settings_mut().parallelism = 1;
     let analyzed = db
         .explain_analyze(sql, OptimizerLevel::Decorrelated)
         .unwrap();
@@ -122,11 +122,11 @@ fn partial_aggregation_parity_and_kernel_path() {
             "select {group}, count(*), sum(l_quantity), avg(l_extendedprice), \
              min(l_shipdate) from lineitem group by {group}"
         );
-        db.set_parallelism(1);
+        db.session_mut().settings_mut().parallelism = 1;
         let mut serial = db.execute(&sql).unwrap().rows;
         serial.sort_by(cmp_rows);
         for workers in [1, 2, 4] {
-            db.set_parallelism(workers);
+            db.session_mut().settings_mut().parallelism = workers;
             let result = db.execute(&sql).unwrap();
             // Partial sums of cent-valued prices reassociate; everything
             // else is exact.
@@ -136,7 +136,7 @@ fn partial_aggregation_parity_and_kernel_path() {
             );
         }
 
-        db.set_parallelism(2);
+        db.session_mut().settings_mut().parallelism = 2;
         let plan = db.plan(&sql, OptimizerLevel::Full).unwrap();
         let labels = orthopt_exec::phys_node_labels(&plan.physical);
         let (above, below) = around_exchange(&labels);
@@ -214,7 +214,7 @@ fn aggregates_split_around_the_exchange() {
         for (sql, global) in &cases {
             let expected = db.execute_reference(sql).unwrap().rows;
             for workers in [2, 4] {
-                db.set_parallelism(workers);
+                db.session_mut().settings_mut().parallelism = workers;
                 let ctx = format!("{sql} at parallelism {workers}");
                 let got = db.execute_with(sql, OptimizerLevel::Full).unwrap().rows;
                 assert!(bag_eq_approx(&expected, &got, 1e-9), "{ctx}\n{got:?}");

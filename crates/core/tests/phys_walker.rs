@@ -14,8 +14,8 @@ use orthopt_tpch::queries;
 fn db() -> Database {
     let mut db = Database::tpch(0.002).unwrap();
     db.analyze();
-    db.set_parallelism(1);
-    db.set_apply_strategy(ApplyStrategy::Auto);
+    db.session_mut().settings_mut().parallelism = 1;
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Auto;
     db
 }
 
@@ -44,8 +44,8 @@ fn one_walker_serves_every_corpus_plan() {
     for (name, sql) in corpus() {
         for level in OptimizerLevel::ALL {
             for parallelism in [1, 4] {
-                db.set_parallelism(parallelism);
-                let plan = db.plan(&sql, level).unwrap().physical;
+                db.session_mut().settings_mut().parallelism = parallelism;
+                let plan = db.plan(&sql, level).unwrap().physical.clone();
                 for p in [plan.clone(), place_exchanges(&plan)] {
                     walkers_agree(&p);
                     assert_eq!(
@@ -95,7 +95,11 @@ Sort [c2]
 fn exchange_placement_matches_the_pinned_plans() {
     let mut db = db();
     let sql = queries::paper_q1(1_000_000.0);
-    let serial = db.plan(&sql, OptimizerLevel::Full).unwrap().physical;
+    let serial = db
+        .plan(&sql, OptimizerLevel::Full)
+        .unwrap()
+        .physical
+        .clone();
     let placed = "\
 Exchange
   Project [c0]
@@ -108,8 +112,12 @@ Exchange
     assert_eq!(explain_phys(&place_exchanges(&serial)), placed);
     assert_eq!(explain_phys(&wrap_exchange(&serial).unwrap()), placed);
 
-    db.set_parallelism(4);
-    let parallel = db.plan(&sql, OptimizerLevel::Full).unwrap().physical;
+    db.session_mut().settings_mut().parallelism = 4;
+    let parallel = db
+        .plan(&sql, OptimizerLevel::Full)
+        .unwrap()
+        .physical
+        .clone();
     let exchanged = "\
 Project [c0]
   Filter (1000000 < c11)

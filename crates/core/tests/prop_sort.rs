@@ -178,7 +178,7 @@ fn run_sort(
         &plan,
         PipelineOptions {
             batch_size,
-            spill: Some(true),
+            spill: true,
         },
     )
     .expect("sort plan compiles");

@@ -333,7 +333,7 @@ fn grace_spilled_join_residual_error_matches_reference() {
     let mut pipeline = Pipeline::with_options(
         &plan.physical,
         PipelineOptions {
-            spill: Some(true),
+            spill: true,
             ..PipelineOptions::default()
         },
     )

@@ -13,6 +13,7 @@
 use orthopt::ir::iso;
 use orthopt::{Database, OptimizerLevel};
 use orthopt_tpch::queries;
+use std::sync::Arc;
 
 /// The benchmark's subquery classes and the three §1.1 spellings of the
 /// running example, each with its ceiling planned serially and planned
@@ -46,7 +47,7 @@ fn memo_expressions_only_go_down() {
     let mut db = Database::tpch(0.002).unwrap();
     for (name, sql, ceilings) in corpus() {
         for (parallelism, max_exprs) in [1, 4].into_iter().zip(ceilings) {
-            db.set_parallelism(parallelism);
+            db.session_mut().settings_mut().parallelism = parallelism;
             let search = db.plan(&sql, OptimizerLevel::Full).unwrap().search;
             assert!(
                 search.exprs <= max_exprs,
@@ -74,10 +75,18 @@ fn planning_twice_gives_the_same_search_and_plan() {
     // Nothing in the memo iterates a hash map, so two runs agree on every
     // count, on the cost to the last bit, and on the plan up to column
     // renaming (here: exactly, as column ids are assigned the same way).
-    let db = Database::tpch(0.002).unwrap();
+    // Each side compiles on an engine of its own: a plan-cache hit would
+    // only compare one plan with itself.
+    let catalog = Database::tpch(0.002).unwrap().shared_catalog();
+    let compile = |sql: &str, level| {
+        Database::from_shared(Arc::clone(&catalog))
+            .plan(sql, level)
+            .unwrap()
+    };
     for (name, sql, _) in corpus() {
         for level in OptimizerLevel::ALL {
-            let (a, b) = (db.plan(&sql, level).unwrap(), db.plan(&sql, level).unwrap());
+            let (a, b) = (compile(&sql, level), compile(&sql, level));
+            assert!(!Arc::ptr_eq(&a, &b), "{name} at {level:?}: one plan");
             assert_eq!(a.search, b.search, "{name} at {level:?}");
             assert!(
                 iso::rel_isomorphic(&a.logical, &b.logical).is_some(),

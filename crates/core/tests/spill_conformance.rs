@@ -29,7 +29,7 @@ fn spill_lock() -> MutexGuard<'static, ()> {
 /// A pool-wired pipeline with spilling pinned on.
 fn pooled(db: &Database, root: &PhysExpr, workers: usize) -> Pipeline {
     let opts = PipelineOptions {
-        spill: Some(true),
+        spill: true,
         ..Default::default()
     };
     common::pooled(db, root, opts, workers)

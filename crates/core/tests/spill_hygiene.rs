@@ -22,12 +22,12 @@ fn serial() -> MutexGuard<'static, ()> {
 fn tpch() -> Database {
     let mut db = Database::tpch(0.002).unwrap();
     // Isolate from ambient ORTHOPT_MEM_LIMIT / ORTHOPT_TIMEOUT_MS.
-    db.set_memory_limit(None);
-    db.set_timeout(None);
+    db.session_mut().settings_mut().mem_limit = None;
+    db.session_mut().settings_mut().timeout = None;
     // Serial: the starvation budgets here are far below an Exchange
     // gather buffer's (hard-fail) appetite, and hygiene is about the
     // spill paths — worker-count coverage lives in spill_conformance.
-    db.set_parallelism(1);
+    db.session_mut().settings_mut().parallelism = 1;
     db
 }
 
@@ -42,12 +42,11 @@ const SORT_SQL: &str =
 #[test]
 fn successful_spilling_run_reclaims_its_directory() {
     let _g = serial();
-    let was = spill::spill_enabled();
-    spill::set_spill(true);
     let mut db = tpch();
+    db.session_mut().set("spill", "on").unwrap();
     let clean = db.execute(SORT_SQL).unwrap();
 
-    db.set_memory_limit(Some(1 << 10));
+    db.session_mut().settings_mut().mem_limit = Some(1 << 10);
     let before = spill::total_spilled_bytes();
     let got = db.execute(SORT_SQL).unwrap();
     assert_eq!(got.rows, clean.rows, "external sort preserves order");
@@ -56,7 +55,6 @@ fn successful_spilling_run_reclaims_its_directory() {
         "budget did not force a spill"
     );
     assert_eq!(spill::live_dirs(), 0, "spill dir outlived the execution");
-    spill::set_spill(was);
 }
 
 /// Governor-trip path: with spilling disabled the same budget fails
@@ -65,16 +63,47 @@ fn successful_spilling_run_reclaims_its_directory() {
 #[test]
 fn refused_run_leaves_no_directories() {
     let _g = serial();
-    let was = spill::spill_enabled();
-    spill::set_spill(false);
     let mut db = tpch();
-    db.set_memory_limit(Some(1 << 10));
+    db.session_mut().set("spill", "off").unwrap();
+    db.session_mut().settings_mut().mem_limit = Some(1 << 10);
     match db.execute(SORT_SQL) {
         Err(e) => assert!(e.is_governor(), "structured refusal, got {e:?}"),
         Ok(_) => panic!("1 KiB budget did not trip with spill off"),
     }
     assert_eq!(spill::live_dirs(), 0);
-    spill::set_spill(was);
+}
+
+/// `ORTHOPT_SPILL` reaches queries through `EngineConfig::default` and
+/// nothing else: under a starvation budget a `Database` and a session of
+/// its engine both spill when the variable is unset, and both refuse
+/// with the spill hint under `ORTHOPT_SPILL=0` (the kill-switch CI leg).
+#[test]
+fn env_kill_switch_refused_on_database_and_session() {
+    let _g = serial();
+    let spill = EngineConfig::default().session.spill;
+    let mut db = tpch();
+    db.session_mut().settings_mut().mem_limit = Some(1 << 10);
+    let mut session = db.engine().session();
+    session.set("parallelism", "1").unwrap();
+    session.set("mem_limit", "1k").unwrap();
+    session.set("timeout_ms", "none").unwrap();
+    for (facade, got) in [
+        ("database", db.execute(SORT_SQL)),
+        ("session", session.execute(SORT_SQL)),
+    ] {
+        match got {
+            Ok(r) if spill => assert!(!r.rows.is_empty(), "{facade}"),
+            Err(e) if !spill => match e.root_cause() {
+                Error::ResourceExhausted { hint: Some(h), .. } => {
+                    assert!(h.contains("spill"), "{facade}: {h}");
+                }
+                other => panic!("{facade}: expected ResourceExhausted, got {other:?}"),
+            },
+            Ok(_) => panic!("{facade}: ORTHOPT_SPILL=0 did not disable spilling"),
+            Err(e) => panic!("{facade}: spilling on, got {e:?}"),
+        }
+    }
+    assert_eq!(spill::live_dirs(), 0);
 }
 
 /// Deadline and explicit-cancel paths: cancellation at any batch
@@ -83,15 +112,16 @@ fn refused_run_leaves_no_directories() {
 #[test]
 fn cancelled_runs_leave_no_directories() {
     let _g = serial();
-    let was = spill::spill_enabled();
-    spill::set_spill(true);
     let mut db = tpch();
-    db.set_memory_limit(Some(1 << 10));
+    db.session_mut().set("spill", "on").unwrap();
+    db.session_mut().settings_mut().mem_limit = Some(1 << 10);
 
-    match db.run_with_deadline(SORT_SQL, Duration::ZERO) {
+    db.session_mut().settings_mut().timeout = Some(Duration::ZERO);
+    match db.execute(SORT_SQL) {
         Err(Error::Cancelled { .. }) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
+    db.session_mut().settings_mut().timeout = None;
     assert_eq!(spill::live_dirs(), 0, "deadline path leaked a dir");
 
     let plan = db.plan(SORT_SQL, OptimizerLevel::Full).unwrap();
@@ -104,7 +134,6 @@ fn cancelled_runs_leave_no_directories() {
         other => panic!("expected Cancelled, got {other:?}"),
     }
     assert_eq!(spill::live_dirs(), 0, "cancel-handle path leaked a dir");
-    spill::set_spill(was);
 }
 
 /// Session-close path: a session that spilled during its queries holds
@@ -180,13 +209,12 @@ fn panicked_and_mid_spill_cancelled_runs_leave_no_directories() {
     use orthopt::exec::faults::{self, FaultAction};
 
     let _g = serial();
-    let was = spill::spill_enabled();
-    spill::set_spill(true);
     let mut db = tpch();
+    db.session_mut().set("spill", "on").unwrap();
     // Serial: at higher parallelism the Exchange gather's own (hard-fail)
     // charge trips this tiny budget before the sort ever reaches disk.
-    db.set_parallelism(1);
-    db.set_memory_limit(Some(1 << 10));
+    db.session_mut().settings_mut().parallelism = 1;
+    db.session_mut().settings_mut().mem_limit = Some(1 << 10);
 
     // Panic on the third spill write: runs are already on disk when the
     // unwind starts, so cleanup-on-unwind is what this exercises.
@@ -205,7 +233,9 @@ fn panicked_and_mid_spill_cancelled_runs_leave_no_directories() {
     // Slow writes + short deadline: the query dies mid-spill with files
     // on disk; the Cancelled error must still reclaim everything.
     faults::install("spill.write", FaultAction::SlowMs(20), 2);
-    let got = db.run_with_deadline(SORT_SQL, Duration::from_millis(30));
+    db.session_mut().settings_mut().timeout = Some(Duration::from_millis(30));
+    let got = db.execute(SORT_SQL);
+    db.session_mut().settings_mut().timeout = None;
     faults::clear();
     match got {
         Err(Error::Cancelled { .. }) => {}
@@ -217,5 +247,4 @@ fn panicked_and_mid_spill_cancelled_runs_leave_no_directories() {
     let clean = db.execute(SORT_SQL).unwrap();
     assert!(!clean.rows.is_empty());
     assert_eq!(spill::live_dirs(), 0);
-    spill::set_spill(was);
 }

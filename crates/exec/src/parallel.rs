@@ -350,11 +350,10 @@ pub struct ExchangeOp {
     /// exchange's own).
     base: usize,
     stats: Rc<RefCell<Vec<OpStats>>>,
-    batch_size: usize,
-    /// Spill toggle the enclosing pipeline was compiled with; worker
-    /// pipelines inherit it so a per-session setting holds across the
-    /// exchange boundary.
-    spill: bool,
+    /// The enclosing pipeline's batch size and spill toggle: worker,
+    /// build and serial pipelines inherit them, so a per-session setting
+    /// holds across the exchange boundary.
+    opts: PipelineOptions,
     out_cols: Rc<[ColId]>,
     eligible: bool,
     /// Gathered output, handed to the parent batch by batch.
@@ -370,8 +369,7 @@ impl ExchangeOp {
         plan: PhysExpr,
         base: usize,
         stats: Rc<RefCell<Vec<OpStats>>>,
-        batch_size: usize,
-        spill: bool,
+        opts: PipelineOptions,
     ) -> ExchangeOp {
         let out_cols: Rc<[ColId]> = plan.out_cols().as_slice().into();
         let eligible = exchange_eligible(&plan);
@@ -379,22 +377,12 @@ impl ExchangeOp {
             plan,
             base,
             stats,
-            batch_size,
-            spill,
+            opts,
             out_cols,
             eligible,
             pending: VecDeque::new(),
             done: false,
             mem: MemoryReservation::detached("Exchange"),
-        }
-    }
-
-    /// Compile options worker/build/serial pipelines inherit from the
-    /// enclosing pipeline.
-    fn pipe_options(&self) -> PipelineOptions {
-        PipelineOptions {
-            batch_size: self.batch_size,
-            spill: Some(self.spill),
         }
     }
 
@@ -435,7 +423,7 @@ impl ExchangeOp {
     /// side — serially on this thread, recording its stats from slot
     /// `start` on.
     fn run_sub(&self, ctx: &ExecCtx<'_>, plan: &PhysExpr, start: usize) -> Result<ColumnBatches> {
-        let mut pipe = Pipeline::with_options(plan, self.pipe_options())?;
+        let mut pipe = Pipeline::with_options(plan, self.opts)?;
         pipe.set_governor(ctx.gov.clone());
         // What fans out is invariant; a subtree falling back to serial
         // may read the enclosing bindings.
@@ -523,7 +511,7 @@ impl ExchangeOp {
             .iter()
             .map(|r| worker_plan(&self.plan, r))
             .collect();
-        let opts = self.pipe_options();
+        let opts = self.opts;
         let gov = ctx.gov.clone();
         let results = scatter(ctx, plans, move |plan, catalog: &Catalog| {
             let mut pipe = Pipeline::with_shared_build(&plan, opts, build.clone())?;

@@ -339,25 +339,23 @@ pub trait Operator {
 pub(crate) type BoxOp = Box<dyn Operator>;
 
 /// Compile-time knobs for a [`Pipeline`]. Session-scoped settings that
-/// must be baked into the compiled operators (rather than read from
-/// process-global state at execution time) live here, so two sessions
+/// must be baked into the compiled operators live here, so two sessions
 /// with different settings can run concurrently in one process.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
     /// Rows per batch (min 1).
     pub batch_size: usize,
-    /// Spill-to-disk toggle for this pipeline; `None` defers to the
-    /// process-global [`spill_enabled`](crate::spill::spill_enabled).
-    /// When off, refused reservations fail with a hinted
-    /// `ResourceExhausted` instead of degrading.
-    pub spill: Option<bool>,
+    /// Spill-to-disk toggle for this pipeline (default on). When off,
+    /// refused reservations fail with a hinted `ResourceExhausted`
+    /// instead of degrading.
+    pub spill: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> PipelineOptions {
         PipelineOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            spill: None,
+            spill: true,
         }
     }
 }
@@ -405,13 +403,14 @@ impl Pipeline {
         opts: PipelineOptions,
         build: Option<Arc<JoinBuild>>,
     ) -> Result<Pipeline> {
-        let spill = opts.spill.unwrap_or_else(crate::spill::spill_enabled);
         let mut c = Compiler {
-            batch_size: opts.batch_size.max(1),
+            opts: PipelineOptions {
+                batch_size: opts.batch_size.max(1),
+                ..opts
+            },
             stats: Rc::new(RefCell::new(Vec::new())),
             next_id: 0,
             cached: Vec::new(),
-            spill,
             shared_build: build,
         };
         let root = c.compile(plan, false)?;
@@ -420,7 +419,7 @@ impl Pipeline {
             cols: rc_cols(&plan.out_cols()),
             stats: c.stats,
             cached: c.cached,
-            batch_size: opts.batch_size.max(1),
+            batch_size: c.opts.batch_size,
             parallelism: 1,
             gov: QueryContext::default(),
             shared_catalog: None,
@@ -728,14 +727,12 @@ pub(crate) fn op_name(p: &PhysExpr) -> &'static str {
 }
 
 struct Compiler {
-    batch_size: usize,
+    /// Batch size (at least 1) and spill toggle every operator of this
+    /// compilation is built with.
+    opts: PipelineOptions,
     stats: Rc<RefCell<Vec<OpStats>>>,
     next_id: usize,
     cached: Vec<usize>,
-    /// Resolved spill toggle for this compilation (per-pipeline, so
-    /// concurrent sessions with different settings don't race on the
-    /// process-global flag).
-    spill: bool,
     /// An exchange worker's join build, for the first `HashJoin`
     /// compiled (see [`Pipeline::with_shared_build`]).
     shared_build: Option<Arc<JoinBuild>>,
@@ -774,7 +771,7 @@ impl Compiler {
         let id = self.next_id;
         self.next_id += 1;
         self.stats.borrow_mut().push(OpStats::default());
-        let bs = self.batch_size;
+        let bs = self.opts.batch_size;
         let sh = StatsHandle::new(self.stats.clone(), id);
         let op: BoxOp = match p {
             // A table scan is a morsel scan of one range, the whole
@@ -898,7 +895,7 @@ impl Compiler {
                     // partitions are consumed when joined, so spilling
                     // would break the rewind contract. A keyless build
                     // is one partition however often it is split.
-                    allow_spill: self.spill && !build_stable && !right_keys.is_empty(),
+                    allow_spill: self.opts.spill && !build_stable && !right_keys.is_empty(),
                     grace: None,
                     stats: sh.clone(),
                 })
@@ -1038,7 +1035,7 @@ impl Compiler {
                     result: VecDeque::new(),
                     done: false,
                     batch_size: bs,
-                    allow_spill: self.spill,
+                    allow_spill: self.opts.spill,
                     spilled: None,
                     mem_peak: 0,
                     stats: sh.clone(),
@@ -1125,7 +1122,7 @@ impl Compiler {
                     by_pos,
                     rc_cols(&in_layout),
                     bs,
-                    self.spill,
+                    self.opts.spill,
                     sh.clone(),
                 ))
             }
@@ -1153,8 +1150,7 @@ impl Compiler {
                     (**input).clone(),
                     base,
                     self.stats.clone(),
-                    bs,
-                    self.spill,
+                    self.opts,
                 ))
             }
         };

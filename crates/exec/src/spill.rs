@@ -37,9 +37,10 @@
 //! so which rows land in which partition — and therefore the engine's
 //! behaviour under a given budget — is identical across runs.
 //!
-//! The kill switch: `ORTHOPT_SPILL=0` (or `SET spill = off`) disables
-//! degradation, restoring the pre-spill contract where a refused
-//! reservation fails the query with a hinted
+//! The kill switch: [`PipelineOptions::spill`](crate::PipelineOptions)
+//! off (a session's `SET spill = off`, or `ORTHOPT_SPILL=0` through the
+//! engine's defaults) disables degradation, restoring the pre-spill
+//! contract where a refused reservation fails the query with a hinted
 //! [`Error::ResourceExhausted`].
 
 use orthopt_common::column::{
@@ -47,12 +48,12 @@ use orthopt_common::column::{
 };
 use orthopt_common::row::Row;
 use orthopt_common::{Error, Result, Value};
-use orthopt_synccheck::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use orthopt_synccheck::sync::atomic::{AtomicU64, Ordering};
 use orthopt_synccheck::sync::Mutex;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Partition fan-out per spill level. Eight partitions per level keeps
 /// the file count small while shrinking each partition ~8× per
@@ -68,35 +69,6 @@ pub const MAX_SPILL_DEPTH: usize = 3;
 /// block to the partition file. Bounds transient memory at
 /// `FANOUT * SPILL_BLOCK_BYTES` per partition set.
 pub const SPILL_BLOCK_BYTES: u64 = 64 * 1024;
-
-static SPILL: OnceLock<AtomicBool> = OnceLock::new();
-
-fn spill_flag() -> &'static AtomicBool {
-    SPILL.get_or_init(|| {
-        let on = match std::env::var("ORTHOPT_SPILL") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether refused reservations degrade by spilling (the default).
-/// Seeded from `ORTHOPT_SPILL` (`0`/`false`/`off` disable) on first use;
-/// per-pipeline [`PipelineOptions::spill`](crate::PipelineOptions) and
-/// the session's `SET spill` override this process default.
-pub fn spill_enabled() -> bool {
-    // relaxed-ok: an isolated process-global toggle; readers act on the
-    // flag alone and no other memory is published through it.
-    spill_flag().load(Ordering::Relaxed)
-}
-
-/// Overrides the spill toggle at runtime (conformance suites sweep both
-/// settings in one process).
-pub fn set_spill(on: bool) {
-    // relaxed-ok: see spill_enabled().
-    spill_flag().store(on, Ordering::Relaxed);
-}
 
 // Process-wide telemetry. Hygiene tests assert `live_dirs() == 0` after
 // executions end (including cancelled/panicked ones); the byte totals
@@ -1045,13 +1017,33 @@ mod tests {
         assert!(blocks > 3, "a partition flushed mid-stream");
     }
 
+    /// The kill switch is a per-pipeline option, on by default: the same
+    /// sort under the same starvation budget degrades to disk with it
+    /// and refuses with the spill hint without it.
     #[test]
     fn kill_switch_flag_toggles() {
-        let was = spill_enabled();
-        set_spill(false);
-        assert!(!spill_enabled());
-        set_spill(true);
-        assert!(spill_enabled());
-        set_spill(was);
+        use crate::{Bindings, PhysExpr, Pipeline, PipelineOptions};
+        use orthopt_common::{ColId, QueryContext};
+        let _g = scope_lock();
+        let rows: Vec<Row> = (0..2000).map(|i| vec![Value::Int(2000 - i)]).collect();
+        let plan = PhysExpr::Sort {
+            input: Box::new(PhysExpr::const_rows(vec![ColId(1)], &rows)),
+            by: vec![(ColId(1), false)],
+        };
+        let run = |spill| {
+            let opts = PipelineOptions {
+                spill,
+                ..PipelineOptions::default()
+            };
+            let mut p = Pipeline::with_options(&plan, opts)?;
+            p.set_governor(QueryContext::new().with_memory_limit(4 << 10));
+            p.execute(&orthopt_storage::Catalog::default(), &Bindings::new())
+        };
+        assert!(PipelineOptions::default().spill);
+        assert_eq!(run(true).expect("sort spills").rows.len(), 2000);
+        assert!(matches!(
+            run(false),
+            Err(Error::ResourceExhausted { hint: Some(h), .. }) if h.contains("spill")
+        ));
     }
 }

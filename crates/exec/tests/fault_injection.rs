@@ -72,7 +72,7 @@ fn refused_allocation_surfaces_as_resource_exhausted() {
     // — that leg is covered by the fault matrix; this test asserts the
     // strict refusal contract.
     let opts = orthopt_exec::PipelineOptions {
-        spill: Some(false),
+        spill: false,
         ..Default::default()
     };
     let mut pipe = Pipeline::with_options(&join_plan(), opts).unwrap();

@@ -235,28 +235,14 @@ mod governor {
     }
 
     /// Budget-trip tests assert the *refusal* contract, so they pin
-    /// spilling off per-pipeline (the global toggle would race with
-    /// parallel tests).
+    /// spilling off per pipeline (it is on by default).
     fn run_governed_no_spill(
         plan: &PhysExpr,
         catalog: &Catalog,
         gov: QueryContext,
     ) -> Result<Chunk> {
         let opts = orthopt_exec::PipelineOptions {
-            spill: Some(false),
-            ..Default::default()
-        };
-        let mut pipe = Pipeline::with_options(plan, opts)?;
-        pipe.set_governor(gov);
-        pipe.execute(catalog, &Bindings::new())
-    }
-
-    /// Degradation tests pin spilling *on* per-pipeline for the same
-    /// reason (and so the ORTHOPT_SPILL=0 CI leg still runs them: the
-    /// per-pipeline override outranks the process kill switch).
-    fn run_governed_spill(plan: &PhysExpr, catalog: &Catalog, gov: QueryContext) -> Result<Chunk> {
-        let opts = orthopt_exec::PipelineOptions {
-            spill: Some(true),
+            spill: false,
             ..Default::default()
         };
         let mut pipe = Pipeline::with_options(plan, opts)?;
@@ -333,7 +319,7 @@ mod governor {
         let catalog = customers_orders();
         let free = run_governed(&sort_plan(), &catalog, QueryContext::new()).unwrap();
         let gov = QueryContext::new().with_memory_limit(16);
-        let spilled = run_governed_spill(&sort_plan(), &catalog, gov).unwrap();
+        let spilled = run_governed(&sort_plan(), &catalog, gov).unwrap();
         assert_eq!(free.rows, spilled.rows, "external sort preserves order");
     }
 
@@ -379,11 +365,7 @@ mod governor {
 
         // Budget sized to hold well under 160 groups but comfortably
         // more than one partition's (~160/8 groups) replay state.
-        let opts = orthopt_exec::PipelineOptions {
-            spill: Some(true),
-            ..Default::default()
-        };
-        let mut pipe = Pipeline::with_options(&plan, opts).unwrap();
+        let mut pipe = Pipeline::compile(&plan).unwrap();
         pipe.set_governor(QueryContext::new().with_memory_limit(16 << 10));
         let mut spilled = pipe.execute(&catalog, &Bindings::new()).unwrap();
         let key = |r: &Vec<Value>| match r[0] {

@@ -17,18 +17,13 @@ pub fn local_split_wrong_combiner(rel: RelExpr) -> Result<RelExpr> {
     let mut gen = ColIdGen::after(used);
     let mut hit = false;
     let after = split_first(rel, &mut gen, &mut hit);
-    let violations = plancheck::check_logical(&after);
-    if violations.is_empty() {
-        return Ok(after);
-    }
-    Err(plancheck::BlameReport {
-        rule: "mutation::local_split_wrong_combiner".to_owned(),
-        identity: None,
-        violations,
-        before: String::new(),
-        after: explain::explain(&after),
-    }
-    .into_error())
+    plancheck::blame(
+        "mutation::local_split_wrong_combiner",
+        None,
+        plancheck::check_logical(&after),
+        || (String::new(), explain::explain(&after)),
+    )?;
+    Ok(after)
 }
 
 fn split_first(mut rel: RelExpr, gen: &mut ColIdGen, hit: &mut bool) -> RelExpr {
@@ -120,18 +115,7 @@ pub fn exchange_out_of_grammar(plan: PhysExpr) -> Result<PhysExpr> {
             input: Box::new(plan),
         }
     };
-    let violations = plancheck::check_physical(&wrapped);
-    if violations.is_empty() {
-        return Ok(wrapped);
-    }
-    Err(plancheck::BlameReport {
-        rule: "mutation::exchange_out_of_grammar".to_owned(),
-        identity: None,
-        violations,
-        before: String::new(),
-        after: orthopt_exec::explain_phys(&wrapped),
-    }
-    .into_error())
+    blame_physical("mutation::exchange_out_of_grammar", wrapped)
 }
 
 /// Applies `mutate` to the first node (preorder) for which it returns
@@ -149,18 +133,10 @@ fn mutate_first(plan: &mut PhysExpr, mutate: &mut dyn FnMut(&mut PhysExpr) -> bo
 }
 
 fn blame_physical(rule: &str, plan: PhysExpr) -> Result<PhysExpr> {
-    let violations = plancheck::check_physical(&plan);
-    if violations.is_empty() {
-        return Ok(plan);
-    }
-    Err(plancheck::BlameReport {
-        rule: rule.to_owned(),
-        identity: None,
-        violations,
-        before: String::new(),
-        after: orthopt_exec::explain_phys(&plan),
-    }
-    .into_error())
+    plancheck::blame(rule, None, plancheck::check_physical(&plan), || {
+        (String::new(), orthopt_exec::explain_phys(&plan))
+    })?;
+    Ok(plan)
 }
 
 /// Mutated Exchange placement: wraps the first global (Vector or

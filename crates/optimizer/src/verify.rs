@@ -24,18 +24,9 @@ mod imp {
             return Ok(());
         }
         let rel = memo.materialize(rtree);
-        let violations = plancheck::check_logical(&rel);
-        if violations.is_empty() {
-            return Ok(());
-        }
-        Err(plancheck::BlameReport {
-            rule: rule.to_owned(),
-            identity: None,
-            violations,
-            before: String::new(),
-            after: explain::explain(&rel),
-        }
-        .into_error())
+        plancheck::blame(rule, None, plancheck::check_logical(&rel), || {
+            (String::new(), explain::explain(&rel))
+        })
     }
 
     /// Checks the extracted physical plan (Exchange grammar, widths,
@@ -44,18 +35,12 @@ mod imp {
         if !plancheck::enabled() {
             return Ok(());
         }
-        let violations = plancheck::check_physical(plan);
-        if violations.is_empty() {
-            return Ok(());
-        }
-        Err(plancheck::BlameReport {
-            rule: "physical_gen::best".to_owned(),
-            identity: None,
-            violations,
-            before: String::new(),
-            after: orthopt_exec::explain_phys(plan),
-        }
-        .into_error())
+        plancheck::blame(
+            "physical_gen::best",
+            None,
+            plancheck::check_physical(plan),
+            || (String::new(), orthopt_exec::explain_phys(plan)),
+        )
     }
 }
 

@@ -116,6 +116,29 @@ impl BlameReport {
     }
 }
 
+/// `Ok` when `violations` is empty; otherwise the [`BlameReport`]
+/// blaming `rule` (and its Apply-removal `identity`) as an error, with
+/// the before/after explains — rendered only then — from `explains`.
+pub fn blame(
+    rule: &str,
+    identity: Option<u8>,
+    violations: Vec<Violation>,
+    explains: impl FnOnce() -> (String, String),
+) -> Result<(), Error> {
+    if violations.is_empty() {
+        return Ok(());
+    }
+    let (before, after) = explains();
+    Err(BlameReport {
+        rule: rule.to_owned(),
+        identity,
+        violations,
+        before,
+        after,
+    }
+    .into_error())
+}
+
 impl fmt::Display for BlameReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rule `{}`", self.rule)?;

@@ -51,17 +51,12 @@ mod imp {
         after: &RelExpr,
         violations: Vec<Violation>,
     ) -> Result<()> {
-        if violations.is_empty() {
-            return Ok(());
-        }
-        Err(plancheck::BlameReport {
-            rule: tag.rule.to_owned(),
-            identity: tag.identity,
-            violations,
-            before: before.map(explain::explain).unwrap_or_default(),
-            after: explain::explain(after),
-        }
-        .into_error())
+        plancheck::blame(tag.rule, tag.identity, violations, || {
+            (
+                before.map(explain::explain).unwrap_or_default(),
+                explain::explain(after),
+            )
+        })
     }
 
     /// Fragment-mode check: outer references that resolve nowhere in the

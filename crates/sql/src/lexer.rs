@@ -53,10 +53,21 @@ pub enum Sym {
     Slash,
 }
 
-/// Tokenizes SQL text.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+/// A token as the scanner meets it, its text borrowed from the input:
+/// an identifier before lower-casing, a string literal's body with its
+/// `''` escapes still doubled.
+enum Lexeme<'a> {
+    Ident(&'a str),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Symbol(Sym),
+}
+
+/// The one SQL scanner: hands each lexeme of `sql` to `emit`, skipping
+/// whitespace and `--` comments.
+fn scan<'a>(sql: &'a str, mut emit: impl FnMut(Lexeme<'a>)) -> Result<()> {
     let bytes = sql.as_bytes();
-    let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -69,93 +80,85 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 }
             }
             '(' => {
-                out.push(Token::Symbol(Sym::LParen));
+                emit(Lexeme::Symbol(Sym::LParen));
                 i += 1;
             }
             ')' => {
-                out.push(Token::Symbol(Sym::RParen));
+                emit(Lexeme::Symbol(Sym::RParen));
                 i += 1;
             }
             ',' => {
-                out.push(Token::Symbol(Sym::Comma));
+                emit(Lexeme::Symbol(Sym::Comma));
                 i += 1;
             }
             '.' => {
-                out.push(Token::Symbol(Sym::Dot));
+                emit(Lexeme::Symbol(Sym::Dot));
                 i += 1;
             }
             ';' => {
-                out.push(Token::Symbol(Sym::Semi));
+                emit(Lexeme::Symbol(Sym::Semi));
                 i += 1;
             }
             '=' => {
-                out.push(Token::Symbol(Sym::Eq));
+                emit(Lexeme::Symbol(Sym::Eq));
                 i += 1;
             }
             '!' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token::Symbol(Sym::Ne));
+                emit(Lexeme::Symbol(Sym::Ne));
                 i += 2;
             }
             '<' => match bytes.get(i + 1) {
                 Some(b'=') => {
-                    out.push(Token::Symbol(Sym::Le));
+                    emit(Lexeme::Symbol(Sym::Le));
                     i += 2;
                 }
                 Some(b'>') => {
-                    out.push(Token::Symbol(Sym::Ne));
+                    emit(Lexeme::Symbol(Sym::Ne));
                     i += 2;
                 }
                 _ => {
-                    out.push(Token::Symbol(Sym::Lt));
+                    emit(Lexeme::Symbol(Sym::Lt));
                     i += 1;
                 }
             },
             '>' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Symbol(Sym::Ge));
+                    emit(Lexeme::Symbol(Sym::Ge));
                     i += 2;
                 } else {
-                    out.push(Token::Symbol(Sym::Gt));
+                    emit(Lexeme::Symbol(Sym::Gt));
                     i += 1;
                 }
             }
             '+' => {
-                out.push(Token::Symbol(Sym::Plus));
+                emit(Lexeme::Symbol(Sym::Plus));
                 i += 1;
             }
             '-' => {
-                out.push(Token::Symbol(Sym::Minus));
+                emit(Lexeme::Symbol(Sym::Minus));
                 i += 1;
             }
             '*' => {
-                out.push(Token::Symbol(Sym::Star));
+                emit(Lexeme::Symbol(Sym::Star));
                 i += 1;
             }
             '/' => {
-                out.push(Token::Symbol(Sym::Slash));
+                emit(Lexeme::Symbol(Sym::Slash));
                 i += 1;
             }
             '\'' => {
-                let mut s = String::new();
-                i += 1;
+                let start = i + 1;
+                i = start;
                 loop {
                     match bytes.get(i) {
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => i += 2,
+                        Some(b'\'') => break,
+                        Some(_) => i += 1,
                         None => return Err(Error::Parse("unterminated string literal".into())),
                     }
                 }
-                out.push(Token::Str(s));
+                emit(Lexeme::Str(&sql[start..i]));
+                i += 1;
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -189,12 +192,12 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                     let v: f64 = text
                         .parse()
                         .map_err(|_| Error::Parse(format!("bad float literal {text}")))?;
-                    out.push(Token::Float(v));
+                    emit(Lexeme::Float(v));
                 } else {
                     let v: i64 = text
                         .parse()
                         .map_err(|_| Error::Parse(format!("bad int literal {text}")))?;
-                    out.push(Token::Int(v));
+                    emit(Lexeme::Int(v));
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -207,7 +210,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                         break;
                     }
                 }
-                out.push(Token::Ident(sql[start..i].to_ascii_lowercase()));
+                emit(Lexeme::Ident(&sql[start..i]));
             }
             other => {
                 return Err(Error::Parse(format!(
@@ -216,6 +219,66 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
             }
         }
     }
+    Ok(())
+}
+
+/// Tokenizes SQL text.
+pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+    let mut out = Vec::new();
+    scan(sql, |lexeme| {
+        out.push(match lexeme {
+            Lexeme::Ident(s) => Token::Ident(s.to_ascii_lowercase()),
+            Lexeme::Int(v) => Token::Int(v),
+            Lexeme::Float(v) => Token::Float(v),
+            Lexeme::Str(body) => {
+                let mut s = String::with_capacity(body.len());
+                let mut bytes = body.bytes();
+                while let Some(b) = bytes.next() {
+                    s.push(b as char);
+                    if b == b'\'' {
+                        bytes.next(); // the second quote of `''`
+                    }
+                }
+                Token::Str(s)
+            }
+            Lexeme::Symbol(s) => Token::Symbol(s),
+        });
+    })?;
+    Ok(out)
+}
+
+/// `sql`'s token stream as one byte string, built without a per-token
+/// allocation: two texts have equal fingerprints exactly when they
+/// tokenize to equal streams, so layout, keyword case and comments drop
+/// out while literals stay exact. The engine's plan cache keys on it.
+pub fn fingerprint(sql: &str) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(sql.len() + 16);
+    scan(sql, |lexeme| match lexeme {
+        // Identifier bytes are alphanumerics or `_`, never a tag, so the
+        // next tag ends one.
+        Lexeme::Ident(s) => {
+            out.push(0);
+            out.extend(s.bytes().map(|b| b.to_ascii_lowercase()));
+        }
+        // A body has one spelling per unescaped string: every quote in
+        // it is doubled.
+        Lexeme::Str(body) => {
+            out.push(1);
+            out.extend(body.len().to_le_bytes());
+            out.extend(body.bytes());
+        }
+        Lexeme::Int(v) => {
+            out.push(2);
+            out.extend(v.to_le_bytes());
+        }
+        // Never a NaN or a negative zero (a sign is a token of its own):
+        // equal floats are equal bits.
+        Lexeme::Float(v) => {
+            out.push(3);
+            out.extend(v.to_bits().to_le_bytes());
+        }
+        Lexeme::Symbol(s) => out.extend([4, s as u8]),
+    })?;
     Ok(out)
 }
 
@@ -259,5 +322,36 @@ mod tests {
     #[test]
     fn scientific_notation() {
         assert_eq!(tokenize("1e3").unwrap(), vec![Token::Float(1000.0)]);
+    }
+
+    #[test]
+    fn fingerprints_agree_with_token_streams() {
+        let texts = [
+            "select k from t where s = 'a b'",
+            "SELECT  k\nFROM t -- note\nwhere s = 'a b'",
+            "select k from t where s = 'a  b'",
+            "select k from t where s = 'it''s'",
+            "select k from t where s = 'it''''s'",
+            "select k from t -- x\nwhere v = 1",
+            "select k from t -- x where v = 1",
+            "select k from t where v = 1e3",
+            "select k from t where v = 1000.0",
+            "select k from t where v = 1000",
+            "select k from t where v = '1000'",
+            "select k from t where v = 007",
+            "select k from t where v = 7",
+            "select k from tv",
+            "select k from t v",
+        ];
+        for a in texts {
+            for b in texts {
+                assert_eq!(
+                    fingerprint(a).unwrap() == fingerprint(b).unwrap(),
+                    tokenize(a).unwrap() == tokenize(b).unwrap(),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        assert!(fingerprint("'oops").is_err());
     }
 }

@@ -299,8 +299,15 @@ fn planning_is_deterministic() {
     let db = db(23, 30);
     let sql = "select c_custkey from customer where 400 < \
                (select sum(o_totalprice) from orders where o_custkey = c_custkey)";
-    let a = db.plan(sql, OptimizerLevel::Full).unwrap();
-    let b = db.plan(sql, OptimizerLevel::Full).unwrap();
+    // Two engines, two compiles: one engine would serve the second plan
+    // from its cache.
+    let compile = || {
+        Database::from_shared(db.shared_catalog())
+            .plan(sql, OptimizerLevel::Full)
+            .unwrap()
+    };
+    let (a, b) = (compile(), compile());
+    assert!(!std::sync::Arc::ptr_eq(&a, &b));
     assert_eq!(a.physical, b.physical);
     assert_eq!(a.search.best_cost, b.search.best_cost);
 }

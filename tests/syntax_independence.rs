@@ -65,7 +65,7 @@ fn search_costs_converge_across_formulations() {
     // opportunities depend on physical plan shape, so its savings are
     // not covered by the §1.2 convergence claim.
     let mut db = Database::tpch(0.002).unwrap();
-    db.set_parallelism(1);
+    db.session_mut().settings_mut().parallelism = 1;
     let forms = formulations(800_000.0);
     let costs: Vec<f64> = forms
         .iter()
