@@ -455,6 +455,29 @@ impl Column {
         }
     }
 
+    /// Compares lane `i` of this column with lane `j` of `other` under
+    /// grouping equality — exactly `self.value(i) == other.value(j)`
+    /// (NULL equals NULL, `-0.0` equals `0.0`, NaN equals NaN, `3`
+    /// equals `3.0`) — comparing typed storage in place; only `Val`
+    /// lanes, NULLs and mixed representations materialize values.
+    #[inline]
+    pub fn lanes_eq(&self, i: usize, other: &Column, j: usize) -> bool {
+        let (a, b) = (self.offset + i, other.offset + j);
+        if !(self.data.validity.get(a) && other.data.validity.get(b)) {
+            return self.value(i) == other.value(j);
+        }
+        match (&self.data.data, &other.data.data) {
+            (ColData::Int(x), ColData::Int(y)) => x[a] == y[b],
+            (ColData::Float(x), ColData::Float(y)) => {
+                x[a] == y[b] || (x[a].is_nan() && y[b].is_nan())
+            }
+            (ColData::Str(x), ColData::Str(y)) => x[a] == y[b],
+            (ColData::Date(x), ColData::Date(y)) => x[a] == y[b],
+            (ColData::Bool(x), ColData::Bool(y)) => x[a] == y[b],
+            _ => self.value(i) == other.value(j),
+        }
+    }
+
     /// A zero-copy window over `[offset, offset + len)` of this column.
     pub fn slice(&self, offset: usize, len: usize) -> Column {
         debug_assert!(offset + len <= self.len);
@@ -751,6 +774,54 @@ mod tests {
         assert!(!c.lane_eq(1, &Value::Int(0)));
         let s = Column::from_values(vec![Value::str("x")]);
         assert!(s.lane_eq(0, &Value::str("x")));
+    }
+
+    /// `lanes_eq` is `Value`'s `==` on every pair of lanes, within one
+    /// column and across representations, windows included.
+    #[test]
+    fn lanes_eq_matches_value_eq() {
+        let columns: Vec<Column> = [
+            vec![Value::Int(3), Value::Null, Value::Int(-7), Value::Int(0)],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Null,
+                Value::Float(3.0),
+                Value::Float(-f64::NAN),
+            ],
+            vec![
+                Value::Int(3),
+                Value::Float(3.0),
+                Value::Null,
+                Value::str("3"),
+            ],
+            vec![Value::str("a"), Value::Null, Value::str("")],
+            vec![Value::Date(5), Value::Date(3), Value::Null],
+            vec![Value::Bool(true), Value::Bool(false), Value::Null],
+            vec![Value::Null, Value::Null],
+        ]
+        .into_iter()
+        .map(Column::from_values)
+        .collect();
+        for a in &columns {
+            for b in &columns {
+                for i in 0..a.len() {
+                    for j in 0..b.len() {
+                        assert_eq!(
+                            a.lanes_eq(i, b, j),
+                            a.value(i) == b.value(j),
+                            "{:?} vs {:?}",
+                            a.value(i),
+                            b.value(j)
+                        );
+                    }
+                }
+            }
+        }
+        let c = Column::from_values((0..6).map(Value::Int).collect());
+        assert!(c.slice(3, 2).lanes_eq(0, &c.slice(1, 3), 2));
+        assert!(!c.slice(4, 2).lanes_eq(0, &c.slice(1, 3), 2));
     }
 
     /// One formatter: a lane rendered off a typed column is the text

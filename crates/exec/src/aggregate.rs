@@ -1,5 +1,4 @@
-//! Aggregation core shared by the reference interpreter and the
-//! physical engine.
+//! Hash aggregation: one flat group table plus typed accumulator lanes.
 //!
 //! Implements the SQL semantics the paper leans on (§1.1): vector
 //! aggregation is empty on empty input; scalar aggregation always emits
@@ -7,19 +6,29 @@
 //! aggregates; `COUNT(*)` counts rows. `LocalGroupBy` "need not be
 //! different from a GroupBy" in the engine (§3.3) — it runs through the
 //! same code path.
+//!
+//! A batch is aggregated in two phases. Phase 1 gives every lane a
+//! dense group id in first-seen order ([`GroupTable`]), charging each
+//! new group to the memory reservation lane by lane. Phase 2 folds each
+//! aggregate's argument column into that aggregate's per-group lanes —
+//! typed vectors indexed by group id — in one loop over
+//! `(group id, lane)`. [`GroupedAggState::finish`] hands the key columns
+//! and one result column per aggregate back as columns.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use orthopt_common::column::Column;
-use orthopt_common::row::row_bytes;
-use orthopt_common::{Error, MemoryReservation, Result, Row, Value};
+use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
+use orthopt_common::value::ValueRef;
+use orthopt_common::{DataType, Error, MemoryReservation, Result, Row, Value};
 use orthopt_ir::{AggDef, AggFunc, GroupKind};
 
-use crate::vector::{hash_lanes, hash_values};
+use crate::vector::hash_lanes;
 
-/// Running state of one aggregate over one group.
+/// Running state of one aggregate over one group, over `Value`s: the
+/// generic accumulator lane (DISTINCT, and arguments no typed lane
+/// holds).
 #[derive(Debug, Clone)]
-pub enum AggAcc {
+enum AggAcc {
     /// COUNT(*) / COUNT(expr): running row count.
     Count(i64),
     /// SUM: running total (None until the first non-NULL input).
@@ -34,7 +43,7 @@ pub enum AggAcc {
 
 impl AggAcc {
     /// Fresh accumulator for a function.
-    pub fn new(func: AggFunc) -> AggAcc {
+    fn new(func: AggFunc) -> AggAcc {
         match func {
             AggFunc::CountStar | AggFunc::Count => AggAcc::Count(0),
             AggFunc::Sum => AggAcc::Sum(None),
@@ -46,7 +55,7 @@ impl AggAcc {
 
     /// Feeds one input value. `v` is `None` only for `COUNT(*)` (no
     /// argument); NULL argument values are skipped per SQL.
-    pub fn update(&mut self, v: Option<&Value>) -> Result<()> {
+    fn update(&mut self, v: Option<&Value>) -> Result<()> {
         match self {
             AggAcc::Count(n) => {
                 match v {
@@ -115,36 +124,8 @@ impl AggAcc {
         Ok(())
     }
 
-    /// Folds another accumulator of the same function into this one —
-    /// the global half of the §3.3 local/global split, used when
-    /// thread-local partial aggregation states are merged at close.
-    pub fn merge(&mut self, other: AggAcc) -> Result<()> {
-        match (self, other) {
-            (AggAcc::Count(n), AggAcc::Count(m)) => *n += m,
-            (AggAcc::Sum(acc), AggAcc::Sum(v)) => {
-                if let Some(x) = v {
-                    *acc = Some(match acc.take() {
-                        Some(cur) => cur.add(&x)?,
-                        None => x,
-                    });
-                }
-            }
-            (acc @ AggAcc::Min(_), AggAcc::Min(v)) | (acc @ AggAcc::Max(_), AggAcc::Max(v)) => {
-                if let Some(x) = v {
-                    acc.update(Some(&x))?;
-                }
-            }
-            (AggAcc::Avg(sum, n), AggAcc::Avg(s2, n2)) => {
-                *sum += s2;
-                *n += n2;
-            }
-            _ => return Err(Error::internal("merge of mismatched aggregate states")),
-        }
-        Ok(())
-    }
-
     /// Final value of the aggregate for this group.
-    pub fn finish(self) -> Value {
+    fn finish(self) -> Value {
         match self {
             AggAcc::Count(n) => Value::Int(n),
             AggAcc::Sum(v) | AggAcc::Min(v) | AggAcc::Max(v) => v.unwrap_or(Value::Null),
@@ -159,371 +140,322 @@ impl AggAcc {
     }
 }
 
-/// State of one group: accumulators plus per-aggregate distinct filters.
-struct GroupState {
-    accs: Vec<AggAcc>,
-    seen: Vec<Option<HashSet<Value>>>,
+/// The top 32 bits of a key hash, kept in a slot beside the group id.
+const TAG: u64 = 0xFFFF_FFFF_0000_0000;
+
+/// Where a lane's key lives in a [`GroupTable`]: its group, or the free
+/// slot a new group for it would take.
+#[derive(Clone, Copy)]
+enum Probe {
+    Found(u32),
+    Vacant(usize),
 }
 
-impl GroupState {
-    fn new(specs: &[(AggFunc, bool)]) -> GroupState {
-        GroupState {
-            accs: specs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
-            seen: specs
-                .iter()
-                .map(|(_, distinct)| {
-                    if *distinct {
-                        Some(HashSet::new())
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        }
-    }
+/// Open-addressing hash table from a group key to a dense group id.
+///
+/// Ids are `u32`s handed out in first-seen order. A key is hashed by
+/// [`hash_lanes`] — the hash spill partitions route by — and compared
+/// by [`Column::lanes_eq`], i.e. by `Value`'s grouping equality: `3`
+/// and `3.0` are one group, NULL groups with NULL. Keys are stored as
+/// one typed column per key position, grown by one lane per new group.
+/// A new table allocates nothing until its first group.
+#[derive(Debug, Default)]
+pub struct GroupTable {
+    /// Group keys: lane `g` of column `k` is key position `k` of group
+    /// `g`. Empty until the first group (and for a zero-column key).
+    keys: Vec<Column>,
+    /// Each group's key hash.
+    hashes: Vec<u64>,
+    /// Linear-probing slots, a power of two long and at most half
+    /// full: 0 when empty, else the key hash's [`TAG`] bits over the
+    /// group id + 1.
+    slots: Vec<u64>,
 }
 
-/// Incremental hash-aggregation state: feed `(key, args)` pairs batch by
-/// batch, then [`finish`](GroupedAggState::finish) to emit one row per
-/// group in first-seen order.
-pub struct GroupedAggState {
-    /// `(function, distinct)` per aggregate.
-    specs: Vec<(AggFunc, bool)>,
-    /// `on_empty` results, for scalar aggregation over empty input.
-    on_empty: Vec<Value>,
-    /// Key hash → group ids with that hash. Equality is resolved
-    /// against `keys`, so the row-fed and column-fed paths share one
-    /// table (the hash of a key is precomputable from column lanes
-    /// without materializing a `Vec<Value>` per row).
-    index: HashMap<u64, Vec<u32>>,
-    /// Group keys in first-seen order; `keys[g]` pairs with `states[g]`.
-    keys: Vec<Row>,
-    states: Vec<GroupState>,
-    /// Memory charged for group state (detached unless the owner
-    /// attached a budgeted reservation).
-    mem: MemoryReservation,
-}
-
-/// Result of a row-atomic [`GroupedAggState::feed_or_reject`].
-pub enum FeedOutcome {
-    /// The row was admitted and fully applied.
-    Fed,
-    /// The reservation refused the row's charge. No state mutated; the
-    /// row is handed back so the caller can spill it.
-    Refused {
-        /// The group key, returned unconsumed.
-        key: Row,
-        /// The evaluated aggregate arguments, returned unconsumed.
-        args: Vec<Option<Value>>,
-        /// The refusing [`Error::ResourceExhausted`].
-        err: Error,
-    },
-}
-
-/// Approximate heap footprint of one aggregate input value (DISTINCT
-/// filter entries).
-fn value_bytes(v: &Value) -> u64 {
-    let heap = if let Value::Str(s) = v { s.len() } else { 0 };
-    (std::mem::size_of::<Value>() + heap) as u64
-}
-
-impl GroupedAggState {
-    /// Fresh state for a set of aggregate definitions.
-    pub fn new(aggs: &[AggDef]) -> GroupedAggState {
-        GroupedAggState {
-            specs: aggs.iter().map(|a| (a.func, a.distinct)).collect(),
-            on_empty: aggs.iter().map(|a| a.func.on_empty()).collect(),
-            index: HashMap::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
-            mem: MemoryReservation::detached("HashAggregate"),
-        }
+impl GroupTable {
+    /// An empty table.
+    pub fn new() -> GroupTable {
+        GroupTable::default()
     }
 
-    /// Attaches a memory reservation: every new group (and every DISTINCT
-    /// filter entry) is charged against it from now on.
-    pub fn set_reservation(&mut self, mem: MemoryReservation) {
-        self.mem = mem;
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
     }
 
-    /// Peak bytes this state's reservation has held.
-    pub fn mem_peak(&self) -> u64 {
-        self.mem.peak()
+    /// True before the first group.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
     }
 
-    /// Finds an existing group by hash + per-key equality probe.
-    fn find(&self, hash: u64, eq: impl Fn(&[Value]) -> bool) -> Option<usize> {
-        self.index
-            .get(&hash)?
+    /// The key columns: lane `g` is group `g`'s key. Empty when the
+    /// table is (and when the key has no columns).
+    pub fn keys(&self) -> &[Column] {
+        &self.keys
+    }
+
+    /// Group ids of lanes `0..hashes.len()` of `key_cols`, adding a
+    /// group for every key not seen before. `hashes` are the lanes'
+    /// [`hash_lanes`].
+    pub fn assign(&mut self, key_cols: &[&Column], hashes: &[u64]) -> Vec<u32> {
+        hashes
             .iter()
-            .copied()
-            .find(|&g| eq(&self.keys[g as usize]))
-            .map(|g| g as usize)
-    }
-
-    /// Bytes one new group costs: the key's own copy plus the hash-table
-    /// entry, plus the accumulator slots.
-    fn group_bytes(&self, key: &Row) -> u64 {
-        let accs = self.specs.len()
-            * (std::mem::size_of::<AggAcc>() + std::mem::size_of::<Option<HashSet<Value>>>());
-        2 * row_bytes(key) + accs as u64
-    }
-
-    /// Whether feeding `v` into aggregate `i` of group `gid` would admit
-    /// a new DISTINCT filter entry (and therefore charge its bytes).
-    /// `gid` is `None` for a not-yet-inserted group, whose filters are
-    /// all empty.
-    fn distinct_admits(&self, gid: Option<usize>, i: usize, v: &Value) -> bool {
-        if !self.specs[i].1 || v.is_null() {
-            return false;
-        }
-        match gid {
-            None => true,
-            Some(g) => self.states[g].seen[i]
-                .as_ref()
-                .is_some_and(|seen| !seen.contains(v)),
-        }
-    }
-
-    /// Registers a new group whose bytes were already charged.
-    fn insert_group_prepaid(&mut self, hash: u64, key: Row) -> usize {
-        let gid = self.keys.len();
-        self.keys.push(key);
-        self.states.push(GroupState::new(&self.specs));
-        self.index.entry(hash).or_default().push(gid as u32);
-        gid
-    }
-
-    /// Registers a new group, charging the reservation for the key (its
-    /// own copy plus the hash-table entry) and the accumulator slots.
-    fn insert_group(&mut self, hash: u64, key: Row) -> Result<usize> {
-        self.mem.grow(self.group_bytes(&key))?;
-        Ok(self.insert_group_prepaid(hash, key))
-    }
-
-    /// Feeds one aggregate's argument into one group, enforcing the
-    /// DISTINCT filter. The memory charge happened up front (see
-    /// [`feed_or_reject`](GroupedAggState::feed_or_reject)), so this
-    /// never refuses.
-    fn apply_arg(&mut self, gid: usize, i: usize, arg: Option<Value>) -> Result<()> {
-        let state = &mut self.states[gid];
-        if let Some(seen) = &mut state.seen[i] {
-            // DISTINCT: skip repeated non-NULL values.
-            if let Some(v) = &arg {
-                if !v.is_null() && !seen.insert(v.clone()) {
-                    return Ok(());
-                }
-            }
-        }
-        self.states[gid].accs[i].update(arg.as_ref())
-    }
-
-    /// Feeds one input row: its group key plus the evaluated argument of
-    /// each aggregate (`None` for `COUNT(*)`). The key is moved only
-    /// when a new group is created.
-    pub fn feed(&mut self, key: Vec<Value>, args: Vec<Option<Value>>) -> Result<()> {
-        match self.feed_or_reject(key, args)? {
-            FeedOutcome::Fed => Ok(()),
-            FeedOutcome::Refused { err, .. } => Err(err),
-        }
-    }
-
-    /// Row-atomic feed: the row's whole memory cost — a new group if its
-    /// key is unseen, plus every DISTINCT filter admission — is charged
-    /// *before* any state mutates. A refused charge therefore leaves the
-    /// state exactly as it was and hands the row back to the caller,
-    /// which can spill it; any other error propagates.
-    pub fn feed_or_reject(
-        &mut self,
-        key: Vec<Value>,
-        args: Vec<Option<Value>>,
-    ) -> Result<FeedOutcome> {
-        debug_assert_eq!(args.len(), self.specs.len());
-        let hash = hash_values(&key);
-        let gid = self.find(hash, |k| k == key.as_slice());
-        let mut charge = if gid.is_none() {
-            self.group_bytes(&key)
-        } else {
-            0
-        };
-        for (i, arg) in args.iter().enumerate() {
-            if let Some(v) = arg {
-                if self.distinct_admits(gid, i, v) {
-                    charge += value_bytes(v);
-                }
-            }
-        }
-        if let Err(err) = self.mem.grow(charge) {
-            if matches!(err, Error::ResourceExhausted { .. }) {
-                return Ok(FeedOutcome::Refused { key, args, err });
-            }
-            return Err(err);
-        }
-        let gid = match gid {
-            Some(g) => g,
-            None => self.insert_group_prepaid(hash, key),
-        };
-        for (i, arg) in args.into_iter().enumerate() {
-            self.apply_arg(gid, i, arg)?;
-        }
-        Ok(FeedOutcome::Fed)
-    }
-
-    /// Columnar feed: one call per batch. `key_cols` are the group-key
-    /// columns, `arg_cols` the pre-evaluated argument column per
-    /// aggregate (`None` for `COUNT(*)`). Group lookup hashes lanes
-    /// directly off the columns and compares via [`Column::lane_eq`], so
-    /// no per-row key `Vec` is allocated for already-seen groups; state
-    /// updates run in the same (row-major, aggregate-minor) order as the
-    /// row path, so errors and DISTINCT behavior are identical.
-    pub fn feed_lanes(
-        &mut self,
-        key_cols: &[&Column],
-        arg_cols: &[Option<Column>],
-        len: usize,
-    ) -> Result<()> {
-        match self.feed_lanes_or_reject(key_cols, arg_cols, len)? {
-            (_, Some(err)) => Err(err),
-            _ => Ok(()),
-        }
-    }
-
-    /// Lane-atomic columnar feed: stops at the first lane whose memory
-    /// charge is refused instead of erroring. Returns how many lanes
-    /// were fully applied plus the refusal, if any — the state is
-    /// consistent either way, and the caller can spill lanes
-    /// `applied..len`.
-    pub fn feed_lanes_or_reject(
-        &mut self,
-        key_cols: &[&Column],
-        arg_cols: &[Option<Column>],
-        len: usize,
-    ) -> Result<(usize, Option<Error>)> {
-        debug_assert_eq!(arg_cols.len(), self.specs.len());
-        let hashes = hash_lanes(key_cols, len);
-        for (i, &h) in hashes.iter().enumerate() {
-            let gid = self.find(h, |k| key_cols.iter().zip(k).all(|(c, v)| c.lane_eq(i, v)));
-            // Only a new group materializes its key `Vec` here, same as
-            // the all-resident path always has.
-            let key: Option<Row> = match gid {
-                Some(_) => None,
-                None => Some(key_cols.iter().map(|c| c.value(i)).collect()),
-            };
-            let mut charge = key.as_ref().map_or(0, |k| self.group_bytes(k));
-            for (a, col) in arg_cols.iter().enumerate() {
-                if !self.specs[a].1 {
-                    continue;
-                }
-                let Some(c) = col else { continue };
-                let v = c.value(i);
-                if self.distinct_admits(gid, a, &v) {
-                    charge += value_bytes(&v);
-                }
-            }
-            if let Err(err) = self.mem.grow(charge) {
-                if matches!(err, Error::ResourceExhausted { .. }) {
-                    return Ok((i, Some(err)));
-                }
-                return Err(err);
-            }
-            let gid = match gid {
-                Some(g) => g,
-                None => self.insert_group_prepaid(h, key.expect("new group has a key")),
-            };
-            for (a, col) in arg_cols.iter().enumerate() {
-                self.apply_arg(gid, a, col.as_ref().map(|c| c.value(i)))?;
-            }
-        }
-        Ok((len, None))
-    }
-
-    /// Worst-case bytes [`feed`](GroupedAggState::feed) could charge for
-    /// one `(key, args)` row: a brand-new group (key copy, table entry,
-    /// accumulator slots) plus every DISTINCT filter admitting its
-    /// value. The spillable aggregation pre-probes this bound per batch
-    /// so `feed` — which charges mid-mutation and is not row-atomic —
-    /// never sees a refusal once the batch is admitted.
-    pub fn feed_bound(&self, key: &Row, args: &[Option<Value>]) -> u64 {
-        let accs = self.specs.len()
-            * (std::mem::size_of::<AggAcc>() + std::mem::size_of::<Option<HashSet<Value>>>());
-        let mut b = 2 * row_bytes(key) + accs as u64;
-        for ((_, distinct), arg) in self.specs.iter().zip(args) {
-            if *distinct {
-                if let Some(v) = arg {
-                    b += value_bytes(v);
-                }
-            }
-        }
-        b
-    }
-
-    /// Splits this state into `n` states, routing each group by
-    /// `route(&key)`. Group keys and accumulators move wholesale (no
-    /// re-aggregation); each returned state keeps the groups in this
-    /// state's first-seen order. The returned states carry detached
-    /// reservations — the bytes were already charged to this state's
-    /// reservation, which is released when `self` is consumed here, and
-    /// the spillable aggregation drains the splits one partition at a
-    /// time immediately after.
-    pub fn split_by(self, n: usize, route: impl Fn(&Row) -> usize) -> Vec<GroupedAggState> {
-        let mut out: Vec<GroupedAggState> = (0..n)
-            .map(|_| GroupedAggState {
-                specs: self.specs.clone(),
-                on_empty: self.on_empty.clone(),
-                index: HashMap::new(),
-                keys: Vec::new(),
-                states: Vec::new(),
-                mem: MemoryReservation::detached("HashAggregate"),
+            .enumerate()
+            .map(|(i, &h)| match self.probe(key_cols, i, h) {
+                Probe::Found(g) => g,
+                Probe::Vacant(s) => self.insert(s, key_cols, i, h),
             })
-            .collect();
-        for (key, state) in self.keys.into_iter().zip(self.states) {
-            let p = route(&key);
-            let target = &mut out[p];
-            let hash = hash_values(&key);
-            let gid = target.keys.len();
-            target.keys.push(key);
-            target.states.push(state);
-            target.index.entry(hash).or_default().push(gid as u32);
-        }
-        out
+            .collect()
     }
 
-    /// Folds another partial state (same specs) into this one. Groups
-    /// unseen here are moved over wholesale (preserving `other`'s
-    /// first-seen order after this state's own); shared groups merge
-    /// accumulator-wise, with DISTINCT filters re-deduplicated against
-    /// this state's seen sets.
-    pub fn merge(&mut self, other: GroupedAggState) -> Result<()> {
-        debug_assert_eq!(self.specs, other.specs);
-        for (key, theirs) in other.keys.into_iter().zip(other.states) {
-            let hash = hash_values(&key);
-            match self.find(hash, |k| k == key.as_slice()) {
-                None => {
-                    let gid = self.insert_group(hash, key)?;
-                    self.states[gid] = theirs;
+    /// Looks lane `i` (hash `h`) up, first making room for one more
+    /// group so a `Vacant` slot can be filled by [`insert`].
+    ///
+    /// [`insert`]: GroupTable::insert
+    fn probe(&mut self, key_cols: &[&Column], i: usize, h: u64) -> Probe {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.rehash((2 * self.slots.len()).max(16));
+        }
+        let mask = self.slots.len() - 1;
+        let mut s = h as usize & mask;
+        loop {
+            let e = self.slots[s];
+            if e == 0 {
+                return Probe::Vacant(s);
+            }
+            let g = (e as u32 - 1) as usize;
+            if (e ^ h) & TAG == 0
+                && self.hashes[g] == h
+                && self
+                    .keys
+                    .iter()
+                    .zip(key_cols)
+                    .all(|(k, c)| k.lanes_eq(g, c, i))
+            {
+                return Probe::Found(g as u32);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Adds lane `i` of `key_cols` as the next group, in the `Vacant`
+    /// slot `s` a [`probe`](GroupTable::probe) just returned.
+    fn insert(&mut self, s: usize, key_cols: &[&Column], i: usize, h: u64) -> u32 {
+        let g = self.len() as u32;
+        if self.keys.len() != key_cols.len() {
+            self.keys = key_cols.iter().map(|c| empty_like(c)).collect();
+        }
+        for (k, c) in self.keys.iter_mut().zip(key_cols) {
+            k.push(c.value(i));
+        }
+        self.hashes.push(h);
+        self.slots[s] = (h & TAG) | (u64::from(g) + 1);
+        g
+    }
+
+    /// Re-slots every group into `cap` slots.
+    fn rehash(&mut self, cap: usize) {
+        let mask = cap - 1;
+        self.slots = vec![0; cap];
+        for (g, &h) in self.hashes.iter().enumerate() {
+            let mut s = h as usize & mask;
+            while self.slots[s] != 0 {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = (h & TAG) | (g as u64 + 1);
+        }
+    }
+
+    /// The groups `ids`, renumbered `0..ids.len()` in that order.
+    fn gather(&self, ids: &[usize]) -> GroupTable {
+        let mut t = GroupTable {
+            keys: self.keys.iter().map(|c| c.gather(ids)).collect(),
+            hashes: ids.iter().map(|&g| self.hashes[g]).collect(),
+            slots: Vec::new(),
+        };
+        t.rehash((2 * ids.len()).next_power_of_two().max(16));
+        t
+    }
+}
+
+/// An empty column with `c`'s storage type, for a key column to grow.
+fn empty_like(c: &Column) -> Column {
+    let ty = match c.parts().0 {
+        ColData::Int(_) => DataType::Int,
+        ColData::Float(_) => DataType::Float,
+        ColData::Bool(_) => DataType::Bool,
+        ColData::Str(_) => DataType::Str,
+        ColData::Date(_) => DataType::Date,
+        ColData::Val(_) => return Column::from_values(Vec::new()),
+    };
+    Column::new(ty)
+}
+
+/// Columnar lane dedup over the given key columns — the group table's
+/// phase 1 with no budget: the distinct key tuples in first-seen order
+/// plus, per lane, the index of its tuple in that list. `Int(3)` and
+/// `Float(3.0)` are one tuple, and NULL keys dedup with NULL keys (sound
+/// for binding dedup: the inner plan is deterministic per binding
+/// tuple).
+pub(crate) fn dedup_lanes(key_cols: &[&Column], len: usize) -> (Vec<Row>, Vec<u32>) {
+    let mut table = GroupTable::new();
+    let gids = table.assign(key_cols, &hash_lanes(key_cols, len));
+    let distinct = (0..table.len())
+        .map(|g| table.keys.iter().map(|c| c.value(g)).collect())
+        .collect();
+    (distinct, gids)
+}
+
+/// One aggregate's state for every group: typed lanes indexed by group
+/// id while the argument's storage allows, `Value` accumulators once it
+/// does not.
+#[derive(Debug)]
+enum Acc {
+    /// COUNT(*) / COUNT(expr): rows (non-NULL arguments) per group.
+    Count(Vec<i64>),
+    /// SUM / MIN / MAX while every argument has been an `Int` lane:
+    /// the running value, and whether the group has seen one.
+    Int {
+        func: AggFunc,
+        v: Vec<i64>,
+        seen: Vec<bool>,
+    },
+    /// SUM / MIN / MAX while every argument has been a `Float` lane.
+    Float {
+        func: AggFunc,
+        v: Vec<f64>,
+        seen: Vec<bool>,
+    },
+    /// AVG: running sum and count of non-NULL inputs.
+    Avg { sum: Vec<f64>, n: Vec<i64> },
+    /// Everything else: DISTINCT, and SUM / MIN / MAX over `Val`,
+    /// `Str`, `Date` or `Bool` arguments or a mix of representations.
+    Values(Vec<AggAcc>),
+}
+
+impl Acc {
+    fn new(func: AggFunc, distinct: bool) -> Acc {
+        match func {
+            _ if distinct => Acc::Values(Vec::new()),
+            AggFunc::CountStar | AggFunc::Count => Acc::Count(Vec::new()),
+            AggFunc::Avg => Acc::Avg {
+                sum: Vec::new(),
+                n: Vec::new(),
+            },
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => Acc::Int {
+                func,
+                v: Vec::new(),
+                seen: Vec::new(),
+            },
+        }
+    }
+
+    /// Appends a fresh group.
+    fn push_group(&mut self, func: AggFunc) {
+        match self {
+            Acc::Count(n) => n.push(0),
+            Acc::Int { v, seen, .. } => {
+                v.push(0);
+                seen.push(false);
+            }
+            Acc::Float { v, seen, .. } => {
+                v.push(0.0);
+                seen.push(false);
+            }
+            Acc::Avg { sum, n } => {
+                sum.push(0.0);
+                n.push(0);
+            }
+            Acc::Values(accs) => accs.push(AggAcc::new(func)),
+        }
+    }
+
+    /// Folds lanes `0..gids.len()` of `arg` (`None`: COUNT(*)) into the
+    /// groups `gids` names, in lane order — only the lanes `admit`
+    /// marks, when given (DISTINCT). An error comes back with the lane
+    /// it happened at.
+    fn fold(
+        &mut self,
+        gids: &[u32],
+        arg: Option<&Column>,
+        admit: Option<&[bool]>,
+    ) -> std::result::Result<(), (usize, Error)> {
+        let Some(c) = arg else {
+            if let Acc::Count(n) = self {
+                for &g in gids {
+                    n[g as usize] += 1;
                 }
-                Some(gid) => {
-                    let mine = &mut self.states[gid];
-                    for (i, (acc, seen)) in theirs.accs.into_iter().zip(theirs.seen).enumerate() {
-                        match seen {
-                            // DISTINCT: replay only values this state has
-                            // not yet seen; the partial accumulator is
-                            // discarded (it may double-count values both
-                            // workers saw).
-                            Some(their_seen) => {
-                                let my_seen = mine.seen[i].as_mut().ok_or_else(|| {
-                                    Error::internal(
-                                        "distinct filter missing while merging partial aggregates",
-                                    )
-                                })?;
-                                for v in their_seen {
-                                    if my_seen.insert(v.clone()) {
-                                        mine.accs[i].update(Some(&v))?;
-                                    }
-                                }
-                            }
-                            None => mine.accs[i].merge(acc)?,
+            }
+            return Ok(());
+        };
+        let (data, validity, off) = c.parts();
+        self.fit(data, || (0..gids.len()).any(|i| c.is_valid(i)));
+        let all_valid = validity.all_valid();
+        let valid = |i: usize| all_valid || validity.get(off + i);
+        match self {
+            Acc::Count(n) => {
+                for (i, &g) in gids.iter().enumerate() {
+                    n[g as usize] += i64::from(valid(i));
+                }
+            }
+            Acc::Int { func, v, seen } => {
+                let ColData::Int(x) = data else {
+                    return Ok(()); // no valid lane: nothing to fold
+                };
+                let step: fn(i64, i64) -> Option<i64> = match func {
+                    AggFunc::Min => |a, b| Some(a.min(b)),
+                    AggFunc::Max => |a, b| Some(a.max(b)),
+                    _ => i64::checked_add,
+                };
+                fold_typed(gids, &x[off..], valid, v, seen, step)
+                    .map_err(|i| (i, Error::NumericOverflow))?;
+            }
+            Acc::Float { func, v, seen } => {
+                let ColData::Float(x) = data else {
+                    return Ok(());
+                };
+                let step: fn(f64, f64) -> Option<f64> = match func {
+                    AggFunc::Min => |a, b| Some(if b.total_cmp(&a).is_lt() { b } else { a }),
+                    AggFunc::Max => |a, b| Some(if b.total_cmp(&a).is_gt() { b } else { a }),
+                    _ => |a, b| Some(a + b),
+                };
+                fold_typed(gids, &x[off..], valid, v, seen, step)
+                    .map_err(|i| (i, Error::NumericOverflow))?;
+            }
+            Acc::Avg { sum, n } => match data {
+                ColData::Int(x) => {
+                    for (i, &g) in gids.iter().enumerate() {
+                        if valid(i) {
+                            sum[g as usize] += x[off + i] as f64;
+                            n[g as usize] += 1;
                         }
+                    }
+                }
+                ColData::Float(x) => {
+                    for (i, &g) in gids.iter().enumerate() {
+                        if valid(i) {
+                            sum[g as usize] += x[off + i];
+                            n[g as usize] += 1;
+                        }
+                    }
+                }
+                _ => {
+                    for (i, &g) in gids.iter().enumerate() {
+                        let g = g as usize;
+                        let mut acc = AggAcc::Avg(sum[g], n[g]);
+                        acc.update(Some(&c.value(i))).map_err(|e| (i, e))?;
+                        if let AggAcc::Avg(s, k) = acc {
+                            (sum[g], n[g]) = (s, k);
+                        }
+                    }
+                }
+            },
+            Acc::Values(accs) => {
+                for (i, &g) in gids.iter().enumerate() {
+                    if admit.is_none_or(|a| a[i]) {
+                        accs[g as usize]
+                            .update(Some(&c.value(i)))
+                            .map_err(|e| (i, e))?;
                     }
                 }
             }
@@ -531,47 +463,427 @@ impl GroupedAggState {
         Ok(())
     }
 
-    /// Emits one row per group laid out as
-    /// `group key values ++ aggregate results`, in first-seen order.
-    pub fn finish(self, kind: GroupKind) -> Vec<Row> {
-        // Scalar aggregation over empty input: one row of agg(∅).
-        if self.keys.is_empty() && matches!(kind, GroupKind::Scalar) {
-            return vec![self.on_empty];
+    /// Moves a SUM / MIN / MAX lane to the representation an argument
+    /// stored as `data` folds into: the typed lane of that storage
+    /// while no group has seen a value, else `Value` accumulators. A
+    /// lane whose argument has no valid lane (`any_valid` false) stays
+    /// as it is.
+    fn fit(&mut self, data: &ColData, any_valid: impl FnOnce() -> bool) {
+        let (func, fresh, n) = match (&*self, data) {
+            (Acc::Int { .. }, ColData::Int(_)) | (Acc::Float { .. }, ColData::Float(_)) => return,
+            (Acc::Int { func, seen, .. }, _) | (Acc::Float { func, seen, .. }, _) => {
+                (*func, !seen.contains(&true), seen.len())
+            }
+            _ => return,
+        };
+        if !any_valid() {
+            return;
         }
-        self.keys
-            .into_iter()
-            .zip(self.states)
-            .map(|(key, state)| {
-                let mut row = key;
-                row.extend(state.accs.into_iter().map(AggAcc::finish));
-                row
-            })
-            .collect()
+        *self = match data {
+            ColData::Int(_) if fresh => Acc::Int {
+                func,
+                v: vec![0; n],
+                seen: vec![false; n],
+            },
+            ColData::Float(_) if fresh => Acc::Float {
+                func,
+                v: vec![0.0; n],
+                seen: vec![false; n],
+            },
+            _ => Acc::Values(match &*self {
+                Acc::Int { v, seen, .. } => held(func, v, seen, Value::Int),
+                Acc::Float { v, seen, .. } => held(func, v, seen, Value::Float),
+                _ => unreachable!("only typed lanes refit"),
+            }),
+        };
+    }
+
+    /// The groups `ids`, renumbered `0..ids.len()` in that order.
+    fn gather(&self, ids: &[usize]) -> Acc {
+        fn pick<T: Clone>(v: &[T], ids: &[usize]) -> Vec<T> {
+            ids.iter().map(|&g| v[g].clone()).collect()
+        }
+        match self {
+            Acc::Count(n) => Acc::Count(pick(n, ids)),
+            Acc::Int { func, v, seen } => Acc::Int {
+                func: *func,
+                v: pick(v, ids),
+                seen: pick(seen, ids),
+            },
+            Acc::Float { func, v, seen } => Acc::Float {
+                func: *func,
+                v: pick(v, ids),
+                seen: pick(seen, ids),
+            },
+            Acc::Avg { sum, n } => Acc::Avg {
+                sum: pick(sum, ids),
+                n: pick(n, ids),
+            },
+            Acc::Values(accs) => Acc::Values(pick(accs, ids)),
+        }
+    }
+
+    /// One result lane per group.
+    fn finish(self) -> Column {
+        let typed = |data, validity| Column::from_data(ColumnData { data, validity });
+        match self {
+            Acc::Count(n) => {
+                let validity = Bitmap::new_valid(n.len());
+                typed(ColData::Int(n), validity)
+            }
+            Acc::Int { v, seen, .. } => typed(ColData::Int(v), Bitmap::from_flags(seen)),
+            Acc::Float { v, seen, .. } => typed(ColData::Float(v), Bitmap::from_flags(seen)),
+            Acc::Avg { sum, n } => typed(
+                ColData::Float(
+                    sum.iter()
+                        .zip(&n)
+                        .map(|(&s, &k)| if k == 0 { 0.0 } else { s / k as f64 })
+                        .collect(),
+                ),
+                Bitmap::from_flags(n.iter().map(|&k| k > 0)),
+            ),
+            Acc::Values(accs) => {
+                Column::from_values(accs.into_iter().map(AggAcc::finish).collect())
+            }
+        }
     }
 }
 
-/// Hash aggregation over already-extracted inputs.
-///
-/// `rows` supplies, per input row, the group key and the evaluated
-/// argument of each aggregate (`None` for `COUNT(*)`). Returns one row
-/// per group laid out as `group key values ++ aggregate results`.
-pub fn hash_aggregate(
-    kind: GroupKind,
-    aggs: &[AggDef],
-    rows: impl IntoIterator<Item = (Vec<Value>, Vec<Option<Value>>)>,
-) -> Result<Vec<Row>> {
-    let mut state = GroupedAggState::new(aggs);
-    for (key, args) in rows {
-        state.feed(key, args)?;
+/// `Value` accumulators holding a typed SUM / MIN / MAX lane's running
+/// values.
+fn held<T: Copy>(func: AggFunc, v: &[T], seen: &[bool], wrap: fn(T) -> Value) -> Vec<AggAcc> {
+    let acc = |v| match func {
+        AggFunc::Min => AggAcc::Min(v),
+        AggFunc::Max => AggAcc::Max(v),
+        _ => AggAcc::Sum(v),
+    };
+    v.iter()
+        .zip(seen)
+        .map(|(&x, &s)| acc(s.then(|| wrap(x))))
+        .collect()
+}
+
+/// Folds the valid lanes of `x` into the groups `gids` names: a group's
+/// first value is kept as is, later ones combine through `step`. Stops
+/// at the lane where `step` fails (overflow).
+fn fold_typed<T: Copy>(
+    gids: &[u32],
+    x: &[T],
+    valid: impl Fn(usize) -> bool,
+    v: &mut [T],
+    seen: &mut [bool],
+    step: fn(T, T) -> Option<T>,
+) -> std::result::Result<(), usize> {
+    for (i, (&g, &x)) in gids.iter().zip(x).enumerate() {
+        if !valid(i) {
+            continue;
+        }
+        let g = g as usize;
+        v[g] = if seen[g] {
+            step(v[g], x).ok_or(i)?
+        } else {
+            seen[g] = true;
+            x
+        };
     }
-    Ok(state.finish(kind))
+    Ok(())
+}
+
+/// One aggregate of a [`GroupedAggState`].
+#[derive(Debug)]
+struct AggLane {
+    func: AggFunc,
+    /// DISTINCT (with an argument): per group, the argument values
+    /// already folded.
+    seen: Option<Vec<HashSet<Value>>>,
+    acc: Acc,
+}
+
+/// Bytes a group holds in the table besides its key lanes: its hash
+/// and its share of the slots (two `u64`s at half load).
+const GROUP_TABLE_BYTES: u64 = 3 * 8;
+
+/// Bytes a group holds per aggregate: a typed value and its flag, or a
+/// sum and a count.
+const GROUP_ACC_BYTES: u64 = 16;
+
+/// Bytes one stored key lane holds: its slot, plus a string's payload.
+fn key_lane_bytes(c: &Column, i: usize) -> u64 {
+    match c.value_ref(i) {
+        ValueRef::Str(s) => (std::mem::size_of::<std::sync::Arc<str>>() + s.len()) as u64,
+        _ => 8,
+    }
+}
+
+/// Approximate heap footprint of one DISTINCT filter entry.
+fn value_bytes(v: &Value) -> u64 {
+    let heap = if let Value::Str(s) = v { s.len() } else { 0 };
+    (std::mem::size_of::<Value>() + heap) as u64
+}
+
+/// Incremental hash-aggregation state: feed batches of lanes, then
+/// [`finish`](GroupedAggState::finish) to emit one lane per group in
+/// first-seen order.
+#[derive(Debug)]
+pub struct GroupedAggState {
+    table: GroupTable,
+    /// One per aggregate, in definition order.
+    lanes: Vec<AggLane>,
+    /// Bytes every new group is charged for its aggregates.
+    acc_bytes: u64,
+    /// Memory charged for group state.
+    mem: MemoryReservation,
+}
+
+impl GroupedAggState {
+    /// Fresh state for a set of aggregate definitions, charging `mem`.
+    pub fn new(aggs: &[AggDef], mem: MemoryReservation) -> GroupedAggState {
+        let lanes: Vec<AggLane> = aggs
+            .iter()
+            .map(|a| {
+                let distinct = a.distinct && a.arg.is_some();
+                AggLane {
+                    func: a.func,
+                    seen: distinct.then(Vec::new),
+                    acc: Acc::new(a.func, distinct),
+                }
+            })
+            .collect();
+        let acc_bytes = lanes
+            .iter()
+            .map(|l| {
+                let filter = l
+                    .seen
+                    .as_ref()
+                    .map_or(0, |_| std::mem::size_of::<HashSet<Value>>());
+                GROUP_ACC_BYTES + filter as u64
+            })
+            .sum();
+        GroupedAggState {
+            table: GroupTable::new(),
+            lanes,
+            acc_bytes,
+            mem,
+        }
+    }
+
+    /// Peak bytes this state's reservation has held.
+    pub fn mem_peak(&self) -> u64 {
+        self.mem.peak()
+    }
+
+    /// Bytes a new group keyed by lane `i` of `key_cols` costs.
+    fn group_bytes(&self, key_cols: &[&Column], i: usize) -> u64 {
+        let key: u64 = key_cols.iter().map(|c| key_lane_bytes(c, i)).sum();
+        GROUP_TABLE_BYTES + key + self.acc_bytes
+    }
+
+    /// Feeds lanes `0..hashes.len()` of one batch: `key_cols` are the
+    /// group-key columns and `hashes` their [`hash_lanes`], `args` the
+    /// evaluated argument column per aggregate (`None` for `COUNT(*)`).
+    ///
+    /// Phase 1 assigns group ids lane by lane, charging each lane's
+    /// memory — a new group, and every DISTINCT filter admission —
+    /// before it mutates anything; a refused charge stops it there.
+    /// Phase 2 folds the lanes phase 1 applied into every aggregate. An
+    /// accumulator error is the one at the smallest lane, ties going to
+    /// the smallest aggregate — the error a row-at-a-time feed raises.
+    ///
+    /// Returns how many lanes were applied and the refusal, if any: the
+    /// state is consistent either way, and the caller can spill lanes
+    /// `applied..`.
+    pub fn feed_lanes(
+        &mut self,
+        key_cols: &[&Column],
+        hashes: &[u64],
+        args: &[Option<Column>],
+    ) -> Result<(usize, Option<Error>)> {
+        debug_assert_eq!(args.len(), self.lanes.len());
+        let distinct = self.lanes.iter().any(|l| l.seen.is_some());
+        let mut admit: Vec<Option<Vec<bool>>> = Vec::new();
+        if distinct {
+            admit = self
+                .lanes
+                .iter()
+                .map(|l| l.seen.as_ref().map(|_| Vec::with_capacity(hashes.len())))
+                .collect();
+        }
+        let mut fresh: Vec<(usize, Value)> = Vec::new();
+        let mut gids = Vec::with_capacity(hashes.len());
+        let mut refusal = None;
+        for (i, &h) in hashes.iter().enumerate() {
+            let probe = self.table.probe(key_cols, i, h);
+            let mut charge = match probe {
+                Probe::Found(_) => 0,
+                Probe::Vacant(_) => self.group_bytes(key_cols, i),
+            };
+            if distinct {
+                fresh.clear();
+                for (a, (lane, arg)) in self.lanes.iter().zip(args).enumerate() {
+                    let (Some(seen), Some(c)) = (&lane.seen, arg) else {
+                        continue;
+                    };
+                    let v = c.value(i);
+                    let new = match probe {
+                        _ if v.is_null() => false,
+                        Probe::Found(g) => !seen[g as usize].contains(&v),
+                        Probe::Vacant(_) => true,
+                    };
+                    if new {
+                        charge += value_bytes(&v);
+                        fresh.push((a, v));
+                    }
+                }
+            }
+            if let Err(err) = self.mem.grow(charge) {
+                if matches!(err, Error::ResourceExhausted { .. }) {
+                    refusal = Some(err);
+                    break;
+                }
+                return Err(err);
+            }
+            let g = match probe {
+                Probe::Found(g) => g,
+                Probe::Vacant(s) => {
+                    for lane in &mut self.lanes {
+                        lane.acc.push_group(lane.func);
+                        if let Some(seen) = &mut lane.seen {
+                            seen.push(HashSet::new());
+                        }
+                    }
+                    self.table.insert(s, key_cols, i, h)
+                }
+            };
+            if distinct {
+                for mask in admit.iter_mut().flatten() {
+                    mask.push(false);
+                }
+                for (a, v) in fresh.drain(..) {
+                    if let (Some(mask), Some(seen)) = (&mut admit[a], &mut self.lanes[a].seen) {
+                        mask[i] = true;
+                        seen[g as usize].insert(v);
+                    }
+                }
+            }
+            gids.push(g);
+        }
+        let mut first: Option<(usize, Error)> = None;
+        for (a, (lane, arg)) in self.lanes.iter_mut().zip(args).enumerate() {
+            let mask = admit.get(a).and_then(Option::as_deref);
+            if let Err((i, e)) = lane.acc.fold(&gids, arg.as_ref(), mask) {
+                if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                    first = Some((i, e));
+                }
+            }
+        }
+        match first {
+            Some((_, e)) => Err(e),
+            None => Ok((gids.len(), refusal)),
+        }
+    }
+
+    /// Splits this state into `n` states, routing each group by
+    /// `route(key hash)`. Keys and accumulators move wholesale (no
+    /// re-aggregation); each returned state keeps its groups in this
+    /// state's first-seen order. The returned states carry detached
+    /// reservations: this state's is released when it is consumed
+    /// here, and each split is charged again by
+    /// [`attach`](GroupedAggState::attach) when its partition loads.
+    pub fn split(mut self, n: usize, route: impl Fn(u64) -> usize) -> Vec<GroupedAggState> {
+        let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (g, &h) in self.table.hashes.iter().enumerate() {
+            ids[route(h)].push(g);
+        }
+        ids.iter()
+            .map(|ids| GroupedAggState {
+                table: self.table.gather(ids),
+                lanes: self
+                    .lanes
+                    .iter_mut()
+                    .map(|l| AggLane {
+                        func: l.func,
+                        seen: l
+                            .seen
+                            .as_mut()
+                            .map(|s| ids.iter().map(|&g| std::mem::take(&mut s[g])).collect()),
+                        acc: l.acc.gather(ids),
+                    })
+                    .collect(),
+                acc_bytes: self.acc_bytes,
+                mem: MemoryReservation::detached("HashAggregate"),
+            })
+            .collect()
+    }
+
+    /// Charges `mem` for everything this state holds and keeps charging
+    /// it from now on.
+    pub fn attach(&mut self, mem: MemoryReservation) -> Result<()> {
+        self.mem = mem;
+        let keys: Vec<&Column> = self.table.keys.iter().collect();
+        let groups: u64 = (0..self.table.len())
+            .map(|g| self.group_bytes(&keys, g))
+            .sum();
+        let filters: u64 = self
+            .lanes
+            .iter()
+            .filter_map(|l| l.seen.as_ref())
+            .flatten()
+            .flatten()
+            .map(value_bytes)
+            .sum();
+        self.mem.grow(groups + filters)
+    }
+
+    /// The group key columns followed by one result column per
+    /// aggregate, one lane per group in first-seen order, and the group
+    /// count. Scalar aggregation over empty input is one lane of
+    /// `agg(∅)`; a vector aggregation with no groups returns no
+    /// columns.
+    pub fn finish(self, kind: GroupKind) -> (Vec<Column>, usize) {
+        let n = self.table.len();
+        if n == 0 {
+            if kind == GroupKind::Scalar {
+                let row = self.lanes.iter().map(|l| l.func.on_empty());
+                return (row.map(|v| Column::from_values(vec![v])).collect(), 1);
+            }
+            return (Vec::new(), 0);
+        }
+        let mut cols = self.table.keys;
+        cols.extend(self.lanes.into_iter().map(|l| l.acc.finish()));
+        (cols, n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthopt_common::column::{columns_to_rows, rows_to_columns};
     use orthopt_common::{ColId, DataType};
     use orthopt_ir::{ColumnMeta, ScalarExpr};
+
+    /// Feeds `(key, args)` rows through the state as one batch.
+    fn hash_aggregate(
+        kind: GroupKind,
+        aggs: &[AggDef],
+        rows: Vec<(Row, Vec<Option<Value>>)>,
+    ) -> Result<Vec<Row>> {
+        let keys: Vec<Row> = rows.iter().map(|(k, _)| k.clone()).collect();
+        let key_cols = rows_to_columns(&keys, keys.first().map_or(0, Vec::len));
+        let key_refs: Vec<&Column> = key_cols.iter().collect();
+        let args: Vec<Option<Column>> = aggs
+            .iter()
+            .enumerate()
+            .map(|(a, def)| {
+                def.arg.as_ref().map(|_| {
+                    Column::from_values(rows.iter().map(|(_, v)| v[a].clone().unwrap()).collect())
+                })
+            })
+            .collect();
+        let mut state = GroupedAggState::new(aggs, MemoryReservation::detached("test"));
+        state.feed_lanes(&key_refs, &hash_lanes(&key_refs, rows.len()), &args)?;
+        let (cols, n) = state.finish(kind);
+        Ok(columns_to_rows(&cols, n))
+    }
 
     fn sum_def() -> AggDef {
         AggDef::new(
@@ -708,5 +1020,33 @@ mod tests {
         ];
         let out = hash_aggregate(GroupKind::Vector, &[sum_def()], rows).unwrap();
         assert_eq!(out, vec![vec![Value::Int(1), Value::Null]]);
+    }
+
+    /// A typed lane that meets another representation keeps its running
+    /// values: `Int` sums continue as `Value` sums across a `Float`
+    /// batch, and a lane that has seen nothing simply retypes.
+    #[test]
+    fn typed_lanes_refit_across_batches() {
+        let mut state = GroupedAggState::new(&[sum_def()], MemoryReservation::detached("test"));
+        let key = Column::from_values(vec![Value::Int(1), Value::Int(2)]);
+        let keys = [&key];
+        let hashes = hash_lanes(&keys, 2);
+        let batches = [
+            vec![Value::Null, Value::Int(4)],
+            vec![Value::Float(0.5), Value::Float(1.5)],
+            vec![Value::Int(2), Value::Int(1)],
+        ];
+        for vals in batches {
+            let arg = Some(Column::from_values(vals));
+            state.feed_lanes(&keys, &hashes, &[arg]).unwrap();
+        }
+        let (cols, n) = state.finish(GroupKind::Vector);
+        assert_eq!(
+            columns_to_rows(&cols, n),
+            vec![
+                vec![Value::Int(1), Value::Float(2.5)],
+                vec![Value::Int(2), Value::Float(6.5)],
+            ]
+        );
     }
 }

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! Execution engine for `orthopt`.
 //!
-//! Two executors share one scalar evaluator and one aggregation core:
+//! Two executors share one scalar evaluator; each aggregates on its own:
 //!
 //! * [`mod@reference`] — a *reference interpreter* that executes **logical**
 //!   plans directly, including the algebrizer's mutually recursive form

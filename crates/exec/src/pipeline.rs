@@ -33,7 +33,7 @@ use orthopt_common::{ColId, Error, MemoryReservation, QueryContext, Result, Row,
 use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
 use orthopt_storage::{Catalog, Table};
 
-use crate::aggregate::{FeedOutcome, GroupedAggState};
+use crate::aggregate::{dedup_lanes, GroupedAggState};
 use crate::bindings::Bindings;
 use crate::chunk::Chunk;
 use crate::eval::{eval, eval_predicate, EvalCtx, PosMap};
@@ -43,9 +43,7 @@ use crate::spill::{
     partition_of, SpillFile, SpillManager, SpillPartitions, FANOUT, MAX_SPILL_DEPTH,
 };
 use crate::stats::OpStats;
-use crate::vector::{
-    dedup_lanes, eval_column, hash_lanes, hash_values, keys_valid, lane_row, selected_true, VecEval,
-};
+use crate::vector::{eval_column, hash_lanes, keys_valid, lane_row, selected_true, VecEval};
 
 /// Default maximum number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
@@ -548,24 +546,6 @@ pub(crate) fn pos_of(layout: &[ColId], id: ColId) -> Result<usize> {
         .ok_or_else(|| Error::internal(format!("column {id} missing from operator layout")))
 }
 
-/// Takes up to `batch_size` rows off the front of `pending` — in time
-/// proportional to the rows taken, not to the rows left behind — and
-/// transposes them into a batch. The exit of the operators whose
-/// algorithm builds rows (an aggregate's finished groups).
-pub(crate) fn drain_pending(
-    pending: &mut VecDeque<Row>,
-    batch_size: usize,
-    cols: &Rc<[ColId]>,
-) -> Option<Batch> {
-    if pending.is_empty() {
-        return None;
-    }
-    let take = batch_size.min(pending.len());
-    let rows: Vec<Row> = pending.drain(..take).collect();
-    let columns = rows_to_columns(&rows, cols.len());
-    Some(Batch::from_columns(cols.clone(), columns, take))
-}
-
 // ---------------------------------------------------------------------
 // Free-variable analysis for rebind-and-rewind caching.
 // ---------------------------------------------------------------------
@@ -1032,7 +1012,8 @@ impl Compiler {
                     in_cols: rc_cols(&in_layout),
                     out_cols: rc_cols(&p.out_cols()),
                     state: None,
-                    result: VecDeque::new(),
+                    result: (Vec::new(), 0),
+                    emitted: 0,
                     done: false,
                     batch_size: bs,
                     allow_spill: self.opts.spill,
@@ -2617,12 +2598,12 @@ impl ApplyOp {
         outer: &[Column],
         len: usize,
         results: &[InnerResult],
-        group_of: &[usize],
+        group_of: &[u32],
     ) -> (Vec<Column>, usize) {
         if matches!(self.kind, ApplyKind::Semi | ApplyKind::Anti) {
             let want_empty = self.kind == ApplyKind::Anti;
             let sel: Vec<usize> = (0..len)
-                .filter(|&i| (results[group_of[i]].1 == 0) == want_empty)
+                .filter(|&i| (results[group_of[i] as usize].1 == 0) == want_empty)
                 .collect();
             return (outer.iter().map(|c| c.gather(&sel)).collect(), sel.len());
         }
@@ -2639,6 +2620,7 @@ impl ApplyOp {
         let mut outer_idx: Vec<usize> = Vec::new();
         let mut inner_idx: Vec<Option<usize>> = Vec::new();
         for (i, &g) in group_of.iter().enumerate() {
+            let g = g as usize;
             let n = results[g].1;
             if n == 0 && self.kind == ApplyKind::LeftOuter {
                 outer_idx.push(i);
@@ -2684,7 +2666,7 @@ impl Operator for ApplyOp {
                 dedup_lanes(&key_cols, len)
             } else {
                 let keys = (0..len).map(|i| key_cols.iter().map(|c| c.value(i)).collect());
-                (keys.collect(), (0..len).collect())
+                (keys.collect(), (0..len as u32).collect())
             };
             let ictx = ExecCtx {
                 catalog: ctx.catalog,
@@ -2840,27 +2822,26 @@ impl Operator for SegmentExecOp {
 // Pipeline breakers.
 // ---------------------------------------------------------------------
 
-/// Disk-resident overflow of a spillable hash aggregation: rows the
+/// Disk-resident overflow of a spillable hash aggregation: lanes the
 /// resident state refused are stored as already-evaluated
-/// `key ++ present-args` tuples (no re-evaluation on restore),
+/// `key ++ present-args` lanes (no re-evaluation on restore),
 /// partitioned by group-key hash.
 struct SpilledAgg {
     parts: SpillPartitions,
     key_width: usize,
-    /// Which aggregate specs carry an argument value in the spilled row
-    /// (static per plan: `arg` is `Some` for everything but COUNT(*)).
+    /// Which aggregate specs carry an argument column in the spilled
+    /// block (static per plan: `arg` is `Some` for everything but
+    /// COUNT(*)).
     has_arg: Vec<bool>,
 }
 
-/// What [`HashAggregateOp::feed`] did not apply to the state.
-struct Unfed {
-    /// Evaluated `(key, args)` of the rows not applied, in input order.
-    rows: Vec<(Row, Vec<Option<Value>>)>,
-    /// The governor's refusal, when one stopped the feed in this batch.
-    refusal: Option<Error>,
-    /// The batch went through the whole-column kernels (`false`: an
-    /// argument kernel errored and the batch was transposed to rows).
-    vectorized: bool,
+/// Each aggregate's argument over lanes `0..len` of a batch (`None`
+/// for COUNT(*)), with `len` and the evaluation error that cut it
+/// short, if any.
+struct Args {
+    cols: Vec<Option<Column>>,
+    len: usize,
+    err: Option<Error>,
 }
 
 struct HashAggregateOp {
@@ -2871,8 +2852,12 @@ struct HashAggregateOp {
     in_cols: Rc<[ColId]>,
     in_pos: PosMap,
     out_cols: Rc<[ColId]>,
+    /// Group state, created when the first lane arrives.
     state: Option<GroupedAggState>,
-    result: VecDeque<Row>,
+    /// The finished groups as columns, and how many lanes of them have
+    /// been emitted.
+    result: (Vec<Column>, usize),
+    emitted: usize,
     done: bool,
     batch_size: usize,
     /// Peak bytes of the grouped state, captured before `finish`
@@ -2881,28 +2866,18 @@ struct HashAggregateOp {
     /// Degrade to partitioned spilling on a refused state charge.
     allow_spill: bool,
     /// Active spill state; once set, the resident group state is frozen
-    /// and every further input row goes to disk.
+    /// and every further input lane goes to disk.
     spilled: Option<SpilledAgg>,
     stats: StatsHandle,
 }
 
 impl HashAggregateOp {
-    /// Feeds one batch into `state` (`None`: a frozen state, every row
-    /// comes back unfed). Each aggregate argument is evaluated as a
-    /// whole column, then the lanes stream in through
-    /// [`GroupedAggState::feed_lanes_or_reject`]; an argument kernel
-    /// error takes the row path on the whole batch. Charges are lane-
-    /// and row-atomic, so a refusal leaves the state consistent: the
-    /// feed stops there and, if the aggregate may spill, the rest of
-    /// the batch is evaluated and handed back for spilling.
-    fn feed(
-        &self,
-        mut state: Option<&mut GroupedAggState>,
-        b: &Batch,
-        binds: &Bindings,
-    ) -> Result<Unfed> {
-        let keep_tail = self.allow_spill;
-        let (columns, len) = b.columns();
+    /// Evaluates every aggregate argument over a batch as a whole
+    /// column. When a kernel errors, the arguments are evaluated lane
+    /// at a time by the row evaluator instead, up to the first lane
+    /// that errors: the lanes before it are fed, then its error is
+    /// raised — the row-ordered error precedence.
+    fn eval_args(&self, columns: &[Column], len: usize, binds: &Bindings) -> Args {
         let cx = VecEval {
             cols: &self.in_cols,
             pos: &self.in_pos,
@@ -2910,73 +2885,87 @@ impl HashAggregateOp {
             len,
             binds,
         };
-        let args: Result<Vec<Option<Column>>> = self
+        let kernels: Result<Vec<Option<Column>>> = self
             .aggs
             .iter()
             .map(|a| a.arg.as_ref().map(|e| eval_column(e, &cx)).transpose())
             .collect();
-        if let Ok(arg_cols) = args {
-            let key_cols: Vec<&Column> = self.group_pos.iter().map(|&i| &columns[i]).collect();
-            let (applied, refusal) = match state {
-                Some(st) => st.feed_lanes_or_reject(&key_cols, &arg_cols, len)?,
-                None => (0, None),
+        if let Ok(cols) = kernels {
+            self.stats.note_kernel();
+            return Args {
+                cols,
+                len,
+                err: None,
             };
-            let tail = if refusal.is_some() && !keep_tail {
-                len
-            } else {
-                applied
-            };
-            let rows = (tail..len)
-                .map(|i| {
-                    let key: Row = key_cols.iter().map(|c| c.value(i)).collect();
-                    let row_args = arg_cols
-                        .iter()
-                        .map(|c| c.as_ref().map(|c| c.value(i)))
-                        .collect();
-                    (key, row_args)
-                })
-                .collect();
-            return Ok(Unfed {
-                rows,
-                refusal,
-                vectorized: true,
-            });
         }
-        let mut unfed = Unfed {
-            rows: Vec::new(),
-            refusal: None,
-            vectorized: false,
-        };
-        for r in &columns_to_rows(columns, len) {
-            let key: Row = self.group_pos.iter().map(|&i| r[i].clone()).collect();
-            let args = self
-                .aggs
-                .iter()
-                .map(|a| {
-                    a.arg
-                        .as_ref()
-                        .map(|e| eval(e, &EvalCtx::mapped(&self.in_cols, &self.in_pos, r, binds)))
-                        .transpose()
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let resident = state.as_deref_mut().filter(|_| unfed.refusal.is_none());
-            let Some(st) = resident else {
-                unfed.rows.push((key, args));
-                continue;
-            };
-            if let FeedOutcome::Refused { key, args, err } = st.feed_or_reject(key, args)? {
-                unfed.refusal = Some(err);
-                if !keep_tail {
+        self.stats.note_bridge();
+        let exprs: Vec<&ScalarExpr> = self.aggs.iter().filter_map(|a| a.arg.as_ref()).collect();
+        let mut rows: Vec<Row> = Vec::new();
+        let mut err = None;
+        for i in 0..len {
+            let row = lane_row(columns, i);
+            let cx = EvalCtx::mapped(&self.in_cols, &self.in_pos, &row, binds);
+            match exprs.iter().map(|e| eval(e, &cx)).collect::<Result<Row>>() {
+                Ok(vals) => rows.push(vals),
+                Err(e) => {
+                    err = Some(e);
                     break;
                 }
-                unfed.rows.push((key, args));
             }
         }
-        Ok(unfed)
+        let mut present = rows_to_columns(&rows, exprs.len()).into_iter();
+        let cols = self
+            .aggs
+            .iter()
+            .map(|a| a.arg.as_ref().and_then(|_| present.next()))
+            .collect();
+        Args {
+            cols,
+            len: rows.len(),
+            err,
+        }
+    }
+
+    /// Feeds one batch into the resident state, or — once spilling —
+    /// to disk. A refused charge stops the lane feed where it happened;
+    /// the rest of the batch then spills, or fails the query when the
+    /// aggregate may not spill.
+    fn feed(&mut self, ctx: &ExecCtx<'_>, b: &Batch) -> Result<()> {
+        let (columns, len) = b.columns();
+        let args = self.eval_args(columns, len, &ctx.binds.borrow());
+        let key_cols: Vec<&Column> = self.group_pos.iter().map(|&i| &columns[i]).collect();
+        let hashes = hash_lanes(&key_cols, args.len);
+        let mut applied = 0;
+        if self.spilled.is_none() && args.len > 0 {
+            let state = self.state.get_or_insert_with(|| {
+                GroupedAggState::new(&self.aggs, ctx.gov.reservation("HashAggregate"))
+            });
+            let (fed, refusal) = state.feed_lanes(&key_cols, &hashes, &args.cols)?;
+            applied = fed;
+            if let Some(err) = refusal {
+                if !self.allow_spill {
+                    return Err(err.with_hint(MEM_OR_SPILL_HINT));
+                }
+                self.enter_spill(ctx)?;
+            }
+        }
+        if applied < args.len {
+            let sp = self.spilled.as_mut().expect("spill mode active");
+            let lanes: Vec<Column> = key_cols
+                .into_iter()
+                .cloned()
+                .chain(args.cols.into_iter().flatten())
+                .collect();
+            for (i, &h) in hashes.iter().enumerate().skip(applied) {
+                sp.parts.push_lane(partition_of(h, 0), &lanes, i)?;
+            }
+            ctx.gov.check_cancelled("HashAggregate")?;
+        }
+        args.err.map_or(Ok(()), Err)
     }
 
     /// Enters spill mode (idempotent): the resident state freezes and
-    /// further rows are partitioned to disk by group-key hash.
+    /// further lanes are partitioned to disk by group-key hash.
     fn enter_spill(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         if self.spilled.is_some() {
             return Ok(());
@@ -2992,19 +2981,9 @@ impl HashAggregateOp {
         Ok(())
     }
 
-    /// Routes one evaluated `(key, args)` row to its spill partition.
-    fn spill_row(&mut self, key: Row, args: Vec<Option<Value>>) -> Result<()> {
-        let sp = self.spilled.as_mut().expect("spill mode active");
-        let p = partition_of(hash_values(&key), 0);
-        let mut row = key;
-        row.extend(args.into_iter().flatten());
-        sp.parts.push(p, row)?;
-        Ok(())
-    }
-
     /// Pulls the whole input through the grouped state, degrading to
     /// disk partitions when the governor refuses a charge.
-    fn drain_input(&mut self, ctx: &ExecCtx<'_>, state: &mut GroupedAggState) -> Result<()> {
+    fn drain_input(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         while let Some(b) = self.input.next_batch(ctx)? {
             match crate::faults::hit("hashagg.state") {
                 Ok(()) => {}
@@ -3016,31 +2995,13 @@ impl HashAggregateOp {
                     self.enter_spill(ctx)?;
                 }
             }
-            // Once spilling, the resident state is frozen.
-            let resident = self.spilled.is_none().then_some(&mut *state);
-            let unfed = self.feed(resident, &b, &ctx.binds.borrow())?;
-            if unfed.vectorized {
-                self.stats.note_kernel();
-            } else {
-                self.stats.note_bridge();
-            }
-            if let Some(err) = unfed.refusal {
-                if !self.allow_spill {
-                    return Err(err.with_hint(MEM_OR_SPILL_HINT));
-                }
-                self.enter_spill(ctx)?;
-            }
-            if !unfed.rows.is_empty() {
-                for (key, args) in unfed.rows {
-                    self.spill_row(key, args)?;
-                }
-                ctx.gov.check_cancelled("HashAggregate")?;
-            }
+            self.feed(ctx, &b)?;
         }
         Ok(())
     }
 
-    /// Replays one spilled partition file into `st`.
+    /// Replays one spilled partition file into `st` through the same
+    /// lane feed; a refusal here cannot degrade any further.
     fn replay_file(
         ctx: &ExecCtx<'_>,
         st: &mut GroupedAggState,
@@ -3049,15 +3010,16 @@ impl HashAggregateOp {
         has_arg: &[bool],
     ) -> Result<()> {
         let mut r = file.reader()?;
-        while let Some(rows) = r.next_block()? {
-            for row in rows {
-                let mut it = row.into_iter();
-                let key: Row = it.by_ref().take(key_width).collect();
-                let args: Vec<Option<Value>> = has_arg
-                    .iter()
-                    .map(|&h| if h { it.next() } else { None })
-                    .collect();
-                st.feed(key, args).map_err(|e| e.with_hint(MEM_HINT))?;
+        while let Some((columns, n)) = r.next_block_columns()? {
+            let (keys, args) = columns.split_at(key_width);
+            let key_cols: Vec<&Column> = keys.iter().collect();
+            let mut args = args.iter().cloned();
+            let args: Vec<Option<Column>> = has_arg
+                .iter()
+                .map(|&h| if h { args.next() } else { None })
+                .collect();
+            if let (_, Some(err)) = st.feed_lanes(&key_cols, &hash_lanes(&key_cols, n), &args)? {
+                return Err(err.with_hint(MEM_HINT));
             }
             ctx.gov.check_cancelled("HashAggregate")?;
         }
@@ -3065,72 +3027,66 @@ impl HashAggregateOp {
     }
 
     /// Finishes a spilled aggregation: the frozen resident state is
-    /// split by the same partition function the disk rows used, then
-    /// each partition is finalized independently — merge the resident
-    /// split, replay the partition file, emit. Peak memory is one
-    /// partition's groups instead of all of them.
+    /// split by the partition its groups' key hashes route to — the
+    /// function the disk lanes used — then each partition is finalized
+    /// independently: charge the resident split, replay the partition
+    /// file, emit. Peak memory is one partition's groups instead of
+    /// all of them.
     fn finish_spilled(
         &mut self,
         ctx: &ExecCtx<'_>,
-        state: GroupedAggState,
+        mut state: GroupedAggState,
         sp: SpilledAgg,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<(Vec<Column>, usize)> {
         let SpilledAgg {
             parts,
             key_width,
             has_arg,
         } = sp;
         let files = parts.finish()?;
-        let written: u64 = files.iter().map(SpillFile::bytes).sum();
-        let count = files.iter().filter(|f| !f.is_empty()).count() as u64;
-        self.stats.note_spill(count, written);
-        let splits = state.split_by(FANOUT, |key| partition_of(hash_values(key), 0));
+        note_spilled_files(&self.stats, &files);
         if matches!(self.kind, GroupKind::Scalar) {
             // Scalar aggregation has a single (empty) group key, so all
-            // rows live in one partition: fold everything into one
-            // state and finish once, so `agg(∅)` fires exactly when the
-            // whole input was empty.
-            let mut total = GroupedAggState::new(&self.aggs);
-            total.set_reservation(ctx.gov.reservation("HashAggregate"));
-            let r = (|| -> Result<()> {
-                for split in splits {
-                    total.merge(split).map_err(|e| e.with_hint(MEM_HINT))?;
-                }
-                for mut file in files {
-                    Self::replay_file(ctx, &mut total, &mut file, key_width, &has_arg)?;
-                }
-                Ok(())
-            })();
-            self.mem_peak = self.mem_peak.max(total.mem_peak());
+            // lanes live in one partition: replay everything into the
+            // resident state and finish once, so `agg(∅)` fires exactly
+            // when the whole input was empty.
+            let r = files.into_iter().try_for_each(|mut f| {
+                Self::replay_file(ctx, &mut state, &mut f, key_width, &has_arg)
+            });
+            self.mem_peak = self.mem_peak.max(state.mem_peak());
             r?;
-            return Ok(total.finish(self.kind));
+            return Ok(state.finish(self.kind));
         }
-        let mut out = Vec::new();
-        for (split, mut file) in splits.into_iter().zip(files) {
-            let mut st = GroupedAggState::new(&self.aggs);
-            st.set_reservation(ctx.gov.reservation("HashAggregate"));
-            let r = (|| -> Result<()> {
-                st.merge(split).map_err(|e| e.with_hint(MEM_HINT))?;
-                Self::replay_file(ctx, &mut st, &mut file, key_width, &has_arg)
-            })();
+        let mut out: ColumnBatches = Vec::new();
+        for (mut st, mut file) in state
+            .split(FANOUT, |h| partition_of(h, 0))
+            .into_iter()
+            .zip(files)
+        {
+            let r = st
+                .attach(ctx.gov.reservation("HashAggregate"))
+                .map_err(|e| e.with_hint(MEM_HINT))
+                .and_then(|()| Self::replay_file(ctx, &mut st, &mut file, key_width, &has_arg));
             self.mem_peak = self.mem_peak.max(st.mem_peak());
             r?;
-            out.extend(st.finish(self.kind));
+            let (columns, n) = st.finish(self.kind);
+            if n > 0 {
+                out.push((columns, n));
+            }
             // The partition file is consumed; dropping it reclaims the
             // disk space before the next partition loads.
             drop(file);
             ctx.gov.check_cancelled("HashAggregate")?;
         }
-        Ok(out)
+        Ok(concat_batches(&out, self.out_cols.len()))
     }
 }
 
 impl Operator for HashAggregateOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        let mut state = GroupedAggState::new(&self.aggs);
-        state.set_reservation(ctx.gov.reservation("HashAggregate"));
-        self.state = Some(state);
-        self.result.clear();
+        self.state = None;
+        self.result = (Vec::new(), 0);
+        self.emitted = 0;
         self.done = false;
         self.mem_peak = 0;
         // Dropping stale spill partitions removes their files (left by
@@ -3141,25 +3097,39 @@ impl Operator for HashAggregateOp {
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.done {
-            let mut state = self
-                .state
-                .take()
-                .ok_or_else(|| Error::internal("aggregate state missing"))?;
-            let fed = self.drain_input(ctx, &mut state);
+            let fed = self.drain_input(ctx);
+            let state = self.state.take().unwrap_or_else(|| {
+                GroupedAggState::new(&self.aggs, ctx.gov.reservation("HashAggregate"))
+            });
             self.mem_peak = self.mem_peak.max(state.mem_peak());
             fed?;
             self.result = match self.spilled.take() {
                 None => state.finish(self.kind),
                 Some(sp) => self.finish_spilled(ctx, state, sp)?,
-            }
-            .into();
+            };
             self.done = true;
         }
-        Ok(drain_pending(
-            &mut self.result,
-            self.batch_size,
-            &self.out_cols,
-        ))
+        let (columns, len) = &self.result;
+        let take = self.batch_size.min(len - self.emitted);
+        if take == 0 {
+            return Ok(None);
+        }
+        let window = columns
+            .iter()
+            .map(|c| c.slice(self.emitted, take))
+            .collect();
+        self.emitted += take;
+        if self.emitted == *len {
+            // The last window: a cached pipeline must not keep the
+            // groups alive until its next execution.
+            self.result = (Vec::new(), 0);
+            self.emitted = 0;
+        }
+        Ok(Some(Batch::from_columns(
+            self.out_cols.clone(),
+            window,
+            take,
+        )))
     }
 
     fn mem_peak(&self) -> u64 {
@@ -3400,23 +3370,40 @@ mod tests {
         }
     }
 
-    /// `drain_pending` cuts the same batches the `split_off` version
-    /// did: full `batch_size` windows in order, then the remainder.
+    /// A hash aggregate emits its finished groups in first-seen order,
+    /// cut into full `batch_size` windows and then the remainder.
     #[test]
-    fn drain_pending_batch_boundaries() {
-        let cols: Rc<[ColId]> = vec![ColId(1)].into();
+    fn aggregate_emits_batch_size_windows() {
+        let catalog = catalog();
         for batch_size in [1, 4, 1024] {
             for n in [0, 1, batch_size, batch_size + 1, 3 * batch_size + 7] {
-                let rows: Vec<Row> = (0..n as i64).map(|i| vec![Value::Int(i)]).collect();
-                let mut pending: VecDeque<Row> = rows.iter().cloned().collect();
+                // Every key twice, the second round in reverse: first-seen
+                // order is the first round's.
+                let keys: Vec<i64> = (0..n as i64).chain((0..n as i64).rev()).collect();
+                let rows: Vec<Row> = keys.iter().map(|&k| vec![Value::Int(3 * k - 5)]).collect();
+                let plan = PhysExpr::HashAggregate {
+                    kind: GroupKind::Vector,
+                    input: Box::new(PhysExpr::const_rows(vec![ColId(1)], &rows)),
+                    group_cols: vec![ColId(1)],
+                    aggs: vec![AggDef::new(
+                        orthopt_ir::ColumnMeta::new(ColId(2), "n", DataType::Int, false),
+                        orthopt_ir::AggFunc::CountStar,
+                        None,
+                    )],
+                };
+                let mut p = Pipeline::with_batch_size(&plan, batch_size).unwrap();
                 let mut batches = Vec::new();
-                while let Some(b) = drain_pending(&mut pending, batch_size, &cols) {
+                p.execute_each(&catalog, &Bindings::new(), |b| {
                     batches.push(b.into_rows());
-                }
+                    Ok(())
+                })
+                .unwrap();
+                let groups: Vec<Row> = (0..n as i64)
+                    .map(|k| vec![Value::Int(3 * k - 5), Value::Int(2)])
+                    .collect();
                 let expected: Vec<Vec<Row>> =
-                    rows.chunks(batch_size).map(<[Row]>::to_vec).collect();
-                assert_eq!(batches, expected, "{n} rows at batch size {batch_size}");
-                assert!(pending.is_empty());
+                    groups.chunks(batch_size).map(<[Row]>::to_vec).collect();
+                assert_eq!(batches, expected, "{n} keys at batch size {batch_size}");
             }
         }
     }

@@ -8,14 +8,14 @@
 //! the rewrite and optimizer crates, and a faithful model of the
 //! "correlated execution" baseline strategy of §1.1.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use orthopt_common::{Error, Result, Row, Value};
-use orthopt_ir::{ApplyKind, JoinKind, RelExpr};
+use orthopt_ir::{AggDef, AggFunc, ApplyKind, GroupKind, JoinKind, RelExpr};
 use orthopt_storage::Catalog;
 
-use crate::aggregate::hash_aggregate;
 use crate::bindings::Bindings;
 use crate::chunk::Chunk;
 use crate::eval::{eval, eval_predicate, EvalCtx, PosMap, SubqueryEval};
@@ -271,7 +271,7 @@ impl<'a> Reference<'a> {
                         .collect::<Result<Vec<_>>>()?;
                     feed.push((key, args));
                 }
-                let rows = hash_aggregate(*kind, aggs, feed)?;
+                let rows = group_rows(*kind, aggs, feed)?;
                 Ok(Chunk {
                     cols: out_cols,
                     rows,
@@ -401,4 +401,126 @@ impl<'a> Reference<'a> {
         };
         Ok(Chunk { cols, rows })
     }
+}
+
+/// One aggregate's running value in one group.
+struct Running {
+    func: AggFunc,
+    /// Rows (COUNT(*)) or non-NULL inputs seen.
+    count: i64,
+    /// SUM / MIN / MAX so far.
+    value: Option<Value>,
+    /// AVG's running sum.
+    sum: f64,
+}
+
+impl Running {
+    fn new(func: AggFunc) -> Running {
+        Running {
+            func,
+            count: 0,
+            value: None,
+            sum: 0.0,
+        }
+    }
+
+    /// Feeds one row's argument (`None`: COUNT(*)); NULLs are skipped.
+    fn step(&mut self, arg: Option<&Value>) -> Result<()> {
+        let Some(v) = arg else {
+            self.count += 1;
+            return Ok(());
+        };
+        if v.is_null() {
+            return Ok(());
+        }
+        self.count += 1;
+        match self.func {
+            AggFunc::CountStar | AggFunc::Count => {}
+            AggFunc::Sum => {
+                self.value = Some(match self.value.take() {
+                    None => v.clone(),
+                    Some(total) => total.add(v)?,
+                });
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let wanted = if self.func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                if self
+                    .value
+                    .as_ref()
+                    .is_none_or(|best| v.sql_cmp(best) == Some(wanted))
+                {
+                    self.value = Some(v.clone());
+                }
+            }
+            AggFunc::Avg => match v {
+                Value::Int(i) => self.sum += *i as f64,
+                Value::Float(f) => self.sum += *f,
+                other => {
+                    return Err(Error::TypeMismatch(format!(
+                        "avg over non-numeric {other:?}"
+                    )))
+                }
+            },
+        }
+        Ok(())
+    }
+
+    fn result(self) -> Value {
+        match self.func {
+            AggFunc::CountStar | AggFunc::Count => Value::Int(self.count),
+            AggFunc::Avg if self.count == 0 => Value::Null,
+            AggFunc::Avg => Value::Float(self.sum / self.count as f64),
+            _ => self.value.unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// The oracle's own grouping, row at a time: a first-seen `HashMap`
+/// from key row to group, one [`Running`] value per group and
+/// aggregate, fed in input order — so the first error in row order is
+/// the one raised. It shares nothing with the engine's group table.
+/// `feed` is, per input row, its key and each aggregate's argument
+/// (`None` for COUNT(*)); the result is one row per group, key values
+/// then aggregate results.
+fn group_rows(
+    kind: GroupKind,
+    aggs: &[AggDef],
+    feed: Vec<(Row, Vec<Option<Value>>)>,
+) -> Result<Vec<Row>> {
+    type Group = (Row, Vec<Running>, Vec<HashSet<Value>>);
+    let mut index: HashMap<Row, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    for (key, args) in feed {
+        let g = match index.get(&key) {
+            Some(&g) => g,
+            None => {
+                index.insert(key.clone(), groups.len());
+                let running = aggs.iter().map(|a| Running::new(a.func)).collect();
+                groups.push((key, running, vec![HashSet::new(); aggs.len()]));
+                groups.len() - 1
+            }
+        };
+        let (_, running, seen) = &mut groups[g];
+        for (a, arg) in args.iter().enumerate() {
+            let repeat = |v: &Value| !v.is_null() && !seen[a].insert(v.clone());
+            if aggs[a].distinct && arg.as_ref().is_some_and(repeat) {
+                continue;
+            }
+            running[a].step(arg.as_ref())?;
+        }
+    }
+    if groups.is_empty() && kind == GroupKind::Scalar {
+        return Ok(vec![aggs.iter().map(|a| a.func.on_empty()).collect()]);
+    }
+    Ok(groups
+        .into_iter()
+        .map(|(mut row, running, _)| {
+            row.extend(running.into_iter().map(Running::result));
+            row
+        })
+        .collect())
 }

@@ -33,7 +33,7 @@
 //! never a panic.
 //!
 //! Determinism: partition routing uses the workspace's fixed-key
-//! [`hash_values`](crate::vector::hash_values) hash and a fixed fan-out,
+//! [`hash_lanes`](crate::vector::hash_lanes) hash and a fixed fan-out,
 //! so which rows land in which partition — and therefore the engine's
 //! behaviour under a given budget — is identical across runs.
 //!
@@ -406,20 +406,12 @@ impl SpillPartitions {
         })
     }
 
-    /// Buffers `row` for partition `part`, flushing the partition's
-    /// block when it crosses the buffering threshold. Returns the bytes
+    /// Buffers lane `lane` of a column batch for partition `part`,
+    /// flushing the partition's block once its buffered lanes cost
+    /// [`SPILL_BLOCK_BYTES`] as rows ([`row_bytes`]). Returns the bytes
     /// written to disk by this call (usually 0).
-    pub fn push(&mut self, part: usize, row: Row) -> Result<u64> {
-        let bytes = orthopt_common::row::row_bytes(&row);
-        for (buf, v) in self.bufs[part].iter_mut().zip(row) {
-            buf.push(v);
-        }
-        self.pushed(part, bytes)
-    }
-
-    /// [`push`](SpillPartitions::push) for lane `lane` of a column
-    /// batch: the same block bytes and the same flush points as pushing
-    /// the equivalent row.
+    ///
+    /// [`row_bytes`]: orthopt_common::row::row_bytes
     pub fn push_lane(&mut self, part: usize, columns: &[Column], lane: usize) -> Result<u64> {
         let mut bytes = std::mem::size_of::<Row>() + columns.len() * std::mem::size_of::<Value>();
         for (buf, c) in self.bufs[part].iter_mut().zip(columns) {
@@ -429,12 +421,8 @@ impl SpillPartitions {
             }
             buf.push(v);
         }
-        self.pushed(part, bytes as u64)
-    }
-
-    fn pushed(&mut self, part: usize, bytes: u64) -> Result<u64> {
         self.buf_rows[part] += 1;
-        self.buf_bytes[part] += bytes;
+        self.buf_bytes[part] += bytes as u64;
         if self.buf_bytes[part] >= SPILL_BLOCK_BYTES {
             self.flush_part(part)
         } else {
@@ -937,8 +925,9 @@ mod tests {
         let mgr = SpillManager::new();
         let mut parts = SpillPartitions::create(&mgr, "p", 1).expect("create");
         let rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i)]).collect();
-        for (i, row) in rows.iter().cloned().enumerate() {
-            parts.push(i % FANOUT, row).expect("push");
+        let columns = rows_to_columns(&rows, 1);
+        for i in 0..rows.len() {
+            parts.push_lane(i % FANOUT, &columns, i).expect("push");
         }
         let mut files = parts.finish().expect("finish");
         assert_eq!(files.len(), FANOUT);
@@ -970,9 +959,11 @@ mod tests {
         );
     }
 
-    /// A lane pushed off a column batch lands in the same partition
-    /// blocks, byte for byte, as the equivalent row — flush points
-    /// included (the strings cross the block threshold mid-stream).
+    /// Lanes pushed off a column batch land in their partition's
+    /// blocks in push order, each block flushed once its lanes cost
+    /// [`SPILL_BLOCK_BYTES`] as rows and encoded as the equivalent row
+    /// block — flush points included (the strings cross the block
+    /// threshold mid-stream).
     #[test]
     fn pushed_lanes_write_what_pushed_rows_write() {
         let _g = scope_lock();
@@ -988,31 +979,31 @@ mod tests {
             })
             .collect();
         let columns = rows_to_columns(&rows, 2);
-        let mut by_row = SpillPartitions::create(&mgr, "r", 2).expect("create");
-        let mut by_lane = SpillPartitions::create(&mgr, "l", 2).expect("create");
-        for (i, row) in rows.iter().enumerate() {
-            let wrote = by_row.push(i % 3, row.clone()).expect("push");
-            assert_eq!(by_lane.push_lane(i % 3, &columns, i).expect("push"), wrote);
+        let mut parts = SpillPartitions::create(&mgr, "l", 2).expect("create");
+        for i in 0..rows.len() {
+            parts.push_lane(i % 3, &columns, i).expect("push");
         }
-        let (mut a, mut b) = (
-            by_row.finish().expect("finish"),
-            by_lane.finish().expect("finish"),
-        );
         let mut blocks = 0;
-        for (fa, fb) in a.iter_mut().zip(&mut b) {
-            assert_eq!(fa.bytes(), fb.bytes());
-            let (mut ra, mut rb) = (fa.reader().expect("reader"), fb.reader().expect("reader"));
-            loop {
-                let (ba, bb) = (
-                    ra.next_block().expect("read"),
-                    rb.next_block().expect("read"),
-                );
-                assert_eq!(ba, bb);
-                if ba.is_none() {
-                    break;
-                }
+        for (p, f) in parts.finish().expect("finish").iter_mut().enumerate() {
+            let routed: Vec<&Row> = rows
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 3 == p)
+                .map(|(_, r)| r)
+                .collect();
+            let mut restored = Vec::new();
+            let mut as_rows = mgr.create("r").expect("create");
+            let mut r = f.reader().expect("reader");
+            while let Some(block) = r.next_block().expect("read") {
+                let cost = orthopt_common::row::rows_bytes(&block);
+                let last = orthopt_common::row::row_bytes(block.last().expect("non-empty"));
+                assert!(cost - last < SPILL_BLOCK_BYTES, "flushed late");
+                as_rows.append(&block, 2).expect("append");
+                restored.extend(block);
                 blocks += 1;
             }
+            assert!(restored.iter().eq(routed), "partition {p} keeps push order");
+            assert_eq!(f.bytes(), as_rows.bytes(), "row-block encoding");
         }
         assert!(blocks > 3, "a partition flushed mid-stream");
     }

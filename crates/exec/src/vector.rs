@@ -19,7 +19,6 @@
 //! operator state, so the fallback is always safe.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
@@ -524,10 +523,9 @@ pub fn lane_row(columns: &[Column], i: usize) -> Row {
     columns.iter().map(|c| c.value(i)).collect()
 }
 
-/// Hash of a key's values in order, matching [`hash_lanes`] so row-fed
-/// and column-fed hash tables agree. Uses `Value`'s own `Hash` (which
-/// already canonicalizes `Int`/`Float` so grouping-equal values hash
-/// equal).
+/// Hash of a key's values in order: what [`hash_lanes`] computes for a
+/// lane holding them. Uses `Value`'s own `Hash` (which already
+/// canonicalizes `Int`/`Float` so grouping-equal values hash equal).
 pub fn hash_values(key: &[Value]) -> u64 {
     let mut h = DefaultHasher::new();
     for v in key {
@@ -553,34 +551,6 @@ pub fn hash_lanes(key_cols: &[&Column], len: usize) -> Vec<u64> {
 /// NULL never matches).
 pub fn keys_valid(key_cols: &[&Column], i: usize) -> bool {
     key_cols.iter().all(|c| c.is_valid(i))
-}
-
-/// Columnar lane dedup over the given key columns: returns the distinct
-/// key tuples in first-seen order plus, per lane, the index of its
-/// tuple in that list. Hash-bucketed so each lane compares values only
-/// against hash-colliding candidates. `Value`'s canonicalizing
-/// `Hash`/`Eq` make `Int(3)` and `Float(3.0)` one group, and NULL keys
-/// group with NULL keys (sound for binding dedup: the inner plan is
-/// deterministic per binding tuple).
-pub fn dedup_lanes(key_cols: &[&Column], len: usize) -> (Vec<Row>, Vec<usize>) {
-    let hashes = hash_lanes(key_cols, len);
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut distinct: Vec<Row> = Vec::new();
-    let mut group_of = Vec::with_capacity(len);
-    for (i, &h) in hashes.iter().enumerate() {
-        let candidates = buckets.entry(h).or_default();
-        let key: Row = key_cols.iter().map(|c| c.value(i)).collect();
-        match candidates.iter().find(|&&g| distinct[g] == key) {
-            Some(&g) => group_of.push(g),
-            None => {
-                let g = distinct.len();
-                distinct.push(key);
-                candidates.push(g);
-                group_of.push(g);
-            }
-        }
-    }
-    (distinct, group_of)
 }
 
 #[cfg(test)]

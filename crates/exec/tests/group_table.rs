@@ -1,0 +1,293 @@
+//! The hash aggregate's group table and accumulator lanes against
+//! independent models: group ids against a plain first-seen
+//! `HashMap<Vec<Value>, usize>`, and whole aggregations against the
+//! `Reference` oracle exactly where a batched, column-at-a-time
+//! aggregate could part ways with a row-at-a-time one — which of two
+//! failing aggregates raises its error, and a memory refusal in the
+//! middle of a batch.
+
+use std::collections::HashMap;
+
+use orthopt_common::column::rows_to_columns;
+use orthopt_common::row::bag_eq;
+use orthopt_common::{ColId, Column, DataType, Error, Prng, QueryContext, Result, Row, Value};
+use orthopt_exec::aggregate::GroupTable;
+use orthopt_exec::vector::hash_lanes;
+use orthopt_exec::{Bindings, Chunk, PhysExpr, Pipeline, Reference};
+use orthopt_ir::{AggDef, AggFunc, ColumnMeta, GroupKind, RelExpr, ScalarExpr};
+use orthopt_storage::Catalog;
+
+const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
+
+/// Value pools per key kind: few enough values that keys repeat, and
+/// every equality corner `Value`'s `Eq` has.
+fn pools() -> Vec<Vec<Value>> {
+    vec![
+        // Int.
+        vec![Value::Int(0), Value::Int(-3), Value::Int(3), Value::Null],
+        // Float: signed zeros, NaNs of both signs, an integral value.
+        vec![
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(3.0),
+            Value::Float(1.5),
+            Value::Null,
+        ],
+        // Str.
+        vec![
+            Value::str("a"),
+            Value::str(""),
+            Value::str("b"),
+            Value::Null,
+        ],
+        // Date.
+        vec![
+            Value::Date(0),
+            Value::Date(-1),
+            Value::Date(19_000),
+            Value::Null,
+        ],
+        // Mixed, stored as `Val`: `3` is `3.0`, `"3"` is neither.
+        vec![
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::str("3"),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Null,
+        ],
+    ]
+}
+
+/// Group ids from an independent grouping: a first-seen `HashMap`.
+fn model_ids(rows: &[Row]) -> (Vec<u32>, Vec<Row>) {
+    let mut index: HashMap<Row, u32> = HashMap::new();
+    let mut keys = Vec::new();
+    let ids = rows
+        .iter()
+        .map(|r| {
+            *index.entry(r.clone()).or_insert_with(|| {
+                keys.push(r.clone());
+                keys.len() as u32 - 1
+            })
+        })
+        .collect();
+    (ids, keys)
+}
+
+/// Group ids and first-seen key order equal the `HashMap` grouping's,
+/// for single and multi-column keys of every kind, fed in batches of
+/// 1, 7 and 1024 lanes (each batch typing its own columns, so one key
+/// column arrives both typed and as `Val`).
+#[test]
+fn group_ids_match_first_seen_hash_map_grouping() {
+    let pools = pools();
+    let shapes: Vec<Vec<usize>> = vec![
+        vec![],
+        vec![0],
+        vec![1],
+        vec![2],
+        vec![3],
+        vec![4],
+        vec![0, 2],
+        vec![4, 1],
+        vec![3, 4, 0],
+    ];
+    let mut rng = Prng::new(23);
+    for shape in &shapes {
+        let rows: Vec<Row> = (0..3000)
+            .map(|_| shape.iter().map(|&k| rng.pick(&pools[k]).clone()).collect())
+            .collect();
+        let (want_ids, want_keys) = model_ids(&rows);
+        for bs in BATCH_SIZES {
+            let mut table = GroupTable::new();
+            let mut ids = Vec::new();
+            for chunk in rows.chunks(bs) {
+                let cols = rows_to_columns(chunk, shape.len());
+                let refs: Vec<&Column> = cols.iter().collect();
+                ids.extend(table.assign(&refs, &hash_lanes(&refs, chunk.len())));
+            }
+            let ctx = format!("key kinds {shape:?}, batch size {bs}");
+            assert_eq!(ids, want_ids, "{ctx}");
+            assert_eq!(table.len(), want_keys.len(), "{ctx}");
+            for (g, key) in want_keys.iter().enumerate() {
+                let got: Row = table.keys().iter().map(|c| c.value(g)).collect();
+                // Debug tells -0.0 from 0.0: the first-seen spelling is kept.
+                assert_eq!(format!("{got:?}"), format!("{key:?}"), "{ctx}: group {g}");
+            }
+        }
+    }
+}
+
+/// `ConstRel` / `ConstScan` over `rows`, columns `ColId(1..)`.
+fn source(rows: &[Row]) -> (RelExpr, PhysExpr) {
+    let width = rows.first().map_or(0, Vec::len);
+    let ids: Vec<ColId> = (1..=width).map(|i| ColId(i as u32)).collect();
+    let rel = RelExpr::ConstRel {
+        cols: ids
+            .iter()
+            .map(|&id| ColumnMeta::new(id, format!("c{id}"), DataType::Int, true))
+            .collect(),
+        rows: rows.to_vec(),
+    };
+    (rel, PhysExpr::const_rows(ids, rows))
+}
+
+/// `func([DISTINCT] c<col>)`, output `ColId(100 + i)`.
+fn agg(i: u32, func: AggFunc, col: Option<u32>, distinct: bool) -> AggDef {
+    let mut def = AggDef::new(
+        ColumnMeta::new(ColId(100 + i), format!("a{i}"), DataType::Int, true),
+        func,
+        col.map(|c| ScalarExpr::col(ColId(c))),
+    );
+    def.distinct = distinct;
+    def
+}
+
+/// The same grouping as a logical plan (for `Reference`) and a
+/// physical one (for the engine).
+fn group_by(rows: &[Row], keys: &[u32], aggs: Vec<AggDef>) -> (RelExpr, PhysExpr) {
+    let (rel, phys) = source(rows);
+    let group_cols: Vec<ColId> = keys.iter().map(|&k| ColId(k)).collect();
+    let kind = if keys.is_empty() {
+        GroupKind::Scalar
+    } else {
+        GroupKind::Vector
+    };
+    (
+        RelExpr::GroupBy {
+            kind,
+            input: Box::new(rel),
+            group_cols: group_cols.clone(),
+            aggs: aggs.clone(),
+        },
+        PhysExpr::HashAggregate {
+            kind,
+            input: Box::new(phys),
+            group_cols,
+            aggs,
+        },
+    )
+}
+
+fn run(plan: &PhysExpr, bs: usize, gov: QueryContext) -> (Result<Chunk>, Pipeline) {
+    let mut pipe = Pipeline::with_batch_size(plan, bs).expect("compiles");
+    pipe.set_governor(gov);
+    let out = pipe.execute(&Catalog::new(), &Bindings::new());
+    (out, pipe)
+}
+
+/// Two aggregates fail at different lanes — an `Int` SUM overflowing
+/// and a SUM over a `Val` argument meeting a string — or at the same
+/// one. Whichever order the aggregates are listed in, and at every
+/// batch size, the engine raises the error a row-at-a-time feed raises
+/// first: the smallest lane, ties to the aggregate listed first.
+#[test]
+fn first_failing_lane_wins_like_the_reference() {
+    // (overflow lane, type-error lane); both in group 0 (lane % 3 == 0)
+    // after the group has a running value.
+    for (overflow_at, mistyped_at) in [(30, 60), (60, 30), (45, 45)] {
+        let rows: Vec<Row> = (0..200usize)
+            .map(|i| {
+                let big = match i {
+                    0 => Value::Int(i64::MAX),
+                    _ if i == overflow_at => Value::Int(1),
+                    _ => Value::Int(0),
+                };
+                let mixed = if i == mistyped_at {
+                    Value::str("x")
+                } else {
+                    Value::Int(1)
+                };
+                vec![Value::Int((i % 3) as i64), big, mixed]
+            })
+            .collect();
+        for (first, second) in [(2, 3), (3, 2)] {
+            let aggs = vec![
+                agg(0, AggFunc::CountStar, None, false),
+                agg(1, AggFunc::Sum, Some(first), false),
+                agg(2, AggFunc::Sum, Some(second), false),
+            ];
+            let (rel, phys) = group_by(&rows, &[1], aggs);
+            let want = Reference::new(&Catalog::new())
+                .run(&rel)
+                .expect_err("the oracle fails");
+            let expected =
+                if overflow_at < mistyped_at || (overflow_at == mistyped_at && first == 2) {
+                    Error::NumericOverflow
+                } else {
+                    Error::TypeMismatch("operand of + is not numeric: Str(\"x\")".into())
+                };
+            assert_eq!(want, expected, "oracle at {overflow_at}/{mistyped_at}");
+            for bs in BATCH_SIZES {
+                let (got, _) = run(&phys, bs, QueryContext::new());
+                assert_eq!(
+                    got.expect_err("the engine fails"),
+                    want,
+                    "overflow at {overflow_at}, type error at {mistyped_at}, \
+                     column {first} first, batch size {bs}"
+                );
+            }
+        }
+    }
+}
+
+/// A budget that refuses the group state partway through a batch makes
+/// the aggregate spill the rest and replay it per partition — with
+/// DISTINCT filters and a NULL group in play — and the answer is the
+/// oracle's.
+#[test]
+fn budget_refusal_mid_batch_spills_and_stays_exact() {
+    let mut rng = Prng::new(7);
+    let rows: Vec<Row> = (0..5000i64)
+        .map(|i| {
+            let k = if i % 37 == 0 {
+                Value::Null
+            } else {
+                Value::Int(rng.int_range(0, 600))
+            };
+            let s = Value::str(["p", "q", "r"][(i % 3) as usize]);
+            let v = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(rng.int_range(-20, 20))
+            };
+            vec![k, s, v]
+        })
+        .collect();
+    let aggs = vec![
+        agg(0, AggFunc::CountStar, None, false),
+        agg(1, AggFunc::Sum, Some(3), false),
+        agg(2, AggFunc::Count, Some(3), true),
+        agg(3, AggFunc::Sum, Some(3), true),
+        agg(4, AggFunc::Min, Some(3), false),
+        agg(5, AggFunc::Avg, Some(3), true),
+    ];
+    let (rel, phys) = group_by(&rows, &[1, 2], aggs);
+    let want = Reference::new(&Catalog::new()).run(&rel).expect("oracle");
+    assert!(
+        want.rows.iter().any(|r| r[0].is_null()),
+        "a NULL group is in play"
+    );
+    for bs in [1024, 333] {
+        let (free, pipe) = run(&phys, bs, QueryContext::new());
+        assert_eq!(free.expect("unlimited").rows, want.rows, "first-seen order");
+        let peak = pipe.stats().iter().map(|s| s.mem_peak).max().unwrap_or(0);
+        let budget = peak / 3;
+        let (tight, pipe) = run(&phys, bs, QueryContext::new().with_memory_limit(budget));
+        let tight = tight.expect("a refused aggregate spills instead of failing");
+        assert!(
+            bag_eq(&tight.rows, &want.rows),
+            "spilled run is exact at {bs}"
+        );
+        let stats = pipe.stats();
+        assert!(
+            stats
+                .iter()
+                .any(|s| s.spill_partitions > 0 && s.spilled_bytes > 0),
+            "budget {budget} of peak {peak} spilled at {bs}: {stats:?}"
+        );
+    }
+}

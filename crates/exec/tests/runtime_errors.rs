@@ -363,10 +363,11 @@ mod governor {
         let free = run_governed(&plan, &catalog, QueryContext::new()).unwrap();
         assert_eq!(free.rows.len(), 160);
 
-        // Budget sized to hold well under 160 groups but comfortably
-        // more than one partition's (~160/8 groups) replay state.
+        // Budget sized to hold well under 160 groups (~48 bytes each:
+        // table share, key lane, count lane) but comfortably more than
+        // one partition's (~160/8 groups) replay state.
         let mut pipe = Pipeline::compile(&plan).unwrap();
-        pipe.set_governor(QueryContext::new().with_memory_limit(16 << 10));
+        pipe.set_governor(QueryContext::new().with_memory_limit(4 << 10));
         let mut spilled = pipe.execute(&catalog, &Bindings::new()).unwrap();
         let key = |r: &Vec<Value>| match r[0] {
             Value::Int(i) => i,
