@@ -32,10 +32,16 @@ pub struct Bitmap {
 }
 
 impl Bitmap {
-    /// An all-valid bitmap of the given length.
+    /// An all-valid bitmap of the given length. Bits past `len` stay
+    /// clear, as [`push`](Bitmap::push) leaves them, so a later push of
+    /// a NULL lands on a clear bit.
     pub fn new_valid(len: usize) -> Bitmap {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        if !len.is_multiple_of(64) {
+            words[len / 64] = (1u64 << (len % 64)) - 1;
+        }
         Bitmap {
-            words: vec![u64::MAX; len.div_ceil(64)],
+            words,
             len,
             nulls: 0,
         }
@@ -382,55 +388,85 @@ impl Column {
         }
     }
 
-    /// A 64-bit image of every lane that is monotone in the
-    /// [`cmp_lanes`](Column::cmp_lanes) order: a smaller image means a
-    /// smaller lane, equal images decide nothing (NULL is 0; a valid
-    /// lane is the top 63 bits of its type's order-preserving encoding,
-    /// for strings of its first 8 bytes). A sort compares these inline
-    /// words first and touches the column only on ties. `None` for
-    /// `Val` storage, whose lanes share no encoding.
-    pub fn sort_prefixes(&self) -> Option<Vec<u64>> {
-        const SIGN: u64 = 1 << 63;
-        // NULL takes 0; a valid lane gives up its lowest bit to sit
-        // above it.
-        fn lanes(col: &Column, images: impl Iterator<Item = u64>) -> Vec<u64> {
-            images
-                .enumerate()
-                .map(
-                    |(i, image)| {
-                        if col.is_valid(i) {
-                            (image >> 1) + 1
-                        } else {
-                            0
-                        }
-                    },
-                )
-                .collect()
+    /// How this column sorts as normalized key words: `(words, exact)`.
+    /// A window with NULLs leads with a validity word (0 for NULL, 1
+    /// for a value), then every typed lane has one value word. `exact`
+    /// means equal words are equal lanes under
+    /// [`cmp_lanes`](Column::cmp_lanes): true for `Int`, `Float`,
+    /// `Date` and `Bool`, false for `Str` (its word is the first 8
+    /// bytes) and for `Val`, which has no common encoding and so gives
+    /// no word at all.
+    pub fn sort_key_words(&self) -> (usize, bool) {
+        let validity = usize::from(!self.all_valid());
+        match &self.data.data {
+            ColData::Val(_) => (0, false),
+            ColData::Str(_) => (validity + 1, false),
+            _ => (validity + 1, true),
         }
+    }
+
+    /// Writes the first `take` (≥ 1) of this column's
+    /// [`sort_key_words`](Column::sort_key_words) for lane `i` into
+    /// `rows[i][at..at + take]`, every bit inverted when `desc`, so
+    /// rows compare as the lanes do under `cmp_lanes` — exactly for an
+    /// exact key, monotonically (a smaller word is a smaller lane) for
+    /// a string. A NULL lane's value word is 0, so NULLs tie.
+    pub fn write_sort_words<const N: usize>(
+        &self,
+        desc: bool,
+        rows: &mut [[u64; N]],
+        at: usize,
+        take: usize,
+    ) {
+        /// Lanes as their type's order-preserving `u64` image.
+        fn put<const N: usize>(
+            col: &Column,
+            rows: &mut [[u64; N]],
+            at: usize,
+            take: usize,
+            flip: u64,
+            images: impl Iterator<Item = u64>,
+        ) {
+            debug_assert_eq!(rows.len(), col.len);
+            if col.all_valid() {
+                for (row, image) in rows.iter_mut().zip(images) {
+                    row[at] = image ^ flip;
+                }
+                return;
+            }
+            for (i, (row, image)) in rows.iter_mut().zip(images).enumerate() {
+                let valid = col.is_valid(i);
+                row[at] = u64::from(valid) ^ flip;
+                if take > 1 {
+                    row[at + 1] = if valid { image } else { 0 } ^ flip;
+                }
+            }
+        }
+        const SIGN: u64 = 1 << 63;
+        let flip = if desc { u64::MAX } else { 0 };
         let window = self.offset..self.offset + self.len;
-        Some(match &self.data.data {
-            ColData::Int(v) => lanes(self, v[window].iter().map(|&x| x as u64 ^ SIGN)),
+        macro_rules! put_images {
+            ($v:expr, $image:expr) => {
+                put(self, rows, at, take, flip, $v[window].iter().map($image))
+            };
+        }
+        match &self.data.data {
+            ColData::Int(v) => put_images!(v, |&x| x as u64 ^ SIGN),
             // The bits of a float read as `total_cmp` orders them.
-            ColData::Float(v) => lanes(
-                self,
-                v[window].iter().map(|x| match x.to_bits() {
-                    b if b & SIGN != 0 => !b,
-                    b => b | SIGN,
-                }),
-            ),
-            ColData::Bool(v) => lanes(self, v[window].iter().map(|&b| u64::from(b) << 1)),
-            ColData::Str(v) => lanes(
-                self,
-                v[window].iter().map(|s| {
-                    let mut head = [0u8; 8];
-                    let n = s.len().min(8);
-                    head[..n].copy_from_slice(&s.as_bytes()[..n]);
-                    u64::from_be_bytes(head)
-                }),
-            ),
-            ColData::Date(v) => lanes(self, v[window].iter().map(|&d| i64::from(d) as u64 ^ SIGN)),
-            ColData::Val(_) => return None,
-        })
+            ColData::Float(v) => put_images!(v, |x: &f64| match x.to_bits() {
+                b if b & SIGN != 0 => !b,
+                b => b | SIGN,
+            }),
+            ColData::Bool(v) => put_images!(v, |&b| u64::from(b)),
+            ColData::Str(v) => put_images!(v, |s: &Arc<str>| {
+                let mut head = [0u8; 8];
+                let n = s.len().min(8);
+                head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                u64::from_be_bytes(head)
+            }),
+            ColData::Date(v) => put_images!(v, |&d| i64::from(d) as u64 ^ SIGN),
+            ColData::Val(_) => debug_assert!(false, "a Val key has no sort words"),
+        }
     }
 
     /// Compares the value at position `i` against `v` under grouping
@@ -491,7 +527,11 @@ impl Column {
     /// Gathers the values at `idx` into a new dense column, preserving
     /// the typed representation.
     pub fn gather(&self, idx: &[usize]) -> Column {
-        let validity = Bitmap::from_flags(idx.iter().map(|&i| self.is_valid(i)));
+        let validity = if self.data.validity.all_valid() {
+            Bitmap::new_valid(idx.len())
+        } else {
+            Bitmap::from_flags(idx.iter().map(|&i| self.is_valid(i)))
+        };
         let o = self.offset;
         let data = match &self.data.data {
             ColData::Int(v) => ColData::Int(idx.iter().map(|&i| v[o + i]).collect()),
@@ -535,12 +575,11 @@ impl Column {
     /// fall back to verbatim values.
     pub fn concat(parts: &[Column]) -> Column {
         let total: usize = parts.iter().map(Column::len).sum();
-        let mut validity = Bitmap::from_flags(std::iter::empty());
-        for p in parts {
-            for i in 0..p.len {
-                validity.push(p.is_valid(i));
-            }
-        }
+        let validity = if parts.iter().all(Column::all_valid) {
+            Bitmap::new_valid(total)
+        } else {
+            Bitmap::from_flags(parts.iter().flat_map(|p| (0..p.len).map(|i| p.is_valid(i))))
+        };
         let same_variant = parts.windows(2).all(|w| {
             std::mem::discriminant(&w[0].data.data) == std::mem::discriminant(&w[1].data.data)
         });
@@ -917,10 +956,12 @@ mod tests {
         );
     }
 
-    /// A smaller sort prefix means a smaller lane, for every typed
-    /// representation; equal prefixes are allowed to decide nothing.
+    /// The sort words of an exact key order its lanes exactly as
+    /// `cmp_lanes` does — ascending and inverted for `desc`, with and
+    /// without the validity word — and a string's words order them
+    /// monotonically, leaving equal 8-byte heads to the comparator.
     #[test]
-    fn sort_prefixes_are_monotone_in_lane_order() {
+    fn sort_words_order_exact_lanes_like_cmp_lanes() {
         let typed: Vec<Vec<Value>> = vec![
             vec![
                 Value::Int(i64::MIN),
@@ -929,6 +970,9 @@ mod tests {
                 Value::Int(0),
                 Value::Int(1),
                 Value::Int(i64::MAX),
+                // Ties: NULL with NULL, a value with itself.
+                Value::Null,
+                Value::Int(-1),
             ],
             vec![
                 Value::Float(f64::NAN),
@@ -961,31 +1005,100 @@ mod tests {
         ];
         for vals in typed {
             let col = Column::from_values(vals.clone());
+            let valid: Vec<usize> = (0..col.len()).filter(|&i| col.is_valid(i)).collect();
+            // The whole column and a window of it (with NULLs: a
+            // validity word first), and its valid lanes gathered into
+            // an all-valid column (the value word alone).
             let window = col.slice(1, col.len() - 1);
-            for c in [&col, &window] {
-                let p = c.sort_prefixes().expect("typed storage has prefixes");
-                for i in 0..c.len() {
-                    for j in 0..c.len() {
-                        if p[i] < p[j] {
-                            assert_eq!(
-                                c.cmp_lanes(i, c, j),
-                                Ordering::Less,
-                                "{vals:?}: {i} vs {j}"
-                            );
+            let dense = col.gather(&valid);
+            for c in [&col, &window, &dense] {
+                let (words, exact) = c.sort_key_words();
+                assert_eq!(words, 1 + usize::from(!c.all_valid()), "{vals:?}");
+                assert_eq!(exact, !matches!(c.parts().0, ColData::Str(_)), "{vals:?}");
+                for desc in [false, true] {
+                    let mut rows = vec![[7u64; 2]; c.len()];
+                    c.write_sort_words(desc, &mut rows, 0, words);
+                    for i in 0..c.len() {
+                        for j in 0..c.len() {
+                            let lanes = c.cmp_lanes(i, c, j);
+                            let lanes = if desc { lanes.reverse() } else { lanes };
+                            let rows = rows[i][..words].cmp(&rows[j][..words]);
+                            // A string's equal heads decide nothing.
+                            if exact || rows != Ordering::Equal {
+                                assert_eq!(rows, lanes, "{vals:?} desc={desc}: {i} vs {j}");
+                            }
                         }
                     }
                 }
             }
-            assert!(
-                col.sort_prefixes()
-                    .unwrap()
-                    .windows(2)
-                    .any(|w| w[0] != w[1]),
-                "{vals:?}: a constant prefix would be vacuous"
-            );
         }
         let mixed = Column::from_values(vec![Value::Int(1), Value::Float(0.5)]);
-        assert!(mixed.sort_prefixes().is_none());
+        assert_eq!(
+            mixed.sort_key_words(),
+            (0, false),
+            "a Val key gives no word"
+        );
+    }
+
+    /// `concat` and `gather` take an all-valid bitmap wholesale when
+    /// every source lane is valid, and otherwise build exactly what a
+    /// per-lane push builds — at window offsets that are not a multiple
+    /// of 64, with NULLs on both sides of the cut.
+    #[test]
+    fn bulk_validity_matches_per_lane_build() {
+        let per_lane = |parts: &[Column]| {
+            Bitmap::from_flags(
+                parts
+                    .iter()
+                    .flat_map(|p| (0..p.len()).map(|i| p.is_valid(i))),
+            )
+        };
+        let sparse = Column::from_values(
+            (0..300)
+                .map(|i| {
+                    if i % 67 == 5 {
+                        Value::Null
+                    } else {
+                        Value::Int(i)
+                    }
+                })
+                .collect(),
+        );
+        let full = Column::from_values((0..300).map(Value::Int).collect());
+        let cases: Vec<Vec<Column>> = vec![
+            vec![
+                sparse.slice(3, 70),
+                full.slice(65, 100),
+                sparse.slice(71, 130),
+            ],
+            vec![full.slice(1, 63), full.slice(7, 129)],
+            // All-valid windows of a column that has NULLs elsewhere.
+            vec![sparse.slice(6, 60), sparse.slice(73, 60)],
+            vec![sparse.slice(130, 0), sparse.slice(4, 2)],
+            vec![full.slice(0, 64), full.slice(64, 64)],
+        ];
+        for parts in cases {
+            let c = Column::concat(&parts);
+            let (_, validity, _) = c.parts();
+            let want = per_lane(&parts);
+            assert_eq!(validity, &want, "concat of {} lanes", c.len());
+            assert_eq!(validity.null_count(), want.null_count());
+            for (k, p) in parts.iter().enumerate() {
+                let idx: Vec<usize> = (0..p.len()).rev().chain((0..p.len()).step_by(3)).collect();
+                let g = p.gather(&idx);
+                let want = Bitmap::from_flags(idx.iter().map(|&i| p.is_valid(i)));
+                assert_eq!(g.parts().1, &want, "gather of part {k}");
+                assert_eq!(g.parts().1.null_count(), want.null_count());
+            }
+        }
+        // A NULL pushed after a wholesale-valid tail lands on a clear bit.
+        let mut c = Column::concat(&[full.slice(1, 70)]);
+        c.push(Value::Null);
+        assert_eq!(c.value(70), Value::Null);
+        assert_eq!(
+            c.parts().1,
+            &per_lane(&[full.slice(1, 70), Column::from_values(vec![Value::Null])])
+        );
     }
 
     /// Satellite: `cols_bytes` must charge the same logical totals as

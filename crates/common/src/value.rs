@@ -336,17 +336,157 @@ pub enum ValueRef<'a> {
 impl ValueRef<'_> {
     /// Renders the scalar the way `Value`'s `Display` always has:
     /// `NULL`, bare numbers and booleans, `'quoted'` strings (payload
-    /// verbatim, no escaping), `date(<days>)`.
+    /// verbatim, no escaping), `date(<days>)`. Integers and most floats
+    /// are rendered without `core::fmt` ([`write_int`], [`write_float`]);
+    /// the text is byte-identical to std's `Display`.
     pub fn write_to(self, w: &mut impl fmt::Write) -> fmt::Result {
         match self {
             ValueRef::Null => w.write_str("NULL"),
-            ValueRef::Bool(b) => write!(w, "{b}"),
-            ValueRef::Int(i) => write!(w, "{i}"),
-            ValueRef::Float(x) => write!(w, "{x}"),
-            ValueRef::Str(s) => write!(w, "'{s}'"),
-            ValueRef::Date(d) => write!(w, "date({d})"),
+            ValueRef::Bool(b) => w.write_str(if b { "true" } else { "false" }),
+            ValueRef::Int(i) => write_int(w, i),
+            ValueRef::Float(x) => write_float(w, x),
+            ValueRef::Str(s) => {
+                w.write_str("'")?;
+                w.write_str(s)?;
+                w.write_str("'")
+            }
+            ValueRef::Date(d) => {
+                w.write_str("date(")?;
+                write_int(w, i64::from(d))?;
+                w.write_str(")")
+            }
         }
     }
+}
+
+/// `"00" "01" … "99"`: two decimal digits per table entry.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes the decimal digits of `n` right-aligned into `buf`, two at a
+/// time, and returns where they start.
+fn encode_digits(mut n: u64, buf: &mut [u8]) -> usize {
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    at
+}
+
+/// Writes ASCII bytes as text.
+fn write_ascii(w: &mut impl fmt::Write, bytes: &[u8]) -> fmt::Result {
+    w.write_str(std::str::from_utf8(bytes).map_err(|_| fmt::Error)?)
+}
+
+/// Writes `i` as std's `Display` does: the digits, after a `-` when
+/// negative.
+fn write_int(w: &mut impl fmt::Write, i: i64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = encode_digits(i.unsigned_abs(), &mut buf);
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    write_ascii(w, &buf[at..])
+}
+
+/// `10^d` for every `d` whose power of ten is an exact `f64`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Writes `x` as std's `Display` does (`{x}`: the shortest decimal that
+/// reads back as `x`, positional, no exponent).
+///
+/// The fast path ([`short_decimal`]) looks for the decimal with the
+/// fewest fraction digits that reads back as `a = |x|`: for
+/// `d = 0, 1, …` while `a·10^d < 2^50`, take `c = round(a·10^d)` and
+/// accept iff `c / 10^d == a` bit for bit. Why that prints std's
+/// digits:
+///
+/// * *Acceptance means the text round-trips.* `c` (at most `2^50`) and
+///   `10^d` (`d ≤ 22`) are exact doubles, so the IEEE division is the
+///   correctly rounded value of the decimal `c·10^-d` — exactly what
+///   parsing its text yields.
+/// * *No round-tripping decimal with `d` fraction digits is missed, and
+///   there is at most one.* The reals that round to a normal `a` span
+///   at most `ulp(a) ≤ a·2^-52`, less than `2^50·2^-52 = 1/4` in units
+///   of `10^-d`. A round-tripping `c` is therefore within 1/4 of the
+///   exact `a·10^d` and the product's rounding adds at most 1/16, so
+///   rounding the product finds it; two of them would be 1 apart.
+/// * *The fewest fraction digits is the shortest.* Say std's shortest
+///   decimal `V` had more fraction digits than the accepted `O`, but no
+///   more significant digits: then `V`'s leading digit sits lower,
+///   `V < 10^L ≤ O`. Both lie in the span, so `O − 10^L < 1/4` units of
+///   `10^-d` and, `O`'s digits being an integer, `O = 10^L` — one
+///   significant digit, while `V ≤ 0.9·10^L` lies `O/10` away, far
+///   outside the span. So `V = O`, and std prints its digits, in
+///   positional form, as here.
+///
+/// The sign comes from the sign bit, so `-0` keeps its `-`. Anything
+/// else — NaN, the infinities, subnormals, magnitudes past `2^50`, more
+/// than 22 fraction digits, decimals too long for `2^50` — falls back
+/// to `{x}` itself.
+fn write_float(w: &mut impl fmt::Write, x: f64) -> fmt::Result {
+    let Some((c, d)) = short_decimal(x.abs()) else {
+        return write!(w, "{x}");
+    };
+    // The digits of `c`, zero-padded to at least `d + 1`, then the last
+    // `d` moved one place right to make room for the point: at most
+    // 1 + 23 + 1 bytes with the sign.
+    let mut buf = [0u8; 32];
+    let mut end = buf.len() - 1;
+    let mut at = encode_digits(c, &mut buf[..end]);
+    if d > 0 {
+        let int = end - d - 1;
+        if at > int {
+            buf[int..at].fill(b'0');
+            at = int;
+        }
+        buf.copy_within(end - d..end, end - d + 1);
+        buf[end - d] = b'.';
+        end += 1;
+    }
+    if x.is_sign_negative() {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    write_ascii(w, &buf[at..end])
+}
+
+/// `(c, d)` such that `c·10^-d` is the decimal with the fewest fraction
+/// digits that reads back as `a ≥ 0`, when [`write_float`]'s search
+/// finds one.
+fn short_decimal(a: f64) -> Option<(u64, usize)> {
+    for (d, &scale) in POW10.iter().enumerate() {
+        let scaled = a * scale;
+        if !scaled.is_finite() || scaled >= (1u64 << 50) as f64 {
+            return None;
+        }
+        // The `c` sought is within 5/16 of `scaled`, and adding the
+        // half rounds by at most 1/8, so truncation lands on it.
+        let c = (scaled + 0.5) as u64;
+        if c as f64 / scale == a {
+            return Some((c, d));
+        }
+    }
+    None
 }
 
 impl Value {
@@ -512,6 +652,101 @@ mod tests {
             Some(Ordering::Less)
         );
         assert_eq!(Value::str("x"), Value::str("x"));
+    }
+
+    fn rendered(v: ValueRef<'_>) -> String {
+        let mut s = String::new();
+        v.write_to(&mut s).unwrap();
+        s
+    }
+
+    /// The digit-pair encoder prints every integer as std's `{}` does:
+    /// zero, one, each power of ten and its neighbours, both extremes.
+    #[test]
+    fn ints_render_exactly_like_std_display() {
+        let mut cases = vec![0, 1, -1, i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1];
+        let mut p = 1i64;
+        for _ in 0..=18 {
+            for n in [p - 1, p, p + 1] {
+                cases.extend([n, -n]);
+            }
+            p = p.saturating_mul(10);
+        }
+        let mut rng = crate::prng::Prng::new(24);
+        cases.extend((0..10_000).map(|_| rng.next_u64() as i64 >> (rng.next_u64() % 64)));
+        for i in cases {
+            assert_eq!(rendered(ValueRef::Int(i)), format!("{i}"));
+        }
+        for d in [i32::MIN, -100, -1, 0, 9, 10, 19_000, i32::MAX] {
+            assert_eq!(rendered(ValueRef::Date(d)), format!("date({d})"));
+        }
+    }
+
+    /// The exact short-decimal path prints every float as std's `{}`
+    /// does, over a million draws aimed at its edges: random bit
+    /// patterns, short decimals of both signs, signed zeros, NaN, the
+    /// infinities, subnormals, the exact powers of ten and their
+    /// neighbours, and the neighbours of the `2^50 / 10^d` cut-offs.
+    #[test]
+    fn floats_render_exactly_like_std_display() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        cases.extend([f64::MIN_POSITIVE, f64::MAX, f64::MIN, f64::EPSILON]);
+        cases.extend([f64::from_bits(1), f64::from_bits(0x000F_FFFF_FFFF_FFFF)]);
+        let around = |x: f64, cases: &mut Vec<f64>| {
+            let (mut up, mut down) = (x, x);
+            for _ in 0..4 {
+                cases.extend([up, down, -up, -down]);
+                (up, down) = (up.next_up(), down.next_down());
+            }
+        };
+        for k in -22..=22 {
+            around(format!("1e{k}").parse().unwrap(), &mut cases);
+        }
+        let cut = (1u64 << 50) as f64;
+        for d in 0..=22 {
+            around(cut / format!("1e{d}").parse::<f64>().unwrap(), &mut cases);
+        }
+        around(cut, &mut cases);
+        let mut rng = crate::prng::Prng::new(24);
+        for _ in 0..300_000 {
+            cases.push(f64::from_bits(rng.next_u64()));
+        }
+        for _ in 0..10_000 {
+            cases.push(f64::from_bits(rng.next_u64() >> 12));
+        }
+        // Short decimals: up to 12 digits with 0-6 of them after the
+        // point, as text would parse them.
+        for _ in 0..600_000 {
+            let digits = rng.next_u64() % 10u64.pow(1 + (rng.next_u64() % 12) as u32);
+            let d = rng.next_u64() % 7;
+            let x: f64 = format!("{digits}e-{d}").parse().unwrap();
+            assert!(
+                short_decimal(x).is_some(),
+                "{digits}e-{d} misses the fast path"
+            );
+            cases.push(if rng.chance(0.5) { -x } else { x });
+        }
+        // Floats of every scale around the fast path's reach.
+        for _ in 0..100_000 {
+            let e = rng.int_range(-30, 30) as i32;
+            cases.push(rng.float_range(-1.0, 1.0) * 10f64.powi(e));
+        }
+        assert!(cases.len() >= 1_000_000, "{} draws", cases.len());
+        for x in cases {
+            assert_eq!(
+                rendered(ValueRef::Float(x)),
+                format!("{x}"),
+                "bits {:#x}",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -1,21 +1,28 @@
 //! Sort conformance: the typed columnar sort against its definition.
 //!
-//! `Sort` orders a permutation of column lanes by typed key comparison
-//! and, under memory pressure, merges spilled runs block by block. Its
-//! definition is the old implementation: transpose to rows and
-//! `sort_by` (stable) under `Value::total_cmp` per `(position, desc)`
-//! key. The two must agree **row for row** — every row carries a unique
-//! sequence number, so a stability slip among equal keys is visible —
-//! for typed lanes with NULLs, `Val` lanes mixing `Int` and `Float`,
-//! every batch size, in memory and through a forced multi-run spill.
+//! `Sort` orders a permutation of column lanes on normalized key words
+//! (re-sorting runs of equal words on the comparator where a key is
+//! inexact or the word cap cut the words short) and, under memory
+//! pressure, merges spilled runs block by block. Its definition is the
+//! old implementation: transpose to rows and `sort_by` (stable) under
+//! `Value::total_cmp` per `(position, desc)` key. The two must agree
+//! **row for row** — every row carries a unique sequence number, so a
+//! stability slip among equal keys is visible — for typed lanes with
+//! NULLs, `Val` lanes mixing `Int` and `Float`, strings that tie on
+//! their 8-byte head word, the extremes of every word encoding, specs
+//! with more keys than the word cap, every batch size, in memory and
+//! through a forced multi-run spill.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use orthopt::common::{ColId, DataType, QueryContext, Row, TableId, Value};
-use orthopt::exec::{spill, Bindings, PhysExpr, Pipeline, PipelineOptions};
+use orthopt::exec::{
+    explain_phys_analyze, spill, Bindings, OpStats, PhysExpr, Pipeline, PipelineOptions,
+};
 use orthopt::ir::{ApplyKind, ScalarExpr};
 use orthopt::storage::{Catalog, ColumnDef, TableDef};
+use orthopt::{Database, OptimizerLevel};
 use orthopt_synccheck::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 
@@ -38,7 +45,8 @@ fn row_of(draw: (i64, i64, i64, i64, i64, i64), seq: usize) -> Row {
     let int = match draw.0 {
         0 => Value::Null,
         1 => Value::Int(i64::MIN),
-        n => Value::Int(n - 3),
+        2 => Value::Int(i64::MAX),
+        n => Value::Int(n - 5),
     };
     let float = match draw.1 {
         0 => Value::Null,
@@ -46,13 +54,20 @@ fn row_of(draw: (i64, i64, i64, i64, i64, i64), seq: usize) -> Row {
         2 => Value::Float(-0.0),
         3 => Value::Float(0.0),
         4 => Value::Float(-2.5),
+        5 => Value::Float(f64::INFINITY),
+        6 => Value::Float(f64::NEG_INFINITY),
+        7 => Value::Float(f64::from_bits(1)),
         _ => Value::Float(1.5),
     };
+    // Three strings share one 8-byte head word and differ after it.
     let string = match draw.2 {
         0 => Value::Null,
         1 => Value::str(""),
         2 => Value::str("a"),
         3 => Value::str("ab"),
+        4 => Value::str("abcdefgh"),
+        5 => Value::str("abcdefgh1"),
+        6 => Value::str("abcdefgh0"),
         _ => Value::str("b"),
     };
     let date = match draw.3 {
@@ -84,7 +99,7 @@ fn row_of(draw: (i64, i64, i64, i64, i64, i64), seq: usize) -> Row {
 
 fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<Row>> {
     prop::collection::vec(
-        (0i64..6, 0i64..6, 0i64..5, 0i64..4, 0i64..3, 0i64..6),
+        (0i64..8, 0i64..9, 0i64..8, 0i64..4, 0i64..3, 0i64..6),
         0..max,
     )
     .prop_map(|draws| {
@@ -162,14 +177,14 @@ fn table_source(rows: &[Row]) -> (Catalog, PhysExpr) {
 }
 
 /// Runs `Sort(source)` at `batch_size` under `gov`; returns the rows
-/// and the number of runs the sort spilled.
+/// and the Sort node's stats.
 fn run_sort(
     catalog: &Catalog,
     source: PhysExpr,
     by: &[(ColId, bool)],
     batch_size: usize,
     gov: QueryContext,
-) -> (Vec<Row>, u64) {
+) -> (Vec<Row>, OpStats) {
     let plan = PhysExpr::Sort {
         input: Box::new(source),
         by: by.to_vec(),
@@ -189,7 +204,7 @@ fn run_sort(
     let stats = pipeline.stats();
     assert_eq!(stats[0].bridged, 0, "Sort crossed the row bridge");
     assert_eq!(spill::live_dirs(), 0, "spill directory outlived the sort");
-    (chunk.rows, stats[0].spill_partitions)
+    (chunk.rows, stats[0])
 }
 
 proptest! {
@@ -217,22 +232,40 @@ proptest! {
         };
         sort_rows_by(&mut expected, &by_pos);
         for batch_size in [1, 2, 7, 1024] {
-            let (got, runs) =
+            let (got, stats) =
                 run_sort(&catalog, source.clone(), &by, batch_size, QueryContext::new());
             prop_assert_eq!(exact(&got), exact(&expected), "in memory, batch size {}, by {:?}", batch_size, by_pos);
-            prop_assert_eq!(runs, 0, "an unlimited sort spilled");
+            prop_assert_eq!(stats.spill_partitions, 0, "an unlimited sort spilled");
             // A budget of about three batches: every few batches the
             // buffer is cut into a run, so the answer comes off the
             // k-way merge of many runs plus the resident tail.
             let budget = 3 * batch_size as u64 * 250;
             let gov = QueryContext::new().with_memory_limit(budget);
-            let (got, runs) = run_sort(&catalog, source.clone(), &by, batch_size, gov);
+            let (got, stats) = run_sort(&catalog, source.clone(), &by, batch_size, gov);
             prop_assert_eq!(exact(&got), exact(&expected), "spilled, batch size {}, by {:?}", batch_size, by_pos);
             if rows.len() >= 16 * batch_size {
+                let runs = stats.spill_partitions;
                 prop_assert!(runs >= 2, "expected a multi-run spill, got {} runs", runs);
             }
         }
     }
+}
+
+/// `n` rows drawn as `rows_strategy` draws them, from a fixed hash of
+/// the sequence number; `dense` rows have no NULL.
+fn hashed_rows(n: usize, dense: bool) -> Vec<Row> {
+    (0..n)
+        .map(|i| {
+            let mut h = i.wrapping_mul(2_654_435_761) >> 7;
+            let mut pick = |m: usize| {
+                let k = if dense { 1 + h % (m - 1) } else { h % m };
+                h /= m;
+                k as i64
+            };
+            let draw = (pick(8), pick(9), pick(8), pick(4), pick(3), pick(6));
+            row_of(draw, i)
+        })
+        .collect()
 }
 
 /// A larger fixed input through the spill path at the default batch
@@ -241,22 +274,7 @@ proptest! {
 #[test]
 fn multi_run_merge_of_full_blocks_is_stable() {
     let _g = spill_lock();
-    let rows: Vec<Row> = (0..20_000usize)
-        .map(|i| {
-            let h = i.wrapping_mul(2_654_435_761) >> 7;
-            row_of(
-                (
-                    (h % 6) as i64,
-                    (h / 6 % 6) as i64,
-                    (h / 36 % 5) as i64,
-                    (h / 180 % 4) as i64,
-                    (h / 720 % 3) as i64,
-                    (h / 2160 % 6) as i64,
-                ),
-                i,
-            )
-        })
-        .collect();
+    let rows = hashed_rows(20_000, false);
     let by_pos = [(1, true), (5, false), (2, true)];
     let by: Vec<(ColId, bool)> = by_pos
         .iter()
@@ -265,9 +283,135 @@ fn multi_run_merge_of_full_blocks_is_stable() {
     let mut expected = rows.clone();
     sort_rows_by(&mut expected, &by_pos);
     let gov = QueryContext::new().with_memory_limit(1 << 20);
-    let (got, runs) = run_sort(&Catalog::new(), const_source(&rows), &by, 1024, gov);
+    let (got, stats) = run_sort(&Catalog::new(), const_source(&rows), &by, 1024, gov);
+    let runs = stats.spill_partitions;
     assert!(runs >= 3, "expected several runs, got {runs}");
     assert!(exact(&got) == exact(&expected), "merged order diverged");
+}
+
+/// The edges of the word path, each against the stable row sort from
+/// both sources, at two batch sizes, in memory and spilled: a string
+/// key whose 8-byte head ties (followed by another key), more keys than
+/// the word cap, one column both all-valid (a value word alone) and
+/// NULL-bearing (a validity word first), and a `Val` key (no word: the
+/// comparator sort). The in-memory Sort's `sort_words` / `tie_runs`
+/// pin which path ran, so no case passes vacuously.
+#[test]
+fn word_path_edges_match_stable_row_sort() {
+    let _g = spill_lock();
+    type Spec = &'static [(usize, bool)];
+    let cap_spec: Spec = &[(0, false), (1, true), (3, false), (4, true), (2, false)];
+    // (spec, dense rows, sort words, tie runs re-sorted)
+    let cases: [(Spec, bool, u64, bool); 7] = [
+        (&[(2, false), (0, true)], false, 2, true),
+        (&[(2, true), (1, false)], false, 2, true),
+        (cap_spec, true, 4, true),
+        (cap_spec, false, 4, true),
+        (&[(0, true)], true, 1, false),
+        (&[(0, true)], false, 2, false),
+        (&[(5, false), (0, false)], false, 0, true),
+    ];
+    for (by_pos, dense, words, ties) in cases {
+        let rows = hashed_rows(3_000, dense);
+        let by: Vec<(ColId, bool)> = by_pos
+            .iter()
+            .map(|&(k, desc)| (ColId(k as u32 + 1), desc))
+            .collect();
+        let mut sources = vec![(Catalog::new(), const_source(&rows), rows.clone())];
+        if by_pos.iter().all(|&(k, _)| k < TABLE_KEYS) {
+            let (catalog, scan) = table_source(&rows);
+            sources.push((catalog, scan, rows.iter().map(table_row).collect()));
+        }
+        for (catalog, source, mut expected) in sources {
+            sort_rows_by(&mut expected, by_pos);
+            for batch_size in [7, 1024] {
+                let what = format!("by {by_pos:?}, dense {dense}, batch size {batch_size}");
+                let (got, stats) = run_sort(
+                    &catalog,
+                    source.clone(),
+                    &by,
+                    batch_size,
+                    QueryContext::new(),
+                );
+                assert!(exact(&got) == exact(&expected), "in memory, {what}");
+                assert_eq!(stats.sort_words, Some(words), "{what}");
+                assert_eq!(
+                    stats.tie_runs > 0,
+                    ties,
+                    "{what}: {} tie runs",
+                    stats.tie_runs
+                );
+                let gov = QueryContext::new().with_memory_limit(64 << 10);
+                let (got, stats) = run_sort(&catalog, source.clone(), &by, batch_size, gov);
+                assert!(exact(&got) == exact(&expected), "spilled, {what}");
+                assert!(
+                    stats.spill_partitions >= 2,
+                    "{what}: expected a multi-run spill"
+                );
+            }
+        }
+    }
+}
+
+/// The Sort line of EXPLAIN ANALYZE says which sort ran:
+/// `sort_words=<w> tie_runs=<n>`.
+#[test]
+fn explain_analyze_shows_which_sort_ran() {
+    let db = Database::tpch(0.002).expect("TPC-H loads");
+    let sort_line = |sql: &str| {
+        let text = db
+            .explain_analyze(sql, OptimizerLevel::Full)
+            .expect("query runs");
+        let line = text.lines().find(|l| l.trim_start().starts_with("Sort"));
+        line.unwrap_or_else(|| panic!("no Sort line in\n{text}"))
+            .to_string()
+    };
+    // `bulk_wire`'s sort: an all-valid float then an int — two exact
+    // words, so the comparator never runs.
+    let line = sort_line(
+        "select l_orderkey, l_extendedprice from lineitem order by l_extendedprice, l_orderkey",
+    );
+    assert!(line.contains(" sort_words=2 tie_runs=0"), "{line}");
+    // Q2's ORDER BY (over its join, without the part filters that leave
+    // no row at this scale): `s_acctbal` is one word and `n_name` gives
+    // its 8-byte head as the last; a supplier's parts tie on both and
+    // are settled by `s_name`, `p_partkey` on the comparator.
+    let line = sort_line(
+        "select s_acctbal, s_name, n_name, p_partkey \
+         from part, supplier, partsupp, nation, region \
+         where p_partkey = ps_partkey and s_suppkey = ps_suppkey \
+           and s_nationkey = n_nationkey and n_regionkey = r_regionkey \
+           and r_name = 'europe' \
+         order by s_acctbal, n_name, s_name, p_partkey",
+    );
+    let ties: u64 = line
+        .split(" sort_words=2 tie_runs=")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("expected two sort words: {line}"));
+    assert!(ties > 0, "{line}");
+    // A `Val` key (mixed `Int` / `Float`) gives no word: the comparator
+    // sort.
+    let rows: Vec<Row> = [Value::Int(2), Value::Float(0.5), Value::Int(1)]
+        .into_iter()
+        .map(|v| vec![v])
+        .collect();
+    let plan = PhysExpr::Sort {
+        input: Box::new(PhysExpr::const_rows(vec![ColId(1)], &rows)),
+        by: vec![(ColId(1), false)],
+    };
+    let mut pipeline = Pipeline::with_batch_size(&plan, 1024).expect("sort plan compiles");
+    pipeline
+        .execute(&Catalog::new(), &Bindings::new())
+        .expect("sort runs");
+    let text = explain_phys_analyze(&plan, &pipeline.stats(), &[]);
+    assert!(
+        text.lines()
+            .next()
+            .is_some_and(|l| l.contains(" sort_words=0 tie_runs=1")),
+        "{text}"
+    );
 }
 
 /// Rewind: a `Sort` on the inner side of an `ApplyLoop` is re-opened

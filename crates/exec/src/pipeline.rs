@@ -235,6 +235,15 @@ impl StatsHandle {
         s.spilled_bytes += bytes;
     }
 
+    /// Records one sorted run: its key words per lane (the most over
+    /// the slot's runs) and the tie runs the comparator re-sorted.
+    pub(crate) fn note_sort(&self, words: u64, tie_runs: u64) {
+        let mut stats = self.stats.borrow_mut();
+        let s = &mut stats[self.id];
+        s.sort_words = s.sort_words.max(Some(words));
+        s.tie_runs += tie_runs;
+    }
+
     /// Max-folds a memory peak into the slot (used by operators that
     /// are not themselves metered nodes, e.g. the rewind cache).
     fn note_mem_peak(&self, peak: u64) {

@@ -2,13 +2,17 @@
 //! external-merge fallback under memory pressure.
 //!
 //! The operator buffers the batches it is handed as columns, sorts a
-//! *permutation* of their lanes by comparing the key columns in place
-//! ([`Column::cmp_lanes`]: typed storage plus validity, NULL first,
-//! floats by `f64::total_cmp`, `Value::total_cmp` only for `Val` lanes)
-//! and emits `gather`ed windows of that permutation — no row is built.
-//! When the governor refuses a buffer charge, what is buffered is sorted
-//! the same way and written out as a run; the runs and the resident
-//! tail are then k-way merged block by block on the same typed keys.
+//! *permutation* of their lanes and emits `gather`ed windows of it — no
+//! row is built. The permutation is sorted on normalized key words
+//! ([`Column::sort_key_words`]: order-preserving `u64` images of typed
+//! lanes, a validity word where a window has NULLs, inverted for
+//! `desc`) packed with the lane number into fixed-width rows; only runs
+//! of equal words under an inexact key (a string's 8-byte head, a `Val`
+//! lane, the word cap) go back to the comparator ([`Column::cmp_lanes`]:
+//! NULL first, floats by `f64::total_cmp`, `Value::total_cmp` for `Val`
+//! lanes). When the governor refuses a buffer charge, what is buffered
+//! is sorted the same way and written out as a run; the runs and the
+//! resident tail are then k-way merged block by block on the comparator.
 
 use std::cmp::Ordering;
 use std::rc::Rc;
@@ -34,43 +38,115 @@ fn cmp_keys(a: &[Column], i: usize, b: &[Column], j: usize, by: &[(usize, bool)]
     Ordering::Equal
 }
 
+/// Most key words a lane's sort row carries; the lane number rides
+/// after them.
+const WORD_CAP: usize = 4;
+
+/// Which keys give which words of a lane's sort row.
+struct WordPlan {
+    /// `(position, desc, first word, words taken)` per contributing key.
+    keys: Vec<(usize, bool, usize, usize)>,
+    words: usize,
+    /// How many leading keys the words order exactly; the comparator
+    /// settles the rest on runs of equal words.
+    exact_keys: usize,
+}
+
+impl WordPlan {
+    /// Takes each key's [`Column::sort_key_words`] in turn until the
+    /// cap is reached or a key is inexact: a string's head word is the
+    /// last word, and a `Val` key gives none.
+    fn new(columns: &[Column], by: &[(usize, bool)]) -> WordPlan {
+        let mut plan = WordPlan {
+            keys: Vec::new(),
+            words: 0,
+            exact_keys: 0,
+        };
+        for &(pos, desc) in by {
+            let (words, exact) = columns[pos].sort_key_words();
+            let take = words.min(WORD_CAP - plan.words);
+            if take > 0 {
+                plan.keys.push((pos, desc, plan.words, take));
+                plan.words += take;
+            }
+            if take < words || !exact {
+                break;
+            }
+            plan.exact_keys += 1;
+        }
+        plan
+    }
+}
+
+/// Sorts lanes `0..len` on `N - 1` key words plus the lane number, so
+/// equal keys keep arrival order and the order is total — a plain
+/// `sort_unstable` of fixed-width rows. Runs of equal words are then
+/// re-sorted on the keys past `plan.exact_keys`, stably (each run is
+/// already in lane order). Zero words is one run: the comparator sort.
+/// Returns the permutation and how many tie runs were re-sorted.
+fn sort_rows<const N: usize>(
+    columns: &[Column],
+    len: usize,
+    by: &[(usize, bool)],
+    plan: &WordPlan,
+) -> (Vec<usize>, u64) {
+    let mut rows = vec![[0u64; N]; len];
+    for (lane, row) in rows.iter_mut().enumerate() {
+        row[N - 1] = lane as u64;
+    }
+    for &(pos, desc, at, take) in &plan.keys {
+        columns[pos].write_sort_words(desc, &mut rows, at, take);
+    }
+    rows.sort_unstable();
+    let rest = &by[plan.exact_keys..];
+    let mut ties = Vec::new();
+    if !rest.is_empty() {
+        let mut start = 0;
+        for run in rows.chunk_by(|a, b| a[..N - 1] == b[..N - 1]) {
+            if run.len() > 1 {
+                ties.push(start..start + run.len());
+            }
+            start += run.len();
+        }
+    }
+    // Collected in place: the permutation reuses the rows' allocation.
+    let mut perm: Vec<usize> = rows.into_iter().map(|row| row[N - 1] as usize).collect();
+    for run in &ties {
+        perm[run.clone()].sort_by(|&a, &b| cmp_keys(columns, a, columns, b, rest));
+    }
+    (perm, ties.len() as u64)
+}
+
 /// A sorted, memory-resident run: dense columns plus the permutation
 /// that orders their lanes, handed out in `gather`ed windows.
 struct SortedRun {
     columns: Vec<Column>,
     perm: Vec<usize>,
     cursor: usize,
+    /// Key words per lane, and tie runs the comparator re-sorted.
+    words: usize,
+    tie_runs: u64,
 }
 
 impl SortedRun {
-    /// Concatenates `batches` and stable-sorts their lanes: equal keys
-    /// keep arrival order because the lane number breaks ties, which
-    /// also makes the order total, so an unstable sort suffices. Each
-    /// lane travels with the leading key's [`Column::sort_prefixes`]
-    /// word, so most comparisons are settled without touching a column.
+    /// Concatenates `batches` and stable-sorts their lanes on normalized
+    /// key words ([`WordPlan`], [`sort_rows`]).
     fn sort(batches: ColumnBatches, width: usize, by: &[(usize, bool)]) -> SortedRun {
         let (columns, len) = concat_batches(&batches, width);
-        let prefixes = by
-            .first()
-            .and_then(|&(pos, desc)| {
-                let mut p = columns[pos].sort_prefixes()?;
-                if desc {
-                    p.iter_mut().for_each(|x| *x = !*x);
-                }
-                Some(p)
-            })
-            // No usable prefix: every comparison is a tie on it.
-            .unwrap_or_else(|| vec![0; len]);
-        let mut keyed: Vec<(u64, usize)> = prefixes.into_iter().zip(0..len).collect();
-        keyed.sort_unstable_by(|&(p, a), &(q, b)| {
-            p.cmp(&q)
-                .then_with(|| cmp_keys(&columns, a, &columns, b, by))
-                .then(a.cmp(&b))
-        });
+        let plan = WordPlan::new(&columns, by);
+        let (perm, tie_runs) = match plan.words {
+            0 => sort_rows::<1>(&columns, len, by, &plan),
+            1 => sort_rows::<2>(&columns, len, by, &plan),
+            2 => sort_rows::<3>(&columns, len, by, &plan),
+            3 => sort_rows::<4>(&columns, len, by, &plan),
+            _ => sort_rows::<{ WORD_CAP + 1 }>(&columns, len, by, &plan),
+        };
         SortedRun {
             columns,
-            perm: keyed.into_iter().map(|(_, lane)| lane).collect(),
+            perm,
             cursor: 0,
+            words: plan.words,
+            tie_runs,
         }
     }
 
@@ -192,9 +268,16 @@ impl SortOp {
         }
     }
 
+    /// Sorts `batches` into a run, noting its words and tie runs.
+    fn sort_run(&self, batches: ColumnBatches) -> SortedRun {
+        let run = SortedRun::sort(batches, self.cols.len(), &self.by_pos);
+        self.stats.note_sort(run.words as u64, run.tie_runs);
+        run
+    }
+
     /// Sorts `batches` and writes them out as one run.
     fn spill_run(&mut self, ctx: &ExecCtx<'_>, batches: ColumnBatches) -> Result<()> {
-        let mut run = SortedRun::sort(batches, self.cols.len(), &self.by_pos);
+        let mut run = self.sort_run(batches);
         let mut f = ctx.spill.create("sort-run")?;
         while let Some((columns, n)) = run.next_window(DEFAULT_BATCH_SIZE) {
             f.append_columns(&columns, n)?;
@@ -311,11 +394,8 @@ impl Operator for SortOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.input_done {
             self.drain_input(ctx)?;
-            let tail = SortedRun::sort(
-                std::mem::take(&mut self.buffered),
-                self.cols.len(),
-                &self.by_pos,
-            );
+            let buffered = std::mem::take(&mut self.buffered);
+            let tail = self.sort_run(buffered);
             self.input_done = true;
             if self.runs.is_empty() {
                 self.sorted = Some(tail);

@@ -51,6 +51,13 @@ pub struct OpStats {
     pub spill_partitions: u64,
     /// Bytes this operator wrote to spill files.
     pub spilled_bytes: u64,
+    /// Normalized key words per lane a `Sort` sorted on (the most over
+    /// its runs); `None` for an operator that did not sort. Zero words
+    /// is the comparator sort.
+    pub sort_words: Option<u64>,
+    /// Runs of lanes equal on every sort word that the comparator
+    /// re-sorted on the keys the words do not order exactly.
+    pub tie_runs: u64,
 }
 
 impl OpStats {
@@ -84,6 +91,9 @@ impl OpStats {
         if self.index_probes > 0 {
             s.push_str(&format!(" index_probes={}", self.index_probes));
         }
+        if let Some(words) = self.sort_words {
+            s.push_str(&format!(" sort_words={words} tie_runs={}", self.tie_runs));
+        }
         if self.spill_partitions > 0 {
             s.push_str(&format!(
                 " spill_partitions={} spilled_bytes={}",
@@ -109,6 +119,8 @@ impl OpStats {
         self.index_probes += t.index_probes;
         self.spill_partitions += t.spill_partitions;
         self.spilled_bytes += t.spilled_bytes;
+        self.sort_words = self.sort_words.max(t.sort_words);
+        self.tie_runs += t.tie_runs;
     }
 
     /// Folds one worker's counters into this (merged) entry: additive
@@ -128,5 +140,7 @@ impl OpStats {
         self.index_probes += w.index_probes;
         self.spill_partitions += w.spill_partitions;
         self.spilled_bytes += w.spilled_bytes;
+        self.sort_words = self.sort_words.max(w.sort_words);
+        self.tie_runs += w.tie_runs;
     }
 }
