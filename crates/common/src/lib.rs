@@ -12,6 +12,7 @@
 pub mod column;
 pub mod error;
 pub mod governor;
+pub mod hash;
 pub mod ids;
 pub mod prng;
 pub mod row;
@@ -25,6 +26,7 @@ pub use governor::{
     AdmissionController, AdmissionGuard, AdmissionStats, CancellationToken, MemoryPool,
     MemoryReservation, QueryContext,
 };
+pub use hash::GroupTable;
 pub use ids::{ColId, ColIdGen, TableId};
 pub use prng::Prng;
 pub use row::Row;

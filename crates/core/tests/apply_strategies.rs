@@ -15,10 +15,12 @@ mod common;
 use common::{assert_fanned_out, pooled};
 use orthopt::{ApplyStrategy, Database, OptimizerLevel};
 use orthopt_common::row::bag_eq;
-use orthopt_common::{ColId, Row, Value};
+use orthopt_common::{ColId, DataType, Error, Row, Value};
 use orthopt_exec::{Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
-use orthopt_ir::{ApplyKind, CmpOp, ScalarExpr};
+use orthopt_ir::builder::get;
+use orthopt_ir::{ApplyKind, ArithOp, CmpOp, RelExpr, ScalarExpr};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
+use orthopt_storage::{Catalog, ColumnDef, TableDef};
 
 const STRATEGIES: [ApplyStrategy; 3] = [
     ApplyStrategy::Loop,
@@ -143,13 +145,14 @@ fn null_correlation_keys_consistent_across_strategies() {
     }
 }
 
-/// One apply driver, three inner sources: every strategy × `ApplyKind`
-/// — `Cross` included, which no SQL text reaches at the correlated
-/// level — as a hand-built plan over the fixture, correlated on the
-/// nullable, duplicate-heavy `rv`. Each must produce the rows a nested
-/// loop over the tables does, without transposing a batch
-/// (`bridged == 0`), and the two deduping strategies must have run
-/// their lane kernels.
+/// Every strategy × `ApplyKind` — `Cross` included, which no SQL text
+/// reaches at the correlated level — as a hand-built plan over the
+/// fixture, correlated on the nullable, duplicate-heavy `rv`. Each must
+/// produce the rows a nested loop over the tables does, without
+/// transposing a batch (`bridged == 0`). `BatchedApply` must have run
+/// its dedup kernel and executed fewer bindings than outer rows; the
+/// index join probes once per non-NULL outer lane, runs one kernel per
+/// window and executes no binding at all.
 #[test]
 fn every_strategy_and_kind_runs_on_lanes() {
     let db = fixture();
@@ -257,12 +260,235 @@ fn every_strategy_and_kind_runs_on_lanes() {
                 // Pre-order slot 0 is the apply node itself.
                 let apply = pipeline.stats()[0];
                 assert_eq!(apply.bridged, 0, "{ctx}: {apply:?}");
-                if strategy != ApplyStrategy::Loop {
-                    assert!(apply.kernels > 0, "{ctx}: {apply:?}");
-                    assert!(
-                        apply.distinct_bindings < r_rows.len() as u64,
-                        "{ctx}: duplicate bindings were not deduped: {apply:?}"
-                    );
+                match strategy {
+                    ApplyStrategy::Batched => {
+                        assert!(apply.kernels > 0, "{ctx}: {apply:?}");
+                        assert!(
+                            apply.distinct_bindings < r_rows.len() as u64,
+                            "{ctx}: duplicate bindings were not deduped: {apply:?}"
+                        );
+                    }
+                    ApplyStrategy::Index => {
+                        let probes = r_rows.iter().filter(|r| !r[1].is_null()).count();
+                        assert_eq!(apply.index_probes, probes as u64, "{ctx}: {apply:?}");
+                        assert_eq!(
+                            apply.kernels,
+                            r_rows.len().div_ceil(bs) as u64,
+                            "{ctx}: one kernel per window: {apply:?}"
+                        );
+                        assert_eq!(apply.distinct_bindings, 0, "{ctx}: {apply:?}");
+                        assert_eq!(apply.mem_peak, 0, "{ctx}: nothing is charged: {apply:?}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+fn arith(op: ArithOp, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::Arith {
+        op,
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
+/// `r(rk, rv)` with 120 rows and `s(sk, sr, sv)` with 1 100, indexed on
+/// `s.sr`. `rv` repeats, is NULL on every eighth row and binds the hot
+/// key 0 on every third; 1 000 `s` rows hold that key, so one outer
+/// batch of the hot lanes makes ~37 000 candidate pairs — several
+/// probe windows.
+fn hot_key_catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    let int = |name: &str, nullable: bool| {
+        if nullable {
+            ColumnDef::nullable(name, DataType::Int)
+        } else {
+            ColumnDef::new(name, DataType::Int)
+        }
+    };
+    let r = catalog
+        .create_table(TableDef::new(
+            "r",
+            vec![int("rk", false), int("rv", true)],
+            vec![vec![0]],
+        ))
+        .unwrap();
+    let s = catalog
+        .create_table(TableDef::new(
+            "s",
+            vec![int("sk", false), int("sr", false), int("sv", true)],
+            vec![vec![0]],
+        ))
+        .unwrap();
+    for i in 0..120i64 {
+        let rv = match i {
+            _ if i % 8 == 7 => Value::Null,
+            _ if i % 3 == 0 => Value::Int(0),
+            _ => Value::Int(i % 5 + 1),
+        };
+        catalog
+            .table_mut(r)
+            .insert(vec![Value::Int(i), rv])
+            .unwrap();
+    }
+    for i in 0..1100i64 {
+        let sr = if i % 11 == 10 { i % 7 + 1 } else { 0 };
+        let sv = if i % 13 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 4)
+        };
+        catalog
+            .table_mut(s)
+            .insert(vec![Value::Int(i), Value::Int(sr), sv])
+            .unwrap();
+    }
+    catalog.table_mut(s).build_index(vec![1]).unwrap();
+    catalog.analyze_all();
+    catalog
+}
+
+/// The index join's batched probe against `Reference`'s per-row Apply,
+/// in output order, for every kind at batch sizes 1, 7, 1024 and 1025:
+/// probes on a duplicate-heavy, NULL-bearing binding with a hot key
+/// (`rv`), an expression (`rk + 1`), a `Float` binding grouping-equal
+/// to the `Int` key (`rv * 1.0`), and one whose kernel overflows on
+/// lane 50 only (a `CASE`); residuals that hold on some pairs
+/// (`sv > 1`) and that divide by zero on the hot key's row `sk = 500`,
+/// after that key has already matched on `sk = 1`. A Semi/Anti lane
+/// must evaluate that pair too, as the Apply's inner side does, and
+/// the first error in output order — a residual one before lane 50's
+/// probe overflow — must be the one that surfaces.
+#[test]
+fn index_join_probe_matches_reference_in_order() {
+    let catalog = hot_key_catalog();
+    let (rk, rv, sk, sr, sv) = (ColId(1), ColId(2), ColId(3), ColId(4), ColId(5));
+    let (r, s) = (catalog.resolve("r").unwrap(), catalog.resolve("s").unwrap());
+    let col = |c: ColId| ScalarExpr::col(c);
+    let overflow_at_50 = ScalarExpr::Case {
+        operand: None,
+        whens: vec![(
+            ScalarExpr::eq(col(rk), ScalarExpr::lit(50i64)),
+            arith(
+                ArithOp::Add,
+                ScalarExpr::lit(i64::MAX),
+                ScalarExpr::lit(1i64),
+            ),
+        )],
+        else_: Some(Box::new(col(rv))),
+    };
+    let probes = [
+        col(rv),
+        arith(ArithOp::Add, col(rk), ScalarExpr::lit(1i64)),
+        arith(ArithOp::Mul, col(rv), ScalarExpr::lit(Value::Float(1.0))),
+        overflow_at_50,
+    ];
+    let divides_by_zero_at_500 = ScalarExpr::IsNull {
+        expr: Box::new(arith(
+            ArithOp::Div,
+            col(sv),
+            arith(ArithOp::Sub, col(sk), ScalarExpr::lit(500i64)),
+        )),
+        negated: true,
+    };
+    let residuals = [
+        ScalarExpr::cmp(CmpOp::Gt, col(sv), ScalarExpr::lit(1i64)),
+        divides_by_zero_at_500,
+    ];
+    let int = DataType::Int;
+    let r_get = get(
+        r,
+        "r",
+        &[(rk, "rk", int, false), (rv, "rv", int, true)],
+        &[],
+        120.0,
+    );
+    let s_get = get(
+        s,
+        "s",
+        &[
+            (sk, "sk", int, false),
+            (sr, "sr", int, false),
+            (sv, "sv", int, true),
+        ],
+        &[],
+        1100.0,
+    );
+    for (pi, probe) in probes.iter().enumerate() {
+        for (ri, residual) in residuals.iter().enumerate() {
+            // `rk + 1` never binds the hot key; every other probe meets
+            // the dividing residual on lane 0, before the `CASE`
+            // overflows on lane 50.
+            let error = match (pi, ri) {
+                (1, 1) => None,
+                (_, 1) => Some(Error::DivideByZero),
+                (3, 0) => Some(Error::NumericOverflow),
+                _ => None,
+            };
+            for kind in [
+                ApplyKind::Cross,
+                ApplyKind::LeftOuter,
+                ApplyKind::Semi,
+                ApplyKind::Anti,
+            ] {
+                // The inner side keeps the matches first, then filters
+                // them, so its residual sees exactly the candidate pairs.
+                let inner = RelExpr::Project {
+                    input: Box::new(RelExpr::Select {
+                        input: Box::new(RelExpr::Select {
+                            input: Box::new(s_get.clone()),
+                            predicate: ScalarExpr::eq(col(sr), probe.clone()),
+                        }),
+                        predicate: residual.clone(),
+                    }),
+                    cols: vec![sk, sv],
+                };
+                let logical = RelExpr::Apply {
+                    kind,
+                    left: Box::new(r_get.clone()),
+                    right: Box::new(inner),
+                };
+                let want = Reference::new(&catalog).run(&logical);
+                let ctx = format!("probe {probe:?}\nresidual {residual:?}\n{kind:?}");
+                assert_eq!(want.as_ref().err(), error.as_ref(), "{ctx}");
+                let plan = PhysExpr::IndexLookupJoin {
+                    kind,
+                    left: Box::new(PhysExpr::TableScan {
+                        table: r,
+                        positions: vec![0, 1],
+                        cols: vec![rk, rv],
+                    }),
+                    table: s,
+                    positions: vec![0, 1, 2],
+                    fetch_cols: vec![sk, sr, sv],
+                    index_cols: vec![1],
+                    probes: vec![probe.clone()],
+                    residual: residual.clone(),
+                    cols: vec![sk, sv],
+                    params: vec![rk, rv],
+                };
+                let out_ids = plan.out_cols();
+                for bs in [1, 7, 1024, 1025] {
+                    let ctx = format!("{ctx} bs={bs}");
+                    let mut pipeline = Pipeline::with_batch_size(&plan, bs).unwrap();
+                    let got = pipeline.execute(&catalog, &Bindings::new());
+                    match (&want, got) {
+                        (Ok(want), Ok(got)) => {
+                            let want = want.project(&out_ids).unwrap();
+                            let got = got.project(&out_ids).unwrap();
+                            assert!(!want.rows.is_empty(), "{ctx}: vacuous");
+                            assert_eq!(got.rows, want.rows, "{ctx}");
+                            // One outer batch, one kernel per window.
+                            let windows = pipeline.stats()[0].kernels;
+                            if pi == 0 && bs >= 120 {
+                                assert!(windows >= 2, "{ctx}: the hot key fit one window");
+                            }
+                        }
+                        (Err(want), Err(got)) => assert_eq!(&got, want, "{ctx}"),
+                        (want, got) => panic!("{ctx}\nwant {want:?}\ngot {got:?}"),
+                    }
                 }
             }
         }
@@ -346,8 +572,8 @@ fn explain_analyze_reports_strategy_counters() {
         .unwrap();
     assert!(text.contains("index_probes="), "index analyze:\n{text}");
     assert!(
-        text.contains("distinct_bindings="),
-        "index analyze dedups bindings too:\n{text}"
+        !text.contains("distinct_bindings="),
+        "an index join probes lanes, it runs no bindings:\n{text}"
     );
 
     // A point lookup is one probe of the index, and an `IndexSeek`

@@ -42,7 +42,6 @@ const SITES: [&str; 18] = [
     "cache.fill",
     "exchange.gather",
     "batched.bindings",
-    "indexjoin.fetch",
     "spill.open",
     "spill.write",
     "spill.read",
@@ -50,6 +49,7 @@ const SITES: [&str; 18] = [
     "HashAggregate",
     "TableScan",
     "ApplyLoop",
+    "IndexLookupJoin",
 ];
 
 /// Fixed corpus data: small but non-trivial, NULLs included, chosen so
@@ -250,14 +250,15 @@ fn columnar_hashjoin_build_refusal_is_structured() {
     assert!(bag_eq(&expected.rows, &chunk.rows), "clean rerun diverged");
 }
 
-/// The binding caches of the two new correlated strategies degrade, not
-/// die: for each of `batched.bindings` (forced `BatchedApply`) and
-/// `indexjoin.fetch` (forced `IndexLookupJoin`), an allocation refusal
-/// at the site must be *absorbed* — the operator sheds its cache, marks
-/// itself degraded, and still answers bag-identically to the clean run —
-/// while a hard error propagates structurally and an injected panic is
-/// contained by the façade with operator attribution. After every case
-/// the disarmed engine answers identically again.
+/// The binding cache of `BatchedApply` degrades, not dies: an
+/// allocation refusal at `batched.bindings` must be *absorbed* — the
+/// operator sheds its cache, marks itself degraded, and still answers
+/// bag-identically to the clean run — while a hard error propagates
+/// structurally and an injected panic is contained by the façade with
+/// operator attribution. The forced `IndexLookupJoin` keeps no cache
+/// and charges nothing; its operator-boundary site gets the error and
+/// panic legs. After every case the disarmed engine answers identically
+/// again.
 #[test]
 fn binding_cache_faults_degrade_then_recover() {
     let _g = registry_lock();
@@ -271,7 +272,7 @@ fn binding_cache_faults_degrade_then_recover() {
         ),
         (
             ApplyStrategy::Index,
-            "indexjoin.fetch",
+            "IndexLookupJoin",
             "IndexLookupJoin",
             "select rk from r where exists (select 1 from s where sr = rk and sv >= 0)",
         ),
@@ -284,24 +285,26 @@ fn binding_cache_faults_degrade_then_recover() {
             .unwrap_or_else(|e| panic!("{ctx}: clean baseline failed: {e}"));
 
         // The forced strategy really is on the plan, so the site is on
-        // the executed path — the refusal leg below is not vacuous.
+        // the executed path — the legs below are not vacuous.
         let plan = db.plan(sql, OptimizerLevel::Correlated).unwrap();
         let shape = orthopt::exec::explain_phys(&plan.physical);
         assert!(shape.contains(op), "{ctx}: plan lacks {op}:\n{shape}");
 
-        // Refusal: the cache is shed, the answer is not.
-        faults::install(site, FaultAction::RefuseAlloc, 0);
-        let got = db.execute_with(sql, OptimizerLevel::Correlated);
-        let tripped = faults::fired(site);
-        faults::clear();
-        assert!(tripped > 0, "{ctx}: refusal never tripped");
-        let got = got.unwrap_or_else(|e| panic!("{ctx}: refusal must degrade, got {e:?}"));
-        assert!(
-            bag_eq(&clean.rows, &got.rows),
-            "{ctx}: degraded run diverged\nclean={:?}\ngot={:?}",
-            clean.rows,
-            got.rows
-        );
+        if strategy == ApplyStrategy::Batched {
+            // Refusal: the cache is shed, the answer is not.
+            faults::install(site, FaultAction::RefuseAlloc, 0);
+            let got = db.execute_with(sql, OptimizerLevel::Correlated);
+            let tripped = faults::fired(site);
+            faults::clear();
+            assert!(tripped > 0, "{ctx}: refusal never tripped");
+            let got = got.unwrap_or_else(|e| panic!("{ctx}: refusal must degrade, got {e:?}"));
+            assert!(
+                bag_eq(&clean.rows, &got.rows),
+                "{ctx}: degraded run diverged\nclean={:?}\ngot={:?}",
+                clean.rows,
+                got.rows
+            );
+        }
 
         // Hard error: structured propagation, nothing weirder.
         faults::install(site, FaultAction::Error, 0);

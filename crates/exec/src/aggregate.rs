@@ -18,11 +18,10 @@
 use std::collections::HashSet;
 
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
+use orthopt_common::hash::{hash_lanes, GroupTable, Probe};
 use orthopt_common::value::ValueRef;
-use orthopt_common::{DataType, Error, MemoryReservation, Result, Row, Value};
+use orthopt_common::{Error, MemoryReservation, Result, Row, Value};
 use orthopt_ir::{AggDef, AggFunc, GroupKind};
-
-use crate::vector::hash_lanes;
 
 /// Running state of one aggregate over one group, over `Value`s: the
 /// generic accumulator lane (DISTINCT, and arguments no typed lane
@@ -140,157 +139,6 @@ impl AggAcc {
     }
 }
 
-/// The top 32 bits of a key hash, kept in a slot beside the group id.
-const TAG: u64 = 0xFFFF_FFFF_0000_0000;
-
-/// Where a lane's key lives in a [`GroupTable`]: its group, or the free
-/// slot a new group for it would take.
-#[derive(Clone, Copy)]
-enum Probe {
-    Found(u32),
-    Vacant(usize),
-}
-
-/// Open-addressing hash table from a group key to a dense group id.
-///
-/// Ids are `u32`s handed out in first-seen order. A key is hashed by
-/// [`hash_lanes`] — the hash spill partitions route by — and compared
-/// by [`Column::lanes_eq`], i.e. by `Value`'s grouping equality: `3`
-/// and `3.0` are one group, NULL groups with NULL. Keys are stored as
-/// one typed column per key position, grown by one lane per new group.
-/// A new table allocates nothing until its first group.
-#[derive(Debug, Default)]
-pub struct GroupTable {
-    /// Group keys: lane `g` of column `k` is key position `k` of group
-    /// `g`. Empty until the first group (and for a zero-column key).
-    keys: Vec<Column>,
-    /// Each group's key hash.
-    hashes: Vec<u64>,
-    /// Linear-probing slots, a power of two long and at most half
-    /// full: 0 when empty, else the key hash's [`TAG`] bits over the
-    /// group id + 1.
-    slots: Vec<u64>,
-}
-
-impl GroupTable {
-    /// An empty table.
-    pub fn new() -> GroupTable {
-        GroupTable::default()
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// True before the first group.
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
-    /// The key columns: lane `g` is group `g`'s key. Empty when the
-    /// table is (and when the key has no columns).
-    pub fn keys(&self) -> &[Column] {
-        &self.keys
-    }
-
-    /// Group ids of lanes `0..hashes.len()` of `key_cols`, adding a
-    /// group for every key not seen before. `hashes` are the lanes'
-    /// [`hash_lanes`].
-    pub fn assign(&mut self, key_cols: &[&Column], hashes: &[u64]) -> Vec<u32> {
-        hashes
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| match self.probe(key_cols, i, h) {
-                Probe::Found(g) => g,
-                Probe::Vacant(s) => self.insert(s, key_cols, i, h),
-            })
-            .collect()
-    }
-
-    /// Looks lane `i` (hash `h`) up, first making room for one more
-    /// group so a `Vacant` slot can be filled by [`insert`].
-    ///
-    /// [`insert`]: GroupTable::insert
-    fn probe(&mut self, key_cols: &[&Column], i: usize, h: u64) -> Probe {
-        if 2 * (self.len() + 1) > self.slots.len() {
-            self.rehash((2 * self.slots.len()).max(16));
-        }
-        let mask = self.slots.len() - 1;
-        let mut s = h as usize & mask;
-        loop {
-            let e = self.slots[s];
-            if e == 0 {
-                return Probe::Vacant(s);
-            }
-            let g = (e as u32 - 1) as usize;
-            if (e ^ h) & TAG == 0
-                && self.hashes[g] == h
-                && self
-                    .keys
-                    .iter()
-                    .zip(key_cols)
-                    .all(|(k, c)| k.lanes_eq(g, c, i))
-            {
-                return Probe::Found(g as u32);
-            }
-            s = (s + 1) & mask;
-        }
-    }
-
-    /// Adds lane `i` of `key_cols` as the next group, in the `Vacant`
-    /// slot `s` a [`probe`](GroupTable::probe) just returned.
-    fn insert(&mut self, s: usize, key_cols: &[&Column], i: usize, h: u64) -> u32 {
-        let g = self.len() as u32;
-        if self.keys.len() != key_cols.len() {
-            self.keys = key_cols.iter().map(|c| empty_like(c)).collect();
-        }
-        for (k, c) in self.keys.iter_mut().zip(key_cols) {
-            k.push(c.value(i));
-        }
-        self.hashes.push(h);
-        self.slots[s] = (h & TAG) | (u64::from(g) + 1);
-        g
-    }
-
-    /// Re-slots every group into `cap` slots.
-    fn rehash(&mut self, cap: usize) {
-        let mask = cap - 1;
-        self.slots = vec![0; cap];
-        for (g, &h) in self.hashes.iter().enumerate() {
-            let mut s = h as usize & mask;
-            while self.slots[s] != 0 {
-                s = (s + 1) & mask;
-            }
-            self.slots[s] = (h & TAG) | (g as u64 + 1);
-        }
-    }
-
-    /// The groups `ids`, renumbered `0..ids.len()` in that order.
-    fn gather(&self, ids: &[usize]) -> GroupTable {
-        let mut t = GroupTable {
-            keys: self.keys.iter().map(|c| c.gather(ids)).collect(),
-            hashes: ids.iter().map(|&g| self.hashes[g]).collect(),
-            slots: Vec::new(),
-        };
-        t.rehash((2 * ids.len()).next_power_of_two().max(16));
-        t
-    }
-}
-
-/// An empty column with `c`'s storage type, for a key column to grow.
-fn empty_like(c: &Column) -> Column {
-    let ty = match c.parts().0 {
-        ColData::Int(_) => DataType::Int,
-        ColData::Float(_) => DataType::Float,
-        ColData::Bool(_) => DataType::Bool,
-        ColData::Str(_) => DataType::Str,
-        ColData::Date(_) => DataType::Date,
-        ColData::Val(_) => return Column::from_values(Vec::new()),
-    };
-    Column::new(ty)
-}
-
 /// Columnar lane dedup over the given key columns — the group table's
 /// phase 1 with no budget: the distinct key tuples in first-seen order
 /// plus, per lane, the index of its tuple in that list. `Int(3)` and
@@ -301,7 +149,7 @@ pub(crate) fn dedup_lanes(key_cols: &[&Column], len: usize) -> (Vec<Row>, Vec<u3
     let mut table = GroupTable::new();
     let gids = table.assign(key_cols, &hash_lanes(key_cols, len));
     let distinct = (0..table.len())
-        .map(|g| table.keys.iter().map(|c| c.value(g)).collect())
+        .map(|g| table.keys().iter().map(|c| c.value(g)).collect())
         .collect();
     (distinct, gids)
 }
@@ -791,7 +639,7 @@ impl GroupedAggState {
     /// [`attach`](GroupedAggState::attach) when its partition loads.
     pub fn split(mut self, n: usize, route: impl Fn(u64) -> usize) -> Vec<GroupedAggState> {
         let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (g, &h) in self.table.hashes.iter().enumerate() {
+        for (g, &h) in self.table.hashes().iter().enumerate() {
             ids[route(h)].push(g);
         }
         ids.iter()
@@ -819,7 +667,7 @@ impl GroupedAggState {
     /// it from now on.
     pub fn attach(&mut self, mem: MemoryReservation) -> Result<()> {
         self.mem = mem;
-        let keys: Vec<&Column> = self.table.keys.iter().collect();
+        let keys: Vec<&Column> = self.table.keys().iter().collect();
         let groups: u64 = (0..self.table.len())
             .map(|g| self.group_bytes(&keys, g))
             .sum();
@@ -848,7 +696,7 @@ impl GroupedAggState {
             }
             return (Vec::new(), 0);
         }
-        let mut cols = self.table.keys;
+        let mut cols = self.table.into_keys();
         cols.extend(self.lanes.into_iter().map(|l| l.acc.finish()));
         (cols, n)
     }

@@ -115,9 +115,10 @@ pub enum PhysExpr {
         params: Vec<ColId>,
     },
     /// Correlated index-lookup join (§4: "the simplest and most common
-    /// being index-lookup join"): a fused unary operator that, per
-    /// distinct outer binding, probes a storage hash index directly,
-    /// applies the residual predicate, and projects the inner layout —
+    /// being index-lookup join"): a fused unary operator that probes a
+    /// storage hash index with every outer lane — a hash-join probe
+    /// whose build is the stored table — applies the residual predicate
+    /// over outer and fetched columns, and projects the inner layout:
     /// the seek-shaped inner plan collapsed into one operator.
     IndexLookupJoin {
         /// Combination variant.
@@ -129,7 +130,8 @@ pub enum PhysExpr {
         /// Base-column positions fetched per matching row.
         positions: Vec<usize>,
         /// Layout of fetched rows (parallel to `positions`); the
-        /// residual is evaluated over this layout.
+        /// residual is evaluated over the outer layout followed by this
+        /// one.
         fetch_cols: Vec<ColId>,
         /// Indexed base-column positions, canonically sorted ascending.
         index_cols: Vec<usize>,

@@ -28,10 +28,11 @@ use std::time::Instant;
 use orthopt_common::column::{
     cols_bytes, columns_to_rows, rows_to_columns, Bitmap, ColData, Column, ColumnData,
 };
+use orthopt_common::hash::{hash_lanes, keys_valid};
 use orthopt_common::row::rows_bytes;
 use orthopt_common::{ColId, Error, MemoryReservation, QueryContext, Result, Row, TableId, Value};
 use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
-use orthopt_storage::{Catalog, Table};
+use orthopt_storage::{Catalog, Index, Postings, Table};
 
 use crate::aggregate::{dedup_lanes, GroupedAggState};
 use crate::bindings::Bindings;
@@ -43,7 +44,7 @@ use crate::spill::{
     partition_of, SpillFile, SpillManager, SpillPartitions, FANOUT, MAX_SPILL_DEPTH,
 };
 use crate::stats::OpStats;
-use crate::vector::{eval_column, hash_lanes, keys_valid, lane_row, selected_true, VecEval};
+use crate::vector::{eval_column, lane_row, selected_true, VecEval};
 
 /// Default maximum number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
@@ -208,15 +209,17 @@ impl StatsHandle {
         self.stats.borrow_mut()[self.id].bridged += 1;
     }
 
-    /// Adds the kernel and bridge counts a [`JoinProbe::probe`] noted.
+    /// Adds the kernel, bridge and index-probe counts a join probe
+    /// noted.
     fn note_probe(&self, noted: &OpStats) {
         let mut stats = self.stats.borrow_mut();
         stats[self.id].kernels += noted.kernels;
         stats[self.id].bridged += noted.bridged;
+        stats[self.id].index_probes += noted.index_probes;
     }
 
     /// Counts one distinct correlation binding actually executed (a
-    /// binding-cache miss in `BatchedApply`/`IndexLookupJoin`).
+    /// binding-cache miss in `BatchedApply`).
     fn note_distinct_binding(&self) {
         self.stats.borrow_mut()[self.id].distinct_bindings += 1;
     }
@@ -864,7 +867,15 @@ impl Compiler {
                 // can keep its hash table across rewinds.
                 let build_stable = in_param && free_inputs(right).is_invariant();
                 Box::new(HashJoinOp {
-                    probe: JoinProbe::new(*kind, left_pos, right_pos, residual.clone(), combined),
+                    probe: JoinProbe::new(
+                        *kind,
+                        left_pos,
+                        right_pos,
+                        residual.clone(),
+                        combined,
+                        (0..rout.len()).collect(),
+                        true,
+                    ),
                     left: self.compile(left, in_param)?,
                     right: match build {
                         Some(_) => None,
@@ -907,7 +918,7 @@ impl Compiler {
                 Box::new(ApplyOp::new(
                     *kind,
                     self.compile(left, in_param)?,
-                    InnerSource::Plan(self.compile(right, true)?),
+                    self.compile(right, true)?,
                     param_positions(params, &left.out_cols()),
                     right.out_cols().len(),
                     rc_cols(&p.out_cols()),
@@ -926,32 +937,36 @@ impl Compiler {
                 probes,
                 residual,
                 cols,
-                params,
+                ..
             } => {
-                let proj = cols
+                let build_out = cols
                     .iter()
                     .map(|c| pos_of(fetch_cols, *c))
                     .collect::<Result<Vec<_>>>()?;
-                Box::new(ApplyOp::new(
-                    *kind,
-                    self.compile(left, in_param)?,
-                    InnerSource::Index(IndexFetch {
-                        table: *table,
-                        positions: positions.clone(),
-                        fetch_pos: PosMap::new(fetch_cols),
-                        fetch_cols: fetch_cols.clone(),
-                        index_cols: index_cols.clone(),
-                        probes: probes.clone(),
-                        residual: residual.clone(),
-                        proj,
-                    }),
-                    param_positions(params, &left.out_cols()),
-                    cols.len(),
-                    rc_cols(&p.out_cols()),
-                    op_name(p),
-                    Some("indexjoin.fetch"),
-                    sh.clone(),
-                ))
+                let outer_cols = left.out_cols();
+                let mut combined = outer_cols.clone();
+                combined.extend(fetch_cols.iter().copied());
+                Box::new(IndexJoinOp {
+                    left: self.compile(left, in_param)?,
+                    table: *table,
+                    positions: positions.clone(),
+                    index_cols: index_cols.clone(),
+                    probes: probes.clone(),
+                    outer_pos: PosMap::new(&outer_cols),
+                    outer_cols,
+                    probe: JoinProbe::new(
+                        kind.to_join_kind(),
+                        Vec::new(),
+                        Vec::new(),
+                        residual.clone(),
+                        combined,
+                        build_out,
+                        false,
+                    ),
+                    out_cols: rc_cols(&p.out_cols()),
+                    out_queue: VecDeque::new(),
+                    stats: sh.clone(),
+                })
             }
             PhysExpr::SegmentExec {
                 input,
@@ -1377,7 +1392,7 @@ struct SeekOp {
 
 /// Probes the hash index on `index_cols` of `t` with the values of
 /// `probes` under `binds`, counting the probe: the matching row ids in
-/// posting order, or `None` when a probe value is NULL (SQL equality
+/// ascending order, or `None` when a probe value is NULL (SQL equality
 /// never matches NULL, so the result is empty and no probe is issued).
 fn index_probe<'t>(
     t: &'t Table,
@@ -1385,7 +1400,7 @@ fn index_probe<'t>(
     probes: &[ScalarExpr],
     binds: &Bindings,
     stats: &StatsHandle,
-) -> Result<Option<&'t [usize]>> {
+) -> Result<Option<Postings<'t>>> {
     let empty_ctx = EvalCtx::plain(&[], &[], binds);
     let mut key = Vec::with_capacity(probes.len());
     for probe in probes {
@@ -1395,11 +1410,16 @@ fn index_probe<'t>(
         }
         key.push(v);
     }
-    let hits = t.index_lookup(index_cols, &key).ok_or_else(|| {
-        Error::internal(format!("missing index on {index_cols:?} of {}", t.def.name))
-    })?;
+    let hits = t
+        .index_lookup(index_cols, &key)
+        .ok_or_else(|| missing_index(t, index_cols))?;
     stats.note_index_probe();
     Ok(Some(hits))
+}
+
+/// The plan probes an index the table does not have.
+fn missing_index(t: &Table, index_cols: &[usize]) -> Error {
+    Error::internal(format!("missing index on {index_cols:?} of {}", t.def.name))
 }
 
 impl Operator for SeekOp {
@@ -1409,7 +1429,7 @@ impl Operator for SeekOp {
         let t = ctx.catalog.table(self.table);
         let binds = ctx.binds.borrow();
         if let Some(hits) = index_probe(t, &self.index_cols, &self.probes, &binds, &self.stats)? {
-            self.hits.extend_from_slice(hits);
+            self.hits.extend(hits);
         }
         Ok(())
     }
@@ -1704,43 +1724,54 @@ impl Operator for RowNumberOp {
 // ---------------------------------------------------------------------
 
 /// The build side of a hash join: the build rows as dense columns plus
-/// an index from key hash to build lanes, in build order. Lanes with a
-/// NULL key are absent from the index (SQL equality never matches
-/// NULL). Read-only once built, so the exchange builds one and every
-/// worker's join probes it.
+/// a hash index over their key columns — the same [`Index`] a stored
+/// table keeps. Lanes with a NULL key are absent from the index (SQL
+/// equality never matches NULL). Read-only once built, so the exchange
+/// builds one and every worker's join probes it.
 pub(crate) struct JoinBuild {
     cols: Vec<Column>,
-    index: HashMap<u64, Vec<u32>>,
+    index: Index,
     len: usize,
 }
 
 impl JoinBuild {
-    /// Concatenates the build batches and hashes their key lanes.
+    /// Concatenates the build batches and indexes their key columns.
     pub(crate) fn new(
         parts: &[(Vec<Column>, usize)],
         width: usize,
         key_pos: &[usize],
     ) -> JoinBuild {
         let (cols, len) = concat_batches(parts, width);
-        let key_cols: Vec<&Column> = key_pos.iter().map(|&i| &cols[i]).collect();
-        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (j, h) in hash_lanes(&key_cols, len).into_iter().enumerate() {
-            if keys_valid(&key_cols, j) {
-                index.entry(h).or_default().push(j as u32);
-            }
-        }
+        let index = Index::build(key_pos.to_vec(), &cols, len);
         JoinBuild { cols, index, len }
     }
+
+    fn side(&self) -> BuildSide<'_> {
+        BuildSide {
+            cols: &self.cols,
+            index: &self.index,
+        }
+    }
+}
+
+/// What a probe reads of a build: its columns and the hash index over
+/// its key columns — a hash join's [`JoinBuild`], or a stored table's
+/// columns and one of its indexes.
+#[derive(Clone, Copy)]
+struct BuildSide<'a> {
+    cols: &'a [Column],
+    index: &'a Index,
 }
 
 /// Candidate pairs a probe evaluates at once, up to the lane boundary:
 /// what bounds the pair vector and the gathered residual columns.
 const PAIR_WINDOW: usize = 16 * DEFAULT_BATCH_SIZE;
 
-/// What a hash join does with one probe batch: the four join kinds'
+/// What a join does with one probe batch: the four join kinds'
 /// semantics, written once. The resident probe and each grace
 /// partition pair call [`probe`](JoinProbe::probe) against whichever
-/// [`JoinBuild`] they hold.
+/// [`JoinBuild`] they hold; an index lookup join calls
+/// [`probe_keys`](JoinProbe::probe_keys) against a table's index.
 struct JoinProbe {
     kind: JoinKind,
     left_pos: Vec<usize>,
@@ -1750,6 +1781,17 @@ struct JoinProbe {
     /// Probe layout followed by build layout: what the residual sees.
     combined: Vec<ColId>,
     combined_pos: PosMap,
+    /// The positions in `combined` the residual reads, and their
+    /// layout: the only columns its kernel gathers.
+    read: Vec<usize>,
+    read_cols: Vec<ColId>,
+    read_pos: PosMap,
+    /// Build columns an Inner / LeftOuter output carries, in order.
+    build_out: Vec<usize>,
+    /// Whether the pair-at-a-time residual stops a LeftSemi / LeftAnti
+    /// probe lane at its first match, as a row-at-a-time join does. An
+    /// Apply evaluates its whole inner side, so an index join does not.
+    first_match_stop: bool,
 }
 
 impl JoinProbe {
@@ -1759,7 +1801,14 @@ impl JoinProbe {
         right_pos: Vec<usize>,
         residual: ScalarExpr,
         combined: Vec<ColId>,
+        build_out: Vec<usize>,
+        first_match_stop: bool,
     ) -> JoinProbe {
+        let referenced = residual.cols();
+        let read: Vec<usize> = (0..combined.len())
+            .filter(|&p| referenced.contains(&combined[p]))
+            .collect();
+        let read_cols: Vec<ColId> = read.iter().map(|&p| combined[p]).collect();
         JoinProbe {
             kind,
             left_pos,
@@ -1768,17 +1817,16 @@ impl JoinProbe {
             residual,
             combined_pos: PosMap::new(&combined),
             combined,
+            read,
+            read_pos: PosMap::new(&read_cols),
+            read_cols,
+            build_out,
+            first_match_stop,
         }
     }
 
-    /// Joins one probe batch against `build`: output columns and lane
-    /// counts, one entry per window. Candidate `(probe lane, build
-    /// lane)` pairs are visited in probe order and, within a probe
-    /// lane, in build order — the output order of a row-at-a-time join —
-    /// and handed to [`join_window`](JoinProbe::join_window) a run of
-    /// whole probe lanes at a time: a window closes at the first lane
-    /// boundary at or past [`PAIR_WINDOW`] pairs, so neither a keyless
-    /// join nor one hot key ever holds `len × build.len` pairs at once.
+    /// Joins one probe batch against `build` on the probe's key
+    /// columns `left_pos`.
     fn probe(
         &self,
         build: &JoinBuild,
@@ -1788,26 +1836,34 @@ impl JoinProbe {
         noted: &mut OpStats,
     ) -> Result<ColumnBatches> {
         let key_cols: Vec<&Column> = self.left_pos.iter().map(|&i| &columns[i]).collect();
-        let hashes = hash_lanes(&key_cols, len);
+        self.probe_keys(build.side(), columns, len, &key_cols, binds, noted)
+    }
+
+    /// Joins one probe batch whose key lanes are `key_cols` (in the
+    /// index's column order) against `build`: output columns and lane
+    /// counts, one entry per window. Candidate `(probe lane, build
+    /// lane)` pairs are visited in probe order and, within a probe
+    /// lane, in build order — the output order of a row-at-a-time join —
+    /// and handed to [`join_window`](JoinProbe::join_window) a run of
+    /// whole probe lanes at a time: a window closes at the first lane
+    /// boundary at or past [`PAIR_WINDOW`] pairs, so neither a keyless
+    /// join nor one hot key ever holds `len × build.len` pairs at once.
+    fn probe_keys(
+        &self,
+        build: BuildSide<'_>,
+        columns: &[Column],
+        len: usize,
+        key_cols: &[&Column],
+        binds: &Bindings,
+        noted: &mut OpStats,
+    ) -> Result<ColumnBatches> {
         let mut out = Vec::new();
         let mut pairs: Vec<(usize, u32)> = Vec::new();
         let mut lo = 0;
-        for (i, h) in hashes.iter().enumerate() {
+        for (i, h) in hash_lanes(key_cols, len).into_iter().enumerate() {
             // A lane with a NULL key has no candidates.
-            let cands = if keys_valid(&key_cols, i) {
-                build.index.get(h)
-            } else {
-                None
-            };
-            if let Some(cands) = cands {
-                let kvals: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
-                for &j in cands {
-                    if (self.right_pos.iter().zip(&kvals))
-                        .all(|(&bi, v)| build.cols[bi].lane_eq(j as usize, v))
-                    {
-                        pairs.push((i, j));
-                    }
-                }
+            if keys_valid(key_cols, i) {
+                pairs.extend(build.index.probe(key_cols, i, h).map(|j| (i, j as u32)));
             }
             if pairs.len() >= PAIR_WINDOW || i + 1 == len {
                 out.push(self.join_window(build, columns, lo..i + 1, &pairs, binds, noted)?);
@@ -1827,7 +1883,7 @@ impl JoinProbe {
     /// lanes.
     fn join_window(
         &self,
-        build: &JoinBuild,
+        build: BuildSide<'_>,
         columns: &[Column],
         lanes: Range<usize>,
         pairs: &[(usize, u32)],
@@ -1852,21 +1908,27 @@ impl JoinProbe {
     }
 
     /// The pairs the residual keeps, evaluated as one kernel over the
-    /// gathered pair columns.
+    /// pairs' gathered lanes of the columns it reads.
     fn residual_kernel(
         &self,
-        build: &JoinBuild,
+        build: BuildSide<'_>,
         columns: &[Column],
         pairs: &[(usize, u32)],
         binds: &Bindings,
     ) -> Result<Vec<(usize, u32)>> {
         let pis: Vec<usize> = pairs.iter().map(|p| p.0).collect();
         let bis: Vec<usize> = pairs.iter().map(|p| p.1 as usize).collect();
-        let mut comb: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
-        comb.extend(build.cols.iter().map(|c| c.gather(&bis)));
+        let comb: Vec<Column> = self
+            .read
+            .iter()
+            .map(|&p| match p.checked_sub(columns.len()) {
+                None => columns[p].gather(&pis),
+                Some(b) => build.cols[b].gather(&bis),
+            })
+            .collect();
         let cx = VecEval {
-            cols: &self.combined,
-            pos: &self.combined_pos,
+            cols: &self.read_cols,
+            pos: &self.read_pos,
             columns: &comb,
             len: pairs.len(),
             binds,
@@ -1875,18 +1937,19 @@ impl JoinProbe {
         Ok(sel.into_iter().map(|k| pairs[k]).collect())
     }
 
-    /// The same, a pair at a time in output order. A semi or anti join
-    /// stops evaluating a probe lane at its first match, as a
-    /// row-at-a-time join does, so it cannot raise an error that one
-    /// would not.
+    /// The same, a pair at a time in output order. With
+    /// `first_match_stop`, a semi or anti join stops evaluating a probe
+    /// lane at its first match, as a row-at-a-time join does, so it
+    /// cannot raise an error that one would not.
     fn residual_by_lane(
         &self,
-        build: &JoinBuild,
+        build: BuildSide<'_>,
         columns: &[Column],
         pairs: &[(usize, u32)],
         binds: &Bindings,
     ) -> Result<Vec<(usize, u32)>> {
-        let first_match_only = matches!(self.kind, JoinKind::LeftSemi | JoinKind::LeftAnti);
+        let first_match_only =
+            self.first_match_stop && matches!(self.kind, JoinKind::LeftSemi | JoinKind::LeftAnti);
         let mut kept: Vec<(usize, u32)> = Vec::new();
         for &(i, j) in pairs {
             if first_match_only && kept.last().is_some_and(|k| k.0 == i) {
@@ -1908,17 +1971,18 @@ impl JoinProbe {
     /// surviving pairs.
     fn assemble(
         &self,
-        build: &JoinBuild,
+        build: BuildSide<'_>,
         columns: &[Column],
         lanes: Range<usize>,
         kept: &[(usize, u32)],
     ) -> (Vec<Column>, usize) {
+        let build_out = self.build_out.iter().map(|&c| &build.cols[c]);
         match self.kind {
             JoinKind::Inner => {
                 let pis: Vec<usize> = kept.iter().map(|p| p.0).collect();
                 let bis: Vec<usize> = kept.iter().map(|p| p.1 as usize).collect();
                 let mut out: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
-                out.extend(build.cols.iter().map(|c| c.gather(&bis)));
+                out.extend(build_out.map(|c| c.gather(&bis)));
                 (out, kept.len())
             }
             JoinKind::LeftOuter => {
@@ -1940,7 +2004,7 @@ impl JoinProbe {
                     }
                 }
                 let mut out: Vec<Column> = columns.iter().map(|c| c.gather(&pis)).collect();
-                out.extend(build.cols.iter().map(|c| c.gather_opt(&bis)));
+                out.extend(build_out.map(|c| c.gather_opt(&bis)));
                 (out, pis.len())
             }
             JoinKind::LeftSemi | JoinKind::LeftAnti => {
@@ -2371,119 +2435,20 @@ fn param_positions(params: &[ColId], outer: &[ColId]) -> Vec<(ColId, usize)> {
 /// One binding's inner result: its columns and lane count.
 type InnerResult = Rc<(Vec<Column>, usize)>;
 
-/// How one binding's inner result is obtained — the only thing the
-/// three correlated strategies differ in besides whether they dedup.
-enum InnerSource {
-    /// Rebind and rewind the compiled inner plan (`ApplyLoop`,
-    /// `BatchedApply`).
-    Plan(BoxOp),
-    /// The seek-shaped inner plan fused into the operator: a hash-index
-    /// lookup, a gather of the hits and a residual (`IndexLookupJoin`).
-    Index(IndexFetch),
-}
-
-/// The fused inner side of an `IndexLookupJoin` (§4).
-struct IndexFetch {
-    table: TableId,
-    positions: Vec<usize>,
-    fetch_cols: Vec<ColId>,
-    fetch_pos: PosMap,
-    index_cols: Vec<usize>,
-    probes: Vec<ScalarExpr>,
-    residual: ScalarExpr,
-    /// Positions of the output projection within `fetch_cols`.
-    proj: Vec<usize>,
-}
-
-impl IndexFetch {
-    /// The index this fetch was planned against must still exist.
-    fn check_index(&self, catalog: &Catalog) -> Result<()> {
-        let t = catalog.table(self.table);
-        if t.select_index(&self.index_cols).as_deref() != Some(&self.index_cols[..]) {
-            return Err(Error::internal(format!(
-                "missing index on {:?} of {}",
-                self.index_cols, t.def.name
-            )));
-        }
-        Ok(())
-    }
-
-    /// Probes the index under the current bindings: evaluates the probe
-    /// expressions, looks up matching row ids, gathers the fetched
-    /// columns off the stored columns, filters them through the
-    /// residual and projects. A NULL probe value yields the empty
-    /// result (SQL equality never matches NULL), exactly like
-    /// `IndexSeek` under `ApplyLoop`.
-    fn fetch(
-        &self,
-        catalog: &Catalog,
-        binds: &Bindings,
-        stats: &StatsHandle,
-    ) -> Result<(Vec<Column>, usize)> {
-        let t = catalog.table(self.table);
-        let tcols = t.columns();
-        let project = |idx: &[usize]| -> Vec<Column> {
-            self.proj
-                .iter()
-                .map(|&p| tcols[self.positions[p]].gather(idx))
-                .collect()
-        };
-        let hits = index_probe(t, &self.index_cols, &self.probes, binds, stats)?.unwrap_or(&[]);
-        if self.residual.is_true() || hits.is_empty() {
-            return Ok((project(hits), hits.len()));
-        }
-        let fetched: Vec<Column> = self
-            .positions
-            .iter()
-            .map(|&i| tcols[i].gather(hits))
-            .collect();
-        let cx = VecEval {
-            cols: &self.fetch_cols,
-            pos: &self.fetch_pos,
-            columns: &fetched,
-            len: hits.len(),
-            binds,
-        };
-        let sel = match eval_column(&self.residual, &cx).and_then(|p| selected_true(&p)) {
-            Ok(sel) => {
-                stats.note_kernel();
-                sel
-            }
-            // Kernel error: the residual a fetched row at a time, in
-            // posting order, so the first failing row's error surfaces.
-            Err(_) => {
-                stats.note_bridge();
-                let mut sel = Vec::new();
-                for k in 0..hits.len() {
-                    let row = lane_row(&fetched, k);
-                    if eval_predicate(
-                        &self.residual,
-                        &EvalCtx::mapped(&self.fetch_cols, &self.fetch_pos, &row, binds),
-                    )? {
-                        sel.push(k);
-                    }
-                }
-                sel
-            }
-        };
-        let kept: Vec<usize> = sel.into_iter().map(|k| hits[k]).collect();
-        Ok((project(&kept), kept.len()))
-    }
-}
-
 /// Correlated execution (§1.3, §4): for every binding of the
-/// correlation parameters the outer batch carries, obtain the inner
-/// result and combine it with the outer lanes under the `ApplyKind`.
-/// One driver serves the three strategies:
+/// correlation parameters the outer batch carries, run the inner plan
+/// and combine its result with the outer lanes under the `ApplyKind`.
+/// One driver serves the two rebind-and-rewind strategies:
 ///
 /// * `ApplyLoop` runs the inner plan once per outer lane;
 /// * `BatchedApply` dedups each outer batch on the parameter lanes
 ///   (`dedup_lanes`), runs the inner plan once per *distinct* binding,
 ///   and keeps results across batches in a governor-charged binding
 ///   cache — the invariant-subtree cache ([`CacheOp`], the
-///   zero-parameter case) generalized to parameterized inners;
-/// * `IndexLookupJoin` does the same with the inner plan fused into an
-///   index fetch.
+///   zero-parameter case) generalized to parameterized inners.
+///
+/// (`IndexLookupJoin` rewinds nothing: it is a join probe,
+/// [`IndexJoinOp`].)
 ///
 /// The outer batch is never transposed: bindings are read off the
 /// parameter lanes, and the output is a `gather` of the outer columns
@@ -2494,12 +2459,12 @@ impl IndexFetch {
 /// which `Null == Null` but `Null != v` for every non-NULL `v` — so a
 /// NULL correlation parameter can never hit a cached non-NULL result,
 /// and two NULL bindings sharing one entry is sound because the inner
-/// side is deterministic per binding tuple (an index lookup under a
-/// NULL probe yields empty on every execution, per SQL equality).
+/// side is deterministic per binding tuple (an index seek under a NULL
+/// probe yields empty on every execution, per SQL equality).
 struct ApplyOp {
     kind: ApplyKind,
     left: BoxOp,
-    inner: InnerSource,
+    inner: BoxOp,
     param_pos: Vec<(ColId, usize)>,
     right_width: usize,
     out_cols: Rc<[ColId]>,
@@ -2527,7 +2492,7 @@ impl ApplyOp {
     fn new(
         kind: ApplyKind,
         left: BoxOp,
-        inner: InnerSource,
+        inner: BoxOp,
         param_pos: Vec<(ColId, usize)>,
         right_width: usize,
         out_cols: Rc<[ColId]>,
@@ -2563,20 +2528,13 @@ impl ApplyOp {
         if self.cache_site.is_some() {
             self.stats.note_distinct_binding();
         }
-        match &mut self.inner {
-            InnerSource::Plan(inner) => {
-                inner.open(ictx)?;
-                let mut parts: ColumnBatches = Vec::new();
-                while let Some(b) = inner.next_batch(ictx)? {
-                    b.check_width(self.right_width)?;
-                    parts.push(b.into_columns());
-                }
-                Ok(concat_batches(&parts, self.right_width))
-            }
-            InnerSource::Index(fetch) => {
-                fetch.fetch(ictx.catalog, &self.inner_binds.borrow(), &self.stats)
-            }
+        self.inner.open(ictx)?;
+        let mut parts: ColumnBatches = Vec::new();
+        while let Some(b) = self.inner.next_batch(ictx)? {
+            b.check_width(self.right_width)?;
+            parts.push(b.into_columns());
         }
+        Ok(concat_batches(&parts, self.right_width))
     }
 
     /// Caches one binding's result, charging the governor; on refusal
@@ -2651,11 +2609,6 @@ impl ApplyOp {
 
 impl Operator for ApplyOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        // Validate index selection up front, so a mis-planned probe
-        // fails at open rather than on the first non-NULL binding.
-        if let InnerSource::Index(fetch) = &self.inner {
-            fetch.check_index(ctx.catalog)?;
-        }
         self.inner_binds = Rc::new(RefCell::new(ctx.binds.borrow().clone()));
         self.cache.clear();
         self.degraded = false;
@@ -2707,6 +2660,146 @@ impl Operator for ApplyOp {
 
     fn mem_peak(&self) -> u64 {
         self.mem.peak()
+    }
+}
+
+/// `IndexLookupJoin` (§4): a hash-join probe whose build the table
+/// already holds — its stored columns and the hash index on
+/// `index_cols` — so nothing is built or charged, as for a scan. Per
+/// outer batch the probe expressions become key columns over the outer
+/// layout and [`JoinProbe::probe_keys`] joins them: pairs in
+/// [`PAIR_WINDOW`] windows, the fetched columns gathered once per
+/// window, one residual kernel over outer ++ fetched columns (so
+/// correlation parameters are outer columns), the Apply's kind as the
+/// join kind. The residual runs on every candidate pair, as the Apply's
+/// inner side would: a Semi/Anti lane does not stop at its first match.
+struct IndexJoinOp {
+    left: BoxOp,
+    table: TableId,
+    /// Table column of each fetched column.
+    positions: Vec<usize>,
+    /// Indexed table columns, in the probes' order.
+    index_cols: Vec<usize>,
+    /// One probe expression per indexed column.
+    probes: Vec<ScalarExpr>,
+    outer_cols: Vec<ColId>,
+    outer_pos: PosMap,
+    probe: JoinProbe,
+    out_cols: Rc<[ColId]>,
+    /// Output windows of the outer batch being joined.
+    out_queue: VecDeque<Batch>,
+    stats: StatsHandle,
+}
+
+impl IndexJoinOp {
+    /// The probe values of the outer batch as key columns, one kernel
+    /// per probe. When a kernel errors they are evaluated lane by lane
+    /// instead, as an `IndexSeek` under a loop would (a NULL value ends
+    /// its lane's probes): then the columns cover the lanes before the
+    /// first failing one, and that lane's error comes back beside them.
+    fn keys(
+        &self,
+        columns: &[Column],
+        len: usize,
+        binds: &Bindings,
+        noted: &mut OpStats,
+    ) -> (Vec<Column>, Option<Error>) {
+        let cx = VecEval {
+            cols: &self.outer_cols,
+            pos: &self.outer_pos,
+            columns,
+            len,
+            binds,
+        };
+        if let Ok(keys) = self.probes.iter().map(|e| eval_column(e, &cx)).collect() {
+            return (keys, None);
+        }
+        noted.bridged += 1;
+        let mut vals: Vec<Vec<Value>> = vec![Vec::with_capacity(len); self.probes.len()];
+        let mut failed = None;
+        'lanes: for i in 0..len {
+            let row = lane_row(columns, i);
+            let ctx = EvalCtx::mapped(&self.outer_cols, &self.outer_pos, &row, binds);
+            let mut key = Vec::with_capacity(self.probes.len());
+            for probe in &self.probes {
+                match eval(probe, &ctx) {
+                    Ok(v) if v.is_null() => break,
+                    Ok(v) => key.push(v),
+                    Err(e) => {
+                        failed = Some(e);
+                        break 'lanes;
+                    }
+                }
+            }
+            key.resize(self.probes.len(), Value::Null);
+            for (col, v) in vals.iter_mut().zip(key) {
+                col.push(v);
+            }
+        }
+        (vals.into_iter().map(Column::from_values).collect(), failed)
+    }
+
+    /// Joins one outer batch, queueing its output windows. A probe
+    /// that failed on some lane fails the batch after the lanes before
+    /// it are joined, so an earlier residual error wins.
+    fn join(&mut self, ctx: &ExecCtx<'_>, batch: &Batch) -> Result<()> {
+        let t = ctx.catalog.table(self.table);
+        let index = t
+            .index_on(&self.index_cols)
+            .ok_or_else(|| missing_index(t, &self.index_cols))?;
+        let binds = ctx.binds.borrow();
+        let mut noted = OpStats::default();
+        let (keys, failed) = self.keys(&batch.columns, batch.len, &binds, &mut noted);
+        let len = keys.first().map_or(batch.len, Column::len);
+        let outer: Vec<Column> = batch.columns.iter().map(|c| c.slice(0, len)).collect();
+        let key_cols: Vec<&Column> = index
+            .key_order(&self.index_cols)
+            .into_iter()
+            .map(|p| &keys[p])
+            .collect();
+        noted.index_probes = (0..len).filter(|&i| keys_valid(&key_cols, i)).count() as u64;
+        let tcols = t.columns();
+        let fetched: Vec<Column> = self.positions.iter().map(|&p| tcols[p].clone()).collect();
+        let build = BuildSide {
+            cols: &fetched,
+            index,
+        };
+        let joined = self
+            .probe
+            .probe_keys(build, &outer, len, &key_cols, &binds, &mut noted);
+        self.stats.note_probe(&noted);
+        for (out, n) in joined? {
+            if n > 0 {
+                self.out_queue
+                    .push_back(Batch::from_columns(self.out_cols.clone(), out, n));
+            }
+        }
+        failed.map_or(Ok(()), Err)
+    }
+}
+
+impl Operator for IndexJoinOp {
+    fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+        // Validate index selection up front, so a mis-planned probe
+        // fails at open rather than on the first outer batch.
+        let t = ctx.catalog.table(self.table);
+        if t.select_index(&self.index_cols).as_deref() != Some(&self.index_cols[..]) {
+            return Err(missing_index(t, &self.index_cols));
+        }
+        self.out_queue.clear();
+        self.left.open(ctx)
+    }
+
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
+        loop {
+            if let Some(b) = self.out_queue.pop_front() {
+                return Ok(Some(b));
+            }
+            let Some(batch) = self.left.next_batch(ctx)? else {
+                return Ok(None);
+            };
+            self.join(ctx, &batch)?;
+        }
     }
 }
 

@@ -33,7 +33,7 @@
 //! never a panic.
 //!
 //! Determinism: partition routing uses the workspace's fixed-key
-//! [`hash_lanes`](crate::vector::hash_lanes) hash and a fixed fan-out,
+//! [`hash_lanes`](orthopt_common::hash::hash_lanes) hash and a fixed fan-out,
 //! so which rows land in which partition — and therefore the engine's
 //! behaviour under a given budget — is identical across runs.
 //!

@@ -30,20 +30,22 @@ pub struct OpStats {
     /// set, so `explain_analyze` always shows where memory concentrates.
     pub mem_peak: u64,
     /// Vectorized kernel invocations: how many columnar batches this
-    /// operator processed natively (typed kernels, no row materialization).
+    /// operator processed natively (typed kernels, no row
+    /// materialization) — for a join, one per probe window.
     pub kernels: u64,
     /// Bridge conversions: how many columnar batches this operator had
     /// to transpose back to rows at its boundary because its algorithm
     /// is still row-at-a-time. Zero means the operator is kernel-native
     /// on this plan.
     pub bridged: u64,
-    /// Distinct correlation bindings an apply-style operator actually
-    /// executed its inner plan for — the dedup ratio vs. the outer row
-    /// count is the win `BatchedApply`/`IndexLookupJoin` deliver.
+    /// Distinct correlation bindings `BatchedApply` actually executed
+    /// its inner plan for — the dedup ratio vs. the outer row count is
+    /// the win it delivers. `IndexLookupJoin` runs no inner plan and
+    /// reports none.
     pub distinct_bindings: u64,
     /// Hash-index probes issued: by `IndexSeek` one per open with a
-    /// non-NULL key, by `IndexLookupJoin` one per distinct non-NULL
-    /// binding.
+    /// non-NULL key, by `IndexLookupJoin` one per outer lane with a
+    /// non-NULL key.
     pub index_probes: u64,
     /// Spill partition files this operator wrote (grace-join partitions
     /// across all recursion levels, sort runs, aggregation partitions).

@@ -18,9 +18,6 @@
 //! path short-circuits around the failing lane). Kernels never mutate
 //! operator state, so the fallback is always safe.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
 use orthopt_common::{ColId, Error, Result, Row, Value};
 use orthopt_ir::{ArithOp, CmpOp, Quant, ScalarExpr};
@@ -523,36 +520,6 @@ pub fn lane_row(columns: &[Column], i: usize) -> Row {
     columns.iter().map(|c| c.value(i)).collect()
 }
 
-/// Hash of a key's values in order: what [`hash_lanes`] computes for a
-/// lane holding them. Uses `Value`'s own `Hash` (which already
-/// canonicalizes `Int`/`Float` so grouping-equal values hash equal).
-pub fn hash_values(key: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for v in key {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Per-lane key hashes over the given key columns.
-pub fn hash_lanes(key_cols: &[&Column], len: usize) -> Vec<u64> {
-    (0..len)
-        .map(|i| {
-            let mut h = DefaultHasher::new();
-            for c in key_cols {
-                c.value_ref(i).hash(&mut h);
-            }
-            h.finish()
-        })
-        .collect()
-}
-
-/// True when every key column is non-NULL at lane `i` (SQL join keys:
-/// NULL never matches).
-pub fn keys_valid(key_cols: &[&Column], i: usize) -> bool {
-    key_cols.iter().all(|c| c.is_valid(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,25 +630,6 @@ mod tests {
         assert_eq!(selected_true(&col).unwrap(), vec![0, 3]);
         let bad = Column::from_values(vec![Value::Int(1)]);
         assert!(selected_true(&bad).is_err());
-    }
-
-    #[test]
-    fn hash_lanes_agree_with_hash_values() {
-        let rows: Vec<Row> = vec![
-            vec![Value::Int(3), Value::str("k")],
-            vec![Value::Float(3.0), Value::Null],
-        ];
-        let cols = rows_to_columns(&rows, 2);
-        let refs: Vec<&Column> = cols.iter().collect();
-        let lanes = hash_lanes(&refs, rows.len());
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(lanes[i], hash_values(r), "lane {i}");
-        }
-        // Int(3) and Float(3.0) are grouping-equal, so they must hash equal.
-        assert_eq!(
-            hash_values(&[Value::Int(3)]),
-            hash_values(&[Value::Float(3.0)])
-        );
     }
 
     #[test]

@@ -9,10 +9,9 @@
 use std::collections::HashMap;
 
 use orthopt_common::column::rows_to_columns;
+use orthopt_common::hash::{hash_lanes, GroupTable};
 use orthopt_common::row::bag_eq;
 use orthopt_common::{ColId, Column, DataType, Error, Prng, QueryContext, Result, Row, Value};
-use orthopt_exec::aggregate::GroupTable;
-use orthopt_exec::vector::hash_lanes;
 use orthopt_exec::{Bindings, Chunk, PhysExpr, Pipeline, Reference};
 use orthopt_ir::{AggDef, AggFunc, ColumnMeta, GroupKind, RelExpr, ScalarExpr};
 use orthopt_storage::Catalog;

@@ -165,8 +165,9 @@ pub enum ApplyStrategy {
     /// `BatchedApply`: dedup outer bindings, run the inner once per
     /// distinct binding.
     Batched,
-    /// `IndexLookupJoin`: probe a storage hash index per distinct
-    /// binding (requires a seek-shaped inner over an indexed column).
+    /// `IndexLookupJoin`: probe a storage hash index with every outer
+    /// lane, a join probe whose build the table holds (requires a
+    /// seek-shaped inner over an indexed column).
     Index,
 }
 

@@ -76,7 +76,10 @@ pub fn batched_apply_cost(left_cost: f64, card_l: f64, distinct: f64, inner_cost
 /// Cost of a correlated index-lookup join (`IndexLookupJoin`): the
 /// outer, per-row binding dedup, and one hash-index probe per
 /// estimated distinct binding, each fetching `matched` rows (plus the
-/// residual evaluation over them when present).
+/// residual evaluation over them when present). The operator no longer
+/// dedups — it probes once per outer lane — so the `distinct` term
+/// credits work it does not save; the formula is kept as it was so
+/// plans do not move, for the plan-choice regret sweep to judge.
 pub fn index_lookup_cost(
     left_cost: f64,
     card_l: f64,

@@ -1,36 +1,99 @@
-//! Secondary hash indexes.
+//! Hash indexes over columns.
 //!
-//! An index on columns `(a, b)` maps each non-NULL key tuple to the row
-//! positions holding it. SQL equality never matches NULL, so rows with a
-//! NULL in any indexed column are simply absent from the map — an equality
-//! seek could never return them anyway.
+//! One structure serves a stored table's secondary indexes and a hash
+//! join's build: a [`GroupTable`] gives each distinct key a dense id,
+//! and the lanes holding a key are a chain — the key's first lane, then
+//! each lane's next — in ascending lane order. An index is built from
+//! whole key columns and grows by appending lanes, so a table keeps its
+//! indexes current on insert. SQL equality never matches NULL, so lanes
+//! with a NULL in any indexed column are simply absent — an equality
+//! probe could never return them anyway.
 
-use std::collections::HashMap;
-
+use orthopt_common::hash::{hash_lanes, hash_values, keys_valid, GroupTable};
 use orthopt_common::{Column, Value};
+
+/// End of a posting chain (and the `next` of an unindexed lane).
+const END: u32 = u32::MAX;
 
 /// Hash index over a set of column positions.
 #[derive(Debug)]
 pub struct Index {
     /// Indexed column positions, in declaration order.
     pub cols: Vec<usize>,
-    map: HashMap<Vec<Value>, Vec<usize>>,
-    empty: Vec<usize>,
+    /// Distinct non-NULL keys, in first-seen order.
+    keys: GroupTable,
+    /// Per key id: its first and its last lane.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Per lane: the next lane with the same key, or [`END`].
+    next: Vec<u32>,
+}
+
+/// The lanes holding one key, ascending.
+#[derive(Debug)]
+pub struct Postings<'a> {
+    next: &'a [u32],
+    lane: u32,
+}
+
+impl Iterator for Postings<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        (self.lane != END).then(|| {
+            let lane = self.lane;
+            self.lane = self.next[lane as usize];
+            lane as usize
+        })
+    }
 }
 
 impl Index {
-    /// Builds the index over the first `len` lanes of a table's
-    /// columns: every lane goes through [`Index::insert_row`].
+    /// Builds the index over the first `len` lanes of `columns` (a
+    /// table's columns, or a join build's), keyed on positions `cols`.
     pub fn build(cols: Vec<usize>, columns: &[Column], len: usize) -> Self {
         let mut index = Index {
             cols,
-            map: HashMap::new(),
-            empty: Vec::new(),
+            keys: GroupTable::new(),
+            head: Vec::new(),
+            tail: Vec::new(),
+            next: Vec::new(),
         };
-        for pos in 0..len {
-            index.insert_row(pos, columns);
-        }
+        index.extend(columns, len);
         index
+    }
+
+    /// Indexes lanes from the first one not yet indexed up to `len`:
+    /// the key columns' new lanes are hashed as a whole and appended to
+    /// their keys' chains.
+    pub fn extend(&mut self, columns: &[Column], len: usize) {
+        let from = self.next.len();
+        if len <= from {
+            return;
+        }
+        let n = len - from;
+        let key_cols: Vec<Column> = self
+            .cols
+            .iter()
+            .map(|&c| columns[c].slice(from, n))
+            .collect();
+        let key_refs: Vec<&Column> = key_cols.iter().collect();
+        self.next.resize(len, END);
+        for (i, h) in hash_lanes(&key_refs, n).into_iter().enumerate() {
+            if !keys_valid(&key_refs, i) {
+                continue;
+            }
+            let k = self.keys.assign_lane(&key_refs, i, h) as usize;
+            let lane = (from + i) as u32;
+            if k == self.head.len() {
+                self.head.push(lane);
+                self.tail.push(lane);
+            } else {
+                self.next[self.tail[k] as usize] = lane;
+                self.tail[k] = lane;
+            }
+        }
     }
 
     /// Whether this index is over exactly the column set `cols`
@@ -40,56 +103,68 @@ impl Index {
         self.cols.len() == cols.len() && cols.iter().all(|c| self.cols.contains(c))
     }
 
-    /// Row positions whose indexed columns equal `key` (key values given
-    /// in the index's own column order). NULL key parts match nothing.
-    pub fn lookup(&self, key: &[Value]) -> &[usize] {
+    /// For each indexed column, its position in `query_cols` (a
+    /// permutation of the index columns): the order to hand a key given
+    /// in `query_cols`' order to [`Index::probe`].
+    pub fn key_order(&self, query_cols: &[usize]) -> Vec<usize> {
+        debug_assert_eq!(query_cols.len(), self.cols.len());
+        self.cols
+            .iter()
+            .map(|c| query_cols.iter().position(|q| q == c).expect("permutation"))
+            .collect()
+    }
+
+    /// Lanes whose indexed columns equal lane `i` of `key_cols` (given
+    /// in the index's own column order), `h` being that lane's
+    /// [`hash_lanes`]. The caller skips lanes with a NULL key part.
+    #[inline]
+    pub fn probe(&self, key_cols: &[&Column], i: usize, h: u64) -> Postings<'_> {
+        self.postings(self.keys.find(key_cols, i, h))
+    }
+
+    /// Lanes whose indexed columns equal `key` (key values given in the
+    /// index's own column order). NULL key parts match nothing.
+    pub fn lookup(&self, key: &[Value]) -> Postings<'_> {
         if key.iter().any(Value::is_null) {
-            return &self.empty;
+            return self.postings(None);
         }
-        self.map.get(key).map_or(&self.empty[..], |v| &v[..])
+        self.postings(self.keys.find_values(key, hash_values(key)))
     }
 
     /// Like [`Index::lookup`], but `key` is given in the order of
-    /// `query_cols` (a permutation of the index columns) and is reordered
-    /// internally.
-    pub fn lookup_ordered(&self, query_cols: &[usize], key: &[Value]) -> &[usize] {
-        debug_assert_eq!(query_cols.len(), self.cols.len());
+    /// `query_cols` (a permutation of the index columns).
+    pub fn lookup_ordered(&self, query_cols: &[usize], key: &[Value]) -> Postings<'_> {
         if query_cols == self.cols.as_slice() {
             return self.lookup(key);
         }
         let reordered: Vec<Value> = self
-            .cols
-            .iter()
-            .map(|c| {
-                let pos = query_cols.iter().position(|q| q == c).expect("permutation");
-                key[pos].clone()
-            })
+            .key_order(query_cols)
+            .into_iter()
+            .map(|p| key[p].clone())
             .collect();
         self.lookup(&reordered)
     }
 
-    /// Number of distinct keys in the index.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+    #[inline]
+    fn postings(&self, key: Option<u32>) -> Postings<'_> {
+        Postings {
+            next: &self.next,
+            lane: key.map_or(END, |k| self.head[k as usize]),
+        }
     }
 
-    /// Indexes lane `pos` of the table's columns (a lane with a NULL
-    /// key part is skipped). Postings are lane ids.
-    pub fn insert_row(&mut self, pos: usize, columns: &[Column]) {
-        let mut key = Vec::with_capacity(self.cols.len());
-        for &c in &self.cols {
-            if !columns[c].is_valid(pos) {
-                return;
-            }
-            key.push(columns[c].value(pos));
-        }
-        self.map.entry(key).or_default().push(pos);
+    /// Number of distinct keys in the index.
+    pub fn distinct_keys(&self) -> usize {
+        self.keys.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+    use orthopt_common::Prng;
 
     fn build(cols: Vec<usize>) -> Index {
         let columns = [
@@ -104,26 +179,143 @@ mod tests {
         Index::build(cols, &columns, 4)
     }
 
+    fn hits(p: Postings<'_>) -> Vec<usize> {
+        p.collect()
+    }
+
     #[test]
     fn lookup_groups_row_positions() {
         let ix = build(vec![0]);
-        assert_eq!(ix.lookup(&[Value::Int(1)]), &[0, 2]);
-        assert_eq!(ix.lookup(&[Value::Int(2)]), &[1]);
+        assert_eq!(hits(ix.lookup(&[Value::Int(1)])), [0, 2]);
+        assert_eq!(hits(ix.lookup(&[Value::Int(2)])), [1]);
     }
 
     #[test]
     fn null_rows_are_unindexed_and_null_probe_matches_nothing() {
         let ix = build(vec![0]);
         assert_eq!(ix.distinct_keys(), 2);
-        assert!(ix.lookup(&[Value::Null]).is_empty());
+        assert!(hits(ix.lookup(&[Value::Null])).is_empty());
     }
 
     #[test]
     fn multi_column_lookup_with_permutation() {
         let ix = build(vec![0, 1]);
         let direct = ix.lookup(&[Value::Int(1), Value::str("c")]);
-        assert_eq!(direct, &[2]);
+        assert_eq!(hits(direct), [2]);
         let permuted = ix.lookup_ordered(&[1, 0], &[Value::str("c"), Value::Int(1)]);
-        assert_eq!(permuted, &[2]);
+        assert_eq!(hits(permuted), [2]);
+    }
+
+    /// A key part drawn from a small pool: NULLs, `Int`s and `Float`s
+    /// that are grouping-equal to them, and strings.
+    fn pick(rng: &mut Prng, kind: usize) -> Value {
+        match (kind, rng.int_range(0, 5)) {
+            (_, 0) => Value::Null,
+            (0, k) => Value::Int(k % 3),
+            (1, k) if k % 2 == 0 => Value::Float((k % 3) as f64),
+            (1, k) => Value::Int(k % 3),
+            (_, k) => Value::str(["x", "y", "z"][(k % 3) as usize]),
+        }
+    }
+
+    /// The flat index equals a `HashMap<Vec<Value>, Vec<usize>>` model
+    /// on random columns — NULLs, grouping-equal `Int`/`Float` keys,
+    /// strings, one- and two-column keys — probed by lane and by value,
+    /// in permuted order, built whole and grown in steps.
+    #[test]
+    fn flat_index_matches_hash_map_model() {
+        let mut rng = Prng::new(25);
+        for cols in [vec![0], vec![1], vec![2], vec![0, 2], vec![2, 1]] {
+            let len = 400;
+            let rows: Vec<Vec<Value>> = (0..len)
+                .map(|_| (0..3).map(|k| pick(&mut rng, k)).collect())
+                .collect();
+            let columns: Vec<Column> = (0..3)
+                .map(|k| Column::from_values(rows.iter().map(|r| r[k].clone()).collect()))
+                .collect();
+            let mut model: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            for (i, r) in rows.iter().enumerate() {
+                let key: Vec<Value> = cols.iter().map(|&c| r[c].clone()).collect();
+                if !key.iter().any(Value::is_null) {
+                    model.entry(key).or_default().push(i);
+                }
+            }
+            let whole = Index::build(cols.clone(), &columns, len);
+            let mut grown = Index::build(cols.clone(), &columns, 0);
+            for step in [1, 7, 100, 250, len] {
+                grown.extend(&columns, step);
+            }
+            let key_cols: Vec<&Column> = cols.iter().map(|&c| &columns[c]).collect();
+            let hashes = hash_lanes(&key_cols, len);
+            let mut order: Vec<usize> = (0..len).collect();
+            rng.shuffle(&mut order);
+            for ix in [&whole, &grown] {
+                assert_eq!(ix.distinct_keys(), model.len(), "{cols:?}");
+                for &i in &order {
+                    let key: Vec<Value> = cols.iter().map(|&c| rows[i][c].clone()).collect();
+                    let want = model.get(&key).cloned().unwrap_or_default();
+                    assert_eq!(hits(ix.lookup(&key)), want, "{cols:?} {key:?}");
+                    if keys_valid(&key_cols, i) {
+                        assert_eq!(hits(ix.probe(&key_cols, i, hashes[i])), want, "{key:?}");
+                    }
+                    let mut sorted = cols.clone();
+                    sorted.sort_unstable();
+                    let by_sorted: Vec<Value> =
+                        sorted.iter().map(|&c| rows[i][c].clone()).collect();
+                    assert_eq!(hits(ix.lookup_ordered(&sorted, &by_sorted)), want);
+                }
+            }
+        }
+    }
+
+    /// Rows appended one at a time through `Table::insert` keep every
+    /// index of the table equal to the model, and an `Int` key is found
+    /// by its grouping-equal `Float`.
+    #[test]
+    fn table_inserts_keep_indexes_equal_to_the_model() {
+        use crate::table::{ColumnDef, Table, TableDef};
+        use orthopt_common::DataType;
+        let def = TableDef::new(
+            "t",
+            vec![
+                ColumnDef::nullable("a", DataType::Int),
+                ColumnDef::nullable("s", DataType::Str),
+            ],
+            vec![],
+        );
+        let mut t = Table::new(def).unwrap();
+        t.build_index(vec![0]).unwrap();
+        t.build_index(vec![1, 0]).unwrap();
+        let mut rng = Prng::new(26);
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|_| vec![pick(&mut rng, 0), pick(&mut rng, 2)])
+            .collect();
+        for r in &rows {
+            t.insert(r.clone()).unwrap();
+        }
+        let as_float = |v: &Value| match v {
+            Value::Int(k) => Value::Float(*k as f64),
+            other => other.clone(),
+        };
+        for cols in [vec![0], vec![1, 0]] {
+            let mut model: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            for (i, r) in rows.iter().enumerate() {
+                let key: Vec<Value> = cols.iter().map(|&c| r[c].clone()).collect();
+                if !key.iter().any(Value::is_null) {
+                    model.entry(key).or_default().push(i);
+                }
+            }
+            let ix = t.index_on(&cols).unwrap();
+            assert_eq!(ix.distinct_keys(), model.len(), "{cols:?}");
+            for r in &rows {
+                let key: Vec<Value> = cols.iter().map(|&c| as_float(&r[c])).collect();
+                let want = model
+                    .get(&cols.iter().map(|&c| r[c].clone()).collect::<Vec<_>>())
+                    .cloned()
+                    .unwrap_or_default();
+                let got: Vec<usize> = t.index_lookup(&cols, &key).unwrap().collect();
+                assert_eq!(got, want, "{cols:?} {key:?}");
+            }
+        }
     }
 }

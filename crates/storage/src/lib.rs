@@ -18,6 +18,6 @@ pub mod stats;
 pub mod table;
 
 pub use catalog::Catalog;
-pub use index::Index;
+pub use index::{Index, Postings};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{ColumnDef, Table, TableDef};

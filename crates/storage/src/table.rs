@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 use orthopt_common::column::{columns_to_rows, Column};
 use orthopt_common::{DataType, Error, Result, Row, Value};
 
-use crate::index::Index;
+use crate::index::{Index, Postings};
 use crate::stats::TableStats;
 
 /// Schema of one column of a base table.
@@ -152,10 +152,10 @@ impl Table {
         for (column, v) in self.columns.iter_mut().zip(row) {
             column.push(v);
         }
-        for ix in &mut self.indexes {
-            ix.insert_row(self.len, &self.columns);
-        }
         self.len += 1;
+        for ix in &mut self.indexes {
+            ix.extend(&self.columns, self.len);
+        }
         self.stats = None;
         self.row_view.take();
         Ok(())
@@ -250,7 +250,7 @@ impl Table {
     /// Row indexes matching `key` through the index on `cols`, or `None`
     /// when no such index exists. NULL key parts never match (SQL
     /// equality semantics).
-    pub fn index_lookup(&self, cols: &[usize], key: &[Value]) -> Option<&[usize]> {
+    pub fn index_lookup(&self, cols: &[usize], key: &[Value]) -> Option<Postings<'_>> {
         self.index_on(cols).map(|ix| ix.lookup_ordered(cols, key))
     }
 }
@@ -312,9 +312,9 @@ mod tests {
         ])
         .unwrap();
         t.build_index(vec![0]).unwrap();
-        let hits = t.index_lookup(&[0], &[Value::Int(1)]).unwrap();
-        assert_eq!(hits, &[0, 2]);
-        assert!(t.index_lookup(&[0], &[Value::Int(9)]).unwrap().is_empty());
+        let hits: Vec<usize> = t.index_lookup(&[0], &[Value::Int(1)]).unwrap().collect();
+        assert_eq!(hits, [0, 2]);
+        assert_eq!(t.index_lookup(&[0], &[Value::Int(9)]).unwrap().count(), 0);
     }
 
     #[test]
@@ -390,8 +390,8 @@ mod incremental_index_tests {
         t.build_index(vec![1]).unwrap();
         t.insert(vec![Value::Int(2), Value::Int(10)]).unwrap();
         t.insert(vec![Value::Int(3), Value::Null]).unwrap();
-        let hits = t.index_lookup(&[1], &[Value::Int(10)]).unwrap();
-        assert_eq!(hits, &[0, 1]);
+        let hits: Vec<usize> = t.index_lookup(&[1], &[Value::Int(10)]).unwrap().collect();
+        assert_eq!(hits, [0, 1]);
         // The NULL-keyed row stays unindexed.
         assert_eq!(t.index_on(&[1]).unwrap().distinct_keys(), 1);
     }
@@ -490,8 +490,9 @@ mod column_store_tests {
         assert_eq!(t.rows(), [full(1), nulls(2), full(3)]);
     }
 
-    /// `Index::build` over lanes and incremental `insert_row` are one
-    /// routine: same postings, NULL key parts unindexed either way.
+    /// `Index::build` over whole columns and the appends `insert` makes
+    /// are one routine: same postings, NULL key parts unindexed either
+    /// way.
     #[test]
     fn built_and_incremental_indexes_agree() {
         let mut half = full(5);
@@ -511,8 +512,9 @@ mod column_store_tests {
         assert_eq!(b.distinct_keys(), 2);
         for r in &rows {
             let key = [r[1].clone(), r[4].clone()];
-            assert_eq!(a.lookup(&key), b.lookup(&key), "{key:?}");
+            assert!(a.lookup(&key).eq(b.lookup(&key)), "{key:?}");
         }
-        assert_eq!(a.lookup(&[Value::Int(10), Value::str("s1")]), [0, 2]);
+        let hits: Vec<usize> = a.lookup(&[Value::Int(10), Value::str("s1")]).collect();
+        assert_eq!(hits, [0, 2]);
     }
 }
