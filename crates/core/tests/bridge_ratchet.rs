@@ -1,8 +1,8 @@
-//! Bridge ratchet: how many batches each plan transposes to rows
-//! (`OpStats::bridged`, summed over the plan), pinned per query so the
-//! count can only go down. Two operators still loop over rows
-//! privately (Except, SegmentExec's partitioner) and no plan here runs
-//! either, so every ceiling is 0; a ceiling never goes up.
+//! The benchmark's plans at a small scale: each of the `bulk_wire`
+//! classes and the paper's subquery queries runs to completion at
+//! `Full` through the pipeline, the budgeted sort still spills, and no
+//! spill directory outlives its query. (Every operator works on lanes,
+//! so there is no row bridge left to count.)
 
 use orthopt::common::QueryContext;
 use orthopt::exec::{spill, Bindings, Pipeline, PipelineOptions};
@@ -19,56 +19,51 @@ struct Case {
     sql: String,
     parallelism: usize,
     mem_limit: Option<u64>,
-    /// Ceiling on the plan's summed `bridged`.
-    max_bridged: u64,
 }
 
 /// The benchmark's six `bulk_wire` classes plus the paper's subquery
 /// queries, at SF 0.002. `sort_spill`'s budget is scaled with the data
 /// (16 MiB at SF 0.1) so the sort still spills.
 fn cases() -> Vec<Case> {
-    let case = |name, sql: &str, max_bridged| Case {
+    let case = |name, sql: &str| Case {
         name,
         sql: sql.to_string(),
         parallelism: 1,
         mem_limit: None,
-        max_bridged,
     };
     vec![
-        case("sort_all", SORT_SQL, 0),
+        case("sort_all", SORT_SQL),
         Case {
             mem_limit: Some(320 << 10),
-            ..case("sort_spill", SORT_SQL, 0)
+            ..case("sort_spill", SORT_SQL)
         },
-        case("agg_lowcard", AGG_LOWCARD_SQL, 0),
+        case("agg_lowcard", AGG_LOWCARD_SQL),
         case(
             "agg_highcard",
             "select l_partkey, count(*), sum(l_quantity) from lineitem group by l_partkey",
-            0,
         ),
         case(
             "scan_filter_wide",
             "select l_orderkey, l_partkey, l_quantity, l_extendedprice \
              from lineitem where l_quantity < 6",
-            0,
         ),
         Case {
             parallelism: 2,
-            ..case("agg_par2", AGG_LOWCARD_SQL, 0)
+            ..case("agg_par2", AGG_LOWCARD_SQL)
         },
         // The Q22-like query's one NestedLoopInner is the keyless hash
         // join: its predicate is a kernel over the candidate pairs.
-        case("q2", &queries::q2_default(), 0),
-        case("q4", &queries::q4_default(), 0),
-        case("q17", &queries::q17_default(), 0),
-        case("q17brand", &queries::q17_brand_only("brand#23"), 0),
-        case("q22ish", &queries::q22ish(), 0),
-        case("paper_q1", &queries::paper_q1(1_000_000.0), 0),
+        case("q2", &queries::q2_default()),
+        case("q4", &queries::q4_default()),
+        case("q17", &queries::q17_default()),
+        case("q17brand", &queries::q17_brand_only("brand#23")),
+        case("q22ish", &queries::q22ish()),
+        case("paper_q1", &queries::paper_q1(1_000_000.0)),
     ]
 }
 
 #[test]
-fn bridged_batches_only_go_down() {
+fn benchmark_plans_run_and_leave_no_spill_dirs() {
     let mut db = Database::tpch(0.002).unwrap();
     db.analyze();
     for case in cases() {
@@ -98,14 +93,6 @@ fn bridged_batches_only_go_down() {
                 case.name
             );
         }
-        let bridged: u64 = stats.iter().map(|s| s.bridged).sum();
-        assert!(
-            bridged <= case.max_bridged,
-            "{}: {bridged} bridged batches, ceiling {}\n{}",
-            case.name,
-            case.max_bridged,
-            orthopt::exec::explain_phys_analyze(&plan.physical, &stats, pipeline.cached_nodes())
-        );
         assert_eq!(spill::live_dirs(), 0, "{}", case.name);
     }
 }

@@ -14,6 +14,7 @@
 #![cfg(feature = "model")]
 
 use orthopt::{Engine, EngineConfig, OptimizerLevel, SessionSettings};
+use orthopt_common::column::rows_to_columns;
 use orthopt_common::{AdmissionController, CancellationToken, DataType, Error, Value};
 use orthopt_exec::Scheduler;
 use orthopt_ir::ApplyStrategy;
@@ -337,11 +338,12 @@ fn spill_manager_counters_and_cleanup_under_concurrent_spills() {
                 let mut f = mgr.create("model").expect("create spill file");
                 let rows: Vec<Vec<Value>> =
                     (0..4).map(|i| vec![Value::Int(tag * 10 + i)]).collect();
-                f.append(&rows, 1).expect("append");
+                f.append_columns(&rows_to_columns(&rows, 1), rows.len())
+                    .expect("append");
                 let mut r = f.reader().expect("reader");
                 let mut seen = 0usize;
-                while let Some(block) = r.next_block().expect("read back") {
-                    seen += block.len();
+                while let Some((_, n)) = r.next_block_columns().expect("read back") {
+                    seen += n;
                 }
                 assert_eq!(seen, 4, "writer {tag} read its own rows back");
                 drop(r);

@@ -154,14 +154,12 @@ fn empty_input_streams_cleanly() {
     }
 }
 
-/// Every batch is columns, so the row-at-a-time evaluation inside
-/// Filter, Compute and the HashJoin probe runs only as the fallback for
-/// a kernel that errored. Each fallback must be reachable — a division
-/// by zero on a late lane trips the kernel — must re-raise exactly the
-/// `Reference` interpreter's error, and must show up as `bridged > 0`
-/// on the operator that fell back.
+/// Filter, Compute and the HashJoin probe evaluate whole batches, and
+/// their kernels report errors per lane: a division by zero on a late
+/// lane must raise exactly the `Reference` interpreter's error, from
+/// the operator that evaluates that expression.
 #[test]
-fn kernel_errors_fall_back_to_rows_and_match_reference() {
+fn kernel_errors_match_reference() {
     // r.rv is 2 throughout and s.sv alternates 1 / 3, so neither
     // 10 / sv nor 10 / (sv - rv) divides by zero — except on the last
     // s row, where `zero_at_end` sets sv to the offending value.
@@ -210,29 +208,27 @@ fn kernel_errors_fall_back_to_rows_and_match_reference() {
         let oracle = Reference::new(db.catalog()).run(&bound.rel);
         assert!(oracle.is_err(), "{sql}: fixture no longer divides by zero");
         let plan = db.plan(sql, OptimizerLevel::Full).unwrap();
+        // The expression that divides is the operator's own: a Filter's
+        // predicate, a Compute's definition, a join's residual.
+        let labels = phys_node_labels(&plan.physical);
+        assert!(
+            labels.iter().any(|(_, label)| label.starts_with(op)),
+            "{sql}: no {op} in the plan\n{labels:?}"
+        );
         let mut pipeline = Pipeline::compile(&plan.physical).unwrap();
         let got = pipeline.execute(db.catalog(), &Bindings::new());
         assert_eq!(oracle.err(), got.err(), "{sql}");
-        let fell_back = phys_node_labels(&plan.physical)
-            .iter()
-            .zip(pipeline.stats())
-            .any(|((_, label), s)| label.starts_with(op) && s.bridged > 0);
-        assert!(
-            fell_back,
-            "{sql}: no {op} reports a bridge\n{}",
-            orthopt_exec::explain_phys_analyze(&plan.physical, &pipeline.stats(), &[])
-        );
     }
 }
 
 /// A semi or anti join stops evaluating a probe lane's residual at its
-/// first match. The kernel evaluates every candidate and so trips over
-/// a later one that divides by zero; the lane-at-a-time fallback must
-/// then *not* raise it — the `Reference` join loop never gets that far
-/// either. (Hand-built plans: the SQL form's oracle evaluates the whole
-/// EXISTS subquery and would raise.)
+/// first match. The kernel evaluates every candidate and so divides by
+/// zero on a later one; that lane error must then *not* count — the
+/// `Reference` join loop never gets that far either. (Hand-built plans:
+/// the SQL form's oracle evaluates the whole EXISTS subquery and would
+/// raise.)
 #[test]
-fn semi_join_fallback_stops_at_the_first_match() {
+fn semi_join_residual_stops_at_the_first_match() {
     use orthopt_common::{ColId, DataType, TableId};
     use orthopt_exec::PhysExpr;
     use orthopt_ir::{builder, ArithOp, CmpOp, JoinKind, RelExpr, ScalarExpr};
@@ -275,17 +271,21 @@ fn semi_join_fallback_stops_at_the_first_match() {
     if let RelExpr::Get(g) = &mut get_s {
         g.positions = vec![1, 2];
     }
+    let logical = |kind| RelExpr::Join {
+        kind,
+        left: Box::new(get_r.clone()),
+        right: Box::new(get_s.clone()),
+        predicate: ScalarExpr::and([
+            ScalarExpr::eq(ScalarExpr::col(sr), ScalarExpr::col(rk)),
+            residual.clone(),
+        ]),
+    };
+    // The failing pair exists: the same join as an Inner join, which
+    // evaluates every pair, divides by zero.
+    let inner = Reference::new(db.catalog()).run(&logical(JoinKind::Inner));
+    assert!(matches!(inner, Err(ref e) if e.root_cause() == &orthopt_common::Error::DivideByZero));
     for kind in [JoinKind::LeftSemi, JoinKind::LeftAnti] {
-        let logical = RelExpr::Join {
-            kind,
-            left: Box::new(get_r.clone()),
-            right: Box::new(get_s.clone()),
-            predicate: ScalarExpr::and([
-                ScalarExpr::eq(ScalarExpr::col(sr), ScalarExpr::col(rk)),
-                residual.clone(),
-            ]),
-        };
-        let oracle = Reference::new(db.catalog()).run(&logical).unwrap();
+        let oracle = Reference::new(db.catalog()).run(&logical(kind)).unwrap();
         let phys = PhysExpr::HashJoin {
             kind,
             left: Box::new(PhysExpr::TableScan {
@@ -305,18 +305,14 @@ fn semi_join_fallback_stops_at_the_first_match() {
         let mut pipeline = Pipeline::compile(&phys).unwrap();
         let got = pipeline.execute(db.catalog(), &Bindings::new()).unwrap();
         assert_eq!(oracle.rows, got.rows, "{kind:?}");
-        assert_eq!(
-            pipeline.stats()[0].bridged,
-            1,
-            "{kind:?}: the kernel did trip"
-        );
     }
 }
 
 /// The same precedence once the join has spilled: each grace partition
 /// pair is loaded and probed by the resident join's own build and probe
-/// routine, so a residual that errors there falls back, and fails, the
-/// same way.
+/// routine, so a residual that errors there fails the same way. The
+/// budget spills the build before the probe starts, so every pair —
+/// the failing one included — is joined inside a partition pair.
 #[test]
 fn grace_spilled_join_residual_error_matches_reference() {
     let n = 600;
@@ -351,6 +347,5 @@ fn grace_spilled_join_residual_error_matches_reference() {
         stats.spill_partitions > 0,
         "the build no longer spills: {stats:?}"
     );
-    assert!(stats.bridged > 0, "no partition pair fell back: {stats:?}");
     assert_eq!(orthopt_exec::spill::live_dirs(), 0);
 }

@@ -10,13 +10,14 @@ use std::rc::Rc;
 
 use orthopt_common::{ColId, Value};
 
-use crate::chunk::Chunk;
+use crate::pipeline::Batch;
 
-/// Scalar parameters plus a stack of table-valued segment parameters.
+/// Scalar parameters plus a stack of table-valued segment parameters,
+/// each segment's lanes as a [`Batch`].
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
     params: HashMap<ColId, Value>,
-    segments: Vec<Rc<Chunk>>,
+    segments: Vec<Rc<Batch>>,
 }
 
 impl Bindings {
@@ -49,7 +50,7 @@ impl Bindings {
 
     /// Returns a copy with `segment` pushed as the innermost table-valued
     /// parameter.
-    pub fn with_segment(&self, segment: Rc<Chunk>) -> Bindings {
+    pub fn with_segment(&self, segment: Rc<Batch>) -> Bindings {
         let mut out = self.clone();
         out.segments.push(segment);
         out
@@ -60,23 +61,18 @@ impl Bindings {
     /// (no bindings clone per segment).
     ///
     /// [`with_segment`]: Bindings::with_segment
-    pub fn push_segment(&mut self, segment: Rc<Chunk>) {
+    pub fn push_segment(&mut self, segment: Rc<Batch>) {
         self.segments.push(segment);
     }
 
     /// Pops the innermost table-valued parameter.
-    pub fn pop_segment(&mut self) -> Option<Rc<Chunk>> {
+    pub fn pop_segment(&mut self) -> Option<Rc<Batch>> {
         self.segments.pop()
     }
 
     /// The innermost segment, if executing under a `SegmentApply`.
-    pub fn current_segment(&self) -> Option<&Rc<Chunk>> {
+    pub fn current_segment(&self) -> Option<&Rc<Batch>> {
         self.segments.last()
-    }
-
-    /// Number of scalar parameters (diagnostics).
-    pub fn param_count(&self) -> usize {
-        self.params.len()
     }
 }
 
@@ -99,12 +95,15 @@ mod tests {
     #[test]
     fn segments_nest() {
         let b = Bindings::new();
-        let s1 = Rc::new(Chunk::empty(vec![ColId(1)]));
-        let s2 = Rc::new(Chunk::empty(vec![ColId(2)]));
+        let empty = |c: ColId| {
+            let column = orthopt_common::column::Column::from_values(Vec::new());
+            Rc::new(Batch::from_columns([c].into(), vec![column], 0))
+        };
+        let (s1, s2) = (empty(ColId(1)), empty(ColId(2)));
         let b1 = b.with_segment(s1);
         let b2 = b1.with_segment(s2);
-        assert_eq!(b2.current_segment().unwrap().cols, vec![ColId(2)]);
-        assert_eq!(b1.current_segment().unwrap().cols, vec![ColId(1)]);
+        assert_eq!(*b2.current_segment().unwrap().cols, [ColId(2)]);
+        assert_eq!(*b1.current_segment().unwrap().cols, [ColId(1)]);
         assert!(b.current_segment().is_none());
     }
 }

@@ -1,10 +1,13 @@
-//! Scalar expression evaluation under SQL three-valued logic.
+//! Row-at-a-time scalar evaluation under SQL three-valued logic: the
+//! [`Reference`](crate::Reference) interpreter's evaluator, and the
+//! definition the pipeline's vectorized kernels ([`crate::vector`])
+//! match lane for lane, errors included.
 //!
 //! Evaluation happens against a row (with its layout) plus parameter
 //! [`Bindings`]. Subquery markers are only legal when a
 //! [`SubqueryEval`] hook is supplied — the reference interpreter passes
-//! itself (mutual recursion, §2.1); the physical engine passes `None`
-//! because normalization guarantees their absence.
+//! itself (mutual recursion, §2.1); without one they are an internal
+//! error, as normalization guarantees their absence.
 
 use std::cmp::Ordering;
 
@@ -23,9 +26,10 @@ pub trait SubqueryEval {
 }
 
 /// Column-id → position map resolved once per layout, replacing the
-/// per-row linear `position` scan inside [`EvalCtx::lookup`]. Operators
-/// build one at construction time (their layouts are static); the
-/// reference interpreter builds one per chunk before its row loop.
+/// per-row linear `position` scan inside [`EvalCtx::lookup`]. Pipeline
+/// operators build one at construction time for their kernels (their
+/// layouts are static); the reference interpreter builds one per chunk
+/// before its row loop.
 #[derive(Debug, Clone, Default)]
 pub struct PosMap {
     map: std::collections::HashMap<ColId, usize>,
@@ -74,22 +78,6 @@ impl<'a> EvalCtx<'a> {
             binds,
             subq: None,
             pos: None,
-        }
-    }
-
-    /// Context with a precomputed position map for the layout.
-    pub fn mapped(
-        cols: &'a [ColId],
-        pos: &'a PosMap,
-        row: &'a [Value],
-        binds: &'a Bindings,
-    ) -> Self {
-        EvalCtx {
-            cols,
-            row,
-            binds,
-            subq: None,
-            pos: Some(pos),
         }
     }
 

@@ -787,7 +787,6 @@ mod tests {
                     "{ctx}: {:?}",
                     stats[join_slot]
                 );
-                assert_eq!(stats[join_slot].bridged, 0, "{ctx}");
                 runs.push((got, p.governor().mem_peak().unwrap()));
             }
             let (serial, serial_peak) = &runs[0];

@@ -25,26 +25,24 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use orthopt_common::column::{
-    cols_bytes, columns_to_rows, rows_to_columns, Bitmap, ColData, Column, ColumnData,
-};
-use orthopt_common::hash::{hash_lanes, keys_valid};
+use orthopt_common::column::{cols_bytes, columns_to_rows, Bitmap, ColData, Column, ColumnData};
+use orthopt_common::hash::{hash_lanes, keys_valid, GroupTable};
 use orthopt_common::row::rows_bytes;
 use orthopt_common::{ColId, Error, MemoryReservation, QueryContext, Result, Row, TableId, Value};
 use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
-use orthopt_storage::{Catalog, Index, Postings, Table};
+use orthopt_storage::{Catalog, Index, Table};
 
 use crate::aggregate::{dedup_lanes, GroupedAggState};
 use crate::bindings::Bindings;
 use crate::chunk::Chunk;
-use crate::eval::{eval, eval_predicate, EvalCtx, PosMap};
+use crate::eval::PosMap;
 use crate::physical::PhysExpr;
 use crate::sort::SortOp;
 use crate::spill::{
     partition_of, SpillFile, SpillManager, SpillPartitions, FANOUT, MAX_SPILL_DEPTH,
 };
 use crate::stats::OpStats;
-use crate::vector::{eval_column, lane_row, selected_true, VecEval};
+use crate::vector::{eval_lanes, eval_truth, first_error, LaneError, VecEval};
 
 /// Default maximum number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
@@ -62,8 +60,8 @@ pub(crate) const MEM_OR_SPILL_HINT: &str =
 /// A bounded run of lanes flowing through the pipeline, column-major:
 /// one [`Column`] per layout position, all `len` lanes long. The layout
 /// is shared by reference with the producing operator. This is the one
-/// representation every operator speaks; the few that loop over rows
-/// privately transpose what they pull ([`StatsHandle::bridge_rows`]).
+/// representation every operator speaks; rows exist only at the result
+/// edge ([`Batch::into_rows`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     /// Column ids, positionally matching each column.
@@ -140,8 +138,7 @@ impl Batch {
     }
 
     /// Transposes the batch into rows — for row-oriented consumers at
-    /// the edge (a result `Chunk`). Operators that count bridges go
-    /// through [`StatsHandle::bridge_rows`] instead.
+    /// the edge (a result `Chunk`).
     pub fn into_rows(self) -> Vec<Row> {
         columns_to_rows(&self.columns, self.len)
     }
@@ -185,9 +182,8 @@ pub(crate) fn concat_batches(
 }
 
 /// A cheap clonable handle onto one operator's [`OpStats`] slot.
-/// Operators use it to count vectorized kernel invocations
-/// (`kernels`) and batches transposed to rows (`bridged`) without
-/// holding a borrow on the shared registry.
+/// Operators use it to count vectorized kernel invocations (`kernels`)
+/// without holding a borrow on the shared registry.
 #[derive(Clone)]
 pub(crate) struct StatsHandle {
     stats: Rc<RefCell<Vec<OpStats>>>,
@@ -204,17 +200,10 @@ impl StatsHandle {
         self.stats.borrow_mut()[self.id].kernels += 1;
     }
 
-    /// Counts one batch transposed to rows.
-    fn note_bridge(&self) {
-        self.stats.borrow_mut()[self.id].bridged += 1;
-    }
-
-    /// Adds the kernel, bridge and index-probe counts a join probe
-    /// noted.
+    /// Adds the kernel and index-probe counts a join probe noted.
     fn note_probe(&self, noted: &OpStats) {
         let mut stats = self.stats.borrow_mut();
         stats[self.id].kernels += noted.kernels;
-        stats[self.id].bridged += noted.bridged;
         stats[self.id].index_probes += noted.index_probes;
     }
 
@@ -224,7 +213,7 @@ impl StatsHandle {
         self.stats.borrow_mut()[self.id].distinct_bindings += 1;
     }
 
-    /// Counts one hash-index probe ([`index_probe`]).
+    /// Counts one hash-index probe (an `IndexSeek`'s).
     fn note_index_probe(&self) {
         self.stats.borrow_mut()[self.id].index_probes += 1;
     }
@@ -253,14 +242,6 @@ impl StatsHandle {
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[self.id];
         s.mem_peak = s.mem_peak.max(peak);
-    }
-
-    /// Transposes a batch to rows, counting one bridge: the accounting
-    /// boundary of the operators that still loop over rows privately
-    /// and of the kernel-error fallbacks.
-    fn bridge_rows(&self, b: &Batch) -> Vec<Row> {
-        self.note_bridge();
-        columns_to_rows(&b.columns, b.len)
     }
 }
 
@@ -821,7 +802,6 @@ impl Compiler {
             PhysExpr::Compute { input, defs } => {
                 let in_layout = input.out_cols();
                 Box::new(ComputeOp {
-                    in_cols: rc_cols(&in_layout),
                     pos: PosMap::new(&in_layout),
                     out_cols: rc_cols(&p.out_cols()),
                     input: self.compile(input, in_param)?,
@@ -953,7 +933,6 @@ impl Compiler {
                     index_cols: index_cols.clone(),
                     probes: probes.clone(),
                     outer_pos: PosMap::new(&outer_cols),
-                    outer_cols,
                     probe: JoinProbe::new(
                         kind.to_join_kind(),
                         Vec::new(),
@@ -996,11 +975,13 @@ impl Compiler {
                     input: self.compile(input, in_param)?,
                     inner: self.compile(inner, true)?,
                     seg_pos,
-                    input_cols: in_layout,
+                    input_cols: rc_cols(&in_layout),
                     out_src,
                     out_cols: rc_cols(out_cols),
                     inner_binds: Rc::new(RefCell::new(Bindings::new())),
+                    columns: Vec::new(),
                     segments: Vec::new(),
+                    keys: Vec::new(),
                     partitioned: false,
                     seg_cursor: 0,
                     batch_size: bs,
@@ -1033,7 +1014,6 @@ impl Compiler {
                     group_pos,
                     aggs: aggs.clone(),
                     in_pos: PosMap::new(&in_layout),
-                    in_cols: rc_cols(&in_layout),
                     out_cols: rc_cols(&p.out_cols()),
                     state: None,
                     result: (Vec::new(), 0),
@@ -1087,8 +1067,10 @@ impl Compiler {
                     left: self.compile(left, in_param)?,
                     right: self.compile(right, in_param)?,
                     rpos,
+                    right_width: rout.len(),
                     cols: rc_cols(&left.out_cols()),
-                    counts: HashMap::new(),
+                    table: GroupTable::new(),
+                    counts: Vec::new(),
                     built: false,
                     mem: MemoryReservation::detached("Except"),
                     stats: sh.clone(),
@@ -1390,31 +1372,23 @@ struct SeekOp {
     stats: StatsHandle,
 }
 
-/// Probes the hash index on `index_cols` of `t` with the values of
-/// `probes` under `binds`, counting the probe: the matching row ids in
-/// ascending order, or `None` when a probe value is NULL (SQL equality
-/// never matches NULL, so the result is empty and no probe is issued).
-fn index_probe<'t>(
-    t: &'t Table,
-    index_cols: &[usize],
-    probes: &[ScalarExpr],
-    binds: &Bindings,
-    stats: &StatsHandle,
-) -> Result<Option<Postings<'t>>> {
-    let empty_ctx = EvalCtx::plain(&[], &[], binds);
-    let mut key = Vec::with_capacity(probes.len());
-    for probe in probes {
-        let v = eval(probe, &empty_ctx)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        key.push(v);
-    }
-    let hits = t
-        .index_lookup(index_cols, &key)
-        .ok_or_else(|| missing_index(t, index_cols))?;
-    stats.note_index_probe();
-    Ok(Some(hits))
+/// The values of an index probe's expressions over `cx`'s lanes, as key
+/// columns, and the first failing lane's error. A probe runs a row at a
+/// time as an `IndexSeek` under a loop would: a NULL value ends its
+/// lane's probes (SQL equality never matches NULL), so a later probe's
+/// error on that lane does not count — and a failing lane is NULL.
+fn probe_values(probes: &[ScalarExpr], cx: &VecEval<'_>) -> (Vec<Column>, Option<LaneError>) {
+    let keys: Vec<_> = probes.iter().map(|e| eval_lanes(e, cx)).collect();
+    let failed = keys
+        .iter()
+        .enumerate()
+        .filter_map(|(p, k)| {
+            let reached = |e: &&LaneError| keys[..p].iter().all(|q| q.col.is_valid(e.0));
+            k.errs.iter().find(reached)
+        })
+        .min_by_key(|e| e.0)
+        .cloned();
+    (keys.into_iter().map(|k| k.col).collect(), failed)
 }
 
 /// The plan probes an index the table does not have.
@@ -1428,7 +1402,23 @@ impl Operator for SeekOp {
         self.cursor = 0;
         let t = ctx.catalog.table(self.table);
         let binds = ctx.binds.borrow();
-        if let Some(hits) = index_probe(t, &self.index_cols, &self.probes, &binds, &self.stats)? {
+        // One lane over no columns: the probes read only parameters.
+        let cx = VecEval {
+            pos: &PosMap::default(),
+            columns: &[],
+            len: 1,
+            binds: &binds,
+        };
+        let (key, failed) = probe_values(&self.probes, &cx);
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
+        if key.iter().all(|c| c.is_valid(0)) {
+            let key: Vec<Value> = key.iter().map(|c| c.value(0)).collect();
+            let hits = t
+                .index_lookup(&self.index_cols, &key)
+                .ok_or_else(|| missing_index(t, &self.index_cols))?;
+            self.stats.note_index_probe();
             self.hits.extend(hits);
         }
         Ok(())
@@ -1500,7 +1490,7 @@ impl Operator for ConstScanOp {
 struct SegmentScanOp {
     cols: Vec<(ColId, ColId)>,
     out_cols: Rc<[ColId]>,
-    /// The bound segment's scanned columns, transposed once per open.
+    /// The bound segment's scanned columns.
     columns: Vec<Column>,
     len: usize,
     cursor: usize,
@@ -1517,14 +1507,9 @@ impl Operator for SegmentScanOp {
         self.columns = self
             .cols
             .iter()
-            .map(|(_, src)| {
-                let i = segment.require_pos(*src)?;
-                Ok(Column::from_values(
-                    segment.rows.iter().map(|r| r[i].clone()).collect(),
-                ))
-            })
+            .map(|(_, src)| Ok(segment.columns[pos_of(&segment.cols, *src)?].clone()))
             .collect::<Result<_>>()?;
-        self.len = segment.rows.len();
+        self.len = segment.len;
         Ok(())
     }
 
@@ -1563,35 +1548,19 @@ impl Operator for FilterOp {
             };
             let binds = ctx.binds.borrow();
             let (columns, len) = batch.columns();
-            // Evaluate the predicate over whole columns; any kernel
-            // error re-evaluates the batch a row at a time, which
-            // reproduces row-ordered error behavior. Either way the
-            // result is a selection of the input lanes.
+            // The predicate over whole columns: a selection of the input
+            // lanes, or the first failing lane's error.
             let cx = VecEval {
-                cols: &self.cols,
                 pos: &self.pos,
                 columns,
                 len,
                 binds: &binds,
             };
-            let sel = match eval_column(&self.predicate, &cx).and_then(|p| selected_true(&p)) {
-                Ok(sel) => {
-                    self.stats.note_kernel();
-                    sel
-                }
-                Err(_) => {
-                    let mut sel = Vec::new();
-                    for (i, r) in self.stats.bridge_rows(&batch).iter().enumerate() {
-                        if eval_predicate(
-                            &self.predicate,
-                            &EvalCtx::mapped(&self.cols, &self.pos, r, &binds),
-                        )? {
-                            sel.push(i);
-                        }
-                    }
-                    sel
-                }
-            };
+            let (sel, errs) = eval_truth(&self.predicate, &cx);
+            if let Some((_, e)) = errs.into_iter().next() {
+                return Err(e);
+            }
+            self.stats.note_kernel();
             if sel.len() == len {
                 return Ok(Some(batch));
             }
@@ -1606,7 +1575,6 @@ impl Operator for FilterOp {
 struct ComputeOp {
     input: BoxOp,
     defs: Vec<(ColId, ScalarExpr)>,
-    in_cols: Rc<[ColId]>,
     pos: PosMap,
     out_cols: Rc<[ColId]>,
     stats: StatsHandle,
@@ -1627,34 +1595,19 @@ impl Operator for ComputeOp {
         // carried-through input columns.
         let (columns, len) = batch.columns();
         let cx = VecEval {
-            cols: &self.in_cols,
             pos: &self.pos,
             columns,
             len,
             binds: &binds,
         };
-        let computed: Result<Vec<Column>> =
-            self.defs.iter().map(|(_, e)| eval_column(e, &cx)).collect();
-        let mut newc = match computed {
-            Ok(newc) => {
-                self.stats.note_kernel();
-                newc
-            }
-            // Kernel error: recompute row-major, so the error (if it is
-            // one a row evaluator hits at all) is the row-ordered one.
-            Err(_) => {
-                let mut vals: Vec<Vec<Value>> = vec![Vec::with_capacity(len); self.defs.len()];
-                for r in &self.stats.bridge_rows(&batch) {
-                    for ((_, e), out) in self.defs.iter().zip(&mut vals) {
-                        out.push(eval(
-                            e,
-                            &EvalCtx::mapped(&self.in_cols, &self.pos, r, &binds),
-                        )?);
-                    }
-                }
-                vals.into_iter().map(Column::from_values).collect()
-            }
-        };
+        // A lane's definitions run in order, so the first error is the
+        // lowest failing lane's, a tie going to the earlier definition.
+        let computed: Vec<_> = self.defs.iter().map(|(_, e)| eval_lanes(e, &cx)).collect();
+        if let Some((_, e)) = first_error(computed.iter().map(|c| &c.errs[..])) {
+            return Err(e.clone());
+        }
+        self.stats.note_kernel();
+        let mut newc: Vec<Column> = computed.into_iter().map(|c| c.col).collect();
         let (mut out, len) = batch.into_columns();
         out.append(&mut newc);
         Ok(Some(Batch::from_columns(self.out_cols.clone(), out, len)))
@@ -1778,19 +1731,17 @@ struct JoinProbe {
     right_pos: Vec<usize>,
     residual: ScalarExpr,
     residual_trivial: bool,
-    /// Probe layout followed by build layout: what the residual sees.
-    combined: Vec<ColId>,
-    combined_pos: PosMap,
-    /// The positions in `combined` the residual reads, and their
-    /// layout: the only columns its kernel gathers.
+    /// The positions in the probe layout followed by the build layout
+    /// that the residual reads, and their layout: the only columns its
+    /// kernel gathers.
     read: Vec<usize>,
-    read_cols: Vec<ColId>,
     read_pos: PosMap,
     /// Build columns an Inner / LeftOuter output carries, in order.
     build_out: Vec<usize>,
-    /// Whether the pair-at-a-time residual stops a LeftSemi / LeftAnti
-    /// probe lane at its first match, as a row-at-a-time join does. An
-    /// Apply evaluates its whole inner side, so an index join does not.
+    /// Whether a probe lane stops at its first match, as a row-at-a-time
+    /// semi or anti join does, so the residual's errors on its later
+    /// pairs do not count. Only LeftSemi / LeftAnti stop; an Apply
+    /// evaluates its whole inner side, so an index join does not.
     first_match_stop: bool,
 }
 
@@ -1815,13 +1766,11 @@ impl JoinProbe {
             right_pos,
             residual_trivial: residual.is_true(),
             residual,
-            combined_pos: PosMap::new(&combined),
-            combined,
             read,
             read_pos: PosMap::new(&read_cols),
-            read_cols,
             build_out,
-            first_match_stop,
+            first_match_stop: first_match_stop
+                && matches!(kind, JoinKind::LeftSemi | JoinKind::LeftAnti),
         }
     }
 
@@ -1875,12 +1824,7 @@ impl JoinProbe {
     }
 
     /// The join kind's output for probe lanes `lanes`, whose candidate
-    /// pairs are `pairs`. A residual the kernels cannot evaluate, or
-    /// that errors on some lane, is re-evaluated over the same pairs a
-    /// lane at a time, so the error that surfaces is the first one in
-    /// output order. `noted` receives what the join operator counts for
-    /// the window: a kernel, or a bridge when the residual fell back to
-    /// lanes.
+    /// pairs are `pairs`, counting one kernel in `noted`.
     fn join_window(
         &self,
         build: BuildSide<'_>,
@@ -1890,25 +1834,20 @@ impl JoinProbe {
         binds: &Bindings,
         noted: &mut OpStats,
     ) -> Result<(Vec<Column>, usize)> {
+        noted.kernels += 1;
         if self.residual_trivial || pairs.is_empty() {
-            noted.kernels += 1;
             return Ok(self.assemble(build, columns, lanes, pairs));
         }
-        let kept = match self.residual_kernel(build, columns, pairs, binds) {
-            Ok(kept) => {
-                noted.kernels += 1;
-                kept
-            }
-            Err(_) => {
-                noted.bridged += 1;
-                self.residual_by_lane(build, columns, pairs, binds)?
-            }
-        };
+        let kept = self.residual_kernel(build, columns, pairs, binds)?;
         Ok(self.assemble(build, columns, lanes, &kept))
     }
 
     /// The pairs the residual keeps, evaluated as one kernel over the
-    /// pairs' gathered lanes of the columns it reads.
+    /// pairs' gathered lanes of the columns it reads, or the error of
+    /// the first failing pair in output order that a row-at-a-time join
+    /// reaches: with `first_match_stop`, a semi or anti join is done
+    /// with a probe lane at its first match, so a pair after that does
+    /// not count.
     fn residual_kernel(
         &self,
         build: BuildSide<'_>,
@@ -1927,44 +1866,22 @@ impl JoinProbe {
             })
             .collect();
         let cx = VecEval {
-            cols: &self.read_cols,
             pos: &self.read_pos,
             columns: &comb,
             len: pairs.len(),
             binds,
         };
-        let sel = selected_true(&eval_column(&self.residual, &cx)?)?;
-        Ok(sel.into_iter().map(|k| pairs[k]).collect())
-    }
-
-    /// The same, a pair at a time in output order. With
-    /// `first_match_stop`, a semi or anti join stops evaluating a probe
-    /// lane at its first match, as a row-at-a-time join does, so it
-    /// cannot raise an error that one would not.
-    fn residual_by_lane(
-        &self,
-        build: BuildSide<'_>,
-        columns: &[Column],
-        pairs: &[(usize, u32)],
-        binds: &Bindings,
-    ) -> Result<Vec<(usize, u32)>> {
-        let first_match_only =
-            self.first_match_stop && matches!(self.kind, JoinKind::LeftSemi | JoinKind::LeftAnti);
-        let mut kept: Vec<(usize, u32)> = Vec::new();
-        for &(i, j) in pairs {
-            if first_match_only && kept.last().is_some_and(|k| k.0 == i) {
-                continue;
-            }
-            let mut row = lane_row(columns, i);
-            row.extend(build.cols.iter().map(|c| c.value(j as usize)));
-            if eval_predicate(
-                &self.residual,
-                &EvalCtx::mapped(&self.combined, &self.combined_pos, &row, binds),
-            )? {
-                kept.push((i, j));
-            }
+        let (sel, errs) = eval_truth(&self.residual, &cx);
+        // Pair `k` is reached unless an earlier pair of its probe lane
+        // matched (pairs are in probe-lane order).
+        let reached = |&&(k, _): &&LaneError| {
+            let before = sel.partition_point(|&s| s < k);
+            !self.first_match_stop || before == 0 || pairs[sel[before - 1]].0 != pairs[k].0
+        };
+        if let Some((_, e)) = errs.iter().find(reached) {
+            return Err(e.clone());
         }
-        Ok(kept)
+        Ok(sel.into_iter().map(|k| pairs[k]).collect())
     }
 
     /// Output of the join kind for probe lanes `lanes` over their
@@ -2682,7 +2599,6 @@ struct IndexJoinOp {
     index_cols: Vec<usize>,
     /// One probe expression per indexed column.
     probes: Vec<ScalarExpr>,
-    outer_cols: Vec<ColId>,
     outer_pos: PosMap,
     probe: JoinProbe,
     out_cols: Rc<[ColId]>,
@@ -2692,53 +2608,6 @@ struct IndexJoinOp {
 }
 
 impl IndexJoinOp {
-    /// The probe values of the outer batch as key columns, one kernel
-    /// per probe. When a kernel errors they are evaluated lane by lane
-    /// instead, as an `IndexSeek` under a loop would (a NULL value ends
-    /// its lane's probes): then the columns cover the lanes before the
-    /// first failing one, and that lane's error comes back beside them.
-    fn keys(
-        &self,
-        columns: &[Column],
-        len: usize,
-        binds: &Bindings,
-        noted: &mut OpStats,
-    ) -> (Vec<Column>, Option<Error>) {
-        let cx = VecEval {
-            cols: &self.outer_cols,
-            pos: &self.outer_pos,
-            columns,
-            len,
-            binds,
-        };
-        if let Ok(keys) = self.probes.iter().map(|e| eval_column(e, &cx)).collect() {
-            return (keys, None);
-        }
-        noted.bridged += 1;
-        let mut vals: Vec<Vec<Value>> = vec![Vec::with_capacity(len); self.probes.len()];
-        let mut failed = None;
-        'lanes: for i in 0..len {
-            let row = lane_row(columns, i);
-            let ctx = EvalCtx::mapped(&self.outer_cols, &self.outer_pos, &row, binds);
-            let mut key = Vec::with_capacity(self.probes.len());
-            for probe in &self.probes {
-                match eval(probe, &ctx) {
-                    Ok(v) if v.is_null() => break,
-                    Ok(v) => key.push(v),
-                    Err(e) => {
-                        failed = Some(e);
-                        break 'lanes;
-                    }
-                }
-            }
-            key.resize(self.probes.len(), Value::Null);
-            for (col, v) in vals.iter_mut().zip(key) {
-                col.push(v);
-            }
-        }
-        (vals.into_iter().map(Column::from_values).collect(), failed)
-    }
-
     /// Joins one outer batch, queueing its output windows. A probe
     /// that failed on some lane fails the batch after the lanes before
     /// it are joined, so an earlier residual error wins.
@@ -2749,9 +2618,14 @@ impl IndexJoinOp {
             .ok_or_else(|| missing_index(t, &self.index_cols))?;
         let binds = ctx.binds.borrow();
         let mut noted = OpStats::default();
-        let (keys, failed) = self.keys(&batch.columns, batch.len, &binds, &mut noted);
-        let len = keys.first().map_or(batch.len, Column::len);
-        let outer: Vec<Column> = batch.columns.iter().map(|c| c.slice(0, len)).collect();
+        let cx = VecEval {
+            pos: &self.outer_pos,
+            columns: &batch.columns,
+            len: batch.len,
+            binds: &binds,
+        };
+        let (keys, failed) = probe_values(&self.probes, &cx);
+        let len = failed.as_ref().map_or(batch.len, |f| f.0);
         let key_cols: Vec<&Column> = index
             .key_order(&self.index_cols)
             .into_iter()
@@ -2764,9 +2638,9 @@ impl IndexJoinOp {
             cols: &fetched,
             index,
         };
-        let joined = self
-            .probe
-            .probe_keys(build, &outer, len, &key_cols, &binds, &mut noted);
+        let joined =
+            self.probe
+                .probe_keys(build, &batch.columns, len, &key_cols, &binds, &mut noted);
         self.stats.note_probe(&noted);
         for (out, n) in joined? {
             if n > 0 {
@@ -2774,7 +2648,7 @@ impl IndexJoinOp {
                     .push_back(Batch::from_columns(self.out_cols.clone(), out, n));
             }
         }
-        failed.map_or(Ok(()), Err)
+        failed.map_or(Ok(()), |(_, e)| Err(e))
     }
 }
 
@@ -2815,12 +2689,15 @@ struct SegmentExecOp {
     input: BoxOp,
     inner: BoxOp,
     seg_pos: Vec<usize>,
-    input_cols: Vec<ColId>,
+    input_cols: Rc<[ColId]>,
     out_src: Vec<OutSrc>,
     out_cols: Rc<[ColId]>,
     inner_binds: Rc<RefCell<Bindings>>,
-    /// Segments in first-seen order: `(key, rows)`.
-    segments: Vec<(Vec<Value>, Vec<Row>)>,
+    /// The whole input as columns, and each segment's lanes of it and
+    /// key (lane `g` of `keys` is segment `g`'s), in first-seen order.
+    columns: Vec<Column>,
+    segments: Vec<Vec<usize>>,
+    keys: Vec<Column>,
     partitioned: bool,
     seg_cursor: usize,
     batch_size: usize,
@@ -2831,7 +2708,9 @@ struct SegmentExecOp {
 impl Operator for SegmentExecOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.inner_binds = Rc::new(RefCell::new(ctx.binds.borrow().clone()));
+        self.columns.clear();
         self.segments.clear();
+        self.keys.clear();
         self.partitioned = false;
         self.seg_cursor = 0;
         self.mem = ctx.gov.reservation("SegmentExec");
@@ -2841,26 +2720,28 @@ impl Operator for SegmentExecOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.partitioned {
             // The partitioner is a pipeline breaker: it must see every
-            // input row before any segment runs. It groups rows — the
-            // segment is bound as a row `Chunk` — so it transposes what
-            // it pulls.
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+            // input lane before any segment runs. Segment ids are group
+            // ids over the segmenting columns.
+            let mut table = GroupTable::new();
+            let mut parts: ColumnBatches = Vec::new();
+            let mut seen = 0;
             while let Some(b) = self.input.next_batch(ctx)? {
                 b.check_width(self.input_cols.len())?;
                 crate::faults::hit("segment.partition")
                     .and_then(|()| self.mem.grow(b.mem_bytes()))
                     .map_err(|e| e.with_hint(MEM_HINT))?;
-                for r in self.stats.bridge_rows(&b) {
-                    let key: Vec<Value> = self.seg_pos.iter().map(|&i| r[i].clone()).collect();
-                    match index.get(&key) {
-                        Some(&i) => self.segments[i].1.push(r),
-                        None => {
-                            index.insert(key.clone(), self.segments.len());
-                            self.segments.push((key, vec![r]));
-                        }
-                    }
+                let key_cols: Vec<&Column> = self.seg_pos.iter().map(|&i| &b.columns[i]).collect();
+                let ids = table.assign(&key_cols, &hash_lanes(&key_cols, b.len));
+                self.segments.resize_with(table.len(), Vec::new);
+                for (i, g) in ids.into_iter().enumerate() {
+                    self.segments[g as usize].push(seen + i);
                 }
+                seen += b.len;
+                parts.push(b.into_columns());
+                self.stats.note_kernel();
             }
+            self.columns = concat_batches(&parts, self.input_cols.len()).0;
+            self.keys = table.into_keys();
             self.partitioned = true;
         }
         // Run segments until a batch's worth of output has gathered:
@@ -2869,12 +2750,15 @@ impl Operator for SegmentExecOp {
         let mut out: ColumnBatches = Vec::new();
         let mut lanes = 0;
         while lanes < self.batch_size && self.seg_cursor < self.segments.len() {
-            let (key, rows) = {
-                let (k, r) = &mut self.segments[self.seg_cursor];
-                (k.clone(), std::mem::take(r))
-            };
+            let g = self.seg_cursor;
             self.seg_cursor += 1;
-            let segment = Rc::new(Chunk::new(self.input_cols.clone(), rows));
+            let key: Vec<Value> = self.keys.iter().map(|k| k.value(g)).collect();
+            let seg_lanes = std::mem::take(&mut self.segments[g]);
+            let segment = Rc::new(Batch::from_columns(
+                self.input_cols.clone(),
+                self.columns.iter().map(|c| c.gather(&seg_lanes)).collect(),
+                seg_lanes.len(),
+            ));
             self.inner_binds.borrow_mut().push_segment(segment);
             let ictx = ExecCtx {
                 catalog: ctx.catalog,
@@ -2903,6 +2787,10 @@ impl Operator for SegmentExecOp {
             })();
             self.inner_binds.borrow_mut().pop_segment();
             run?;
+        }
+        if self.seg_cursor == self.segments.len() {
+            // Every segment ran: release the partitioned input.
+            self.columns.clear();
         }
         if lanes == 0 {
             return Ok(None);
@@ -2937,8 +2825,8 @@ struct SpilledAgg {
     has_arg: Vec<bool>,
 }
 
-/// Each aggregate's argument over lanes `0..len` of a batch (`None`
-/// for COUNT(*)), with `len` and the evaluation error that cut it
+/// Each aggregate's argument over a batch (`None` for COUNT(*)), the
+/// lanes `0..len` to feed, and the evaluation error that cut them
 /// short, if any.
 struct Args {
     cols: Vec<Option<Column>>,
@@ -2951,7 +2839,6 @@ struct HashAggregateOp {
     input: BoxOp,
     group_pos: Vec<usize>,
     aggs: Vec<AggDef>,
-    in_cols: Rc<[ColId]>,
     in_pos: PosMap,
     out_cols: Rc<[ColId]>,
     /// Group state, created when the first lane arrives.
@@ -2975,56 +2862,28 @@ struct HashAggregateOp {
 
 impl HashAggregateOp {
     /// Evaluates every aggregate argument over a batch as a whole
-    /// column. When a kernel errors, the arguments are evaluated lane
-    /// at a time by the row evaluator instead, up to the first lane
-    /// that errors: the lanes before it are fed, then its error is
-    /// raised — the row-ordered error precedence.
+    /// column. A row evaluates its arguments in aggregate order, so the
+    /// lanes before the first failing one are fed and then its error is
+    /// raised, a tie going to the earlier aggregate — the row-ordered
+    /// error precedence.
     fn eval_args(&self, columns: &[Column], len: usize, binds: &Bindings) -> Args {
         let cx = VecEval {
-            cols: &self.in_cols,
             pos: &self.in_pos,
             columns,
             len,
             binds,
         };
-        let kernels: Result<Vec<Option<Column>>> = self
+        let args: Vec<_> = self
             .aggs
             .iter()
-            .map(|a| a.arg.as_ref().map(|e| eval_column(e, &cx)).transpose())
+            .map(|a| a.arg.as_ref().map(|e| eval_lanes(e, &cx)))
             .collect();
-        if let Ok(cols) = kernels {
-            self.stats.note_kernel();
-            return Args {
-                cols,
-                len,
-                err: None,
-            };
-        }
-        self.stats.note_bridge();
-        let exprs: Vec<&ScalarExpr> = self.aggs.iter().filter_map(|a| a.arg.as_ref()).collect();
-        let mut rows: Vec<Row> = Vec::new();
-        let mut err = None;
-        for i in 0..len {
-            let row = lane_row(columns, i);
-            let cx = EvalCtx::mapped(&self.in_cols, &self.in_pos, &row, binds);
-            match exprs.iter().map(|e| eval(e, &cx)).collect::<Result<Row>>() {
-                Ok(vals) => rows.push(vals),
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        let mut present = rows_to_columns(&rows, exprs.len()).into_iter();
-        let cols = self
-            .aggs
-            .iter()
-            .map(|a| a.arg.as_ref().and_then(|_| present.next()))
-            .collect();
+        self.stats.note_kernel();
+        let failed = first_error(args.iter().flatten().map(|a| &a.errs[..])).cloned();
         Args {
-            cols,
-            len: rows.len(),
-            err,
+            cols: args.into_iter().map(|a| a.map(|a| a.col)).collect(),
+            len: failed.as_ref().map_or(len, |f| f.0),
+            err: failed.map(|f| f.1),
         }
     }
 
@@ -3382,12 +3241,19 @@ impl Operator for ConcatOp {
     }
 }
 
+/// Bag difference: each right lane's key (its `rpos` columns, in the
+/// left layout's order) cancels one left lane with an equal row, under
+/// `Value`'s grouping equality (NULL = NULL, 3 = 3.0).
 struct ExceptOp {
     left: BoxOp,
     right: BoxOp,
     rpos: Vec<usize>,
+    right_width: usize,
     cols: Rc<[ColId]>,
-    counts: HashMap<Row, usize>,
+    /// The right side's distinct keys, and how many left lanes each
+    /// still cancels.
+    table: GroupTable,
+    counts: Vec<u32>,
     built: bool,
     mem: MemoryReservation,
     stats: StatsHandle,
@@ -3395,6 +3261,7 @@ struct ExceptOp {
 
 impl Operator for ExceptOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+        self.table = GroupTable::new();
         self.counts.clear();
         self.built = false;
         self.mem = ctx.gov.reservation("Except");
@@ -3405,13 +3272,17 @@ impl Operator for ExceptOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.built {
             while let Some(b) = self.right.next_batch(ctx)? {
+                b.check_width(self.right_width)?;
                 crate::faults::hit("except.build")
                     .and_then(|()| self.mem.grow(b.mem_bytes()))
                     .map_err(|e| e.with_hint(MEM_HINT))?;
-                for r in &self.stats.bridge_rows(&b) {
-                    let key: Row = self.rpos.iter().map(|&i| r[i].clone()).collect();
-                    *self.counts.entry(key).or_insert(0) += 1;
+                let key_cols: Vec<&Column> = self.rpos.iter().map(|&i| &b.columns[i]).collect();
+                let ids = self.table.assign(&key_cols, &hash_lanes(&key_cols, b.len));
+                self.counts.resize(self.table.len(), 0);
+                for g in ids {
+                    self.counts[g as usize] += 1;
                 }
+                self.stats.note_kernel();
             }
             self.built = true;
         }
@@ -3419,15 +3290,16 @@ impl Operator for ExceptOp {
             let Some(b) = self.left.next_batch(ctx)? else {
                 return Ok(None);
             };
-            // Whole rows key the multiset, so the batch is transposed;
-            // what survives is a selection of its lanes.
+            b.check_width(self.cols.len())?;
+            let row: Vec<&Column> = b.columns.iter().collect();
             let mut sel = Vec::new();
-            for (i, row) in self.stats.bridge_rows(&b).iter().enumerate() {
-                match self.counts.get_mut(row) {
-                    Some(n) if *n > 0 => *n -= 1,
+            for (i, h) in hash_lanes(&row, b.len).into_iter().enumerate() {
+                match self.table.find(&row, i, h) {
+                    Some(g) if self.counts[g as usize] > 0 => self.counts[g as usize] -= 1,
                     _ => sel.push(i),
                 }
             }
+            self.stats.note_kernel();
             if !sel.is_empty() {
                 let out = b.columns.iter().map(|c| c.gather(&sel)).collect();
                 return Ok(Some(Batch::from_columns(self.cols.clone(), out, sel.len())));
@@ -3625,7 +3497,8 @@ mod tests {
     /// `Batch`'s fields are public, so a literal can bypass the arity
     /// `debug_assert` in [`Batch::from_columns`]. Stateful operators must catch
     /// the mismatch on their own batch-concatenation path — in release
-    /// builds too, as a query error rather than a panic.
+    /// builds too, as a query error rather than a panic: Sort, Except on
+    /// either side, and SegmentExec's partitioner.
     #[test]
     fn malformed_batch_caught_on_concat_path() {
         struct LyingOp {
@@ -3651,26 +3524,82 @@ mod tests {
             }
         }
         let layout = rc_cols(&[ColId(1), ColId(2)]);
-        let mut sort = SortOp::new(
+        let lying = || -> BoxOp {
             Box::new(LyingOp {
                 cols: layout.clone(),
                 fired: false,
-            }),
-            vec![(0, false)],
-            layout,
-            16,
-            false,
-            StatsHandle::new(Rc::new(RefCell::new(vec![OpStats::default()])), 0),
-        );
+            })
+        };
+        let honest = || -> BoxOp {
+            Box::new(ConstScanOp {
+                cols: layout.clone(),
+                columns: vec![Column::from_values(vec![Value::Int(1)]); 2],
+                len: 1,
+                cursor: 0,
+                batch_size: 16,
+            })
+        };
+        let stats = || StatsHandle::new(Rc::new(RefCell::new(vec![OpStats::default()])), 0);
+        let except = |left: BoxOp, right: BoxOp| -> BoxOp {
+            Box::new(ExceptOp {
+                left,
+                right,
+                rpos: vec![0, 1],
+                right_width: 2,
+                cols: layout.clone(),
+                table: GroupTable::new(),
+                counts: Vec::new(),
+                built: false,
+                mem: MemoryReservation::detached("Except"),
+                stats: stats(),
+            })
+        };
+        let ops: Vec<(&str, BoxOp)> = vec![
+            (
+                "Sort",
+                Box::new(SortOp::new(
+                    lying(),
+                    vec![(0, false)],
+                    layout.clone(),
+                    16,
+                    false,
+                    stats(),
+                )),
+            ),
+            ("Except (left)", except(lying(), honest())),
+            ("Except (right)", except(honest(), lying())),
+            (
+                "SegmentExec",
+                Box::new(SegmentExecOp {
+                    input: lying(),
+                    inner: honest(),
+                    seg_pos: vec![0],
+                    input_cols: layout.clone(),
+                    out_src: vec![OutSrc::Seg(0)],
+                    out_cols: rc_cols(&[ColId(1)]),
+                    inner_binds: Rc::new(RefCell::new(Bindings::new())),
+                    columns: Vec::new(),
+                    segments: Vec::new(),
+                    keys: Vec::new(),
+                    partitioned: false,
+                    seg_cursor: 0,
+                    batch_size: 16,
+                    mem: MemoryReservation::detached("SegmentExec"),
+                    stats: stats(),
+                }),
+            ),
+        ];
         let catalog = catalog();
         let ctx = ExecCtx::new(&catalog, Bindings::new());
-        sort.open(&ctx).unwrap();
-        let err = sort
-            .next_batch(&ctx)
-            .expect_err("arity mismatch must error on the buffering path");
-        assert!(
-            matches!(err, Error::Internal(ref m) if m.contains("arity")),
-            "unexpected error: {err}"
-        );
+        for (name, mut op) in ops {
+            op.open(&ctx).unwrap();
+            let err = op
+                .next_batch(&ctx)
+                .expect_err("arity mismatch must error on the buffering path");
+            assert!(
+                matches!(err, Error::Internal(ref m) if m.contains("arity")),
+                "{name}: unexpected error: {err}"
+            );
+        }
     }
 }

@@ -12,6 +12,7 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use orthopt_common::column::{columns_to_rows, rows_to_columns};
 use orthopt_common::{Error, Result, Row, Value};
 use orthopt_ir::{AggDef, AggFunc, ApplyKind, GroupKind, JoinKind, RelExpr};
 use orthopt_storage::Catalog;
@@ -19,6 +20,7 @@ use orthopt_storage::Catalog;
 use crate::bindings::Bindings;
 use crate::chunk::Chunk;
 use crate::eval::{eval, eval_predicate, EvalCtx, PosMap, SubqueryEval};
+use crate::pipeline::{pos_of, Batch};
 
 /// The reference interpreter.
 pub struct Reference<'a> {
@@ -199,10 +201,11 @@ impl<'a> Reference<'a> {
                 let mut rows = Vec::new();
                 for key in order {
                     let seg_rows = segments.remove(&key).expect("segment present");
-                    let segment = Rc::new(Chunk {
-                        cols: inp.cols.clone(),
-                        rows: seg_rows,
-                    });
+                    let segment = Rc::new(Batch::from_columns(
+                        inp.cols.as_slice().into(),
+                        rows_to_columns(&seg_rows, inp.cols.len()),
+                        seg_rows.len(),
+                    ));
                     let seg_binds = binds.with_segment(segment);
                     let result = self.eval(inner, &seg_binds)?;
                     for ir in result.rows {
@@ -233,17 +236,11 @@ impl<'a> Reference<'a> {
                     .current_segment()
                     .ok_or_else(|| Error::internal("SegmentRef outside SegmentApply"))?
                     .clone();
-                let rows = cols
+                let columns = cols
                     .iter()
-                    .map(|(_, src)| segment.require_pos(*src))
-                    .collect::<Result<Vec<_>>>()
-                    .map(|positions| {
-                        segment
-                            .rows
-                            .iter()
-                            .map(|r| positions.iter().map(|&p| r[p].clone()).collect())
-                            .collect::<Vec<Row>>()
-                    })?;
+                    .map(|(_, src)| Ok(segment.columns[pos_of(&segment.cols, *src)?].clone()))
+                    .collect::<Result<Vec<_>>>()?;
+                let rows = columns_to_rows(&columns, segment.len);
                 Ok(Chunk {
                     cols: out_cols,
                     rows,

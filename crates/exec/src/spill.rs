@@ -43,9 +43,7 @@
 //! contract where a refused reservation fails the query with a hinted
 //! [`Error::ResourceExhausted`].
 
-use orthopt_common::column::{
-    columns_to_rows, rows_to_columns, Bitmap, ColData, Column, ColumnData,
-};
+use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
 use orthopt_common::row::Row;
 use orthopt_common::{Error, Result, Value};
 use orthopt_synccheck::sync::atomic::{AtomicU64, Ordering};
@@ -243,7 +241,7 @@ impl Drop for SpillManager {
 }
 
 /// One append-then-scan spill file (a partition or a sort run). Blocks
-/// of rows are appended while the operator drains its input, then read
+/// of lanes are appended while the operator drains its input, then read
 /// back in order through [`SpillFile::reader`]. The file is removed
 /// when the handle drops.
 #[derive(Debug)]
@@ -256,16 +254,10 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Appends one block of `width`-column rows. Returns the encoded
-    /// block size in bytes. Empty blocks are skipped.
-    pub fn append(&mut self, rows: &[Row], width: usize) -> Result<u64> {
-        self.append_columns(&rows_to_columns(rows, width), rows.len())
-    }
-
     /// Appends one block of `len` lanes straight from columns (crossing
-    /// the `spill.write` failpoint) — the same bytes [`append`]
-    /// (SpillFile::append) writes for the equivalent rows. Returns the
-    /// encoded block size in bytes. Empty blocks are skipped.
+    /// the `spill.write` failpoint). The bytes are a function of the
+    /// lane values alone, whatever the columns' representation. Returns
+    /// the encoded block size in bytes. Empty blocks are skipped.
     pub fn append_columns(&mut self, columns: &[Column], len: usize) -> Result<u64> {
         if len == 0 {
             return Ok(0);
@@ -340,13 +332,6 @@ pub struct SpillReader {
 }
 
 impl SpillReader {
-    /// The next block as rows, or `None` at end of file.
-    pub fn next_block(&mut self) -> Result<Option<Vec<Row>>> {
-        Ok(self
-            .next_block_columns()?
-            .map(|(columns, len)| columns_to_rows(&columns, len)))
-    }
-
     /// The next block as `(columns, lane count)`, or `None` at end of
     /// file (crossing the `spill.read` failpoint). Truncated files
     /// surface as [`Error::Exec`], never a panic.
@@ -757,6 +742,7 @@ impl<R: Read> Decoder<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthopt_common::column::{columns_to_rows, rows_to_columns};
 
     fn mixed_rows() -> Vec<Row> {
         vec![
@@ -794,6 +780,19 @@ mod tests {
         LOCK.lock()
     }
 
+    /// Appends `rows` as one block of `width` columns.
+    fn append_rows(f: &mut SpillFile, rows: &[Row], width: usize) -> u64 {
+        f.append_columns(&rows_to_columns(rows, width), rows.len())
+            .expect("append")
+    }
+
+    /// The next block, transposed to rows.
+    fn next_rows(r: &mut SpillReader) -> Option<Vec<Row>> {
+        r.next_block_columns()
+            .expect("read")
+            .map(|(columns, len)| columns_to_rows(&columns, len))
+    }
+
     fn assert_rows_eq(a: &[Row], b: &[Row]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -816,14 +815,14 @@ mod tests {
         let mgr = SpillManager::new();
         let rows = mixed_rows();
         let mut f = mgr.create("t").expect("create");
-        f.append(&rows[..2], 6).expect("append");
-        f.append(&rows[2..], 6).expect("append");
+        append_rows(&mut f, &rows[..2], 6);
+        append_rows(&mut f, &rows[2..], 6);
         assert_eq!(f.rows(), 3);
         assert!(f.bytes() > 0);
         let mut r = f.reader().expect("reader");
-        let b1 = r.next_block().expect("read").expect("block 1");
-        let b2 = r.next_block().expect("read").expect("block 2");
-        assert!(r.next_block().expect("read").is_none());
+        let b1 = next_rows(&mut r).expect("block 1");
+        let b2 = next_rows(&mut r).expect("block 2");
+        assert!(next_rows(&mut r).is_none());
         assert_rows_eq(&b1, &rows[..2]);
         assert_rows_eq(&b2, &rows[2..]);
         assert_eq!(mgr.spilled_bytes(), f.bytes());
@@ -864,19 +863,9 @@ mod tests {
         let mgr = SpillManager::new();
         let rows = mixed_rows();
         let mut f = mgr.create("t").expect("create");
-        f.append(&rows, 6).expect("append");
-        let one = f
-            .reader()
-            .expect("r1")
-            .next_block()
-            .expect("read")
-            .expect("rows");
-        let two = f
-            .reader()
-            .expect("r2")
-            .next_block()
-            .expect("read")
-            .expect("rows");
+        append_rows(&mut f, &rows, 6);
+        let one = next_rows(&mut f.reader().expect("r1")).expect("rows");
+        let two = next_rows(&mut f.reader().expect("r2")).expect("rows");
         assert_rows_eq(&one, &two);
     }
 
@@ -885,13 +874,13 @@ mod tests {
         let _g = scope_lock();
         let mgr = SpillManager::new();
         let mut f = mgr.create("t").expect("create");
-        assert_eq!(f.append(&[], 4).expect("empty append is a no-op"), 0);
-        // Zero-width rows (legal in the engine for constant sources).
-        f.append(&[vec![], vec![]], 0).expect("append");
+        assert_eq!(append_rows(&mut f, &[], 4), 0, "empty append is a no-op");
+        // Zero-width lanes (legal in the engine for constant sources).
+        append_rows(&mut f, &[vec![], vec![]], 0);
         let mut r = f.reader().expect("reader");
-        let b = r.next_block().expect("read").expect("block");
+        let b = next_rows(&mut r).expect("block");
         assert_eq!(b, vec![Vec::<Value>::new(), Vec::<Value>::new()]);
-        assert!(r.next_block().expect("read").is_none());
+        assert!(next_rows(&mut r).is_none());
     }
 
     #[test]
@@ -900,7 +889,7 @@ mod tests {
         let before = live_dirs();
         let mgr = SpillManager::new();
         let mut f = mgr.create("t").expect("create");
-        f.append(&mixed_rows(), 6).expect("append");
+        append_rows(&mut f, &mixed_rows(), 6);
         let dir = mgr.state.lock().dir.clone().expect("dir created");
         assert!(dir.exists());
         assert_eq!(live_dirs(), before + 1);
@@ -934,7 +923,7 @@ mod tests {
         let mut seen = 0u64;
         for (p, f) in files.iter_mut().enumerate() {
             let mut r = f.reader().expect("reader");
-            while let Some(block) = r.next_block().expect("read") {
+            while let Some(block) = next_rows(&mut r) {
                 for row in block {
                     let Value::Int(i) = row[0] else {
                         panic!("expected Int, got {row:?}")
@@ -994,11 +983,11 @@ mod tests {
             let mut restored = Vec::new();
             let mut as_rows = mgr.create("r").expect("create");
             let mut r = f.reader().expect("reader");
-            while let Some(block) = r.next_block().expect("read") {
+            while let Some(block) = next_rows(&mut r) {
                 let cost = orthopt_common::row::rows_bytes(&block);
                 let last = orthopt_common::row::row_bytes(block.last().expect("non-empty"));
                 assert!(cost - last < SPILL_BLOCK_BYTES, "flushed late");
-                as_rows.append(&block, 2).expect("append");
+                append_rows(&mut as_rows, &block, 2);
                 restored.extend(block);
                 blocks += 1;
             }

@@ -33,10 +33,9 @@ pub struct OpStats {
     /// operator processed natively (typed kernels, no row
     /// materialization) — for a join, one per probe window.
     pub kernels: u64,
-    /// Bridge conversions: how many columnar batches this operator had
-    /// to transpose back to rows at its boundary because its algorithm
-    /// is still row-at-a-time. Zero means the operator is kernel-native
-    /// on this plan.
+    /// Batches transposed to rows inside the operator. Nothing writes
+    /// it any more — every operator works on lanes — so it stays zero;
+    /// the field remains while the benchmark's trace reads it.
     pub bridged: u64,
     /// Distinct correlation bindings `BatchedApply` actually executed
     /// its inner plan for — the dedup ratio vs. the outer row count is
@@ -84,9 +83,6 @@ impl OpStats {
         if self.kernels > 0 {
             s.push_str(&format!(" kernels={}", self.kernels));
         }
-        if self.bridged > 0 {
-            s.push_str(&format!(" bridged={}", self.bridged));
-        }
         if self.distinct_bindings > 0 {
             s.push_str(&format!(" distinct_bindings={}", self.distinct_bindings));
         }
@@ -116,7 +112,6 @@ impl OpStats {
         self.elapsed += t.elapsed;
         self.mem_peak = self.mem_peak.max(t.mem_peak);
         self.kernels += t.kernels;
-        self.bridged += t.bridged;
         self.distinct_bindings += t.distinct_bindings;
         self.index_probes += t.index_probes;
         self.spill_partitions += t.spill_partitions;
@@ -137,7 +132,6 @@ impl OpStats {
         self.worker_rows_max = self.worker_rows_max.max(w.rows);
         self.mem_peak += w.mem_peak;
         self.kernels += w.kernels;
-        self.bridged += w.bridged;
         self.distinct_bindings += w.distinct_bindings;
         self.index_probes += w.index_probes;
         self.spill_partitions += w.spill_partitions;

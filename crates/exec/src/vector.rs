@@ -1,6 +1,6 @@
 //! Vectorized scalar kernels over [`Column`]s.
 //!
-//! [`eval_column`] walks a scalar expression **once per batch** and
+//! [`eval_lanes`] walks a scalar expression **once per batch** and
 //! evaluates every lane in tight loops, instead of re-walking the tree
 //! for every row the way [`crate::eval::eval`] does. Hot typed
 //! combinations (int/float/date comparisons and arithmetic, possibly
@@ -9,17 +9,19 @@
 //! *same* value-level primitives as the row evaluator, so results are
 //! identical by construction.
 //!
-//! Error contract: kernels evaluate eagerly across all lanes, so they
-//! may surface an error for a lane the short-circuiting row evaluator
-//! would never have reached, or surface errors in a different order.
-//! Callers therefore treat any `Err` as "this batch needs the row
-//! path": they re-run the whole batch row-at-a-time, which reproduces
-//! the exact row-ordered error (or the successful result, if the row
-//! path short-circuits around the failing lane). Kernels never mutate
-//! operator state, so the fallback is always safe.
+//! Errors are exact per lane. Kernels compute every lane, but a lane's
+//! error is the one `eval::eval` raises for that row, or none: an
+//! operand's failing lanes travel beside its values (ascending, each
+//! with its error), and each node counts an operand's error only on the
+//! lanes the row evaluator would have evaluated that operand on — a
+//! binary op's left error before its right and before its own, an
+//! `AND` / `OR` part only where the parts before it left the lane
+//! undecided, a `CASE` arm only where its `WHEN` fired. A caller raises
+//! the first failing lane in row order among the lanes its operator
+//! reaches, which is the error a row-at-a-time operator raises.
 
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
-use orthopt_common::{ColId, Error, Result, Row, Value};
+use orthopt_common::{Error, Value};
 use orthopt_ir::{ArithOp, CmpOp, Quant, ScalarExpr};
 
 use crate::bindings::Bindings;
@@ -27,16 +29,26 @@ use crate::eval::PosMap;
 
 /// Per-batch evaluation context for the vectorized path.
 pub struct VecEval<'a> {
-    /// Layout of the batch.
-    pub cols: &'a [ColId],
-    /// Position map for `cols`, resolved once per operator.
+    /// Position map of the batch's layout, resolved once per operator.
     pub pos: &'a PosMap,
-    /// The batch's columns (same order as `cols`).
+    /// The batch's columns, at the positions `pos` maps.
     pub columns: &'a [Column],
     /// Number of lanes (rows) in the batch.
     pub len: usize,
     /// Outer parameter bindings.
     pub binds: &'a Bindings,
+}
+
+/// A failing lane and the error the row evaluator raises on it.
+pub type LaneError = (usize, Error);
+
+/// An expression evaluated over a batch: one value per lane, and the
+/// failing lanes, ascending. A failing lane's value is NULL.
+pub struct Lanes {
+    /// The lane values.
+    pub col: Column,
+    /// The failing lanes, ascending, each with its error.
+    pub errs: Vec<LaneError>,
 }
 
 /// A kernel operand: either a real column or an unexpanded constant
@@ -56,114 +68,172 @@ impl VCol {
     }
 }
 
-/// Evaluates `expr` over every lane of the batch, returning a column of
-/// `cx.len` results. Any `Err` means "fall back to the row path for
-/// this batch" — see the module docs for the contract.
-pub fn eval_column(expr: &ScalarExpr, cx: &VecEval<'_>) -> Result<Column> {
-    Ok(materialize(eval_v(expr, cx)?, cx.len))
+/// An evaluated operand: values plus failing lanes (ascending). Inside
+/// the evaluator a failing lane's value is unspecified; [`eval_lanes`]
+/// masks it to NULL.
+struct Ev {
+    v: VCol,
+    errs: Vec<LaneError>,
 }
 
-fn materialize(v: VCol, len: usize) -> Column {
-    match v {
-        VCol::Col(c) => c,
-        VCol::Const(val) => Column::from_values(vec![val; len]),
+impl Ev {
+    fn ok(v: VCol) -> Ev {
+        Ev {
+            v,
+            errs: Vec::new(),
+        }
+    }
+
+    /// An operand that cannot be evaluated at all: every lane fails.
+    fn failed(e: Error, len: usize) -> Ev {
+        Ev {
+            v: VCol::Const(Value::Null),
+            errs: every_lane(e, len),
+        }
     }
 }
 
-fn eval_v(expr: &ScalarExpr, cx: &VecEval<'_>) -> Result<VCol> {
+/// `e` on each of `len` lanes: a constant operand's error.
+fn every_lane(e: Error, len: usize) -> Vec<LaneError> {
+    (0..len).map(|i| (i, e.clone())).collect()
+}
+
+/// Evaluates `expr` over every lane of the batch: a column of `cx.len`
+/// values and the lanes whose row evaluation fails.
+pub fn eval_lanes(expr: &ScalarExpr, cx: &VecEval<'_>) -> Lanes {
+    let Ev { v, errs } = eval_v(expr, cx);
+    let mut col = match v {
+        VCol::Col(c) => c,
+        VCol::Const(val) => Column::from_values(vec![val; cx.len]),
+    };
+    if !errs.is_empty() {
+        let mut idx: Vec<_> = (0..cx.len).map(Some).collect();
+        errs.iter().for_each(|e| idx[e.0] = None);
+        col = col.gather_opt(&idx);
+    }
+    Lanes { col, errs }
+}
+
+/// Evaluates a predicate over every lane: the lanes where it is TRUE,
+/// and the failing lanes — evaluation errors, and the `TypeMismatch` a
+/// non-boolean lane raises — as `eval::eval_predicate` sees each row.
+pub fn eval_truth(expr: &ScalarExpr, cx: &VecEval<'_>) -> (Vec<usize>, Vec<LaneError>) {
+    let Lanes { col, errs } = eval_lanes(expr, cx);
+    if let (ColData::Bool(d), validity, off) = col.parts() {
+        let sel = (0..cx.len)
+            .filter(|&i| validity.get(off + i) && d[off + i])
+            .collect();
+        return (sel, errs);
+    }
+    let mut mismatched = Vec::new();
+    let flags = bool3_lanes(&VCol::Col(col), cx.len, &mut mismatched);
+    let sel = (0..cx.len).filter(|&i| flags[i] == Some(true)).collect();
+    (sel, merge(errs, mismatched))
+}
+
+/// The first error in row order over expressions evaluated on the same
+/// lanes: the lowest failing lane, a tie going to the earliest
+/// expression (a row evaluates its expressions in order).
+pub fn first_error<'e>(errs: impl IntoIterator<Item = &'e [LaneError]>) -> Option<&'e LaneError> {
+    errs.into_iter()
+        .filter_map(<[LaneError]>::first)
+        .min_by_key(|e| e.0)
+}
+
+/// Merges two ascending failing-lane lists; on a lane both fail, `a`'s
+/// error is the one the row evaluator meets first.
+fn merge(mut a: Vec<LaneError>, b: Vec<LaneError>) -> Vec<LaneError> {
+    a.extend(b);
+    // Stable: on a tie `a`'s entry comes first, and dedup keeps it.
+    a.sort_by_key(|e| e.0);
+    a.dedup_by_key(|e| e.0);
+    a
+}
+
+fn eval_v(expr: &ScalarExpr, cx: &VecEval<'_>) -> Ev {
     match expr {
         ScalarExpr::Column(id) => {
             if let Some(p) = cx.pos.get(*id) {
-                return Ok(VCol::Col(cx.columns[p].clone()));
+                return Ev::ok(VCol::Col(cx.columns[p].clone()));
             }
-            cx.binds
-                .get(*id)
-                .cloned()
-                .map(VCol::Const)
-                .ok_or_else(|| Error::UnknownColumn(id.to_string()))
+            match cx.binds.get(*id) {
+                Some(v) => Ev::ok(VCol::Const(v.clone())),
+                None => Ev::failed(Error::UnknownColumn(id.to_string()), cx.len),
+            }
         }
-        ScalarExpr::Literal(v) => Ok(VCol::Const(v.clone())),
+        ScalarExpr::Literal(v) => Ev::ok(VCol::Const(v.clone())),
         ScalarExpr::Cmp { op, left, right } => {
-            let l = eval_v(left, cx)?;
-            let r = eval_v(right, cx)?;
-            cmp_kernel(*op, &l, &r, cx.len)
+            let l = eval_v(left, cx);
+            let r = eval_v(right, cx);
+            Ev {
+                v: cmp_kernel(*op, &l.v, &r.v, cx.len),
+                errs: merge(l.errs, r.errs),
+            }
         }
         ScalarExpr::Arith { op, left, right } => {
-            let l = eval_v(left, cx)?;
-            let r = eval_v(right, cx)?;
-            arith_kernel(*op, &l, &r, cx.len)
+            let l = eval_v(left, cx);
+            let r = eval_v(right, cx);
+            let mut own = Vec::new();
+            let v = arith_kernel(*op, &l.v, &r.v, cx.len, &mut own);
+            Ev {
+                v,
+                errs: merge(merge(l.errs, r.errs), own),
+            }
         }
         ScalarExpr::Neg(e) => {
-            let v = eval_v(e, cx)?;
-            match v {
-                VCol::Const(c) => Ok(VCol::Const(c.neg()?)),
+            let Ev { v, errs } = eval_v(e, cx);
+            let mut own = Vec::new();
+            let v = match v {
+                VCol::Const(c) => VCol::Const(c.neg().unwrap_or_else(|e| {
+                    own = every_lane(e, cx.len);
+                    Value::Null
+                })),
                 VCol::Col(c) => {
                     let mut out = Vec::with_capacity(cx.len);
                     for i in 0..cx.len {
-                        out.push(c.value(i).neg()?);
+                        out.push(c.value(i).neg().unwrap_or_else(|e| {
+                            own.push((i, e));
+                            Value::Null
+                        }));
                     }
-                    Ok(VCol::Col(Column::from_values(out)))
+                    VCol::Col(Column::from_values(out))
                 }
+            };
+            Ev {
+                v,
+                errs: merge(errs, own),
             }
         }
         ScalarExpr::And(parts) => bool_fold(parts, cx, true),
         ScalarExpr::Or(parts) => bool_fold(parts, cx, false),
         ScalarExpr::Not(e) => {
-            let v = eval_v(e, cx)?;
-            let mut flags = Vec::with_capacity(cx.len);
-            for i in 0..cx.len {
-                flags.push(orthopt_common::value::not3(bool3_at(&v, i)?));
+            let Ev { v, errs } = eval_v(e, cx);
+            let mut own = Vec::new();
+            let flags = bool3_lanes(&v, cx.len, &mut own);
+            let flags: Vec<_> = flags.into_iter().map(orthopt_common::value::not3).collect();
+            Ev {
+                v: VCol::Col(bool3_column(&flags)),
+                errs: merge(errs, own),
             }
-            Ok(VCol::Col(bool3_column(&flags)))
         }
         ScalarExpr::IsNull { expr, negated } => {
-            let v = eval_v(expr, cx)?;
-            match v {
-                VCol::Const(c) => Ok(VCol::Const(Value::Bool(c.is_null() != *negated))),
+            let Ev { v, errs } = eval_v(expr, cx);
+            let v = match v {
+                VCol::Const(c) => VCol::Const(Value::Bool(c.is_null() != *negated)),
                 VCol::Col(c) => {
-                    let flags: Vec<bool> = (0..cx.len).map(|i| c.is_valid(i) == *negated).collect();
-                    let validity = Bitmap::new_valid(cx.len);
-                    Ok(VCol::Col(Column::from_data(ColumnData {
-                        data: ColData::Bool(flags),
-                        validity,
-                    })))
+                    let flags: Vec<_> = (0..cx.len)
+                        .map(|i| Some(c.is_valid(i) == *negated))
+                        .collect();
+                    VCol::Col(bool3_column(&flags))
                 }
-            }
+            };
+            Ev { v, errs }
         }
         ScalarExpr::Case {
             operand,
             whens,
             else_,
-        } => {
-            // Eager: evaluate every arm over every lane, then select per
-            // lane. Arms have no side effects; an error in an arm the
-            // row path would have skipped triggers the row fallback,
-            // which then takes the lazy route.
-            let comparand = operand.as_ref().map(|o| eval_v(o, cx)).transpose()?;
-            let arms: Vec<(VCol, VCol)> = whens
-                .iter()
-                .map(|(w, t)| Ok((eval_v(w, cx)?, eval_v(t, cx)?)))
-                .collect::<Result<_>>()?;
-            let else_v = else_.as_ref().map(|e| eval_v(e, cx)).transpose()?;
-            let mut out = Vec::with_capacity(cx.len);
-            'lanes: for i in 0..cx.len {
-                for (w, t) in &arms {
-                    let fire = match &comparand {
-                        Some(c) => c.value(i).sql_eq(&w.value(i)) == Some(true),
-                        None => bool3_at(w, i)? == Some(true),
-                    };
-                    if fire {
-                        out.push(t.value(i));
-                        continue 'lanes;
-                    }
-                }
-                out.push(match &else_v {
-                    Some(e) => e.value(i),
-                    None => Value::Null,
-                });
-            }
-            Ok(VCol::Col(Column::from_values(out)))
-        }
+        } => case(operand.as_deref(), whens, else_.as_deref(), cx),
         ScalarExpr::Subquery(_)
         | ScalarExpr::Exists { .. }
         | ScalarExpr::InSubquery { .. }
@@ -171,48 +241,155 @@ fn eval_v(expr: &ScalarExpr, cx: &VecEval<'_>) -> Result<VCol> {
             op: _,
             quant: Quant::Any | Quant::All,
             ..
-        } => Err(Error::internal(
-            "subquery in scalar expression after normalization",
-        )),
+        } => Ev::failed(
+            Error::internal("subquery in scalar expression after normalization"),
+            cx.len,
+        ),
     }
 }
 
-/// Lane-wise 3-valued AND/OR fold over the parts. Unlike the row path
-/// this does not short-circuit — 3-valued AND/OR are commutative on
-/// *values*, and error divergence is covered by the row fallback.
-fn bool_fold(parts: &[ScalarExpr], cx: &VecEval<'_>, is_and: bool) -> Result<VCol> {
-    // Identity: TRUE for AND, FALSE for OR. A lane is *decided* once it
-    // reaches the absorbing value (FALSE for AND, TRUE for OR) — the
-    // combine loop then skips it, including its `as_bool3` conversion,
-    // which mirrors the row path's short-circuit on non-boolean lanes.
+/// Lane-wise 3-valued AND/OR fold over the parts. Every part runs over
+/// every lane, but a lane is *decided* once it reaches the absorbing
+/// value (FALSE for AND, TRUE for OR) or fails: later parts neither
+/// combine into it nor count their errors on it, as the row path
+/// short-circuits. NULL decides nothing.
+fn bool_fold(parts: &[ScalarExpr], cx: &VecEval<'_>, is_and: bool) -> Ev {
+    let stop = Some(!is_and);
     let mut acc = vec![Some(is_and); cx.len];
+    let mut errs = Vec::new();
     let mut decided = 0usize;
     for p in parts {
         if decided == cx.len {
             break;
         }
-        let v = eval_v(p, cx)?;
+        let Ev { v, errs: part_errs } = eval_v(p, cx);
+        for (i, e) in part_errs {
+            if acc[i] != stop {
+                acc[i] = stop;
+                decided += 1;
+                errs.push((i, e));
+            }
+        }
         for (i, a) in acc.iter_mut().enumerate() {
-            if *a == Some(!is_and) {
+            if *a == stop {
                 continue;
             }
-            let b = bool3_at(&v, i)?;
-            let next = if is_and {
-                orthopt_common::value::and3(*a, b)
-            } else {
-                orthopt_common::value::or3(*a, b)
+            let next = match bool3_at(&v, i) {
+                Ok(b) if is_and => orthopt_common::value::and3(*a, b),
+                Ok(b) => orthopt_common::value::or3(*a, b),
+                Err(e) => {
+                    errs.push((i, e));
+                    stop
+                }
             };
-            if next == Some(!is_and) {
+            if next == stop {
                 decided += 1;
             }
             *a = next;
         }
     }
-    Ok(VCol::Col(bool3_column(&acc)))
+    errs.sort_unstable_by_key(|e| e.0);
+    Ev {
+        v: VCol::Col(bool3_column(&acc)),
+        errs,
+    }
+}
+
+/// `CASE`: every arm runs over every lane, then each lane picks its arm.
+/// The comparand's errors count on every lane; a `WHEN`'s only where no
+/// earlier one fired, a `THEN`'s only where its `WHEN` fired, the
+/// `ELSE`'s only where none did.
+fn case(
+    operand: Option<&ScalarExpr>,
+    whens: &[(ScalarExpr, ScalarExpr)],
+    else_: Option<&ScalarExpr>,
+    cx: &VecEval<'_>,
+) -> Ev {
+    // Per lane: the arm that fired, or still open, or failed.
+    const OPEN: usize = usize::MAX;
+    const FAILED: usize = usize::MAX - 1;
+    let mut pick = vec![OPEN; cx.len];
+    let mut errs = Vec::new();
+    let comparand = operand.map(|o| {
+        let Ev { v, errs: c_errs } = eval_v(o, cx);
+        for (i, e) in c_errs {
+            pick[i] = FAILED;
+            errs.push((i, e));
+        }
+        v
+    });
+    let mut thens = Vec::with_capacity(whens.len());
+    for (k, (w, t)) in whens.iter().enumerate() {
+        let Ev { v: w, errs: w_errs } = eval_v(w, cx);
+        for (i, e) in w_errs {
+            if pick[i] == OPEN {
+                pick[i] = FAILED;
+                errs.push((i, e));
+            }
+        }
+        for (i, p) in pick.iter_mut().enumerate() {
+            if *p != OPEN {
+                continue;
+            }
+            let fire = match &comparand {
+                Some(c) => c.value(i).sql_eq(&w.value(i)) == Some(true),
+                None => match bool3_at(&w, i) {
+                    Ok(b) => b == Some(true),
+                    Err(e) => {
+                        *p = FAILED;
+                        errs.push((i, e));
+                        continue;
+                    }
+                },
+            };
+            if fire {
+                *p = k;
+            }
+        }
+        thens.push(eval_v(t, cx));
+    }
+    for (k, t) in thens.iter_mut().enumerate() {
+        errs.extend(
+            std::mem::take(&mut t.errs)
+                .into_iter()
+                .filter(|e| pick[e.0] == k),
+        );
+    }
+    let else_v = else_.map(|e| {
+        let Ev { v, errs: e_errs } = eval_v(e, cx);
+        errs.extend(e_errs.into_iter().filter(|e| pick[e.0] == OPEN));
+        v
+    });
+    errs.sort_unstable_by_key(|e| e.0);
+    let out = pick
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| match p {
+            OPEN => else_v.as_ref().map_or(Value::Null, |e| e.value(i)),
+            FAILED => Value::Null,
+            k => thens[k].v.value(i),
+        })
+        .collect();
+    Ev {
+        v: VCol::Col(Column::from_values(out)),
+        errs,
+    }
+}
+
+/// Every lane of a boolean operand under `as_bool3` semantics; a
+/// non-boolean lane's `TypeMismatch` goes to `errs` and reads NULL.
+fn bool3_lanes(v: &VCol, len: usize, errs: &mut Vec<LaneError>) -> Vec<Option<bool>> {
+    let lane = |i| {
+        bool3_at(v, i).unwrap_or_else(|e| {
+            errs.push((i, e));
+            None
+        })
+    };
+    (0..len).map(lane).collect()
 }
 
 /// Reads lane `i` of a boolean operand under `as_bool3` semantics.
-fn bool3_at(v: &VCol, i: usize) -> Result<Option<bool>> {
+fn bool3_at(v: &VCol, i: usize) -> orthopt_common::Result<Option<bool>> {
     match v {
         VCol::Const(c) => c.as_bool3(),
         VCol::Col(c) => {
@@ -251,7 +428,7 @@ fn ord_test(op: CmpOp, o: std::cmp::Ordering) -> bool {
 /// Comparison kernel. Typed column/column and column/constant fast
 /// paths avoid `Value` materialization entirely; everything else goes
 /// through the generic lane loop over [`Value::sql_cmp`].
-fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> Result<VCol> {
+fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> VCol {
     // Macro for typed same-representation comparisons: lane loop over
     // the raw vectors, NULL lanes yield NULL.
     macro_rules! typed_cmp {
@@ -264,7 +441,7 @@ fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> Result<VCol> {
                     None
                 });
             }
-            return Ok(VCol::Col(bool3_column(&flags)));
+            return VCol::Col(bool3_column(&flags));
         }};
     }
     macro_rules! typed_cmp_const {
@@ -277,7 +454,7 @@ fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> Result<VCol> {
                     None
                 });
             }
-            return Ok(VCol::Col(bool3_column(&flags)));
+            return VCol::Col(bool3_column(&flags));
         }};
     }
     match (l, r) {
@@ -338,16 +515,15 @@ fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> Result<VCol> {
         }
         (VCol::Const(k), VCol::Col(a)) if !k.is_null() => {
             // Mirror: compare with flipped ordering.
-            let flipped = cmp_kernel(
+            return cmp_kernel(
                 flip(op),
                 &VCol::Col(a.clone()),
                 &VCol::Const(k.clone()),
                 len,
-            )?;
-            return Ok(flipped);
+            );
         }
         (VCol::Const(a), VCol::Const(b)) => {
-            return Ok(VCol::Const(crate::eval::cmp_values(op, a, b)));
+            return VCol::Const(crate::eval::cmp_values(op, a, b));
         }
         _ => {}
     }
@@ -356,7 +532,7 @@ fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> Result<VCol> {
     for i in 0..len {
         flags.push(l.value(i).sql_cmp(&r.value(i)).map(|o| ord_test(op, o)));
     }
-    Ok(VCol::Col(bool3_column(&flags)))
+    VCol::Col(bool3_column(&flags))
 }
 
 /// `a op b` with operands swapped: `a < b` ⇔ `b > a`.
@@ -373,25 +549,33 @@ fn flip(op: CmpOp) -> CmpOp {
 
 /// Arithmetic kernel. Int/Int and Float/Float (including constants) run
 /// typed; mixed or exotic operands use the generic loop over the value
-/// primitives. Overflow / divide-by-zero surface as `Err` (→ row
-/// fallback reproduces the row-ordered error).
-fn arith_kernel(op: ArithOp, l: &VCol, r: &VCol, len: usize) -> Result<VCol> {
+/// primitives. Overflow, divide-by-zero and type errors go to `errs`,
+/// ascending, with NULL in their lanes.
+fn arith_kernel(op: ArithOp, l: &VCol, r: &VCol, len: usize, errs: &mut Vec<LaneError>) -> VCol {
     if let (VCol::Const(a), VCol::Const(b)) = (l, r) {
-        return Ok(VCol::Const(apply_arith(op, a, b)?));
+        return VCol::Const(apply_arith(op, a, b).unwrap_or_else(|e| {
+            *errs = every_lane(e, len);
+            Value::Null
+        }));
     }
     if !matches!(op, ArithOp::Div) {
-        if let Some(col) = arith_fast(op, l, r, len)? {
-            return Ok(VCol::Col(col));
+        if let Some(col) = arith_fast(op, l, r, len, errs) {
+            return VCol::Col(col);
         }
     }
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
-        out.push(apply_arith(op, &l.value(i), &r.value(i))?);
+        out.push(
+            apply_arith(op, &l.value(i), &r.value(i)).unwrap_or_else(|e| {
+                errs.push((i, e));
+                Value::Null
+            }),
+        );
     }
-    Ok(VCol::Col(Column::from_values(out)))
+    VCol::Col(Column::from_values(out))
 }
 
-fn apply_arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
+fn apply_arith(op: ArithOp, a: &Value, b: &Value) -> orthopt_common::Result<Value> {
     match op {
         ArithOp::Add => a.add(b),
         ArithOp::Sub => a.sub(b),
@@ -400,9 +584,15 @@ fn apply_arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
     }
 }
 
-/// Typed fast paths for add/sub/mul. Returns `Ok(None)` when no typed
-/// combination applies.
-fn arith_fast(op: ArithOp, l: &VCol, r: &VCol, len: usize) -> Result<Option<Column>> {
+/// Typed fast paths for add/sub/mul, integer overflow going to `errs`.
+/// Returns `None` when no typed combination applies.
+fn arith_fast(
+    op: ArithOp,
+    l: &VCol,
+    r: &VCol,
+    len: usize,
+    errs: &mut Vec<LaneError>,
+) -> Option<Column> {
     enum Lane<'a> {
         IntCol(&'a [i64], &'a Bitmap, usize),
         FloatCol(&'a [f64], &'a Bitmap, usize),
@@ -424,20 +614,18 @@ fn arith_fast(op: ArithOp, l: &VCol, r: &VCol, len: usize) -> Result<Option<Colu
             _ => None,
         }
     }
-    let (Some(a), Some(b)) = (lane_of(l), lane_of(r)) else {
-        return Ok(None);
-    };
+    let (a, b) = (lane_of(l)?, lane_of(r)?);
     let int_op: fn(i64, i64) -> Option<i64> = match op {
         ArithOp::Add => i64::checked_add,
         ArithOp::Sub => i64::checked_sub,
         ArithOp::Mul => i64::checked_mul,
-        ArithOp::Div => return Ok(None),
+        ArithOp::Div => return None,
     };
     let float_op: fn(f64, f64) -> f64 = match op {
         ArithOp::Add => |x, y| x + y,
         ArithOp::Sub => |x, y| x - y,
         ArithOp::Mul => |x, y| x * y,
-        ArithOp::Div => return Ok(None),
+        ArithOp::Div => return None,
     };
     let valid_at = |lane: &Lane<'_>, i: usize| match lane {
         Lane::IntCol(_, v, o) | Lane::FloatCol(_, v, o) => v.get(o + i),
@@ -456,17 +644,20 @@ fn arith_fast(op: ArithOp, l: &VCol, r: &VCol, len: usize) -> Result<Option<Colu
             let mut validity = Bitmap::from_flags(std::iter::empty());
             for i in 0..len {
                 if valid_at(&a, i) && valid_at(&b, i) {
-                    out.push(int_op(get(&a, i), get(&b, i)).ok_or(Error::NumericOverflow)?);
-                    validity.push(true);
-                } else {
-                    out.push(0);
-                    validity.push(false);
+                    if let Some(v) = int_op(get(&a, i), get(&b, i)) {
+                        out.push(v);
+                        validity.push(true);
+                        continue;
+                    }
+                    errs.push((i, Error::NumericOverflow));
                 }
+                out.push(0);
+                validity.push(false);
             }
-            Ok(Some(Column::from_data(ColumnData {
+            Some(Column::from_data(ColumnData {
                 data: ColData::Int(out),
                 validity,
-            })))
+            }))
         }
         _ => {
             let get = |lane: &Lane<'_>, i: usize| match lane {
@@ -486,38 +677,12 @@ fn arith_fast(op: ArithOp, l: &VCol, r: &VCol, len: usize) -> Result<Option<Colu
                     validity.push(false);
                 }
             }
-            Ok(Some(Column::from_data(ColumnData {
+            Some(Column::from_data(ColumnData {
                 data: ColData::Float(out),
                 validity,
-            })))
+            }))
         }
     }
-}
-
-/// Lanes where a predicate column is TRUE (valid and true). Errors with
-/// the row path's `TypeMismatch` when the column is not boolean.
-pub fn selected_true(col: &Column) -> Result<Vec<usize>> {
-    let (data, validity, off) = col.parts();
-    match data {
-        ColData::Bool(d) => Ok((0..col.len())
-            .filter(|&i| validity.get(off + i) && d[off + i])
-            .collect()),
-        _ => {
-            let mut sel = Vec::new();
-            for i in 0..col.len() {
-                if col.value(i).as_bool3()? == Some(true) {
-                    sel.push(i);
-                }
-            }
-            Ok(sel)
-        }
-    }
-}
-
-/// Materializes one lane of a columnar batch as a row — used by the row
-/// fallback and by bridged consumers.
-pub fn lane_row(columns: &[Column], i: usize) -> Row {
-    columns.iter().map(|c| c.value(i)).collect()
 }
 
 #[cfg(test)]
@@ -525,16 +690,17 @@ mod tests {
     use super::*;
     use crate::eval::{eval, EvalCtx};
     use orthopt_common::column::rows_to_columns;
+    use orthopt_common::{ColId, Result, Row};
+    use proptest::prelude::*;
+    use proptest::strategy::TestRng;
 
     fn cx<'a>(
-        cols: &'a [ColId],
         pos: &'a PosMap,
         columns: &'a [Column],
         len: usize,
         binds: &'a Bindings,
     ) -> VecEval<'a> {
         VecEval {
-            cols,
             pos,
             columns,
             len,
@@ -542,109 +708,344 @@ mod tests {
         }
     }
 
-    /// The vectorized path must agree lane-for-lane with the row
-    /// evaluator on every expression it claims to support.
-    #[test]
-    fn kernels_agree_with_row_eval() {
-        let cols = [ColId(1), ColId(2), ColId(3)];
-        let rows: Vec<Row> = vec![
-            vec![Value::Int(1), Value::Float(2.5), Value::str("a")],
-            vec![Value::Int(-3), Value::Null, Value::str("bb")],
-            vec![Value::Null, Value::Float(0.0), Value::str("a")],
-            vec![Value::Int(7), Value::Float(-1.0), Value::Null],
-        ];
-        let columns = rows_to_columns(&rows, 3);
-        let pm = PosMap::new(&cols);
-        let binds = Bindings::new();
-        let c = cx(&cols, &pm, &columns, rows.len(), &binds);
-        let exprs = vec![
-            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(ColId(1)), ScalarExpr::lit(2i64)),
-            ScalarExpr::eq(
-                ScalarExpr::col(ColId(3)),
-                ScalarExpr::Literal(Value::str("a")),
-            ),
-            ScalarExpr::Cmp {
-                op: CmpOp::Ge,
-                left: Box::new(ScalarExpr::col(ColId(2))),
-                right: Box::new(ScalarExpr::col(ColId(1))),
-            },
-            ScalarExpr::Arith {
-                op: ArithOp::Add,
-                left: Box::new(ScalarExpr::col(ColId(1))),
-                right: Box::new(ScalarExpr::lit(10i64)),
-            },
-            ScalarExpr::Arith {
-                op: ArithOp::Mul,
-                left: Box::new(ScalarExpr::col(ColId(2))),
-                right: Box::new(ScalarExpr::col(ColId(1))),
-            },
-            ScalarExpr::And(vec![
-                ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(ColId(1)), ScalarExpr::lit(5i64)),
-                ScalarExpr::eq(
-                    ScalarExpr::col(ColId(3)),
-                    ScalarExpr::Literal(Value::str("a")),
-                ),
-            ]),
-            ScalarExpr::Or(vec![
-                ScalarExpr::IsNull {
-                    expr: Box::new(ScalarExpr::col(ColId(2))),
-                    negated: false,
-                },
-                ScalarExpr::cmp(
+    fn arith(op: ArithOp, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
+        ScalarExpr::Arith {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+        }
+    }
+
+    /// Lane `i`'s value or error, as [`eval_lanes`] reports it.
+    fn lane(out: &Lanes, i: usize) -> Result<Value> {
+        match out.errs.iter().find(|e| e.0 == i) {
+            Some((_, e)) => Err(e.clone()),
+            None => Ok(out.col.value(i)),
+        }
+    }
+
+    /// Every lane of `e` over `rows`, evaluated `batch` lanes at a time
+    /// over column windows, equals `eval::eval` on that row — the value
+    /// (compared with its type) or the error — and so does its truth as
+    /// a predicate. Failing lanes are ascending and hold NULL.
+    fn check_lane_exact(
+        e: &ScalarExpr,
+        cols: &[ColId],
+        rows: &[Row],
+        binds: &Bindings,
+        batch: usize,
+    ) -> std::result::Result<(), TestCaseError> {
+        let columns = rows_to_columns(rows, cols.len());
+        let pm = PosMap::new(cols);
+        for start in (0..rows.len()).step_by(batch) {
+            let n = batch.min(rows.len() - start);
+            let window: Vec<Column> = columns.iter().map(|c| c.slice(start, n)).collect();
+            let c = cx(&pm, &window, n, binds);
+            let out = eval_lanes(e, &c);
+            prop_assert!(out.errs.windows(2).all(|w| w[0].0 < w[1].0));
+            let (sel, truth_errs) = eval_truth(e, &c);
+            for i in 0..n {
+                let want = eval(e, &EvalCtx::plain(cols, &rows[start + i], binds));
+                let got = lane(&out, i);
+                prop_assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "lane {} of {:?}",
+                    start + i,
+                    e
+                );
+                if got.is_err() {
+                    prop_assert!(out.col.value(i).is_null());
+                }
+                let want_truth = want.and_then(|v| v.as_bool3());
+                let got_truth = match truth_errs.iter().find(|x| x.0 == i) {
+                    Some((_, err)) => Err(err.clone()),
+                    None => Ok(sel.contains(&i)),
+                };
+                prop_assert_eq!(
+                    got_truth,
+                    want_truth.map(|b| b == Some(true)),
+                    "truth of lane {}",
+                    start + i
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Random rows over Int, Float, Str, Bool and Date columns and a
+    /// random expression of depth ≤ 4 over them: NULLs, zero divisors,
+    /// `i64::MIN` / `MAX`, non-boolean operands under the boolean
+    /// connectives, a bound parameter and, rarely, an unknown column.
+    struct ExprCase;
+
+    const COLS: [ColId; 5] = [ColId(1), ColId(2), ColId(3), ColId(4), ColId(5)];
+    const PARAM: ColId = ColId(9);
+
+    fn pick<T: Clone>(rng: &mut TestRng, xs: &[T]) -> T {
+        xs[rng.below(xs.len() as u64) as usize].clone()
+    }
+
+    fn value_of(rng: &mut TestRng, ty: usize) -> Value {
+        if rng.below(6) == 0 {
+            return Value::Null;
+        }
+        match ty {
+            0 => Value::Int(pick(rng, &[0, 1, -1, 2, 7, i64::MIN, i64::MAX])),
+            1 => Value::Float(pick(rng, &[0.0, 1.5, -2.0, 0.5])),
+            2 => Value::str(pick(rng, &["a", "b", ""])),
+            3 => Value::Bool(rng.below(2) == 0),
+            _ => Value::Date(pick(rng, &[0, 10, -5])),
+        }
+    }
+
+    fn expr_of(rng: &mut TestRng, depth: u32) -> ScalarExpr {
+        if depth == 0 || rng.below(4) == 0 {
+            return match rng.below(20) {
+                0..=11 => ScalarExpr::col(pick(rng, &COLS)),
+                12 => ScalarExpr::col(PARAM),
+                13 if rng.below(4) == 0 => ScalarExpr::col(ColId(99)),
+                _ => {
+                    let ty = rng.below(5) as usize;
+                    ScalarExpr::Literal(value_of(rng, ty))
+                }
+            };
+        }
+        let mut sub = || expr_of(rng, depth - 1);
+        let (a, b, c) = (sub(), sub(), sub());
+        match rng.below(9) {
+            0 => {
+                let op = [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
                     CmpOp::Lt,
-                    ScalarExpr::col(ColId(2)),
-                    ScalarExpr::lit(Value::Float(1.0)),
-                ),
-            ]),
-            ScalarExpr::Not(Box::new(ScalarExpr::eq(
-                ScalarExpr::col(ColId(1)),
-                ScalarExpr::lit(1i64),
-            ))),
-            ScalarExpr::Case {
-                operand: None,
-                whens: vec![(
-                    ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(ColId(1)), ScalarExpr::lit(0i64)),
-                    ScalarExpr::Literal(Value::str("neg")),
-                )],
-                else_: Some(Box::new(ScalarExpr::Literal(Value::str("other")))),
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ][rng.below(6) as usize];
+                ScalarExpr::cmp(op, a, b)
+            }
+            1 | 2 => {
+                let op =
+                    [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][rng.below(4) as usize];
+                arith(op, a, b)
+            }
+            3 => ScalarExpr::Neg(Box::new(a)),
+            4 => ScalarExpr::And(vec![a, b, c][..2 + rng.below(2) as usize].to_vec()),
+            5 => ScalarExpr::Or(vec![a, b, c][..2 + rng.below(2) as usize].to_vec()),
+            6 => ScalarExpr::Not(Box::new(a)),
+            7 => ScalarExpr::IsNull {
+                expr: Box::new(a),
+                negated: rng.below(2) == 0,
             },
-            ScalarExpr::Neg(Box::new(ScalarExpr::col(ColId(1)))),
-        ];
-        for e in &exprs {
-            let vec_out = eval_column(e, &c).unwrap();
-            for (i, r) in rows.iter().enumerate() {
-                let row_out = eval(e, &EvalCtx::plain(&cols, r, &binds)).unwrap();
-                assert_eq!(vec_out.value(i), row_out, "lane {i} of {e:?}");
+            _ => {
+                let operand = (rng.below(3) == 0).then(|| Box::new(expr_of(rng, depth - 1)));
+                let mut whens = vec![(a, b)];
+                if rng.below(2) == 0 {
+                    whens.push((expr_of(rng, depth - 1), expr_of(rng, depth - 1)));
+                }
+                ScalarExpr::Case {
+                    operand,
+                    whens,
+                    else_: (rng.below(2) == 0).then(|| Box::new(c)),
+                }
             }
         }
     }
 
+    impl Strategy for ExprCase {
+        type Value = (Vec<Row>, ScalarExpr);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            // Mostly a few rows; sometimes more than one full batch.
+            let n = if rng.below(16) == 0 {
+                1030
+            } else {
+                1 + rng.below(40) as usize
+            };
+            let rows = (0..n)
+                .map(|_| (0..COLS.len()).map(|ty| value_of(rng, ty)).collect())
+                .collect();
+            (rows, expr_of(rng, 3))
+        }
+    }
+
+    proptest! {
+        /// Lane-exact errors: at batch sizes 1, 7 and 1024, each lane's
+        /// value or error is the row evaluator's for that row.
+        #[test]
+        fn kernels_agree_with_row_eval(case in ExprCase) {
+            let (rows, e) = case;
+            let mut binds = Bindings::new();
+            binds.set(PARAM, Value::Int(0));
+            for batch in [1, 7, 1024] {
+                check_lane_exact(&e, &COLS, &rows, &binds, batch)?;
+            }
+        }
+    }
+
+    /// The lanes `e` fails on over one Int column `x` holding `xs`, each
+    /// as its error (in lane order).
+    fn failing_lanes(e: &ScalarExpr, xs: &[Option<i64>]) -> Vec<LaneError> {
+        let cols = [ColId(1)];
+        let rows: Vec<Row> = xs
+            .iter()
+            .map(|x| vec![x.map_or(Value::Null, Value::Int)])
+            .collect();
+        let binds = Bindings::new();
+        check_lane_exact(e, &cols, &rows, &binds, rows.len()).unwrap_or_else(|err| panic!("{err}"));
+        let columns = rows_to_columns(&rows, 1);
+        let pm = PosMap::new(&cols);
+        eval_lanes(e, &cx(&pm, &columns, rows.len(), &binds)).errs
+    }
+
+    fn x() -> ScalarExpr {
+        ScalarExpr::col(ColId(1))
+    }
+
+    /// `10 / x > 0`: divides by zero where `x` is 0.
+    fn ten_over_x_positive() -> ScalarExpr {
+        ScalarExpr::cmp(
+            CmpOp::Gt,
+            arith(ArithOp::Div, ScalarExpr::lit(10i64), x()),
+            ScalarExpr::lit(0i64),
+        )
+    }
+
+    /// An `AND` / `OR` part's errors count only on lanes the parts
+    /// before it left undecided; NULL decides nothing.
+    #[test]
+    fn connectives_count_errors_only_on_undecided_lanes() {
+        let xs = [Some(0), Some(1), None, Some(0)];
+        // x <> 0 is FALSE on lanes 0 and 3, so AND never divides there.
+        let guarded = ScalarExpr::And(vec![
+            ScalarExpr::cmp(CmpOp::Ne, x(), ScalarExpr::lit(0i64)),
+            ten_over_x_positive(),
+        ]);
+        assert!(failing_lanes(&guarded, &xs).is_empty());
+        // x = 0 is TRUE there, so OR never divides there either.
+        let or_guarded = ScalarExpr::Or(vec![
+            ScalarExpr::eq(x(), ScalarExpr::lit(0i64)),
+            ten_over_x_positive(),
+        ]);
+        assert!(failing_lanes(&or_guarded, &xs).is_empty());
+        // Unguarded, both zero lanes fail; a NULL first part decides
+        // nothing, so a non-boolean second part fails on lane 2 too.
+        let unguarded = ScalarExpr::And(vec![ScalarExpr::lit(true), ten_over_x_positive()]);
+        let lanes: Vec<usize> = failing_lanes(&unguarded, &xs).iter().map(|e| e.0).collect();
+        assert_eq!(lanes, [0, 3]);
+        let null_then_int = ScalarExpr::And(vec![
+            ScalarExpr::cmp(CmpOp::Gt, x(), ScalarExpr::lit(0i64)),
+            ScalarExpr::lit(5i64),
+        ]);
+        let errs = failing_lanes(&null_then_int, &xs);
+        assert_eq!(errs.iter().map(|e| e.0).collect::<Vec<_>>(), [1, 2]);
+        assert!(matches!(errs[0].1, Error::TypeMismatch(_)));
+    }
+
+    /// A `CASE` arm's errors count only where its `WHEN` fired, the
+    /// `ELSE`'s only where none did.
+    #[test]
+    fn case_counts_arm_errors_only_where_the_arm_is_taken() {
+        let xs = [Some(0), Some(2), None];
+        let ten_over_x = arith(ArithOp::Div, ScalarExpr::lit(10i64), x());
+        let guarded = ScalarExpr::Case {
+            operand: None,
+            whens: vec![(
+                ScalarExpr::cmp(CmpOp::Ne, x(), ScalarExpr::lit(0i64)),
+                ten_over_x.clone(),
+            )],
+            else_: Some(Box::new(ScalarExpr::lit(0i64))),
+        };
+        assert!(failing_lanes(&guarded, &xs).is_empty());
+        let in_else = ScalarExpr::Case {
+            operand: Some(Box::new(x())),
+            whens: vec![(ScalarExpr::lit(0i64), ScalarExpr::lit(0i64))],
+            else_: Some(Box::new(ten_over_x)),
+        };
+        assert!(failing_lanes(&in_else, &xs).is_empty());
+        // A failing WHEN stops its lane: later arms do not count there.
+        let failing_when = ScalarExpr::Case {
+            operand: None,
+            whens: vec![
+                (ten_over_x_positive(), ScalarExpr::lit(1i64)),
+                (ScalarExpr::lit(5i64), ScalarExpr::lit(2i64)),
+            ],
+            else_: None,
+        };
+        let errs = failing_lanes(&failing_when, &xs);
+        assert_eq!(errs.iter().map(|e| e.0).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(errs[0].1, Error::DivideByZero);
+        assert!(matches!(errs[1].1, Error::TypeMismatch(_)));
+    }
+
+    /// A binary op reports its left operand's error before its right
+    /// operand's and before its own; an operand that cannot be
+    /// evaluated at all fails every lane.
+    #[test]
+    fn operand_errors_precede_the_ops_own() {
+        let xs = [Some(i64::MAX), Some(0), Some(1)];
+        let e = arith(
+            ArithOp::Add,
+            arith(ArithOp::Div, ScalarExpr::lit(1i64), x()),
+            arith(ArithOp::Add, x(), ScalarExpr::lit(1i64)),
+        );
+        let errs = failing_lanes(&e, &xs);
+        assert_eq!(
+            errs,
+            [(0, Error::NumericOverflow), (1, Error::DivideByZero)]
+        );
+        let unknown = ScalarExpr::cmp(
+            CmpOp::Lt,
+            ScalarExpr::col(ColId(7)),
+            arith(ArithOp::Div, ScalarExpr::lit(1i64), x()),
+        );
+        let errs = failing_lanes(&unknown, &xs);
+        assert_eq!(errs.len(), 3);
+        assert!(errs.iter().all(|e| matches!(e.1, Error::UnknownColumn(_))));
+    }
+
     #[test]
     fn selection_picks_true_lanes_only() {
-        let col = Column::from_values(vec![
+        let cols = [ColId(1)];
+        let pm = PosMap::new(&cols);
+        let binds = Bindings::new();
+        let flags = [
             Value::Bool(true),
             Value::Bool(false),
             Value::Null,
             Value::Bool(true),
-        ]);
-        assert_eq!(selected_true(&col).unwrap(), vec![0, 3]);
-        let bad = Column::from_values(vec![Value::Int(1)]);
-        assert!(selected_true(&bad).is_err());
+        ];
+        let columns = [Column::from_values(flags.to_vec())];
+        let (sel, errs) = eval_truth(&x(), &cx(&pm, &columns, 4, &binds));
+        assert_eq!((sel, errs), (vec![0, 3], vec![]));
+        let mixed = [Column::from_values(vec![Value::Bool(true), Value::Int(1)])];
+        let (sel, errs) = eval_truth(&x(), &cx(&pm, &mixed, 2, &binds));
+        assert_eq!(sel, [0]);
+        assert_eq!(errs.len(), 1);
+        assert!(matches!(errs[0], (1, Error::TypeMismatch(_))));
     }
 
     #[test]
-    fn overflow_surfaces_as_error_for_fallback() {
-        let cols = [ColId(1)];
-        let rows: Vec<Row> = vec![vec![Value::Int(i64::MAX)]];
-        let columns = rows_to_columns(&rows, 1);
-        let pm = PosMap::new(&cols);
-        let binds = Bindings::new();
-        let c = cx(&cols, &pm, &columns, 1, &binds);
-        let e = ScalarExpr::Arith {
-            op: ArithOp::Add,
-            left: Box::new(ScalarExpr::col(ColId(1))),
-            right: Box::new(ScalarExpr::lit(1i64)),
-        };
-        assert!(matches!(eval_column(&e, &c), Err(Error::NumericOverflow)));
+    fn overflow_surfaces_as_a_lane_error() {
+        let e = arith(ArithOp::Add, x(), ScalarExpr::lit(1i64));
+        assert_eq!(
+            failing_lanes(&e, &[Some(1), Some(i64::MAX), None]),
+            [(1, Error::NumericOverflow)]
+        );
+    }
+
+    /// The first error over several expressions: the lowest lane, a tie
+    /// going to the earlier expression.
+    #[test]
+    fn first_error_is_row_ordered() {
+        let a = [(3, Error::DivideByZero)];
+        let b = [(1, Error::NumericOverflow), (3, Error::DivideByZero)];
+        let c = [(1, Error::DivideByZero)];
+        assert_eq!(
+            first_error([&a[..], &b[..], &c[..]]),
+            Some(&(1, Error::NumericOverflow))
+        );
+        assert_eq!(first_error([&[][..], &[][..]]), None);
     }
 }

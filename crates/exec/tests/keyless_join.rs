@@ -118,7 +118,8 @@ fn matches_the_reference_for_every_kind() {
 /// candidate (order 10) and divides by zero on the second (order 11). A
 /// semi or anti join is done with a probe row at its first match and
 /// never evaluates the second pair; an inner or outer join evaluates
-/// every pair and must raise.
+/// every pair and must raise. Every kind answers what the `Reference`
+/// join loop answers.
 #[test]
 fn an_error_past_a_lanes_first_match_is_raised_only_by_joins_that_look() {
     let catalog = customers_orders();
@@ -144,17 +145,21 @@ fn an_error_past_a_lanes_first_match_is_raised_only_by_joins_that_look() {
         );
         let mut pipe = Pipeline::compile(&plan).unwrap();
         let got = pipe.execute(&catalog, &Bindings::new());
+        let logical = builder::join(kind, get_customer(), get_orders(), predicate.clone());
+        let want = Reference::new(&catalog).run(&logical);
         match kind {
             JoinKind::LeftSemi => assert_eq!(got.unwrap().len(), 3, "every customer matches"),
             JoinKind::LeftAnti => assert!(got.unwrap().is_empty()),
             JoinKind::Inner | JoinKind::LeftOuter => {
                 let err = got.unwrap_err();
                 assert_eq!(err.root_cause(), &Error::DivideByZero, "{kind:?}");
+                assert_eq!(Some(err), want.err(), "{kind:?}");
+                continue;
             }
         }
-        // The kernel hit the error and the pairs were re-walked a lane
-        // at a time.
-        assert_eq!(pipe.stats()[0].bridged, 1, "{kind:?}");
+        let want = want.expect("the reference semi / anti join stops at the first match");
+        let got = pipe.execute(&catalog, &Bindings::new()).unwrap();
+        assert!(bag_eq(&want.rows, &got.rows), "{kind:?}");
     }
 }
 
@@ -218,7 +223,6 @@ fn candidate_pairs_are_evaluated_in_bounded_windows() {
     ] {
         let (rows, stats) = run(keys, same.clone());
         assert_eq!(rows, want, "{what}");
-        assert_eq!(stats.bridged, 0, "{what}");
         // 5 000 candidates a lane: a window closes every few lanes.
         assert!(
             stats.kernels > 100 * probe_batches,
