@@ -457,7 +457,7 @@ impl Session {
     /// the engine default), `mem_limit` (bytes, `k`/`m`/`g` suffix,
     /// `none`), `timeout_ms` (`none` to clear), `level`
     /// (`correlated`/`decorrelated`/`groupby`/`full`),
-    /// `apply_strategy` (`auto`/`loop`/`batched`/`index`).
+    /// `apply_strategy` (`auto`/`loop`/`index`).
     pub fn set(&mut self, name: &str, value: &str) -> Result<()> {
         let v = value.trim();
         match name.trim().to_ascii_lowercase().as_str() {
@@ -748,6 +748,23 @@ mod tests {
         assert_eq!(s.settings().mem_limit, Some(4 << 20));
         s.set("mem_limit", "none").unwrap();
         assert_eq!(s.settings().mem_limit, None);
+    }
+
+    /// `apply_strategy` takes `auto`, `loop` and `index`; `batched`,
+    /// whose operator is gone, is refused like any unknown value.
+    #[test]
+    fn set_apply_strategy_refuses_batched() {
+        let engine = Engine::with_defaults(catalog());
+        let mut s = engine.session();
+        for v in ["auto", "loop", "index"] {
+            s.set("apply_strategy", v).unwrap();
+            assert_eq!(s.settings().apply_strategy.name(), v);
+        }
+        assert_eq!(
+            s.set("apply_strategy", "batched"),
+            Err(Error::Plan("invalid apply_strategy: batched".into()))
+        );
+        assert_eq!(s.settings().apply_strategy, ApplyStrategy::Index);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Three-way correlated-strategy conformance: every query in the shared
+//! Correlated-strategy conformance: every query in the shared
 //! correlated template family, compiled with each *forced* execution
-//! strategy — `ApplyLoop`, `BatchedApply`, and `IndexLookupJoin` (which
-//! falls back to the loop when the inner is not seek-shaped) — must be
+//! strategy — the Apply (`ApplyLoop`) and `IndexLookupJoin` (which
+//! falls back to the Apply when the inner is not seek-shaped) — must be
 //! bag-identical to the naive `Reference` interpreter, at correlated
 //! and fully-decorrelated optimizer levels, serial and 4-worker,
 //! across awkward batch sizes.
 //!
 //! This is the oracle-differential proof that correlated
 //! re-introduction is a real race between semantically interchangeable
-//! strategies, not three operators with three sets of edge cases.
+//! strategies, not two operators with two sets of edge cases.
 
 mod common;
+
+use std::collections::HashSet;
 
 use common::{assert_fanned_out, pooled};
 use orthopt::{ApplyStrategy, Database, OptimizerLevel};
@@ -22,11 +24,7 @@ use orthopt_ir::{ApplyKind, ArithOp, CmpOp, RelExpr, ScalarExpr};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 use orthopt_storage::{Catalog, ColumnDef, TableDef};
 
-const STRATEGIES: [ApplyStrategy; 3] = [
-    ApplyStrategy::Loop,
-    ApplyStrategy::Batched,
-    ApplyStrategy::Index,
-];
+const STRATEGIES: [ApplyStrategy; 2] = [ApplyStrategy::Loop, ApplyStrategy::Index];
 
 /// Correlated planning plus the fully-decorrelated pipeline: the forced
 /// strategy must be harmless even when normalization removes every
@@ -40,7 +38,7 @@ const BATCH_SIZES: [usize; 5] = [1, 7, 1023, 1024, 1025];
 const WORKERS: [usize; 2] = [1, 4];
 
 /// Deterministic fixture with the properties the race cares about:
-/// duplicate correlation keys (~7 `s` rows per `sr` group, so batched
+/// duplicate correlation keys (~7 `s` rows per `sr` group, so binding
 /// dedup has real work), NULLs in every nullable column (binding-cache
 /// key safety), and a hash index on `s.sr` so index-lookup fusion is
 /// actually applicable.
@@ -131,7 +129,7 @@ fn forced_strategies_match_reference_shifted_constants() {
 /// NULL correlation parameters (satellite: binding-cache key safety).
 /// `rv` is NULL on every fourth row: a NULL binding must hit nothing in
 /// the hash index, never collide with a cached non-NULL binding, and
-/// produce the same NULL/empty semantics in all three strategies.
+/// produce the same NULL/empty semantics in every strategy.
 #[test]
 fn null_correlation_keys_consistent_across_strategies() {
     let mut db = fixture();
@@ -148,10 +146,11 @@ fn null_correlation_keys_consistent_across_strategies() {
 /// Every strategy × `ApplyKind` — `Cross` included, which no SQL text
 /// reaches at the correlated level — as a hand-built plan over the
 /// fixture, correlated on the nullable, duplicate-heavy `rv`. Each must
-/// produce the rows a nested loop over the tables does. `BatchedApply`
-/// must have run its dedup kernel and executed fewer bindings than
-/// outer rows; the index join probes once per non-NULL outer lane, runs
-/// one kernel per window and executes no binding at all.
+/// produce the rows a nested loop over the tables does. The Apply runs
+/// its inner plan once per distinct `rv` over the whole outer (NULL is
+/// one binding), whatever the batch size; the index join probes once
+/// per non-NULL outer lane, runs one kernel per window and executes no
+/// binding at all.
 #[test]
 fn every_strategy_and_kind_runs_on_lanes() {
     let db = fixture();
@@ -189,12 +188,6 @@ fn every_strategy_and_kind_runs_on_lanes() {
         let params = vec![rv];
         match strategy {
             ApplyStrategy::Loop => PhysExpr::ApplyLoop {
-                kind,
-                left,
-                right,
-                params,
-            },
-            ApplyStrategy::Batched => PhysExpr::BatchedApply {
                 kind,
                 left,
                 right,
@@ -256,14 +249,19 @@ fn every_strategy_and_kind_runs_on_lanes() {
                     "{ctx}\nwant={want:?}\ngot={:?}",
                     got.rows
                 );
-                // Pre-order slot 0 is the apply node itself.
+                // Pre-order slot 0 is the apply node itself, slot 2 the
+                // inner plan's root.
                 let apply = pipeline.stats()[0];
                 match strategy {
-                    ApplyStrategy::Batched => {
-                        assert!(apply.kernels > 0, "{ctx}: {apply:?}");
-                        assert!(
-                            apply.distinct_bindings < r_rows.len() as u64,
-                            "{ctx}: duplicate bindings were not deduped: {apply:?}"
+                    ApplyStrategy::Loop => {
+                        let bindings: HashSet<&Value> = r_rows.iter().map(|r| &r[1]).collect();
+                        let distinct = bindings.len() as u64;
+                        assert!(distinct < r_rows.len() as u64, "{ctx}: vacuous");
+                        assert_eq!(apply.distinct_bindings, distinct, "{ctx}: {apply:?}");
+                        assert_eq!(
+                            pipeline.stats()[2].opens,
+                            distinct,
+                            "{ctx}: one inner run per distinct binding"
                         );
                     }
                     ApplyStrategy::Index => {
@@ -494,7 +492,7 @@ fn index_join_probe_matches_reference_in_order() {
 }
 
 /// Forcing a strategy actually shapes the plan: the forced operator
-/// appears (or, for `Index` on a non-seekable inner, the loop fallback).
+/// appears (or, for `Index` on a non-seekable inner, the Apply fallback).
 #[test]
 fn forced_strategy_shapes_the_plan() {
     let mut db = fixture();
@@ -509,17 +507,6 @@ fn forced_strategy_shapes_the_plan() {
     );
     assert!(text.contains("ApplyLoop"), "forced loop plan:\n{text}");
 
-    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Batched;
-    let text = orthopt_exec::explain_phys(
-        &db.plan(seekable, OptimizerLevel::Correlated)
-            .unwrap()
-            .physical,
-    );
-    assert!(
-        text.contains("BatchedApply"),
-        "forced batched plan:\n{text}"
-    );
-
     db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Index;
     let text = orthopt_exec::explain_phys(
         &db.plan(seekable, OptimizerLevel::Correlated)
@@ -532,7 +519,7 @@ fn forced_strategy_shapes_the_plan() {
     );
 
     // Aggregate inner: not seek-shaped, so forced Index falls back to
-    // the loop instead of failing to plan.
+    // the Apply instead of failing to plan.
     let text = orthopt_exec::explain_phys(
         &db.plan(aggregated, OptimizerLevel::Correlated)
             .unwrap()
@@ -549,7 +536,7 @@ fn forced_strategy_shapes_the_plan() {
 fn explain_analyze_reports_strategy_counters() {
     let mut db = fixture();
 
-    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Batched;
+    db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Loop;
     let text = db
         .explain_analyze(
             "select rk, (select sum(sv) from s where sr = rk) from r",
@@ -558,7 +545,7 @@ fn explain_analyze_reports_strategy_counters() {
         .unwrap();
     assert!(
         text.contains("distinct_bindings="),
-        "batched analyze:\n{text}"
+        "apply analyze:\n{text}"
     );
 
     db.session_mut().settings_mut().apply_strategy = ApplyStrategy::Index;
@@ -575,8 +562,8 @@ fn explain_analyze_reports_strategy_counters() {
     );
 
     // A point lookup is one probe of the index, and an `IndexSeek`
-    // re-opened by a loop one per non-NULL binding (`rv` is NULL in
-    // three of the twelve `r` rows).
+    // re-opened by the Apply one per distinct non-NULL binding (`rv` is
+    // 1, 2 or 3 in nine of the twelve `r` rows and NULL in the rest).
     let text = db
         .explain_analyze("select sk from s where sr = 3", OptimizerLevel::Full)
         .unwrap();
@@ -592,7 +579,7 @@ fn explain_analyze_reports_strategy_counters() {
         )
         .unwrap();
     assert!(
-        text.contains("IndexSeek") && text.contains("index_probes=9"),
+        text.contains("IndexSeek") && text.contains("index_probes=3"),
         "loop analyze:\n{text}"
     );
 }
@@ -603,11 +590,12 @@ fn env_knob_parses_all_spellings() {
     for (s, want) in [
         ("auto", ApplyStrategy::Auto),
         ("loop", ApplyStrategy::Loop),
-        (" Batched ", ApplyStrategy::Batched),
+        (" Loop ", ApplyStrategy::Loop),
         ("INDEX", ApplyStrategy::Index),
     ] {
         assert_eq!(ApplyStrategy::parse(s), Some(want));
     }
     assert_eq!(ApplyStrategy::parse("nested"), None);
+    assert_eq!(ApplyStrategy::parse("batched"), None);
     assert_eq!(ApplyStrategy::default(), ApplyStrategy::Auto);
 }

@@ -114,12 +114,12 @@ fn apply_strategy_splits_plan_cache_fingerprint() {
     let mut looped = engine.session();
     looped.set("apply_strategy", "loop").unwrap();
     looped.set("level", "correlated").unwrap();
-    let mut batched = engine.session();
-    batched.set("apply_strategy", "batched").unwrap();
-    batched.set("level", "correlated").unwrap();
+    let mut indexed = engine.session();
+    indexed.set("apply_strategy", "index").unwrap();
+    indexed.set("level", "correlated").unwrap();
 
     let a = looped.execute(sql).unwrap();
-    let b = batched.execute(sql).unwrap();
+    let b = indexed.execute(sql).unwrap();
     assert!(bag_eq(&a.rows, &b.rows), "strategies must agree on rows");
     assert_eq!(
         engine.cache_stats().misses,
@@ -339,9 +339,10 @@ fn session_close_aborts_in_flight_query() {
 
     let mut session: Session = engine.session();
     // Correlated level with the loop strategy forced: the subquery runs
-    // as a per-row Apply loop — ~3000 inner scans of 3000 rows, far
-    // longer than the cancel delay. (Cost-based `auto` would batch the
-    // 97 distinct `v` bindings and finish before the cancel arrives.)
+    // as an Apply correlated on the unique `k` — 3000 distinct bindings,
+    // ~3000 inner scans of 3000 rows, far longer than the cancel delay.
+    // (Correlated on `v`, the Apply would run the 97 distinct bindings
+    // once each and finish before the cancel arrives.)
     session.set("level", "correlated").unwrap();
     session.set("apply_strategy", "loop").unwrap();
     let cancel = session.cancel_handle();
@@ -351,7 +352,7 @@ fn session_close_aborts_in_flight_query() {
         gate.wait();
         session.execute(
             "select count(*) from big where 0 < \
-             (select count(*) from big as u where u.v >= big.v)",
+             (select count(*) from big as u where u.v >= big.k)",
         )
     });
     started.wait();

@@ -41,7 +41,7 @@ const SITES: [&str; 18] = [
     "segment.partition",
     "cache.fill",
     "exchange.gather",
-    "batched.bindings",
+    "apply.bindings",
     "spill.open",
     "spill.write",
     "spill.read",
@@ -64,8 +64,8 @@ fn corpus_db() -> Database {
     Database::from_catalog(build_catalog(&r_rows, &s_rows))
 }
 
-/// Corpus data plus a hash index on `s.sr`, so the batched and
-/// index-lookup correlated strategies are both plannable.
+/// Corpus data plus a hash index on `s.sr`, so the Apply and the
+/// index-lookup join are both plannable.
 fn indexed_corpus_db() -> Database {
     let r_rows: Vec<(i64, Option<i64>)> = (0..6)
         .map(|i| (i, if i == 4 { None } else { Some(i % 4) }))
@@ -250,8 +250,8 @@ fn columnar_hashjoin_build_refusal_is_structured() {
     assert!(bag_eq(&expected.rows, &chunk.rows), "clean rerun diverged");
 }
 
-/// The binding cache of `BatchedApply` degrades, not dies: an
-/// allocation refusal at `batched.bindings` must be *absorbed* — the
+/// The binding cache of the Apply degrades, not dies: an allocation
+/// refusal at `apply.bindings` must be *absorbed* — the
 /// operator sheds its cache, marks itself degraded, and still answers
 /// bag-identically to the clean run — while a hard error propagates
 /// structurally and an injected panic is contained by the façade with
@@ -265,9 +265,9 @@ fn binding_cache_faults_degrade_then_recover() {
     let mut db = indexed_corpus_db();
     let cases = [
         (
-            ApplyStrategy::Batched,
-            "batched.bindings",
-            "BatchedApply",
+            ApplyStrategy::Loop,
+            "apply.bindings",
+            "ApplyLoop",
             "select rk, (select sum(sv) from s where sr = rk) from r",
         ),
         (
@@ -290,7 +290,7 @@ fn binding_cache_faults_degrade_then_recover() {
         let shape = orthopt::exec::explain_phys(&plan.physical);
         assert!(shape.contains(op), "{ctx}: plan lacks {op}:\n{shape}");
 
-        if strategy == ApplyStrategy::Batched {
+        if strategy == ApplyStrategy::Loop {
             // Refusal: the cache is shed, the answer is not.
             faults::install(site, FaultAction::RefuseAlloc, 0);
             let got = db.execute_with(sql, OptimizerLevel::Correlated);

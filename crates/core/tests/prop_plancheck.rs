@@ -231,12 +231,12 @@ fn const_scan(ids: &[u32]) -> PhysExpr {
     )
 }
 
-/// Variant 7: a `BatchedApply` whose rebind arity was truncated — the
+/// Variant 7: an `ApplyLoop` whose rebind arity was truncated — the
 /// dropped correlation parameter leaves the inner side referencing a
 /// column nobody provides.
 #[test]
-fn mutation_batched_apply_drop_param_is_blamed() {
-    let plan = PhysExpr::BatchedApply {
+fn mutation_apply_drop_param_is_blamed() {
+    let plan = PhysExpr::ApplyLoop {
         kind: ApplyKind::Cross,
         left: Box::new(const_scan(&[1])),
         right: Box::new(PhysExpr::Filter {
@@ -249,8 +249,8 @@ fn mutation_batched_apply_drop_param_is_blamed() {
         plancheck::check_physical(&plan).is_empty(),
         "input plan must be clean before mutation"
     );
-    let err = opt_mutation::batched_apply_drop_param(plan).expect_err("truncated rebind arity");
-    assert_blames(&err, "mutation::batched_apply_drop_param");
+    let err = opt_mutation::apply_drop_param(plan).expect_err("truncated rebind arity");
+    assert_blames(&err, "mutation::apply_drop_param");
 }
 
 /// Variant 8: an `IndexLookupJoin` whose index columns were permuted

@@ -18,9 +18,9 @@
 use std::collections::HashSet;
 
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
-use orthopt_common::hash::{hash_lanes, GroupTable, Probe};
+use orthopt_common::hash::{GroupTable, Probe};
 use orthopt_common::value::ValueRef;
-use orthopt_common::{Error, MemoryReservation, Result, Row, Value};
+use orthopt_common::{Error, MemoryReservation, Result, Value};
 use orthopt_ir::{AggDef, AggFunc, GroupKind};
 
 /// Running state of one aggregate over one group, over `Value`s: the
@@ -137,21 +137,6 @@ impl AggAcc {
             }
         }
     }
-}
-
-/// Columnar lane dedup over the given key columns — the group table's
-/// phase 1 with no budget: the distinct key tuples in first-seen order
-/// plus, per lane, the index of its tuple in that list. `Int(3)` and
-/// `Float(3.0)` are one tuple, and NULL keys dedup with NULL keys (sound
-/// for binding dedup: the inner plan is deterministic per binding
-/// tuple).
-pub(crate) fn dedup_lanes(key_cols: &[&Column], len: usize) -> (Vec<Row>, Vec<u32>) {
-    let mut table = GroupTable::new();
-    let gids = table.assign(key_cols, &hash_lanes(key_cols, len));
-    let distinct = (0..table.len())
-        .map(|g| table.keys().iter().map(|c| c.value(g)).collect())
-        .collect();
-    (distinct, gids)
 }
 
 /// One aggregate's state for every group: typed lanes indexed by group
@@ -527,7 +512,8 @@ impl GroupedAggState {
     }
 
     /// Feeds lanes `0..hashes.len()` of one batch: `key_cols` are the
-    /// group-key columns and `hashes` their [`hash_lanes`], `args` the
+    /// group-key columns and `hashes` their
+    /// [`hash_lanes`](orthopt_common::hash::hash_lanes), `args` the
     /// evaluated argument column per aggregate (`None` for `COUNT(*)`).
     ///
     /// Phase 1 assigns group ids lane by lane, charging each lane's
@@ -706,7 +692,8 @@ impl GroupedAggState {
 mod tests {
     use super::*;
     use orthopt_common::column::{columns_to_rows, rows_to_columns};
-    use orthopt_common::{ColId, DataType};
+    use orthopt_common::hash::hash_lanes;
+    use orthopt_common::{ColId, DataType, Row};
     use orthopt_ir::{ColumnMeta, ScalarExpr};
 
     /// Feeds `(key, args)` rows through the state as one batch.

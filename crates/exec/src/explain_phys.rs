@@ -141,10 +141,6 @@ fn label(plan: &PhysExpr) -> String {
             let ps: Vec<String> = params.iter().map(ToString::to_string).collect();
             format!("ApplyLoop{kind:?} (bind: {})", ps.join(", "))
         }
-        PhysExpr::BatchedApply { kind, params, .. } => {
-            let ps: Vec<String> = params.iter().map(ToString::to_string).collect();
-            format!("BatchedApply{kind:?} (bind: {})", ps.join(", "))
-        }
         PhysExpr::IndexLookupJoin {
             kind,
             table,

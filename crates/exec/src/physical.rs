@@ -87,24 +87,10 @@ pub enum PhysExpr {
         /// Residual predicate evaluated on joined rows.
         residual: ScalarExpr,
     },
-    /// Correlated execution: re-runs `right` once per `left` row with
-    /// `params` bound from that row.
+    /// Correlated execution (the Apply): runs `right` once per distinct
+    /// binding of `params` across the `left` rows, reusing the result
+    /// for every row that repeats a binding.
     ApplyLoop {
-        /// Combination variant.
-        kind: ApplyKind,
-        /// Outer input.
-        left: Box<PhysExpr>,
-        /// Parameterized inner plan.
-        right: Box<PhysExpr>,
-        /// Outer columns the inner plan references.
-        params: Vec<ColId>,
-    },
-    /// Batched correlated execution: accumulates outer rows, dedups the
-    /// correlation-parameter tuples, runs `right` once per *distinct*
-    /// binding, and joins the cached inner results back to outer rows
-    /// positionally. Semantically identical to [`PhysExpr::ApplyLoop`];
-    /// cheaper when outer rows repeat correlation keys.
-    BatchedApply {
         /// Combination variant.
         kind: ApplyKind,
         /// Outer input.
@@ -297,9 +283,6 @@ impl PhysExpr {
             },
             PhysExpr::ApplyLoop {
                 kind, left, right, ..
-            }
-            | PhysExpr::BatchedApply {
-                kind, left, right, ..
             } => match kind {
                 ApplyKind::Semi | ApplyKind::Anti => left.out_cols(),
                 _ => {
@@ -365,7 +348,6 @@ impl PhysExpr {
             | PhysExpr::HashAggregate { input, .. } => vec![input],
             PhysExpr::HashJoin { left, right, .. }
             | PhysExpr::ApplyLoop { left, right, .. }
-            | PhysExpr::BatchedApply { left, right, .. }
             | PhysExpr::Concat { left, right, .. }
             | PhysExpr::ExceptExec { left, right, .. } => vec![left, right],
             PhysExpr::IndexLookupJoin { left, .. } => vec![left],
@@ -393,7 +375,6 @@ impl PhysExpr {
             | PhysExpr::HashAggregate { input, .. } => vec![input],
             PhysExpr::HashJoin { left, right, .. }
             | PhysExpr::ApplyLoop { left, right, .. }
-            | PhysExpr::BatchedApply { left, right, .. }
             | PhysExpr::Concat { left, right, .. }
             | PhysExpr::ExceptExec { left, right, .. } => vec![left, right],
             PhysExpr::IndexLookupJoin { left, .. } => vec![left],

@@ -19,7 +19,7 @@
 //! stable hash-join builds are kept across re-opens.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -27,12 +27,11 @@ use std::time::Instant;
 
 use orthopt_common::column::{cols_bytes, columns_to_rows, Bitmap, ColData, Column, ColumnData};
 use orthopt_common::hash::{hash_lanes, keys_valid, GroupTable};
-use orthopt_common::row::rows_bytes;
 use orthopt_common::{ColId, Error, MemoryReservation, QueryContext, Result, Row, TableId, Value};
 use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
 use orthopt_storage::{Catalog, Index, Table};
 
-use crate::aggregate::{dedup_lanes, GroupedAggState};
+use crate::aggregate::GroupedAggState;
 use crate::bindings::Bindings;
 use crate::chunk::Chunk;
 use crate::eval::PosMap;
@@ -207,8 +206,8 @@ impl StatsHandle {
         stats[self.id].index_probes += noted.index_probes;
     }
 
-    /// Counts one distinct correlation binding actually executed (a
-    /// binding-cache miss in `BatchedApply`).
+    /// Counts one distinct correlation binding an Apply actually
+    /// executed (a binding-cache miss).
     fn note_distinct_binding(&self) {
         self.stats.borrow_mut()[self.id].distinct_bindings += 1;
     }
@@ -267,8 +266,8 @@ pub struct ExecCtx<'a> {
     /// This execution's spill scope. Created fresh per execution and
     /// dropped when it ends, so partition files never outlive the query
     /// — including on error, cancellation, and panic paths (unwinding
-    /// drops the context). Inner scopes (`ApplyLoop`, `BatchedApply`,
-    /// `SegmentExec`) share the parent's scope.
+    /// drops the context). Inner scopes (`ApplyLoop`, `SegmentExec`)
+    /// share the parent's scope.
     pub spill: Rc<SpillManager>,
 }
 
@@ -618,12 +617,6 @@ pub(crate) fn free_inputs(p: &PhysExpr) -> FreeSet {
             right,
             params,
             ..
-        }
-        | PhysExpr::BatchedApply {
-            left,
-            right,
-            params,
-            ..
         } => {
             let mut inner = free_inputs(right);
             for p in params {
@@ -683,7 +676,6 @@ pub(crate) fn op_name(p: &PhysExpr) -> &'static str {
         PhysExpr::ProjectCols { .. } => "Project",
         PhysExpr::HashJoin { .. } => "HashJoin",
         PhysExpr::ApplyLoop { .. } => "ApplyLoop",
-        PhysExpr::BatchedApply { .. } => "BatchedApply",
         PhysExpr::IndexLookupJoin { .. } => "IndexLookupJoin",
         PhysExpr::SegmentExec { .. } => "SegmentExec",
         PhysExpr::SegmentScan { .. } => "SegmentScan",
@@ -885,28 +877,15 @@ impl Compiler {
                 left,
                 right,
                 params,
-            }
-            | PhysExpr::BatchedApply {
-                kind,
-                left,
-                right,
-                params,
-            } => {
-                // The plain loop neither dedups nor caches bindings.
-                let cache_site =
-                    matches!(p, PhysExpr::BatchedApply { .. }).then_some("batched.bindings");
-                Box::new(ApplyOp::new(
-                    *kind,
-                    self.compile(left, in_param)?,
-                    self.compile(right, true)?,
-                    param_positions(params, &left.out_cols()),
-                    right.out_cols().len(),
-                    rc_cols(&p.out_cols()),
-                    op_name(p),
-                    cache_site,
-                    sh.clone(),
-                ))
-            }
+            } => Box::new(ApplyOp::new(
+                *kind,
+                self.compile(left, in_param)?,
+                self.compile(right, true)?,
+                param_positions(params, &left.out_cols()),
+                (left.out_cols().len(), right.out_cols().len()),
+                rc_cols(&p.out_cols()),
+                sh.clone(),
+            )),
             PhysExpr::IndexLookupJoin {
                 kind,
                 left,
@@ -1011,6 +990,7 @@ impl Compiler {
                 Box::new(HashAggregateOp {
                     kind: *kind,
                     input: self.compile(input, in_param)?,
+                    in_width: in_layout.len(),
                     group_pos,
                     aggs: aggs.clone(),
                     in_pos: PosMap::new(&in_layout),
@@ -2349,20 +2329,16 @@ fn param_positions(params: &[ColId], outer: &[ColId]) -> Vec<(ColId, usize)> {
         .collect()
 }
 
-/// One binding's inner result: its columns and lane count.
-type InnerResult = Rc<(Vec<Column>, usize)>;
-
-/// Correlated execution (§1.3, §4): for every binding of the
-/// correlation parameters the outer batch carries, run the inner plan
-/// and combine its result with the outer lanes under the `ApplyKind`.
-/// One driver serves the two rebind-and-rewind strategies:
-///
-/// * `ApplyLoop` runs the inner plan once per outer lane;
-/// * `BatchedApply` dedups each outer batch on the parameter lanes
-///   (`dedup_lanes`), runs the inner plan once per *distinct* binding,
-///   and keeps results across batches in a governor-charged binding
-///   cache — the invariant-subtree cache ([`CacheOp`], the
-///   zero-parameter case) generalized to parameterized inners.
+/// The Apply (§1.3, §4): correlated execution of `inner` under the
+/// bindings of the correlation parameters the outer batches carry,
+/// combined with the outer lanes under the `ApplyKind`. The inner plan
+/// runs once per *distinct* binding: a [`GroupTable`] over the
+/// parameter lanes, kept across outer batches, gives every binding a
+/// dense id, and its result is kept by id in a governor-charged
+/// binding cache — the invariant-subtree cache ([`CacheOp`], here the
+/// zero-parameter case's one binding) generalized to parameterized
+/// inners. A binding runs at its first lane, in lane order, so the
+/// first error raised is the per-row loop's first error.
 ///
 /// (`IndexLookupJoin` rewinds nothing: it is a join probe,
 /// [`IndexJoinOp`].)
@@ -2370,51 +2346,48 @@ type InnerResult = Rc<(Vec<Column>, usize)>;
 /// The outer batch is never transposed: bindings are read off the
 /// parameter lanes, and the output is a `gather` of the outer columns
 /// beside a gather of the inner result columns (Semi/Anti select outer
-/// lanes and touch no inner value).
+/// lanes, touch no inner value, and keep only a result's lane count).
 ///
-/// NULL binding semantics: cache keys use `Value`'s own `Eq`, under
-/// which `Null == Null` but `Null != v` for every non-NULL `v` — so a
-/// NULL correlation parameter can never hit a cached non-NULL result,
-/// and two NULL bindings sharing one entry is sound because the inner
-/// side is deterministic per binding tuple (an index seek under a NULL
-/// probe yields empty on every execution, per SQL equality).
+/// NULL binding semantics: bindings are grouped by `Value`'s grouping
+/// equality, under which NULL equals NULL but no non-NULL value — so a
+/// NULL binding never shares a non-NULL one's result, and two NULL
+/// bindings sharing one run is sound because the inner side is
+/// deterministic per binding tuple (an index seek under a NULL probe
+/// yields empty on every execution, per SQL equality).
 struct ApplyOp {
     kind: ApplyKind,
     left: BoxOp,
     inner: BoxOp,
     param_pos: Vec<(ColId, usize)>,
+    left_width: usize,
     right_width: usize,
     out_cols: Rc<[ColId]>,
-    /// Operator name: labels the reservation.
-    name: &'static str,
-    /// Failpoint site of the binding cache; `None` for the plain loop,
-    /// which neither dedups nor caches.
-    cache_site: Option<&'static str>,
     /// Private bindings the inner side runs under; parameter slots are
     /// overwritten per binding, then the inner side is re-run.
     inner_binds: Rc<RefCell<Bindings>>,
-    /// Inner results per distinct binding tuple, kept across batches
-    /// within one execution; cleared on every `open` (rewinds under an
-    /// outer apply re-parameterize the whole subtree).
-    cache: HashMap<Row, InnerResult>,
-    /// Set when the governor refused binding-cache growth: the cache is
-    /// shed and bindings execute uncached (still deduped per batch).
+    /// Binding ids: one group per distinct parameter tuple.
+    bindings: GroupTable,
+    /// Inner result per binding id: its columns (none for Semi/Anti)
+    /// and lane count. Both are kept across batches within one
+    /// execution and cleared on every `open` (rewinds under an outer
+    /// apply re-parameterize the whole subtree).
+    results: ColumnBatches,
+    /// Set when the governor refused a result's charge: the cache is
+    /// shed and reset at every outer batch from then on, so only lanes
+    /// of one batch share a run.
     degraded: bool,
     mem: MemoryReservation,
     stats: StatsHandle,
 }
 
 impl ApplyOp {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         kind: ApplyKind,
         left: BoxOp,
         inner: BoxOp,
         param_pos: Vec<(ColId, usize)>,
-        right_width: usize,
+        widths: (usize, usize),
         out_cols: Rc<[ColId]>,
-        name: &'static str,
-        cache_site: Option<&'static str>,
         stats: StatsHandle,
     ) -> ApplyOp {
         ApplyOp {
@@ -2422,52 +2395,62 @@ impl ApplyOp {
             left,
             inner,
             param_pos,
-            right_width,
+            left_width: widths.0,
+            right_width: widths.1,
             out_cols,
-            name,
-            cache_site,
             inner_binds: Rc::new(RefCell::new(Bindings::new())),
-            cache: HashMap::new(),
+            bindings: GroupTable::new(),
+            results: Vec::new(),
             degraded: false,
-            mem: MemoryReservation::detached(name),
+            mem: MemoryReservation::detached("ApplyLoop"),
             stats,
         }
     }
 
-    /// Runs the inner side under one binding tuple.
-    fn run_inner(&mut self, ictx: &ExecCtx<'_>, key: &[Value]) -> Result<(Vec<Column>, usize)> {
+    /// Runs the inner side under the binding lane `i` of `key_cols`
+    /// carries.
+    fn run_inner(
+        &mut self,
+        ictx: &ExecCtx<'_>,
+        key_cols: &[&Column],
+        i: usize,
+    ) -> Result<(Vec<Column>, usize)> {
         {
             let mut binds = self.inner_binds.borrow_mut();
-            for ((p, _), v) in self.param_pos.iter().zip(key) {
-                binds.set(*p, v.clone());
+            for ((p, _), c) in self.param_pos.iter().zip(key_cols) {
+                binds.set(*p, c.value(i));
             }
         }
-        if self.cache_site.is_some() {
-            self.stats.note_distinct_binding();
-        }
+        self.stats.note_distinct_binding();
         self.inner.open(ictx)?;
+        // Semi/Anti read only whether a result is empty.
+        let count_only = matches!(self.kind, ApplyKind::Semi | ApplyKind::Anti);
         let mut parts: ColumnBatches = Vec::new();
+        let mut n = 0;
         while let Some(b) = self.inner.next_batch(ictx)? {
             b.check_width(self.right_width)?;
-            parts.push(b.into_columns());
+            n += b.len;
+            if !count_only {
+                parts.push(b.into_columns());
+            }
         }
-        Ok(concat_batches(&parts, self.right_width))
+        Ok(if count_only {
+            (Vec::new(), n)
+        } else {
+            concat_batches(&parts, self.right_width)
+        })
     }
 
-    /// Caches one binding's result, charging the governor; on refusal
-    /// the cache is shed (reset + degrade) and execution continues
-    /// uncached — results are identical either way.
-    fn try_cache(&mut self, site: &str, key: Row, rs: &InnerResult) -> Result<()> {
-        let bytes = rows_bytes(std::slice::from_ref(&key)) + cols_bytes(&rs.0, rs.1);
-        match crate::faults::hit(site).and_then(|()| self.mem.grow(bytes)) {
-            Ok(()) => {
-                self.cache.insert(key, rs.clone());
-                Ok(())
-            }
+    /// Charges one binding's result to the governor; on refusal the
+    /// cache is shed (reset + degrade) and execution continues — results
+    /// are identical either way.
+    fn charge(&mut self, rs: &(Vec<Column>, usize)) -> Result<()> {
+        let bytes = cols_bytes(&rs.0, rs.1);
+        match crate::faults::hit("apply.bindings").and_then(|()| self.mem.grow(bytes)) {
+            Ok(()) => Ok(()),
             Err(Error::ResourceExhausted { .. }) => {
                 self.stats.note_mem_peak(self.mem.peak());
                 self.mem.reset();
-                self.cache.clear();
                 self.degraded = true;
                 Ok(())
             }
@@ -2476,48 +2459,49 @@ impl ApplyOp {
     }
 
     /// The `ApplyKind` combination of one outer batch with its lanes'
-    /// inner results (`results[group_of[i]]` belongs to lane `i`).
-    fn combine(
-        &self,
-        outer: &[Column],
-        len: usize,
-        results: &[InnerResult],
-        group_of: &[u32],
-    ) -> (Vec<Column>, usize) {
+    /// inner results (`ids[i]` is lane `i`'s binding).
+    fn combine(&self, outer: &[Column], len: usize, ids: &[u32]) -> (Vec<Column>, usize) {
+        let result = |i: usize| &self.results[ids[i] as usize];
         if matches!(self.kind, ApplyKind::Semi | ApplyKind::Anti) {
             let want_empty = self.kind == ApplyKind::Anti;
             let sel: Vec<usize> = (0..len)
-                .filter(|&i| (results[group_of[i] as usize].1 == 0) == want_empty)
+                .filter(|&i| (result(i).1 == 0) == want_empty)
                 .collect();
             return (outer.iter().map(|c| c.gather(&sel)).collect(), sel.len());
         }
         // Cross / LeftOuter: every (outer lane, inner lane) pair, the
-        // inner lanes addressed within the concatenation of the
-        // distinct results; an outer join pads an empty result with a
+        // inner lanes addressed within the concatenation of the batch's
+        // bindings' results; an outer join pads an empty result with a
         // hole.
-        let mut offsets = Vec::with_capacity(results.len());
+        let mut used = ids.to_vec();
+        used.sort_unstable();
+        used.dedup();
+        let mut offsets = Vec::with_capacity(used.len());
         let mut total = 0;
-        for r in results {
+        for &g in &used {
             offsets.push(total);
-            total += r.1;
+            total += self.results[g as usize].1;
         }
         let mut outer_idx: Vec<usize> = Vec::new();
         let mut inner_idx: Vec<Option<usize>> = Vec::new();
-        for (i, &g) in group_of.iter().enumerate() {
-            let g = g as usize;
-            let n = results[g].1;
+        for (i, g) in ids.iter().enumerate() {
+            let at = offsets[used.binary_search(g).expect("binding in batch")];
+            let n = result(i).1;
             if n == 0 && self.kind == ApplyKind::LeftOuter {
                 outer_idx.push(i);
                 inner_idx.push(None);
             }
             for j in 0..n {
                 outer_idx.push(i);
-                inner_idx.push(Some(offsets[g] + j));
+                inner_idx.push(Some(at + j));
             }
         }
         let mut out: Vec<Column> = outer.iter().map(|c| c.gather(&outer_idx)).collect();
         out.extend((0..self.right_width).map(|c| {
-            let parts: Vec<Column> = results.iter().map(|r| r.0[c].clone()).collect();
+            let parts: Vec<Column> = used
+                .iter()
+                .map(|&g| self.results[g as usize].0[c].clone())
+                .collect();
             Column::concat(&parts).gather_opt(&inner_idx)
         }));
         (out, outer_idx.len())
@@ -2527,26 +2511,24 @@ impl ApplyOp {
 impl Operator for ApplyOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.inner_binds = Rc::new(RefCell::new(ctx.binds.borrow().clone()));
-        self.cache.clear();
+        self.bindings = GroupTable::new();
+        self.results.clear();
         self.degraded = false;
-        self.mem = ctx.gov.reservation(self.name);
+        self.mem = ctx.gov.reservation("ApplyLoop");
         self.left.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         while let Some(batch) = self.left.next_batch(ctx)? {
+            batch.check_width(self.left_width)?;
+            if self.degraded {
+                self.bindings = GroupTable::new();
+                self.results.clear();
+            }
             let (columns, len) = batch.columns();
             let key_cols: Vec<&Column> = self.param_pos.iter().map(|(_, i)| &columns[*i]).collect();
-            // The bindings this batch carries, and which one each lane
-            // has: deduped on the parameter lanes, or — the plain loop
-            // — one per lane.
-            let (distinct, group_of) = if self.cache_site.is_some() {
-                self.stats.note_kernel();
-                dedup_lanes(&key_cols, len)
-            } else {
-                let keys = (0..len).map(|i| key_cols.iter().map(|c| c.value(i)).collect());
-                (keys.collect(), (0..len as u32).collect())
-            };
+            self.stats.note_kernel();
+            let ids = self.bindings.assign(&key_cols, &hash_lanes(&key_cols, len));
             let ictx = ExecCtx {
                 catalog: ctx.catalog,
                 binds: self.inner_binds.clone(),
@@ -2555,19 +2537,18 @@ impl Operator for ApplyOp {
                 shared_catalog: ctx.shared_catalog.clone(),
                 spill: Rc::clone(&ctx.spill),
             };
-            let mut results: Vec<InnerResult> = Vec::with_capacity(distinct.len());
-            for key in distinct {
-                if let Some(rs) = self.cache.get(&key) {
-                    results.push(rs.clone());
-                    continue;
+            // Ids are dense and first-seen, so a binding's first lane is
+            // the one whose id is the next result's.
+            for (i, &g) in ids.iter().enumerate() {
+                if g as usize == self.results.len() {
+                    let rs = self.run_inner(&ictx, &key_cols, i)?;
+                    if !self.degraded {
+                        self.charge(&rs)?;
+                    }
+                    self.results.push(rs);
                 }
-                let rs = Rc::new(self.run_inner(&ictx, &key)?);
-                if let Some(site) = self.cache_site.filter(|_| !self.degraded) {
-                    self.try_cache(site, key, &rs)?;
-                }
-                results.push(rs);
             }
-            let (out, n) = self.combine(columns, len, &results, &group_of);
+            let (out, n) = self.combine(columns, len, &ids);
             if n > 0 {
                 return Ok(Some(Batch::from_columns(self.out_cols.clone(), out, n)));
             }
@@ -2837,6 +2818,7 @@ struct Args {
 struct HashAggregateOp {
     kind: GroupKind,
     input: BoxOp,
+    in_width: usize,
     group_pos: Vec<usize>,
     aggs: Vec<AggDef>,
     in_pos: PosMap,
@@ -2892,6 +2874,7 @@ impl HashAggregateOp {
     /// the rest of the batch then spills, or fails the query when the
     /// aggregate may not spill.
     fn feed(&mut self, ctx: &ExecCtx<'_>, b: &Batch) -> Result<()> {
+        b.check_width(self.in_width)?;
         let (columns, len) = b.columns();
         let args = self.eval_args(columns, len, &ctx.binds.borrow());
         let key_cols: Vec<&Column> = self.group_pos.iter().map(|&i| &columns[i]).collect();
@@ -3498,7 +3481,9 @@ mod tests {
     /// `debug_assert` in [`Batch::from_columns`]. Stateful operators must catch
     /// the mismatch on their own batch-concatenation path — in release
     /// builds too, as a query error rather than a panic: Sort, Except on
-    /// either side, and SegmentExec's partitioner.
+    /// either side, SegmentExec's partitioner, and the two that key a
+    /// `GroupTable` on input lanes by position, the Apply (outer side)
+    /// and HashAggregate.
     #[test]
     fn malformed_batch_caught_on_concat_path() {
         struct LyingOp {
@@ -3554,7 +3539,7 @@ mod tests {
                 stats: stats(),
             })
         };
-        let ops: Vec<(&str, BoxOp)> = vec![
+        let mut ops: Vec<(&str, BoxOp)> = vec![
             (
                 "Sort",
                 Box::new(SortOp::new(
@@ -3589,6 +3574,35 @@ mod tests {
                 }),
             ),
         ];
+        let apply = ApplyOp::new(
+            ApplyKind::LeftOuter,
+            lying(),
+            honest(),
+            vec![(ColId(2), 1)],
+            (2, 2),
+            rc_cols(&[ColId(1), ColId(2), ColId(3), ColId(4)]),
+            stats(),
+        );
+        let aggregate = HashAggregateOp {
+            kind: GroupKind::Vector,
+            input: lying(),
+            in_width: 2,
+            group_pos: vec![1],
+            aggs: Vec::new(),
+            in_pos: PosMap::new(&layout),
+            out_cols: rc_cols(&[ColId(2)]),
+            state: None,
+            result: (Vec::new(), 0),
+            emitted: 0,
+            done: false,
+            batch_size: 16,
+            allow_spill: false,
+            spilled: None,
+            mem_peak: 0,
+            stats: stats(),
+        };
+        ops.push(("Apply (outer)", Box::new(apply)));
+        ops.push(("HashAggregate", Box::new(aggregate)));
         let catalog = catalog();
         let ctx = ExecCtx::new(&catalog, Bindings::new());
         for (name, mut op) in ops {

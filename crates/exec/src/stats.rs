@@ -37,10 +37,10 @@ pub struct OpStats {
     /// it any more — every operator works on lanes — so it stays zero;
     /// the field remains while the benchmark's trace reads it.
     pub bridged: u64,
-    /// Distinct correlation bindings `BatchedApply` actually executed
-    /// its inner plan for — the dedup ratio vs. the outer row count is
-    /// the win it delivers. `IndexLookupJoin` runs no inner plan and
-    /// reports none.
+    /// Distinct correlation bindings an Apply actually executed its
+    /// inner plan for — the dedup ratio vs. the outer row count is the
+    /// win its binding cache delivers. `IndexLookupJoin` runs no inner
+    /// plan and reports none.
     pub distinct_bindings: u64,
     /// Hash-index probes issued: by `IndexSeek` one per open with a
     /// non-NULL key, by `IndexLookupJoin` one per outer lane with a

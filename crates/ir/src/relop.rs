@@ -151,20 +151,18 @@ impl ApplyKind {
 
 /// Physical strategy hint for correlated (re-)introduction (§4): which
 /// Apply implementation the planner may emit. `Auto` lets the cost
-/// model race all constructible strategies; the forced variants pin one
-/// for isolation testing (`ORTHOPT_APPLY_STRATEGY` / `SET
-/// apply_strategy`), falling back to the row-at-a-time loop when the
-/// forced strategy is not constructible for a given Apply.
+/// model race the Apply against the index-lookup join; the forced
+/// variants pin one for isolation testing (`ORTHOPT_APPLY_STRATEGY` /
+/// `SET apply_strategy`), falling back to the Apply when the index join
+/// is not constructible for a given Apply.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ApplyStrategy {
-    /// Cost-based three-way race (the default).
+    /// Cost-based race (the default).
     #[default]
     Auto,
-    /// Row-at-a-time `ApplyLoop`.
+    /// `ApplyLoop`, never the index join: the inner plan runs once per
+    /// distinct outer binding.
     Loop,
-    /// `BatchedApply`: dedup outer bindings, run the inner once per
-    /// distinct binding.
-    Batched,
     /// `IndexLookupJoin`: probe a storage hash index with every outer
     /// lane, a join probe whose build the table holds (requires a
     /// seek-shaped inner over an indexed column).
@@ -177,7 +175,6 @@ impl ApplyStrategy {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(ApplyStrategy::Auto),
             "loop" => Some(ApplyStrategy::Loop),
-            "batched" => Some(ApplyStrategy::Batched),
             "index" => Some(ApplyStrategy::Index),
             _ => None,
         }
@@ -188,7 +185,6 @@ impl ApplyStrategy {
         match self {
             ApplyStrategy::Auto => "auto",
             ApplyStrategy::Loop => "loop",
-            ApplyStrategy::Batched => "batched",
             ApplyStrategy::Index => "index",
         }
     }

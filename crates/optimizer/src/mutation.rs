@@ -163,13 +163,13 @@ pub fn exchange_over_global_aggregate(mut plan: PhysExpr) -> Result<PhysExpr> {
     blame_physical("mutation::exchange_over_global_aggregate", plan)
 }
 
-/// Mutated batched-apply wiring: drops the last correlation parameter
-/// from the first `BatchedApply`, so the rebind arity no longer covers
-/// the inner side's outer references — the inner subtree now reads a
-/// column nobody provides.
-pub fn batched_apply_drop_param(mut plan: PhysExpr) -> Result<PhysExpr> {
+/// Mutated apply wiring: drops the last correlation parameter from the
+/// first `ApplyLoop`, so the rebind arity no longer covers the inner
+/// side's outer references — the inner subtree now reads a column
+/// nobody provides.
+pub fn apply_drop_param(mut plan: PhysExpr) -> Result<PhysExpr> {
     mutate_first(&mut plan, &mut |node| {
-        if let PhysExpr::BatchedApply { params, .. } = node {
+        if let PhysExpr::ApplyLoop { params, .. } = node {
             if !params.is_empty() {
                 params.pop();
                 return true;
@@ -177,7 +177,7 @@ pub fn batched_apply_drop_param(mut plan: PhysExpr) -> Result<PhysExpr> {
         }
         false
     });
-    blame_physical("mutation::batched_apply_drop_param", plan)
+    blame_physical("mutation::apply_drop_param", plan)
 }
 
 /// Mutated index-lookup fusion: swaps the first two index columns of

@@ -11,7 +11,7 @@ use orthopt_common::{ColId, Error, Result};
 use orthopt_exec::PhysExpr;
 use orthopt_ir::{ApplyKind, ApplyStrategy, GroupKind, RelExpr, ScalarExpr};
 
-use crate::cost::{batched_apply_cost, coef, exchange_cost, index_lookup_cost};
+use crate::cost::{apply_cost, coef, exchange_cost, index_lookup_cost};
 use crate::memo::{GroupId, MExpr, Memo};
 
 /// One implementation of a memo expression: `plan`'s inputs are stubs
@@ -228,8 +228,8 @@ impl<'a> Planner<'a> {
                 };
                 // Estimated distinct binding tuples across the outer:
                 // product of per-parameter NDVs, clamped to the outer
-                // cardinality. This drives the three-way race — dedup
-                // only pays when outer rows repeat correlation keys.
+                // cardinality — dedup only pays when outer rows repeat
+                // correlation keys.
                 let distinct = if params.is_empty() {
                     1.0
                 } else {
@@ -239,35 +239,25 @@ impl<'a> Planner<'a> {
                         .product::<f64>()
                         .clamp(1.0, card_l.max(1.0))
                 };
-                let apply_loop = PhysExpr::ApplyLoop {
+                let apply = PhysExpr::ApplyLoop {
                     kind: *kind,
                     left: stub(),
                     right: stub(),
                     params: params.clone(),
                 };
-                let loop_alt = over(apply_loop, left + card_l * (coef::APPLY_INVOKE + right));
-                let batched = PhysExpr::BatchedApply {
-                    kind: *kind,
-                    left: stub(),
-                    right: stub(),
-                    params: params.clone(),
-                };
-                let batched_cost = batched_apply_cost(left, card_l, distinct, right);
-                let batched_alt = over(batched, batched_cost);
+                let apply_alt = over(apply, apply_cost(left, card_l, distinct, right));
                 let index_alt =
                     self.index_lookup_alternative(*kind, left, (g_l, g_r), &params, distinct);
                 match self.apply_strategy {
                     ApplyStrategy::Auto => {
-                        out.push(loop_alt);
-                        out.push(batched_alt);
+                        out.push(apply_alt);
                         out.extend(index_alt);
                     }
-                    ApplyStrategy::Loop => out.push(loop_alt),
-                    ApplyStrategy::Batched => out.push(batched_alt),
-                    // Forced index falls back to the loop when the
+                    ApplyStrategy::Loop => out.push(apply_alt),
+                    // Forced index falls back to the Apply when the
                     // inner is not seek-shaped, so every forced run
                     // still executes (and stays oracle-comparable).
-                    ApplyStrategy::Index => out.push(index_alt.unwrap_or(loop_alt)),
+                    ApplyStrategy::Index => out.push(index_alt.unwrap_or(apply_alt)),
                 }
             }
             RelExpr::SegmentApply { segment_cols, .. } => {

@@ -136,12 +136,7 @@ fn small_outer_side_picks_index_lookup_apply() {
     // Either the fused IndexLookupJoin or an Apply whose inner probes
     // the index counts as correlated index-lookup execution.
     let fused = count_ops(&plan, &|p| matches!(p, PhysExpr::IndexLookupJoin { .. }));
-    let applies = count_ops(&plan, &|p| {
-        matches!(
-            p,
-            PhysExpr::ApplyLoop { .. } | PhysExpr::BatchedApply { .. }
-        )
-    });
+    let applies = count_ops(&plan, &|p| matches!(p, PhysExpr::ApplyLoop { .. }));
     let seeks = count_ops(&plan, &|p| matches!(p, PhysExpr::IndexSeek { .. }));
     assert!(
         fused >= 1 || (applies >= 1 && seeks >= 1),

@@ -38,7 +38,6 @@ fn describe(p: &PhysExpr) -> String {
         PhysExpr::ProjectCols { .. } => "ProjectCols".into(),
         PhysExpr::HashJoin { kind, .. } => format!("HashJoin({kind})"),
         PhysExpr::ApplyLoop { kind, .. } => format!("ApplyLoop({kind})"),
-        PhysExpr::BatchedApply { kind, .. } => format!("BatchedApply({kind})"),
         PhysExpr::IndexLookupJoin { kind, .. } => format!("IndexLookupJoin({kind})"),
         PhysExpr::SegmentExec { .. } => "SegmentExec".into(),
         PhysExpr::SegmentScan { .. } => "SegmentScan".into(),
@@ -233,12 +232,6 @@ impl PhysCx {
                 self.check(right, scope);
             }
             PhysExpr::ApplyLoop {
-                left,
-                right,
-                params,
-                ..
-            }
-            | PhysExpr::BatchedApply {
                 left,
                 right,
                 params,
