@@ -38,10 +38,15 @@ fn pooled(db: &Database, root: &PhysExpr, workers: usize) -> Pipeline {
 /// Larger than the fault-matrix corpus: enough rows that buffering
 /// operators hold real state, so halving their appetite forces disk.
 fn corpus_db() -> Database {
+    corpus_db_with(240)
+}
+
+/// The corpus with `s_rows` rows in `s`.
+fn corpus_db_with(s_rows: i64) -> Database {
     let r: Vec<(i64, Option<i64>)> = (0..48)
         .map(|i| (i, if i % 11 == 3 { None } else { Some(i % 8) }))
         .collect();
-    let s: Vec<(i64, i64, Option<i64>)> = (0..240)
+    let s: Vec<(i64, i64, Option<i64>)> = (0..s_rows)
         .map(|i| (i, i % 48, if i % 7 == 5 { None } else { Some(i % 9) }))
         .collect();
     let mut c = build_catalog(&r, &s);
@@ -219,7 +224,53 @@ fn each_degradable_operator_spills_and_stays_exact() {
                     .any(|s| s.spill_partitions > 0 && s.spilled_bytes > 0),
                 "{ctx}\ntight run never spilled: {stats:?}"
             );
+            // Ungoverned, each node that spilled reports its appetite.
+            for (i, s) in stats.iter().enumerate() {
+                if s.spill_partitions > 0 {
+                    let ungoverned = free.stats()[i];
+                    assert!(
+                        ungoverned.mem_peak > 0,
+                        "{ctx}\nno peak at #{i}: {ungoverned:?}"
+                    );
+                }
+            }
             assert_eq!(spill::live_dirs(), 0, "{ctx}\nspill dir leaked");
         }
     }
+}
+
+/// A buffer's charge ends when it hands a batch on: under a Sort, a
+/// 4-worker Exchange's gathered batches are charged once, by whichever
+/// of the two holds them. So the pool peaks at the larger node's peak,
+/// not at their sum, and a budget of 1.5× that peak runs with spilling
+/// off.
+#[test]
+fn handed_on_batches_are_charged_once() {
+    let _g = spill_lock();
+    let db = corpus_db_with(2400);
+    let sql = "select sk, sv from s order by sv, sk";
+    let plan = db.plan(sql, OptimizerLevel::Full).expect("plans");
+    let root = place_exchanges(&plan.physical);
+    let mut free = pooled(&db, &root, 4);
+    free.set_governor(QueryContext::new().with_memory_limit(u64::MAX));
+    let want = free
+        .execute(db.catalog(), &Bindings::new())
+        .expect("unlimited run");
+    assert_fanned_out(&root, &free.stats(), sql);
+    let node_peak = free.stats().iter().map(|s| s.mem_peak).max().unwrap_or(0);
+    let pool_peak = free.governor().mem_peak().expect("pool installed");
+    assert!(node_peak > 0, "nothing buffered");
+    assert_eq!(pool_peak, node_peak, "pool counted a handed-on batch twice");
+
+    let opts = PipelineOptions {
+        spill: false,
+        ..Default::default()
+    };
+    let mut tight = common::pooled(&db, &root, opts, 4);
+    tight.set_governor(QueryContext::new().with_memory_limit(node_peak * 3 / 2));
+    let got = tight
+        .execute(db.catalog(), &Bindings::new())
+        .expect("1.5x the largest node peak fits without spilling");
+    assert_eq!(want.rows, got.rows);
+    assert_eq!(spill::live_dirs(), 0, "spill dir leaked");
 }

@@ -20,8 +20,10 @@ use std::collections::HashSet;
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
 use orthopt_common::hash::{GroupTable, Probe};
 use orthopt_common::value::ValueRef;
-use orthopt_common::{Error, MemoryReservation, Result, Value};
+use orthopt_common::{Error, Result, Value};
 use orthopt_ir::{AggDef, AggFunc, GroupKind};
+
+use crate::governed::{Governed, Refused};
 
 /// Running state of one aggregate over one group, over `Value`s: the
 /// generic accumulator lane (DISTINCT, and arguments no typed lane
@@ -456,7 +458,8 @@ fn value_bytes(v: &Value) -> u64 {
 
 /// Incremental hash-aggregation state: feed batches of lanes, then
 /// [`finish`](GroupedAggState::finish) to emit one lane per group in
-/// first-seen order.
+/// first-seen order. Its memory is charged to the operator's governed
+/// buffer as it grows; releasing it is the operator's job.
 #[derive(Debug)]
 pub struct GroupedAggState {
     table: GroupTable,
@@ -464,13 +467,11 @@ pub struct GroupedAggState {
     lanes: Vec<AggLane>,
     /// Bytes every new group is charged for its aggregates.
     acc_bytes: u64,
-    /// Memory charged for group state.
-    mem: MemoryReservation,
 }
 
 impl GroupedAggState {
-    /// Fresh state for a set of aggregate definitions, charging `mem`.
-    pub fn new(aggs: &[AggDef], mem: MemoryReservation) -> GroupedAggState {
+    /// Fresh state for a set of aggregate definitions.
+    pub fn new(aggs: &[AggDef]) -> GroupedAggState {
         let lanes: Vec<AggLane> = aggs
             .iter()
             .map(|a| {
@@ -496,13 +497,7 @@ impl GroupedAggState {
             table: GroupTable::new(),
             lanes,
             acc_bytes,
-            mem,
         }
-    }
-
-    /// Peak bytes this state's reservation has held.
-    pub fn mem_peak(&self) -> u64 {
-        self.mem.peak()
     }
 
     /// Bytes a new group keyed by lane `i` of `key_cols` costs.
@@ -517,8 +512,9 @@ impl GroupedAggState {
     /// evaluated argument column per aggregate (`None` for `COUNT(*)`).
     ///
     /// Phase 1 assigns group ids lane by lane, charging each lane's
-    /// memory — a new group, and every DISTINCT filter admission —
-    /// before it mutates anything; a refused charge stops it there.
+    /// memory to `gov` — a new group, and every DISTINCT filter
+    /// admission — before it mutates anything; a refused charge stops
+    /// it there.
     /// Phase 2 folds the lanes phase 1 applied into every aggregate. An
     /// accumulator error is the one at the smallest lane, ties going to
     /// the smallest aggregate — the error a row-at-a-time feed raises.
@@ -526,12 +522,13 @@ impl GroupedAggState {
     /// Returns how many lanes were applied and the refusal, if any: the
     /// state is consistent either way, and the caller can spill lanes
     /// `applied..`.
-    pub fn feed_lanes(
+    pub(crate) fn feed_lanes(
         &mut self,
+        gov: &mut Governed,
         key_cols: &[&Column],
         hashes: &[u64],
         args: &[Option<Column>],
-    ) -> Result<(usize, Option<Error>)> {
+    ) -> Result<(usize, Option<Refused>)> {
         debug_assert_eq!(args.len(), self.lanes.len());
         let distinct = self.lanes.iter().any(|l| l.seen.is_some());
         let mut admit: Vec<Option<Vec<bool>>> = Vec::new();
@@ -569,12 +566,9 @@ impl GroupedAggState {
                     }
                 }
             }
-            if let Err(err) = self.mem.grow(charge) {
-                if matches!(err, Error::ResourceExhausted { .. }) {
-                    refusal = Some(err);
-                    break;
-                }
-                return Err(err);
+            if let Err(refused) = gov.try_grow(charge) {
+                refusal = Some(refused);
+                break;
             }
             let g = match probe {
                 Probe::Found(g) => g,
@@ -619,9 +613,7 @@ impl GroupedAggState {
     /// Splits this state into `n` states, routing each group by
     /// `route(key hash)`. Keys and accumulators move wholesale (no
     /// re-aggregation); each returned state keeps its groups in this
-    /// state's first-seen order. The returned states carry detached
-    /// reservations: this state's is released when it is consumed
-    /// here, and each split is charged again by
+    /// state's first-seen order. Each split is charged again by
     /// [`attach`](GroupedAggState::attach) when its partition loads.
     pub fn split(mut self, n: usize, route: impl Fn(u64) -> usize) -> Vec<GroupedAggState> {
         let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -644,15 +636,12 @@ impl GroupedAggState {
                     })
                     .collect(),
                 acc_bytes: self.acc_bytes,
-                mem: MemoryReservation::detached("HashAggregate"),
             })
             .collect()
     }
 
-    /// Charges `mem` for everything this state holds and keeps charging
-    /// it from now on.
-    pub fn attach(&mut self, mem: MemoryReservation) -> Result<()> {
-        self.mem = mem;
+    /// Charges `gov` for everything this state holds.
+    pub(crate) fn attach(&self, gov: &mut Governed) -> std::result::Result<(), Refused> {
         let keys: Vec<&Column> = self.table.keys().iter().collect();
         let groups: u64 = (0..self.table.len())
             .map(|g| self.group_bytes(&keys, g))
@@ -665,7 +654,7 @@ impl GroupedAggState {
             .flatten()
             .map(value_bytes)
             .sum();
-        self.mem.grow(groups + filters)
+        gov.try_grow(groups + filters)
     }
 
     /// The group key columns followed by one result column per
@@ -695,6 +684,17 @@ mod tests {
     use orthopt_common::hash::hash_lanes;
     use orthopt_common::{ColId, DataType, Row};
     use orthopt_ir::{ColumnMeta, ScalarExpr};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use crate::pipeline::StatsHandle;
+    use crate::stats::OpStats;
+
+    /// An ungoverned buffer with a stats slot of its own.
+    fn gov() -> Governed {
+        let stats = Rc::new(RefCell::new(vec![OpStats::default()]));
+        Governed::failing("test", StatsHandle::new(stats, 0))
+    }
 
     /// Feeds `(key, args)` rows through the state as one batch.
     fn hash_aggregate(
@@ -714,8 +714,13 @@ mod tests {
                 })
             })
             .collect();
-        let mut state = GroupedAggState::new(aggs, MemoryReservation::detached("test"));
-        state.feed_lanes(&key_refs, &hash_lanes(&key_refs, rows.len()), &args)?;
+        let mut state = GroupedAggState::new(aggs);
+        state.feed_lanes(
+            &mut gov(),
+            &key_refs,
+            &hash_lanes(&key_refs, rows.len()),
+            &args,
+        )?;
         let (cols, n) = state.finish(kind);
         Ok(columns_to_rows(&cols, n))
     }
@@ -862,7 +867,8 @@ mod tests {
     /// batch, and a lane that has seen nothing simply retypes.
     #[test]
     fn typed_lanes_refit_across_batches() {
-        let mut state = GroupedAggState::new(&[sum_def()], MemoryReservation::detached("test"));
+        let mut state = GroupedAggState::new(&[sum_def()]);
+        let mut gov = gov();
         let key = Column::from_values(vec![Value::Int(1), Value::Int(2)]);
         let keys = [&key];
         let hashes = hash_lanes(&keys, 2);
@@ -873,7 +879,7 @@ mod tests {
         ];
         for vals in batches {
             let arg = Some(Column::from_values(vals));
-            state.feed_lanes(&keys, &hashes, &[arg]).unwrap();
+            state.feed_lanes(&mut gov, &keys, &hashes, &[arg]).unwrap();
         }
         let (cols, n) = state.finish(GroupKind::Vector);
         assert_eq!(

@@ -22,6 +22,7 @@ pub mod chunk;
 pub mod eval;
 pub mod explain_phys;
 pub mod faults;
+mod governed;
 pub mod parallel;
 pub mod physical;
 pub mod pipeline;

@@ -43,15 +43,16 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use orthopt_common::column::{cols_bytes, Column};
-use orthopt_common::{ColId, Error, MemoryReservation, Result};
+use orthopt_common::{ColId, Error, Result};
 use orthopt_ir::GroupKind;
 use orthopt_storage::Catalog;
 
 use crate::bindings::Bindings;
+use crate::governed::Governed;
 use crate::physical::PhysExpr;
 use crate::pipeline::{
     free_inputs, pos_of, Batch, ColumnBatches, ExecCtx, JoinBuild, Operator, Pipeline,
-    PipelineOptions, MEM_HINT,
+    PipelineOptions,
 };
 use crate::scheduler::Scheduler;
 use crate::stats::OpStats;
@@ -359,9 +360,9 @@ pub struct ExchangeOp {
     /// Gathered output, handed to the parent batch by batch.
     pending: VecDeque<(Vec<Column>, usize)>,
     done: bool,
-    /// Charges the gather buffer (`pending`) and, while the workers
-    /// run, the shared join build against the query's memory budget.
-    mem: MemoryReservation,
+    /// Charges the gather buffer (`pending`) until each batch is handed
+    /// on and, while the workers run, the shared join build.
+    gov: Governed,
 }
 
 impl ExchangeOp {
@@ -370,6 +371,7 @@ impl ExchangeOp {
         base: usize,
         stats: Rc<RefCell<Vec<OpStats>>>,
         opts: PipelineOptions,
+        gov: Governed,
     ) -> ExchangeOp {
         let out_cols: Rc<[ColId]> = plan.out_cols().as_slice().into();
         let eligible = exchange_eligible(&plan);
@@ -382,7 +384,7 @@ impl ExchangeOp {
             eligible,
             pending: VecDeque::new(),
             done: false,
-            mem: MemoryReservation::detached("Exchange"),
+            gov,
         }
     }
 
@@ -402,9 +404,8 @@ impl ExchangeOp {
                 columns.len()
             )));
         }
-        crate::faults::hit("exchange.gather")
-            .and_then(|()| self.mem.grow(batches_bytes(&batches)))
-            .map_err(|e| e.with_hint(MEM_HINT))?;
+        self.gov
+            .charge("exchange.gather", batches_bytes(&batches))?;
         self.pending
             .extend(batches.into_iter().filter(|(_, len)| *len > 0));
         Ok(())
@@ -493,9 +494,7 @@ impl ExchangeOp {
                     let start = self.base + self.plan.node_count() - right.node_count();
                     let parts = self.run_sub(ctx, right, start)?;
                     build_bytes = batches_bytes(&parts);
-                    crate::faults::hit("hashjoin.build")
-                        .and_then(|()| self.mem.grow(build_bytes))
-                        .map_err(|e| e.with_hint(MEM_HINT))?;
+                    self.gov.charge("hashjoin.build", build_bytes)?;
                     let layout = right.out_cols();
                     let key_pos = right_keys
                         .iter()
@@ -519,7 +518,7 @@ impl ExchangeOp {
             let batches = run_to_columns(&mut pipe, catalog, &Bindings::new())?;
             Ok((batches, pipe.stats()))
         });
-        self.mem.shrink(build_bytes);
+        self.gov.release(build_bytes);
         let (tagged, outputs): (Vec<_>, Vec<_>) = results?
             .into_iter()
             .map(|(w, (batches, stats))| ((w, stats), batches))
@@ -536,7 +535,7 @@ impl Operator for ExchangeOp {
     fn open(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.pending.clear();
         self.done = false;
-        self.mem = ctx.gov.reservation("Exchange");
+        self.gov.open(ctx);
         Ok(())
     }
 
@@ -545,15 +544,17 @@ impl Operator for ExchangeOp {
             self.compute(ctx)?;
             self.done = true;
         }
-        // Sub-pipeline batches pass through as they are.
-        Ok(self
-            .pending
-            .pop_front()
-            .map(|(columns, len)| Batch::from_columns(self.out_cols.clone(), columns, len)))
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
+        // Sub-pipeline batches pass through as they are; a batch handed
+        // on is the parent's to charge.
+        let Some((columns, len)) = self.pending.pop_front() else {
+            return Ok(None);
+        };
+        self.gov.release(cols_bytes(&columns, len));
+        Ok(Some(Batch::from_columns(
+            self.out_cols.clone(),
+            columns,
+            len,
+        )))
     }
 }
 

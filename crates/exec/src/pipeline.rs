@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use orthopt_common::column::{cols_bytes, columns_to_rows, Bitmap, ColData, Column, ColumnData};
 use orthopt_common::hash::{hash_lanes, keys_valid, GroupTable};
-use orthopt_common::{ColId, Error, MemoryReservation, QueryContext, Result, Row, TableId, Value};
+use orthopt_common::{ColId, Error, QueryContext, Result, Row, TableId, Value};
 use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
 use orthopt_storage::{Catalog, Index, Table};
 
@@ -35,6 +35,7 @@ use crate::aggregate::GroupedAggState;
 use crate::bindings::Bindings;
 use crate::chunk::Chunk;
 use crate::eval::PosMap;
+use crate::governed::{Governed, Refused};
 use crate::physical::PhysExpr;
 use crate::sort::SortOp;
 use crate::spill::{
@@ -45,16 +46,6 @@ use crate::vector::{eval_lanes, eval_truth, first_error, LaneError, VecEval};
 
 /// Default maximum number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// Hint attached to `ResourceExhausted` refusals at sites that cannot
-/// degrade any further (spilling is already active, or the operator has
-/// no disk fallback at all).
-pub(crate) const MEM_HINT: &str = "raise ORTHOPT_MEM_LIMIT / SET mem_limit";
-
-/// Hint attached to refusals at sites that *could* have spilled but had
-/// spilling disabled.
-pub(crate) const MEM_OR_SPILL_HINT: &str =
-    "raise ORTHOPT_MEM_LIMIT / SET mem_limit, or enable spilling (SET spill = on)";
 
 /// A bounded run of lanes flowing through the pipeline, column-major:
 /// one [`Column`] per layout position, all `len` lanes long. The layout
@@ -235,9 +226,8 @@ impl StatsHandle {
         s.tie_runs += tie_runs;
     }
 
-    /// Max-folds a memory peak into the slot (used by operators that
-    /// are not themselves metered nodes, e.g. the rewind cache).
-    fn note_mem_peak(&self, peak: u64) {
+    /// Max-folds a memory peak into the slot.
+    pub(crate) fn note_mem_peak(&self, peak: u64) {
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[self.id];
         s.mem_peak = s.mem_peak.max(peak);
@@ -318,11 +308,6 @@ pub trait Operator {
     /// Reports accumulated stats (meaningful on metered nodes).
     fn close(&mut self) -> OpStats {
         OpStats::default()
-    }
-    /// Peak bytes held by this operator's memory reservation; 0 for
-    /// non-buffering operators.
-    fn mem_peak(&self) -> u64 {
-        0
     }
 }
 
@@ -862,12 +847,16 @@ impl Compiler {
                     build,
                     out_queue: VecDeque::new(),
                     left_done: false,
-                    mem: MemoryReservation::detached("HashJoin"),
                     // A stable build is kept across rewinds; grace
                     // partitions are consumed when joined, so spilling
                     // would break the rewind contract. A keyless build
                     // is one partition however often it is split.
-                    allow_spill: self.opts.spill && !build_stable && !right_keys.is_empty(),
+                    gov: Governed::spilling(
+                        "HashJoin",
+                        !build_stable && !right_keys.is_empty(),
+                        self.opts.spill,
+                        sh.clone(),
+                    ),
                     grace: None,
                     stats: sh.clone(),
                 })
@@ -964,7 +953,7 @@ impl Compiler {
                     partitioned: false,
                     seg_cursor: 0,
                     batch_size: bs,
-                    mem: MemoryReservation::detached("SegmentExec"),
+                    gov: Governed::failing("SegmentExec", sh.clone()),
                     stats: sh.clone(),
                 })
             }
@@ -1000,9 +989,8 @@ impl Compiler {
                     emitted: 0,
                     done: false,
                     batch_size: bs,
-                    allow_spill: self.opts.spill,
+                    gov: Governed::spilling("HashAggregate", true, self.opts.spill, sh.clone()),
                     spilled: None,
-                    mem_peak: 0,
                     stats: sh.clone(),
                 })
             }
@@ -1052,7 +1040,7 @@ impl Compiler {
                     table: GroupTable::new(),
                     counts: Vec::new(),
                     built: false,
-                    mem: MemoryReservation::detached("Except"),
+                    gov: Governed::failing("Except", sh.clone()),
                     stats: sh.clone(),
                 })
             }
@@ -1062,7 +1050,7 @@ impl Compiler {
                 first: None,
                 lanes: 0,
                 done: false,
-                mem: MemoryReservation::detached("Max1Row"),
+                gov: Governed::failing("Max1Row", sh.clone()),
             }),
             PhysExpr::RowNumber { input, .. } => Box::new(RowNumberOp {
                 input: self.compile(input, in_param)?,
@@ -1100,7 +1088,7 @@ impl Compiler {
                 kept: 0,
                 buffered: VecDeque::new(),
                 done: false,
-                mem: MemoryReservation::detached("Limit"),
+                gov: Governed::failing("Limit", sh.clone()),
             }),
             PhysExpr::Exchange { input } => {
                 // The subtree is not compiled here: the exchange runtime
@@ -1118,6 +1106,7 @@ impl Compiler {
                     base,
                     self.stats.clone(),
                     self.opts,
+                    Governed::failing("Exchange", sh.clone()),
                 ))
             }
         };
@@ -1167,25 +1156,16 @@ impl Operator for Metered {
         let mut stats = self.stats.borrow_mut();
         let s = &mut stats[self.id];
         s.elapsed += t.elapsed();
-        match &r {
-            Ok(Some(b)) => {
-                s.batches += 1;
-                s.rows += b.len() as u64;
-            }
-            // Exhaustion or failure: fold in the operator's memory peak
-            // (close is not recursive, so this is where inner buffering
-            // operators surface their reservation peaks).
-            Ok(None) | Err(_) => s.mem_peak = s.mem_peak.max(self.op.mem_peak()),
+        if let Ok(Some(b)) = &r {
+            s.batches += 1;
+            s.rows += b.len() as u64;
         }
         r
     }
 
     fn close(&mut self) -> OpStats {
         self.op.close();
-        let mut stats = self.stats.borrow_mut();
-        let s = &mut stats[self.id];
-        s.mem_peak = s.mem_peak.max(self.op.mem_peak());
-        *s
+        self.stats.borrow()[self.id]
     }
 }
 
@@ -1207,10 +1187,9 @@ struct CacheOp {
     degraded: bool,
     batches: Vec<Batch>,
     cursor: usize,
-    mem: MemoryReservation,
-    /// The cache is not itself a metered node — it records its peak
-    /// into the cached subtree root's stats slot.
-    stats: StatsHandle,
+    /// The cache is not itself a metered node — it charges into the
+    /// cached subtree root's stats slot.
+    gov: Governed,
 }
 
 impl CacheOp {
@@ -1222,13 +1201,8 @@ impl CacheOp {
             degraded: false,
             batches: Vec::new(),
             cursor: 0,
-            mem: MemoryReservation::detached("Cache"),
-            stats,
+            gov: Governed::shedding("Cache", stats),
         }
-    }
-
-    fn record_peak(&self) {
-        self.stats.note_mem_peak(self.mem.peak());
     }
 }
 
@@ -1243,7 +1217,7 @@ impl Operator for CacheOp {
             self.batches.clear();
             return self.input.open(ctx);
         }
-        self.mem = ctx.gov.reservation("Cache");
+        self.gov.open(ctx);
         self.input.open(ctx)
     }
 
@@ -1251,25 +1225,18 @@ impl Operator for CacheOp {
         if !self.filled && !self.degraded {
             while let Some(b) = self.input.next_batch(ctx)? {
                 b.check_width(self.width)?;
-                let charged =
-                    crate::faults::hit("cache.fill").and_then(|()| self.mem.grow(b.mem_bytes()));
-                match charged {
-                    Ok(()) => self.batches.push(b),
-                    Err(Error::ResourceExhausted { .. }) => {
-                        // Shed: stream out what is buffered (plus the
-                        // batch in hand), then abandon caching.
-                        self.record_peak();
-                        self.mem.reset();
-                        self.degraded = true;
-                        self.batches.push(b);
-                        break;
-                    }
-                    Err(e) => return Err(e),
+                let charged = self.gov.charge("cache.fill", b.mem_bytes())?;
+                self.batches.push(b);
+                if !charged {
+                    // Shed: stream out what is buffered (plus the
+                    // batch in hand), then abandon caching.
+                    self.gov.reset();
+                    self.degraded = true;
+                    break;
                 }
             }
             if !self.degraded {
                 self.filled = true;
-                self.record_peak();
                 self.input.close();
             }
         }
@@ -2010,10 +1977,9 @@ struct HashJoinOp {
     /// Finished output batches (a grace pair's whole output).
     out_queue: VecDeque<Batch>,
     left_done: bool,
-    mem: MemoryReservation,
-    /// Degrade to a grace join on a refused build reservation (compiled
-    /// from the pipeline's spill toggle; never set for stable builds).
-    allow_spill: bool,
+    /// The build's charge; it spills to a grace join when the build is
+    /// keyed, not stable, and the pipeline may spill.
+    gov: Governed,
     /// Active grace-join state, once the build has overflowed to disk.
     grace: Option<GraceJoin>,
     stats: StatsHandle,
@@ -2043,9 +2009,7 @@ impl HashJoinOp {
             partition_lanes(&mut parts, columns, *n, &self.probe.right_pos, 0)?;
             ctx.gov.check_cancelled("HashJoin")?;
         }
-        // reset() releases the pool bytes but keeps the local peak for
-        // stats.
-        self.mem.reset();
+        self.gov.reset();
         self.grace = Some(GraceJoin {
             build: Some(parts),
             build_files: Vec::new(),
@@ -2072,31 +2036,16 @@ impl HashJoinOp {
                 // Already degraded: the failpoint still fires (Panic /
                 // Error / SlowMs), but a refused allocation is moot on
                 // the disk path.
-                match crate::faults::hit("hashjoin.build") {
-                    Err(Error::ResourceExhausted { .. }) => {}
-                    r => r?,
-                }
+                self.gov.charge("hashjoin.build", 0)?;
                 let parts = g.build.as_mut().expect("build partitions active");
                 partition_lanes(parts, &b.columns, b.len, &self.probe.right_pos, 0)?;
                 ctx.gov.check_cancelled("HashJoin")?;
                 continue;
             }
-            match crate::faults::hit("hashjoin.build").and_then(|()| self.mem.grow(b.mem_bytes())) {
-                Ok(()) => self.build_parts.push(b.into_columns()),
-                Err(e) => {
-                    let refused = matches!(e, Error::ResourceExhausted { .. });
-                    if !(refused && self.allow_spill) {
-                        // A keyless build has no hash to partition on:
-                        // spilling was never an option.
-                        let keyless = self.probe.right_pos.is_empty();
-                        return Err(e.with_hint(if keyless {
-                            MEM_HINT
-                        } else {
-                            MEM_OR_SPILL_HINT
-                        }));
-                    }
-                    self.grace_start(ctx, b)?;
-                }
+            if self.gov.charge("hashjoin.build", b.mem_bytes())? {
+                self.build_parts.push(b.into_columns());
+            } else {
+                self.grace_start(ctx, b)?;
             }
         }
         if let Some(g) = self.grace.as_mut() {
@@ -2188,32 +2137,30 @@ impl HashJoinOp {
         // reservation the in-memory build uses.
         let mut blocks: ColumnBatches = Vec::new();
         let mut charged = 0u64;
-        let mut refusal: Option<Error> = None;
+        let mut refusal = None;
         {
             let mut r = bf.reader()?;
             while let Some((columns, n)) = r.next_block_columns()? {
                 let bytes = cols_bytes(&columns, n);
-                match self.mem.grow(bytes) {
-                    Ok(()) => charged += bytes,
-                    Err(e) => {
-                        refusal = Some(e);
-                        break;
-                    }
+                if let Err(refused) = self.gov.try_grow(bytes) {
+                    refusal = Some(refused);
+                    break;
                 }
+                charged += bytes;
                 blocks.push((columns, n));
                 ctx.gov.check_cancelled("HashJoin")?;
             }
         }
-        if let Some(err) = refusal {
+        if let Some(refused) = refusal {
             // Partition still too big: subdivide both files one level
             // deeper, up to the recursion cap.
             drop(blocks);
-            self.mem.shrink(charged);
+            self.gov.release(charged);
             let next = level + 1;
             if next >= MAX_SPILL_DEPTH {
                 // Repartition depth exhausted: one partition is still
                 // too big for the budget (e.g. one very hot key).
-                return Err(err.with_hint(MEM_HINT));
+                return Err(refused.fail());
             }
             let (rw, lw) = (self.right_width, self.left_width);
             let bfiles =
@@ -2241,7 +2188,7 @@ impl HashJoinOp {
             ctx.gov.check_cancelled("HashJoin")?;
         }
         drop(r);
-        self.mem.shrink(charged);
+        self.gov.release(charged);
         Ok(true)
     }
 }
@@ -2262,9 +2209,8 @@ impl Operator for HashJoinOp {
             // files from a previous (errored) execution of this cached
             // pipeline.
             self.grace = None;
-            // Fresh reservation: replacing the old one releases the
-            // dropped build's bytes back to the pool.
-            self.mem = ctx.gov.reservation("HashJoin");
+            // A fresh reservation releases the dropped build's bytes.
+            self.gov.open(ctx);
             right.open(ctx)?;
         }
         Ok(())
@@ -2310,10 +2256,6 @@ impl Operator for HashJoinOp {
                 return Ok(None);
             }
         }
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
     }
 }
 
@@ -2376,7 +2318,7 @@ struct ApplyOp {
     /// shed and reset at every outer batch from then on, so only lanes
     /// of one batch share a run.
     degraded: bool,
-    mem: MemoryReservation,
+    gov: Governed,
     stats: StatsHandle,
 }
 
@@ -2402,7 +2344,7 @@ impl ApplyOp {
             bindings: GroupTable::new(),
             results: Vec::new(),
             degraded: false,
-            mem: MemoryReservation::detached("ApplyLoop"),
+            gov: Governed::shedding("ApplyLoop", stats.clone()),
             stats,
         }
     }
@@ -2445,17 +2387,11 @@ impl ApplyOp {
     /// cache is shed (reset + degrade) and execution continues — results
     /// are identical either way.
     fn charge(&mut self, rs: &(Vec<Column>, usize)) -> Result<()> {
-        let bytes = cols_bytes(&rs.0, rs.1);
-        match crate::faults::hit("apply.bindings").and_then(|()| self.mem.grow(bytes)) {
-            Ok(()) => Ok(()),
-            Err(Error::ResourceExhausted { .. }) => {
-                self.stats.note_mem_peak(self.mem.peak());
-                self.mem.reset();
-                self.degraded = true;
-                Ok(())
-            }
-            Err(e) => Err(e),
+        if !self.gov.charge("apply.bindings", cols_bytes(&rs.0, rs.1))? {
+            self.gov.reset();
+            self.degraded = true;
         }
+        Ok(())
     }
 
     /// The `ApplyKind` combination of one outer batch with its lanes'
@@ -2514,7 +2450,7 @@ impl Operator for ApplyOp {
         self.bindings = GroupTable::new();
         self.results.clear();
         self.degraded = false;
-        self.mem = ctx.gov.reservation("ApplyLoop");
+        self.gov.open(ctx);
         self.left.open(ctx)
     }
 
@@ -2554,10 +2490,6 @@ impl Operator for ApplyOp {
             }
         }
         Ok(None)
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
     }
 }
 
@@ -2682,7 +2614,7 @@ struct SegmentExecOp {
     partitioned: bool,
     seg_cursor: usize,
     batch_size: usize,
-    mem: MemoryReservation,
+    gov: Governed,
     stats: StatsHandle,
 }
 
@@ -2694,7 +2626,7 @@ impl Operator for SegmentExecOp {
         self.keys.clear();
         self.partitioned = false;
         self.seg_cursor = 0;
-        self.mem = ctx.gov.reservation("SegmentExec");
+        self.gov.open(ctx);
         self.input.open(ctx)
     }
 
@@ -2708,9 +2640,7 @@ impl Operator for SegmentExecOp {
             let mut seen = 0;
             while let Some(b) = self.input.next_batch(ctx)? {
                 b.check_width(self.input_cols.len())?;
-                crate::faults::hit("segment.partition")
-                    .and_then(|()| self.mem.grow(b.mem_bytes()))
-                    .map_err(|e| e.with_hint(MEM_HINT))?;
+                self.gov.charge("segment.partition", b.mem_bytes())?;
                 let key_cols: Vec<&Column> = self.seg_pos.iter().map(|&i| &b.columns[i]).collect();
                 let ids = table.assign(&key_cols, &hash_lanes(&key_cols, b.len));
                 self.segments.resize_with(table.len(), Vec::new);
@@ -2783,10 +2713,6 @@ impl Operator for SegmentExecOp {
             len,
         )))
     }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2831,11 +2757,8 @@ struct HashAggregateOp {
     emitted: usize,
     done: bool,
     batch_size: usize,
-    /// Peak bytes of the grouped state, captured before `finish`
-    /// consumes it (the reservation lives inside the state).
-    mem_peak: u64,
-    /// Degrade to partitioned spilling on a refused state charge.
-    allow_spill: bool,
+    /// The group state's charge; it spills when the pipeline may.
+    gov: Governed,
     /// Active spill state; once set, the resident group state is frozen
     /// and every further input lane goes to disk.
     spilled: Option<SpilledAgg>,
@@ -2881,15 +2804,13 @@ impl HashAggregateOp {
         let hashes = hash_lanes(&key_cols, args.len);
         let mut applied = 0;
         if self.spilled.is_none() && args.len > 0 {
-            let state = self.state.get_or_insert_with(|| {
-                GroupedAggState::new(&self.aggs, ctx.gov.reservation("HashAggregate"))
-            });
-            let (fed, refusal) = state.feed_lanes(&key_cols, &hashes, &args.cols)?;
+            let state = self
+                .state
+                .get_or_insert_with(|| GroupedAggState::new(&self.aggs));
+            let (fed, refusal) = state.feed_lanes(&mut self.gov, &key_cols, &hashes, &args.cols)?;
             applied = fed;
-            if let Some(err) = refusal {
-                if !self.allow_spill {
-                    return Err(err.with_hint(MEM_OR_SPILL_HINT));
-                }
+            if let Some(refused) = refusal {
+                self.gov.refused(refused)?;
                 self.enter_spill(ctx)?;
             }
         }
@@ -2929,15 +2850,9 @@ impl HashAggregateOp {
     /// disk partitions when the governor refuses a charge.
     fn drain_input(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         while let Some(b) = self.input.next_batch(ctx)? {
-            match crate::faults::hit("hashagg.state") {
-                Ok(()) => {}
-                Err(e) => {
-                    let refused = matches!(e, Error::ResourceExhausted { .. });
-                    if !(refused && self.allow_spill) {
-                        return Err(e.with_hint(MEM_OR_SPILL_HINT));
-                    }
-                    self.enter_spill(ctx)?;
-                }
+            // The batch's lanes are charged one by one as they are fed.
+            if !self.gov.charge("hashagg.state", 0)? {
+                self.enter_spill(ctx)?;
             }
             self.feed(ctx, &b)?;
         }
@@ -2948,6 +2863,7 @@ impl HashAggregateOp {
     /// lane feed; a refusal here cannot degrade any further.
     fn replay_file(
         ctx: &ExecCtx<'_>,
+        gov: &mut Governed,
         st: &mut GroupedAggState,
         file: &mut SpillFile,
         key_width: usize,
@@ -2962,8 +2878,10 @@ impl HashAggregateOp {
                 .iter()
                 .map(|&h| if h { args.next() } else { None })
                 .collect();
-            if let (_, Some(err)) = st.feed_lanes(&key_cols, &hash_lanes(&key_cols, n), &args)? {
-                return Err(err.with_hint(MEM_HINT));
+            if let (_, Some(refused)) =
+                st.feed_lanes(gov, &key_cols, &hash_lanes(&key_cols, n), &args)?
+            {
+                return Err(refused.fail());
             }
             ctx.gov.check_cancelled("HashAggregate")?;
         }
@@ -2975,7 +2893,8 @@ impl HashAggregateOp {
     /// function the disk lanes used — then each partition is finalized
     /// independently: charge the resident split, replay the partition
     /// file, emit. Peak memory is one partition's groups instead of
-    /// all of them.
+    /// all of them. The last partition's charge is the caller's to
+    /// release.
     fn finish_spilled(
         &mut self,
         ctx: &ExecCtx<'_>,
@@ -2994,11 +2913,9 @@ impl HashAggregateOp {
             // lanes live in one partition: replay everything into the
             // resident state and finish once, so `agg(∅)` fires exactly
             // when the whole input was empty.
-            let r = files.into_iter().try_for_each(|mut f| {
-                Self::replay_file(ctx, &mut state, &mut f, key_width, &has_arg)
-            });
-            self.mem_peak = self.mem_peak.max(state.mem_peak());
-            r?;
+            for mut f in files {
+                Self::replay_file(ctx, &mut self.gov, &mut state, &mut f, key_width, &has_arg)?;
+            }
             return Ok(state.finish(self.kind));
         }
         let mut out: ColumnBatches = Vec::new();
@@ -3007,12 +2924,10 @@ impl HashAggregateOp {
             .into_iter()
             .zip(files)
         {
-            let r = st
-                .attach(ctx.gov.reservation("HashAggregate"))
-                .map_err(|e| e.with_hint(MEM_HINT))
-                .and_then(|()| Self::replay_file(ctx, &mut st, &mut file, key_width, &has_arg));
-            self.mem_peak = self.mem_peak.max(st.mem_peak());
-            r?;
+            // Only this partition's groups are charged while it loads.
+            self.gov.reset();
+            st.attach(&mut self.gov).map_err(Refused::fail)?;
+            Self::replay_file(ctx, &mut self.gov, &mut st, &mut file, key_width, &has_arg)?;
             let (columns, n) = st.finish(self.kind);
             if n > 0 {
                 out.push((columns, n));
@@ -3032,7 +2947,7 @@ impl Operator for HashAggregateOp {
         self.result = (Vec::new(), 0);
         self.emitted = 0;
         self.done = false;
-        self.mem_peak = 0;
+        self.gov.open(ctx);
         // Dropping stale spill partitions removes their files (left by
         // a previous errored execution of this cached pipeline).
         self.spilled = None;
@@ -3042,15 +2957,17 @@ impl Operator for HashAggregateOp {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Batch>> {
         if !self.done {
             let fed = self.drain_input(ctx);
-            let state = self.state.take().unwrap_or_else(|| {
-                GroupedAggState::new(&self.aggs, ctx.gov.reservation("HashAggregate"))
+            let state = self
+                .state
+                .take()
+                .unwrap_or_else(|| GroupedAggState::new(&self.aggs));
+            let result = fed.and_then(|()| match self.spilled.take() {
+                None => Ok(state.finish(self.kind)),
+                Some(sp) => self.finish_spilled(ctx, state, sp),
             });
-            self.mem_peak = self.mem_peak.max(state.mem_peak());
-            fed?;
-            self.result = match self.spilled.take() {
-                None => state.finish(self.kind),
-                Some(sp) => self.finish_spilled(ctx, state, sp)?,
-            };
+            // The groups are finished (or abandoned): their charge goes.
+            self.gov.reset();
+            self.result = result?;
             self.done = true;
         }
         let (columns, len) = &self.result;
@@ -3075,10 +2992,6 @@ impl Operator for HashAggregateOp {
             take,
         )))
     }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem_peak
-    }
 }
 
 struct LimitOp {
@@ -3089,7 +3002,7 @@ struct LimitOp {
     kept: usize,
     buffered: VecDeque<Batch>,
     done: bool,
-    mem: MemoryReservation,
+    gov: Governed,
 }
 
 impl Operator for LimitOp {
@@ -3097,7 +3010,7 @@ impl Operator for LimitOp {
         self.buffered.clear();
         self.kept = 0;
         self.done = false;
-        self.mem = ctx.gov.reservation("Limit");
+        self.gov.open(ctx);
         self.input.open(ctx)
     }
 
@@ -3113,21 +3026,22 @@ impl Operator for LimitOp {
                     // draining for errors, buffer nothing.
                     continue;
                 }
-                let head: Vec<Column> = b.columns.iter().map(|c| c.slice(0, take)).collect();
-                crate::faults::hit("limit.buffer")
-                    .and_then(|()| self.mem.grow(cols_bytes(&head, take)))
-                    .map_err(|e| e.with_hint(MEM_HINT))?;
+                let head = Batch::from_columns(
+                    self.cols.clone(),
+                    b.columns.iter().map(|c| c.slice(0, take)).collect(),
+                    take,
+                );
+                self.gov.charge("limit.buffer", head.mem_bytes())?;
                 self.kept += take;
-                self.buffered
-                    .push_back(Batch::from_columns(self.cols.clone(), head, take));
+                self.buffered.push_back(head);
             }
             self.done = true;
         }
-        Ok(self.buffered.pop_front())
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
+        let out = self.buffered.pop_front();
+        if let Some(b) = &out {
+            self.gov.release(b.mem_bytes());
+        }
+        Ok(out)
     }
 }
 
@@ -3140,7 +3054,7 @@ struct AssertMax1Op {
     /// Lanes seen across the whole input.
     lanes: usize,
     done: bool,
-    mem: MemoryReservation,
+    gov: Governed,
 }
 
 impl Operator for AssertMax1Op {
@@ -3148,7 +3062,7 @@ impl Operator for AssertMax1Op {
         self.first = None;
         self.lanes = 0;
         self.done = false;
-        self.mem = ctx.gov.reservation("Max1Row");
+        self.gov.open(ctx);
         self.input.open(ctx)
     }
 
@@ -3164,9 +3078,7 @@ impl Operator for AssertMax1Op {
             b.check_width(self.cols.len())?;
             self.lanes += b.len;
             if self.first.is_none() && b.len > 0 {
-                crate::faults::hit("max1.buffer")
-                    .and_then(|()| self.mem.grow(b.mem_bytes()))
-                    .map_err(|e| e.with_hint(MEM_HINT))?;
+                self.gov.charge("max1.buffer", b.mem_bytes())?;
                 self.first = Some(b);
             }
         }
@@ -3174,11 +3086,8 @@ impl Operator for AssertMax1Op {
         if self.lanes > 1 {
             return Err(Error::SubqueryReturnedMoreThanOneRow);
         }
+        self.gov.reset();
         Ok(self.first.take())
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
     }
 }
 
@@ -3238,7 +3147,7 @@ struct ExceptOp {
     table: GroupTable,
     counts: Vec<u32>,
     built: bool,
-    mem: MemoryReservation,
+    gov: Governed,
     stats: StatsHandle,
 }
 
@@ -3247,7 +3156,7 @@ impl Operator for ExceptOp {
         self.table = GroupTable::new();
         self.counts.clear();
         self.built = false;
-        self.mem = ctx.gov.reservation("Except");
+        self.gov.open(ctx);
         self.left.open(ctx)?;
         self.right.open(ctx)
     }
@@ -3256,9 +3165,7 @@ impl Operator for ExceptOp {
         if !self.built {
             while let Some(b) = self.right.next_batch(ctx)? {
                 b.check_width(self.right_width)?;
-                crate::faults::hit("except.build")
-                    .and_then(|()| self.mem.grow(b.mem_bytes()))
-                    .map_err(|e| e.with_hint(MEM_HINT))?;
+                self.gov.charge("except.build", b.mem_bytes())?;
                 let key_cols: Vec<&Column> = self.rpos.iter().map(|&i| &b.columns[i]).collect();
                 let ids = self.table.assign(&key_cols, &hash_lanes(&key_cols, b.len));
                 self.counts.resize(self.table.len(), 0);
@@ -3288,10 +3195,6 @@ impl Operator for ExceptOp {
                 return Ok(Some(Batch::from_columns(self.cols.clone(), out, sel.len())));
             }
         }
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
     }
 }
 
@@ -3535,7 +3438,7 @@ mod tests {
                 table: GroupTable::new(),
                 counts: Vec::new(),
                 built: false,
-                mem: MemoryReservation::detached("Except"),
+                gov: Governed::failing("Except", stats()),
                 stats: stats(),
             })
         };
@@ -3569,7 +3472,7 @@ mod tests {
                     partitioned: false,
                     seg_cursor: 0,
                     batch_size: 16,
-                    mem: MemoryReservation::detached("SegmentExec"),
+                    gov: Governed::failing("SegmentExec", stats()),
                     stats: stats(),
                 }),
             ),
@@ -3596,9 +3499,8 @@ mod tests {
             emitted: 0,
             done: false,
             batch_size: 16,
-            allow_spill: false,
+            gov: Governed::spilling("HashAggregate", true, false, stats()),
             spilled: None,
-            mem_peak: 0,
             stats: stats(),
         };
         ops.push(("Apply (outer)", Box::new(apply)));

@@ -18,11 +18,11 @@ use std::cmp::Ordering;
 use std::rc::Rc;
 
 use orthopt_common::column::Column;
-use orthopt_common::{ColId, Error, MemoryReservation, Result};
+use orthopt_common::{ColId, Result};
 
+use crate::governed::Governed;
 use crate::pipeline::{
-    concat_batches, Batch, BoxOp, ColumnBatches, ExecCtx, Operator, StatsHandle,
-    DEFAULT_BATCH_SIZE, MEM_OR_SPILL_HINT,
+    concat_batches, Batch, BoxOp, ColumnBatches, ExecCtx, Operator, StatsHandle, DEFAULT_BATCH_SIZE,
 };
 use crate::spill::{SpillFile, SpillReader};
 
@@ -229,9 +229,9 @@ pub(crate) struct SortOp {
     /// The sorted result when nothing spilled.
     sorted: Option<SortedRun>,
     batch_size: usize,
-    mem: MemoryReservation,
-    /// Degrade to an external merge sort on a refused reservation.
-    allow_spill: bool,
+    /// The buffer's charge; it degrades to an external merge sort when
+    /// the pipeline may spill.
+    gov: Governed,
     /// Spilled sorted runs, in creation order. The files must outlive
     /// `merge` (its readers reopen them by path); cleared when the
     /// merge completes.
@@ -249,7 +249,7 @@ impl SortOp {
         by_pos: Vec<(usize, bool)>,
         cols: Rc<[ColId]>,
         batch_size: usize,
-        allow_spill: bool,
+        spill: bool,
         stats: StatsHandle,
     ) -> SortOp {
         SortOp {
@@ -260,8 +260,7 @@ impl SortOp {
             input_done: false,
             sorted: None,
             batch_size,
-            mem: MemoryReservation::detached("Sort"),
-            allow_spill,
+            gov: Governed::spilling("Sort", true, spill, stats.clone()),
             runs: Vec::new(),
             merge: None,
             stats,
@@ -293,29 +292,19 @@ impl SortOp {
         while let Some(b) = self.input.next_batch(ctx)? {
             b.check_width(self.cols.len())?;
             self.stats.note_kernel();
-            match crate::faults::hit("sort.buffer").and_then(|()| self.mem.grow(b.mem_bytes())) {
-                Ok(()) => {}
-                Err(e) => {
-                    let refused = matches!(e, Error::ResourceExhausted { .. });
-                    if !(refused && self.allow_spill) {
-                        return Err(e.with_hint(MEM_OR_SPILL_HINT));
-                    }
-                    // Write everything buffered so far as a sorted run
-                    // and release its reservation (keeping the peak),
-                    // then retry the charge for this batch.
-                    let buffered = std::mem::take(&mut self.buffered);
-                    self.spill_run(ctx, buffered)?;
-                    self.mem.reset();
-                    if let Err(e2) = self.mem.grow(b.mem_bytes()) {
-                        if !matches!(e2, Error::ResourceExhausted { .. }) {
-                            return Err(e2);
-                        }
-                        // The batch alone exceeds the budget: it becomes
-                        // its own run without ever being resident past
-                        // this point.
-                        self.spill_run(ctx, vec![b.into_columns()])?;
-                        continue;
-                    }
+            if !self.gov.charge("sort.buffer", b.mem_bytes())? {
+                // Write everything buffered so far as a sorted run and
+                // release its charge, then retry the charge for this
+                // batch.
+                let buffered = std::mem::take(&mut self.buffered);
+                self.spill_run(ctx, buffered)?;
+                self.gov.reset();
+                if !self.gov.grow(b.mem_bytes())? {
+                    // The batch alone exceeds the budget: it becomes
+                    // its own run without ever being resident past
+                    // this point.
+                    self.spill_run(ctx, vec![b.into_columns()])?;
+                    continue;
                 }
             }
             self.buffered.push(b.into_columns());
@@ -387,7 +376,7 @@ impl Operator for SortOp {
         // execution of this cached pipeline may have left some).
         self.merge = None;
         self.runs.clear();
-        self.mem = ctx.gov.reservation("Sort");
+        self.gov.open(ctx);
         self.input.open(ctx)
     }
 
@@ -421,7 +410,7 @@ impl Operator for SortOp {
                 // pin disk space.
                 self.merge = None;
                 self.runs.clear();
-                self.mem.reset();
+                self.gov.reset();
             }
             return Ok(out);
         }
@@ -433,9 +422,5 @@ impl Operator for SortOp {
             self.sorted = None;
         }
         Ok(window.map(|(columns, n)| Batch::from_columns(self.cols.clone(), columns, n)))
-    }
-
-    fn mem_peak(&self) -> u64 {
-        self.mem.peak()
     }
 }

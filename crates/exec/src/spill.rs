@@ -1,6 +1,6 @@
 //! Spill-to-disk subsystem: graceful degradation under the governor.
 //!
-//! When a governed buffering operator's [`MemoryReservation`] is refused,
+//! When the memory pool refuses a governed buffering operator's charge,
 //! the operator no longer has to fail the query: it can hand the
 //! overflowing state to a [`SpillManager`] and keep running in bounded
 //! memory. Three `pipeline.rs` consumers degrade this way — the grace

@@ -194,6 +194,14 @@ fn cache_shed_on_injected_refusal_degrades_not_fails() {
         params: vec![],
     };
     let clean = run(&plan, &catalog, 1).unwrap();
+    // Ungoverned, the fill's peak lands in the cached subtree root's slot.
+    let mut pipe = Pipeline::compile(&plan).unwrap();
+    pipe.execute(&catalog, &Bindings::new()).unwrap();
+    let root = pipe.cached_nodes()[0];
+    assert!(
+        pipe.stats()[root].mem_peak > 0,
+        "cache fill reported no peak"
+    );
     faults::install("cache.fill", FaultAction::RefuseAlloc, 0);
     let shed = run(&plan, &catalog, 1).expect("cache sheds and re-executes");
     faults::clear();

@@ -388,11 +388,12 @@ mod governor {
 
     /// Every hard-fail buffering site (no spill path, no cache to shed)
     /// reports its refusal with a hint naming the memory knob, and
-    /// blames the right operator.
+    /// blames the right operator; ungoverned, the blamed node's stats
+    /// slot (pre-order id) reports the operator's memory peak.
     #[test]
     fn hard_fail_sites_hint_the_memory_knob() {
         let catalog = customers_orders();
-        let cases: Vec<(PhysExpr, &str)> = vec![
+        let cases: Vec<(PhysExpr, &str, usize)> = vec![
             (
                 // A keyless (nested-loops) join has no hash to
                 // partition on, so its build never spills.
@@ -405,6 +406,37 @@ mod governor {
                     residual: orthopt_ir::ScalarExpr::lit(true),
                 },
                 "HashJoin",
+                0,
+            ),
+            (
+                // A keyed join whose build side is invariant under an
+                // Apply keeps its build across rewinds, so it never
+                // spills either — though spilling is on.
+                PhysExpr::ApplyLoop {
+                    kind: orthopt_ir::ApplyKind::Cross,
+                    left: Box::new(scan_customer()),
+                    right: Box::new(PhysExpr::HashJoin {
+                        kind: JoinKind::Inner,
+                        left: Box::new(PhysExpr::Filter {
+                            input: Box::new(scan_orders()),
+                            predicate: ScalarExpr::eq(
+                                ScalarExpr::col(O_CUSTKEY),
+                                ScalarExpr::col(C_CUSTKEY),
+                            ),
+                        }),
+                        right: Box::new(PhysExpr::TableScan {
+                            table: TableId(0),
+                            positions: vec![0],
+                            cols: vec![ColId(310)],
+                        }),
+                        left_keys: vec![O_CUSTKEY],
+                        right_keys: vec![ColId(310)],
+                        residual: ScalarExpr::lit(true),
+                    }),
+                    params: vec![C_CUSTKEY],
+                },
+                "HashJoin",
+                2,
             ),
             (
                 PhysExpr::Limit {
@@ -412,6 +444,7 @@ mod governor {
                     n: 2,
                 },
                 "Limit",
+                0,
             ),
             (
                 PhysExpr::AssertMax1 {
@@ -424,6 +457,7 @@ mod governor {
                     }),
                 },
                 "Max1Row",
+                0,
             ),
             (
                 PhysExpr::ExceptExec {
@@ -440,6 +474,7 @@ mod governor {
                     right_map: vec![O_CUSTKEY],
                 },
                 "Except",
+                0,
             ),
             (
                 PhysExpr::SegmentExec {
@@ -451,9 +486,14 @@ mod governor {
                     out_cols: vec![O_CUSTKEY, ColId(300)],
                 },
                 "SegmentExec",
+                0,
             ),
         ];
-        for (plan, op) in cases {
+        for (plan, op, slot) in cases {
+            let mut pipe = Pipeline::compile(&plan).unwrap();
+            pipe.execute(&catalog, &Bindings::new()).unwrap();
+            let peak = pipe.stats()[slot].mem_peak;
+            assert!(peak > 0, "{op}: ungoverned run reported no peak at #{slot}");
             let gov = QueryContext::new().with_memory_limit(1);
             match run_governed(&plan, &catalog, gov) {
                 Err(e) => match e.root_cause() {
@@ -480,6 +520,8 @@ mod governor {
         let mut pipe = Pipeline::compile(&plan).unwrap();
         pipe.set_parallelism(2);
         pipe.set_shared_catalog(Arc::clone(&catalog));
+        pipe.execute(&catalog, &Bindings::new()).unwrap();
+        assert!(pipe.stats()[0].mem_peak > 0, "Exchange: no peak ungoverned");
         pipe.set_governor(QueryContext::new().with_memory_limit(1));
         match pipe.execute(&catalog, &Bindings::new()) {
             Err(e) => match e.root_cause() {
