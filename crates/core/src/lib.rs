@@ -54,6 +54,7 @@ use orthopt_common::{Error, QueryContext, Result, Row};
 use orthopt_exec::{Batch, Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
 use orthopt_ir::{ColumnMeta, RelExpr};
 use orthopt_optimizer::search::{optimize_with_presentation, OptimizerConfig, SearchStats};
+use orthopt_plancheck::{Check, RuleTag};
 use orthopt_rewrite::pipeline::{classify, normalize, NormalForm, RewriteConfig};
 use orthopt_storage::Catalog;
 use std::sync::Arc;
@@ -186,14 +187,11 @@ impl Plan {
     /// [`Error::Plancheck`](orthopt_common::Error::Plancheck) with the
     /// full report. The plan cache runs this on every plan it admits.
     pub fn check(&self) -> Result<String> {
-        let mut violations = orthopt_plancheck::check_closed(&self.logical);
-        violations.extend(orthopt_plancheck::check_physical(&self.physical));
-        orthopt_plancheck::blame("Plan::check", None, violations, || {
-            (
-                orthopt_ir::explain::explain(&self.logical),
-                orthopt_exec::explain_phys::explain_phys(&self.physical),
-            )
-        })?;
+        orthopt_plancheck::verify_ungated(
+            RuleTag::pass("Plan::check"),
+            Check::Plan(&self.logical, &self.physical),
+            Some(&self.logical),
+        )?;
         let mut logical_nodes = 0usize;
         self.logical.walk(&mut |_| logical_nodes += 1);
         Ok(format!(

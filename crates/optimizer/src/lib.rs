@@ -19,11 +19,8 @@
 pub mod cardinality;
 pub mod cost;
 pub mod memo;
-#[cfg(feature = "plancheck")]
-pub mod mutation;
 pub mod physical_gen;
 pub mod rules;
 pub mod search;
-pub mod verify;
 
 pub use search::OptimizerConfig;

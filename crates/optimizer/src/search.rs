@@ -3,11 +3,12 @@
 use orthopt_common::Result;
 use orthopt_exec::PhysExpr;
 use orthopt_ir::{ApplyStrategy, RelExpr};
+use orthopt_plancheck::{self as plancheck, Check, RuleTag};
 
 use crate::cardinality::Estimator;
 use crate::memo::{ExprId, Memo, RuleState, MAX_EXPRS};
 use crate::physical_gen::Planner;
-use crate::{rules, verify};
+use crate::rules;
 
 /// Which rule families participate — the knobs behind the benchmark
 /// harness's ablated "systems".
@@ -86,11 +87,11 @@ pub fn optimize_with_stats(
 
 /// Like [`optimize_with_stats`] with an optional LIMIT at the root.
 ///
-/// Under the `plancheck` feature (with the runtime gate on) every rule
-/// output is materialized and statically verified *before* it enters
-/// the memo — a violating alternative aborts optimization with a blame
-/// report naming the rule — and the winning physical plan is checked
-/// for physical legality (Exchange grammar, operator wiring).
+/// With the plancheck runtime gate on, every rule output is
+/// materialized and statically verified *before* it enters the memo —
+/// a violating alternative aborts optimization with a blame report
+/// naming the rule — and the winning physical plan is checked for
+/// physical legality (Exchange grammar, operator wiring).
 pub fn optimize_with_presentation(
     rel: RelExpr,
     order_by: Vec<(orthopt_common::ColId, bool)>,
@@ -123,7 +124,11 @@ pub fn optimize_with_presentation(
         let input = Box::new(plan);
         plan = PhysExpr::Limit { input, n };
     }
-    verify::check_final_plan(&plan)?;
+    plancheck::verify(
+        RuleTag::pass("physical_gen::best"),
+        Check::Physical(&plan),
+        None,
+    )?;
     Ok((plan, stats))
 }
 
@@ -154,7 +159,13 @@ pub(crate) fn explore(
                 return Ok(true);
             }
             for (rule, rtree) in outputs {
-                verify::check_rule_output(memo, rule, &rtree)?;
+                // Fragment mode: memo groups may be inner fragments of
+                // an Apply or SegmentApply, so free columns are legal.
+                // Materializing is the per-rule cost; the gate skips it.
+                if plancheck::enabled() {
+                    let rel = memo.materialize(&rtree);
+                    plancheck::verify(RuleTag::pass(rule), Check::Fragment(&rel), None)?;
+                }
                 memo.add_expr(gid, rtree);
                 if memo.expr_count() > MAX_EXPRS {
                     return Ok(true);

@@ -26,18 +26,22 @@
 //!   grammar in `orthopt-exec::parallel`, and widths/scopes are
 //!   consistent along pipelines.
 //!
-//! The rewrite pipeline and the optimizer invoke these checks after
-//! every individual rule application (under their `plancheck` cargo
-//! feature); a failure is reported as a [`BlameReport`] naming the rule,
-//! the Apply-removal identity number when applicable, the first
-//! offending node and before/after plan explains.
+//! The rewrite pipeline and the optimizer call [`verify`] after every
+//! individual rule application, naming the rule in a [`RuleTag`] and
+//! the check to run in a [`Check`]; it does nothing unless the runtime
+//! gate ([`enabled`]) is on. The plan cache's admission check runs the
+//! same checks ungated through [`verify_ungated`]. A failure is reported
+//! as a [`BlameReport`] naming the rule, the Apply-removal identity
+//! number when applicable, the first offending node and before/after
+//! plan explains.
 
 use orthopt_synccheck::sync::atomic::{AtomicU8, Ordering};
 use std::fmt;
 use std::sync::OnceLock;
 
 use orthopt_common::Error;
-use orthopt_ir::{JoinKind, NullRejectWitness, RelExpr};
+use orthopt_exec::PhysExpr;
+use orthopt_ir::{explain, JoinKind, NullRejectWitness, RelExpr};
 
 mod logical;
 mod physical;
@@ -116,24 +120,95 @@ impl BlameReport {
     }
 }
 
-/// `Ok` when `violations` is empty; otherwise the [`BlameReport`]
-/// blaming `rule` (and its Apply-removal `identity`) as an error, with
-/// the before/after explains — rendered only then — from `explains`.
-pub fn blame(
-    rule: &str,
-    identity: Option<u8>,
-    violations: Vec<Violation>,
-    explains: impl FnOnce() -> (String, String),
+/// Names the rule application being verified.
+#[derive(Debug, Clone, Copy)]
+pub struct RuleTag {
+    /// Rewrite pass or rule name, e.g. `"apply_removal::push_once"`.
+    pub rule: &'static str,
+    /// Apply-removal identity number (1–9) when applicable.
+    pub identity: Option<u8>,
+}
+
+impl RuleTag {
+    /// Tag for a rule that is not one of the paper's identities.
+    pub const fn pass(rule: &'static str) -> Self {
+        RuleTag {
+            rule,
+            identity: None,
+        }
+    }
+}
+
+/// The check a rule application is verified with.
+#[derive(Debug, Clone, Copy)]
+pub enum Check<'a> {
+    /// Fragment mode ([`check_logical`]): references to columns produced
+    /// nowhere in the tree are outer parameters, legal mid-rewrite.
+    Fragment(&'a RelExpr),
+    /// Closed mode ([`check_closed`]): the tree must be self-contained.
+    Closed(&'a RelExpr),
+    /// Outerjoin simplification: the fragment check plus the witness
+    /// audit ([`check_witnesses`]) of the recorded witnesses against the
+    /// `before` tree (the audit needs it; without it only the fragment
+    /// check runs).
+    Outerjoin(&'a RelExpr, &'a [NullRejectWitness]),
+    /// Physical legality ([`check_physical`]).
+    Physical(&'a PhysExpr),
+    /// A finished plan: its logical tree in closed mode and its physical
+    /// tree for legality.
+    Plan(&'a RelExpr, &'a PhysExpr),
+}
+
+/// Runs `check` for the rule application `tag` when the runtime gate
+/// ([`enabled`]) is on; with it off, returns `Ok` at once. See
+/// [`verify_ungated`] for what a violation reports.
+pub fn verify(tag: RuleTag, check: Check<'_>, before: Option<&RelExpr>) -> Result<(), Error> {
+    if !enabled() {
+        return Ok(());
+    }
+    verify_ungated(tag, check, before)
+}
+
+/// Runs `check` regardless of the runtime gate. `Ok` when it finds no
+/// violation; otherwise a [`BlameReport`] blaming `tag`, with the
+/// explains of `before` (the tree the rule started from, when captured)
+/// and of the checked tree — rendered only then.
+pub fn verify_ungated(
+    tag: RuleTag,
+    check: Check<'_>,
+    before: Option<&RelExpr>,
 ) -> Result<(), Error> {
+    let violations = match check {
+        Check::Fragment(rel) => check_logical(rel),
+        Check::Closed(rel) => check_closed(rel),
+        Check::Outerjoin(rel, witnesses) => {
+            let mut violations = check_logical(rel);
+            if let Some(before) = before {
+                violations.extend(check_witnesses(before, rel, witnesses));
+            }
+            violations
+        }
+        Check::Physical(plan) => check_physical(plan),
+        Check::Plan(rel, plan) => {
+            let mut violations = check_closed(rel);
+            violations.extend(check_physical(plan));
+            violations
+        }
+    };
     if violations.is_empty() {
         return Ok(());
     }
-    let (before, after) = explains();
+    let after = match check {
+        Check::Fragment(rel) | Check::Closed(rel) | Check::Outerjoin(rel, _) => {
+            explain::explain(rel)
+        }
+        Check::Physical(plan) | Check::Plan(_, plan) => orthopt_exec::explain_phys(plan),
+    };
     Err(BlameReport {
-        rule: rule.to_owned(),
-        identity,
+        rule: tag.rule.to_owned(),
+        identity: tag.identity,
         violations,
-        before,
+        before: before.map(explain::explain).unwrap_or_default(),
         after,
     }
     .into_error())
@@ -225,12 +300,6 @@ pub fn set_enabled(on: bool) {
     // relaxed-ok: an isolated tri-state toggle; readers act on the value
     // alone and no other memory is published through it.
     FORCE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Clears a [`set_enabled`] override, restoring the default policy.
-pub fn clear_enabled_override() {
-    // relaxed-ok: see set_enabled().
-    FORCE.store(0, Ordering::Relaxed);
 }
 
 /// Whether per-rule verification should run. Defaults to on in debug
@@ -427,9 +496,6 @@ mod tests {
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());
-        clear_enabled_override();
-        // Back to the env/profile policy, whatever it is here.
-        let _ = enabled();
     }
 
     #[test]

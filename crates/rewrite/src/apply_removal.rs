@@ -21,7 +21,9 @@ use orthopt_ir::{
     AggDef, AggFunc, ApplyKind, ColumnMeta, GroupKind, JoinKind, MapDef, RelExpr, ScalarExpr,
 };
 
-use crate::{verify, RewriteCtx};
+use orthopt_plancheck::{self as plancheck, Check, RuleTag};
+
+use crate::RewriteCtx;
 
 /// Pushes down and removes Apply operators wherever the identities
 /// permit; unremovable Applies (Class 2 without the flag, Class 3)
@@ -35,20 +37,20 @@ pub fn remove_applies(rel: RelExpr, ctx: &mut RewriteCtx) -> Result<RelExpr> {
     loop {
         match rel {
             RelExpr::Apply { kind, left, right } => {
-                let before = verify::active().then(|| RelExpr::Apply {
+                let before = plancheck::enabled().then(|| RelExpr::Apply {
                     kind,
                     left: left.clone(),
                     right: right.clone(),
                 });
                 match push_once(kind, *left, *right, ctx)? {
                     Pushed::Changed(new, identity) => {
-                        verify::step(
-                            verify::RuleTag {
+                        plancheck::verify(
+                            RuleTag {
                                 rule: "apply_removal::push_once",
                                 identity,
                             },
+                            Check::Fragment(&new),
                             before.as_ref(),
-                            &new,
                         )?;
                         // Re-run children that the rewrite may have
                         // created (e.g. an Apply pushed one level down).

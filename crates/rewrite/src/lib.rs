@@ -26,15 +26,12 @@
 
 pub mod apply_removal;
 pub mod max1row;
-#[cfg(feature = "plancheck")]
-pub mod mutation;
 pub mod outerjoin;
 pub mod pipeline;
 pub mod prune;
 pub mod simplify;
 pub mod subquery;
 pub mod testgen;
-pub mod verify;
 
 pub use pipeline::{normalize, RewriteConfig};
 

@@ -2,8 +2,9 @@
 
 use orthopt_common::Result;
 use orthopt_ir::RelExpr;
+use orthopt_plancheck::{self as plancheck, Check, RuleTag};
 
-use crate::{apply_removal, max1row, outerjoin, prune, simplify, subquery, verify, RewriteCtx};
+use crate::{apply_removal, max1row, outerjoin, prune, simplify, subquery, RewriteCtx};
 
 /// Feature toggles for normalization. The defaults mirror the paper's
 /// implementation; the benchmark harness dials features down to build
@@ -58,33 +59,33 @@ impl RewriteConfig {
 
 /// Runs the full normalization pipeline over a bound tree.
 ///
-/// Under the `plancheck` feature (with the runtime gate on) every pass
-/// is followed by a static invariant check; `apply_removal` further
-/// verifies after every individual identity push. A violation surfaces
-/// as [`orthopt_common::Error::Plancheck`] blaming the offending pass.
+/// With the plancheck runtime gate on, every pass is followed by a
+/// static invariant check; `apply_removal` further verifies after every
+/// individual identity push. A violation surfaces as
+/// [`orthopt_common::Error::Plancheck`] blaming the offending pass.
 pub fn normalize(rel: RelExpr, config: RewriteConfig) -> Result<RelExpr> {
     let mut ctx = RewriteCtx::for_tree(&rel, config);
     let mut rel = rel;
 
     // Composite aggregates first so every later pass sees splittable
     // aggregates only.
-    rel = verify::checked_pass("simplify::expand_composite_aggs", rel, |r| {
+    rel = checked_pass("simplify::expand_composite_aggs", rel, |r| {
         Ok(simplify::expand_composite_aggs(r, &mut ctx))
     })?;
 
     if config.remove_mutual_recursion {
-        rel = verify::checked_pass("subquery::remove_mutual_recursion", rel, |r| {
+        rel = checked_pass("subquery::remove_mutual_recursion", rel, |r| {
             subquery::remove_mutual_recursion(r, &mut ctx)
         })?;
     }
-    rel = verify::checked_pass("max1row::eliminate_max1row", rel, |r| {
+    rel = checked_pass("max1row::eliminate_max1row", rel, |r| {
         Ok(max1row::eliminate_max1row(r))
     })?;
     if config.prune_columns {
         // Early pruning drops dead computed columns (e.g. the constant
         // of `EXISTS (SELECT 1 …)`) that would otherwise block Apply
         // pushes through non-strict Maps.
-        rel = verify::checked_pass("prune::prune_columns", rel, |r| Ok(prune::prune_columns(r)))?;
+        rel = checked_pass("prune::prune_columns", rel, |r| Ok(prune::prune_columns(r)))?;
     }
     if config.decorrelate {
         // remove_applies self-verifies after every individual identity
@@ -94,34 +95,51 @@ pub fn normalize(rel: RelExpr, config: RewriteConfig) -> Result<RelExpr> {
     // Two rounds: outerjoin simplification can expose new pushdown
     // opportunities and vice versa.
     for _ in 0..2 {
-        rel = verify::checked_pass("simplify::simplify", rel, |r| Ok(simplify::simplify(r)))?;
+        rel = checked_pass("simplify::simplify", rel, |r| Ok(simplify::simplify(r)))?;
         if config.simplify_outerjoin {
-            let before = verify::snapshot(&rel);
+            let before = plancheck::enabled().then(|| rel.clone());
             let mut witnesses = Vec::new();
             rel = outerjoin::simplify_outerjoins_audited(rel, &mut witnesses);
-            if let Some(before) = before {
-                verify::step_outerjoin(
-                    verify::RuleTag::pass("outerjoin::simplify_outerjoins"),
-                    &before,
-                    &rel,
-                    &witnesses,
-                )?;
-            }
+            plancheck::verify(
+                RuleTag::pass("outerjoin::simplify_outerjoins"),
+                Check::Outerjoin(&rel, &witnesses),
+                before.as_ref(),
+            )?;
         }
         if config.push_predicates {
-            rel = verify::checked_pass("simplify::push_down_predicates", rel, |r| {
+            rel = checked_pass("simplify::push_down_predicates", rel, |r| {
                 Ok(simplify::push_down_predicates(r))
             })?;
         }
     }
-    rel = verify::checked_pass("simplify::simplify", rel, |r| Ok(simplify::simplify(r)))?;
+    rel = checked_pass("simplify::simplify", rel, |r| Ok(simplify::simplify(r)))?;
     if config.prune_columns {
-        rel = verify::checked_pass("prune::prune_columns", rel, |r| Ok(prune::prune_columns(r)))?;
+        rel = checked_pass("prune::prune_columns", rel, |r| Ok(prune::prune_columns(r)))?;
     }
     // The normalized tree must be self-contained: any residual outer
     // reference at this point is a correlation-scoping bug.
-    verify::step_closed(verify::RuleTag::pass("pipeline::normalize"), None, &rel)?;
+    plancheck::verify(
+        RuleTag::pass("pipeline::normalize"),
+        Check::Closed(&rel),
+        None,
+    )?;
     Ok(rel)
+}
+
+/// Runs the pass `rule` over `rel`, then verifies its output in fragment
+/// mode; the `before` snapshot is cloned only with the gate on.
+fn checked_pass<F>(rule: &'static str, rel: RelExpr, f: F) -> Result<RelExpr>
+where
+    F: FnOnce(RelExpr) -> Result<RelExpr>,
+{
+    let before = plancheck::enabled().then(|| rel.clone());
+    let after = f(rel)?;
+    plancheck::verify(
+        RuleTag::pass(rule),
+        Check::Fragment(&after),
+        before.as_ref(),
+    )?;
+    Ok(after)
 }
 
 /// Diagnostic summary of what normalization left behind, used by tests
