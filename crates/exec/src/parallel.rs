@@ -51,7 +51,7 @@ use crate::bindings::Bindings;
 use crate::governed::Governed;
 use crate::physical::PhysExpr;
 use crate::pipeline::{
-    free_inputs, pos_of, Batch, ColumnBatches, ExecCtx, JoinBuild, Operator, Pipeline,
+    free_inputs, positions, Batch, ColumnBatches, ExecCtx, JoinBuild, Operator, Pipeline,
     PipelineOptions,
 };
 use crate::scheduler::Scheduler;
@@ -496,10 +496,7 @@ impl ExchangeOp {
                     build_bytes = batches_bytes(&parts);
                     self.gov.charge("hashjoin.build", build_bytes)?;
                     let layout = right.out_cols();
-                    let key_pos = right_keys
-                        .iter()
-                        .map(|c| pos_of(&layout, *c))
-                        .collect::<Result<Vec<_>>>()?;
+                    let key_pos = positions(&layout, right_keys)?;
                     build = Some(Arc::new(JoinBuild::new(&parts, layout.len(), &key_pos)));
                 }
                 PhysExpr::TableScan { table, .. } => len = ctx.catalog.table(*table).row_count(),

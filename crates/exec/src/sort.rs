@@ -249,7 +249,7 @@ impl SortOp {
         by_pos: Vec<(usize, bool)>,
         cols: Rc<[ColId]>,
         batch_size: usize,
-        spill: bool,
+        gov: Governed,
         stats: StatsHandle,
     ) -> SortOp {
         SortOp {
@@ -260,7 +260,7 @@ impl SortOp {
             input_done: false,
             sorted: None,
             batch_size,
-            gov: Governed::spilling("Sort", true, spill, stats.clone()),
+            gov,
             runs: Vec::new(),
             merge: None,
             stats,
@@ -389,9 +389,7 @@ impl Operator for SortOp {
             if self.runs.is_empty() {
                 self.sorted = Some(tail);
             } else {
-                let written: u64 = self.runs.iter().map(SpillFile::bytes).sum();
-                let count = self.runs.iter().filter(|f| !f.is_empty()).count() as u64;
-                self.stats.note_spill(count, written);
+                self.stats.note_spill(&self.runs);
                 let mut cursors = Vec::with_capacity(self.runs.len() + 1);
                 for f in &mut self.runs {
                     cursors.push(RunCursor::new(RunSource::Spilled(f.reader()?)));

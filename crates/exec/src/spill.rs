@@ -3,10 +3,11 @@
 //! When the memory pool refuses a governed buffering operator's charge,
 //! the operator no longer has to fail the query: it can hand the
 //! overflowing state to a [`SpillManager`] and keep running in bounded
-//! memory. Three `pipeline.rs` consumers degrade this way — the grace
-//! hash join (partition both sides, join partition pairs), the external
-//! merge sort (sorted runs, k-way merge), and spillable hash aggregation
-//! (partitioned group state merged per partition). This module provides
+//! memory. Three consumers degrade this way — the grace hash join
+//! (`pipeline/join.rs`: partition both sides, join partition pairs),
+//! the external merge sort (`sort.rs`: sorted runs, k-way merge), and
+//! spillable hash aggregation (`pipeline/hash_aggregate.rs`:
+//! partitioned group state merged per partition). This module provides
 //! the shared substrate:
 //!
 //! * [`SpillManager`] — a per-execution temp-dir scope. Created fresh by

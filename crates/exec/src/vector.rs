@@ -116,7 +116,8 @@ pub fn eval_lanes(expr: &ScalarExpr, cx: &VecEval<'_>) -> Lanes {
 
 /// Evaluates a predicate over every lane: the lanes where it is TRUE,
 /// and the failing lanes — evaluation errors, and the `TypeMismatch` a
-/// non-boolean lane raises — as `eval::eval_predicate` sees each row.
+/// non-boolean lane raises — as the row evaluator ([`crate::eval`])
+/// sees each row's predicate.
 pub fn eval_truth(expr: &ScalarExpr, cx: &VecEval<'_>) -> (Vec<usize>, Vec<LaneError>) {
     let Lanes { col, errs } = eval_lanes(expr, cx);
     if let (ColData::Bool(d), validity, off) = col.parts() {

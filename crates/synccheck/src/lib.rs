@@ -18,17 +18,19 @@
 //!    with bounded preemptions, or seeded random schedules via the same
 //!    SplitMix64 PRNG as `common/prng` — replaying any failing schedule
 //!    as a printable step trace.
-//! 3. **Lock-order detector** ([`lockorder`]) and **sync-discipline
-//!    lints** ([`lint`]): a global acquisition-order graph with cycle
+//! 3. **Lock-order detector** ([`lockorder`]) and **workspace lint**
+//!    ([`lint`]): a global acquisition-order graph with cycle
 //!    detection (live under `debug_assertions` / the `lockorder`
-//!    feature), and a source-scanning lint pass that forbids raw
-//!    `std::sync` primitives outside this shim, requires `// relaxed-ok:`
-//!    justifications on `Ordering::Relaxed`, and flags `.lock().unwrap()`
-//!    poisoning footguns.
+//!    feature), and a source-scanning lint pass. Its sync rules forbid
+//!    raw `std::sync` primitives outside this shim, require
+//!    `// relaxed-ok:` justifications on `Ordering::Relaxed`, and flag
+//!    `.lock().unwrap()` poisoning footguns; its design rules
+//!    ([`lint::DESIGN_RULES`]) keep every mechanism an earlier change
+//!    deleted from growing back.
 //!
 //! The engine crates (`common`, `exec`, `core`, `plancheck`, `bench`)
 //! import their synchronization exclusively from [`sync`]; the lint pass
-//! (run as a test in this crate) keeps it that way.
+//! (run as a test in this crate, and so in tier-1) keeps it that way.
 
 pub mod lint;
 pub mod lockorder;

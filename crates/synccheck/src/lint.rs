@@ -1,7 +1,9 @@
-//! Sync-discipline lint pass: a source-scanning check (run as a test
-//! and in CI next to clippy) that keeps the workspace on the shim.
+//! The workspace lint: a source-scanning check, run as a test
+//! (`tests/lint_workspace.rs`) in tier-1 and in CI, that keeps the
+//! workspace on the sync shim and on the designs earlier changes
+//! settled on.
 //!
-//! Rules:
+//! Sync-discipline rules:
 //!
 //! * **`raw-std-sync`** — `std::sync::{Mutex, RwLock, Condvar, Barrier,
 //!   Once, mpsc, atomic, ...}` and other blocking/atomic primitives must
@@ -27,9 +29,14 @@
 //!   `lock()` makes all of them unnecessary. Waivable with
 //!   `// sync-ok: <reason>`.
 //!
-//! Comments and string literals are stripped before matching, so prose
-//! *about* `std::sync` never trips the pass; waiver and justification
-//! markers are matched against the raw line.
+//! For these four, comments and string literals are stripped before
+//! matching, so prose *about* `std::sync` never trips the pass; waiver
+//! and justification markers are matched against the raw line.
+//!
+//! Design rules ([`DESIGN_RULES`]) keep a deleted mechanism deleted: a
+//! second batch representation, a row fallback, a second Apply and the
+//! like. Each is a row of literal patterns matched against the raw
+//! line, comments included, over the files under its path prefixes.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -42,7 +49,8 @@ pub struct Violation {
     /// 1-based line number.
     pub line: usize,
     /// Rule identifier (`raw-std-sync`, `raw-thread-spawn`,
-    /// `relaxed-needs-justification`, `poison-footgun`).
+    /// `relaxed-needs-justification`, `poison-footgun`, or a design
+    /// rule's [`Rule::name`]).
     pub rule: &'static str,
     /// Human-readable explanation with the remedy.
     pub message: String,
@@ -90,18 +98,204 @@ const FORBIDDEN_THREAD: &[&str] = &[
     "ScopedJoinHandle",
 ];
 
-/// Scans the whole workspace (all crates except `synccheck` itself,
-/// plus top-level `tests/` and `examples/` if present) and returns
-/// every violation found.
+/// A design rule. A line violates it when it holds any of `any` and
+/// all of `all`, and none of `exempt_lines`; a pattern that starts with
+/// `^` must start the line's trimmed text.
+pub struct Rule {
+    /// Rule identifier, reported as [`Violation::rule`].
+    pub name: &'static str,
+    /// Patterns of which a violating line holds at least one.
+    pub any: &'static [&'static str],
+    /// Patterns a violating line holds every one of.
+    pub all: &'static [&'static str],
+    /// Workspace-relative path prefixes the rule scans; a `*` segment
+    /// stands for any one segment (see [`under`]).
+    pub paths: &'static [&'static str],
+    /// Path prefixes under `paths` the rule skips.
+    pub exempt: &'static [&'static str],
+    /// Substrings that exempt the line holding one.
+    pub exempt_lines: &'static [&'static str],
+    /// Stop reading each file at its first `#[cfg(test)]`.
+    pub cut_tests: bool,
+    /// A line the rule must flag under every one of `paths`.
+    pub seed: &'static str,
+    /// What to do instead.
+    pub message: &'static str,
+}
+
+#[rustfmt::skip]
+const RULE: Rule = Rule { name: "", any: &[], all: &[], paths: &[], exempt: &[], exempt_lines: &[],
+    cut_tests: false, seed: "", message: "" };
+
+const CRATES: &str = "crates/";
+const EXEC: &str = "crates/exec/src/";
+
+/// The design ratchets: one row per deleted mechanism, grouped by the
+/// change that deleted it.
+#[rustfmt::skip]
+pub const DESIGN_RULES: &[Rule] = &[
+    // One batch representation.
+    Rule { name: "batch-repr", any: &["enum Repr", "Repr::"], paths: &[EXEC],
+        seed: "enum Repr { Rows, Columns }",
+        message: "exec::Batch is columns-only: do not reintroduce Repr", ..RULE },
+    // One PhysExpr walker, one join.
+    Rule { name: "nl-join", paths: &[CRATES], seed: "struct ScanOp {",
+        any: &["PhysExpr::NLJoin", "struct NLJoinOp", "struct ScanOp {", "struct ScanOp<"],
+        message: "a keyless HashJoin is the nested-loops join; TableScan compiles to MorselScanOp",
+        ..RULE },
+    Rule { name: "phys-walker", any: &["fn children", "fn phys_children"], all: &["PhysExpr"],
+        paths: &[CRATES], exempt: &["crates/exec/src/physical.rs"],
+        seed: "fn phys_children(p: &PhysExpr) -> Vec<&PhysExpr> {",
+        message: "walk plans with PhysExpr::children / children_mut", ..RULE },
+    // One exchange strategy.
+    Rule { name: "exchange-modes", paths: &[EXEC], seed: "fn run_partial_agg(&mut self) {",
+        any: &["run_partial_agg", "run_repartition", "synthesize_root", "\"PartialAgg\""],
+        message: "ExchangeOp::compute is run_serial or run_pipelined; aggregate partials combine \
+                  above the exchange", ..RULE },
+    // One storage format.
+    Rule { name: "row-heap", any: &[": Vec<Row>,", "OnceLock<Vec<Column>>"],
+        paths: &["crates/storage/src/table.rs"], seed: "    rows: Vec<Row>,",
+        message: "storage::Table stores columns only: no Vec<Row> field, no mirror", ..RULE },
+    Rule { name: "table-rows", any: &[".rows()"], paths: &["crates/*/src/"], cut_tests: true,
+        seed: "let rows = table.rows();",
+        message: "engine code reads Table::columns(); rows() is for checks and tests", ..RULE },
+    // Memo expressions are interned by structural hash.
+    Rule { name: "memo-debug-key", any: &["format!(\""], all: &[":?}"],
+        paths: &["crates/optimizer/src/memo.rs"], seed: "format!(\"{shell:?}|{children:?}\")",
+        message: "intern memo expressions by Hash, not by a Debug string", ..RULE },
+    // One settings ladder.
+    Rule { name: "spill-toggle", any: &["spill_enabled", "set_spill", "spill: Option<bool>"],
+        paths: &[CRATES], seed: "pub fn set_spill(on: bool) {",
+        message: "spill is a SessionSettings / PipelineOptions bool seeded by \
+                  EngineConfig::default",
+        ..RULE },
+    Rule { name: "env-defaults", any: &["var(\"ORTHOPT_"], paths: &["crates/*/src/"],
+        exempt: &["crates/core/src/session.rs"], seed: "std::env::var(\"ORTHOPT_PARALLELISM\")",
+        exempt_lines: &["env::var(\"ORTHOPT_POOL_WORKERS\")", "env::var(\"ORTHOPT_SPILL_DIR\")",
+                        "env::var(\"ORTHOPT_PLANCHECK\")"],
+        message: "read ORTHOPT_* query defaults in EngineConfig::default only", ..RULE },
+    // One group table, one hash index.
+    Rule { name: "bucket-map", any: &["HashMap<u64, Vec<"], paths: &["crates/common/src/", EXEC],
+        seed: "let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();",
+        message: "group lanes with common::hash::GroupTable and index them with storage::Index, \
+                  not a map of hash buckets", ..RULE },
+    Rule { name: "group-table", any: &["struct GroupTable"], paths: &[CRATES],
+        exempt: &["crates/common/src/hash.rs"], seed: "pub struct GroupTable {",
+        message: "there is one GroupTable, in crates/common/src/hash.rs", ..RULE },
+    Rule { name: "row-feed", any: &["feed_or_reject", "FeedOutcome"], paths: &[EXEC],
+        seed: "match state.feed_or_reject(row) {",
+        message: "hash aggregation feeds lanes (GroupedAggState::feed_lanes), not rows", ..RULE },
+    Rule { name: "oracle-aggregation", any: &["use crate::aggregate"],
+        paths: &["crates/exec/src/reference.rs"], seed: "use crate::aggregate::GroupedAggState;",
+        message: "the Reference oracle does its own grouping, not the engine's", ..RULE },
+    Rule { name: "row-keyed-map", any: &["HashMap<Vec<Value>", "HashMap<Row"], cut_tests: true,
+        paths: &["crates/storage/src/index.rs", EXEC], exempt: &["crates/exec/src/reference.rs"],
+        seed: "let mut keys: HashMap<Vec<Value>, usize> = HashMap::new();",
+        message: "key lanes with common::hash::GroupTable (an index: storage::Index's GroupTable \
+                  and chains), not a map of rows or key tuples", ..RULE },
+    Rule { name: "index-fetch", any: &["IndexFetch", "indexjoin.fetch"], paths: &[CRATES],
+        seed: "struct IndexFetch;", message: "IndexLookupJoin is JoinProbe::probe_keys against \
+                  the table's index; there is no fetch", ..RULE },
+    // One sort order, one formatter.
+    Rule { name: "sort-prefix", any: &["sort_prefixes"], paths: &[CRATES],
+        seed: "let words = sort_prefixes(&columns);",
+        message: "sort on Column::sort_key_words / write_sort_words, not a prefix word", ..RULE },
+    Rule { name: "value-write", any: &["write!("], paths: &["crates/common/src/value.rs"],
+        exempt_lines: &["write!(w, \"{x}\")"], seed: "write!(w, \"{i}\")",
+        message: "ValueRef::write_to renders numbers without core::fmt; its only write! is the \
+                  float fallback", ..RULE },
+    // One evaluator.
+    Rule { name: "row-bridge", paths: &[EXEC], seed: "let rows = bridge_rows(&batch);",
+        any: &["bridge_rows", "note_bridge", "EvalCtx::mapped", "lane_row", "residual_by_lane"],
+        message: "kernel errors are lane values (exec::vector::Lanes); there is no row fallback or \
+                  bridge", ..RULE },
+    Rule { name: "row-evaluator", any: &["crate::eval::{eval", "eval_predicate"], cut_tests: true,
+        paths: &[EXEC], exempt: &["crates/exec/src/eval.rs", "crates/exec/src/reference.rs"],
+        seed: "use crate::eval::{eval_predicate, EvalCtx};",
+        message: "pipeline operators evaluate with exec::vector (eval_lanes / eval_truth), not the \
+                  row evaluator", ..RULE },
+    // One Apply.
+    Rule { name: "batched-apply", paths: &[CRATES], seed: "PhysExpr::BatchedApply { .. } => {",
+        any: &["BatchedApply", "batched_apply", "ApplyStrategy::Batched", "dedup_lanes",
+               "batched.bindings"],
+        message: "there is one Apply (ApplyLoop): it dedups bindings itself; apply_strategy is \
+                  auto | loop | index", ..RULE },
+    // One governed buffer (spill.rs's I/O failpoints are not buffers).
+    Rule { name: "governed-buffer", paths: &[EXEC], exempt: &["crates/exec/src/governed.rs"],
+        any: &["MemoryReservation", "with_hint(", "MEM_HINT", "MEM_OR_SPILL_HINT", "allow_spill",
+               "fn mem_peak", "faults::hit(\""],
+        exempt_lines: &["faults::hit(\"spill.open\"", "faults::hit(\"spill.write\"",
+                        "faults::hit(\"spill.read\""],
+        cut_tests: true, seed: "mem: MemoryReservation,",
+        message: "buffer charges go through exec::governed::Governed: charge, grow, try_grow, \
+                  release", ..RULE },
+    // One verifier entry.
+    Rule { name: "plancheck-bypass", paths: &["crates/*/src/"], exempt: &["crates/plancheck/src/"],
+        any: &["feature = \"plancheck\"", "mod mutation", "check_logical(", "check_closed(",
+               "check_physical(", "check_witnesses(", "blame("],
+        seed: "#[cfg(feature = \"plancheck\")]",
+        message: "verify through plancheck::verify(tag, check, before); mutations live in \
+                  crates/core/tests/prop_plancheck.rs", ..RULE },
+    Rule { name: "plancheck-feature", any: &["^plancheck =", "^plancheck="], seed: "plancheck = []",
+        paths: &["Cargo.toml", "crates/*/Cargo.toml"], message: "there is no plancheck cargo \
+                  feature: the runtime gate (ORTHOPT_PLANCHECK) is the only switch", ..RULE },
+];
+
+impl Rule {
+    /// Whether the rule scans the workspace-relative `file`.
+    fn scans(&self, file: &str) -> bool {
+        self.paths.iter().any(|p| under(file, p)) && !self.exempt.iter().any(|p| under(file, p))
+    }
+
+    /// Whether the raw `line` violates the rule.
+    fn flags(&self, line: &str) -> bool {
+        let holds = |pat: &&str| match pat.strip_prefix('^') {
+            Some(head) => line.trim_start().starts_with(head),
+            None => line.contains(pat),
+        };
+        self.any.iter().any(holds)
+            && self.all.iter().all(holds)
+            && !self.exempt_lines.iter().any(|p| line.contains(p))
+    }
+}
+
+/// Whether the workspace-relative `path` lies under `prefix`, segment
+/// by segment: `*` matches any one segment, and a trailing `/` any
+/// rest.
+pub fn under(path: &str, prefix: &str) -> bool {
+    let mut segments = path.split('/');
+    prefix.split('/').all(|want| {
+        segments
+            .next()
+            .is_some_and(|s| want.is_empty() || want == "*" || want == s)
+    })
+}
+
+/// Scans the whole workspace ([`workspace_files`]) and returns every
+/// violation found.
 pub fn check_workspace(root: &Path) -> Vec<Violation> {
-    let mut files = Vec::new();
-    let crates = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates) {
+    let mut violations = Vec::new();
+    for rel in workspace_files(root) {
+        if let Ok(source) = std::fs::read_to_string(root.join(&rel)) {
+            check_source(&rel, &source, &mut violations);
+        }
+    }
+    violations
+}
+
+/// The files the lint reads, relative to `root` and sorted: every
+/// crate's sources, tests, examples and benches except `synccheck`'s
+/// own (its rule table spells every pattern), the top-level `tests/`
+/// and `examples/`, and the manifests.
+pub fn workspace_files(root: &Path) -> Vec<String> {
+    let mut files = vec![root.join("Cargo.toml")];
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
             let path = entry.path();
             if !path.is_dir() || path.file_name().is_some_and(|n| n == "synccheck") {
                 continue;
             }
+            files.push(path.join("Cargo.toml"));
             for sub in ["src", "tests", "examples", "benches"] {
                 collect_rs(&path.join(sub), &mut files);
             }
@@ -109,20 +303,13 @@ pub fn check_workspace(root: &Path) -> Vec<Violation> {
     }
     collect_rs(&root.join("tests"), &mut files);
     collect_rs(&root.join("examples"), &mut files);
-    files.sort();
-    let mut violations = Vec::new();
-    for file in files {
-        let Ok(source) = std::fs::read_to_string(&file) else {
-            continue;
-        };
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .display()
-            .to_string();
-        check_source(&rel, &source, &mut violations);
-    }
-    violations
+    let mut rel: Vec<String> = files
+        .iter()
+        .filter(|f| f.is_file())
+        .map(|f| f.strip_prefix(root).unwrap_or(f).display().to_string())
+        .collect();
+    rel.sort();
+    rel
 }
 
 /// The workspace root, resolved from this crate's manifest directory.
@@ -154,8 +341,28 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lints one file's source text, appending violations.
+/// Lints one file's source text, appending violations: the design
+/// rules that scan `file`, then, for Rust sources, the sync rules.
 pub fn check_source(file: &str, source: &str, out: &mut Vec<Violation>) {
+    for rule in DESIGN_RULES.iter().filter(|r| r.scans(file)) {
+        for (idx, raw) in source.lines().enumerate() {
+            if rule.cut_tests && raw.trim_start().starts_with("#[cfg(test)]") {
+                break;
+            }
+            if rule.flags(raw) {
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: idx + 1,
+                    rule: rule.name,
+                    message: rule.message.to_string(),
+                    snippet: raw.trim().to_string(),
+                });
+            }
+        }
+    }
+    if !file.ends_with(".rs") {
+        return;
+    }
     let code_lines = strip_comments_and_strings(source);
     let raw_lines: Vec<&str> = source.lines().collect();
     for (idx, code) in code_lines.iter().enumerate() {
