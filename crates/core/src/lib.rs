@@ -51,7 +51,7 @@ pub use orthopt_tpch as tpch;
 
 use orthopt_common::column::Column;
 use orthopt_common::{Error, QueryContext, Result, Row};
-use orthopt_exec::{Batch, Bindings, PhysExpr, Pipeline, PipelineOptions, Reference};
+use orthopt_exec::{Batch, Bindings, PhysExpr, Pipeline, Reference};
 use orthopt_ir::{ColumnMeta, RelExpr};
 use orthopt_optimizer::search::{optimize_with_presentation, OptimizerConfig, SearchStats};
 use orthopt_plancheck::{Check, RuleTag};
@@ -533,7 +533,7 @@ pub(crate) fn column_names(output: &[ColumnMeta]) -> Vec<String> {
 
 /// Where a compiled plan becomes a result, for [`Session`]'s run entry:
 /// compile the physical tree into a [`Pipeline`], configure it from
-/// `settings` (worker-pool size, spill toggle) plus the governance
+/// `settings` (worker-pool size) plus the governance
 /// context, and hand each root batch, projected onto the presentation
 /// columns, to `sink`. A panic unwinding out of an operator (serial path
 /// — parallel workers catch their own) becomes [`Error::Exec`] blaming
@@ -547,13 +547,7 @@ pub(crate) fn run_plan(
     gov: QueryContext,
     sink: &mut BatchSink<'_>,
 ) -> Result<Pipeline> {
-    let mut pipeline = Pipeline::with_options(
-        &plan.physical,
-        PipelineOptions {
-            spill: settings.spill,
-            ..PipelineOptions::default()
-        },
-    )?;
+    let mut pipeline = Pipeline::compile(&plan.physical)?;
     pipeline.set_parallelism(settings.parallelism);
     pipeline.set_governor(gov);
     pipeline.set_shared_catalog(Arc::clone(catalog));

@@ -11,7 +11,7 @@
 //!   aggregate demand beyond the global limit queues, a full queue
 //!   sheds), and the plan cache.
 //! * [`Session`] — per connection: owns its settings (parallelism,
-//!   spill toggle, memory/timeout defaults, optimizer level) and a
+//!   memory/timeout defaults, optimizer level, apply strategy) and a
 //!   session-level [`CancellationToken`]. Closing or dropping a session
 //!   cancels whatever query it has in flight; each query runs under a
 //!   *child* token so per-query timeouts stay private to the query.
@@ -76,16 +76,15 @@ pub struct EngineConfig {
     pub default_query_mem: u64,
     /// Plan-cache capacity in entries (default 64; 0 disables caching).
     pub plan_cache_cap: usize,
-    /// The settings every [`Session`] starts from (`SET spill default`
-    /// restores this `spill`), seeded from `ORTHOPT_PARALLELISM`,
-    /// `ORTHOPT_SPILL`, `ORTHOPT_MEM_LIMIT`, `ORTHOPT_TIMEOUT_MS` and
-    /// `ORTHOPT_APPLY_STRATEGY`.
+    /// The settings every [`Session`] starts from, seeded from
+    /// `ORTHOPT_PARALLELISM`, `ORTHOPT_MEM_LIMIT`, `ORTHOPT_TIMEOUT_MS`
+    /// and `ORTHOPT_APPLY_STRATEGY`.
     pub session: SessionSettings,
 }
 
 impl Default for EngineConfig {
     /// Unset or unparseable variables fall back to: no admission,
-    /// serial, unlimited, no timeout, spilling on, `auto`.
+    /// serial, unlimited, no timeout, `auto`.
     fn default() -> EngineConfig {
         let var = |name: &str| std::env::var(name).ok();
         EngineConfig {
@@ -98,7 +97,6 @@ impl Default for EngineConfig {
                     .and_then(|s| s.trim().parse::<usize>().ok())
                     .unwrap_or(1)
                     .clamp(1, orthopt_exec::parallel::MAX_WORKERS),
-                spill: var("ORTHOPT_SPILL").and_then(|s| parse_switch(&s)) != Some(false),
                 mem_limit: var("ORTHOPT_MEM_LIMIT").and_then(|s| crate::parse_bytes(&s)),
                 timeout: var("ORTHOPT_TIMEOUT_MS")
                     .and_then(|s| s.trim().parse::<u64>().ok())
@@ -112,15 +110,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Parses an on/off switch: `on`/`true`/`1` or `off`/`false`/`0`.
-fn parse_switch(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "on" | "true" | "1" => Some(true),
-        "off" | "false" | "0" => Some(false),
-        _ => None,
-    }
-}
-
 /// Per-session settings, seeded from [`EngineConfig::session`] at
 /// [`Engine::session`] and adjustable per session (the wire protocol's
 /// `SET` command lands here).
@@ -129,11 +118,9 @@ pub struct SessionSettings {
     /// Worker-pool size exchanges fan out to (also steers the optimizer
     /// toward or away from `Exchange` placement).
     pub parallelism: usize,
-    /// Spill-to-disk toggle (`ORTHOPT_SPILL`, default on). Off means
-    /// memory-pressured operators fail with `ResourceExhausted` instead
-    /// of degrading to disk.
-    pub spill: bool,
-    /// Per-query memory budget.
+    /// Per-query memory budget. A sort, an aggregate or a keyed hash
+    /// join that outgrows it spills to disk; any other buffer that
+    /// outgrows it fails the query.
     pub mem_limit: Option<u64>,
     /// Per-query timeout.
     pub timeout: Option<Duration>,
@@ -453,8 +440,7 @@ impl Session {
     }
 
     /// Applies a `SET <name> <value>` assignment. Names:
-    /// `parallelism`, `spill` (`on`/`off`/`default`, the last restoring
-    /// the engine default), `mem_limit` (bytes, `k`/`m`/`g` suffix,
+    /// `parallelism`, `mem_limit` (bytes, `k`/`m`/`g` suffix,
     /// `none`), `timeout_ms` (`none` to clear), `level`
     /// (`correlated`/`decorrelated`/`groupby`/`full`),
     /// `apply_strategy` (`auto`/`loop`/`index`).
@@ -466,13 +452,6 @@ impl Session {
                     .parse()
                     .map_err(|_| Error::Plan(format!("invalid parallelism: {v}")))?;
                 self.settings.parallelism = n.clamp(1, orthopt_exec::parallel::MAX_WORKERS);
-            }
-            "spill" => {
-                self.settings.spill = match parse_switch(v) {
-                    Some(on) => on,
-                    None if v.eq_ignore_ascii_case("default") => self.engine.config.session.spill,
-                    None => return Err(Error::Plan(format!("invalid spill: {v}"))),
-                };
             }
             "mem_limit" => {
                 self.settings.mem_limit = if v.eq_ignore_ascii_case("none") {
@@ -675,30 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_default_restores_the_engine_value() {
-        for spill in [true, false] {
-            let defaults = EngineConfig::default();
-            let engine = Engine::new(
-                catalog(),
-                EngineConfig {
-                    session: SessionSettings {
-                        spill,
-                        ..defaults.session
-                    },
-                    ..defaults
-                },
-            );
-            let mut s = engine.session();
-            assert_eq!(s.settings().spill, spill);
-            s.set("spill", if spill { "off" } else { "on" }).unwrap();
-            assert_eq!(s.settings().spill, !spill);
-            s.set("spill", "default").unwrap();
-            assert_eq!(s.settings().spill, spill);
-            assert!(s.set("spill", "maybe").is_err());
-        }
-    }
-
-    #[test]
     fn stats_version_bump_invalidates_cache() {
         let engine = Engine::with_defaults(catalog());
         let s = engine.session();
@@ -740,10 +695,12 @@ mod tests {
         assert!(s.set("no_such_knob", "1").is_err());
         s.set("level", "correlated").unwrap();
         assert_eq!(s.settings().level, OptimizerLevel::Correlated);
-        assert_eq!(
-            s.set("columnar", "on"),
-            Err(Error::Plan("unknown setting: columnar".into()))
-        );
+        for knob in ["columnar", "spill"] {
+            assert_eq!(
+                s.set(knob, "on"),
+                Err(Error::Plan(format!("unknown setting: {knob}")))
+            );
+        }
         s.set("mem_limit", "4m").unwrap();
         assert_eq!(s.settings().mem_limit, Some(4 << 20));
         s.set("mem_limit", "none").unwrap();

@@ -69,10 +69,7 @@ fn check_strategies(db: &mut Database, sql: &str) {
                 let plan = db.plan(sql, level).expect("planning succeeds");
                 let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
                 for bs in BATCH_SIZES {
-                    let opts = PipelineOptions {
-                        batch_size: bs,
-                        ..Default::default()
-                    };
+                    let opts = PipelineOptions { batch_size: bs };
                     let mut pipeline = pooled(db, &plan.physical, opts, workers);
                     let got = pipeline
                         .execute(db.catalog(), &Bindings::new())

@@ -5,7 +5,7 @@
 //! so there is no row bridge left to count.)
 
 use orthopt::common::QueryContext;
-use orthopt::exec::{spill, Bindings, Pipeline, PipelineOptions};
+use orthopt::exec::{spill, Bindings, Pipeline};
 use orthopt::{Database, OptimizerLevel};
 use orthopt_tpch::queries;
 
@@ -69,14 +69,7 @@ fn benchmark_plans_run_and_leave_no_spill_dirs() {
     for case in cases() {
         db.session_mut().settings_mut().parallelism = case.parallelism;
         let plan = db.plan(&case.sql, OptimizerLevel::Full).unwrap();
-        let mut pipeline = Pipeline::with_options(
-            &plan.physical,
-            PipelineOptions {
-                spill: true,
-                ..PipelineOptions::default()
-            },
-        )
-        .unwrap();
+        let mut pipeline = Pipeline::compile(&plan.physical).unwrap();
         pipeline.set_parallelism(case.parallelism);
         pipeline.set_shared_catalog(db.shared_catalog());
         if let Some(limit) = case.mem_limit {

@@ -6,11 +6,9 @@
 //! `Reference` oracle's answer. After every case the engine must run
 //! the same query cleanly, proving nothing leaked.
 //!
-//! Compiled only with the `fault-injection` feature (CI runs it under
-//! `ORTHOPT_PARALLELISM` 1 and 4). Lives in its own test binary so the
-//! process-global fault registry cannot perturb other suites; tests
-//! inside serialize on a mutex.
-#![cfg(feature = "fault-injection")]
+//! CI runs it under `ORTHOPT_PARALLELISM` 1 and 4. Lives in its own
+//! test binary so the process-global fault registry cannot perturb
+//! other suites; tests inside serialize on a mutex.
 
 mod common;
 
@@ -187,9 +185,10 @@ fn matrix_error_identity_and_clean_recovery() {
 
 /// The columnar hash-join build charges the governor through the
 /// `hashjoin.build` failpoint: arming it with an allocation refusal
-/// yields the structured `ResourceExhausted`, and the disarmed engine answers the
-/// same query cleanly — proving the vectorized path neither skips the
-/// site nor leaks on unwind.
+/// yields the structured `ResourceExhausted` where the build cannot
+/// spill, a grace join where it can, and the disarmed engine answers
+/// the same query cleanly — proving the vectorized path neither skips
+/// the site nor leaks on unwind.
 #[test]
 fn columnar_hashjoin_build_refusal_is_structured() {
     let _g = registry_lock();
@@ -198,16 +197,15 @@ fn columnar_hashjoin_build_refusal_is_structured() {
     let plan = db.plan(sql, OptimizerLevel::Full).expect("plans");
     let out_ids: Vec<_> = plan.output.iter().map(|c| c.id).collect();
 
-    // Spill pinned off: the refusal must surface structurally.
-    let no_spill = orthopt::exec::PipelineOptions {
-        spill: false,
-        ..Default::default()
-    };
+    // A keyless join has no hash to partition on: the refusal must
+    // surface structurally.
+    let keyless_sql = "select rk, sv from r, s where sr < rk";
+    let keyless = db.plan(keyless_sql, OptimizerLevel::Full).expect("plans");
+    let shape = orthopt::exec::explain_phys(&keyless.physical);
+    assert!(shape.contains("NestedLoop"), "not a keyless join:\n{shape}");
     faults::install("hashjoin.build", FaultAction::RefuseAlloc, 0);
-    let mut pipeline = Pipeline::with_options(&plan.physical, no_spill).expect("compiles");
-    let got = pipeline
-        .execute(db.catalog(), &Bindings::new())
-        .and_then(|chunk| chunk.project(&out_ids));
+    let mut pipeline = Pipeline::compile(&keyless.physical).expect("compiles");
+    let got = pipeline.execute(db.catalog(), &Bindings::new());
     faults::clear();
     match got {
         Err(e) => assert!(
@@ -222,14 +220,10 @@ fn columnar_hashjoin_build_refusal_is_structured() {
         .unwrap();
     let expected = oracle.project(&out_ids).unwrap();
 
-    // Spill pinned on: the same refusal makes the columnar build go
-    // grace — partitions to disk, joins pair-by-pair, answer unchanged.
-    let with_spill = orthopt::exec::PipelineOptions {
-        spill: true,
-        ..Default::default()
-    };
+    // Keyed: the same refusal makes the columnar build go grace —
+    // partitions to disk, joins pair-by-pair, answer unchanged.
     faults::install("hashjoin.build", FaultAction::RefuseAlloc, 0);
-    let mut graced = Pipeline::with_options(&plan.physical, with_spill).expect("compiles");
+    let mut graced = Pipeline::compile(&plan.physical).expect("compiles");
     let got = graced
         .execute(db.catalog(), &Bindings::new())
         .and_then(|chunk| chunk.project(&out_ids));
@@ -399,7 +393,6 @@ fn injected_panic_is_isolated_by_the_facade() {
 fn spill_io_faults_are_structured_and_leave_no_orphans() {
     let _g = registry_lock();
     let mut db = corpus_db();
-    db.session_mut().set("spill", "on").unwrap();
     let sql = "select sk, sv from s order by sv, sk";
     let clean = db.execute(sql).unwrap();
 

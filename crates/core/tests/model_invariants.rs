@@ -69,7 +69,6 @@ fn settings() -> SessionSettings {
         parallelism: 1,
         mem_limit: None,
         timeout: None,
-        spill: true,
         level: OptimizerLevel::Full,
         apply_strategy: ApplyStrategy::Auto,
     }

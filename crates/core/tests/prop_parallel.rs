@@ -34,11 +34,7 @@ const PARALLELISM: [usize; 3] = [1, 2, 4];
 
 /// A pool-wired pipeline at batch size `bs`.
 fn pooled(db: &Database, plan: &PhysExpr, bs: usize, workers: usize) -> Pipeline {
-    let opts = PipelineOptions {
-        batch_size: bs,
-        ..Default::default()
-    };
-    common::pooled(db, plan, opts, workers)
+    common::pooled(db, plan, PipelineOptions { batch_size: bs }, workers)
 }
 
 /// Plans `sql` at every level, forces exchanges onto every eligible

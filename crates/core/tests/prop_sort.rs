@@ -189,14 +189,8 @@ fn run_sort(
         input: Box::new(source),
         by: by.to_vec(),
     };
-    let mut pipeline = Pipeline::with_options(
-        &plan,
-        PipelineOptions {
-            batch_size,
-            spill: true,
-        },
-    )
-    .expect("sort plan compiles");
+    let mut pipeline =
+        Pipeline::with_options(&plan, PipelineOptions { batch_size }).expect("sort plan compiles");
     pipeline.set_governor(gov);
     let chunk = pipeline
         .execute(catalog, &Bindings::new())

@@ -7,7 +7,7 @@
 use orthopt::{Database, OptimizerLevel};
 use orthopt_common::row::bag_eq;
 use orthopt_common::{QueryContext, Value};
-use orthopt_exec::{phys_node_labels, Bindings, Pipeline, PipelineOptions, Reference};
+use orthopt_exec::{phys_node_labels, Bindings, Pipeline, Reference};
 use orthopt_rewrite::testgen::{build_catalog, query_templates};
 use proptest::prelude::*;
 
@@ -326,14 +326,7 @@ fn grace_spilled_join_residual_error_matches_reference() {
     let oracle = Reference::new(db.catalog()).run(&bound.rel);
     assert!(oracle.is_err(), "fixture no longer divides by zero");
     let plan = db.plan(sql, OptimizerLevel::Full).unwrap();
-    let mut pipeline = Pipeline::with_options(
-        &plan.physical,
-        PipelineOptions {
-            spill: true,
-            ..PipelineOptions::default()
-        },
-    )
-    .unwrap();
+    let mut pipeline = Pipeline::compile(&plan.physical).unwrap();
     pipeline.set_governor(QueryContext::new().with_memory_limit(16 << 10));
     let got = pipeline.execute(db.catalog(), &Bindings::new());
     assert_eq!(oracle.err(), got.err());

@@ -26,13 +26,9 @@ fn spill_lock() -> MutexGuard<'static, ()> {
     LOCK.lock()
 }
 
-/// A pool-wired pipeline with spilling pinned on.
+/// A pool-wired pipeline at the default batch size.
 fn pooled(db: &Database, root: &PhysExpr, workers: usize) -> Pipeline {
-    let opts = PipelineOptions {
-        spill: true,
-        ..Default::default()
-    };
-    common::pooled(db, root, opts, workers)
+    common::pooled(db, root, PipelineOptions::default(), workers)
 }
 
 /// Larger than the fault-matrix corpus: enough rows that buffering
@@ -242,8 +238,8 @@ fn each_degradable_operator_spills_and_stays_exact() {
 /// A buffer's charge ends when it hands a batch on: under a Sort, a
 /// 4-worker Exchange's gathered batches are charged once, by whichever
 /// of the two holds them. So the pool peaks at the larger node's peak,
-/// not at their sum, and a budget of 1.5× that peak runs with spilling
-/// off.
+/// not at their sum, and a budget of 1.5× that peak runs without
+/// spilling a byte.
 #[test]
 fn handed_on_batches_are_charged_once() {
     let _g = spill_lock();
@@ -262,15 +258,16 @@ fn handed_on_batches_are_charged_once() {
     assert!(node_peak > 0, "nothing buffered");
     assert_eq!(pool_peak, node_peak, "pool counted a handed-on batch twice");
 
-    let opts = PipelineOptions {
-        spill: false,
-        ..Default::default()
-    };
-    let mut tight = common::pooled(&db, &root, opts, 4);
+    let mut tight = pooled(&db, &root, 4);
     tight.set_governor(QueryContext::new().with_memory_limit(node_peak * 3 / 2));
     let got = tight
         .execute(db.catalog(), &Bindings::new())
-        .expect("1.5x the largest node peak fits without spilling");
+        .expect("1.5x the largest node peak runs");
     assert_eq!(want.rows, got.rows);
+    let stats = tight.stats();
+    assert!(
+        stats.iter().all(|s| s.spilled_bytes == 0),
+        "1.5x the largest node peak spilled: {stats:?}"
+    );
     assert_eq!(spill::live_dirs(), 0, "spill dir leaked");
 }

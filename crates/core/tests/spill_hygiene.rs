@@ -36,6 +36,10 @@ fn tpch() -> Database {
 const SORT_SQL: &str =
     "select l_orderkey, l_extendedprice from lineitem order by l_extendedprice, l_orderkey";
 
+/// A `LIMIT` over lineitem keeps every row: its buffer has no spill
+/// path, so a tiny budget fails it.
+const LIMIT_SQL: &str = "select l_orderkey, l_extendedprice from lineitem limit 100000";
+
 /// Success path: a starvation budget forces the external sort through
 /// disk, the answer matches the unconstrained run byte-for-byte, and
 /// the scope directory is gone the moment `execute` returns.
@@ -43,7 +47,6 @@ const SORT_SQL: &str =
 fn successful_spilling_run_reclaims_its_directory() {
     let _g = serial();
     let mut db = tpch();
-    db.session_mut().set("spill", "on").unwrap();
     let clean = db.execute(SORT_SQL).unwrap();
 
     db.session_mut().settings_mut().mem_limit = Some(1 << 10);
@@ -57,51 +60,18 @@ fn successful_spilling_run_reclaims_its_directory() {
     assert_eq!(spill::live_dirs(), 0, "spill dir outlived the execution");
 }
 
-/// Governor-trip path: with spilling disabled the same budget fails
-/// structurally — and the refusal must not leave directories either
-/// (nothing was written, and nothing half-created survives).
+/// Governor-trip path: a buffer that cannot spill (a `LIMIT`'s) fails
+/// the same budget structurally — and the refusal must not leave
+/// directories either (nothing was written, and nothing half-created
+/// survives).
 #[test]
 fn refused_run_leaves_no_directories() {
     let _g = serial();
     let mut db = tpch();
-    db.session_mut().set("spill", "off").unwrap();
     db.session_mut().settings_mut().mem_limit = Some(1 << 10);
-    match db.execute(SORT_SQL) {
+    match db.execute(LIMIT_SQL) {
         Err(e) => assert!(e.is_governor(), "structured refusal, got {e:?}"),
-        Ok(_) => panic!("1 KiB budget did not trip with spill off"),
-    }
-    assert_eq!(spill::live_dirs(), 0);
-}
-
-/// `ORTHOPT_SPILL` reaches queries through `EngineConfig::default` and
-/// nothing else: under a starvation budget a `Database` and a session of
-/// its engine both spill when the variable is unset, and both refuse
-/// with the spill hint under `ORTHOPT_SPILL=0` (the kill-switch CI leg).
-#[test]
-fn env_kill_switch_refused_on_database_and_session() {
-    let _g = serial();
-    let spill = EngineConfig::default().session.spill;
-    let mut db = tpch();
-    db.session_mut().settings_mut().mem_limit = Some(1 << 10);
-    let mut session = db.engine().session();
-    session.set("parallelism", "1").unwrap();
-    session.set("mem_limit", "1k").unwrap();
-    session.set("timeout_ms", "none").unwrap();
-    for (facade, got) in [
-        ("database", db.execute(SORT_SQL)),
-        ("session", session.execute(SORT_SQL)),
-    ] {
-        match got {
-            Ok(r) if spill => assert!(!r.rows.is_empty(), "{facade}"),
-            Err(e) if !spill => match e.root_cause() {
-                Error::ResourceExhausted { hint: Some(h), .. } => {
-                    assert!(h.contains("spill"), "{facade}: {h}");
-                }
-                other => panic!("{facade}: expected ResourceExhausted, got {other:?}"),
-            },
-            Ok(_) => panic!("{facade}: ORTHOPT_SPILL=0 did not disable spilling"),
-            Err(e) => panic!("{facade}: spilling on, got {e:?}"),
-        }
+        Ok(_) => panic!("1 KiB budget did not trip the LIMIT buffer"),
     }
     assert_eq!(spill::live_dirs(), 0);
 }
@@ -113,7 +83,6 @@ fn env_kill_switch_refused_on_database_and_session() {
 fn cancelled_runs_leave_no_directories() {
     let _g = serial();
     let mut db = tpch();
-    db.session_mut().set("spill", "on").unwrap();
     db.session_mut().settings_mut().mem_limit = Some(1 << 10);
 
     db.session_mut().settings_mut().timeout = Some(Duration::ZERO);
@@ -167,7 +136,6 @@ fn closed_session_leaves_no_directories() {
     let before = spill::total_spilled_bytes();
     {
         let mut s = engine.session();
-        s.set("spill", "on").unwrap();
         s.set("mem_limit", "1024").unwrap();
         let got = s.execute("select k, v from wide order by v, k").unwrap();
         assert_eq!(got.rows, baseline.rows, "spilled session run diverged");
@@ -178,39 +146,35 @@ fn closed_session_leaves_no_directories() {
     );
     assert_eq!(spill::live_dirs(), 0, "closed session leaked a dir");
 
-    // The kill switch wins over the budget: same session-scoped limit,
-    // spill off, structured refusal with a hint naming the knobs.
+    // A buffer that cannot spill refuses the same session-scoped
+    // limit structurally, with a hint naming the memory knob.
     {
         let mut s = engine.session();
-        s.set("spill", "off").unwrap();
         s.set("mem_limit", "1024").unwrap();
-        match s.execute("select k, v from wide order by v, k") {
+        match s.execute("select k, v from wide limit 4096") {
             Err(e) => match e.root_cause() {
                 Error::ResourceExhausted { hint, .. } => {
                     let h = hint.expect("refusal carries a hint");
-                    assert!(h.contains("spill"), "{h}");
+                    assert!(h.contains("mem_limit"), "{h}");
                 }
                 other => panic!("expected ResourceExhausted, got {other:?}"),
             },
-            Ok(_) => panic!("SET spill = off did not disable spilling"),
+            Ok(_) => panic!("1 KiB budget did not trip the LIMIT buffer"),
         }
     }
     assert_eq!(spill::live_dirs(), 0);
 }
 
-/// Worker-panic and mid-spill-cancellation paths, driven by failpoints
-/// (compiled only with the `fault-injection` feature; the spill CI job
-/// runs this leg). A panic after spill files exist must be contained by
-/// the façade AND reclaim the directory; a slow spill under a short
-/// deadline cancels mid-spill with the same guarantee.
-#[cfg(feature = "fault-injection")]
+/// Worker-panic and mid-spill-cancellation paths, driven by failpoints.
+/// A panic after spill files exist must be contained by the façade AND
+/// reclaim the directory; a slow spill under a short deadline cancels
+/// mid-spill with the same guarantee.
 #[test]
 fn panicked_and_mid_spill_cancelled_runs_leave_no_directories() {
     use orthopt::exec::faults::{self, FaultAction};
 
     let _g = serial();
     let mut db = tpch();
-    db.session_mut().set("spill", "on").unwrap();
     // Serial: at higher parallelism the Exchange gather's own (hard-fail)
     // charge trips this tiny budget before the sort ever reaches disk.
     db.session_mut().settings_mut().parallelism = 1;

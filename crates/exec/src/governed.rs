@@ -17,11 +17,6 @@ use crate::pipeline::{ExecCtx, StatsHandle};
 /// Hint for a refusal only more memory could have avoided.
 const MEM_HINT: &str = "raise ORTHOPT_MEM_LIMIT / SET mem_limit";
 
-/// Hint for a refusal a spillable buffer would have spilled past, had
-/// the pipeline's spill switch been on.
-const MEM_OR_SPILL_HINT: &str =
-    "raise ORTHOPT_MEM_LIMIT / SET mem_limit, or enable spilling (SET spill = on)";
-
 /// A charge the pool refused. The operator either degrades past it
 /// ([`Governed::refused`]) or, having no degradation left, fails with it
 /// ([`Refused::fail`]).
@@ -66,22 +61,16 @@ impl Governed {
         Governed::new(label, None, stats)
     }
 
-    /// A buffer that spills on refusal when it can (`spillable`) and the
-    /// pipeline's spill switch (`spill`) is on. Otherwise a refusal
-    /// fails, naming the spill knob too when the switch was all that
-    /// stood in the way.
-    pub(crate) fn spilling(
-        label: &'static str,
-        spillable: bool,
-        spill: bool,
-        stats: StatsHandle,
-    ) -> Governed {
-        let fail_hint = match (spillable, spill) {
-            (true, true) => None,
-            (true, false) => Some(MEM_OR_SPILL_HINT),
-            (false, _) => Some(MEM_HINT),
-        };
-        Governed::new(label, fail_hint, stats)
+    /// A buffer that spills on refusal when it can (`spillable`), and
+    /// otherwise fails like [`failing`](Governed::failing).
+    pub(crate) fn spilling(label: &'static str, spillable: bool, stats: StatsHandle) -> Governed {
+        Governed::new(label, (!spillable).then_some(MEM_HINT), stats)
+    }
+
+    /// The operator's name (the compiler's `op_name`): what a refusal
+    /// or a cancellation inside the operator blames.
+    pub(crate) fn label(&self) -> &'static str {
+        self.label
     }
 
     /// Starts charging the query's pool afresh; whatever the previous

@@ -351,9 +351,9 @@ pub struct ExchangeOp {
     /// exchange's own).
     base: usize,
     stats: Rc<RefCell<Vec<OpStats>>>,
-    /// The enclosing pipeline's batch size and spill toggle: worker,
-    /// build and serial pipelines inherit them, so a per-session setting
-    /// holds across the exchange boundary.
+    /// The enclosing pipeline's batch size: worker, build and serial
+    /// pipelines inherit it, so a per-session setting holds across the
+    /// exchange boundary.
     opts: PipelineOptions,
     out_cols: Rc<[ColId]>,
     eligible: bool,
@@ -460,7 +460,7 @@ impl ExchangeOp {
     }
 
     fn compute(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        ctx.gov.check_cancelled("Exchange")?;
+        ctx.gov.check_cancelled(self.gov.label())?;
         let workers = ctx.parallelism.min(MAX_WORKERS);
         if workers <= 1 || !self.eligible {
             self.run_serial(ctx)

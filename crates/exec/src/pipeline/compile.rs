@@ -168,8 +168,8 @@ pub(super) fn op_name(p: &PhysExpr) -> &'static str {
 }
 
 pub(super) struct Compiler {
-    /// Batch size (at least 1) and spill toggle every operator of this
-    /// compilation is built with.
+    /// Batch size (at least 1) every operator of this compilation is
+    /// built with.
     pub(super) opts: PipelineOptions,
     pub(super) stats: Rc<RefCell<Vec<OpStats>>>,
     pub(super) next_id: usize,
@@ -212,7 +212,7 @@ impl Compiler {
         let id = self.next_id;
         self.next_id += 1;
         self.stats.borrow_mut().push(OpStats::default());
-        let (bs, spill) = (self.opts.batch_size, self.opts.spill);
+        let bs = self.opts.batch_size;
         let name = op_name(p);
         let sh = StatsHandle::new(self.stats.clone(), id);
         let op: BoxOp = match p {
@@ -247,7 +247,7 @@ impl Compiler {
                 // would break the rewind contract. A keyless build
                 // is one partition however often it is split.
                 let spillable = !build_stable && !right_keys.is_empty();
-                let gov = Governed::spilling(name, spillable, spill, sh.clone());
+                let gov = Governed::spilling(name, spillable, sh.clone());
                 Box::new(HashJoinOp::new(
                     p,
                     left,
@@ -273,7 +273,7 @@ impl Compiler {
                 Box::new(SegmentExecOp::new(p, input, inner, bs, gov, sh)?)
             }
             PhysExpr::HashAggregate { input, .. } => {
-                let gov = Governed::spilling(name, true, spill, sh.clone());
+                let gov = Governed::spilling(name, true, sh.clone());
                 let input = self.compile(input, in_param)?;
                 Box::new(HashAggregateOp::new(p, input, bs, gov, sh)?)
             }
@@ -297,7 +297,7 @@ impl Compiler {
                     .iter()
                     .map(|(c, desc)| Ok((pos_of(&in_layout, *c)?, *desc)))
                     .collect::<Result<Vec<_>>>()?;
-                let gov = Governed::spilling(name, true, spill, sh.clone());
+                let gov = Governed::spilling(name, true, sh.clone());
                 let input = self.compile(input, in_param)?;
                 Box::new(SortOp::new(input, by_pos, rc_cols(&in_layout), bs, gov, sh))
             }

@@ -128,8 +128,7 @@ impl HashAggregateOp {
 
     /// Feeds one batch into the resident state, or — once spilling —
     /// to disk. A refused charge stops the lane feed where it happened;
-    /// the rest of the batch then spills, or fails the query when the
-    /// aggregate may not spill.
+    /// the rest of the batch then spills.
     fn feed(&mut self, ctx: &ExecCtx<'_>, b: &Batch) -> Result<()> {
         b.check_width(self.in_width)?;
         let (columns, len) = b.columns();
@@ -158,7 +157,7 @@ impl HashAggregateOp {
             for (i, &h) in hashes.iter().enumerate().skip(applied) {
                 sp.parts.push_lane(partition_of(h, 0), &lanes, i)?;
             }
-            ctx.gov.check_cancelled("HashAggregate")?;
+            ctx.gov.check_cancelled(self.gov.label())?;
         }
         args.err.map_or(Ok(()), Err)
     }
@@ -217,7 +216,7 @@ impl HashAggregateOp {
             {
                 return Err(refused.fail());
             }
-            ctx.gov.check_cancelled("HashAggregate")?;
+            ctx.gov.check_cancelled(gov.label())?;
         }
         Ok(())
     }
@@ -269,7 +268,7 @@ impl HashAggregateOp {
             // The partition file is consumed; dropping it reclaims the
             // disk space before the next partition loads.
             drop(file);
-            ctx.gov.check_cancelled("HashAggregate")?;
+            ctx.gov.check_cancelled(self.gov.label())?;
         }
         Ok(concat_batches(&out, self.out_cols.len()))
     }

@@ -308,9 +308,11 @@ fn partition_lanes(
     Ok(unkeyed)
 }
 
-/// Repartitions one spilled file a level deeper.
+/// Repartitions one spilled file a level deeper; a cancellation blames
+/// `op`, the join's governed-buffer label.
 fn repartition_file(
     ctx: &ExecCtx<'_>,
+    op: &str,
     file: &mut SpillFile,
     label: &str,
     width: usize,
@@ -321,7 +323,7 @@ fn repartition_file(
     let mut r = file.reader()?;
     while let Some((columns, n)) = r.next_block_columns()? {
         partition_lanes(&mut parts, &columns, n, key_pos, level)?;
-        ctx.gov.check_cancelled("HashJoin")?;
+        ctx.gov.check_cancelled(op)?;
     }
     parts.finish()
 }
@@ -448,7 +450,7 @@ impl HashJoinOp {
         buffered.push(overflow.into_columns());
         for (columns, n) in &buffered {
             partition_lanes(&mut parts, columns, *n, &self.probe.right_pos, 0)?;
-            ctx.gov.check_cancelled("HashJoin")?;
+            ctx.gov.check_cancelled(self.gov.label())?;
         }
         self.gov.reset();
         self.grace = Some(GraceJoin {
@@ -480,7 +482,7 @@ impl HashJoinOp {
                 self.gov.charge("hashjoin.build", 0)?;
                 let parts = g.build.as_mut().expect("build partitions active");
                 partition_lanes(parts, &b.columns, b.len, &self.probe.right_pos, 0)?;
-                ctx.gov.check_cancelled("HashJoin")?;
+                ctx.gov.check_cancelled(self.gov.label())?;
                 continue;
             }
             if self.gov.charge("hashjoin.build", b.mem_bytes())? {
@@ -538,7 +540,7 @@ impl HashJoinOp {
                 unkeyed.len(),
             ));
         }
-        ctx.gov.check_cancelled("HashJoin")
+        ctx.gov.check_cancelled(self.gov.label())
     }
 
     /// Seals the probe partitions and forms the level-0 partition pairs
@@ -589,7 +591,7 @@ impl HashJoinOp {
                 }
                 charged += bytes;
                 blocks.push((columns, n));
-                ctx.gov.check_cancelled("HashJoin")?;
+                ctx.gov.check_cancelled(self.gov.label())?;
             }
         }
         if let Some(refused) = refusal {
@@ -603,12 +605,19 @@ impl HashJoinOp {
                 // too big for the budget (e.g. one very hot key).
                 return Err(refused.fail());
             }
-            let (rw, lw) = (self.right_width, self.left_width);
-            let bfiles =
-                repartition_file(ctx, &mut bf, "hj-build", rw, &self.probe.right_pos, next)?;
+            let (op, rw, lw) = (self.gov.label(), self.right_width, self.left_width);
+            let bfiles = repartition_file(
+                ctx,
+                op,
+                &mut bf,
+                "hj-build",
+                rw,
+                &self.probe.right_pos,
+                next,
+            )?;
             drop(bf);
             let pfiles =
-                repartition_file(ctx, &mut pf, "hj-probe", lw, &self.probe.left_pos, next)?;
+                repartition_file(ctx, op, &mut pf, "hj-probe", lw, &self.probe.left_pos, next)?;
             drop(pf);
             self.stats.note_spill(bfiles.iter().chain(&pfiles));
             let g = self.grace.as_mut().expect("grace state active");
@@ -626,7 +635,7 @@ impl HashJoinOp {
             let mut noted = OpStats::default();
             let joined = self.probe.probe(&build, &columns, n, binds, &mut noted);
             self.queue_output(joined, &noted)?;
-            ctx.gov.check_cancelled("HashJoin")?;
+            ctx.gov.check_cancelled(self.gov.label())?;
         }
         drop(r);
         self.gov.release(charged);

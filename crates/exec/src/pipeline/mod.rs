@@ -89,17 +89,12 @@ pub(crate) type BoxOp = Box<dyn Operator>;
 pub struct PipelineOptions {
     /// Rows per batch (min 1).
     pub batch_size: usize,
-    /// Spill-to-disk toggle for this pipeline (default on). When off,
-    /// refused reservations fail with a hinted `ResourceExhausted`
-    /// instead of degrading.
-    pub spill: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> PipelineOptions {
         PipelineOptions {
             batch_size: DEFAULT_BATCH_SIZE,
-            spill: true,
         }
     }
 }
@@ -124,13 +119,7 @@ impl Pipeline {
 
     /// Compiles a physical plan with an explicit batch size (min 1).
     pub fn with_batch_size(plan: &PhysExpr, batch_size: usize) -> Result<Pipeline> {
-        Pipeline::with_options(
-            plan,
-            PipelineOptions {
-                batch_size,
-                ..PipelineOptions::default()
-            },
-        )
+        Pipeline::with_options(plan, PipelineOptions { batch_size })
     }
 
     /// Compiles a physical plan with explicit [`PipelineOptions`].
@@ -150,7 +139,6 @@ impl Pipeline {
         let mut c = Compiler {
             opts: PipelineOptions {
                 batch_size: opts.batch_size.max(1),
-                ..opts
             },
             stats: Rc::new(RefCell::new(Vec::new())),
             next_id: 0,
@@ -283,9 +271,9 @@ impl Pipeline {
 
 /// Wraps an operator to record [`OpStats`] into the pipeline registry.
 /// Also the per-operator governance boundary: every `next_batch` polls
-/// the cancellation token and the (feature-gated) failpoint registry,
-/// and notes the operator in thread-local state so panic handlers can
-/// attach an operator path.
+/// the cancellation token and the operator's failpoint (one atomic load
+/// while no failpoint is armed), and notes the operator in thread-local
+/// state so panic handlers can attach an operator path.
 struct Metered {
     op: BoxOp,
     id: usize,
@@ -589,7 +577,7 @@ mod tests {
                     vec![(0, false)],
                     layout.clone(),
                     16,
-                    Governed::spilling("Sort", true, false, stats()),
+                    Governed::spilling("Sort", true, stats()),
                     stats(),
                 )),
             ),
@@ -615,7 +603,7 @@ mod tests {
             group_cols: vec![ColId(2)],
             aggs: Vec::new(),
         };
-        let aggregate_gov = Governed::spilling("HashAggregate", true, false, stats());
+        let aggregate_gov = Governed::spilling("HashAggregate", true, stats());
         let aggregate =
             HashAggregateOp::new(&aggregate_plan, lying(), 16, aggregate_gov, stats()).unwrap();
         ops.push(("Apply (outer)", Box::new(apply)));

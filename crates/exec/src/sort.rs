@@ -280,7 +280,7 @@ impl SortOp {
         let mut f = ctx.spill.create("sort-run")?;
         while let Some((columns, n)) = run.next_window(DEFAULT_BATCH_SIZE) {
             f.append_columns(&columns, n)?;
-            ctx.gov.check_cancelled("Sort")?;
+            ctx.gov.check_cancelled(self.gov.label())?;
         }
         self.runs.push(f);
         Ok(())
@@ -400,7 +400,7 @@ impl Operator for SortOp {
             }
         }
         if self.merge.is_some() {
-            ctx.gov.check_cancelled("Sort")?;
+            ctx.gov.check_cancelled(self.gov.label())?;
             let out = self.merge_next()?;
             if out.is_none() {
                 // Merge exhausted: drop the run files now rather than

@@ -37,12 +37,6 @@
 //! [`hash_lanes`](orthopt_common::hash::hash_lanes) hash and a fixed fan-out,
 //! so which rows land in which partition — and therefore the engine's
 //! behaviour under a given budget — is identical across runs.
-//!
-//! The kill switch: [`PipelineOptions::spill`](crate::PipelineOptions)
-//! off (a session's `SET spill = off`, or `ORTHOPT_SPILL=0` through the
-//! engine's defaults) disables degradation, restoring the pre-spill
-//! contract where a refused reservation fails the query with a hinted
-//! [`Error::ResourceExhausted`].
 
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
 use orthopt_common::row::Row;
@@ -996,35 +990,5 @@ mod tests {
             assert_eq!(f.bytes(), as_rows.bytes(), "row-block encoding");
         }
         assert!(blocks > 3, "a partition flushed mid-stream");
-    }
-
-    /// The kill switch is a per-pipeline option, on by default: the same
-    /// sort under the same starvation budget degrades to disk with it
-    /// and refuses with the spill hint without it.
-    #[test]
-    fn kill_switch_flag_toggles() {
-        use crate::{Bindings, PhysExpr, Pipeline, PipelineOptions};
-        use orthopt_common::{ColId, QueryContext};
-        let _g = scope_lock();
-        let rows: Vec<Row> = (0..2000).map(|i| vec![Value::Int(2000 - i)]).collect();
-        let plan = PhysExpr::Sort {
-            input: Box::new(PhysExpr::const_rows(vec![ColId(1)], &rows)),
-            by: vec![(ColId(1), false)],
-        };
-        let run = |spill| {
-            let opts = PipelineOptions {
-                spill,
-                ..PipelineOptions::default()
-            };
-            let mut p = Pipeline::with_options(&plan, opts)?;
-            p.set_governor(QueryContext::new().with_memory_limit(4 << 10));
-            p.execute(&orthopt_storage::Catalog::default(), &Bindings::new())
-        };
-        assert!(PipelineOptions::default().spill);
-        assert_eq!(run(true).expect("sort spills").rows.len(), 2000);
-        assert!(matches!(
-            run(false),
-            Err(Error::ResourceExhausted { hint: Some(h), .. }) if h.contains("spill")
-        ));
     }
 }

@@ -1,10 +1,8 @@
 //! Deterministic fault injection against the streaming pipeline.
 //!
-//! Compiled only with the `fault-injection` feature; lives in its own
-//! test binary (its own process) so arming the process-global fault
-//! registry cannot perturb the other suites. Tests within this binary
-//! serialize on a local mutex for the same reason.
-#![cfg(feature = "fault-injection")]
+//! Lives in its own test binary (its own process) so arming the
+//! process-global fault registry cannot perturb the other suites. Tests
+//! within this binary serialize on a local mutex for the same reason.
 
 mod fixtures;
 
@@ -55,27 +53,26 @@ fn run(plan: &PhysExpr, catalog: &Arc<Catalog>, parallelism: usize) -> Result<Ch
 }
 
 #[test]
-// The point of the assertion is exactly that the constant is true in
-// this build configuration (and false without the feature).
-#[allow(clippy::assertions_on_constants)]
-fn feature_is_compiled_in() {
-    assert!(faults::COMPILED);
-}
-
-#[test]
 fn refused_allocation_surfaces_as_resource_exhausted() {
     let _g = registry_lock();
     let catalog = Arc::new(customers_orders());
     faults::install("hashjoin.build", FaultAction::RefuseAlloc, 0);
-    // Spill pinned off per-pipeline: with it on (the default) a refused
-    // build charge degrades to a grace hash join and the query succeeds
-    // — that leg is covered by the fault matrix; this test asserts the
-    // strict refusal contract.
-    let opts = orthopt_exec::PipelineOptions {
-        spill: false,
-        ..Default::default()
+    // A keyless join has no hash to partition on, so its build cannot
+    // spill and a refused charge fails the query. (A keyed build
+    // degrades to a grace join instead; the fault matrix covers that.)
+    let keyless = PhysExpr::HashJoin {
+        kind: JoinKind::Inner,
+        left: Box::new(PhysExpr::TableScan {
+            table: TableId(0),
+            positions: vec![0, 1],
+            cols: vec![C_CUSTKEY, C_NAME],
+        }),
+        right: Box::new(scan_orders()),
+        left_keys: vec![],
+        right_keys: vec![],
+        residual: ScalarExpr::eq(ScalarExpr::col(C_CUSTKEY), ScalarExpr::col(O_CUSTKEY)),
     };
-    let mut pipe = Pipeline::with_options(&join_plan(), opts).unwrap();
+    let mut pipe = Pipeline::compile(&keyless).unwrap();
     pipe.set_parallelism(1);
     pipe.set_governor(QueryContext::new());
     let err = pipe.execute(&catalog, &Bindings::new()).unwrap_err();

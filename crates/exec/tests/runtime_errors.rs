@@ -234,22 +234,6 @@ mod governor {
         pipe.execute(catalog, &Bindings::new())
     }
 
-    /// Budget-trip tests assert the *refusal* contract, so they pin
-    /// spilling off per pipeline (it is on by default).
-    fn run_governed_no_spill(
-        plan: &PhysExpr,
-        catalog: &Catalog,
-        gov: QueryContext,
-    ) -> Result<Chunk> {
-        let opts = orthopt_exec::PipelineOptions {
-            spill: false,
-            ..Default::default()
-        };
-        let mut pipe = Pipeline::with_options(plan, opts)?;
-        pipe.set_governor(gov);
-        pipe.execute(catalog, &Bindings::new())
-    }
-
     fn expect_exhausted(r: Result<Chunk>, operator: &str) {
         match r {
             Err(Error::ResourceExhausted {
@@ -264,14 +248,14 @@ mod governor {
         }
     }
 
+    /// A keyed join spills its build past a 16-byte budget, but no
+    /// partition fits either: at the repartition depth cap the refusal
+    /// fails the query, blaming the join.
     #[test]
     fn budget_trips_hash_join_build_with_blame() {
         let catalog = customers_orders();
         let gov = QueryContext::new().with_memory_limit(16);
-        expect_exhausted(
-            run_governed_no_spill(&join_plan(), &catalog, gov),
-            "HashJoin",
-        );
+        expect_exhausted(run_governed(&join_plan(), &catalog, gov), "HashJoin");
     }
 
     fn sort_plan() -> PhysExpr {
@@ -294,21 +278,28 @@ mod governor {
         }
     }
 
+    /// A sort never refuses: every tripped buffer charge cuts a run to
+    /// disk, and the Sort node's stats show it.
     #[test]
     fn budget_trips_sort_buffer() {
         let catalog = customers_orders();
-        let gov = QueryContext::new().with_memory_limit(16);
-        expect_exhausted(run_governed_no_spill(&sort_plan(), &catalog, gov), "Sort");
+        let mut pipe = Pipeline::compile(&sort_plan()).unwrap();
+        pipe.set_governor(QueryContext::new().with_memory_limit(16));
+        pipe.execute(&catalog, &Bindings::new()).unwrap();
+        let sort = pipe.stats()[0];
+        assert!(
+            sort.spill_partitions > 0 && sort.spilled_bytes > 0,
+            "{sort:?}"
+        );
     }
 
+    /// The aggregate spills its state past a 16-byte budget, but cannot
+    /// replay even one partition: that refusal fails the query.
     #[test]
     fn budget_trips_aggregate_state() {
         let catalog = customers_orders();
         let gov = QueryContext::new().with_memory_limit(16);
-        expect_exhausted(
-            run_governed_no_spill(&agg_plan(), &catalog, gov),
-            "HashAggregate",
-        );
+        expect_exhausted(run_governed(&agg_plan(), &catalog, gov), "HashAggregate");
     }
 
     /// With spilling left on (the default), a starvation budget makes
@@ -538,17 +529,17 @@ mod governor {
         }
     }
 
-    /// Refusals at spillable operators carry a hint naming both escape
-    /// hatches; spilling was pinned off, so the message must say how to
-    /// turn it back on.
+    /// A spillable operator that has degraded as far as it can refuses
+    /// with the hint every hard-fail site gives: only more memory helps,
+    /// and there is no spill knob to name.
     #[test]
     fn refusal_hint_names_the_knobs() {
         let catalog = customers_orders();
         let gov = QueryContext::new().with_memory_limit(16);
-        match run_governed_no_spill(&sort_plan(), &catalog, gov) {
+        match run_governed(&agg_plan(), &catalog, gov) {
             Err(Error::ResourceExhausted { hint: Some(h), .. }) => {
                 assert!(h.contains("ORTHOPT_MEM_LIMIT"), "{h}");
-                assert!(h.contains("spill"), "{h}");
+                assert!(!h.contains("spill"), "{h}");
             }
             other => panic!("expected hinted refusal, got {other:?}"),
         }

@@ -20,9 +20,9 @@
 //!    as a printable step trace.
 //! 3. **Lock-order detector** ([`lockorder`]) and **workspace lint**
 //!    ([`lint`]): a global acquisition-order graph with cycle
-//!    detection (live under `debug_assertions` / the `lockorder`
-//!    feature), and a source-scanning lint pass. Its sync rules forbid
-//!    raw `std::sync` primitives outside this shim, require
+//!    detection (live under `debug_assertions`), and a source-scanning
+//!    lint pass. Its sync rules forbid raw `std::sync` primitives
+//!    outside this shim, require
 //!    `// relaxed-ok:` justifications on `Ordering::Relaxed`, and flag
 //!    `.lock().unwrap()` poisoning footguns; its design rules
 //!    ([`lint::DESIGN_RULES`]) keep every mechanism an earlier change

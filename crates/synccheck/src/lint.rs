@@ -163,12 +163,12 @@ pub const DESIGN_RULES: &[Rule] = &[
     Rule { name: "memo-debug-key", any: &["format!(\""], all: &[":?}"],
         paths: &["crates/optimizer/src/memo.rs"], seed: "format!(\"{shell:?}|{children:?}\")",
         message: "intern memo expressions by Hash, not by a Debug string", ..RULE },
-    // One settings ladder.
-    Rule { name: "spill-toggle", any: &["spill_enabled", "set_spill", "spill: Option<bool>"],
-        paths: &[CRATES], seed: "pub fn set_spill(on: bool) {",
-        message: "spill is a SessionSettings / PipelineOptions bool seeded by \
-                  EngineConfig::default",
-        ..RULE },
+    // One settings ladder, and no spill switch on it.
+    Rule { name: "spill-toggle", paths: &[CRATES, "tests/"], seed: "pub fn set_spill(on: bool) {",
+        any: &["spill_enabled", "set_spill", "spill: Option<bool>", "spill: bool",
+               "\"ORTHOPT_SPILL\"", "\"spill\" =>"],
+        message: "spilling has no switch: a spillable governed buffer spills whenever the pool \
+                  refuses it (Governed::spilling)", ..RULE },
     Rule { name: "env-defaults", any: &["var(\"ORTHOPT_"], paths: &["crates/*/src/"],
         exempt: &["crates/core/src/session.rs"], seed: "std::env::var(\"ORTHOPT_PARALLELISM\")",
         exempt_lines: &["env::var(\"ORTHOPT_POOL_WORKERS\")", "env::var(\"ORTHOPT_SPILL_DIR\")",
@@ -229,6 +229,19 @@ pub const DESIGN_RULES: &[Rule] = &[
         cut_tests: true, seed: "mem: MemoryReservation,",
         message: "buffer charges go through exec::governed::Governed: charge, grow, try_grow, \
                   release", ..RULE },
+    // One build: no switch that only tests flip.
+    Rule { name: "test-switch", paths: &[CRATES, "tests/"],
+        seed: "#[cfg(feature = \"fault-injection\")]",
+        any: &["feature = \"fault-injection\"", "faults::COMPILED", "feature = \"lockorder\"",
+               "ORTHOPT_LOCKORDER"],
+        message: "failpoints ship in every build (a disarmed exec::faults::hit is one atomic \
+                  load), and the lock-order detector runs exactly under debug_assertions",
+        ..RULE },
+    Rule { name: "test-feature", paths: &["Cargo.toml", "crates/*/Cargo.toml"],
+        any: &["^fault-injection =", "^fault-injection=", "^lockorder =", "^lockorder="],
+        seed: "fault-injection = []",
+        message: "model is the only cargo feature: failpoints and the lock-order detector have no \
+                  feature of their own", ..RULE },
     // One verifier entry.
     Rule { name: "plancheck-bypass", paths: &["crates/*/src/"], exempt: &["crates/plancheck/src/"],
         any: &["feature = \"plancheck\"", "mod mutation", "check_logical(", "check_closed(",
@@ -284,18 +297,18 @@ pub fn check_workspace(root: &Path) -> Vec<Violation> {
 }
 
 /// The files the lint reads, relative to `root` and sorted: every
-/// crate's sources, tests, examples and benches except `synccheck`'s
-/// own (its rule table spells every pattern), the top-level `tests/`
-/// and `examples/`, and the manifests.
+/// manifest, every crate's sources, tests, examples and benches except
+/// `synccheck`'s own (its rule table spells every pattern), and the
+/// top-level `tests/` and `examples/`.
 pub fn workspace_files(root: &Path) -> Vec<String> {
     let mut files = vec![root.join("Cargo.toml")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
             let path = entry.path();
+            files.push(path.join("Cargo.toml"));
             if !path.is_dir() || path.file_name().is_some_and(|n| n == "synccheck") {
                 continue;
             }
-            files.push(path.join("Cargo.toml"));
             for sub in ["src", "tests", "examples", "benches"] {
                 collect_rs(&path.join(sub), &mut files);
             }

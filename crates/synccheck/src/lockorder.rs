@@ -12,16 +12,15 @@
 //! the acquisition site, the locks held, and the established order it
 //! contradicts.
 //!
-//! Active under `debug_assertions` or the `lockorder` cargo feature
-//! (release builds compile the hooks to empty inline functions).
-//! `ORTHOPT_LOCKORDER=0` disables it at runtime. Condvar waits release
-//! the mutex before blocking and re-register it after waking, so the
+//! Active exactly under `debug_assertions`: release builds compile the
+//! hooks to empty inline functions. Condvar waits release the mutex
+//! before blocking and re-register it after waking, so the
 //! re-acquisition never reads as a nested lock under itself.
 
 /// A lock class / acquisition site.
 pub(crate) type Loc = &'static std::panic::Location<'static>;
 
-#[cfg(any(debug_assertions, feature = "lockorder"))]
+#[cfg(debug_assertions)]
 mod imp {
     use super::Loc;
     use std::collections::{HashMap, HashSet};
@@ -100,11 +99,6 @@ mod imp {
         GRAPH.get_or_init(|| StdMutex::new(Graph::default()))
     }
 
-    fn enabled() -> bool {
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| std::env::var("ORTHOPT_LOCKORDER").as_deref() != Ok("0"))
-    }
-
     thread_local! {
         static HELD: std::cell::RefCell<Vec<Key>> = const { std::cell::RefCell::new(Vec::new()) };
     }
@@ -113,9 +107,6 @@ mod imp {
     /// underlying lock blocks, so an inconsistent order panics instead
     /// of deadlocking. Panics with held-lock blame on a cycle.
     pub fn on_acquire(label: Loc) {
-        if !enabled() {
-            return;
-        }
         let key = Key::of(label);
         HELD.with(|h| {
             let mut held = h.borrow_mut();
@@ -170,9 +161,6 @@ mod imp {
     /// Records the release of `label`'s class (the innermost matching
     /// hold).
     pub fn on_release(label: Loc) {
-        if !enabled() {
-            return;
-        }
         let key = Key::of(label);
         HELD.with(|h| {
             let mut held = h.borrow_mut();
@@ -200,33 +188,33 @@ mod imp {
     }
 }
 
-#[cfg(any(debug_assertions, feature = "lockorder"))]
+#[cfg(debug_assertions)]
 pub use imp::{edge_count, held_by_current_thread, on_acquire, on_release};
 
-#[cfg(not(any(debug_assertions, feature = "lockorder")))]
+#[cfg(not(debug_assertions))]
 mod noop {
     use super::Loc;
 
-    /// No-op in release builds without the `lockorder` feature.
+    /// No-op in release builds.
     #[inline(always)]
     pub fn on_acquire(_label: Loc) {}
 
-    /// No-op in release builds without the `lockorder` feature.
+    /// No-op in release builds.
     #[inline(always)]
     pub fn on_release(_label: Loc) {}
 
-    /// Always zero in release builds without the `lockorder` feature.
+    /// Always zero in release builds.
     #[inline(always)]
     pub fn edge_count() -> usize {
         0
     }
 
-    /// Always empty in release builds without the `lockorder` feature.
+    /// Always empty in release builds.
     #[inline(always)]
     pub fn held_by_current_thread() -> Vec<String> {
         Vec::new()
     }
 }
 
-#[cfg(not(any(debug_assertions, feature = "lockorder")))]
+#[cfg(not(debug_assertions))]
 pub use noop::{edge_count, held_by_current_thread, on_acquire, on_release};

@@ -13,9 +13,9 @@
 //! * **Lock-order tracking.** Every acquisition site (the
 //!   `Mutex::new` / `RwLock::new` call site, captured via
 //!   `#[track_caller]`) feeds the global acquisition-order graph in
-//!   [`crate::lockorder`] under `debug_assertions` / the `lockorder`
-//!   feature; an inconsistent order panics with blame at the moment it
-//!   is first exhibited, long before it deadlocks in production.
+//!   [`crate::lockorder`] under `debug_assertions`; an inconsistent
+//!   order panics with blame at the moment it is first exhibited, long
+//!   before it deadlocks in production.
 //!
 //! Under the `model` cargo feature, when the calling thread is inside a
 //! [`crate::model::Model`] run, every acquire/release/wait/notify/

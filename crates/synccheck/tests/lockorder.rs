@@ -6,7 +6,7 @@
 //! The acquisition graph is process-global, so every test uses lock
 //! classes of its own (each `Mutex::new` call site is one class) and no
 //! test asserts exact global edge counts.
-#![cfg(any(debug_assertions, feature = "lockorder"))]
+#![cfg(debug_assertions)]
 
 use orthopt_synccheck::lockorder;
 use orthopt_synccheck::sync::{thread, Condvar, Mutex};
