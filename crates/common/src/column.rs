@@ -47,20 +47,33 @@ impl Bitmap {
         }
     }
 
-    /// Builds a bitmap from per-position validity flags.
+    /// Builds a bitmap from per-position validity flags, a word at a
+    /// time.
     pub fn from_flags(flags: impl IntoIterator<Item = bool>) -> Bitmap {
-        let mut b = Bitmap {
-            words: Vec::new(),
-            len: 0,
-            nulls: 0,
-        };
+        let flags = flags.into_iter();
+        let mut words = Vec::with_capacity(flags.size_hint().0.div_ceil(64));
+        let (mut word, mut len, mut set) = (0u64, 0usize, 0usize);
         for f in flags {
-            b.push(f);
+            word |= u64::from(f) << (len % 64);
+            set += usize::from(f);
+            len += 1;
+            if len.is_multiple_of(64) {
+                words.push(word);
+                word = 0;
+            }
         }
-        b
+        if !len.is_multiple_of(64) {
+            words.push(word);
+        }
+        Bitmap {
+            words,
+            len,
+            nulls: len - set,
+        }
     }
 
     /// Appends one validity flag.
+    #[inline]
     pub fn push(&mut self, valid: bool) {
         let (w, bit) = (self.len / 64, self.len % 64);
         if w == self.words.len() {
@@ -82,6 +95,7 @@ impl Bitmap {
     }
 
     /// Number of positions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -93,6 +107,7 @@ impl Bitmap {
 
     /// True when no position is NULL — kernels use this to skip
     /// per-lane validity branches entirely.
+    #[inline]
     pub fn all_valid(&self) -> bool {
         self.nulls == 0
     }
@@ -305,6 +320,7 @@ impl Column {
     }
 
     /// Number of values in this window.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -617,6 +633,7 @@ impl Column {
     /// The typed payload and the window bounds, for kernels that want
     /// direct slice access: `(data, validity, offset)`. The window
     /// covers `[offset, offset + self.len())` of the returned storage.
+    #[inline]
     pub fn parts(&self) -> (&ColData, &Bitmap, usize) {
         (&self.data.data, &self.data.validity, self.offset)
     }

@@ -78,11 +78,13 @@ impl Value {
     }
 
     /// True iff this is SQL NULL.
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
     /// The type of a non-NULL value, `None` for NULL.
+    #[inline]
     pub fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
@@ -116,7 +118,8 @@ impl Value {
 
     /// Canonicalizes floats so that grouping equality and hashing agree:
     /// `-0.0` folds to `0.0` and every NaN folds to one canonical NaN.
-    fn canonical_f64(f: f64) -> u64 {
+    #[inline]
+    pub(crate) fn canonical_f64(f: f64) -> u64 {
         if f == 0.0 {
             0f64.to_bits()
         } else if f.is_nan() {
@@ -124,6 +127,16 @@ impl Value {
         } else {
             f.to_bits()
         }
+    }
+
+    /// `i` as the float it equals exactly, if there is one: the float
+    /// `i as f64` rounds to converts back to `i` (and is below 2^63,
+    /// where the conversion back saturates). Grouping equality of an
+    /// `Int` with a `Float` holds only through this float.
+    #[inline]
+    pub(crate) fn exact_f64(i: i64) -> Option<f64> {
+        let f = i as f64;
+        (f < 9_223_372_036_854_775_808.0 && f as i64 == i).then_some(f)
     }
 
     /// SQL equality under three-valued logic. `None` means *unknown*.
@@ -136,6 +149,7 @@ impl Value {
     /// Mixed `Int`/`Float` comparisons coerce to float. Comparing
     /// incompatible non-NULL types is a type error upstream; here it
     /// conservatively yields unknown.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
@@ -245,8 +259,10 @@ impl Value {
 
 impl PartialEq for Value {
     /// Grouping equality: total, NULL equals NULL, `-0.0 == 0.0`,
-    /// NaN == NaN. Int and Float compare numerically so that mixed-type
-    /// grouping keys behave.
+    /// NaN == NaN. An Int equals a Float exactly when the float is
+    /// integral and converts back to the same integer, so `3 == 3.0`
+    /// but `2^53 + 1` equals no float: the relation stays transitive,
+    /// and agrees with the key hash.
     fn eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
@@ -258,7 +274,7 @@ impl PartialEq for Value {
                 Value::canonical_f64(*a) == Value::canonical_f64(*b)
             }
             (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
-                (*a as f64) == *b && !b.is_nan()
+                Value::exact_f64(*a) == Some(*b)
             }
             _ => false,
         }
@@ -274,9 +290,10 @@ impl Hash for Value {
 }
 
 impl Hash for ValueRef<'_> {
-    /// Agrees with [`Value`]'s grouping equality; a column lane hashes
-    /// through here without materializing (or reference-counting) a
-    /// `Value`.
+    /// Agrees with [`Value`]'s grouping equality, for std's hashed
+    /// collections of values (a DISTINCT filter's set). The engine's key
+    /// hash is [`hash_lanes`](crate::hash::hash_lanes), a function of its
+    /// own that hashes a column lane and the equal `Value` alike.
     fn hash<H: Hasher>(&self, state: &mut H) {
         match *self {
             ValueRef::Null => 0u8.hash(state),
@@ -287,16 +304,16 @@ impl Hash for ValueRef<'_> {
             // Ints and floats must hash alike when numerically equal
             // (see PartialEq); hash every numeric through the canonical
             // float encoding unless the int is not exactly representable.
-            ValueRef::Int(i) => {
-                let f = i as f64;
-                if f as i64 == i {
+            ValueRef::Int(i) => match Value::exact_f64(i) {
+                Some(f) => {
                     2u8.hash(state);
                     Value::canonical_f64(f).hash(state);
-                } else {
+                }
+                None => {
                     3u8.hash(state);
                     i.hash(state);
                 }
-            }
+            },
             ValueRef::Float(f) => {
                 2u8.hash(state);
                 Value::canonical_f64(f).hash(state);
@@ -491,6 +508,7 @@ fn short_decimal(a: f64) -> Option<(u64, usize)> {
 
 impl Value {
     /// Borrows this value as a [`ValueRef`].
+    #[inline]
     pub fn as_value_ref(&self) -> ValueRef<'_> {
         match self {
             Value::Null => ValueRef::Null,

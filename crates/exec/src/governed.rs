@@ -56,15 +56,10 @@ impl Governed {
         Governed::new(label, Some(MEM_HINT), stats)
     }
 
-    /// A cache: a refusal sheds it.
-    pub(crate) fn shedding(label: &'static str, stats: StatsHandle) -> Governed {
+    /// A buffer that degrades past a refusal: a cache sheds, a
+    /// partitioned or sorted buffer spills.
+    pub(crate) fn degrading(label: &'static str, stats: StatsHandle) -> Governed {
         Governed::new(label, None, stats)
-    }
-
-    /// A buffer that spills on refusal when it can (`spillable`), and
-    /// otherwise fails like [`failing`](Governed::failing).
-    pub(crate) fn spilling(label: &'static str, spillable: bool, stats: StatsHandle) -> Governed {
-        Governed::new(label, (!spillable).then_some(MEM_HINT), stats)
     }
 
     /// The operator's name (the compiler's `op_name`): what a refusal

@@ -48,7 +48,7 @@ impl CacheOp {
             degraded: false,
             batches: Vec::new(),
             cursor: 0,
-            gov: Governed::shedding("Cache", stats),
+            gov: Governed::degrading("Cache", stats),
         }
     }
 }

@@ -246,8 +246,11 @@ impl Compiler {
                 // partitions are consumed when joined, so spilling
                 // would break the rewind contract. A keyless build
                 // is one partition however often it is split.
-                let spillable = !build_stable && !right_keys.is_empty();
-                let gov = Governed::spilling(name, spillable, sh.clone());
+                let gov = if !build_stable && !right_keys.is_empty() {
+                    Governed::degrading(name, sh.clone())
+                } else {
+                    Governed::failing(name, sh.clone())
+                };
                 Box::new(HashJoinOp::new(
                     p,
                     left,
@@ -259,7 +262,7 @@ impl Compiler {
                 )?)
             }
             PhysExpr::ApplyLoop { left, right, .. } => {
-                let gov = Governed::shedding(name, sh.clone());
+                let gov = Governed::degrading(name, sh.clone());
                 let left = self.compile(left, in_param)?;
                 Box::new(ApplyOp::new(p, left, self.compile(right, true)?, gov, sh))
             }
@@ -273,7 +276,7 @@ impl Compiler {
                 Box::new(SegmentExecOp::new(p, input, inner, bs, gov, sh)?)
             }
             PhysExpr::HashAggregate { input, .. } => {
-                let gov = Governed::spilling(name, true, sh.clone());
+                let gov = Governed::degrading(name, sh.clone());
                 let input = self.compile(input, in_param)?;
                 Box::new(HashAggregateOp::new(p, input, bs, gov, sh)?)
             }
@@ -297,7 +300,7 @@ impl Compiler {
                     .iter()
                     .map(|(c, desc)| Ok((pos_of(&in_layout, *c)?, *desc)))
                     .collect::<Result<Vec<_>>>()?;
-                let gov = Governed::spilling(name, true, sh.clone());
+                let gov = Governed::degrading(name, sh.clone());
                 let input = self.compile(input, in_param)?;
                 Box::new(SortOp::new(input, by_pos, rc_cols(&in_layout), bs, gov, sh))
             }

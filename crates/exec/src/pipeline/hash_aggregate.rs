@@ -142,8 +142,7 @@ impl HashAggregateOp {
                 .get_or_insert_with(|| GroupedAggState::new(&self.aggs));
             let (fed, refusal) = state.feed_lanes(&mut self.gov, &key_cols, &hashes, &args.cols)?;
             applied = fed;
-            if let Some(refused) = refusal {
-                self.gov.refused(refused)?;
+            if refusal.is_some() {
                 self.enter_spill(ctx)?;
             }
         }

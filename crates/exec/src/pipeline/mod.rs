@@ -577,7 +577,7 @@ mod tests {
                     vec![(0, false)],
                     layout.clone(),
                     16,
-                    Governed::spilling("Sort", true, stats()),
+                    Governed::degrading("Sort", stats()),
                     stats(),
                 )),
             ),
@@ -595,7 +595,7 @@ mod tests {
             }),
             params: vec![ColId(2)],
         };
-        let apply_gov = Governed::shedding("ApplyLoop", stats());
+        let apply_gov = Governed::degrading("ApplyLoop", stats());
         let apply = ApplyOp::new(&apply_plan, lying(), honest(), apply_gov, stats());
         let aggregate_plan = PhysExpr::HashAggregate {
             kind: GroupKind::Vector,
@@ -603,7 +603,7 @@ mod tests {
             group_cols: vec![ColId(2)],
             aggs: Vec::new(),
         };
-        let aggregate_gov = Governed::spilling("HashAggregate", true, stats());
+        let aggregate_gov = Governed::degrading("HashAggregate", stats());
         let aggregate =
             HashAggregateOp::new(&aggregate_plan, lying(), 16, aggregate_gov, stats()).unwrap();
         ops.push(("Apply (outer)", Box::new(apply)));

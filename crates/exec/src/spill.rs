@@ -903,6 +903,23 @@ mod tests {
         assert_eq!(partition_of(h, MAX_SPILL_DEPTH), 0);
     }
 
+    /// Routing at every level a spill reaches reads only the hash's
+    /// low `ROUTE_BITS`, the bits a group table does not home keys on.
+    #[test]
+    fn partitions_read_only_the_route_bits() {
+        use orthopt_common::hash::ROUTE_BITS;
+        assert_eq!(3 * (MAX_SPILL_DEPTH + 1), ROUTE_BITS as usize);
+        let above = u64::MAX << ROUTE_BITS;
+        for h in [0u64, 0b101_011_110, 0xFFF, 0x0123_4567_89AB_CDEF] {
+            for level in 0..=MAX_SPILL_DEPTH {
+                assert_eq!(
+                    partition_of(h | above, level),
+                    partition_of(h & !above, level)
+                );
+            }
+        }
+    }
+
     #[test]
     fn partition_set_routes_and_flushes() {
         let _g = scope_lock();

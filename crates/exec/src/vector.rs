@@ -20,6 +20,8 @@
 //! the first failing lane in row order among the lanes its operator
 //! reaches, which is the error a row-at-a-time operator raises.
 
+use std::cmp::Ordering;
+
 use orthopt_common::column::{Bitmap, ColData, Column, ColumnData};
 use orthopt_common::{Error, Value};
 use orthopt_ir::{ArithOp, CmpOp, Quant, ScalarExpr};
@@ -120,10 +122,26 @@ pub fn eval_lanes(expr: &ScalarExpr, cx: &VecEval<'_>) -> Lanes {
 /// sees each row's predicate.
 pub fn eval_truth(expr: &ScalarExpr, cx: &VecEval<'_>) -> (Vec<usize>, Vec<LaneError>) {
     let Lanes { col, errs } = eval_lanes(expr, cx);
-    if let (ColData::Bool(d), validity, off) = col.parts() {
-        let sel = (0..cx.len)
-            .filter(|&i| validity.get(off + i) && d[off + i])
-            .collect();
+    if let (ColData::Bool(d), _, off) = col.parts() {
+        let d = &d[off..off + cx.len];
+        // Branch-free: every lane writes its index, TRUE lanes keep it.
+        let mut sel = vec![0; cx.len];
+        let mut n = 0;
+        match nulls(&col) {
+            None => {
+                for (i, &t) in d.iter().enumerate() {
+                    sel[n] = i;
+                    n += usize::from(t);
+                }
+            }
+            Some((b, o)) => {
+                for (i, &t) in d.iter().enumerate() {
+                    sel[n] = i;
+                    n += usize::from(t && b.get(o + i));
+                }
+            }
+        }
+        sel.truncate(n);
         return (sel, errs);
     }
     let mut mismatched = Vec::new();
@@ -253,45 +271,95 @@ fn eval_v(expr: &ScalarExpr, cx: &VecEval<'_>) -> Ev {
 /// every lane, but a lane is *decided* once it reaches the absorbing
 /// value (FALSE for AND, TRUE for OR) or fails: later parts neither
 /// combine into it nor count their errors on it, as the row path
-/// short-circuits. NULL decides nothing.
+/// short-circuits. NULL decides nothing. A Bool part folds slice by
+/// slice; any other part lane by lane, under `as_bool3`.
 fn bool_fold(parts: &[ScalarExpr], cx: &VecEval<'_>, is_and: bool) -> Ev {
-    let stop = Some(!is_and);
-    let mut acc = vec![Some(is_and); cx.len];
+    let len = cx.len;
+    let mut decided = vec![false; len];
+    // Whether some part so far read NULL on the lane, and on any lane.
+    let mut null = vec![false; len];
+    let mut any_null = false;
     let mut errs = Vec::new();
-    let mut decided = 0usize;
     for p in parts {
-        if decided == cx.len {
+        if decided.iter().all(|&d| d) {
             break;
         }
         let Ev { v, errs: part_errs } = eval_v(p, cx);
         for (i, e) in part_errs {
-            if acc[i] != stop {
-                acc[i] = stop;
-                decided += 1;
+            if !decided[i] {
+                decided[i] = true;
                 errs.push((i, e));
             }
         }
-        for (i, a) in acc.iter_mut().enumerate() {
-            if *a == stop {
-                continue;
-            }
-            let next = match bool3_at(&v, i) {
-                Ok(b) if is_and => orthopt_common::value::and3(*a, b),
-                Ok(b) => orthopt_common::value::or3(*a, b),
-                Err(e) => {
-                    errs.push((i, e));
-                    stop
+        match &v {
+            VCol::Col(c) if matches!(c.parts().0, ColData::Bool(_)) => {
+                let (ColData::Bool(d), _, off) = c.parts() else {
+                    unreachable!("matched a Bool column")
+                };
+                let d = &d[off..off + len];
+                match nulls(c) {
+                    None => {
+                        for (dec, &b) in decided.iter_mut().zip(d) {
+                            *dec |= b != is_and;
+                        }
+                    }
+                    Some((validity, o)) => {
+                        any_null = true;
+                        for (i, &b) in d.iter().enumerate() {
+                            let valid = validity.get(o + i);
+                            decided[i] |= valid && b != is_and;
+                            null[i] |= !valid;
+                        }
+                    }
                 }
-            };
-            if next == stop {
-                decided += 1;
             }
-            *a = next;
+            VCol::Const(Value::Bool(b)) => {
+                if *b != is_and {
+                    decided.fill(true);
+                }
+            }
+            VCol::Const(Value::Null) => {
+                any_null = true;
+                null.fill(true);
+            }
+            _ => {
+                for i in 0..len {
+                    if decided[i] {
+                        continue;
+                    }
+                    match bool3_at(&v, i) {
+                        Ok(Some(b)) => decided[i] = b != is_and,
+                        Ok(None) => {
+                            any_null = true;
+                            null[i] = true;
+                        }
+                        Err(e) => {
+                            decided[i] = true;
+                            errs.push((i, e));
+                        }
+                    }
+                }
+            }
         }
     }
     errs.sort_unstable_by_key(|e| e.0);
+    // A decided lane holds the absorbing value; an undecided one the
+    // identity, or NULL (payload `false`) where a part read NULL.
+    let validity = if any_null {
+        Bitmap::from_flags(decided.iter().zip(&null).map(|(&d, &n)| d || !n))
+    } else {
+        Bitmap::new_valid(len)
+    };
+    let data = decided
+        .iter()
+        .zip(&null)
+        .map(|(&d, &n)| if d { !is_and } else { is_and && !n })
+        .collect();
     Ev {
-        v: VCol::Col(bool3_column(&acc)),
+        v: VCol::Col(Column::from_data(ColumnData {
+            data: ColData::Bool(data),
+            validity,
+        })),
         errs,
     }
 }
@@ -414,8 +482,8 @@ fn bool3_column(flags: &[Option<bool>]) -> Column {
     Column::from_data(ColumnData { data, validity })
 }
 
-fn ord_test(op: CmpOp, o: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
+fn ord_test(op: CmpOp, o: Ordering) -> bool {
+    use Ordering::*;
     match op {
         CmpOp::Eq => o == Equal,
         CmpOp::Ne => o != Equal,
@@ -426,105 +494,75 @@ fn ord_test(op: CmpOp, o: std::cmp::Ordering) -> bool {
     }
 }
 
-/// Comparison kernel. Typed column/column and column/constant fast
-/// paths avoid `Value` materialization entirely; everything else goes
-/// through the generic lane loop over [`Value::sql_cmp`].
-fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> VCol {
-    // Macro for typed same-representation comparisons: lane loop over
-    // the raw vectors, NULL lanes yield NULL.
-    macro_rules! typed_cmp {
-        ($la:expr, $lv:expr, $lo:expr, $ra:expr, $rv:expr, $ro:expr, $cmp:expr) => {{
-            let mut flags = Vec::with_capacity(len);
-            for i in 0..len {
-                flags.push(if $la.get($lo + i) && $ra.get($ro + i) {
-                    Some(ord_test(op, $cmp(&$lv[$lo + i], &$rv[$ro + i])))
-                } else {
-                    None
-                });
-            }
-            return VCol::Col(bool3_column(&flags));
-        }};
-    }
-    macro_rules! typed_cmp_const {
-        ($la:expr, $lv:expr, $lo:expr, $k:expr, $cmp:expr) => {{
-            let mut flags = Vec::with_capacity(len);
-            for i in 0..len {
-                flags.push(if $la.get($lo + i) {
-                    Some(ord_test(op, $cmp(&$lv[$lo + i], $k)))
-                } else {
-                    None
-                });
-            }
-            return VCol::Col(bool3_column(&flags));
-        }};
-    }
-    match (l, r) {
-        (VCol::Col(a), VCol::Col(b)) => {
-            let (da, va, oa) = a.parts();
-            let (db, vb, ob) = b.parts();
-            match (da, db) {
-                (ColData::Int(x), ColData::Int(y)) => {
-                    typed_cmp!(va, x, oa, vb, y, ob, |p: &i64, q: &i64| p.cmp(q))
-                }
-                (ColData::Float(x), ColData::Float(y)) => {
-                    typed_cmp!(va, x, oa, vb, y, ob, |p: &f64, q: &f64| p.total_cmp(q))
-                }
-                (ColData::Date(x), ColData::Date(y)) => {
-                    typed_cmp!(va, x, oa, vb, y, ob, |p: &i32, q: &i32| p.cmp(q))
-                }
-                (ColData::Str(x), ColData::Str(y)) => {
-                    typed_cmp!(
-                        va,
-                        x,
-                        oa,
-                        vb,
-                        y,
-                        ob,
-                        |p: &std::sync::Arc<str>, q: &std::sync::Arc<str>| {
-                            p.as_ref().cmp(q.as_ref())
-                        }
-                    )
-                }
-                _ => {}
-            }
-        }
-        (VCol::Col(a), VCol::Const(k)) if !k.is_null() => {
-            let (da, va, oa) = a.parts();
-            match (da, k) {
-                (ColData::Int(x), Value::Int(q)) => {
-                    typed_cmp_const!(va, x, oa, q, |p: &i64, q: &i64| p.cmp(q))
-                }
-                (ColData::Float(x), Value::Float(q)) => {
-                    typed_cmp_const!(va, x, oa, q, |p: &f64, q: &f64| p.total_cmp(q))
-                }
-                (ColData::Date(x), Value::Date(q)) => {
-                    typed_cmp_const!(va, x, oa, q, |p: &i32, q: &i32| p.cmp(q))
-                }
-                (ColData::Str(x), Value::Str(q)) => {
-                    typed_cmp_const!(
-                        va,
-                        x,
-                        oa,
-                        q,
-                        |p: &std::sync::Arc<str>, q: &std::sync::Arc<str>| {
-                            p.as_ref().cmp(q.as_ref())
-                        }
-                    )
-                }
-                _ => {}
-            }
-        }
-        (VCol::Const(k), VCol::Col(a)) if !k.is_null() => {
-            // Mirror: compare with flipped ordering.
-            return cmp_kernel(
-                flip(op),
-                &VCol::Col(a.clone()),
-                &VCol::Const(k.clone()),
-                len,
+/// A window's NULLs: its storage's validity and the window's offset in
+/// it, unless no lane of the window is NULL.
+fn nulls(c: &Column) -> Option<(&Bitmap, usize)> {
+    (!c.all_valid()).then(|| {
+        let (_, validity, off) = c.parts();
+        (validity, off)
+    })
+}
+
+/// A Bool column of `len` lanes: `values` where every operand window
+/// in `nulls` holds a value, NULL (payload `false`) elsewhere. With no
+/// NULL operand lane the validity is all-valid outright.
+fn bool_lanes(
+    len: usize,
+    nulls: [Option<(&Bitmap, usize)>; 2],
+    values: impl Iterator<Item = bool>,
+) -> Column {
+    let mut data: Vec<bool> = values.collect();
+    debug_assert_eq!(data.len(), len);
+    let validity = match nulls {
+        [None, None] => Bitmap::new_valid(len),
+        _ => {
+            let validity = Bitmap::from_flags(
+                (0..len).map(|i| nulls.iter().flatten().all(|(b, off)| b.get(off + i))),
             );
+            for (i, d) in data.iter_mut().enumerate() {
+                *d &= validity.get(i);
+            }
+            validity
         }
-        (VCol::Const(a), VCol::Const(b)) => {
-            return VCol::Const(crate::eval::cmp_values(op, a, b));
+    };
+    Column::from_data(ColumnData {
+        data: ColData::Bool(data),
+        validity,
+    })
+}
+
+/// Whether `a op b` holds, `truth` being `op`'s value on (less, equal,
+/// greater): three primitive comparisons and no branch, so a lane loop
+/// over it vectorizes.
+#[inline(always)]
+fn holds<T: PartialOrd>(truth: [bool; 3], a: T, b: T) -> bool {
+    (truth[0] & (a < b)) | (truth[1] & (a == b)) | (truth[2] & (a > b))
+}
+
+/// A float as the integer that orders as `f64::total_cmp` orders it
+/// (`total_cmp`'s own transform).
+#[inline(always)]
+fn total_key(f: f64) -> i64 {
+    let b = f.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// Comparison kernel. Typed column/column and column/constant pairs —
+/// `Int`, `Float` and an `Int` against a `Float` (as `f64`, by
+/// `total_cmp`, exactly as [`Value::sql_cmp`] compares them), `Date`,
+/// `Str` — write the Bool column directly; everything else goes through
+/// the generic lane loop over [`Value::sql_cmp`].
+fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> VCol {
+    match (l, r) {
+        (VCol::Const(a), VCol::Const(b)) => return VCol::Const(crate::eval::cmp_values(op, a, b)),
+        // Mirror: compare with flipped ordering.
+        (VCol::Const(k), VCol::Col(_)) if !k.is_null() => return cmp_kernel(flip(op), r, l, len),
+        (VCol::Col(a), _) => {
+            let truth =
+                [Ordering::Less, Ordering::Equal, Ordering::Greater].map(|o| ord_test(op, o));
+            if let Some(c) = cmp_typed(truth, a, r, len) {
+                return VCol::Col(c);
+            }
         }
         _ => {}
     }
@@ -534,6 +572,71 @@ fn cmp_kernel(op: CmpOp, l: &VCol, r: &VCol, len: usize) -> VCol {
         flags.push(l.value(i).sql_cmp(&r.value(i)).map(|o| ord_test(op, o)));
     }
     VCol::Col(bool3_column(&flags))
+}
+
+/// The typed comparisons of [`cmp_kernel`]: column `a` against `r`,
+/// `truth` giving the comparison's value per ordering (`Less`, `Equal`,
+/// `Greater`). Numbers compare as integers: an `Int` or a `Date` as
+/// itself, a `Float` (or an `Int` against one, as `f64`) as its
+/// [`total_key`]. `None` when no typed pair applies.
+fn cmp_typed(truth: [bool; 3], a: &Column, r: &VCol, len: usize) -> Option<Column> {
+    let (da, _, oa) = a.parts();
+    let na = nulls(a);
+    macro_rules! col_col {
+        ($x:expr, $y:expr, $ob:expr, $nb:expr, $kx:expr, $ky:expr) => {{
+            let (x, y) = (&$x[oa..oa + len], &$y[$ob..$ob + len]);
+            let values = x.iter().zip(y).map(|(p, q)| holds(truth, $kx(*p), $ky(*q)));
+            Some(bool_lanes(len, [na, $nb], values))
+        }};
+    }
+    macro_rules! col_const {
+        ($x:expr, $k:expr, $kx:expr) => {{
+            let k = $k;
+            let values = $x[oa..oa + len].iter().map(|p| holds(truth, $kx(*p), k));
+            Some(bool_lanes(len, [na, None], values))
+        }};
+    }
+    let int = |i: i64| i;
+    let date = |d: i32| d;
+    let float = total_key;
+    let int_as_float = |i: i64| total_key(i as f64);
+    match r {
+        VCol::Col(b) => {
+            let (db, _, ob) = b.parts();
+            let nb = nulls(b);
+            match (da, db) {
+                (ColData::Int(x), ColData::Int(y)) => col_col!(x, y, ob, nb, int, int),
+                (ColData::Float(x), ColData::Float(y)) => col_col!(x, y, ob, nb, float, float),
+                (ColData::Int(x), ColData::Float(y)) => col_col!(x, y, ob, nb, int_as_float, float),
+                (ColData::Float(x), ColData::Int(y)) => col_col!(x, y, ob, nb, float, int_as_float),
+                (ColData::Date(x), ColData::Date(y)) => col_col!(x, y, ob, nb, date, date),
+                (ColData::Str(x), ColData::Str(y)) => {
+                    let (x, y) = (&x[oa..oa + len], &y[ob..ob + len]);
+                    let values = x.iter().zip(y).map(|(p, q)| str_holds(truth, p, q));
+                    Some(bool_lanes(len, [na, nb], values))
+                }
+                _ => None,
+            }
+        }
+        VCol::Const(k) => match (da, k) {
+            (ColData::Int(x), Value::Int(q)) => col_const!(x, *q, int),
+            (ColData::Float(x), Value::Float(q)) => col_const!(x, float(*q), float),
+            (ColData::Int(x), Value::Float(q)) => col_const!(x, float(*q), int_as_float),
+            (ColData::Float(x), Value::Int(q)) => col_const!(x, int_as_float(*q), float),
+            (ColData::Date(x), Value::Date(q)) => col_const!(x, *q, date),
+            (ColData::Str(x), Value::Str(q)) => {
+                let values = x[oa..oa + len].iter().map(|p| str_holds(truth, p, q));
+                Some(bool_lanes(len, [na, None], values))
+            }
+            _ => None,
+        },
+    }
+}
+
+/// Whether `p op q` holds for two strings, by one byte-wise compare.
+#[inline]
+fn str_holds(truth: [bool; 3], p: &str, q: &str) -> bool {
+    truth[(p.cmp(q) as i8 + 1) as usize]
 }
 
 /// `a op b` with operands swapped: `a < b` ⇔ `b > a`.
@@ -775,7 +878,8 @@ mod tests {
     }
 
     /// Random rows over Int, Float, Str, Bool and Date columns and a
-    /// random expression of depth ≤ 4 over them: NULLs, zero divisors,
+    /// random expression of depth ≤ 4 over them: NULLs (none at all in
+    /// a third of the cases), Int-vs-Float comparisons, zero divisors,
     /// `i64::MIN` / `MAX`, non-boolean operands under the boolean
     /// connectives, a bound parameter and, rarely, an unknown column.
     struct ExprCase;
@@ -787,8 +891,8 @@ mod tests {
         xs[rng.below(xs.len() as u64) as usize].clone()
     }
 
-    fn value_of(rng: &mut TestRng, ty: usize) -> Value {
-        if rng.below(6) == 0 {
+    fn value_of(rng: &mut TestRng, ty: usize, nulls: bool) -> Value {
+        if nulls && rng.below(6) == 0 {
             return Value::Null;
         }
         match ty {
@@ -808,23 +912,33 @@ mod tests {
                 13 if rng.below(4) == 0 => ScalarExpr::col(ColId(99)),
                 _ => {
                     let ty = rng.below(5) as usize;
-                    ScalarExpr::Literal(value_of(rng, ty))
+                    ScalarExpr::Literal(value_of(rng, ty, true))
                 }
             };
         }
         let mut sub = || expr_of(rng, depth - 1);
         let (a, b, c) = (sub(), sub(), sub());
-        match rng.below(9) {
-            0 => {
-                let op = [
-                    CmpOp::Eq,
-                    CmpOp::Ne,
-                    CmpOp::Lt,
-                    CmpOp::Le,
-                    CmpOp::Gt,
-                    CmpOp::Ge,
-                ][rng.below(6) as usize];
-                ScalarExpr::cmp(op, a, b)
+        let op = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ][rng.below(6) as usize];
+        match rng.below(10) {
+            0 => ScalarExpr::cmp(op, a, b),
+            9 => {
+                // An Int or Float column against a constant of the other
+                // numeric type, on either side.
+                let int_col = rng.below(2) == 0;
+                let col = ScalarExpr::col(COLS[usize::from(!int_col)]);
+                let k = ScalarExpr::Literal(value_of(rng, usize::from(int_col), false));
+                if rng.below(2) == 0 {
+                    ScalarExpr::cmp(op, col, k)
+                } else {
+                    ScalarExpr::cmp(op, k, col)
+                }
             }
             1 | 2 => {
                 let op =
@@ -864,8 +978,11 @@ mod tests {
             } else {
                 1 + rng.below(40) as usize
             };
+            // A third of the cases hold no NULL, so whole windows take
+            // the kernels' all-valid paths.
+            let nulls = rng.below(3) != 0;
             let rows = (0..n)
-                .map(|_| (0..COLS.len()).map(|ty| value_of(rng, ty)).collect())
+                .map(|_| (0..COLS.len()).map(|ty| value_of(rng, ty, nulls)).collect())
                 .collect();
             (rows, expr_of(rng, 3))
         }

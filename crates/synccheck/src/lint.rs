@@ -168,7 +168,7 @@ pub const DESIGN_RULES: &[Rule] = &[
         any: &["spill_enabled", "set_spill", "spill: Option<bool>", "spill: bool",
                "\"ORTHOPT_SPILL\"", "\"spill\" =>"],
         message: "spilling has no switch: a spillable governed buffer spills whenever the pool \
-                  refuses it (Governed::spilling)", ..RULE },
+                  refuses it (Governed::degrading)", ..RULE },
     Rule { name: "env-defaults", any: &["var(\"ORTHOPT_"], paths: &["crates/*/src/"],
         exempt: &["crates/core/src/session.rs"], seed: "std::env::var(\"ORTHOPT_PARALLELISM\")",
         exempt_lines: &["env::var(\"ORTHOPT_POOL_WORKERS\")", "env::var(\"ORTHOPT_SPILL_DIR\")",
@@ -242,6 +242,11 @@ pub const DESIGN_RULES: &[Rule] = &[
         seed: "fault-injection = []",
         message: "model is the only cargo feature: failpoints and the lock-order detector have no \
                   feature of their own", ..RULE },
+    // One key hash: typed lanes and values hash through common::hash.
+    Rule { name: "key-hash", any: &["DefaultHasher", "SipHasher"], cut_tests: true,
+        paths: &["crates/common/src/", EXEC, "crates/storage/src/"],
+        seed: "let mut h = std::collections::hash_map::DefaultHasher::new();",
+        message: "hash keys with common::hash::hash_lanes / hash_values, the one key hash", ..RULE },
     // One verifier entry.
     Rule { name: "plancheck-bypass", paths: &["crates/*/src/"], exempt: &["crates/plancheck/src/"],
         any: &["feature = \"plancheck\"", "mod mutation", "check_logical(", "check_closed(",
