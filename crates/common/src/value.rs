@@ -47,13 +47,6 @@ impl fmt::Display for DataType {
     }
 }
 
-impl DataType {
-    /// True when values of this type can participate in `+ - * /`.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-}
-
 /// A single SQL value. `Null` is typeless, as in SQL.
 #[derive(Clone, Debug)]
 pub enum Value {

@@ -183,10 +183,14 @@ fn forced_exchange_concurrency_is_byte_identical() {
     }
 }
 
-/// ≥4 concurrent TCP clients receive byte-identical wire replies to a
-/// solo client running the same corpus.
+/// 1, 2, 4 and 8 concurrent TCP clients receive wire replies
+/// byte-identical to a solo client running the same corpus.
 #[test]
 fn tcp_multi_client_byte_identical() {
+    [1, 2, 4, 8].into_iter().for_each(tcp_clients_match_solo);
+}
+
+fn tcp_clients_match_solo(clients: usize) {
     let engine = Engine::with_defaults(corpus_catalog());
     let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
         .expect("bind")
@@ -205,8 +209,8 @@ fn tcp_multi_client_byte_identical() {
 
     let baseline = Arc::new(baseline);
     let queries = Arc::new(queries);
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let handles: Vec<_> = (0..CLIENTS)
+    let barrier = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
         .map(|_| {
             let baseline = Arc::clone(&baseline);
             let queries = Arc::clone(&queries);
@@ -218,7 +222,10 @@ fn tcp_multi_client_byte_identical() {
                 barrier.wait();
                 for (q, expect) in queries.iter().zip(baseline.iter()) {
                     let reply = c.query(q).expect("query");
-                    assert_eq!(&reply, expect, "wire reply diverged for {q}");
+                    assert_eq!(
+                        &reply, expect,
+                        "{clients} clients: wire reply diverged for {q}"
+                    );
                 }
                 c.close().expect("close");
             })

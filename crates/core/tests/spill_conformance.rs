@@ -271,3 +271,46 @@ fn handed_on_batches_are_charged_once() {
     );
     assert_eq!(spill::live_dirs(), 0, "spill dir leaked");
 }
+
+/// Real data volumes: at TPC-H 0.01, serial, the Q17-class join and
+/// aggregate, a sort of all of `lineitem` and a group per part key run
+/// unlimited, at 1 MiB and at 256 KiB. Every budgeted run is bag-equal
+/// to the unlimited one, the unlimited runs never touch disk, and some
+/// budgeted run spills.
+#[test]
+fn tpch_budgets_stay_identical_and_spill() {
+    let _g = spill_lock();
+    let mut db = Database::tpch(0.01).expect("tpch");
+    // Serial plans: an exchange's gather buffer cannot spill.
+    db.session_mut().settings_mut().parallelism = 1;
+    let cases = [
+        orthopt::tpch::queries::q17_brand_only("brand#23"),
+        "select l_orderkey, l_extendedprice from lineitem order by l_extendedprice, l_orderkey"
+            .to_string(),
+        "select l_partkey, count(*), sum(l_quantity) from lineitem group by l_partkey".to_string(),
+    ];
+    let mut spilled = 0;
+    for sql in &cases {
+        let plan = db.plan(sql, OptimizerLevel::Full).expect("plans");
+        let run = |limit: Option<u64>| {
+            let mut pipeline = pooled(&db, &plan.physical, 1);
+            if let Some(bytes) = limit {
+                pipeline.set_governor(QueryContext::new().with_memory_limit(bytes));
+            }
+            let chunk = pipeline
+                .execute(db.catalog(), &Bindings::new())
+                .unwrap_or_else(|e| panic!("{sql}\nlimit {limit:?}: {e:?}"));
+            assert_eq!(spill::live_dirs(), 0, "{sql}\nspill dir leaked");
+            let bytes: u64 = pipeline.stats().iter().map(|s| s.spilled_bytes).sum();
+            (chunk.rows, bytes)
+        };
+        let (want, free_bytes) = run(None);
+        assert_eq!(free_bytes, 0, "{sql}\nunlimited run touched disk");
+        for limit in [1 << 20, 256 << 10] {
+            let (got, bytes) = run(Some(limit));
+            assert!(bag_eq(&want, &got), "{sql}\nlimit {limit} diverged");
+            spilled += bytes;
+        }
+    }
+    assert!(spilled > 0, "no budgeted run spilled");
+}

@@ -40,8 +40,8 @@ pub fn explain_phys_analyze(plan: &PhysExpr, stats: &[OpStats], cached: &[usize]
 
 /// One-line operator labels in pre-order (the pipeline's node-id
 /// order), with the depth of each node — for tools that pair plan
-/// shape with [`OpStats`] outside the text renderer (e.g. the JSON
-/// benchmark emitter).
+/// shape with [`OpStats`] outside the text renderer (the repo's
+/// benchmark, `examples/paper_figures.rs`).
 pub fn phys_node_labels(plan: &PhysExpr) -> Vec<(usize, String)> {
     fn walk(plan: &PhysExpr, depth: usize, out: &mut Vec<(usize, String)>) {
         out.push((depth, label(plan)));

@@ -37,7 +37,7 @@ pub use bindings::Bindings;
 pub use chunk::Chunk;
 pub use explain_phys::{explain_phys, explain_phys_analyze, phys_node_labels};
 pub use parallel::{exchange_eligible, place_exchanges, wrap_exchange};
-pub use physical::{PhysExpr, PhysPlan};
+pub use physical::PhysExpr;
 pub use pipeline::{
     current_op, Batch, ExecCtx, Operator, Pipeline, PipelineOptions, DEFAULT_BATCH_SIZE,
 };

@@ -14,7 +14,7 @@
 
 use orthopt_common::column::{rows_to_columns, Column};
 use orthopt_common::{ColId, Result, Row, TableId};
-use orthopt_ir::{AggDef, ApplyKind, ColumnMeta, GroupKind, JoinKind, ScalarExpr};
+use orthopt_ir::{AggDef, ApplyKind, GroupKind, JoinKind, ScalarExpr};
 use orthopt_storage::Catalog;
 
 use crate::bindings::Bindings;
@@ -385,23 +385,6 @@ impl PhysExpr {
             | PhysExpr::ConstScan { .. }
             | PhysExpr::MorselScan { .. } => vec![],
         }
-    }
-}
-
-/// A complete physical plan: root operator plus result column metadata
-/// (names for presentation).
-#[derive(Debug, Clone)]
-pub struct PhysPlan {
-    /// Root operator.
-    pub root: PhysExpr,
-    /// Result column metadata, parallel to the root's output layout.
-    pub output: Vec<ColumnMeta>,
-}
-
-impl PhysPlan {
-    /// Executes against a catalog with no outer parameters.
-    pub fn run(&self, catalog: &Catalog) -> Result<Chunk> {
-        Executor { catalog }.exec(&self.root, &Bindings::new())
     }
 }
 

@@ -663,11 +663,6 @@ impl RelExpr {
             .collect()
     }
 
-    /// True when the subtree references no outer columns.
-    pub fn is_uncorrelated(&self) -> bool {
-        self.free_cols().is_empty()
-    }
-
     /// Number of operators in the tree (explain/statistics helper).
     pub fn node_count(&self) -> usize {
         let mut n = 0;

@@ -28,7 +28,7 @@
 //!    ([`lint::DESIGN_RULES`]) keep every mechanism an earlier change
 //!    deleted from growing back.
 //!
-//! The engine crates (`common`, `exec`, `core`, `plancheck`, `bench`)
+//! The engine crates (`common`, `exec`, `core`, `plancheck`)
 //! import their synchronization exclusively from [`sync`]; the lint pass
 //! (run as a test in this crate, and so in tier-1) keeps it that way.
 

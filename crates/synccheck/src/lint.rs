@@ -257,6 +257,12 @@ pub const DESIGN_RULES: &[Rule] = &[
     Rule { name: "plancheck-feature", any: &["^plancheck =", "^plancheck="], seed: "plancheck = []",
         paths: &["Cargo.toml", "crates/*/Cargo.toml"], message: "there is no plancheck cargo \
                   feature: the runtime gate (ORTHOPT_PLANCHECK) is the only switch", ..RULE },
+    // One harness: the paper's claims are tests, its figures one example.
+    Rule { name: "second-harness", any: &["criterion", "^[[bench]]"],
+        paths: &["Cargo.toml", "crates/*/Cargo.toml"],
+        seed: "criterion = { path = \"vendor/criterion\"",
+        message: "time through benchmark/run.sh and examples/paper_figures.rs; plan-choice claims \
+                  are tests in tests/tpch_queries.rs", ..RULE },
 ];
 
 impl Rule {

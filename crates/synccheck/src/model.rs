@@ -630,14 +630,6 @@ pub fn is_modeled() -> bool {
     CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false)
 }
 
-/// The failing-execution-global step counter, when inside a model run.
-/// Harnesses use it to order events across threads.
-pub fn current_step() -> Option<usize> {
-    let (ex, _) = current()?;
-    let st = lock_state(&ex);
-    Some(st.steps)
-}
-
 fn lock_state(ex: &Execution) -> StdMutexGuard<'_, ExecState> {
     ex.mx
         .lock()

@@ -1,7 +1,8 @@
-//! TPC-H scale-factor 0.1 generation: the spill benchmarks (`bench_json`'s
-//! "spill" sweep, EXPERIMENTS.md §E-SPILL) run on real data volumes, so
-//! this scale must generate correctly — proportioned row counts, intact
-//! foreign keys, and statistics ready for the cost model.
+//! TPC-H scale-factor 0.1 generation: the repo's benchmark
+//! (`benchmark/run.sh`) runs its `subquery_warm`, `bulk_wire` and
+//! `concurrent_mixed` workloads at this scale, so it must generate
+//! correctly — proportioned row counts, intact foreign keys, and
+//! statistics ready for the cost model.
 
 use orthopt_common::ColData;
 use orthopt_tpch::{generate, TpchConfig};
