@@ -11,7 +11,6 @@
 //! waiters), so no harness touches `Scheduler::global()`, and session
 //! harnesses run at parallelism 1. Shared read-only fixtures (the
 //! catalog) are built once outside and shared via `Arc`.
-#![cfg(feature = "model")]
 
 use orthopt::{Engine, EngineConfig, OptimizerLevel, SessionSettings};
 use orthopt_common::column::rows_to_columns;

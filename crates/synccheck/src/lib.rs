@@ -6,13 +6,13 @@
 //! Three layers, one crate:
 //!
 //! 1. **Sync shim** ([`sync`]): drop-in `Mutex` / `RwLock` / `Condvar` /
-//!    `Atomic*` / `Barrier` / `thread::spawn` wrappers. In normal builds
-//!    they are zero-cost passthroughs to `std::sync` (poison-recovering,
-//!    so a panicking worker can never wedge shared state into
-//!    unrecoverable `Err`s). Under the `model` cargo feature every
-//!    acquire/release/wait/notify/load/store additionally routes through
-//!    the model-check runtime.
-//! 2. **Model checker** ([`model`], `model` feature): runs a closure
+//!    `Atomic*` / `Barrier` / `thread::spawn` wrappers. Outside a model
+//!    run they are passthroughs to `std::sync` (poison-recovering, so a
+//!    panicking worker can never wedge shared state into unrecoverable
+//!    `Err`s). Inside one, every acquire/release/wait/notify/load/store
+//!    additionally routes through the model-check runtime; telling the
+//!    two apart costs one atomic load outside a run.
+//! 2. **Model checker** ([`model`], in every build): runs a closure
 //!    under a deterministic scheduler that permits exactly one thread to
 //!    advance at a time and systematically explores interleavings — DFS
 //!    with bounded preemptions, or seeded random schedules via the same
@@ -34,7 +34,6 @@
 
 pub mod lint;
 pub mod lockorder;
-#[cfg(feature = "model")]
 pub mod model;
 pub mod sync;
 
@@ -43,7 +42,6 @@ pub mod sync;
 // dependency graph (its governor uses the shim), so the generator is
 // shared at the source level rather than through a cargo dependency —
 // same bits, no cycle.
-#[cfg(feature = "model")]
 #[path = "../../common/src/prng.rs"]
 #[allow(dead_code)] // the model only draws next_u64; common uses the rest
 mod prng;

@@ -237,11 +237,10 @@ pub const DESIGN_RULES: &[Rule] = &[
         message: "failpoints ship in every build (a disarmed exec::faults::hit is one atomic \
                   load), and the lock-order detector runs exactly under debug_assertions",
         ..RULE },
-    Rule { name: "test-feature", paths: &["Cargo.toml", "crates/*/Cargo.toml"],
-        any: &["^fault-injection =", "^fault-injection=", "^lockorder =", "^lockorder="],
-        seed: "fault-injection = []",
-        message: "model is the only cargo feature: failpoints and the lock-order detector have no \
-                  feature of their own", ..RULE },
+    Rule { name: "cargo-feature", paths: &["Cargo.toml", CRATES, "tests/"],
+        any: &["^[features]", "feature = \""], seed: "[features]",
+        message: "there are no cargo features: the model checker, failpoints and the lock-order \
+                  detector are in every build, each behind a run-time gate", ..RULE },
     // One key hash: typed lanes and values hash through common::hash.
     Rule { name: "key-hash", any: &["DefaultHasher", "SipHasher"], cut_tests: true,
         paths: &["crates/common/src/", EXEC, "crates/storage/src/"],
@@ -254,9 +253,6 @@ pub const DESIGN_RULES: &[Rule] = &[
         seed: "#[cfg(feature = \"plancheck\")]",
         message: "verify through plancheck::verify(tag, check, before); mutations live in \
                   crates/core/tests/prop_plancheck.rs", ..RULE },
-    Rule { name: "plancheck-feature", any: &["^plancheck =", "^plancheck="], seed: "plancheck = []",
-        paths: &["Cargo.toml", "crates/*/Cargo.toml"], message: "there is no plancheck cargo \
-                  feature: the runtime gate (ORTHOPT_PLANCHECK) is the only switch", ..RULE },
     // One harness: the paper's claims are tests, its figures one example.
     Rule { name: "second-harness", any: &["criterion", "^[[bench]]"],
         paths: &["Cargo.toml", "crates/*/Cargo.toml"],

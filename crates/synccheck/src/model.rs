@@ -1,4 +1,4 @@
-//! Deterministic interleaving model checker (the `model` feature).
+//! Deterministic interleaving model checker, compiled into every build.
 //!
 //! [`Model::check`] runs a closure many times, each under a different
 //! thread schedule. Threads created through [`crate::sync::thread`] are
@@ -37,12 +37,19 @@
 //! The model explores *scheduling* nondeterminism under sequential
 //! consistency; weak-memory reorderings are out of scope (the
 //! `// relaxed-ok:` lint in [`crate::lint`] is the discipline for those).
+//!
+//! The shim asks [`is_modeled`] (and each entry point below asks
+//! `current`) on every operation. Outside a run the answer is one load
+//! of a process-wide count of live runs, the way a disarmed failpoint
+//! is one load in `exec::faults`; the thread-local is read only while
+//! some run is live.
 
 use crate::prng::Prng;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 type Loc = &'static std::panic::Location<'static>;
@@ -95,22 +102,13 @@ impl Default for Model {
     fn default() -> Model {
         Model {
             strategy: Strategy::Dfs,
-            seed: env_u64("ORTHOPT_MODEL_SEED").unwrap_or(0x5EED_C0DE),
-            max_schedules: env_u64("ORTHOPT_MODEL_SCHEDULES").map_or(4096, |n| (n as usize).max(1)),
+            seed: 0x5EED_C0DE,
+            max_schedules: 4096,
             preemption_bound: 2,
             timeout_policy: TimeoutPolicy::WhenIdle,
             max_steps: 50_000,
         }
     }
-}
-
-/// Environment override used by [`Model::default`]: `ORTHOPT_MODEL_SEED`
-/// re-seeds random exploration (reproducing a CI run locally) and
-/// `ORTHOPT_MODEL_SCHEDULES` scales the schedule budget (a deeper
-/// nightly sweep) without touching the harnesses. Explicit builder calls
-/// always win over the environment.
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// What a completed (non-failing) exploration covered.
@@ -272,6 +270,7 @@ impl Model {
     }
 
     fn run_once<F: Fn()>(&self, f: &F, prefix: &[usize], seed: u64) -> RunOutcome {
+        let _live = LiveRun::enter();
         let ex = Arc::new(Execution {
             mx: StdMutex::new(ExecState::new(self, prefix.to_vec(), seed)),
             cv: StdCondvar::new(),
@@ -382,8 +381,7 @@ fn install_panic_silencer() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let in_model = CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false);
-            if !in_model {
+            if !is_modeled() {
                 prev(info);
             }
         }));
@@ -602,6 +600,26 @@ thread_local! {
     static CURRENT: RefCell<Option<(Arc<Execution>, usize)>> = const { RefCell::new(None) };
 }
 
+/// Schedules executing in the process. While it is 0 no thread can be
+/// inside a run, so [`current`] need not read [`CURRENT`].
+static LIVE_RUNS: AtomicUsize = AtomicUsize::new(0);
+
+/// Holds [`LIVE_RUNS`] raised for one schedule, unwinding included.
+struct LiveRun;
+
+impl LiveRun {
+    fn enter() -> LiveRun {
+        LIVE_RUNS.fetch_add(1, Ordering::SeqCst);
+        LiveRun
+    }
+}
+
+impl Drop for LiveRun {
+    fn drop(&mut self) {
+        LIVE_RUNS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 struct TlsScope;
 
 impl TlsScope {
@@ -617,7 +635,24 @@ impl Drop for TlsScope {
     }
 }
 
+/// The calling thread's execution and thread id, when it is inside a
+/// run: the one check every shim entry point makes.
+#[inline]
 fn current() -> Option<(Arc<Execution>, usize)> {
+    // relaxed-ok: a thread inside a run raised the count itself or was
+    // spawned after that increment, which happens-before it, so it
+    // cannot read 0; a thread outside every run that reads a stale
+    // non-zero count falls through to its own thread-local, which
+    // decides.
+    if LIVE_RUNS.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    in_run()
+}
+
+/// [`current`] past its gate: the thread-local read.
+#[cold]
+fn in_run() -> Option<(Arc<Execution>, usize)> {
     CURRENT
         .try_with(|c| c.borrow().as_ref().map(|(e, t)| (Arc::clone(e), *t)))
         .ok()
@@ -626,8 +661,9 @@ fn current() -> Option<(Arc<Execution>, usize)> {
 
 /// True when the calling thread is executing inside a model run; the
 /// shim uses this to decide between the model and passthrough paths.
+#[inline]
 pub fn is_modeled() -> bool {
-    CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false)
+    current().is_some()
 }
 
 fn lock_state(ex: &Execution) -> StdMutexGuard<'_, ExecState> {
@@ -826,6 +862,7 @@ pub(crate) fn mutex_lock(addr: usize, label: Loc) -> bool {
     }
 }
 
+#[inline]
 pub(crate) fn mutex_unlock(addr: usize, label: Loc) {
     let Some((ex, me)) = current() else {
         return;
@@ -895,6 +932,7 @@ pub(crate) fn cv_wait(
     Some(timed_out)
 }
 
+#[inline]
 pub(crate) fn cv_notify(addr: usize, label: Loc, all: bool) {
     let Some((ex, me)) = current() else {
         return;
@@ -960,6 +998,7 @@ pub(crate) fn rw_lock(addr: usize, label: Loc, write: bool) -> bool {
     }
 }
 
+#[inline]
 pub(crate) fn rw_unlock(addr: usize, label: Loc, write: bool) {
     let Some((ex, me)) = current() else {
         return;
@@ -983,6 +1022,7 @@ pub(crate) fn rw_unlock(addr: usize, label: Loc, write: bool) {
 
 /// A decision point for an atomic access (sequentially consistent under
 /// the model; the access itself happens on the real atomic).
+#[inline]
 pub(crate) fn atomic_point(op: &str, label: Loc) {
     let Some((ex, me)) = current() else {
         return;
@@ -1105,4 +1145,30 @@ fn take_slot<T>(slot: &Arc<StdMutex<Option<std::thread::Result<T>>>>) -> std::th
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .take()
         .unwrap_or_else(|| Err(Box::new("model thread produced no result (aborted)")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every run lowers the count it raised, whether it passed, failed
+    /// or panicked out of [`Model::run`]; a count left raised would send
+    /// every later shim operation in the process to the thread-local.
+    #[test]
+    fn live_runs_return_to_zero() {
+        let live = || LIVE_RUNS.load(Ordering::SeqCst);
+        let model = Model::new().max_schedules(8);
+        model
+            .check(|| assert!(is_modeled() && live() > 0))
+            .expect("a passing run");
+        assert_eq!(live(), 0, "after a passing check");
+        model
+            .check(|| panic!("seeded failure"))
+            .expect_err("a failing run");
+        assert_eq!(live(), 0, "after a failing check");
+        let run = catch_unwind(|| model.run(|| panic!("seeded failure")));
+        assert!(run.is_err(), "run panics on a failing schedule");
+        assert_eq!(live(), 0, "after a panicking run");
+        assert!(!is_modeled());
+    }
 }

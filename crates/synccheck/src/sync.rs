@@ -1,7 +1,7 @@
 //! The synchronization shim: drop-in replacements for the `std::sync`
 //! primitives and `std::thread::spawn`, used by every engine crate.
 //!
-//! Normal builds: zero-cost passthroughs to `std`, with two deliberate
+//! Outside a model run: passthroughs to `std`, with two deliberate
 //! behaviour changes over raw `std::sync`:
 //!
 //! * **Poison recovery.** `Mutex::lock` / `RwLock::read` / `write`
@@ -17,19 +17,18 @@
 //!   order panics with blame at the moment it is first exhibited, long
 //!   before it deadlocks in production.
 //!
-//! Under the `model` cargo feature, when the calling thread is inside a
-//! [`crate::model::Model`] run, every acquire/release/wait/notify/
-//! load/store additionally becomes a scheduler decision point of the
-//! deterministic model-check runtime. Outside a run the shim behaves
-//! exactly like the passthrough build, so one `--features model` compile
-//! serves both the model harnesses and the regular test suite.
+//! When the calling thread is inside a [`crate::model::Model`] run,
+//! every acquire/release/wait/notify/load/store additionally becomes a
+//! scheduler decision point of the deterministic model-check runtime.
+//! Outside a run that check is one load of the model's count of live
+//! runs, and the shim is the passthrough above: the model harnesses and
+//! the engine share one build.
 
 use std::panic::Location;
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, RwLock as StdRwLock};
 use std::time::Duration;
 
 use crate::lockorder;
-#[cfg(feature = "model")]
 use crate::model;
 
 type Loc = &'static Location<'static>;
@@ -73,7 +72,6 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    #[cfg(feature = "model")]
     fn addr(&self) -> usize {
         std::ptr::from_ref(&self.inner).cast::<()>() as usize
     }
@@ -82,7 +80,6 @@ impl<T: ?Sized> Mutex<T> {
     /// poisoning instead of returning a `Result`.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         lockorder::on_acquire(self.label);
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             model::mutex_lock(self.addr(), self.label);
             return MutexGuard {
@@ -106,7 +103,6 @@ impl<T: ?Sized> Mutex<T> {
     /// holder released before we were scheduled, so `try_lock` succeeds
     /// except while an aborted execution unwinds — then we block
     /// briefly on the real lock.
-    #[cfg(feature = "model")]
     fn relock_raw(&self) -> std::sync::MutexGuard<'_, T> {
         match self.inner.try_lock() {
             Ok(g) => g,
@@ -132,7 +128,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.is_some() {
-            #[cfg(feature = "model")]
             model::mutex_unlock(self.lock.addr(), self.lock.label);
             lockorder::on_release(self.lock.label);
         }
@@ -177,7 +172,6 @@ impl Condvar {
         }
     }
 
-    #[cfg(feature = "model")]
     fn addr(&self) -> usize {
         std::ptr::from_ref(&self.inner).cast::<()>() as usize
     }
@@ -211,7 +205,6 @@ impl Condvar {
         lockorder::on_release(lock.label);
         let std_guard = guard.inner.take().expect("guard already released");
         drop(guard);
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             drop(std_guard);
             let timed_out = model::cv_wait(
@@ -253,14 +246,12 @@ impl Condvar {
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
-        #[cfg(feature = "model")]
         model::cv_notify(self.addr(), self.label, false);
         self.inner.notify_one();
     }
 
     /// Wakes all waiters.
     pub fn notify_all(&self) {
-        #[cfg(feature = "model")]
         model::cv_notify(self.addr(), self.label, true);
         self.inner.notify_all();
     }
@@ -323,7 +314,6 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    #[cfg(feature = "model")]
     fn addr(&self) -> usize {
         std::ptr::from_ref(&self.inner).cast::<()>() as usize
     }
@@ -331,7 +321,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access, recovering from poisoning.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         lockorder::on_acquire(self.label);
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             model::rw_lock(self.addr(), self.label, false);
             let inner = match self.inner.try_read() {
@@ -353,7 +342,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires exclusive write access, recovering from poisoning.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         lockorder::on_acquire(self.label);
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             model::rw_lock(self.addr(), self.label, true);
             let inner = match self.inner.try_write() {
@@ -388,7 +376,6 @@ impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
 impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.is_some() {
-            #[cfg(feature = "model")]
             model::rw_unlock(self.lock.addr(), self.lock.label, false);
             lockorder::on_release(self.lock.label);
         }
@@ -411,7 +398,6 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.is_some() {
-            #[cfg(feature = "model")]
             model::rw_unlock(self.lock.addr(), self.lock.label, true);
             lockorder::on_release(self.lock.label);
         }
@@ -498,17 +484,9 @@ pub mod atomic {
     use std::panic::Location;
     pub use std::sync::atomic::Ordering;
 
-    #[cfg(feature = "model")]
-    use crate::model;
+    use crate::model::atomic_point as point;
 
     type Loc = &'static Location<'static>;
-
-    #[cfg(feature = "model")]
-    fn point(op: &'static str, label: Loc) {
-        model::atomic_point(op, label);
-    }
-    #[cfg(not(feature = "model"))]
-    fn point(_op: &'static str, _label: Loc) {}
 
     macro_rules! atomic_int {
         ($(#[$meta:meta])* $name:ident, $std:ty, $ty:ty) => {
@@ -702,12 +680,10 @@ pub mod atomic {
 /// are registered with the deterministic scheduler and only run when
 /// granted a turn.
 pub mod thread {
-    #[cfg(feature = "model")]
     use crate::model;
 
     enum Imp<T> {
         Std(std::thread::JoinHandle<T>),
-        #[cfg(feature = "model")]
         Model(model::ModelJoin<T>),
     }
 
@@ -723,7 +699,6 @@ pub mod thread {
         pub fn join(self) -> std::thread::Result<T> {
             match self.imp {
                 Imp::Std(h) => h.join(),
-                #[cfg(feature = "model")]
                 Imp::Model(m) => m.join(),
             }
         }
@@ -734,7 +709,6 @@ pub mod thread {
         pub fn is_finished(&self) -> bool {
             match &self.imp {
                 Imp::Std(h) => h.is_finished(),
-                #[cfg(feature = "model")]
                 Imp::Model(_) => false,
             }
         }
@@ -763,7 +737,6 @@ pub mod thread {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             return JoinHandle {
                 imp: Imp::Model(model::spawn(name, f)),
@@ -781,7 +754,6 @@ pub mod thread {
     /// Yields the processor — a pure scheduler decision point under the
     /// model runtime.
     pub fn yield_now() {
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             model::yield_point();
             return;
@@ -793,7 +765,6 @@ pub mod thread {
     /// time does not advance; ordering, not duration, is what the model
     /// explores).
     pub fn sleep(dur: std::time::Duration) {
-        #[cfg(feature = "model")]
         if model::is_modeled() {
             model::yield_point();
             return;

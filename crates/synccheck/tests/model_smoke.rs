@@ -1,7 +1,6 @@
 //! Self-tests of the model-check runtime: the scheduler must find
 //! textbook races, report deadlocks with blame, replay failing
 //! schedules, and leave correct programs alone.
-#![cfg(feature = "model")]
 
 use orthopt_synccheck::model::{Model, Strategy, TimeoutPolicy};
 use orthopt_synccheck::sync::atomic::{AtomicU64, Ordering};

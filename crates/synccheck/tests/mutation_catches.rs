@@ -11,7 +11,6 @@
 //! | stale cache read, no version  | `Engine::cached_plan` skipping the `stats_version` compare |
 //! | completion-order gather       | `Scheduler::run_group` pushing results instead of slotting them |
 //! | double-release on guard drop  | `AdmissionGuard::drop` releasing its grant twice |
-#![cfg(feature = "model")]
 
 use orthopt_synccheck::model::{Model, TimeoutPolicy};
 use orthopt_synccheck::sync::atomic::{AtomicU64, Ordering};

@@ -319,11 +319,15 @@ fn main() -> Result<()> {
     )?;
     save("abl_groupby_table.txt", &gb)?;
 
-    // E-ABL-LG, §3.3: LocalGroupBy below a join the GroupBy cannot pass.
+    // E-ABL-LG, §3.3: LocalGroupBy below a join the GroupBy cannot pass,
+    // without the l_orderkey index so the join runs set-oriented.
+    let mut served = Served::tpch(base, Some(("lineitem", 0)))?;
     let sql = "select o_orderpriority, sum(l_extendedprice) from orders, lineitem \
                where o_orderkey = l_orderkey group by o_orderpriority";
     let cases = [("revenue per order priority", sql.to_string())];
-    let title = format!("E-ABL-LG — LocalGroupBy (§3.3) at TPC-H scale {base}");
+    let title = format!(
+        "E-ABL-LG — LocalGroupBy (§3.3) at TPC-H scale {base}, without the l_orderkey index"
+    );
     let note = "The grouping column comes from `orders` and the summed one from `lineitem`, so \
                 the GroupBy cannot pass the join; a LocalGroupBy can pre-aggregate `lineitem` \
                 below it.";

@@ -363,6 +363,47 @@ fn claim_segment_apply_wins_q17() {
     assert!(cost(OptimizerLevel::Full) < cost(OptimizerLevel::GroupByReorder));
 }
 
+/// Whether the plan at `level` runs a LocalGroupBy (a `Local`
+/// aggregate) below a join.
+fn local_groupby_below_join(db: &Database, sql: &str, level: OptimizerLevel) -> bool {
+    let local = |n: &&PhysExpr| {
+        matches!(
+            n,
+            PhysExpr::HashAggregate {
+                kind: GroupKind::Local,
+                ..
+            }
+        )
+    };
+    let plan = db.plan(sql, level).unwrap();
+    nodes(&plan.physical).iter().any(|n| match n {
+        PhysExpr::HashJoin { left, right, .. } => {
+            nodes(left).iter().any(local) || nodes(right).iter().any(local)
+        }
+        _ => false,
+    })
+}
+
+/// §3.3: when the GroupBy cannot pass a join (it groups on `orders` and
+/// sums `lineitem`), a LocalGroupBy pre-aggregates `lineitem` below the
+/// join. Without `lineitem`'s `l_orderkey` index (so the join runs
+/// set-oriented), `Full` plans one, at a lower cost than the best plan
+/// without LocalGroupBy (`GroupByReorder`).
+#[test]
+fn claim_local_groupby_below_join() {
+    let db = claims_db(Some(("lineitem", 0)));
+    let sql = "select o_orderpriority, sum(l_extendedprice) from orders, lineitem \
+               where o_orderkey = l_orderkey group by o_orderpriority";
+    assert!(local_groupby_below_join(&db, sql, OptimizerLevel::Full));
+    assert!(!local_groupby_below_join(
+        &db,
+        sql,
+        OptimizerLevel::GroupByReorder
+    ));
+    let cost = |level| db.plan(sql, level).unwrap().search.best_cost;
+    assert!(cost(OptimizerLevel::Full) < cost(OptimizerLevel::GroupByReorder));
+}
+
 /// The paper's claims this engine fails today. Each must still fail,
 /// so fixing one fails [`named_failures_still_fail`] until its entry
 /// goes: the list only shrinks.
