@@ -2,9 +2,10 @@
 //! Shared foundation for the `orthopt` workspace.
 //!
 //! This crate defines the value system (SQL types, NULL, three-valued
-//! logic), row representation, identifier newtypes, the error type used
-//! across the whole stack, and a small deterministic PRNG used by the
-//! TPC-H data generator and the property-test harnesses.
+//! logic), row representation, identifier newtypes and the error type used
+//! across the whole stack. It re-exports the workspace's deterministic
+//! PRNG (`synccheck::prng`) for the TPC-H data generator and the
+//! property-test harnesses.
 //!
 //! Everything here is deliberately engine-agnostic: the IR, optimizer and
 //! executor crates all speak in terms of these types.
@@ -14,7 +15,6 @@ pub mod error;
 pub mod governor;
 pub mod hash;
 pub mod ids;
-pub mod prng;
 pub mod row;
 pub mod value;
 
@@ -28,6 +28,6 @@ pub use governor::{
 };
 pub use hash::GroupTable;
 pub use ids::{ColId, ColIdGen, TableId};
-pub use prng::Prng;
+pub use orthopt_synccheck::prng::{self, Prng};
 pub use row::Row;
 pub use value::{DataType, Value, ValueRef};

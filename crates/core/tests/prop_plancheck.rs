@@ -192,6 +192,16 @@ const REGISTRY: &[Mutation] = &[
             mutate: swap_index_cols,
         },
     },
+    // An `IndexLookupJoin` that fetches a column it neither emits nor
+    // tests (the seek's whole layout, say): a gather per matched lane
+    // that nothing reads.
+    Mutation {
+        tag: RuleTag::pass("mutation::index_lookup_fetch_unread"),
+        broken: Broken::Phys {
+            inputs: || vec![index_lookup_join()],
+            mutate: fetch_unread_col,
+        },
+    },
 ];
 
 /// Checks every input of the mutation `rule` clean, breaks it, and
@@ -319,6 +329,13 @@ fn mutation_apply_drop_param_is_blamed() {
 #[test]
 fn mutation_index_lookup_permute_index_is_blamed() {
     run("mutation::index_lookup_permute_index");
+}
+
+#[test]
+fn mutation_index_lookup_fetch_unread_is_blamed() {
+    for report in run("mutation::index_lookup_fetch_unread") {
+        assert!(report.contains("fetched column c12"), "{report}");
+    }
 }
 
 // --- first-match helpers ---------------------------------------------
@@ -531,6 +548,21 @@ fn swap_index_cols(node: &mut PhysExpr) -> bool {
     }
 }
 
+fn fetch_unread_col(node: &mut PhysExpr) -> bool {
+    match node {
+        PhysExpr::IndexLookupJoin {
+            positions,
+            fetch_cols,
+            ..
+        } => {
+            positions.push(2);
+            fetch_cols.push(ColId(12));
+            true
+        }
+        _ => false,
+    }
+}
+
 // --- clean inputs ----------------------------------------------------
 
 /// A one-row constant relation producing the given columns: fully under
@@ -665,7 +697,7 @@ fn index_lookup_join() -> PhysExpr {
         fetch_cols: vec![ColId(10), ColId(11)],
         index_cols: vec![0, 1],
         probes: vec![ScalarExpr::col(ColId(1)), ScalarExpr::col(ColId(1))],
-        residual: ScalarExpr::true_(),
+        residual: ScalarExpr::eq(ScalarExpr::col(ColId(11)), ScalarExpr::lit(0i64)),
         cols: vec![ColId(10)],
         params: vec![ColId(1)],
     }

@@ -19,6 +19,7 @@
 pub mod cardinality;
 pub mod cost;
 pub mod memo;
+mod narrow;
 pub mod physical_gen;
 pub mod rules;
 pub mod search;

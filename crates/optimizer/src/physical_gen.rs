@@ -28,9 +28,26 @@ impl Alt {
     }
 }
 
-/// Stands in for an input plan until [`Planner::build`] fills it in.
-fn stub() -> Box<PhysExpr> {
+/// Stands in for an input plan until [`Planner::build`] fills it in
+/// (or a plan rewrite moves the real one into place).
+pub(crate) fn stub() -> Box<PhysExpr> {
     Box::new(PhysExpr::const_rows(vec![], &[]))
+}
+
+/// The base positions and layout an index-lookup join fetches: those
+/// of `fetch_cols` that it emits (`cols`) or its residual tests.
+pub(crate) fn fetched(
+    positions: &[usize],
+    fetch_cols: &[ColId],
+    cols: &[ColId],
+    tested: &BTreeSet<ColId>,
+) -> (Vec<usize>, Vec<ColId>) {
+    positions
+        .iter()
+        .zip(fetch_cols)
+        .filter(|(_, c)| cols.contains(c) || tested.contains(c))
+        .map(|(&p, &c)| (p, c))
+        .unzip()
 }
 
 /// Extracts the cheapest physical plan for a group.
@@ -551,6 +568,7 @@ impl<'a> Planner<'a> {
         if !out_cols.iter().all(|c| fetch_cols.contains(c)) {
             return None;
         }
+        let (positions, fetch_cols) = fetched(positions, fetch_cols, &out_cols, &residual.cols());
         // Rows fetched per probe: the inner group's estimated output
         // cardinality (a slight underestimate when a residual trims
         // it further, which only makes the race conservative).
@@ -567,8 +585,8 @@ impl<'a> Planner<'a> {
                 kind,
                 left: stub(),
                 table: *table,
-                positions: positions.clone(),
-                fetch_cols: fetch_cols.clone(),
+                positions,
+                fetch_cols,
                 index_cols,
                 probes,
                 residual,

@@ -7,6 +7,7 @@ use orthopt_plancheck::{self as plancheck, Check, RuleTag};
 
 use crate::cardinality::Estimator;
 use crate::memo::{ExprId, Memo, RuleState, MAX_EXPRS};
+use crate::narrow::narrow_index_lookups;
 use crate::physical_gen::Planner;
 use crate::rules;
 
@@ -124,6 +125,7 @@ pub fn optimize_with_presentation(
         let input = Box::new(plan);
         plan = PhysExpr::Limit { input, n };
     }
+    narrow_index_lookups(&mut plan);
     plancheck::verify(
         RuleTag::pass("physical_gen::best"),
         Check::Physical(&plan),

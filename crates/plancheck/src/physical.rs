@@ -308,6 +308,18 @@ impl PhysCx {
                 let fvis: BTreeSet<ColId> = fetch_cols.iter().copied().collect();
                 self.refs(residual, &fvis, &pscope, p, "residual predicate");
                 self.cols_in(cols, &fvis, p, "projected");
+                // A fetched column nothing emits or tests is a gather
+                // per matched lane for nothing.
+                let read = residual.cols();
+                for c in fetch_cols {
+                    if !cols.contains(c) && !read.contains(c) {
+                        self.violation(
+                            CheckKind::Physical,
+                            p,
+                            format!("fetched column {c} is neither projected nor tested"),
+                        );
+                    }
+                }
                 self.check(left, scope);
             }
             PhysExpr::SegmentExec {

@@ -121,9 +121,34 @@ impl Table {
     /// Appends a row after checking arity and types: each value goes
     /// onto the end of its column ([`Column::push`], copy-on-write — a
     /// window of [`Table::columns`] taken earlier keeps what it had).
-    /// Hash indexes are maintained incrementally; statistics are
-    /// invalidated (recompute via [`Table::analyze`] after bulk loads).
+    /// Statistics are invalidated (recompute via [`Table::analyze`]
+    /// after bulk loads). Each hash index is rebuilt to take the row
+    /// ([`Index::extend`]), which costs O(lanes) per index: a loader
+    /// inserts its rows first and builds its indexes after, as
+    /// `tpch::generate` does, or hands them all to [`Table::insert_all`].
     pub fn insert(&mut self, row: Row) -> Result<()> {
+        self.insert_all([row])
+    }
+
+    /// Bulk insert: validates and appends each row in turn, then
+    /// rebuilds each index once. On an error the rows before the
+    /// failing one stay inserted and indexed.
+    pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
+        let before = self.len;
+        let appended = rows.into_iter().try_for_each(|r| self.push_row(r));
+        if self.len > before {
+            for ix in &mut self.indexes {
+                ix.extend(&self.columns, self.len);
+            }
+            self.stats = None;
+            self.row_view.take();
+        }
+        appended
+    }
+
+    /// Checks one row's arity and types and appends it to the columns,
+    /// leaving indexes, statistics and the row view to the caller.
+    fn push_row(&mut self, row: Row) -> Result<()> {
         if row.len() != self.def.columns.len() {
             return Err(Error::Exec(format!(
                 "row arity {} does not match table {} ({} columns)",
@@ -153,19 +178,6 @@ impl Table {
             column.push(v);
         }
         self.len += 1;
-        for ix in &mut self.indexes {
-            ix.extend(&self.columns, self.len);
-        }
-        self.stats = None;
-        self.row_view.take();
-        Ok(())
-    }
-
-    /// Bulk insert.
-    pub fn insert_all(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
-        for r in rows {
-            self.insert(r)?;
-        }
         Ok(())
     }
 

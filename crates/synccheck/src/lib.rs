@@ -16,8 +16,8 @@
 //!    under a deterministic scheduler that permits exactly one thread to
 //!    advance at a time and systematically explores interleavings — DFS
 //!    with bounded preemptions, or seeded random schedules via the same
-//!    SplitMix64 PRNG as `common/prng` — replaying any failing schedule
-//!    as a printable step trace.
+//!    SplitMix64 PRNG ([`prng`]) as the TPC-H generator — replaying any
+//!    failing schedule as a printable step trace.
 //! 3. **Lock-order detector** ([`lockorder`]) and **workspace lint**
 //!    ([`lint`]): a global acquisition-order graph with cycle
 //!    detection (live under `debug_assertions`), and a source-scanning
@@ -37,11 +37,8 @@ pub mod lockorder;
 pub mod model;
 pub mod sync;
 
-// The model scheduler draws seeded random schedules from the workspace's
-// SplitMix64 generator. `common` sits *above* this crate in the
-// dependency graph (its governor uses the shim), so the generator is
-// shared at the source level rather than through a cargo dependency —
-// same bits, no cycle.
-#[path = "../../common/src/prng.rs"]
-#[allow(dead_code)] // the model only draws next_u64; common uses the rest
-mod prng;
+// The workspace's one SplitMix64 generator lives here, the lowest crate
+// that draws from it: the model scheduler seeds its random schedules
+// with it, and `common` (which sits above this crate) re-exports it as
+// `common::prng` for the TPC-H generator and randomized tests.
+pub mod prng;

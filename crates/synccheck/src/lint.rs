@@ -192,7 +192,7 @@ pub const DESIGN_RULES: &[Rule] = &[
         paths: &["crates/storage/src/index.rs", EXEC], exempt: &["crates/exec/src/reference.rs"],
         seed: "let mut keys: HashMap<Vec<Value>, usize> = HashMap::new();",
         message: "key lanes with common::hash::GroupTable (an index: storage::Index's GroupTable \
-                  and chains), not a map of rows or key tuples", ..RULE },
+                  and per-key lane lists), not a map of rows or key tuples", ..RULE },
     Rule { name: "index-fetch", any: &["IndexFetch", "indexjoin.fetch"], paths: &[CRATES],
         seed: "struct IndexFetch;", message: "IndexLookupJoin is JoinProbe::probe_keys against \
                   the table's index; there is no fetch", ..RULE },

@@ -18,7 +18,7 @@
 //!   preemptions, so a bound of 2-3 explores the interesting space and
 //!   terminates; when the bounded space is exhausted the report says so.
 //! * [`Strategy::Random`] — seeded random schedules drawn from the same
-//!   SplitMix64 generator as `common/prng`; iteration *i* uses
+//!   SplitMix64 generator as `common::prng`; iteration *i* uses
 //!   `seed + i`, so any failure names a reproducible seed.
 //!
 //! On failure (panic in any thread, deadlock, step-budget livelock) the

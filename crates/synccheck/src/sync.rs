@@ -508,48 +508,56 @@ pub mod atomic {
                 }
 
                 /// Atomic load.
+                #[inline]
                 pub fn load(&self, order: Ordering) -> $ty {
                     point("load", self.label);
                     self.inner.load(order)
                 }
 
                 /// Atomic store.
+                #[inline]
                 pub fn store(&self, value: $ty, order: Ordering) {
                     point("store", self.label);
                     self.inner.store(value, order);
                 }
 
                 /// Atomic swap, returning the previous value.
+                #[inline]
                 pub fn swap(&self, value: $ty, order: Ordering) -> $ty {
                     point("swap", self.label);
                     self.inner.swap(value, order)
                 }
 
                 /// Atomic add, returning the previous value.
+                #[inline]
                 pub fn fetch_add(&self, value: $ty, order: Ordering) -> $ty {
                     point("fetch_add", self.label);
                     self.inner.fetch_add(value, order)
                 }
 
                 /// Atomic subtract, returning the previous value.
+                #[inline]
                 pub fn fetch_sub(&self, value: $ty, order: Ordering) -> $ty {
                     point("fetch_sub", self.label);
                     self.inner.fetch_sub(value, order)
                 }
 
                 /// Atomic maximum, returning the previous value.
+                #[inline]
                 pub fn fetch_max(&self, value: $ty, order: Ordering) -> $ty {
                     point("fetch_max", self.label);
                     self.inner.fetch_max(value, order)
                 }
 
                 /// Atomic minimum, returning the previous value.
+                #[inline]
                 pub fn fetch_min(&self, value: $ty, order: Ordering) -> $ty {
                     point("fetch_min", self.label);
                     self.inner.fetch_min(value, order)
                 }
 
                 /// Atomic compare-and-exchange.
+                #[inline]
                 pub fn compare_exchange(
                     &self,
                     current: $ty,
@@ -563,11 +571,13 @@ pub mod atomic {
 
                 /// Unsynchronized mutable access (requires exclusive
                 /// ownership).
+                #[inline]
                 pub fn get_mut(&mut self) -> &mut $ty {
                     self.inner.get_mut()
                 }
 
                 /// Consumes the atomic, returning the value.
+                #[inline]
                 pub fn into_inner(self) -> $ty {
                     self.inner.into_inner()
                 }
@@ -620,36 +630,42 @@ pub mod atomic {
         }
 
         /// Atomic load.
+        #[inline]
         pub fn load(&self, order: Ordering) -> bool {
             point("load", self.label);
             self.inner.load(order)
         }
 
         /// Atomic store.
+        #[inline]
         pub fn store(&self, value: bool, order: Ordering) {
             point("store", self.label);
             self.inner.store(value, order);
         }
 
         /// Atomic swap, returning the previous value.
+        #[inline]
         pub fn swap(&self, value: bool, order: Ordering) -> bool {
             point("swap", self.label);
             self.inner.swap(value, order)
         }
 
         /// Atomic OR, returning the previous value.
+        #[inline]
         pub fn fetch_or(&self, value: bool, order: Ordering) -> bool {
             point("fetch_or", self.label);
             self.inner.fetch_or(value, order)
         }
 
         /// Atomic AND, returning the previous value.
+        #[inline]
         pub fn fetch_and(&self, value: bool, order: Ordering) -> bool {
             point("fetch_and", self.label);
             self.inner.fetch_and(value, order)
         }
 
         /// Atomic compare-and-exchange.
+        #[inline]
         pub fn compare_exchange(
             &self,
             current: bool,

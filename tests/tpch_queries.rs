@@ -404,6 +404,37 @@ fn claim_local_groupby_below_join() {
     assert!(cost(OptimizerLevel::Full) < cost(OptimizerLevel::GroupByReorder));
 }
 
+/// §4's index-lookup join gathers only what the plan reads. At `Full`,
+/// with the `l_partkey` index, brand-only Q17 probes `lineitem` twice:
+/// under the per-part average, then to rejoin the qualifying lines. The
+/// first join fetches `l_partkey, l_quantity` and the second
+/// `l_quantity, l_extendedprice`, not the seeks' wider layouts.
+#[test]
+fn claim_index_lookup_fetches_what_is_read() {
+    let db = claims_db(None);
+    let lineitem = db.catalog().resolve("lineitem").unwrap();
+    let sql = queries::q17_brand_only("brand#23");
+    let plan = db.plan(&sql, OptimizerLevel::Full).unwrap();
+    let mut fetched: Vec<Vec<usize>> = nodes(&plan.physical)
+        .into_iter()
+        .filter_map(|n| match n {
+            PhysExpr::IndexLookupJoin {
+                kind: ApplyKind::Cross,
+                table,
+                positions,
+                ..
+            } if *table == lineitem => {
+                let mut set = positions.clone();
+                set.sort_unstable();
+                Some(set)
+            }
+            _ => None,
+        })
+        .collect();
+    fetched.sort();
+    assert_eq!(fetched, [vec![1, 4], vec![4, 5]], "{plan:?}");
+}
+
 /// The paper's claims this engine fails today. Each must still fail,
 /// so fixing one fails [`named_failures_still_fail`] until its entry
 /// goes: the list only shrinks.
