@@ -6,447 +6,123 @@
 //! detect exactly this: "two instances of an expression connected by a
 //! join". The syntax-independence tests (§1.2) use it too — plans from
 //! different SQL formulations must be isomorphic.
+//!
+//! Both questions are one comparison: rename each tree's produced
+//! columns to a canonical form and compare the two forms with `==`.
+//! Free columns (outer parameters) are not renamed, so they must match
+//! as they are.
 
 use std::collections::HashMap;
 
-use orthopt_common::ColId;
+use orthopt_common::{ColId, ColIdGen};
 
-use crate::agg::AggDef;
-use crate::relop::RelExpr;
-use crate::scalar::ScalarExpr;
+use crate::relop::{ColumnMeta, GetMeta, RelExpr};
 
-/// Bijective column-id mapping built during comparison.
-#[derive(Default, Debug)]
-pub struct ColBijection {
-    forward: HashMap<ColId, ColId>,
-    backward: HashMap<ColId, ColId>,
-}
-
-impl ColBijection {
-    fn unify(&mut self, a: ColId, b: ColId) -> bool {
-        match (self.forward.get(&a), self.backward.get(&b)) {
-            (Some(&fb), Some(&ba)) => fb == b && ba == a,
-            (None, None) => {
-                self.forward.insert(a, b);
-                self.backward.insert(b, a);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The forward (left→right) mapping.
-    pub fn into_forward(self) -> HashMap<ColId, ColId> {
-        self.forward
-    }
-
-    /// Looks up the image of a left-side column.
-    pub fn map(&self, a: ColId) -> Option<ColId> {
-        self.forward.get(&a).copied()
-    }
-}
-
-/// Compares two trees for structural equality modulo a bijective column
-/// renaming; on success returns the left→right mapping.
+/// Compares two trees for structural equality modulo a bijective
+/// renaming of the columns they produce; on success returns the
+/// left→right mapping of produced columns.
 pub fn rel_isomorphic(a: &RelExpr, b: &RelExpr) -> Option<HashMap<ColId, ColId>> {
-    let mut bij = ColBijection::default();
-    if rel_iso(a, b, &mut bij) {
-        Some(bij.into_forward())
-    } else {
-        None
+    let ids = |r: &RelExpr| r.produced_cols().into_iter().chain(r.referenced_cols());
+    let gen = ColIdGen::after(ids(a).chain(ids(b)));
+    let (canon_a, to_canon_a) = canonical(a, gen.clone());
+    let (canon_b, to_canon_b) = canonical(b, gen);
+    if canon_a != canon_b {
+        return None;
     }
-}
-
-/// Like [`rel_isomorphic`] but extends a caller-provided bijection (used
-/// when some correspondences are already pinned, e.g. shared outer
-/// parameters must map to themselves).
-pub fn rel_isomorphic_with(a: &RelExpr, b: &RelExpr, bij: &mut ColBijection) -> bool {
-    rel_iso(a, b, bij)
+    let from_canon_b: HashMap<ColId, ColId> =
+        to_canon_b.into_iter().map(|(old, c)| (c, old)).collect();
+    Some(
+        to_canon_a
+            .into_iter()
+            .map(|(old, c)| (old, from_canon_b[&c]))
+            .collect(),
+    )
 }
 
 /// Instance matching for SegmentApply detection (§3.4.1): like
-/// isomorphism, except `b` may scan a *subset* of `a`'s base-table
-/// columns at each `Get` leaf (the two instances of an expression are
-/// usually pruned to different column sets). The mapping still goes
-/// `a → b`; `a`-columns without a counterpart in `b` stay unmapped.
-pub fn rel_instance_with(a: &RelExpr, b: &RelExpr, bij: &mut ColBijection) -> bool {
-    if let (RelExpr::Get(ga), RelExpr::Get(gb)) = (a, b) {
-        if ga.table != gb.table {
-            return false;
-        }
-        // Every b column must exist in a at the same base position.
-        for (bc, bpos) in gb.cols.iter().zip(&gb.positions) {
-            let Some(ai) = ga.positions.iter().position(|p| p == bpos) else {
-                return false;
-            };
-            if ga.cols[ai].ty != bc.ty || !bij.unify(ga.cols[ai].id, bc.id) {
-                return false;
-            }
-        }
-        return true;
+/// [`rel_isomorphic`], except that each `Get` of `b` may scan a subset of
+/// the base-table columns its partner in `a` scans (the two instances of
+/// an expression are usually pruned to different column sets). The
+/// mapping still goes `a → b`; `a`-columns without a counterpart in `b`
+/// stay unmapped. A consumer of whole rows (`Except`, `UnionAll`) lists
+/// its columns, so a narrower scan under one still fails the comparison.
+pub fn rel_instance(a: &RelExpr, b: &RelExpr) -> Option<HashMap<ColId, ColId>> {
+    let (scans_a, scans_b) = (scans(a), scans(b));
+    let fits = |(ga, gb): (&GetMeta, &GetMeta)| {
+        ga.table == gb.table && gb.positions.iter().all(|p| ga.positions.contains(p))
+    };
+    if scans_a.len() != scans_b.len() || !scans_a.iter().zip(&scans_b).all(fits) {
+        return None;
     }
-    // Same operator kind with matching scalar content, children compared
-    // recursively in instance mode.
-    match (a, b) {
-        (
-            RelExpr::Select {
-                input: ia,
-                predicate: pa,
-            },
-            RelExpr::Select {
-                input: ib,
-                predicate: pb,
-            },
-        ) => rel_instance_with(ia, ib, bij) && scalar_iso(pa, pb, bij),
-        (
-            RelExpr::Project {
-                input: ia,
-                cols: ca,
-            },
-            RelExpr::Project {
-                input: ib,
-                cols: cb,
-            },
-        ) => {
-            rel_instance_with(ia, ib, bij)
-                && ca.len() == cb.len()
-                && ca.iter().zip(cb).all(|(&x, &y)| bij.unify(x, y))
-        }
-        (
-            RelExpr::Join {
-                kind: ka,
-                left: la,
-                right: ra,
-                predicate: pa,
-            },
-            RelExpr::Join {
-                kind: kb,
-                left: lb,
-                right: rb,
-                predicate: pb,
-            },
-        ) => {
-            ka == kb
-                && rel_instance_with(la, lb, bij)
-                && rel_instance_with(ra, rb, bij)
-                && scalar_iso(pa, pb, bij)
-        }
-        // For every other operator fall back to exact isomorphism.
-        _ => rel_iso(a, b, bij),
-    }
+    // Cut each scan of `a` to its partner's positions, in its order. A
+    // scan finds its partner by its columns: `walk_mut` reaches nested
+    // subqueries in another order than `walk`.
+    let mut cut = a.clone();
+    cut.walk_mut(&mut |r| {
+        let RelExpr::Get(g) = r else { return };
+        let Some((_, partner)) = scans_a
+            .iter()
+            .zip(&scans_b)
+            .find(|(ga, _)| ga.cols == g.cols)
+        else {
+            return;
+        };
+        let at = |p: &usize| {
+            g.positions
+                .iter()
+                .position(|q| q == p)
+                .map(|i| g.cols[i].clone())
+        };
+        let cols = partner.positions.iter().filter_map(at).collect();
+        g.cols = cols;
+        g.positions = partner.positions.clone();
+    });
+    rel_isomorphic(&cut, b)
 }
 
-/// Pins identity mappings for columns that both sides reference freely
-/// (outer parameters must not be renamed).
-pub fn pin_identity(bij: &mut ColBijection, cols: impl IntoIterator<Item = ColId>) -> bool {
-    cols.into_iter().all(|c| bij.unify(c, c))
+/// The tree's scans, in pre-order.
+fn scans(rel: &RelExpr) -> Vec<GetMeta> {
+    let mut out = Vec::new();
+    rel.walk(&mut |r| {
+        if let RelExpr::Get(g) = r {
+            out.push(g.clone());
+        }
+    });
+    out
 }
 
-fn rel_iso(a: &RelExpr, b: &RelExpr, bij: &mut ColBijection) -> bool {
-    use RelExpr::*;
-    match (a, b) {
-        (Get(ga), Get(gb)) => {
-            ga.table == gb.table
-                && ga.positions == gb.positions
-                && ga.cols.len() == gb.cols.len()
-                && ga
-                    .cols
-                    .iter()
-                    .zip(&gb.cols)
-                    .all(|(x, y)| x.ty == y.ty && bij.unify(x.id, y.id))
-        }
-        (ConstRel { cols: ca, rows: ra }, ConstRel { cols: cb, rows: rb }) => {
-            ra == rb
-                && ca.len() == cb.len()
-                && ca
-                    .iter()
-                    .zip(cb)
-                    .all(|(x, y)| x.ty == y.ty && bij.unify(x.id, y.id))
-        }
-        (
-            Select {
-                input: ia,
-                predicate: pa,
-            },
-            Select {
-                input: ib,
-                predicate: pb,
-            },
-        ) => rel_iso(ia, ib, bij) && scalar_iso(pa, pb, bij),
-        (
-            Map {
-                input: ia,
-                defs: da,
-            },
-            Map {
-                input: ib,
-                defs: db,
-            },
-        ) => {
-            rel_iso(ia, ib, bij)
-                && da.len() == db.len()
-                && da.iter().zip(db).all(|(x, y)| {
-                    x.col.ty == y.col.ty
-                        && scalar_iso(&x.expr, &y.expr, bij)
-                        && bij.unify(x.col.id, y.col.id)
-                })
-        }
-        (
-            Project {
-                input: ia,
-                cols: ca,
-            },
-            Project {
-                input: ib,
-                cols: cb,
-            },
-        ) => {
-            rel_iso(ia, ib, bij)
-                && ca.len() == cb.len()
-                && ca.iter().zip(cb).all(|(&x, &y)| bij.unify(x, y))
-        }
-        (
-            Join {
-                kind: ka,
-                left: la,
-                right: ra,
-                predicate: pa,
-            },
-            Join {
-                kind: kb,
-                left: lb,
-                right: rb,
-                predicate: pb,
-            },
-        ) => ka == kb && rel_iso(la, lb, bij) && rel_iso(ra, rb, bij) && scalar_iso(pa, pb, bij),
-        (
-            Apply {
-                kind: ka,
-                left: la,
-                right: ra,
-            },
-            Apply {
-                kind: kb,
-                left: lb,
-                right: rb,
-            },
-        ) => ka == kb && rel_iso(la, lb, bij) && rel_iso(ra, rb, bij),
-        (
-            SegmentApply {
-                input: ia,
-                segment_cols: sa,
-                inner: na,
-            },
-            SegmentApply {
-                input: ib,
-                segment_cols: sb,
-                inner: nb,
-            },
-        ) => {
-            rel_iso(ia, ib, bij)
-                && sa.len() == sb.len()
-                && sa.iter().zip(sb).all(|(&x, &y)| bij.unify(x, y))
-                && rel_iso(na, nb, bij)
-        }
-        (SegmentRef { cols: ca }, SegmentRef { cols: cb }) => {
-            ca.len() == cb.len()
-                && ca.iter().zip(cb).all(|((ma, srca), (mb, srcb))| {
-                    ma.ty == mb.ty && bij.unify(ma.id, mb.id) && bij.unify(*srca, *srcb)
-                })
-        }
-        (
-            GroupBy {
-                kind: ka,
-                input: ia,
-                group_cols: ga,
-                aggs: aa,
-            },
-            GroupBy {
-                kind: kb,
-                input: ib,
-                group_cols: gb,
-                aggs: ab,
-            },
-        ) => {
-            ka == kb
-                && rel_iso(ia, ib, bij)
-                && ga.len() == gb.len()
-                && ga.iter().zip(gb).all(|(&x, &y)| bij.unify(x, y))
-                && aggs_iso(aa, ab, bij)
-        }
-        (
-            UnionAll {
-                left: la,
-                right: ra,
-                cols: ca,
-                left_map: lma,
-                right_map: rma,
-            },
-            UnionAll {
-                left: lb,
-                right: rb,
-                cols: cb,
-                left_map: lmb,
-                right_map: rmb,
-            },
-        ) => {
-            rel_iso(la, lb, bij)
-                && rel_iso(ra, rb, bij)
-                && ca.len() == cb.len()
-                && ca.iter().zip(cb).all(|(x, y)| bij.unify(x.id, y.id))
-                && lma.iter().zip(lmb).all(|(&x, &y)| bij.unify(x, y))
-                && rma.iter().zip(rmb).all(|(&x, &y)| bij.unify(x, y))
-        }
-        (
-            Except {
-                left: la,
-                right: ra,
-                right_map: rma,
-            },
-            Except {
-                left: lb,
-                right: rb,
-                right_map: rmb,
-            },
-        ) => {
-            rel_iso(la, lb, bij)
-                && rel_iso(ra, rb, bij)
-                && rma.len() == rmb.len()
-                && rma.iter().zip(rmb).all(|(&x, &y)| bij.unify(x, y))
-        }
-        (Max1Row { input: ia }, Max1Row { input: ib }) => rel_iso(ia, ib, bij),
-        (Enumerate { input: ia, col: ca }, Enumerate { input: ib, col: cb }) => {
-            rel_iso(ia, ib, bij) && bij.unify(ca.id, cb.id)
-        }
-        _ => false,
+/// A copy of `rel` whose produced columns are renamed, in pre-order of
+/// production, to ids drawn from `gen`, with what the comparison ignores
+/// blanked: column names and nullability, and a scan's keys, statistics
+/// and row count. Also returns the old→canonical mapping.
+fn canonical(rel: &RelExpr, mut gen: ColIdGen) -> (RelExpr, HashMap<ColId, ColId>) {
+    let mut map = HashMap::new();
+    for c in rel.produced_in_order() {
+        map.entry(c).or_insert_with(|| gen.fresh());
     }
-}
-
-fn aggs_iso(a: &[AggDef], b: &[AggDef], bij: &mut ColBijection) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.func == y.func
-                && x.distinct == y.distinct
-                && match (&x.arg, &y.arg) {
-                    (None, None) => true,
-                    (Some(p), Some(q)) => scalar_iso(p, q, bij),
-                    _ => false,
-                }
-                && bij.unify(x.out.id, y.out.id)
-        })
-}
-
-fn scalar_iso(a: &ScalarExpr, b: &ScalarExpr, bij: &mut ColBijection) -> bool {
-    use ScalarExpr::*;
-    match (a, b) {
-        (Column(x), Column(y)) => bij.unify(*x, *y),
-        (Literal(x), Literal(y)) => x == y,
-        (
-            Cmp {
-                op: oa,
-                left: la,
-                right: ra,
-            },
-            Cmp {
-                op: ob,
-                left: lb,
-                right: rb,
-            },
-        ) => oa == ob && scalar_iso(la, lb, bij) && scalar_iso(ra, rb, bij),
-        (
-            Arith {
-                op: oa,
-                left: la,
-                right: ra,
-            },
-            Arith {
-                op: ob,
-                left: lb,
-                right: rb,
-            },
-        ) => oa == ob && scalar_iso(la, lb, bij) && scalar_iso(ra, rb, bij),
-        (Neg(x), Neg(y)) | (Not(x), Not(y)) => scalar_iso(x, y, bij),
-        (And(xs), And(ys)) | (Or(xs), Or(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| scalar_iso(x, y, bij))
+    let mut canon = rel.clone();
+    canon.remap_columns(&map);
+    let blank = |m: &mut ColumnMeta| {
+        m.name.clear();
+        m.nullable = false;
+    };
+    canon.walk_mut(&mut |r| match r {
+        RelExpr::Get(g) => {
+            g.cols.iter_mut().for_each(blank);
+            g.keys.clear();
+            g.col_stats.clear();
+            g.row_count = 0.0;
         }
-        (
-            IsNull {
-                expr: xa,
-                negated: na,
-            },
-            IsNull {
-                expr: xb,
-                negated: nb,
-            },
-        ) => na == nb && scalar_iso(xa, xb, bij),
-        (
-            Case {
-                operand: oa,
-                whens: wa,
-                else_: ea,
-            },
-            Case {
-                operand: ob,
-                whens: wb,
-                else_: eb,
-            },
-        ) => {
-            let opnd = match (oa, ob) {
-                (None, None) => true,
-                (Some(x), Some(y)) => scalar_iso(x, y, bij),
-                _ => false,
-            };
-            let els = match (ea, eb) {
-                (None, None) => true,
-                (Some(x), Some(y)) => scalar_iso(x, y, bij),
-                _ => false,
-            };
-            opnd && els
-                && wa.len() == wb.len()
-                && wa
-                    .iter()
-                    .zip(wb)
-                    .all(|((w1, t1), (w2, t2))| scalar_iso(w1, w2, bij) && scalar_iso(t1, t2, bij))
+        RelExpr::ConstRel { cols, .. } | RelExpr::UnionAll { cols, .. } => {
+            cols.iter_mut().for_each(blank);
         }
-        (Subquery(x), Subquery(y)) => rel_iso(x, y, bij),
-        (
-            Exists {
-                rel: xa,
-                negated: na,
-            },
-            Exists {
-                rel: xb,
-                negated: nb,
-            },
-        ) => na == nb && rel_iso(xa, xb, bij),
-        (
-            InSubquery {
-                expr: ea,
-                rel: xa,
-                negated: na,
-            },
-            InSubquery {
-                expr: eb,
-                rel: xb,
-                negated: nb,
-            },
-        ) => na == nb && scalar_iso(ea, eb, bij) && rel_iso(xa, xb, bij),
-        (
-            QuantifiedCmp {
-                op: oa,
-                quant: qa,
-                expr: ea,
-                rel: xa,
-            },
-            QuantifiedCmp {
-                op: ob,
-                quant: qb,
-                expr: eb,
-                rel: xb,
-            },
-        ) => oa == ob && qa == qb && scalar_iso(ea, eb, bij) && rel_iso(xa, xb, bij),
-        _ => false,
-    }
+        RelExpr::Map { defs, .. } => defs.iter_mut().for_each(|d| blank(&mut d.col)),
+        RelExpr::GroupBy { aggs, .. } => aggs.iter_mut().for_each(|a| blank(&mut a.out)),
+        RelExpr::Enumerate { col, .. } => blank(col),
+        RelExpr::SegmentRef { cols } => cols.iter_mut().for_each(|(m, _)| blank(m)),
+        _ => {}
+    });
+    (canon, map)
 }
 
 #[cfg(test)]
@@ -454,7 +130,7 @@ mod tests {
     use super::*;
     use crate::builder::{self, t};
     use crate::relop::JoinKind;
-    use orthopt_common::ColIdGen;
+    use crate::scalar::{CmpOp, ScalarExpr};
 
     #[test]
     fn tree_is_isomorphic_to_its_fresh_clone() {
@@ -513,16 +189,121 @@ mod tests {
 
     #[test]
     fn pinned_params_must_map_to_themselves() {
-        // Inner expressions referencing an outer parameter c77: the
-        // parameter must survive pinning.
+        // Inner expressions referencing an outer parameter c77: a fresh
+        // clone keeps it, a clone that renames it is another expression.
         let a = builder::select(
             t::get_ab(),
             ScalarExpr::eq(ScalarExpr::col(t::COL_A), ScalarExpr::col(ColId(77))),
         );
         let mut gen = ColIdGen::starting_at(200);
         let (b, _) = a.clone_with_fresh_cols(&mut gen);
-        let mut bij = ColBijection::default();
-        assert!(pin_identity(&mut bij, [ColId(77)]));
-        assert!(rel_isomorphic_with(&a, &b, &mut bij));
+        assert!(rel_isomorphic(&a, &b).is_some());
+        let mut other_param = b;
+        other_param.remap_columns(&[(ColId(77), ColId(78))].into_iter().collect());
+        assert!(rel_isomorphic(&a, &other_param).is_none());
+    }
+
+    /// `Get ab` narrowed to its `a` column.
+    fn get_a_only() -> RelExpr {
+        let mut g = t::get_ab();
+        if let RelExpr::Get(m) = &mut g {
+            m.cols.truncate(1);
+            m.positions.truncate(1);
+        }
+        g
+    }
+
+    fn a_gt(rel: RelExpr, v: i64) -> RelExpr {
+        let pred = ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(t::COL_A), ScalarExpr::lit(v));
+        builder::select(rel, pred)
+    }
+
+    #[test]
+    fn an_instance_may_scan_a_subset_of_the_columns() {
+        // The aggregated instance of Q17's lineitem reads fewer columns
+        // than the other one: the instance still matches, and the
+        // unread column stays unmapped.
+        let a = a_gt(
+            builder::join(
+                JoinKind::Inner,
+                t::get_ab(),
+                t::get_cd(),
+                ScalarExpr::true_(),
+            ),
+            0,
+        );
+        let narrow = builder::join(
+            JoinKind::Inner,
+            get_a_only(),
+            t::get_cd(),
+            ScalarExpr::true_(),
+        );
+        let (b, fresh) = a_gt(narrow, 0).clone_with_fresh_cols(&mut ColIdGen::starting_at(100));
+        assert!(rel_isomorphic(&a, &b).is_none());
+        let map = rel_instance(&a, &b).expect("instance");
+        assert_eq!(map[&t::COL_A], fresh[&t::COL_A]);
+        assert_eq!(map[&t::COL_D], fresh[&t::COL_D]);
+        assert!(!map.contains_key(&t::COL_B));
+        // The wider side is no instance of the narrower one.
+        assert!(rel_instance(&b, &a).is_none());
+    }
+
+    #[test]
+    fn instances_differing_in_a_literal_are_rejected() {
+        let a = a_gt(t::get_ab(), 0);
+        let (b, _) = a_gt(get_a_only(), 1).clone_with_fresh_cols(&mut ColIdGen::starting_at(100));
+        assert!(rel_instance(&a, &b).is_none());
+    }
+
+    #[test]
+    fn whole_row_consumers_reject_narrower_scans() {
+        // `Except` compares whole left rows and `UnionAll` maps every
+        // column: the narrower scan changes the column lists they hold.
+        let except = |left: RelExpr, right_map: Vec<ColId>| RelExpr::Except {
+            left: Box::new(left),
+            right: Box::new(t::get_cd()),
+            right_map,
+        };
+        let a = except(t::get_ab(), vec![t::COL_C, t::COL_D]);
+        let b = except(get_a_only(), vec![t::COL_C]);
+        assert!(rel_instance(&a, &b).is_none());
+
+        let union = |left: RelExpr, width: usize| {
+            let cols = t::get_cd().output_cols()[..width].to_vec();
+            RelExpr::UnionAll {
+                left: Box::new(left),
+                right: Box::new(t::get_cd()),
+                left_map: [t::COL_A, t::COL_B][..width].to_vec(),
+                right_map: cols.iter().map(|c| c.id).collect(),
+                cols: cols
+                    .into_iter()
+                    .map(|c| ColumnMeta {
+                        id: ColId(c.id.0 + 10),
+                        ..c
+                    })
+                    .collect(),
+            }
+        };
+        assert!(rel_instance(&union(t::get_ab(), 2), &union(get_a_only(), 1)).is_none());
+    }
+
+    #[test]
+    fn a_produced_id_equal_to_a_free_id_is_not_conflated() {
+        // `a` compares its column with the outer parameter c77; `b`
+        // produces c77 itself and compares it with itself.
+        let a = builder::select(
+            t::get_ab(),
+            ScalarExpr::eq(ScalarExpr::col(t::COL_A), ScalarExpr::col(ColId(77))),
+        );
+        let (b, fresh) = a.clone_with_fresh_cols(&mut ColIdGen::starting_at(77));
+        assert_eq!(fresh[&t::COL_A], ColId(77));
+        assert!(rel_isomorphic(&a, &b).is_none());
+        assert!(rel_instance(&a, &b).is_none());
+        // The same with a free id (c0) below every produced one, where
+        // a canonical id counted from zero would land.
+        let c_eq = |other| ScalarExpr::eq(ScalarExpr::col(t::COL_C), ScalarExpr::col(other));
+        let a = builder::select(t::get_cd(), c_eq(ColId(0)));
+        let b = builder::select(t::get_cd(), c_eq(t::COL_C));
+        assert!(rel_isomorphic(&a, &b).is_none());
     }
 }

@@ -596,23 +596,28 @@ impl RelExpr {
         }
     }
 
-    /// Column ids *produced* anywhere in this subtree (ids are globally
-    /// unique, so this is a plain union over all producing operators).
-    pub fn produced_cols(&self) -> BTreeSet<ColId> {
-        let mut out = BTreeSet::new();
+    /// Column ids *produced* anywhere in this subtree, in pre-order of
+    /// production. An id may repeat: a `SegmentRef` can re-expose a
+    /// segment column under the id it has in the `SegmentApply`'s input.
+    pub fn produced_in_order(&self) -> Vec<ColId> {
+        let mut out = Vec::new();
         self.walk(&mut |r| match r {
             RelExpr::Get(g) => out.extend(g.cols.iter().map(|c| c.id)),
             RelExpr::ConstRel { cols, .. } => out.extend(cols.iter().map(|c| c.id)),
             RelExpr::Map { defs, .. } => out.extend(defs.iter().map(|d| d.col.id)),
             RelExpr::GroupBy { aggs, .. } => out.extend(aggs.iter().map(|a| a.out.id)),
             RelExpr::UnionAll { cols, .. } => out.extend(cols.iter().map(|c| c.id)),
-            RelExpr::Enumerate { col, .. } => {
-                out.insert(col.id);
-            }
+            RelExpr::Enumerate { col, .. } => out.push(col.id),
             RelExpr::SegmentRef { cols } => out.extend(cols.iter().map(|(m, _)| m.id)),
             _ => {}
         });
         out
+    }
+
+    /// Column ids *produced* anywhere in this subtree (ids are globally
+    /// unique, so this is a plain union over all producing operators).
+    pub fn produced_cols(&self) -> BTreeSet<ColId> {
+        self.produced_in_order().into_iter().collect()
     }
 
     /// Column ids *referenced* anywhere in this subtree (by scalar

@@ -533,15 +533,10 @@ fn segment_apply_over(
         unreachable!("shape checked above");
     };
 
-    // The two instances must be the same expression up to column
-    // renaming — the aggregated instance may scan fewer columns — with
-    // shared outer parameters pinned.
-    let mut bij = iso::ColBijection::default();
-    let mut pins: BTreeSet<ColId> = t1.free_cols();
-    pins.extend(t2.free_cols());
-    if !iso::pin_identity(&mut bij, pins) || !iso::rel_instance_with(&t1, &t2, &mut bij) {
-        return None;
-    }
+    // The two instances must be the same expression up to renaming the
+    // columns they produce — the aggregated instance may scan fewer
+    // columns — with the same outer parameters.
+    let bij = iso::rel_instance(&t1, &t2)?;
 
     // Segmenting columns: equality conjuncts t1.c = t2.g with g a
     // grouping column and bij(c) = g.
@@ -549,7 +544,7 @@ fn segment_apply_over(
     let mut segment_cols: Vec<ColId> = Vec::new();
     for (x, y) in predicate.conjuncts().iter().filter_map(col_eq) {
         for (a, b) in [(x, y), (y, x)] {
-            let corresponds = a2.contains(&b) && bij.map(a) == Some(b);
+            let corresponds = a2.contains(&b) && bij.get(&a) == Some(&b);
             if t1_outs.contains(&a) && corresponds && !segment_cols.contains(&a) {
                 segment_cols.push(a);
             }
@@ -566,7 +561,7 @@ fn segment_apply_over(
     };
     // Every t2 output must correspond to a t1 output through the mapping.
     let source = |m: ColumnMeta| {
-        let src = t1_cols.iter().find(|c| bij.map(c.id) == Some(m.id))?;
+        let src = t1_cols.iter().find(|c| bij.get(&c.id) == Some(&m.id))?;
         Some((m, src.id))
     };
     let seg2_cols = t2.output_cols().into_iter().map(source);
